@@ -4,29 +4,34 @@ Serving user i at all requires the station within distance
 sqrt(p_max/K) (power limit) and sqrt(E_i/(tau_th*K)) (energy limit).
 At the fixed operating altitude z these 3D range balls become 2D disks
 of radius sqrt(d_limit^2 - z^2) around each user, and the feasible set is
-the intersection of all disks with the x/y box. The intersection is
-convex, so membership, emptiness and exact Euclidean projection are all
-well posed.
+the intersection of all disks with the x/y box.
+
+That intersection is a convex region bounded by circular arcs and box
+edges, so emptiness and Euclidean projection are exact 2D geometry: the
+region's vertices, found once by the pass that decides emptiness, and
+closed-form single-set projections. This replaces Dykstra's alternating
+projections (Boyle & Dykstra, 1986).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channel import SPEED_OF_LIGHT, SystemConstant, system_constant
 from .errors import EmptyRegionError, ValidationError
 from .scenario import AreaBounds, Scenario
 
 MEMBERSHIP_TOL = 1e-9   # meters, boundary slack for `contains`
-PROJECTION_TOL = 1e-8   # meters, accuracy target of `project`
-_DYKSTRA_MOVE_TOL = 1e-10
-_DYKSTRA_MAX_SWEEPS = 10_000
 EMPTINESS_TOL = 1e-6    # meters, decision threshold of `check_empty`
+# Candidate points are computed in floating point, so a vertex that lies
+# exactly on a boundary can land a few ulps outside it. Membership tests on
+# computed candidates allow this much, relative to the largest coordinate or
+# radius in the instance.
+_ROUNDING = 1e-12
 
 
 class Disk(NamedTuple):
@@ -60,13 +65,18 @@ class UserRangeLimit:
 class EmptinessCheck(NamedTuple):
     empty: bool
     witness: tuple[float, float] | None  # a feasible point when non-empty
-    shortfall: float                     # best max-violation found, meters
+    shortfall: float                     # max violation of the witness, or min-max when empty
     cause: str | None                    # human-readable reason when empty
+    vertices: np.ndarray                 # (K, 2) feasible candidate points; none when empty
 
 
 @dataclass(frozen=True)
 class FeasibleRegion:
-    """Disks-and-box description of the feasible placements at one altitude."""
+    """Disks-and-box description of the feasible placements at one altitude.
+
+    `vertices` holds the feasible candidate points `check_empty` found: every
+    vertex of the region, plus any box corner or disk centre inside it.
+    """
 
     altitude: float
     disks: tuple[Disk, ...]
@@ -74,12 +84,18 @@ class FeasibleRegion:
     empty: bool
     empty_reason: str | None = None
     limits: tuple[UserRangeLimit, ...] = ()
+    vertices: np.ndarray = field(
+        default_factory=lambda: np.empty((0, 2)), compare=False, repr=False
+    )
 
     @classmethod
     def from_disks(
         cls, disks: Sequence[Disk], box: AreaBounds, altitude: float | None = None
     ) -> "FeasibleRegion":
-        """Build a region directly from disks, running the emptiness check."""
+        """Build a region directly from disks, running the emptiness check.
+
+        A disk of radius 0 is the single point at its centre.
+        """
         disks = tuple(Disk(*d) for d in disks)
         check = check_empty(disks, box)
         return cls(
@@ -88,6 +104,7 @@ class FeasibleRegion:
             box=box,
             empty=check.empty,
             empty_reason=check.cause,
+            vertices=check.vertices,
         )
 
 
@@ -112,7 +129,10 @@ def build(scenario: Scenario, c: float = SPEED_OF_LIGHT) -> FeasibleRegion:
     intersect with the box and decide emptiness.
 
     Emptiness is a result, not an error; `empty_reason` names the user and
-    the binding constraint so an infeasible setup is actionable.
+    the binding constraint so an infeasible setup is actionable. A range
+    that does not exceed the altitude (d_limit <= z_min) is reported as such
+    a range cause, including d_limit == z_min, where the disk would shrink to
+    the single point under the user.
     """
     k = system_constant(scenario.rf, len(scenario.users), c)
     z = scenario.bounds.z_min
@@ -154,7 +174,7 @@ def build(scenario: Scenario, c: float = SPEED_OF_LIGHT) -> FeasibleRegion:
     check = check_empty(disks, scenario.bounds)
     return FeasibleRegion(
         altitude=z, disks=disks, box=scenario.bounds, empty=check.empty,
-        empty_reason=check.cause, limits=limits,
+        empty_reason=check.cause, limits=limits, vertices=check.vertices,
     )
 
 
@@ -177,12 +197,13 @@ def contains(
 
 
 def project(region: FeasibleRegion, point: tuple[float, float]) -> tuple[float, float]:
-    """Exact Euclidean projection onto the region, accurate to ~1e-8 m.
+    """Euclidean projection onto the region, exact up to rounding.
 
-    Uses Dykstra's alternating projections over the box and every disk.
-    Unlike plain alternating projection, Dykstra's correction terms make the
-    limit the *nearest* feasible point, not just a feasible one. Points
-    already in the region come back unchanged.
+    Points already in the region come back unchanged. Otherwise the nearest
+    point has either one active set, and then it is that set's own
+    projection, or it lies where two boundaries cross, which makes it a
+    stored vertex. So it is the nearest of the feasible ones among the box
+    clamp, each disk's radial pull-back and the vertices.
     """
     out = project_many(region, np.asarray([point], dtype=float))
     return (float(out[0, 0]), float(out[0, 1]))
@@ -197,84 +218,21 @@ def project_many(region: FeasibleRegion, points: np.ndarray) -> np.ndarray:
         raise ValidationError(f"points must have shape (N, 2), got {pts.shape}")
 
     box = region.box
-    cx = np.array([d.x for d in region.disks])
-    cy = np.array([d.y for d in region.disks])
-    cr = np.array([d.radius for d in region.disks])
-    n_sets = 1 + len(region.disks)
-
-    x = pts.copy()
-    corrections = np.zeros((n_sets, len(pts), 2))
-    for _sweep in range(_DYKSTRA_MAX_SWEEPS):
-        x_prev = x.copy()
-        corr_prev = corrections.copy()
-        for m in range(n_sets):
-            y = x + corrections[m]
-            proj = _project_box(y, box) if m == 0 else _project_disk(y, cx[m - 1], cy[m - 1], cr[m - 1])
-            corrections[m] = y - proj
-            x = proj
-        moved = np.max(np.hypot(x[:, 0] - x_prev[:, 0], x[:, 1] - x_prev[:, 1]))
-        # The iterate alone can stall for sweeps while a correction term
-        # drifts (a saturated box clamp replays the same corner); only a
-        # standstill of iterate AND corrections means convergence.
-        corr_moved = np.max(np.abs(corrections - corr_prev)) if n_sets else 0.0
-        if max(moved, corr_moved) < _DYKSTRA_MOVE_TOL:
-            break
-
-    # Dykstra's limit is exact but a finite sweep count can leave iterates a
-    # hair outside some set; a few plain cyclic projections restore strict
-    # membership while moving points far less than the accuracy target.
-    for _sweep in range(100):
-        if _max_violation(x, cx, cy, cr, box) <= _DYKSTRA_MOVE_TOL:
-            break
-        x = _project_box(x, box)
-        for j in range(len(cr)):
-            x = _project_disk(x, cx[j], cy[j], cr[j])
-    return x
-
-
-def _project_box(pts: np.ndarray, box: AreaBounds) -> np.ndarray:
-    out = pts.copy()
-    np.clip(out[:, 0], box.x_min, box.x_max, out=out[:, 0])
-    np.clip(out[:, 1], box.y_min, box.y_max, out=out[:, 1])
-    return out
-
-
-def _project_disk(pts: np.ndarray, cx: float, cy: float, r: float) -> np.ndarray:
-    dx = pts[:, 0] - cx
-    dy = pts[:, 1] - cy
-    dist = np.hypot(dx, dy)
-    scale = np.ones_like(dist)
-    outside = dist > r
-    scale[outside] = r / dist[outside]
-    return np.column_stack((cx + dx * scale, cy + dy * scale))
-
-
-def _max_violation(pts, cx, cy, cr, box) -> float:
-    viol = np.maximum(box.x_min - pts[:, 0], pts[:, 0] - box.x_max)
-    viol = np.maximum(viol, np.maximum(box.y_min - pts[:, 1], pts[:, 1] - box.y_max))
-    if len(cr):
-        dist = np.hypot(pts[:, 0, None] - cx, pts[:, 1, None] - cy)
-        viol = np.maximum(viol, np.max(dist - cr, axis=1))
-    return float(np.max(viol))
-
-
-# ---------------------------------------------------------------------------
-# Emptiness test. g(p) = max(disk shortfalls, box violations) is convex and
-# 1-Lipschitz; the region is non-empty iff min g <= 0. We locate the
-# minimizer by projected subgradient descent with diminishing steps plus a
-# Nelder-Mead polish, and certify emptiness with a grid lower bound that
-# exploits the Lipschitz constant.
-# ---------------------------------------------------------------------------
-
-
-def _violation_at(px, py, cx, cy, cr, box):
-    """g evaluated at one point or elementwise over arrays of points."""
-    g = np.maximum(box.x_min - px, px - box.x_max)
-    g = np.maximum(g, np.maximum(box.y_min - py, py - box.y_max))
-    if len(cr):
-        dist = np.hypot(np.subtract.outer(px, cx), np.subtract.outer(py, cy))
-        g = np.maximum(g, np.max(dist - cr, axis=-1))
-    return g
+    cx, cy, r, rounding = _disk_arrays(region.disks, box)
+    outside = np.ones(len(pts), dtype=bool)
+    outside[_within(pts, cx, cy, r, box, 0.0)[0]] = False
+    for k in np.flatnonzero(outside):
+        qx, qy = pts[k]
+        dist = np.hypot(qx - cx, qy - cy)
+        pull = np.divide(r, dist, out=np.ones_like(dist), where=dist > r)
+        single = np.vstack((
+            [[min(max(qx, box.x_min), box.x_max), min(max(qy, box.y_min), box.y_max)]],
+            np.column_stack((cx + (qx - cx) * pull, cy + (qy - cy) * pull)),
+        ))
+        feasible, _ = _within(single, cx, cy, r, box, rounding)
+        candidates = np.vstack((single[feasible], region.vertices))
+        pts[k] = candidates[np.argmin(np.hypot(candidates[:, 0] - qx, candidates[:, 1] - qy))]
+    return pts
 
 
 def check_empty(
@@ -282,91 +240,115 @@ def check_empty(
 ) -> EmptinessCheck:
     """Decide whether the disks/box intersection is empty.
 
-    Non-empty verdicts carry a witness point with max violation <= tol.
-    Empty verdicts are certified: a grid scan over the only rectangle that
-    could contain a near-feasible point proves min g > tol using the
-    1-Lipschitz bound, or the candidate rectangle is itself empty.
+    Let g(p) be the largest amount by which p violates the box or a disk.
+    The region counts as non-empty iff min g <= tol, that is iff the sets
+    padded by tol share a point. A non-empty intersection of these sets has
+    a vertex or is one whole disk, so that holds iff one of the padded sets'
+    candidate points (`_candidates`) lies in all of them: the test is exact
+    up to rounding. The unpadded sets are tried first, so that `vertices`
+    are those of the region itself unless it is thinner than tol.
+
+    Non-empty verdicts carry the surviving candidate with the least
+    violation as witness. Empty verdicts report min g as `shortfall`,
+    found by bisecting the padding with the same candidate test.
     """
-    disks = tuple(Disk(*d) for d in disks)
-    cx = np.array([d.x for d in disks])
-    cy = np.array([d.y for d in disks])
-    cr = np.array([d.radius for d in disks])
+    cx, cy, r, rounding = _disk_arrays(disks, box)
 
-    def g(px, py):
-        return _violation_at(px, py, cx, cy, cr, box)
+    def survivors(pad: float) -> tuple[np.ndarray, np.ndarray]:
+        pts = _candidates(cx, cy, r, box, pad)
+        kept, viol = _within(pts, cx, cy, r, box, pad + rounding)
+        return pts[kept], viol
 
-    px = 0.5 * (box.x_min + box.x_max)
-    py = 0.5 * (box.y_min + box.y_max)
-    best = (px, py, float(g(px, py)))
-    if not disks:
-        return EmptinessCheck(False, (px, py), best[2], None)
+    for pad in (0.0, tol):
+        pts, viol = survivors(pad)
+        if len(pts):
+            k = int(np.argmin(viol))
+            witness = (float(pts[k, 0]), float(pts[k, 1]))
+            return EmptinessCheck(False, witness, float(viol[k]), None, pts)
 
-    # Projected subgradient descent from the box center. Each active disk
-    # term has unit subgradient (p - c)/|p - c|.
-    diag = math.hypot(box.x_max - box.x_min, box.y_max - box.y_min)
-    for t in range(600):
-        if best[2] <= 0.0:
-            break
-        dist = np.hypot(px - cx, py - cy)
-        j = int(np.argmax(dist - cr))
-        if dist[j] == 0.0:
-            break  # at a disk center yet infeasible: radius 0, grid phase decides
-        step = diag / math.sqrt(t + 1.0)
-        ux, uy = (px - cx[j]) / dist[j], (py - cy[j]) / dist[j]
-        px = min(max(px - step * ux, box.x_min), box.x_max)
-        py = min(max(py - step * uy, box.y_min), box.y_max)
-        value = float(g(px, py))
-        if value < best[2]:
-            best = (px, py, value)
+    # min g lies in (lo, hi]; hi is always a violation some point attains.
+    centre = np.array([[0.5 * (box.x_min + box.x_max), 0.5 * (box.y_min + box.y_max)]])
+    lo, hi = tol, float(_within(centre, cx, cy, r, box, math.inf)[1][0])
+    while hi - lo > 4.0 * rounding:
+        mid = 0.5 * (lo + hi)
+        _, viol = survivors(mid)
+        if len(viol):
+            hi = min(hi, float(np.min(viol)))
+        else:
+            lo = mid
+    cause = f"disk intersection is empty: best placement still misses some disk by {hi:.6g} m"
+    return EmptinessCheck(True, None, hi, cause, np.empty((0, 2)))
 
-    if best[2] > 0.0:
-        # Nelder-Mead handles the nonsmooth max well in 2D and supplies the
-        # final few orders of magnitude the subgradient steps cannot.
-        res = minimize(
-            lambda q: float(g(q[0], q[1])),
-            np.array(best[:2]),
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-12, "maxiter": 2000, "maxfev": 4000},
-        )
-        if float(res.fun) < best[2]:
-            best = (float(res.x[0]), float(res.x[1]), float(res.fun))
 
-    if best[2] <= tol:
-        return EmptinessCheck(False, (best[0], best[1]), best[2], None)
+def _disk_arrays(disks: Sequence[Disk], box: AreaBounds):
+    """Disk centres and radii as arrays, and the membership slack in meters
+    for candidate points computed from them."""
+    table = np.array(disks, dtype=float).reshape(-1, 3)
+    bounds = [1.0, box.x_min, box.x_max, box.y_min, box.y_max]
+    rounding = _ROUNDING * float(np.max(np.abs(np.concatenate((bounds, table.ravel())))))
+    return table[:, 0], table[:, 1], table[:, 2], rounding
 
-    # Certification. Any p with g(p) <= tol must lie in the box and in every
-    # axis-aligned bounding square of the tol-inflated disks.
-    lo_x = max(box.x_min, float(np.max(cx - cr - tol)))
-    hi_x = min(box.x_max, float(np.min(cx + cr + tol)))
-    lo_y = max(box.y_min, float(np.max(cy - cr - tol)))
-    hi_y = min(box.y_max, float(np.min(cy + cr + tol)))
-    cause = (
-        f"disk intersection is empty: best placement still misses some disk "
-        f"by {best[2]:.6g} m"
+
+def _within(
+    pts: np.ndarray, cx: np.ndarray, cy: np.ndarray, r: np.ndarray, box: AreaBounds, limit: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the rows of `pts` that violate the box and every disk by at
+    most `limit` meters, and their largest violations.
+
+    Filters by the box first, then disk by disk, so memory stays at the size
+    of `pts` however many disks there are.
+    """
+    x, y = pts[:, 0], pts[:, 1]
+    viol = np.maximum(
+        np.maximum(box.x_min - x, x - box.x_max), np.maximum(box.y_min - y, y - box.y_max)
     )
-    if lo_x > hi_x or lo_y > hi_y:
-        return EmptinessCheck(True, None, best[2], cause)
-
-    spacing = max(hi_x - lo_x, hi_y - lo_y, tol) / 16.0
-    for _refine in range(12):
-        nx = int((hi_x - lo_x) / spacing) + 2
-        ny = int((hi_y - lo_y) / spacing) + 2
-        if nx * ny > 4_000_000:
+    kept = np.flatnonzero(viol <= limit)
+    viol = viol[kept]
+    for j in range(len(r)):
+        if not len(kept):
             break
-        gx, gy = np.meshgrid(
-            np.linspace(lo_x, hi_x, nx), np.linspace(lo_y, hi_y, ny), indexing="ij"
-        )
-        values = g(gx.ravel(), gy.ravel())
-        i_min = int(np.argmin(values))
-        g_min = float(values[i_min])
-        if g_min <= tol:
-            # The descent phase missed this point; accept it as a witness.
-            return EmptinessCheck(
-                False, (float(gx.ravel()[i_min]), float(gy.ravel()[i_min])), g_min, None
-            )
-        cell = max((hi_x - lo_x) / max(nx - 1, 1), (hi_y - lo_y) / max(ny - 1, 1))
-        if g_min - cell * 0.7072 > tol:  # covering radius of the grid, rounded up
-            return EmptinessCheck(True, None, min(best[2], g_min), cause)
-        spacing /= 4.0
-    # Unreachable for sane geometry; report the strongest evidence we have.
-    return EmptinessCheck(True, None, best[2], cause + " (grid certificate budget exhausted)")
+        viol = np.maximum(viol, np.hypot(pts[kept, 0] - cx[j], pts[kept, 1] - cy[j]) - r[j])
+        inside = viol <= limit
+        kept, viol = kept[inside], viol[inside]
+    return kept, viol
+
+
+def _candidates(
+    cx: np.ndarray, cy: np.ndarray, r: np.ndarray, box: AreaBounds, pad: float
+) -> np.ndarray:
+    """Every point that can be a vertex of the region with each set padded by
+    `pad`, as an (K, 2) array with K = O(m^2) for m disks.
+
+    These are the box corners, all circle-circle and circle-edge crossings,
+    and the disk centres, which cover a region that is one whole disk and so
+    has no vertex. A pair that does not cross yields its point of closest
+    approach instead; membership filtering drops it unless it is feasible.
+    """
+    x0, x1 = box.x_min - pad, box.x_max + pad
+    y0, y1 = box.y_min - pad, box.y_max + pad
+    rp = r + pad
+    parts = [np.array([[x0, y0], [x0, y1], [x1, y0], [x1, y1]]), np.column_stack((cx, cy))]
+
+    i, j = np.triu_indices(len(r), 1)
+    dx, dy = cx[j] - cx[i], cy[j] - cy[i]
+    d = np.hypot(dx, dy)
+    apart = d > 0  # concentric circles do not cross
+    i, j, dx, dy, d = i[apart], j[apart], dx[apart], dy[apart], d[apart]
+    along = (d * d + (rp[i] - rp[j]) * (rp[i] + rp[j])) / (2.0 * d)  # centre i to the chord
+    half = np.sqrt(np.maximum((rp[i] - along) * (rp[i] + along), 0.0))  # half the chord
+    ux, uy = dx / d, dy / d
+    mx, my = cx[i] + along * ux, cy[i] + along * uy
+    parts += [
+        np.column_stack((mx - half * uy, my + half * ux)),
+        np.column_stack((mx + half * uy, my - half * ux)),
+    ]
+
+    for edge in (x0, x1):
+        s = np.sqrt(np.maximum(rp * rp - (edge - cx) ** 2, 0.0))
+        at = np.full_like(cy, edge)
+        parts += [np.column_stack((at, cy + s)), np.column_stack((at, cy - s))]
+    for edge in (y0, y1):
+        s = np.sqrt(np.maximum(rp * rp - (edge - cy) ** 2, 0.0))
+        at = np.full_like(cx, edge)
+        parts += [np.column_stack((cx + s, at)), np.column_stack((cx - s, at))]
+    return np.vstack(parts)

@@ -9,12 +9,25 @@ double-precision decimals, so ``load(save(s)) == s`` holds exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .errors import ParseError, ValidationError
 from .rng import SplitMix64
+
+
+def _finite(value, where: str, key: str) -> float:
+    """`value` as a float, or a ValidationError naming `where.key` if it is
+    not finite."""
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the double range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError(f"{where}.{key} must be finite, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -26,9 +39,9 @@ class UserDevice:
     energy: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "energy", float(self.energy))
+        object.__setattr__(self, "x", _finite(self.x, "user", "x"))
+        object.__setattr__(self, "y", _finite(self.y, "user", "y"))
+        object.__setattr__(self, "energy", _finite(self.energy, "user", "energy"))
         if not self.energy > 0:
             raise ValidationError(f"user energy must be positive, got {self.energy}")
 
@@ -54,7 +67,7 @@ class RfParams:
 
     def __post_init__(self):
         for name in ("rate", "bandwidth", "noise", "frequency", "p_max", "tau_th"):
-            value = float(getattr(self, name))
+            value = _finite(getattr(self, name), "rf", name)
             object.__setattr__(self, name, value)
             if not value > 0:
                 raise ValidationError(f"rf.{name} must be positive, got {value}")
@@ -74,7 +87,7 @@ class AreaBounds:
 
     def __post_init__(self):
         for name in ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, _finite(getattr(self, name), "bounds", name))
         if not self.x_min < self.x_max:
             raise ValidationError(f"bounds require x_min < x_max, got [{self.x_min}, {self.x_max}]")
         if not self.y_min < self.y_max:
@@ -252,7 +265,7 @@ def _number(mapping, key: str, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         path = f"{where}.{key}" if where else key
         raise ParseError(f"field '{path}' must be a number, got {value!r}")
-    return float(value)
+    return _finite(value, where, key)
 
 
 def scenario_from_dict(doc: dict) -> Scenario:

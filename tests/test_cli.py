@@ -128,6 +128,17 @@ class TestSolve:
         assert "converged true" in out
 
 
+@pytest.mark.parametrize("literal", ["Infinity", "1e400"])
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_non_finite_energy_is_input_error_exit_2(relaxed_file, tmp_path, capsys, command, literal):
+    doc = json.loads(relaxed_file.read_text())
+    doc["users"][0]["energy"] = "NUMBER"
+    path = tmp_path / "infinite.json"
+    path.write_text(json.dumps(doc).replace('"NUMBER"', literal))
+    assert main([command, str(path)]) == 2
+    assert "users[0].energy" in capsys.readouterr().err
+
+
 class TestGrid:
     def test_box_mode(self, relaxed_file, capsys):
         rc = main(["grid", str(relaxed_file), "--spacing", "2"])

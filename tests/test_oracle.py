@@ -1,12 +1,17 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from uavlift.channel import SPEED_OF_LIGHT
+from uavlift.cli import main
 from uavlift.errors import EmptyRegionError, ValidationError
-from uavlift.objective import gradient, hessian
+from uavlift.objective import concavity_certificate, gradient, hessian
 from uavlift.oracle import GridSpec, fd_gradient, fd_hessian, grid_search
-from uavlift.scenario import AreaBounds, RfParams, Scenario, UserDevice, generate_uniform
+from uavlift.region import build
+from uavlift.rng import SplitMix64
+from uavlift.scenario import AreaBounds, RfParams, Scenario, UserDevice, generate_uniform, save
 
 RF = RfParams(rate=4e6, bandwidth=50e6, noise=1e-14, frequency=4e9, p_max=0.5, tau_th=900)
 
@@ -74,6 +79,50 @@ class TestGridSearch:
             for y in range(0, 51, 5)
         ]
         assert fine.value - coarse.value <= 2.0 * max(norms) * 2.0
+
+
+def cutting_disks_scenario(seed: int) -> Scenario:
+    """Six devices at unit system constant whose disks at the concave altitude
+    130 m all pass 5 m beyond the anchor (35, 35) of a 50 m box, so the
+    disks cut every box corner and clip the box-mode optimum."""
+    gen = SplitMix64(seed)
+    users = []
+    for _ in range(6):
+        x, y = gen.uniform(0.0, 50.0), gen.uniform(0.0, 50.0)
+        radius = math.hypot(x - 35.0, y - 35.0) + 5.0
+        users.append(UserDevice(x, y, radius * radius + 130.0**2))
+    rf = RfParams(rate=1.0, bandwidth=6.0, noise=1.0,
+                  frequency=SPEED_OF_LIGHT / (4.0 * math.pi), p_max=1e6, tau_th=1.0)
+    return Scenario(users=tuple(users), rf=rf, bounds=AreaBounds(0, 50, 0, 50, 130, 130))
+
+
+@pytest.mark.parametrize("seed", [3, 5])
+def test_region_mode_solve_matches_oracle_when_disks_cut_the_box(tmp_path, capsys, seed):
+    scenario = cutting_disks_scenario(seed)
+    bounds = scenario.bounds
+    assert concavity_certificate(bounds).holds
+    path, report_path = tmp_path / "cut.json", tmp_path / "report.json"
+    save(scenario, path)
+    rc = main(["solve", str(path), "--mode", "region", "--init", "0,0", "--eps", "1e-7",
+               "--max-iters", "5000", "--report", str(report_path)])
+    capsys.readouterr()
+    assert rc == 0
+    report = json.loads(report_path.read_text())
+    x, y = report["placement"][:2]
+
+    feas = build(scenario)
+    slack = [d.radius - math.hypot(x - d.x, y - d.y) for d in feas.disks]
+    assert min(slack) <= 1e-6  # a disk is active at the solver's answer
+
+    spacing = 0.5
+    best = grid_search(scenario, GridSpec(spacing, bounds), mode="region")
+    # Lipschitz bound of sum E/(d^2 + z^2): its gradient norm is at most
+    # sum(E) * 3*sqrt(3) / (8 z^3).
+    z = bounds.z_min
+    lipschitz = sum(u.energy for u in scenario.users) * 3.0 * math.sqrt(3.0) / (8.0 * z**3)
+    assert report["objective"] >= best.value * (1.0 - 1e-9)
+    assert report["objective"] - best.value <= math.sqrt(2.0) * spacing * lipschitz
+    assert math.hypot(x - best.point[0], y - best.point[1]) <= math.sqrt(2.0) * spacing
 
 
 class TestFiniteDifferences:

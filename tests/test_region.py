@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uavlift
 from uavlift.channel import SPEED_OF_LIGHT, system_constant
 from uavlift.errors import EmptyRegionError
 from uavlift.region import (
@@ -18,6 +23,10 @@ from uavlift.region import (
 )
 from uavlift.rng import SplitMix64
 from uavlift.scenario import DEFAULT_RF, AreaBounds, RfParams, Scenario, UserDevice
+
+# The geometry divides by distances that can be zero (concentric disks, a
+# query at a disk centre); it must guard them rather than warn.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def unit_rf(p_max=1.0, tau_th=1.0, users=1) -> RfParams:
@@ -103,6 +112,15 @@ class TestBuild:
         assert feas.empty
         assert "energy" in feas.empty_reason
 
+    def test_range_equal_to_altitude_is_a_range_cause(self):
+        # d_energy = sqrt(9) = 3 = z: the disk would be a single point, but
+        # build reports the range as unsatisfiable instead
+        bounds = AreaBounds(-10, 10, -10, 10, 3, 3)
+        feas = build(unit_scenario([UserDevice(0, 0, 9.0)], bounds, p_max=100.0))
+        assert feas.empty
+        assert feas.disks == ()
+        assert "energy constraint unsatisfiable" in feas.empty_reason
+
     def test_disks_shrink_and_region_empties_as_altitude_grows(self):
         radii = []
         for z in (1.0, 2.0, 3.0, 4.0):
@@ -184,6 +202,70 @@ class TestProject:
         region = FeasibleRegion.from_disks([Disk(0, 0, 1), Disk(5, 0, 1)], self.BOX)
         with pytest.raises(EmptyRegionError):
             project(region, (0.0, 0.0))
+
+    def test_zero_radius_disk_is_the_single_point_at_its_centre(self):
+        for disks in ([Disk(3, -2, 0)], [Disk(3, -2, 0), Disk(3, -2, 0), Disk(0, 0, 5)]):
+            check = check_empty(disks, self.BOX)
+            assert not check.empty
+            assert check.witness == (3.0, -2.0)
+            region = FeasibleRegion.from_disks(disks, self.BOX)
+            for q in ((7.0, 5.0), (-20.0, 30.0), (3.0, -2.5), (3.0, -2.0)):
+                assert project(region, q) == (3.0, -2.0)
+
+    def test_projection_is_optimal_on_binding_disks(self):
+        # Fifty disks that all cut the box and meet at shallow angles, queried
+        # from the box corner farthest from the anchor they share.
+        region = build(binding_scenario(50))
+        q = (0.0, 0.0)
+        p = project(region, q)
+        assert contains(region, p)
+        # Optimality: q - p lies in the normal cone of the region at p, i.e.
+        # it is a non-negative combination of the active constraints' normals.
+        normals = []
+        for d in region.disks:
+            dist = math.hypot(p[0] - d.x, p[1] - d.y)
+            if dist >= d.radius * (1.0 - 1e-9):
+                normals.append(((p[0] - d.x) / dist, (p[1] - d.y) / dist))
+        box = region.box
+        for coord, lo, hi, unit in ((p[0], box.x_min, box.x_max, (1.0, 0.0)),
+                                    (p[1], box.y_min, box.y_max, (0.0, 1.0))):
+            if coord <= lo + 1e-9:
+                normals.append((-unit[0], -unit[1]))
+            if coord >= hi - 1e-9:
+                normals.append(unit)
+        assert normals
+        assert in_normal_cone(np.subtract(q, p), np.array(normals), rtol=1e-9)
+
+
+def binding_scenario(m: int) -> Scenario:
+    """m devices whose disks at altitude 10 all pass 15 m beyond the anchor
+    (60, 60) in a 100 m box, at unit system constant."""
+    gen = SplitMix64(1)
+    users = []
+    for _ in range(m):
+        x, y = gen.uniform(0.0, 100.0), gen.uniform(0.0, 100.0)
+        radius = math.hypot(x - 60.0, y - 60.0) + 15.0
+        users.append(UserDevice(x, y, radius * radius + 100.0))
+    return unit_scenario(users, AreaBounds(0, 100, 0, 100, 10, 10), p_max=1e6)
+
+
+def in_normal_cone(v: np.ndarray, normals: np.ndarray, rtol: float) -> bool:
+    """Whether v is a non-negative combination of the rows of `normals`, up to
+    a residual of rtol*|v|. In 2D one or two generators always suffice."""
+    scale = float(np.hypot(*v))
+    for n in normals:
+        lam = float(n @ v)
+        if lam >= 0 and np.hypot(*(v - lam * n)) <= rtol * scale:
+            return True
+    for i in range(len(normals)):
+        for j in range(i + 1, len(normals)):
+            basis = np.column_stack((normals[i], normals[j]))
+            if abs(np.linalg.det(basis)) < 1e-12:
+                continue
+            lam = np.linalg.solve(basis, v)
+            if np.all(lam >= -rtol * scale):
+                return True
+    return False
 
 
 def random_region(seed: int, n_disks: int = 5) -> FeasibleRegion:
@@ -297,6 +379,17 @@ class TestCheckEmpty:
         assert not check.empty
         wx, wy = check.witness
         assert math.hypot(wx - 1.0, wy - 1.0 / math.sqrt(3.0)) < 0.2
+
+
+def test_import_pulls_in_no_scipy():
+    src = str(Path(uavlift.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, uavlift; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout.strip()
+    assert loaded == "[]"
 
 
 class TestBoxOnlyRegion:

@@ -45,6 +45,19 @@ class TestTypes:
         with pytest.raises(ValidationError):
             AreaBounds(0, 1, 0, 1, 5, 2)  # z_min <= z_max
 
+    @pytest.mark.parametrize(
+        "bad", [math.inf, -math.inf, math.nan, pytest.param(10**400, id="int-1e400")]
+    )
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            UserDevice(bad, 2.0, 100.0)
+        with pytest.raises(ValidationError, match="finite"):
+            UserDevice(1.0, 2.0, bad)
+        with pytest.raises(ValidationError, match="rf.p_max"):
+            RfParams(4e6, 50e6, 1e-14, 4e9, bad, 900)
+        with pytest.raises(ValidationError, match="bounds.z_max"):
+            AreaBounds(0, 1, 0, 1, 1, bad)
+
     def test_scenario_requires_users(self):
         with pytest.raises(ValidationError):
             Scenario(users=(), rf=RfParams(4e6, 50e6, 1e-14, 4e9, 0.5, 900), bounds=BOUNDS)
@@ -176,6 +189,18 @@ class TestRoundTrip:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match="rf.rate"):
+            load(path)
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["Infinity", "-Infinity", "NaN", "1e400", pytest.param("1" + "0" * 400, id="int-1e400")],
+    )
+    def test_non_finite_number_names_the_field(self, tmp_path, literal):
+        doc = scenario_to_dict(generate_uniform(2, BOUNDS, 5, 6, seed=1))
+        doc["users"][1]["energy"] = "NUMBER"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc).replace('"NUMBER"', literal))
+        with pytest.raises(ValidationError, match=r"users\[1\].energy"):
             load(path)
 
     def test_malformed_json_is_parse_error(self, tmp_path):
