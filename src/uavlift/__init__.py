@@ -25,13 +25,10 @@ from .errors import (
 )
 from .objective import (
     ConcavityCertificate,
-    ObjectiveEval,
     concavity_certificate,
-    evaluate,
     gradient,
     hessian,
     nsd_scan,
-    per_user_nsd_conditions,
     value,
 )
 from .oracle import GridSpec, fd_gradient, fd_hessian, grid_search
@@ -59,7 +56,7 @@ from .scenario import (
     load,
     save,
 )
-from .solver import SolveReport, SolverConfig, solve, solve_grid_refined
+from .solver import SolveReport, SolverConfig, solve
 
 __version__ = "0.1.0"
 
@@ -74,7 +71,6 @@ __all__ = [
     "FeasibleRegion",
     "GridSpec",
     "NumericalError",
-    "ObjectiveEval",
     "ParseError",
     "RfParams",
     "Scenario",
@@ -90,7 +86,6 @@ __all__ = [
     "check_empty",
     "concavity_certificate",
     "contains",
-    "evaluate",
     "fd_gradient",
     "fd_hessian",
     "generate_clustered",
@@ -104,14 +99,12 @@ __all__ = [
     "max_range_power",
     "nsd_scan",
     "path_loss",
-    "per_user_nsd_conditions",
     "project",
     "project_many",
     "rate",
     "required_power",
     "save",
     "solve",
-    "solve_grid_refined",
     "system_constant",
     "value",
 ]

@@ -12,6 +12,7 @@ import argparse
 import math
 import sys
 
+from . import cases
 from . import solver as solver_mod
 from . import surface as surface_mod
 from .channel import SPEED_OF_LIGHT
@@ -22,7 +23,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .objective import concavity_certificate, nsd_scan, value
+from .objective import concavity_certificate, nsd_scan
 from .oracle import GridSpec, grid_search
 from .region import build as build_region
 from .scenario import (
@@ -31,7 +32,6 @@ from .scenario import (
     AreaBounds,
     ClusterSpec,
     RfParams,
-    Scenario,
     generate_clustered,
     generate_uniform,
     load,
@@ -43,21 +43,14 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 
-# Canned seed for the reproduction cases; chosen once so their outputs are
-# stable and land inside the documented acceptance bands.
-REPRO_SEED = 9
-# The published reference results the reproduce command compares against.
-REFERENCE_UNIFORM = {"placement": (131.0, 128.0, 650.0), "cost": 5.19, "lifetime": 282096.0}
-REFERENCE_NONUNIFORM = {"placement": (92.0, 156.0, 650.0), "cost": 5.22, "lifetime": 283727.0}
-
 
 def _positive_float(text: str) -> float:
     try:
         v = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not v > 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
+    if not 0 < v < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text}")
     return v
 
 
@@ -97,12 +90,14 @@ def _init_spec(text: str):
     if text in ("centroid", "random"):
         return text
     try:
-        x, y = text.split(",")
-        return (float(x), float(y))
+        x, y = (float(v) for v in text.split(","))
+        if math.isfinite(x) and math.isfinite(y):
+            return (x, y)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"init must be centroid, random or x,y coordinates, got {text!r}"
-        )
+        pass
+    raise argparse.ArgumentTypeError(
+        f"init must be centroid, random or finite x,y coordinates, got {text!r}"
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -122,7 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clusters", type=_clusters, default=None,
                    help="x,y,std,count,elow,ehigh[;...] for a non-uniform layout")
     p.add_argument("--z-min", type=_positive_float, default=650.0)
-    p.add_argument("--z-max", type=_positive_float, default=None)
+    p.add_argument("--z-max", type=_positive_float, default=None,
+                   help="recorded in the file only; the station always flies at --z-min")
     p.add_argument("--rate", type=_positive_float, default=4e6)
     p.add_argument("--bandwidth", type=_positive_float, default=50e6)
     p.add_argument("--noise", type=_positive_float, default=1e-14)
@@ -162,8 +158,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="rerun a bundled case against its reference numbers")
     p.add_argument("--case", choices=("uniform", "nonuniform", "concavity"), required=True)
-    p.add_argument("--seed", type=int, default=REPRO_SEED)
-    p.add_argument("--c", type=_positive_float, default=3e8,
+    p.add_argument("--seed", type=int, default=cases.SEED)
+    p.add_argument("--c", type=_positive_float, default=cases.C_ROUNDED,
                    help="reference numbers assume the rounded speed of light")
     return parser
 
@@ -272,82 +268,53 @@ def _cmd_surface(args) -> int:
     return EXIT_OK
 
 
-def _verdict(label: str, ok: bool) -> bool:
-    print(f"{'PASS' if ok else 'FAIL'} {label}")
-    return ok
+def _verdicts(verdicts: list[tuple[str, bool]]) -> int:
+    for label, ok in verdicts:
+        print(f"{'PASS' if ok else 'FAIL'} {label}")
+    return EXIT_OK if all(ok for _, ok in verdicts) else 1
 
 
 def _repro_uniform(seed: int, c: float) -> int:
-    bounds = AreaBounds(0.0, 250.0, 0.0, 250.0, 650.0, 650.0)
-    scenario = generate_uniform(200, bounds, DEFAULT_ENERGY_LOW, DEFAULT_ENERGY_HIGH, seed)
-    report = solver_mod.solve(
-        scenario, solver_mod.SolverConfig(mode="box", max_iters=100), c=c
-    )
+    scenario = generate_uniform(cases.UNIFORM_USERS, cases.BOUNDS, *cases.ENERGY, seed)
+    report = solver_mod.solve(scenario, cases.UNIFORM_CONFIG, c=c)
     x, y, z = report.placement
-    ref = REFERENCE_UNIFORM
-    print(f"case uniform: 200 users on [0,250]^2, z 650 m, box mode, seed {seed}")
+    ref = cases.REFERENCE_UNIFORM
+    print(f"case uniform: {cases.UNIFORM_TITLE}, seed {seed}")
     print(f"  placement ({x:.1f}, {y:.1f}, {z:g})   reference {ref['placement']}")
     print(f"  objective {report.objective:.4f} J/m^2   reference {ref['cost']}")
     print(f"  lifetime  {report.lifetime_seconds:.0f} s    reference {ref['lifetime']:.0f}")
-    ok = _verdict("objective in [5.0, 5.4] J/m^2", 5.0 <= report.objective <= 5.4)
-    ok &= _verdict(
-        "lifetime in [2.70e5, 2.95e5] s", 2.70e5 <= report.lifetime_seconds <= 2.95e5
-    )
-    ok &= _verdict(
-        "placement within 15 m of (125, 125)", math.hypot(x - 125.0, y - 125.0) <= 15.0
-    )
-    ok &= _verdict("iterations <= 100", report.iterations <= 100)
-    return EXIT_OK if ok else 1
+    return _verdicts(cases.uniform_verdicts(report))
 
 
 def _repro_nonuniform(seed: int, c: float) -> int:
-    bounds = AreaBounds(0.0, 250.0, 0.0, 250.0, 650.0, 650.0)
-    dense = ClusterSpec(75.0, 150.0, 25.0, 150, DEFAULT_ENERGY_LOW, DEFAULT_ENERGY_HIGH)
-    sparse = ClusterSpec(200.0, 60.0, 25.0, 50, DEFAULT_ENERGY_LOW, DEFAULT_ENERGY_HIGH)
-    scenario = generate_clustered((dense, sparse), bounds, seed)
-    # No iteration band applies here; run to convergence so the printed
-    # placement is the actual optimum, not a truncated path point.
-    report = solver_mod.solve(
-        scenario, solver_mod.SolverConfig(mode="box", max_iters=3000, tolerance=1e-4), c=c
-    )
+    scenario = generate_clustered((cases.DENSE, cases.SPARSE), cases.BOUNDS, seed)
+    report = solver_mod.solve(scenario, cases.NONUNIFORM_CONFIG, c=c)
     x, y, z = report.placement
-    # Users are emitted cluster by cluster, so slices recover the clusters.
-    dense_users = scenario.users[: dense.count]
-    sparse_users = scenario.users[dense.count:]
-    cdx = sum(u.x for u in dense_users) / len(dense_users)
-    cdy = sum(u.y for u in dense_users) / len(dense_users)
-    csx = sum(u.x for u in sparse_users) / len(sparse_users)
-    csy = sum(u.y for u in sparse_users) / len(sparse_users)
-    d_dense = math.hypot(x - cdx, y - cdy)
-    d_sparse = math.hypot(x - csx, y - csy)
-    ref = REFERENCE_NONUNIFORM
-    print(f"case nonuniform: clusters 150:50 (3:1 density), z 650 m, box mode, seed {seed}")
+    (cd, d_dense), (cs, d_sparse) = cases.cluster_distances(scenario, (x, y))
+    ref = cases.REFERENCE_NONUNIFORM
+    print(f"case nonuniform: {cases.NONUNIFORM_TITLE}, seed {seed}")
     print(f"  placement ({x:.1f}, {y:.1f}, {z:g})   reference {ref['placement']}")
     print(f"  objective {report.objective:.4f} J/m^2   reference {ref['cost']}")
-    print(f"  dense centroid ({cdx:.1f}, {cdy:.1f}) at {d_dense:.1f} m; "
-          f"sparse centroid ({csx:.1f}, {csy:.1f}) at {d_sparse:.1f} m")
-    ok = _verdict("placement strictly closer to the dense cluster centroid", d_dense < d_sparse)
-    return EXIT_OK if ok else 1
+    print(f"  dense centroid ({cd[0]:.1f}, {cd[1]:.1f}) at {d_dense:.1f} m; "
+          f"sparse centroid ({cs[0]:.1f}, {cs[1]:.1f}) at {d_sparse:.1f} m")
+    return _verdicts(cases.nonuniform_verdicts(d_dense, d_sparse))
 
 
 def _repro_concavity(seed: int) -> int:
-    bounds = AreaBounds(0.0, 250.0, 0.0, 250.0, 650.0, 650.0)
-    scenario = generate_uniform(200, bounds, DEFAULT_ENERGY_LOW, DEFAULT_ENERGY_HIGH, seed)
-    cert = concavity_certificate(bounds)
+    scenario = generate_uniform(cases.UNIFORM_USERS, cases.BOUNDS, *cases.ENERGY, seed)
+    cert = concavity_certificate(cases.BOUNDS)
     print(f"case concavity: seed {seed}, d_max {cert.d_max:.2f} m, threshold {cert.threshold:.2f} m")
-    high = nsd_scan(scenario.users, 650.0, bounds, samples=1000, seed=seed)
-    low = nsd_scan(scenario.users, 30.0, bounds, samples=1000, seed=seed)
-    print(f"  z 650 m: certificate holds={cert.holds}; scan all_nsd={high.all_nsd}")
+    high, low = (
+        nsd_scan(scenario.users, z, cases.BOUNDS, samples=cases.SCAN_SAMPLES, seed=seed)
+        for z in cases.SCAN_ALTITUDES
+    )
+    high_z, low_z = cases.SCAN_ALTITUDES
+    print(f"  z {high_z:g} m: certificate holds={cert.holds}; scan all_nsd={high.all_nsd}")
     print(
-        f"  z 30 m: scan all_nsd={low.all_nsd}; worst eigenvalue {low.worst_eigenvalue:.3e} "
+        f"  z {low_z:g} m: scan all_nsd={low.all_nsd}; worst eigenvalue {low.worst_eigenvalue:.3e} "
         f"at ({low.witness[0]:.1f}, {low.witness[1]:.1f})"
     )
-    ok = _verdict("certificate holds at z=650 and scan is all NSD", cert.holds and high.all_nsd)
-    ok &= _verdict(
-        "scan at z=30 finds a positive-eigenvalue witness",
-        not low.all_nsd and low.worst_eigenvalue > 0,
-    )
-    return EXIT_OK if ok else 1
+    return _verdicts(cases.concavity_verdicts(cert, high, low))
 
 
 def _cmd_reproduce(args) -> int:

@@ -15,7 +15,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import SystemConstant
 from .errors import ValidationError
 from .rng import SplitMix64
 from .scenario import AreaBounds, UserDevice
@@ -33,16 +32,39 @@ def user_arrays(users: Sequence[UserDevice]) -> tuple[np.ndarray, np.ndarray, np
     return xs, ys, es
 
 
-def _check_z(z_min: float) -> None:
+def _offsets(users: Sequence[UserDevice], z_min: float, px, py):
+    """The point kernel: per-user offsets (dx, dy), squared distances d2 and
+    energies. `px`, `py` are one point's coordinates, or (k, 1) columns that
+    broadcast the kernel over k points; the user axis is always the last."""
     if not z_min > 0:
         raise ValidationError(f"z_min must be positive, got {z_min}")
+    xs, ys, es = user_arrays(users)
+    dx = px - xs
+    dy = py - ys
+    return dx, dy, dx**2 + dy**2 + z_min**2, es
+
+
+def _hessian_sums(users: Sequence[UserDevice], z_min: float, px, py):
+    """Hessian entries (fxx, fyy, fxy) at the point(s) `px`, `py` of the
+    point kernel, summed over the user axis.
+
+    Per user, with a = (X-x)^2, b = (Y-y)^2, D = a + b + z^2:
+        d2/dX2  = (6a - 2b - 2z^2) / D^3
+        d2/dY2  = (6b - 2a - 2z^2) / D^3
+        d2/dXdY = 8*(X-x)*(Y-y) / D^3
+    """
+    dx, dy, d3, es = _offsets(users, z_min, px, py)
+    d3 **= 3  # in place: the squared distances are not needed again
+    z2 = z_min**2
+    fxx = np.sum(es * (6.0 * dx**2 - 2.0 * dy**2 - 2.0 * z2) / d3, axis=-1)
+    fyy = np.sum(es * (6.0 * dy**2 - 2.0 * dx**2 - 2.0 * z2) / d3, axis=-1)
+    fxy = np.sum(es * 8.0 * dx * dy / d3, axis=-1)
+    return fxx, fyy, fxy
 
 
 def value(users: Sequence[UserDevice], z_min: float, point: tuple[float, float]) -> float:
     """Sum of E_i / ((X-x_i)^2 + (Y-y_i)^2 + z_min^2) in J/m^2."""
-    _check_z(z_min)
-    xs, ys, es = user_arrays(users)
-    d2 = (point[0] - xs) ** 2 + (point[1] - ys) ** 2 + z_min**2
+    _dx, _dy, d2, es = _offsets(users, z_min, *point)
     return float(np.sum(es / d2))
 
 
@@ -50,11 +72,7 @@ def gradient(
     users: Sequence[UserDevice], z_min: float, point: tuple[float, float]
 ) -> tuple[float, float]:
     """Analytic gradient in J/m^3: each user contributes -2*E*offset/denominator^2."""
-    _check_z(z_min)
-    xs, ys, es = user_arrays(users)
-    dx = point[0] - xs
-    dy = point[1] - ys
-    d2 = dx**2 + dy**2 + z_min**2
+    dx, dy, d2, es = _offsets(users, z_min, *point)
     w = es / d2**2
     return (float(np.sum(-2.0 * dx * w)), float(np.sum(-2.0 * dy * w)))
 
@@ -62,52 +80,9 @@ def gradient(
 def hessian(
     users: Sequence[UserDevice], z_min: float, point: tuple[float, float]
 ) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Analytic 2x2 Hessian in J/m^4, symmetric by construction.
-
-    Per user, with a = (X-x)^2, b = (Y-y)^2, D = a + b + z^2:
-        d2/dX2  = (6a - 2b - 2z^2) / D^3
-        d2/dY2  = (6b - 2a - 2z^2) / D^3
-        d2/dXdY = 8*(X-x)*(Y-y) / D^3
-    """
-    _check_z(z_min)
-    xs, ys, es = user_arrays(users)
-    dx = point[0] - xs
-    dy = point[1] - ys
-    z2 = z_min**2
-    d3 = (dx**2 + dy**2 + z2) ** 3
-    fxx = float(np.sum(es * (6.0 * dx**2 - 2.0 * dy**2 - 2.0 * z2) / d3))
-    fyy = float(np.sum(es * (6.0 * dy**2 - 2.0 * dx**2 - 2.0 * z2) / d3))
-    fxy = float(np.sum(es * 8.0 * dx * dy / d3))
+    """Analytic 2x2 Hessian in J/m^4, symmetric by construction."""
+    fxx, fyy, fxy = (float(f) for f in _hessian_sums(users, z_min, *point))
     return ((fxx, fxy), (fxy, fyy))
-
-
-@dataclass(frozen=True)
-class ObjectiveEval:
-    """Objective value with per-user lifetimes and derivatives at one point."""
-
-    value: float
-    per_user_tau: tuple[float, ...]
-    gradient: tuple[float, float]
-    hessian: tuple[tuple[float, float], tuple[float, float]]
-
-
-def evaluate(
-    users: Sequence[UserDevice],
-    z_min: float,
-    point: tuple[float, float],
-    k: SystemConstant,
-) -> ObjectiveEval:
-    """Value, per-user lifetimes (seconds), gradient and Hessian in one call."""
-    _check_z(z_min)
-    xs, ys, es = user_arrays(users)
-    d2 = (point[0] - xs) ** 2 + (point[1] - ys) ** 2 + z_min**2
-    terms = es / d2
-    return ObjectiveEval(
-        value=float(np.sum(terms)),
-        per_user_tau=tuple(float(t) for t in terms / k.k),
-        gradient=gradient(users, z_min, point),
-        hessian=hessian(users, z_min, point),
-    )
 
 
 @dataclass(frozen=True)
@@ -140,23 +115,6 @@ def concavity_certificate(bounds: AreaBounds) -> ConcavityCertificate:
     )
 
 
-def per_user_nsd_conditions(
-    users: Sequence[UserDevice], z_min: float, point: tuple[float, float]
-) -> np.ndarray:
-    """Diagnostic (n, 3) bool array of the per-user sufficient conditions:
-
-    column 0: z^2 > 3*(X-x)^2 - (Y-y)^2   (own-curvature in X non-positive)
-    column 1: z^2 > 3*(Y-y)^2 - (X-x)^2   (own-curvature in Y non-positive)
-    column 2: z^2 > 3*(X-x)^2 + 3*(Y-y)^2 (determinant non-negative; implies both)
-    """
-    _check_z(z_min)
-    xs, ys, _ = user_arrays(users)
-    a = (point[0] - xs) ** 2
-    b = (point[1] - ys) ** 2
-    z2 = z_min**2
-    return np.column_stack((z2 > 3 * a - b, z2 > 3 * b - a, z2 > 3 * (a + b)))
-
-
 class NsdScan(NamedTuple):
     all_nsd: bool
     worst_eigenvalue: float
@@ -175,7 +133,6 @@ def nsd_scan(
     tolerance), plus the largest eigenvalue seen and where it occurred."""
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
-    _check_z(z_min)
     gen = SplitMix64(seed)
     pts = np.array(
         [
@@ -183,14 +140,7 @@ def nsd_scan(
             for _ in range(samples)
         ]
     )
-    xs, ys, es = user_arrays(users)
-    dx = pts[:, 0, None] - xs
-    dy = pts[:, 1, None] - ys
-    z2 = z_min**2
-    d3 = (dx**2 + dy**2 + z2) ** 3
-    fxx = np.sum(es * (6.0 * dx**2 - 2.0 * dy**2 - 2.0 * z2) / d3, axis=1)
-    fyy = np.sum(es * (6.0 * dy**2 - 2.0 * dx**2 - 2.0 * z2) / d3, axis=1)
-    fxy = np.sum(es * 8.0 * dx * dy / d3, axis=1)
+    fxx, fyy, fxy = _hessian_sums(users, z_min, pts[:, 0, None], pts[:, 1, None])
     # Largest eigenvalue of each 2x2 symmetric matrix, in closed form.
     lam_max = 0.5 * (fxx + fyy) + np.sqrt((0.5 * (fxx - fyy)) ** 2 + fxy**2)
     scale = np.abs(fxx + fyy)

@@ -1,7 +1,9 @@
 """Independent verification: exhaustive grid search and finite differences.
 
 These are the reference answers the optimizer and the analytic derivatives
-are tested against; nothing here shares code with the paths it checks.
+are tested against. The grid kernel here shares no code with the solver's
+point kernel in `objective`; the surface export evaluates its grids with
+the same grid kernel.
 """
 
 from __future__ import annotations
@@ -17,6 +19,11 @@ from .channel import SPEED_OF_LIGHT
 from .errors import EmptyRegionError, ValidationError
 from .objective import user_arrays, value
 from .scenario import AreaBounds, Scenario, UserDevice
+
+
+# Largest node x user (or node x disk) block computed at once, so the
+# temporaries stay at a few MB whatever the grid size and the user count.
+CHUNK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -50,6 +57,26 @@ class GridSearchResult(NamedTuple):
     evaluated: int
 
 
+def _blocks(n: int, width: int):
+    """Slices covering range(n), each CHUNK_ELEMENTS // width long (at least 1)."""
+    step = max(1, CHUNK_ELEMENTS // max(width, 1))
+    return (slice(a, min(a + step, n)) for a in range(0, n, step))
+
+
+def grid_values(
+    xs: np.ndarray, ys: np.ndarray, es: np.ndarray, z: float, px: np.ndarray, py: np.ndarray
+) -> np.ndarray:
+    """The grid kernel: sum_i es[i] / ((px - xs[i])^2 + (py - ys[i])^2 + z^2)
+    at every node (px[k], py[k]), one block of nodes and users at a time."""
+    totals = np.zeros(len(px))
+    z2 = z * z
+    for u in _blocks(len(xs), 1):
+        for k in _blocks(len(px), u.stop - u.start):
+            qx, qy = px[k, None], py[k, None]
+            totals[k] += np.sum(es[u] / ((qx - xs[u]) ** 2 + (qy - ys[u]) ** 2 + z2), axis=1)
+    return totals
+
+
 def grid_search(
     scenario: Scenario,
     grid: GridSpec,
@@ -58,46 +85,46 @@ def grid_search(
 ) -> GridSearchResult:
     """Exhaustively evaluate the objective at feasible grid nodes.
 
-    Ties break deterministically toward the smallest x, then smallest y,
-    which the column-major scan below guarantees for free.
+    Region mode evaluates only the nodes inside every range disk. Nodes are
+    visited x-major, a block at a time, and only a strictly larger value
+    replaces the best so far, so ties break toward the smallest x, then the
+    smallest y.
     """
     if mode not in ("box", "region"):
         raise ValidationError(f"mode must be 'box' or 'region', got {mode!r}")
-    feas = None
+    cx = cy = r2 = np.empty(0)
     if mode == "region":
         feas = region_mod.build(scenario, c)
         if feas.empty:
             raise EmptyRegionError(feas.empty_reason or "feasible region is empty")
+        cx, cy, r = np.array(feas.disks, dtype=float).reshape(-1, 3).T
+        r2 = (r + region_mod.MEMBERSHIP_TOL) ** 2
 
     xs_u, ys_u, es = user_arrays(scenario.users)
-    z2 = scenario.bounds.z_min ** 2
     grid_xs = grid.xs()
     grid_ys = grid.ys()
+    n_y = len(grid_ys)
 
-    best_x = best_y = None
+    best_point = None
     best_value = -math.inf
     evaluated = 0
-    for gx in grid_xs:
-        column = np.full(len(grid_ys), True)
-        if feas is not None:
-            for d in feas.disks:
-                column &= (gx - d.x) ** 2 + (grid_ys - d.y) ** 2 <= (
-                    d.radius + region_mod.MEMBERSHIP_TOL
-                ) ** 2
-            if not column.any():
+    for block in _blocks(len(grid_xs) * n_y, max(len(xs_u), len(cx))):
+        node = np.arange(block.start, block.stop)
+        px, py = grid_xs[node // n_y], grid_ys[node % n_y]
+        if len(cx):
+            inside = np.all((px[:, None] - cx) ** 2 + (py[:, None] - cy) ** 2 <= r2, axis=1)
+            px, py = px[inside], py[inside]
+            if not len(px):
                 continue
-        ys_here = grid_ys[column]
-        totals = np.zeros(len(ys_here))
-        for ux, uy, ue in zip(xs_u, ys_u, es):
-            totals += ue / ((gx - ux) ** 2 + (ys_here - uy) ** 2 + z2)
-        evaluated += len(ys_here)
-        j = int(np.argmax(totals))  # first occurrence: smallest y in the column
+        totals = grid_values(xs_u, ys_u, es, scenario.bounds.z_min, px, py)
+        evaluated += len(px)
+        j = int(np.argmax(totals))  # first occurrence: the earliest node in the block
         if totals[j] > best_value:
             best_value = float(totals[j])
-            best_x, best_y = float(gx), float(ys_here[j])
-    if best_x is None:
+            best_point = (float(px[j]), float(py[j]))
+    if best_point is None:
         raise ValidationError("no grid node is feasible; refine the spacing")
-    return GridSearchResult((best_x, best_y), best_value, evaluated)
+    return GridSearchResult(best_point, best_value, evaluated)
 
 
 def fd_gradient(

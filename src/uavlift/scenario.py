@@ -75,8 +75,9 @@ class RfParams:
 
 @dataclass(frozen=True)
 class AreaBounds:
-    """Axis-aligned deployment box: users live in the x/y rectangle, the
-    aerial station may be placed anywhere in the full 3D box."""
+    """Axis-aligned deployment box: users live in the x/y rectangle and the
+    aerial station is placed in it at the fixed altitude z_min. z_max is
+    validated and saved with the scenario but used by nothing."""
 
     x_min: float
     x_max: float

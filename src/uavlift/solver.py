@@ -14,16 +14,13 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import region as region_mod
 from .channel import SPEED_OF_LIGHT, system_constant
 from .errors import NumericalError, ValidationError
 from .objective import ConcavityCertificate, concavity_certificate, gradient, value
-from .oracle import GridSpec, grid_search
 from .rng import SplitMix64
 from .scenario import Scenario
 
@@ -49,8 +46,8 @@ class SolverConfig:
     init_seed: int = 0
 
     def __post_init__(self):
-        if self.step_size is not None and not self.step_size > 0:
-            raise ValidationError(f"step_size must be positive, got {self.step_size}")
+        if self.step_size is not None and not 0 < self.step_size < math.inf:
+            raise ValidationError(f"step_size must be positive and finite, got {self.step_size}")
         if not self.tolerance > 0:
             raise ValidationError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_iters < 1:
@@ -61,7 +58,10 @@ class SolverConfig:
             if self.init not in ("centroid", "random"):
                 raise ValidationError(f"init must be 'centroid', 'random' or (x, y), got {self.init!r}")
         else:
-            object.__setattr__(self, "init", (float(self.init[0]), float(self.init[1])))
+            init = (float(self.init[0]), float(self.init[1]))
+            if not all(map(math.isfinite, init)):
+                raise ValidationError(f"init coordinates must be finite, got {init}")
+            object.__setattr__(self, "init", init)
 
 
 @dataclass(frozen=True)
@@ -184,30 +184,6 @@ def solve(
         k=k.k,
         step_size_final=step,
     )
-
-
-def solve_grid_refined(
-    scenario: Scenario,
-    config: SolverConfig | None = None,
-    grid: GridSpec | None = None,
-    c: float = SPEED_OF_LIGHT,
-) -> SolveReport:
-    """Grid search first, then polish the best node with the ascent.
-
-    The polish always runs with line search on, so the returned objective
-    can only match or beat the grid optimum.
-    """
-    config = config or SolverConfig()
-    grid = grid or GridSpec(spacing=1.0, bounds=scenario.bounds)
-    if config.mode == "region":
-        feas = region_mod.build(scenario, c)
-        if feas.empty:
-            return solve(scenario, config, c)  # produces the infeasible report
-    best = grid_search(scenario, grid, mode=config.mode, c=c)
-    polished = solve(
-        scenario, replace(config, init=best.point, line_search=True), c
-    )
-    return polished
 
 
 # ---------------------------------------------------------------------------

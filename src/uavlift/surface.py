@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .objective import user_arrays
-from .oracle import GridSpec
+from .oracle import GridSpec, grid_values
 from .scenario import UserDevice
 
 # Low / mid / high stops of a perceptually ordered colormap.
@@ -22,13 +22,8 @@ def surface_grid(
     xs_u, ys_u, es = user_arrays(users)
     gxs = grid.xs()
     gys = grid.ys()
-    values = np.zeros((len(gxs), len(gys)))
-    z2 = z * z
-    for ix, gx in enumerate(gxs):
-        totals = np.zeros(len(gys))
-        for ux, uy, ue in zip(xs_u, ys_u, es):
-            totals += ue / ((gx - ux) ** 2 + (gys - uy) ** 2 + z2)
-        values[ix] = totals
+    px, py = (a.ravel() for a in np.meshgrid(gxs, gys, indexing="ij"))
+    values = grid_values(xs_u, ys_u, es, z, px, py).reshape(len(gxs), len(gys))
     return gxs, gys, values
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from uavlift.cli import main
+from uavlift.cli import _build_parser, main
 from uavlift.scenario import load
 
 
@@ -118,6 +118,16 @@ class TestSolve:
         assert doc["placement"] is not None
         assert traj.read_text().startswith("iteration,x,y,objective")
 
+    def test_non_finite_init_is_input_error_exit_2(self, relaxed_file, capsys):
+        assert main(["solve", str(relaxed_file), "--init", "nan,0"]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--gamma", "--eps"])
+    def test_non_finite_number_flag_is_rejected_by_the_parser(self, flag, capsys):
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(["solve", "s.json", flag, "inf"])
+        assert "finite" in capsys.readouterr().err
+
     def test_explicit_gamma_and_eps(self, relaxed_file, capsys):
         rc = main([
             "solve", str(relaxed_file), "--mode", "box",
@@ -189,24 +199,72 @@ class TestSurface:
 
 class TestReproduce:
     def test_uniform_case_passes(self, capsys):
-        rc = main(["reproduce", "--case", "uniform"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert out.count("PASS") == 4
-        assert "FAIL" not in out
+        assert reproduce(capsys, "uniform", None) == REPRODUCE_OUTPUT["uniform", None]
 
     def test_nonuniform_case_passes(self, capsys):
-        rc = main(["reproduce", "--case", "nonuniform"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "PASS" in out and "FAIL" not in out
+        assert reproduce(capsys, "nonuniform", None) == REPRODUCE_OUTPUT["nonuniform", None]
 
     def test_concavity_case_passes(self, capsys):
-        rc = main(["reproduce", "--case", "concavity"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert out.count("PASS") == 2
+        assert reproduce(capsys, "concavity", None) == REPRODUCE_OUTPUT["concavity", None]
+
+    @pytest.mark.parametrize("case", ["uniform", "nonuniform", "concavity"])
+    def test_seed_3_output_is_unchanged(self, capsys, case):
+        assert reproduce(capsys, case, 3) == REPRODUCE_OUTPUT[case, 3]
 
     def test_unknown_case_is_usage_error(self, capsys):
         assert main(["reproduce", "--case", "mystery"]) == 2
         capsys.readouterr()
+
+
+def reproduce(capsys, case, seed):
+    rc = main(["reproduce", "--case", case] + ([] if seed is None else ["--seed", str(seed)]))
+    return rc, capsys.readouterr().out
+
+
+# (exit code, stdout) of `reproduce` per (case, --seed), pinned byte for byte;
+# seed 3 misses the uniform case's objective and lifetime bands.
+REPRODUCE_OUTPUT = {
+    ("uniform", None): (0, """case uniform: 200 users on [0,250]^2, z 650 m, box mode, seed 9
+  placement (129.4, 126.3, 650)   reference (131.0, 128.0, 650.0)
+  objective 5.2038 J/m^2   reference 5.19
+  lifetime  282846 s    reference 282096
+PASS objective in [5.0, 5.4] J/m^2
+PASS lifetime in [2.70e5, 2.95e5] s
+PASS placement within 15 m of (125, 125)
+PASS iterations <= 100
+"""),
+    ("uniform", 3): (1, """case uniform: 200 users on [0,250]^2, z 650 m, box mode, seed 3
+  placement (126.0, 124.3, 650)   reference (131.0, 128.0, 650.0)
+  objective 4.9407 J/m^2   reference 5.19
+  lifetime  268544 s    reference 282096
+FAIL objective in [5.0, 5.4] J/m^2
+FAIL lifetime in [2.70e5, 2.95e5] s
+PASS placement within 15 m of (125, 125)
+PASS iterations <= 100
+"""),
+    ("nonuniform", None): (0, """case nonuniform: clusters 150:50 (3:1 density), z 650 m, box mode, seed 9
+  placement (105.7, 126.3, 650)   reference (92.0, 156.0, 650.0)
+  objective 5.2816 J/m^2   reference 5.22
+  dense centroid (77.9, 147.6) at 35.0 m; sparse centroid (203.2, 53.5) at 121.6 m
+PASS placement strictly closer to the dense cluster centroid
+"""),
+    ("nonuniform", 3): (0, """case nonuniform: clusters 150:50 (3:1 density), z 650 m, box mode, seed 3
+  placement (103.3, 129.6, 650)   reference (92.0, 156.0, 650.0)
+  objective 5.1667 J/m^2   reference 5.22
+  dense centroid (76.1, 150.1) at 34.1 m; sparse centroid (199.2, 59.8) at 118.6 m
+PASS placement strictly closer to the dense cluster centroid
+"""),
+    ("concavity", None): (0, """case concavity: seed 9, d_max 353.55 m, threshold 612.37 m
+  z 650 m: certificate holds=True; scan all_nsd=True
+  z 30 m: scan all_nsd=False; worst eigenvalue 9.860e-02 at (219.0, 130.6)
+PASS certificate holds at z=650 and scan is all NSD
+PASS scan at z=30 finds a positive-eigenvalue witness
+"""),
+    ("concavity", 3): (0, """case concavity: seed 3, d_max 353.55 m, threshold 612.37 m
+  z 650 m: certificate holds=True; scan all_nsd=True
+  z 30 m: scan all_nsd=False; worst eigenvalue 8.975e-02 at (72.4, 111.3)
+PASS certificate holds at z=650 and scan is all NSD
+PASS scan at z=30 finds a positive-eigenvalue witness
+"""),
+}
+

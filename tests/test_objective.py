@@ -5,17 +5,9 @@ import pytest
 
 from uavlift.channel import lifetime, system_constant
 from uavlift.errors import ValidationError
-from uavlift.objective import (
-    concavity_certificate,
-    evaluate,
-    gradient,
-    hessian,
-    nsd_scan,
-    per_user_nsd_conditions,
-    value,
-)
+from uavlift.objective import concavity_certificate, gradient, hessian, nsd_scan, value
 from uavlift.rng import SplitMix64
-from uavlift.scenario import DEFAULT_RF, AreaBounds, UserDevice, generate_uniform
+from uavlift.scenario import AreaBounds, UserDevice, generate_uniform
 
 BOUNDS = AreaBounds(0, 250, 0, 250, 650, 650)
 
@@ -117,19 +109,23 @@ class TestHessian:
 
 
 class TestEvaluate:
+    """The objective against the channel model: a user's term over K is its lifetime."""
+
     def test_value_is_constant_times_total_lifetime(self):
         s = generate_uniform(50, BOUNDS, 4500, 18000, seed=2)
         k = system_constant(s.rf, len(s.users))
-        ev = evaluate(s.users, 650.0, (100.0, 120.0), k)
-        assert ev.value == pytest.approx(k.k * sum(ev.per_user_tau), rel=1e-12)
+        point = (100.0, 120.0)
+        taus = [lifetime(u.energy, k, math.dist((*point, 650.0), (u.x, u.y, 0)))
+                for u in s.users]
+        assert value(s.users, 650.0, point) == pytest.approx(k.k * sum(taus), rel=1e-12)
 
     def test_per_user_tau_matches_channel_lifetime(self):
         s = generate_uniform(10, BOUNDS, 4500, 18000, seed=4)
         k = system_constant(s.rf, len(s.users))
         point = (30.0, 200.0)
-        ev = evaluate(s.users, 650.0, point, k)
-        for u, tau in zip(s.users, ev.per_user_tau):
+        for u in s.users:
             d = math.sqrt((point[0] - u.x) ** 2 + (point[1] - u.y) ** 2 + 650.0**2)
+            tau = value([u], 650.0, point) / k.k
             assert tau == pytest.approx(lifetime(u.energy, k, d), rel=1e-12)
 
 
@@ -209,13 +205,3 @@ class TestNsdScan:
         big = [UserDevice(u.x, u.y, 1e6 * u.energy) for u in s.users]
         assert nsd_scan(big, 650.0, BOUNDS, samples=200, seed=0).all_nsd
 
-
-class TestPerUserConditions:
-    def test_high_altitude_satisfies_all(self):
-        users = [UserDevice(10, 20, 5.0), UserDevice(200, 240, 7.0)]
-        conditions = per_user_nsd_conditions(users, 650.0, (125.0, 125.0))
-        assert conditions.all()
-
-    def test_low_altitude_violates_determinant_condition(self):
-        conditions = per_user_nsd_conditions([UserDevice(0, 0, 5.0)], 30.0, (50.0, 0.0))
-        assert not conditions[0, 2]  # z^2 = 900 < 3*2500

@@ -4,14 +4,16 @@ import math
 import numpy as np
 import pytest
 
+from uavlift import oracle
 from uavlift.channel import SPEED_OF_LIGHT
 from uavlift.cli import main
 from uavlift.errors import EmptyRegionError, ValidationError
-from uavlift.objective import concavity_certificate, gradient, hessian
+from uavlift.objective import concavity_certificate, gradient, hessian, value
 from uavlift.oracle import GridSpec, fd_gradient, fd_hessian, grid_search
-from uavlift.region import build
+from uavlift.region import build, contains
 from uavlift.rng import SplitMix64
 from uavlift.scenario import AreaBounds, RfParams, Scenario, UserDevice, generate_uniform, save
+from uavlift.surface import surface_grid
 
 RF = RfParams(rate=4e6, bandwidth=50e6, noise=1e-14, frequency=4e9, p_max=0.5, tau_th=900)
 
@@ -123,6 +125,26 @@ def test_region_mode_solve_matches_oracle_when_disks_cut_the_box(tmp_path, capsy
     assert report["objective"] >= best.value * (1.0 - 1e-9)
     assert report["objective"] - best.value <= math.sqrt(2.0) * spacing * lipschitz
     assert math.hypot(x - best.point[0], y - best.point[1]) <= math.sqrt(2.0) * spacing
+
+
+# 6 users on 21 x 21 nodes: 4 elements a block split the users, 25 the columns.
+@pytest.mark.parametrize("chunk", [4, 25])
+def test_grid_kernel_blocks_do_not_change_answers(monkeypatch, chunk):
+    scenario, z = cutting_disks_scenario(3), 130.0
+    grid = GridSpec(2.5, scenario.bounds)
+    before = {mode: grid_search(scenario, grid, mode=mode) for mode in ("box", "region")}
+    monkeypatch.setattr(oracle, "CHUNK_ELEMENTS", chunk)
+    xs, ys, values = surface_grid(scenario.users, z, grid)
+    nodes = [(float(x), float(y)) for x in xs for y in ys]
+    assert values.ravel() == pytest.approx([value(scenario.users, z, p) for p in nodes], rel=1e-12)
+    for mode, expected in before.items():
+        result = grid_search(scenario, grid, mode=mode)
+        assert result.point == expected.point
+        assert result.value == pytest.approx(expected.value, rel=1e-12)  # users summed in parts
+    feas = build(scenario)
+    inside = sum(contains(feas, p) for p in nodes)
+    assert 0 < inside < len(nodes) == before["box"].evaluated
+    assert result.evaluated == inside
 
 
 class TestFiniteDifferences:

@@ -4,7 +4,6 @@ import warnings
 import pytest
 
 from uavlift.objective import gradient
-from uavlift.oracle import GridSpec, grid_search
 from uavlift.region import build, contains
 from uavlift.scenario import (
     AreaBounds,
@@ -13,7 +12,7 @@ from uavlift.scenario import (
     UserDevice,
     generate_uniform,
 )
-from uavlift.solver import SolverConfig, SolveReport, solve, solve_grid_refined
+from uavlift.solver import SolverConfig, solve
 
 RF = RfParams(rate=4e6, bandwidth=50e6, noise=1e-14, frequency=4e9, p_max=0.5, tau_th=900)
 
@@ -74,6 +73,10 @@ class TestSolveBasics:
             SolverConfig(mode="sideways")
         with pytest.raises(ValidationError):
             SolverConfig(max_iters=0)
+        with pytest.raises(ValidationError):
+            SolverConfig(step_size=math.inf)  # would never leave the backtracking loop
+        with pytest.raises(ValidationError):
+            SolverConfig(init=(math.nan, 0.0))
 
 
 class TestMonotoneAscent:
@@ -148,42 +151,6 @@ class TestNonConcaveWarning:
         s = generate_uniform(50, bounds, 4500, 18000, seed=3)
         with pytest.warns(RuntimeWarning, match="non-concave"):
             solve(s, SolverConfig(mode="box", max_iters=5))
-
-
-class TestGridRefined:
-    def test_concave_instance_agrees_with_plain_solve(self):
-        s = relaxed_scenario()
-        config = SolverConfig(mode="box", tolerance=1e-6, max_iters=3000)
-        grid = GridSpec(1.0, s.bounds)
-        plain = solve(s, config)
-        refined = solve_grid_refined(s, config, grid)
-        px, py, _ = plain.placement
-        rx, ry, _ = refined.placement
-        assert math.hypot(px - rx, py - ry) <= 2.0 * grid.spacing
-
-    def test_objective_never_below_grid_optimum(self):
-        s = relaxed_scenario(seed=6)
-        config = SolverConfig(mode="box", tolerance=1e-6, max_iters=500)
-        grid = GridSpec(1.0, s.bounds)
-        refined = solve_grid_refined(s, config, grid)
-        best = grid_search(s, grid, mode="box")
-        assert refined.objective >= best.value - 1e-12
-
-    def test_non_concave_instance_at_least_matches_plain_solve(self):
-        bounds = AreaBounds(0, 250, 0, 250, 30, 30)
-        s = generate_uniform(200, bounds, 4500, 18000, seed=9)
-        config = SolverConfig(mode="box", tolerance=1e-6, max_iters=500)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            plain = solve(s, config, c=3e8)
-            refined = solve_grid_refined(s, config, GridSpec(1.0, bounds), c=3e8)
-        assert refined.objective >= plain.objective - 1e-9
-
-    def test_empty_region_returns_infeasible_report(self):
-        report = solve_grid_refined(
-            reference_scenario(), SolverConfig(mode="region"), GridSpec(5.0, reference_scenario().bounds), c=3e8
-        )
-        assert report.infeasible is not None
 
 
 class TestReportSerialization:
