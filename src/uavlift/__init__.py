@@ -42,7 +42,6 @@ from .region import (
     max_range_energy,
     max_range_power,
     project,
-    project_many,
 )
 from .rng import SplitMix64
 from .scenario import (
@@ -100,7 +99,6 @@ __all__ = [
     "nsd_scan",
     "path_loss",
     "project",
-    "project_many",
     "rate",
     "required_power",
     "save",

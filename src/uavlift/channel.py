@@ -38,17 +38,6 @@ class SystemConstant:
     frequency: float
     c: float = SPEED_OF_LIGHT
 
-    def __post_init__(self):
-        if not self.k > 0:
-            raise ValidationError(f"system constant must be positive, got {self.k}")
-        expected = _system_constant_value(
-            self.rate, self.user_count, self.bandwidth, self.noise, self.frequency, self.c
-        )
-        if not math.isclose(self.k, expected, rel_tol=1e-9):
-            raise ValidationError(
-                f"system constant {self.k} does not match its inputs (expected {expected})"
-            )
-
 
 def path_loss(distance: float, frequency: float, c: float = SPEED_OF_LIGHT) -> float:
     """Free-space loss factor (4*pi*distance*frequency/c)^2, dimensionless."""
@@ -72,13 +61,6 @@ def rate(bandwidth_per_user: float, power: float, loss: float, noise: float) -> 
     return bandwidth_per_user * math.log2(1.0 + power / loss / noise)
 
 
-def _system_constant_value(
-    rate_bps: float, user_count: int, bandwidth: float, noise: float, frequency: float, c: float
-) -> float:
-    exponent = rate_bps * user_count / bandwidth
-    return (2.0 ** exponent - 1.0) * noise * (4.0 * math.pi * frequency / c) ** 2
-
-
 def system_constant(rf: RfParams, user_count: int, c: float = SPEED_OF_LIGHT) -> SystemConstant:
     """Derive K from the radio parameters and the number of served devices."""
     if user_count < 1:
@@ -89,7 +71,9 @@ def system_constant(rf: RfParams, user_count: int, c: float = SPEED_OF_LIGHT) ->
             f"rate*user_count/bandwidth = {exponent:.1f} would overflow 2^x; "
             "review the rate, user count, or bandwidth"
         )
-    k = _system_constant_value(rf.rate, user_count, rf.bandwidth, rf.noise, rf.frequency, c)
+    k = (2.0 ** exponent - 1.0) * rf.noise * (4.0 * math.pi * rf.frequency / c) ** 2
+    if not k > 0:  # 2^x - 1 underflows to 0 for a tiny exponent
+        raise ValidationError(f"system constant must be positive, got {k}")
     return SystemConstant(
         k=k,
         rate=rf.rate,

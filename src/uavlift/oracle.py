@@ -97,8 +97,8 @@ def grid_search(
         feas = region_mod.build(scenario, c)
         if feas.empty:
             raise EmptyRegionError(feas.empty_reason or "feasible region is empty")
-        cx, cy, r = np.array(feas.disks, dtype=float).reshape(-1, 3).T
-        r2 = (r + region_mod.MEMBERSHIP_TOL) ** 2
+        table = feas.table
+        cx, cy, r2 = table.cx, table.cy, (table.r + region_mod.MEMBERSHIP_TOL) ** 2
 
     xs_u, ys_u, es = user_arrays(scenario.users)
     grid_xs = grid.xs()

@@ -11,6 +11,12 @@ edges, so emptiness and Euclidean projection are exact 2D geometry: the
 region's vertices, found once by the pass that decides emptiness, and
 closed-form single-set projections. This replaces Dykstra's alternating
 projections (Boyle & Dykstra, 1986).
+
+A region keeps its disks as centre and radius arrays (`DiskTable`), made
+once when the region is made. One membership test, `_within`, measures how
+far points miss the box and the disks; `contains`, `project` and
+`check_empty` all ask it. `project` takes one point: the point itself if it
+is inside, otherwise the nearest feasible closed-form candidate.
 """
 
 from __future__ import annotations
@@ -32,6 +38,10 @@ EMPTINESS_TOL = 1e-6    # meters, decision threshold of `check_empty`
 # computed candidates allow this much, relative to the largest coordinate or
 # radius in the instance.
 _ROUNDING = 1e-12
+# Points x disks that `_within` measures in one NumPy pass. The few points of
+# a projection meet every disk at once; the O(m^2) candidates of
+# `check_empty` meet a few disks at a time, and rejects drop out in between.
+_BLOCK_ELEMENTS = 2**12
 
 
 class Disk(NamedTuple):
@@ -49,17 +59,28 @@ class UserRangeLimit:
     user_index: int
     d_power: float
     d_energy: float
-    d_limit: float
 
     def __post_init__(self):
         if not (self.d_power > 0 and self.d_energy > 0):
             raise ValidationError("range limits must be positive")
-        if self.d_limit != min(self.d_power, self.d_energy):
-            raise ValidationError("d_limit must be min(d_power, d_energy)")
+
+    @property
+    def d_limit(self) -> float:
+        return min(self.d_power, self.d_energy)
 
     @property
     def binding(self) -> str:
         return "power" if self.d_power <= self.d_energy else "energy"
+
+
+class DiskTable(NamedTuple):
+    """Disk centres and radii as arrays, and the membership slack in meters
+    for candidate points computed from them."""
+
+    cx: np.ndarray
+    cy: np.ndarray
+    r: np.ndarray
+    rounding: float
 
 
 class EmptinessCheck(NamedTuple):
@@ -76,6 +97,8 @@ class FeasibleRegion:
 
     `vertices` holds the feasible candidate points `check_empty` found: every
     vertex of the region, plus any box corner or disk centre inside it.
+    `table` holds the disks as arrays; it is derived from `disks` and `box`
+    when the region is made.
     """
 
     altitude: float
@@ -87,6 +110,10 @@ class FeasibleRegion:
     vertices: np.ndarray = field(
         default_factory=lambda: np.empty((0, 2)), compare=False, repr=False
     )
+    table: DiskTable = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "table", _disk_arrays(self.disks, self.box))
 
     @classmethod
     def from_disks(
@@ -141,12 +168,7 @@ def build(scenario: Scenario, c: float = SPEED_OF_LIGHT) -> FeasibleRegion:
     for i, u in enumerate(scenario.users):
         d_energy = max_range_energy(u.energy, scenario.rf.tau_th, k)
         limits.append(
-            UserRangeLimit(
-                user_index=i,
-                d_power=d_power,
-                d_energy=d_energy,
-                d_limit=min(d_power, d_energy),
-            )
+            UserRangeLimit(user_index=i, d_power=d_power, d_energy=d_energy)
         )
     limits = tuple(limits)
 
@@ -184,55 +206,39 @@ def contains(
     """Closed-set membership with `tol` meters of boundary slack."""
     if region.empty:
         raise EmptyRegionError(region.empty_reason or "region is empty")
-    x, y = point
-    box = region.box
-    if x < box.x_min - tol or x > box.x_max + tol:
-        return False
-    if y < box.y_min - tol or y > box.y_max + tol:
-        return False
-    for d in region.disks:
-        if math.hypot(x - d.x, y - d.y) > d.radius + tol:
-            return False
-    return True
+    return len(_within(np.array([point], dtype=float), region.table, region.box, tol)[0]) > 0
 
 
 def project(region: FeasibleRegion, point: tuple[float, float]) -> tuple[float, float]:
     """Euclidean projection onto the region, exact up to rounding.
 
-    Points already in the region come back unchanged. Otherwise the nearest
+    A point already in the region comes back unchanged. Otherwise the nearest
     point has either one active set, and then it is that set's own
     projection, or it lies where two boundaries cross, which makes it a
     stored vertex. So it is the nearest of the feasible ones among the box
-    clamp, each disk's radial pull-back and the vertices.
+    clamp, the radial pull-backs onto the disks the point violates and the
+    vertices. A disk that holds the point would pull it nowhere, so the
+    point itself stands in for those disks: it failed the exact test, but
+    like every computed candidate it is tested with the rounding slack.
     """
-    out = project_many(region, np.asarray([point], dtype=float))
-    return (float(out[0, 0]), float(out[0, 1]))
-
-
-def project_many(region: FeasibleRegion, points: np.ndarray) -> np.ndarray:
-    """Vectorized `project` for an (N, 2) array of query points."""
     if region.empty:
         raise EmptyRegionError(region.empty_reason or "region is empty")
-    pts = np.array(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValidationError(f"points must have shape (N, 2), got {pts.shape}")
+    q = np.array([point], dtype=float)
+    table, box = region.table, region.box
+    if len(_within(q, table, box, 0.0)[0]):
+        return (float(q[0, 0]), float(q[0, 1]))
 
-    box = region.box
-    cx, cy, r, rounding = _disk_arrays(region.disks, box)
-    outside = np.ones(len(pts), dtype=bool)
-    outside[_within(pts, cx, cy, r, box, 0.0)[0]] = False
-    for k in np.flatnonzero(outside):
-        qx, qy = pts[k]
-        dist = np.hypot(qx - cx, qy - cy)
-        pull = np.divide(r, dist, out=np.ones_like(dist), where=dist > r)
-        single = np.vstack((
-            [[min(max(qx, box.x_min), box.x_max), min(max(qy, box.y_min), box.y_max)]],
-            np.column_stack((cx + (qx - cx) * pull, cy + (qy - cy) * pull)),
-        ))
-        feasible, _ = _within(single, cx, cy, r, box, rounding)
-        candidates = np.vstack((single[feasible], region.vertices))
-        pts[k] = candidates[np.argmin(np.hypot(candidates[:, 0] - qx, candidates[:, 1] - qy))]
-    return pts
+    qx, qy = q[0]
+    dist = np.hypot(qx - table.cx, qy - table.cy)
+    out = dist > table.r
+    cx, cy, pull = table.cx[out], table.cy[out], table.r[out] / dist[out]
+    clamp = [[min(max(qx, box.x_min), box.x_max), min(max(qy, box.y_min), box.y_max)]]
+    pulled = np.column_stack((cx + (qx - cx) * pull, cy + (qy - cy) * pull))
+    candidates = np.vstack((clamp, q, pulled) if not out.all() else (clamp, pulled))
+    feasible, _ = _within(candidates, table, box, table.rounding)
+    candidates = np.vstack((candidates[feasible], region.vertices))
+    k = np.argmin(np.hypot(candidates[:, 0] - qx, candidates[:, 1] - qy))
+    return (float(candidates[k, 0]), float(candidates[k, 1]))
 
 
 def check_empty(
@@ -252,11 +258,11 @@ def check_empty(
     violation as witness. Empty verdicts report min g as `shortfall`,
     found by bisecting the padding with the same candidate test.
     """
-    cx, cy, r, rounding = _disk_arrays(disks, box)
+    table = _disk_arrays(disks, box)
 
     def survivors(pad: float) -> tuple[np.ndarray, np.ndarray]:
-        pts = _candidates(cx, cy, r, box, pad)
-        kept, viol = _within(pts, cx, cy, r, box, pad + rounding)
+        pts = _candidates(table, box, pad)
+        kept, viol = _within(pts, table, box, pad + table.rounding)
         return pts[kept], viol
 
     for pad in (0.0, tol):
@@ -268,8 +274,8 @@ def check_empty(
 
     # min g lies in (lo, hi]; hi is always a violation some point attains.
     centre = np.array([[0.5 * (box.x_min + box.x_max), 0.5 * (box.y_min + box.y_max)]])
-    lo, hi = tol, float(_within(centre, cx, cy, r, box, math.inf)[1][0])
-    while hi - lo > 4.0 * rounding:
+    lo, hi = tol, float(_within(centre, table, box, math.inf)[1][0])
+    while hi - lo > 4.0 * table.rounding:
         mid = 0.5 * (lo + hi)
         _, viol = survivors(mid)
         if len(viol):
@@ -280,23 +286,23 @@ def check_empty(
     return EmptinessCheck(True, None, hi, cause, np.empty((0, 2)))
 
 
-def _disk_arrays(disks: Sequence[Disk], box: AreaBounds):
-    """Disk centres and radii as arrays, and the membership slack in meters
-    for candidate points computed from them."""
+def _disk_arrays(disks: Sequence[Disk], box: AreaBounds) -> DiskTable:
     table = np.array(disks, dtype=float).reshape(-1, 3)
     bounds = [1.0, box.x_min, box.x_max, box.y_min, box.y_max]
     rounding = _ROUNDING * float(np.max(np.abs(np.concatenate((bounds, table.ravel())))))
-    return table[:, 0], table[:, 1], table[:, 2], rounding
+    return DiskTable(table[:, 0], table[:, 1], table[:, 2], rounding)
 
 
 def _within(
-    pts: np.ndarray, cx: np.ndarray, cy: np.ndarray, r: np.ndarray, box: AreaBounds, limit: float
+    pts: np.ndarray, table: DiskTable, box: AreaBounds, limit: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the rows of `pts` that violate the box and every disk by at
     most `limit` meters, and their largest violations.
 
-    Filters by the box first, then disk by disk, so memory stays at the size
-    of `pts` however many disks there are.
+    Filters by the box first, then by the disks a block at a time, dropping
+    the rows that fail after each block. A block spans as many disks as fit
+    in `_BLOCK_ELEMENTS` for the rows still in play, so memory stays bounded
+    however many points and disks there are.
     """
     x, y = pts[:, 0], pts[:, 1]
     viol = np.maximum(
@@ -304,18 +310,18 @@ def _within(
     )
     kept = np.flatnonzero(viol <= limit)
     viol = viol[kept]
-    for j in range(len(r)):
-        if not len(kept):
-            break
-        viol = np.maximum(viol, np.hypot(pts[kept, 0] - cx[j], pts[kept, 1] - cy[j]) - r[j])
+    start = 0
+    while len(kept) and start < len(table.r):
+        block = slice(start, start + max(1, _BLOCK_ELEMENTS // len(kept)))
+        gap = np.hypot(pts[kept, :1] - table.cx[block], pts[kept, 1:] - table.cy[block])
+        viol = np.maximum(viol, np.max(gap - table.r[block], axis=1))
         inside = viol <= limit
         kept, viol = kept[inside], viol[inside]
+        start = block.stop
     return kept, viol
 
 
-def _candidates(
-    cx: np.ndarray, cy: np.ndarray, r: np.ndarray, box: AreaBounds, pad: float
-) -> np.ndarray:
+def _candidates(table: DiskTable, box: AreaBounds, pad: float) -> np.ndarray:
     """Every point that can be a vertex of the region with each set padded by
     `pad`, as an (K, 2) array with K = O(m^2) for m disks.
 
@@ -324,6 +330,7 @@ def _candidates(
     has no vertex. A pair that does not cross yields its point of closest
     approach instead; membership filtering drops it unless it is feasible.
     """
+    cx, cy, r = table.cx, table.cy, table.r
     x0, x1 = box.x_min - pad, box.x_max + pad
     y0, y1 = box.y_min - pad, box.y_max + pad
     rp = r + pad

@@ -135,9 +135,11 @@ class ClusterSpec:
     energy_high: float
 
     def __post_init__(self):
+        for name in ("x", "y", "std", "energy_low", "energy_high"):
+            object.__setattr__(self, name, _finite(getattr(self, name), "cluster", name))
         if self.count < 1:
             raise ValidationError(f"cluster count must be >= 1, got {self.count}")
-        if self.std < 0:
+        if not self.std >= 0:
             raise ValidationError(f"cluster std must be >= 0, got {self.std}")
         _check_energy_interval(self.energy_low, self.energy_high)
 

@@ -11,7 +11,7 @@ from uavlift.channel import system_constant
 from uavlift.cli import main
 from uavlift.objective import concavity_certificate, gradient, hessian, nsd_scan
 from uavlift.oracle import GridSpec, fd_gradient, fd_hessian, grid_search
-from uavlift.region import Disk, FeasibleRegion, contains, project, project_many
+from uavlift.region import Disk, FeasibleRegion, contains, project
 from uavlift.rng import SplitMix64
 from uavlift.scenario import (
     DEFAULT_RF,
@@ -159,6 +159,10 @@ def _random_region(seed: int, n_disks: int = 5) -> FeasibleRegion:
     return region
 
 
+def _project_each(region, pts: np.ndarray) -> np.ndarray:
+    return np.array([project(region, (float(x), float(y))) for x, y in pts])
+
+
 def test_criterion_7_projection_correctness():
     gen = SplitMix64(700)
 
@@ -167,8 +171,8 @@ def test_criterion_7_projection_correctness():
     for seed in range(10):
         region = _random_region(seed)
         pts = np.array([[gen.uniform(-15, 25), gen.uniform(-15, 25)] for _ in range(20)])
-        once = project_many(region, pts)
-        twice = project_many(region, once)
+        once = _project_each(region, pts)
+        twice = _project_each(region, once)
         worst_idem = max(worst_idem, float(np.max(np.hypot(*(twice - once).T))))
     assert worst_idem <= 1e-8
 
@@ -178,7 +182,7 @@ def test_criterion_7_projection_correctness():
         region = _random_region(seed)
         a = np.array([[gen.uniform(-15, 25), gen.uniform(-15, 25)] for _ in range(100)])
         b = np.array([[gen.uniform(-15, 25), gen.uniform(-15, 25)] for _ in range(100)])
-        pa, pb = project_many(region, a), project_many(region, b)
+        pa, pb = _project_each(region, a), _project_each(region, b)
         expansion = np.hypot(*(pa - pb).T) - np.hypot(*(a - b).T)
         worst_expansion = max(worst_expansion, float(np.max(expansion)))
     assert worst_expansion <= 2e-8

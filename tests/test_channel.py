@@ -107,13 +107,12 @@ class TestSystemConstant:
         with pytest.raises(ValidationError):
             system_constant(DEFAULT_RF, 0)
 
-    def test_inconsistent_constant_rejected(self):
-        good = system_constant(DEFAULT_RF, 200)
-        with pytest.raises(ValidationError):
-            SystemConstant(
-                k=good.k * 2.0, rate=good.rate, user_count=good.user_count,
-                bandwidth=good.bandwidth, noise=good.noise, frequency=good.frequency, c=good.c,
-            )
+    def test_underflow_to_zero_is_rejected(self):
+        # 2^(1e-10 * 5 / 1e10) - 1 rounds to 0.0, and a zero K would make
+        # every range infinite
+        rf = RfParams(rate=1e-10, bandwidth=1e10, noise=1e-14, frequency=4e9, p_max=0.5, tau_th=900)
+        with pytest.raises(ValidationError, match="system constant must be positive, got 0.0"):
+            system_constant(rf, 5)
 
 
 class TestRequiredPower:

@@ -64,6 +64,15 @@ class TestGenerate:
         assert left > 100  # the dense cluster sits on the left half
 
 
+    def test_non_finite_cluster_field_is_usage_error(self, tmp_path, capsys):
+        rc = main([
+            "generate", "--seed", "1", "--out", str(tmp_path / "x.json"),
+            "--clusters", "100,100,nan,3,4500,18000",
+        ])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+
+
 class TestCheck:
     def test_reference_setup_is_infeasible_exit_3(self, reference_file, capsys):
         rc = main(["check", str(reference_file), "--c", "3e8"])
@@ -83,6 +92,14 @@ class TestCheck:
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["check", "/nonexistent/file.json"]) == 2
         capsys.readouterr()
+
+    def test_system_constant_underflow_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "tiny-rate.json"
+        argv = ["generate", "--count", "5", "--rate", "1e-10", "--bandwidth", "1e10"]
+        assert main(argv + ["--seed", "1", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["check", str(path)]) == 2
+        assert "system constant must be positive, got 0.0" in capsys.readouterr().err
 
 
 class TestSolve:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import uavlift
+from uavlift import region as region_mod
 from uavlift.channel import SPEED_OF_LIGHT, system_constant
 from uavlift.errors import EmptyRegionError
 from uavlift.region import (
@@ -19,7 +20,6 @@ from uavlift.region import (
     max_range_energy,
     max_range_power,
     project,
-    project_many,
 )
 from uavlift.rng import SplitMix64
 from uavlift.scenario import DEFAULT_RF, AreaBounds, RfParams, Scenario, UserDevice
@@ -283,14 +283,18 @@ def random_region(seed: int, n_disks: int = 5) -> FeasibleRegion:
     return region
 
 
+def project_each(region: FeasibleRegion, pts: np.ndarray) -> np.ndarray:
+    return np.array([project(region, (float(x), float(y))) for x, y in pts])
+
+
 class TestProjectionProperties:
     def test_idempotent(self):
         gen = SplitMix64(100)
         for seed in range(12):
             region = random_region(seed)
             pts = np.array([[gen.uniform(-15, 25), gen.uniform(-15, 25)] for _ in range(25)])
-            once = project_many(region, pts)
-            twice = project_many(region, once)
+            once = project_each(region, pts)
+            twice = project_each(region, once)
             assert float(np.max(np.hypot(*(twice - once).T))) <= 1e-8
 
     def test_non_expansive(self):
@@ -299,8 +303,8 @@ class TestProjectionProperties:
             region = random_region(seed)
             a = np.array([[gen.uniform(-15, 25), gen.uniform(-15, 25)] for _ in range(50)])
             b = np.array([[gen.uniform(-15, 25), gen.uniform(-15, 25)] for _ in range(50)])
-            pa = project_many(region, a)
-            pb = project_many(region, b)
+            pa = project_each(region, a)
+            pb = project_each(region, b)
             dist_in = np.hypot(*(a - b).T)
             dist_out = np.hypot(*(pa - pb).T)
             assert np.all(dist_out <= dist_in + 2e-8)
@@ -310,7 +314,7 @@ class TestProjectionProperties:
         for seed in range(8):
             region = random_region(seed)
             pts = np.array([[gen.uniform(-15, 25), gen.uniform(-15, 25)] for _ in range(30)])
-            for p in project_many(region, pts):
+            for p in project_each(region, pts):
                 assert contains(region, (float(p[0]), float(p[1])))
 
     def test_minimality_against_feasible_grid(self):
@@ -332,6 +336,59 @@ class TestProjectionProperties:
                 proj_dist = math.hypot(proj[0] - q[0], proj[1] - q[1])
                 grid_dist = float(np.min(np.hypot(fx - q[0], fy - q[1])))
                 assert grid_dist >= proj_dist - 1e-6
+
+
+def loop_contains(region: FeasibleRegion, p, tol: float, hypot) -> bool:
+    """Membership from `region.disks` one disk at a time."""
+    x, y = p
+    box = region.box
+    if not (box.x_min - tol <= x <= box.x_max + tol and box.y_min - tol <= y <= box.y_max + tol):
+        return False
+    return all(hypot(x - d.x, y - d.y) <= d.radius + tol for d in region.disks)
+
+
+@pytest.mark.parametrize("block", [3, 40])
+def test_membership_blocks_do_not_change_answers(monkeypatch, block):
+    regions = [build(binding_scenario(50))]
+    regions += [random_region(seed) for seed in range(8)]
+    regions.append(FeasibleRegion.from_disks([], AreaBounds(0, 10, 0, 10, 1, 1)))
+    triangle = [Disk(x, y, 1.05) for x, y in ((0.0, 0.0), (2.0, 0.0), (1.0, math.sqrt(3.0)))]
+    layouts = [(r.disks, r.box) for r in regions] + [(triangle, TestCheckEmpty.BOX)]
+    gen = SplitMix64(500)
+    points = []
+    for region in regions:
+        box = region.box
+        w, h = box.x_max - box.x_min, box.y_max - box.y_min
+        points.append([
+            (gen.uniform(box.x_min - w / 2, box.x_max + w / 2),
+             gen.uniform(box.y_min - h / 2, box.y_max + h / 2))
+            for _ in range(200)
+        ])
+
+    def answers():
+        checks = [check_empty(disks, box) for disks, box in layouts]
+        projections = [[project(r, p) for p in pts] for r, pts in zip(regions, points)]
+        return checks, projections
+
+    want_checks, want_projections = answers()
+    monkeypatch.setattr(region_mod, "_BLOCK_ELEMENTS", block)
+    got_checks, got_projections = answers()
+
+    for want, got in zip(want_checks, got_checks):
+        assert (got.empty, got.witness, got.shortfall, got.cause) == (
+            want.empty, want.witness, want.shortfall, want.cause)
+        assert np.array_equal(got.vertices, want.vertices)
+    assert got_projections == want_projections
+    for region, pts, projected in zip(regions, points, got_projections):
+        for tol in (0.0, 1e-9):
+            for p in pts:
+                assert contains(region, p, tol=tol) == loop_contains(region, p, tol, math.hypot)
+            # Projections lie on the boundary, where math.hypot and NumPy's
+            # hypot may round a distance apart by an ulp, and at tol 0 that
+            # decides membership; there the loop uses NumPy's, as `contains` does.
+            hypot = math.hypot if tol else np.hypot
+            for p in projected:
+                assert contains(region, p, tol=tol) == loop_contains(region, p, tol, hypot)
 
 
 class TestCheckEmpty:

@@ -131,6 +131,15 @@ class TestGenerateClustered:
             (spec,), BOUNDS, seed=5
         )
 
+    @pytest.mark.parametrize("field, value", [
+        ("std", math.nan), ("std", math.inf), ("x", math.nan), ("energy_high", math.inf),
+    ])
+    def test_non_finite_field_names_the_field(self, field, value):
+        fields = dict(x=100.0, y=100.0, std=20.0, count=3, energy_low=10.0, energy_high=20.0)
+        fields[field] = value
+        with pytest.raises(ValidationError, match=rf"cluster\.{field} must be finite"):
+            ClusterSpec(**fields)
+
     def test_empty_cluster_list_rejected(self):
         with pytest.raises(ValidationError):
             generate_clustered((), BOUNDS, seed=1)
