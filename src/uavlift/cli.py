@@ -343,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ValidationError, ParseError, ConfigurationError, FileNotFoundError) as exc:
+    except (ValidationError, ParseError, ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except EmptyRegionError as exc:

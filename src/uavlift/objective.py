@@ -23,16 +23,32 @@ from .scenario import AreaBounds, UserDevice
 # 1e-12 times the trace magnitude, so scaling all energies cannot flip it.
 NSD_EIGENVALUE_RTOL = 1e-12
 
+# Largest sample x user block of the NSD scan computed at once, so its
+# temporaries stay under a MB whatever the sample and user counts.
+SCAN_BLOCK_ELEMENTS = 2**16
 
-def user_arrays(users: Sequence[UserDevice]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positions and energies as flat arrays (xs, ys, energies)."""
+
+class UserArrays(NamedTuple):
+    """User positions and energies as flat float arrays, one entry per user."""
+
+    xs: np.ndarray
+    ys: np.ndarray
+    es: np.ndarray
+
+
+def user_arrays(users: Sequence[UserDevice] | UserArrays) -> UserArrays:
+    """Positions and energies as flat arrays (xs, ys, es). Arrays that are
+    already a `UserArrays` come back unchanged, so a caller that evaluates
+    the objective many times builds them once and passes them instead."""
+    if isinstance(users, UserArrays):
+        return users
     xs = np.array([u.x for u in users], dtype=float)
     ys = np.array([u.y for u in users], dtype=float)
     es = np.array([u.energy for u in users], dtype=float)
-    return xs, ys, es
+    return UserArrays(xs, ys, es)
 
 
-def _offsets(users: Sequence[UserDevice], z_min: float, px, py):
+def _offsets(users: Sequence[UserDevice] | UserArrays, z_min: float, px, py):
     """The point kernel: per-user offsets (dx, dy), squared distances d2 and
     energies. `px`, `py` are one point's coordinates, or (k, 1) columns that
     broadcast the kernel over k points; the user axis is always the last."""
@@ -44,7 +60,7 @@ def _offsets(users: Sequence[UserDevice], z_min: float, px, py):
     return dx, dy, dx**2 + dy**2 + z_min**2, es
 
 
-def _hessian_sums(users: Sequence[UserDevice], z_min: float, px, py):
+def _hessian_sums(users: Sequence[UserDevice] | UserArrays, z_min: float, px, py):
     """Hessian entries (fxx, fyy, fxy) at the point(s) `px`, `py` of the
     point kernel, summed over the user axis.
 
@@ -62,14 +78,16 @@ def _hessian_sums(users: Sequence[UserDevice], z_min: float, px, py):
     return fxx, fyy, fxy
 
 
-def value(users: Sequence[UserDevice], z_min: float, point: tuple[float, float]) -> float:
+def value(
+    users: Sequence[UserDevice] | UserArrays, z_min: float, point: tuple[float, float]
+) -> float:
     """Sum of E_i / ((X-x_i)^2 + (Y-y_i)^2 + z_min^2) in J/m^2."""
     _dx, _dy, d2, es = _offsets(users, z_min, *point)
     return float(np.sum(es / d2))
 
 
 def gradient(
-    users: Sequence[UserDevice], z_min: float, point: tuple[float, float]
+    users: Sequence[UserDevice] | UserArrays, z_min: float, point: tuple[float, float]
 ) -> tuple[float, float]:
     """Analytic gradient in J/m^3: each user contributes -2*E*offset/denominator^2."""
     dx, dy, d2, es = _offsets(users, z_min, *point)
@@ -78,7 +96,7 @@ def gradient(
 
 
 def hessian(
-    users: Sequence[UserDevice], z_min: float, point: tuple[float, float]
+    users: Sequence[UserDevice] | UserArrays, z_min: float, point: tuple[float, float]
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Analytic 2x2 Hessian in J/m^4, symmetric by construction."""
     fxx, fyy, fxy = (float(f) for f in _hessian_sums(users, z_min, *point))
@@ -122,7 +140,7 @@ class NsdScan(NamedTuple):
 
 
 def nsd_scan(
-    users: Sequence[UserDevice],
+    users: Sequence[UserDevice] | UserArrays,
     z_min: float,
     bounds: AreaBounds,
     samples: int = 1000,
@@ -140,7 +158,13 @@ def nsd_scan(
             for _ in range(samples)
         ]
     )
-    fxx, fyy, fxy = _hessian_sums(users, z_min, pts[:, 0, None], pts[:, 1, None])
+    users = user_arrays(users)
+    rows = max(1, SCAN_BLOCK_ELEMENTS // max(1, len(users.xs)))
+    blocks = [
+        _hessian_sums(users, z_min, pts[a:a + rows, 0, None], pts[a:a + rows, 1, None])
+        for a in range(0, samples, rows)
+    ]
+    fxx, fyy, fxy = (np.concatenate(parts) for parts in zip(*blocks))
     # Largest eigenvalue of each 2x2 symmetric matrix, in closed form.
     lam_max = 0.5 * (fxx + fyy) + np.sqrt((0.5 * (fxx - fyy)) ** 2 + fxy**2)
     scale = np.abs(fxx + fyy)

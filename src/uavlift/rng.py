@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import ValidationError
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -35,7 +37,7 @@ class SplitMix64:
 
     def __init__(self, seed: int):
         if seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed}")
+            raise ValidationError(f"seed must be a non-negative integer, got {seed}")
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:

@@ -317,7 +317,9 @@ def save(scenario: Scenario, path: str | Path) -> None:
 
 def load(path: str | Path) -> Scenario:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
     return scenario_from_dict(doc)

@@ -20,7 +20,7 @@ from pathlib import Path
 from . import region as region_mod
 from .channel import SPEED_OF_LIGHT, system_constant
 from .errors import NumericalError, ValidationError
-from .objective import ConcavityCertificate, concavity_certificate, gradient, value
+from .objective import ConcavityCertificate, concavity_certificate, gradient, user_arrays, value
 from .rng import SplitMix64
 from .scenario import Scenario
 
@@ -138,7 +138,7 @@ def solve(
                 min(max(p[1], b.y_min), b.y_max),
             )
 
-    users = scenario.users
+    users = user_arrays(scenario.users)  # built once for the whole ascent
     z = scenario.bounds.z_min
     p = project(_initial_point(scenario, config))
     f_p = value(users, z, p)

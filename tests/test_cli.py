@@ -93,6 +93,16 @@ class TestCheck:
         assert main(["check", "/nonexistent/file.json"]) == 2
         capsys.readouterr()
 
+    def test_directory_is_usage_error(self, tmp_path, capsys):
+        assert main(["check", str(tmp_path)]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_non_utf8_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        assert main(["check", str(path)]) == 2
+        assert f"{path} is not UTF-8 text" in capsys.readouterr().err
+
     def test_system_constant_underflow_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "tiny-rate.json"
         argv = ["generate", "--count", "5", "--rate", "1e-10", "--bandwidth", "1e10"]
@@ -135,6 +145,11 @@ class TestSolve:
         assert doc["placement"] is not None
         assert traj.read_text().startswith("iteration,x,y,objective")
 
+    def test_trajectory_into_a_directory_is_usage_error(self, relaxed_file, tmp_path, capsys):
+        argv = ["solve", str(relaxed_file), "--mode", "box", "--trajectory", str(tmp_path)]
+        assert main(argv) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
     def test_non_finite_init_is_input_error_exit_2(self, relaxed_file, capsys):
         assert main(["solve", str(relaxed_file), "--init", "nan,0"]) == 2
         assert "finite" in capsys.readouterr().err
@@ -164,6 +179,19 @@ def test_non_finite_energy_is_input_error_exit_2(relaxed_file, tmp_path, capsys,
     path.write_text(json.dumps(doc).replace('"NUMBER"', literal))
     assert main([command, str(path)]) == 2
     assert "users[0].energy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--count", "5", "--seed", "-1"],
+    ["reproduce", "--case", "uniform", "--seed", "-1"],
+    ["solve", "SCENARIO", "--mode", "box", "--init", "random", "--init-seed", "-1"],
+], ids=["generate", "reproduce", "solve"])
+def test_negative_seed_is_usage_error(relaxed_file, tmp_path, capsys, argv):
+    argv = [str(relaxed_file) if a == "SCENARIO" else a for a in argv]
+    if argv[0] == "generate":
+        argv += ["--out", str(tmp_path / "never.json")]
+    assert main(argv) == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
 
 
 class TestGrid:

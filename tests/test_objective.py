@@ -3,9 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from uavlift import objective
 from uavlift.channel import lifetime, system_constant
 from uavlift.errors import ValidationError
-from uavlift.objective import concavity_certificate, gradient, hessian, nsd_scan, value
+from uavlift.objective import (
+    UserArrays,
+    concavity_certificate,
+    gradient,
+    hessian,
+    nsd_scan,
+    user_arrays,
+    value,
+)
 from uavlift.rng import SplitMix64
 from uavlift.scenario import AreaBounds, UserDevice, generate_uniform
 
@@ -205,3 +214,33 @@ class TestNsdScan:
         big = [UserDevice(u.x, u.y, 1e6 * u.energy) for u in s.users]
         assert nsd_scan(big, 650.0, BOUNDS, samples=200, seed=0).all_nsd
 
+    @pytest.mark.parametrize("block", [1, 7, 601])
+    def test_sample_blocks_do_not_change_the_scan(self, monkeypatch, block):
+        users = generate_uniform(200, BOUNDS, 4500, 18000, seed=9).users
+        whole = [nsd_scan(users, z, BOUNDS, samples=100, seed=4) for z in (650.0, 30.0)]
+        monkeypatch.setattr(objective, "SCAN_BLOCK_ELEMENTS", block)
+        assert [nsd_scan(users, z, BOUNDS, samples=100, seed=4) for z in (650.0, 30.0)] == whole
+
+
+class TestUserArrays:
+    def test_prebuilt_arrays_pass_through(self):
+        arrays = user_arrays(generate_uniform(10, BOUNDS, 4500, 18000, seed=9).users)
+        assert isinstance(arrays, UserArrays)
+        assert user_arrays(arrays) is arrays
+
+    @pytest.mark.parametrize("n", [1, 10, 2000])
+    def test_kernels_agree_bit_for_bit_on_prebuilt_arrays(self, n):
+        users = generate_uniform(n, BOUNDS, 4500, 18000, seed=n).users
+        arrays = user_arrays(users)
+        point = (97.25, 141.5)
+
+        def as_hex(result):
+            if isinstance(result, tuple):
+                return tuple(as_hex(r) for r in result)
+            return result.hex() if isinstance(result, float) else result
+
+        for kernel in (value, gradient, hessian):
+            assert as_hex(kernel(arrays, 650.0, point)) == as_hex(kernel(users, 650.0, point))
+        for z in (650.0, 30.0):
+            on_arrays, on_users = (nsd_scan(u, z, BOUNDS, samples=50, seed=n) for u in (arrays, users))
+            assert as_hex(on_arrays) == as_hex(on_users)

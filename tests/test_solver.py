@@ -3,7 +3,9 @@ import warnings
 
 import pytest
 
-from uavlift.objective import gradient
+from uavlift import objective
+from uavlift import solver as solver_mod
+from uavlift.objective import UserArrays, gradient
 from uavlift.region import build, contains
 from uavlift.scenario import (
     AreaBounds,
@@ -77,6 +79,21 @@ class TestSolveBasics:
             SolverConfig(step_size=math.inf)  # would never leave the backtracking loop
         with pytest.raises(ValidationError):
             SolverConfig(init=(math.nan, 0.0))
+
+    def test_box_solve_builds_the_user_arrays_once(self, monkeypatch):
+        built = []
+        real = objective.user_arrays
+
+        def counting(users):
+            if not isinstance(users, UserArrays):
+                built.append(len(users))
+            return real(users)
+
+        monkeypatch.setattr(objective, "user_arrays", counting)
+        monkeypatch.setattr(solver_mod, "user_arrays", counting)
+        report = solve(reference_scenario(), SolverConfig(mode="box", max_iters=100))
+        assert report.iterations > 1
+        assert built == [200]
 
 
 class TestMonotoneAscent:
