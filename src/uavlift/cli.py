@@ -9,6 +9,7 @@ flags; all randomness comes from explicit seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -100,6 +101,7 @@ def _init_spec(text: str):
     )
 
 
+@functools.cache  # one parser per process: building it costs about 1 ms
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uavlift",
@@ -134,7 +136,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="gradient projection ascent")
     p.add_argument("scenario")
     p.add_argument("--mode", choices=("box", "region"), default="region")
-    p.add_argument("--gamma", type=_positive_float, default=None, help="fixed initial step size")
+    p.add_argument("--gamma", type=_positive_float, default=None,
+                   help="initial step; default 1/L with L = 2*sum(E)/z^4")
     p.add_argument("--eps", type=_positive_float, default=1e-3, help="movement stop threshold, m")
     p.add_argument("--max-iters", type=int, default=100)
     p.add_argument("--init", type=_init_spec, default="centroid")

@@ -133,6 +133,21 @@ def concavity_certificate(bounds: AreaBounds) -> ConcavityCertificate:
     )
 
 
+def strong_concavity(users: Sequence[UserDevice] | UserArrays, bounds: AreaBounds) -> float:
+    """A modulus mu with Hessian <= -mu * I everywhere on the box at z_min.
+
+    Per user, with D = r^2 + z^2 at 2D distance r, the Hessian eigenvalues
+    are -2E/D^2 (tangential) and E*(6r^2 - 2z^2)/D^3 (radial, the larger).
+    Both grow with r while r <= z, and no r on the box exceeds d_max, so by
+    Weyl's inequality the sum is at most sum(E_i)*(6d^2 - 2z^2)/(d^2 + z^2)^3
+    times the identity, with d = d_max. mu is positive exactly when the
+    concavity certificate holds; otherwise it proves nothing.
+    """
+    d2 = math.hypot(bounds.x_max - bounds.x_min, bounds.y_max - bounds.y_min) ** 2
+    z2 = bounds.z_min**2
+    return float(user_arrays(users).es.sum()) * (2.0 * z2 - 6.0 * d2) / (d2 + z2) ** 3
+
+
 class NsdScan(NamedTuple):
     all_nsd: bool
     worst_eigenvalue: float

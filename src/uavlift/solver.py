@@ -1,11 +1,24 @@
 """Gradient projection ascent over the feasible region or the bare box.
 
 Each step moves along the analytic gradient and projects back onto the
-feasible convex set; iteration stops when the iterate moves less than the
-step tolerance. Because the printed parameter set of the bundled
-reproduction cases makes the full region empty at 650 m, `box` mode runs
-the same ascent with only the rectangle constraints; an empty region in
-`region` mode is reported, never raised.
+feasible convex set. The step starts at 1/L, where L = 2*sum(E_i)/z^4
+bounds the curvature of the objective everywhere at altitude z, concave or
+not. With line search on, a trial step is accepted once the descent lemma
+holds for it, f(p+) >= f(p) + g.(p+ - p) - |p+ - p|^2 / (2t), and halved
+otherwise; every accepted step doubles the next one (the backtracking rule
+of Beck & Teboulle, 2009, and Nesterov, 2013). An accepted step therefore
+never falls below 1/(2L), and the stop rule "the iterate moved less than
+the tolerance" is a stationarity test on the projected gradient.
+
+When the concavity certificate holds, the objective is strongly concave on
+the box with a closed-form modulus, and the report carries a proven bound
+on the optimality gap. Without the certificate the report gives the norm
+of the projected gradient: the point is stationary, not proven optimal.
+
+Because the printed parameter set of the bundled reproduction cases makes
+the full region empty at 650 m, `box` mode runs the same ascent with only
+the rectangle constraints; an empty region in `region` mode is reported,
+never raised.
 """
 
 from __future__ import annotations
@@ -20,7 +33,14 @@ from pathlib import Path
 from . import region as region_mod
 from .channel import SPEED_OF_LIGHT, system_constant
 from .errors import NumericalError, ValidationError
-from .objective import ConcavityCertificate, concavity_certificate, gradient, user_arrays, value
+from .objective import (
+    ConcavityCertificate,
+    concavity_certificate,
+    gradient,
+    strong_concavity,
+    user_arrays,
+    value,
+)
 from .rng import SplitMix64
 from .scenario import Scenario
 
@@ -31,10 +51,12 @@ _STEP_FLOOR = 1e-12
 class SolverConfig:
     """Knobs of the ascent.
 
-    step_size None means auto: 0.1 / |gradient at the start point|, so the
-    first step moves 0.1 m regardless of problem scale. Backtracking then
-    halves the step whenever it would not increase the objective, down to a
-    floor of 1e-12. `init` is "centroid", "random", or an explicit (x, y).
+    step_size is the first step; None means 1/L with L = 2*sum(E_i)/z^4.
+    With line_search the step halves until the descent lemma holds (down to
+    a floor of 1e-12) and doubles after every accepted step; without it the
+    step stays fixed, replaying the plain update. tolerance is the movement
+    in metres below which the ascent stops. `init` is "centroid", "random",
+    or an explicit (x, y).
     """
 
     step_size: float | None = None
@@ -66,7 +88,13 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Everything a run produced; placement fields are None when infeasible."""
+    """Everything a run produced; placement fields are None when infeasible.
+
+    gap_bound is a proven upper bound on f* - objective in J/m^2, set when
+    the concavity certificate holds. projected_gradient, set when it does
+    not, is L * |P(p + g/L) - p| in J/m^3 at the placement p: near zero at a
+    stationary point, which is all a run without the certificate can claim.
+    """
 
     placement: tuple[float, float, float] | None
     objective: float | None
@@ -78,6 +106,8 @@ class SolveReport:
     k: float
     infeasible: str | None = None
     step_size_final: float | None = None
+    gap_bound: float | None = None
+    projected_gradient: float | None = None
 
 
 def _initial_point(scenario: Scenario, config: SolverConfig) -> tuple[float, float]:
@@ -140,38 +170,51 @@ def solve(
 
     users = user_arrays(scenario.users)  # built once for the whole ascent
     z = scenario.bounds.z_min
+    lipschitz = 2.0 * float(users.es.sum()) / z**4
     p = project(_initial_point(scenario, config))
     f_p = value(users, z, p)
     trajectory = [(p[0], p[1], f_p)]
-
     g = gradient(users, z, p)
-    grad_norm = math.hypot(*g)
-    base_step = config.step_size if config.step_size is not None else (
-        0.1 / grad_norm if grad_norm > 0 else 1.0
-    )
 
     converged = False
     iterations = 0
-    step = base_step
+    step = config.step_size if config.step_size is not None else 1.0 / lipschitz
     for _n in range(config.max_iters):
         if not (math.isfinite(g[0]) and math.isfinite(g[1])):
             raise NumericalError(f"gradient is not finite at {p}")
-        step = base_step
-        trial = project((p[0] + step * g[0], p[1] + step * g[1]))
-        f_trial = value(users, z, trial)
-        if config.line_search:
-            while f_trial < f_p and step > _STEP_FLOOR:
-                step *= 0.5
-                trial = project((p[0] + step * g[0], p[1] + step * g[1]))
-                f_trial = value(users, z, trial)
-        movement = math.hypot(trial[0] - p[0], trial[1] - p[1])
+        while True:
+            trial = project((p[0] + step * g[0], p[1] + step * g[1]))
+            f_trial = value(users, z, trial)
+            dx, dy = trial[0] - p[0], trial[1] - p[1]
+            if (
+                not config.line_search
+                or step <= _STEP_FLOOR
+                or f_trial >= f_p + g[0] * dx + g[1] * dy - (dx * dx + dy * dy) / (2.0 * step)
+            ):
+                break
+            step *= 0.5
         p, f_p = trial, f_trial
         iterations += 1
         trajectory.append((p[0], p[1], f_p))
-        if movement < config.tolerance:
+        g = gradient(users, z, p)
+        if math.hypot(dx, dy) < config.tolerance:
             converged = True
             break
-        g = gradient(users, z, p)
+        if config.line_search:
+            step *= 2.0
+
+    gap_bound = projected_gradient = None
+    mu = strong_concavity(users, scenario.bounds)
+    if mu > 0:
+        # f(p + s) <= f(p) + g.s - mu/2 |s|^2 on the box, so over the
+        # feasible set f* - f(p) is at most that model's maximum, taken at
+        # s = P(p + g/mu) - p.
+        y = project((p[0] + g[0] / mu, p[1] + g[1] / mu))
+        sx, sy = y[0] - p[0], y[1] - p[1]
+        gap_bound = max(0.0, g[0] * sx + g[1] * sy - 0.5 * mu * (sx * sx + sy * sy))
+    else:
+        y = project((p[0] + g[0] / lipschitz, p[1] + g[1] / lipschitz))
+        projected_gradient = lipschitz * math.hypot(y[0] - p[0], y[1] - p[1])
 
     return SolveReport(
         placement=(p[0], p[1], z),
@@ -183,6 +226,8 @@ def solve(
         certificate=cert,
         k=k.k,
         step_size_final=step,
+        gap_bound=gap_bound,
+        projected_gradient=projected_gradient,
     )
 
 
@@ -199,6 +244,8 @@ def report_to_dict(report: SolveReport) -> dict:
         "lifetime_seconds": report.lifetime_seconds,
         "iterations": report.iterations,
         "converged": report.converged,
+        "gap_bound": report.gap_bound,
+        "projected_gradient": report.projected_gradient,
         "infeasible": report.infeasible,
         "k": report.k,
         "certificate": {

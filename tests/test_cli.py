@@ -125,6 +125,11 @@ class TestSolve:
         assert rc == 0
         assert "placement" in out and "objective" in out and "lifetime" in out
 
+    def test_box_mode_converges_at_default_settings(self, reference_file, capsys):
+        rc = main(["solve", str(reference_file), "--mode", "box", "--c", "3e8"])
+        assert rc == 0
+        assert "converged true" in capsys.readouterr().out
+
     def test_honest_convergence_with_one_iteration(self, relaxed_file, capsys):
         rc = main(["solve", str(relaxed_file), "--mode", "box", "--max-iters", "1"])
         out = capsys.readouterr().out
@@ -168,6 +173,15 @@ class TestSolve:
         out = capsys.readouterr().out
         assert rc == 0
         assert "converged true" in out
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    assert _build_parser() is _build_parser()
+    path = tmp_path / "s.json"
+    assert main(["generate", "--count", "5", "--seed", "1", "--out", str(path)]) == 0
+    assert main(["solve", str(path), "--mode", "sideways"]) == 2
+    assert main(["solve", str(path), "--mode", "box"]) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("literal", ["Infinity", "1e400"])
@@ -270,7 +284,7 @@ def reproduce(capsys, case, seed):
 # seed 3 misses the uniform case's objective and lifetime bands.
 REPRODUCE_OUTPUT = {
     ("uniform", None): (0, """case uniform: 200 users on [0,250]^2, z 650 m, box mode, seed 9
-  placement (129.4, 126.3, 650)   reference (131.0, 128.0, 650.0)
+  placement (130.2, 126.6, 650)   reference (131.0, 128.0, 650.0)
   objective 5.2038 J/m^2   reference 5.19
   lifetime  282846 s    reference 282096
 PASS objective in [5.0, 5.4] J/m^2
@@ -296,7 +310,7 @@ PASS placement strictly closer to the dense cluster centroid
     ("nonuniform", 3): (0, """case nonuniform: clusters 150:50 (3:1 density), z 650 m, box mode, seed 3
   placement (103.3, 129.6, 650)   reference (92.0, 156.0, 650.0)
   objective 5.1667 J/m^2   reference 5.22
-  dense centroid (76.1, 150.1) at 34.1 m; sparse centroid (199.2, 59.8) at 118.6 m
+  dense centroid (76.1, 150.1) at 34.0 m; sparse centroid (199.2, 59.8) at 118.6 m
 PASS placement strictly closer to the dense cluster centroid
 """),
     ("concavity", None): (0, """case concavity: seed 9, d_max 353.55 m, threshold 612.37 m

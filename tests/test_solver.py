@@ -1,20 +1,25 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 
-from uavlift import objective
+from uavlift import cases, objective
 from uavlift import solver as solver_mod
-from uavlift.objective import UserArrays, gradient
+from uavlift.channel import SPEED_OF_LIGHT
+from uavlift.objective import UserArrays, gradient, hessian, strong_concavity, value
+from uavlift.oracle import GridSpec, grid_search
 from uavlift.region import build, contains
+from uavlift.rng import SplitMix64
 from uavlift.scenario import (
     AreaBounds,
     RfParams,
     Scenario,
     UserDevice,
+    generate_clustered,
     generate_uniform,
 )
-from uavlift.solver import SolverConfig, solve
+from uavlift.solver import SolverConfig, report_to_dict, solve
 
 RF = RfParams(rate=4e6, bandwidth=50e6, noise=1e-14, frequency=4e9, p_max=0.5, tau_th=900)
 
@@ -29,6 +34,59 @@ def relaxed_scenario(seed=5, n=30):
     # dwarfs the box, so the feasible region is the whole rectangle.
     bounds = AreaBounds(0, 50, 0, 50, 130, 130)
     return generate_uniform(n, bounds, 4500, 18000, seed=seed)
+
+
+def canned_uniform():
+    return generate_uniform(cases.UNIFORM_USERS, cases.BOUNDS, *cases.ENERGY, cases.SEED)
+
+
+def canned_nonuniform():
+    return generate_clustered((cases.DENSE, cases.SPARSE), cases.BOUNDS, cases.SEED)
+
+
+def newton_optimum(scenario, p=(125.0, 125.0), steps=30):
+    """Plain Newton iteration on the analytic gradient and Hessian: the
+    interior optimum of a concave instance, independent of the step rule."""
+    z = scenario.bounds.z_min
+    for _ in range(steps):
+        gx, gy = gradient(scenario.users, z, p)
+        (a, b), (_, d) = hessian(scenario.users, z, p)
+        det = a * d - b * b
+        p = (p[0] - (d * gx - b * gy) / det, p[1] - (a * gy - b * gx) / det)
+    return p
+
+
+def binding_scenario(m: int) -> Scenario:
+    """m devices at unit system constant whose disks at altitude 10 m all
+    pass 15 m beyond the anchor (60, 60) of a 100 m box: the benchmark's
+    binding layout, where the disks cut the box and no certificate holds."""
+    gen = SplitMix64(1)
+    users = []
+    for _ in range(m):
+        x, y = gen.uniform(0.0, 100.0), gen.uniform(0.0, 100.0)
+        radius = math.hypot(x - 60.0, y - 60.0) + 15.0
+        users.append(UserDevice(x, y, radius * radius + 100.0))
+    rf = RfParams(rate=1.0, bandwidth=float(m), noise=1.0,
+                  frequency=SPEED_OF_LIGHT / (4.0 * math.pi), p_max=1e6, tau_th=1.0)
+    return Scenario(users=tuple(users), rf=rf, bounds=AreaBounds(0, 100, 0, 100, 10, 10))
+
+
+def lipschitz(scenario) -> float:
+    return 2.0 * sum(u.energy for u in scenario.users) / scenario.bounds.z_min**4
+
+
+@pytest.fixture()
+def value_calls(monkeypatch):
+    """Counts objective evaluations through the solver's own module name."""
+    calls = []
+    real = solver_mod.value
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver_mod, "value", counting)
+    return calls
 
 
 class TestSolveBasics:
@@ -94,6 +152,140 @@ class TestSolveBasics:
         report = solve(reference_scenario(), SolverConfig(mode="box", max_iters=100))
         assert report.iterations > 1
         assert built == [200]
+
+
+class TestStepRule:
+    def test_canned_uniform_case_converges_to_the_newton_optimum(self, value_calls):
+        scenario = canned_uniform()
+        report = solve(scenario, cases.UNIFORM_CONFIG, c=cases.C_ROUNDED)
+        ref = newton_optimum(scenario)
+        assert report.converged
+        assert report.iterations <= 20
+        assert math.dist(report.placement[:2], ref) <= 1e-3
+        assert len(value_calls) <= 3 * report.iterations + 1
+
+    def test_canned_nonuniform_case_converges_in_a_few_iterations(self, value_calls):
+        scenario = canned_nonuniform()
+        report = solve(scenario, cases.NONUNIFORM_CONFIG, c=cases.C_ROUNDED)
+        assert report.converged
+        assert report.iterations <= 20
+        assert math.dist(report.placement[:2], newton_optimum(scenario)) <= 1e-3
+        assert len(value_calls) <= 3 * report.iterations + 1
+
+    def test_fixed_step_defaults_to_one_over_lipschitz(self):
+        scenario = canned_uniform()
+        config = SolverConfig(mode="box", line_search=False, max_iters=3)
+        report = solve(scenario, config, c=cases.C_ROUNDED)
+        step = 1.0 / lipschitz(scenario)
+        assert report.step_size_final == pytest.approx(step, rel=1e-12)
+        z = scenario.bounds.z_min
+        for (x0, y0, _), (x1, y1, _) in zip(report.trajectory, report.trajectory[1:]):
+            gx, gy = gradient(scenario.users, z, (x0, y0))  # interior: no clamping
+            assert (x1, y1) == pytest.approx((x0 + step * gx, y0 + step * gy), rel=1e-12)
+
+    @pytest.mark.parametrize("m", [5, 20, 50])
+    def test_binding_region_solves_agree_from_both_starts(self, m, value_calls):
+        scenario = binding_scenario(m)
+        feas = build(scenario)
+        big_l = lipschitz(scenario)
+        reports = []
+        for init in ("centroid", (0.0, 0.0)):
+            value_calls.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # z = 10 m: no certificate
+                report = solve(scenario, SolverConfig(mode="region", init=init))
+            assert report.converged
+            assert report.iterations <= 20
+            assert len(value_calls) <= 3 * report.iterations + 1
+            # an accepted step satisfies the descent lemma, which 1/L always does
+            assert report.step_size_final >= 0.5 / big_l
+            assert report.gap_bound is None
+            assert report.projected_gradient <= 2.0 * big_l * 1e-3
+            assert contains(feas, report.placement[:2], tol=1e-9)
+            reports.append(report)
+        a, b = (r.placement[:2] for r in reports)
+        assert math.dist(a, b) <= 1e-3
+
+        # No feasible node of a 0.5 m grid within 3 m does better. Without the
+        # certificate the answer is a stationary point, not a proven global
+        # optimum: on this layout at m = 20 and 50 the ascent stops at a
+        # local maximum on a vertex of the region, below the grid's best.
+        spacing = 0.5
+        x, y = a
+        near = [
+            (i * spacing, j * spacing)
+            for i in range(math.ceil((x - 3.0) / spacing), math.floor((x + 3.0) / spacing) + 1)
+            for j in range(math.ceil((y - 3.0) / spacing), math.floor((y + 3.0) / spacing) + 1)
+        ]
+        near = [q for q in near if contains(feas, q, tol=0.0)]
+        assert near
+        z = scenario.bounds.z_min
+        assert reports[0].objective >= max(value(scenario.users, z, q) for q in near)
+        if m == 5:
+            best = grid_search(scenario, GridSpec(spacing, scenario.bounds), mode="region")
+            assert reports[0].objective >= best.value
+            assert math.dist(a, best.point) <= math.sqrt(2.0) * spacing
+
+
+class TestGapBound:
+    @pytest.mark.parametrize("make, config", [
+        (canned_uniform, cases.UNIFORM_CONFIG),
+        (canned_nonuniform, cases.NONUNIFORM_CONFIG),
+    ], ids=["uniform", "nonuniform"])
+    def test_bound_covers_the_true_gap(self, make, config):
+        scenario = make()
+        z = scenario.bounds.z_min
+        f_star = value(scenario.users, z, newton_optimum(scenario))
+        for max_iters in (1, 2, 3, config.max_iters):
+            cfg = SolverConfig(mode="box", max_iters=max_iters, tolerance=config.tolerance)
+            report = solve(scenario, cfg, c=cases.C_ROUNDED)
+            gap = f_star - report.objective
+            assert report.projected_gradient is None
+            # the objective is about 5 J/m^2: allow a few ulps of rounding
+            assert report.gap_bound >= gap - 1e-14
+            if report.iterations < 4:
+                assert gap > 1e-12  # a truncated ascent leaves a measurable gap
+                assert report.gap_bound <= 50.0 * gap
+
+    def test_modulus_bounds_every_hessian_on_the_box(self):
+        scenario = canned_uniform()
+        b, z = scenario.bounds, scenario.bounds.z_min
+        mu = strong_concavity(scenario.users, b)
+        assert mu > 0
+        gen = SplitMix64(4)
+        for _ in range(200):
+            p = (gen.uniform(b.x_min, b.x_max), gen.uniform(b.y_min, b.y_max))
+            assert np.linalg.eigvalsh(hessian(scenario.users, z, p)).max() <= -mu
+
+    def test_modulus_is_attained_by_one_user_across_the_diagonal(self):
+        bounds = cases.BOUNDS
+        s = Scenario(users=(UserDevice(0.0, 0.0, 9000.0),), rf=RF, bounds=bounds)
+        mu = strong_concavity(s.users, bounds)
+        top = np.linalg.eigvalsh(hessian(s.users, bounds.z_min, (250.0, 250.0))).max()
+        assert top == pytest.approx(-mu, rel=1e-12)
+
+    def test_bound_is_near_tight_for_one_user_across_the_diagonal(self):
+        # The optimum is the user's own corner. From the far corner the
+        # model's maximiser lies beyond the box, so the bound depends on the
+        # projection; here it is within 1.5x of the true gap.
+        bounds = cases.BOUNDS
+        s = Scenario(users=(UserDevice(0.0, 0.0, 9000.0),), rf=RF, bounds=bounds)
+        config = SolverConfig(mode="box", init=(250.0, 250.0), step_size=1e-9, max_iters=1)
+        report = solve(s, config)
+        gap = 9000.0 / bounds.z_min**2 - report.objective
+        assert gap <= report.gap_bound <= 1.5 * gap
+
+    def test_no_gap_without_the_certificate(self):
+        bounds = AreaBounds(0, 250, 0, 250, 30, 30)
+        s = generate_uniform(50, bounds, 4500, 18000, seed=3)
+        assert strong_concavity(s.users, bounds) <= 0
+        with pytest.warns(RuntimeWarning, match="non-concave"):
+            report = solve(s, SolverConfig(mode="box"))
+        assert report.gap_bound is None
+        assert report.projected_gradient >= 0.0
+        doc = report_to_dict(report)
+        assert doc["gap_bound"] is None
+        assert doc["projected_gradient"] == report.projected_gradient
 
 
 class TestMonotoneAscent:
@@ -174,7 +366,7 @@ class TestReportSerialization:
     def test_report_round_trip_fields(self, tmp_path):
         import json
 
-        from uavlift.solver import report_to_dict, save_report, write_trajectory_csv
+        from uavlift.solver import save_report, write_trajectory_csv
 
         report = solve(relaxed_scenario(), SolverConfig(mode="box", max_iters=50))
         path = tmp_path / "report.json"
@@ -183,6 +375,9 @@ class TestReportSerialization:
         assert doc["placement"] == list(report.placement)
         assert doc["objective"] == report.objective
         assert doc["converged"] == report.converged
+        assert report.gap_bound is not None  # the certificate holds at 130 m over 50 m
+        assert doc["gap_bound"] == report.gap_bound
+        assert doc["projected_gradient"] is None
         assert len(doc["trajectory"]) == len(report.trajectory)
 
         csv_path = tmp_path / "trajectory.csv"
