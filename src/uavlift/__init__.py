@@ -31,7 +31,7 @@ from .objective import (
     nsd_scan,
     value,
 )
-from .oracle import GridSpec, fd_gradient, fd_hessian, grid_search
+from .oracle import GridSpec, grid_search
 from .region import (
     Disk,
     FeasibleRegion,
@@ -85,8 +85,6 @@ __all__ = [
     "check_empty",
     "concavity_certificate",
     "contains",
-    "fd_gradient",
-    "fd_hessian",
     "generate_clustered",
     "generate_uniform",
     "gradient",

@@ -147,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trajectory", default=None, help="write the trajectory CSV here")
     p.add_argument("--c", type=_positive_float, default=SPEED_OF_LIGHT)
 
-    p = sub.add_parser("grid", help="exhaustive grid search (oracle)")
+    p = sub.add_parser("grid", help="best grid node, exact (oracle; evaluates only tiles that can hold it)")
     p.add_argument("scenario")
     p.add_argument("--spacing", type=_positive_float, default=1.0)
     p.add_argument("--mode", choices=("box", "region"), default="box")

@@ -1,29 +1,41 @@
-"""Independent verification: exhaustive grid search and finite differences.
+"""Independent verification: an exact branch-and-bound search of the grid.
 
-These are the reference answers the optimizer and the analytic derivatives
-are tested against. The grid kernel here shares no code with the solver's
-point kernel in `objective`; the surface export evaluates its grids with
-the same grid kernel.
+`grid_search` returns the best grid node, exactly the one a scan of every
+node would return, but evaluates only the tiles of nodes where that node can
+be. It is the reference answer the optimizer is tested against. The grid
+kernels here share no code with the solver's point kernel in `objective`;
+the surface export evaluates its grids with the same `grid_values` kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from . import region as region_mod
 from .channel import SPEED_OF_LIGHT
 from .errors import EmptyRegionError, ValidationError
-from .objective import user_arrays, value
-from .scenario import AreaBounds, Scenario, UserDevice
+from .objective import user_arrays
+from .scenario import AreaBounds, Scenario
 
 
 # Largest node x user (or node x disk) block computed at once, so the
 # temporaries stay at a few MB whatever the grid size and the user count.
 CHUNK_ELEMENTS = 2**16
+
+# Most nodes a grid may have. The benchmark's 1 m grids have 63 001; a
+# spacing that asks for more is an input error, not a memory error.
+MAX_NODES = 2**24
+
+# Nodes per tile side in `grid_search`'s coarse pass.
+TILE = 16
+
+# A tile is pruned only when its bound is below the best centre value by
+# this relative margin, far above the kernels' rounding error.
+_PRUNE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -36,6 +48,13 @@ class GridSpec:
     def __post_init__(self):
         if not self.spacing > 0:
             raise ValidationError(f"grid spacing must be positive, got {self.spacing}")
+        b = self.bounds
+        nodes = ((b.x_max - b.x_min) / self.spacing + 1) * ((b.y_max - b.y_min) / self.spacing + 1)
+        if nodes > MAX_NODES:
+            raise ValidationError(
+                f"grid spacing {self.spacing:g} m gives about {nodes:.3g} nodes, "
+                f"more than the {MAX_NODES} allowed; use a coarser spacing"
+            )
 
     def axis(self, lo: float, hi: float) -> np.ndarray:
         n = int(math.floor((hi - lo) / self.spacing + 1e-9))
@@ -54,7 +73,7 @@ class GridSpec:
 class GridSearchResult(NamedTuple):
     point: tuple[float, float]
     value: float
-    evaluated: int
+    evaluated: int  # nodes where the objective was computed: tile centres plus fine nodes
 
 
 def _blocks(n: int, width: int):
@@ -77,18 +96,59 @@ def grid_values(
     return totals
 
 
+def _grid_slopes(
+    xs: np.ndarray, ys: np.ndarray, es: np.ndarray, z: float, px: np.ndarray, py: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Value and gradient norm of the objective at every node, blocked like
+    `grid_values`: each user adds E/D to the value and -2E(p - u)/D^2 to the
+    gradient, with D = |p - u|^2 + z^2."""
+    values, gx, gy = np.zeros(len(px)), np.zeros(len(px)), np.zeros(len(px))
+    z2 = z * z
+    for u in _blocks(len(xs), 1):
+        for k in _blocks(len(px), u.stop - u.start):
+            dx, dy = px[k, None] - xs[u], py[k, None] - ys[u]
+            inv = 1.0 / (dx * dx + dy * dy + z2)
+            w = es[u] * inv
+            values[k] += np.sum(w, axis=1)
+            w *= inv
+            gx[k] -= 2.0 * np.sum(w * dx, axis=1)
+            gy[k] -= 2.0 * np.sum(w * dy, axis=1)
+    return values, np.hypot(gx, gy)
+
+
+def _tiles(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centre node index of each TILE-node run of the axis, and the largest
+    distance from that centre to a node of its run (a short last run too)."""
+    starts = np.arange(0, len(axis), TILE)
+    stops = np.minimum(starts + TILE, len(axis)) - 1
+    centres = (starts + stops + 1) // 2
+    reach = np.maximum(axis[centres] - axis[starts], axis[stops] - axis[centres])
+    return centres, reach
+
+
 def grid_search(
     scenario: Scenario,
     grid: GridSpec,
     mode: str = "box",
     c: float = SPEED_OF_LIGHT,
 ) -> GridSearchResult:
-    """Exhaustively evaluate the objective at feasible grid nodes.
+    """The best feasible grid node, found by a two-level Lipschitz search.
 
-    Region mode evaluates only the nodes inside every range disk. Nodes are
-    visited x-major, a block at a time, and only a strictly larger value
-    replaces the best so far, so ties break toward the smallest x, then the
-    smallest y.
+    The coarse pass evaluates the value f(c) and the gradient at the centre
+    node c of every TILE x TILE tile. Every node p of a tile then has
+    f(p) <= f(c) + |grad f(c)| rho + L rho^2 / 2, where rho is the largest
+    distance from c to the tile's nodes and L = sum(E) / (2 z^4) caps the
+    largest Hessian eigenvalue: each user's radial eigenvalue
+    E (6 r^2 - 2 z^2) / (r^2 + z^2)^3 peaks at E / (2 z^4) at r = z, its
+    tangential one is negative, and Weyl's inequality sums the caps. Tiles
+    whose bound falls below the best feasible centre value by a relative
+    `_PRUNE_SLACK` cannot hold the best node; the fine pass evaluates the
+    rest with `grid_values`.
+
+    Region mode counts only nodes inside every range disk, for the lower
+    bound as for the answer. The fine nodes are taken in x-major order and
+    the first maximum wins, so the node and value are those of a scan of
+    every node: ties break toward the smallest x, then the smallest y.
     """
     if mode not in ("box", "region"):
         raise ValidationError(f"mode must be 'box' or 'region', got {mode!r}")
@@ -100,66 +160,38 @@ def grid_search(
         table = feas.table
         cx, cy, r2 = table.cx, table.cy, (table.r + region_mod.MEMBERSHIP_TOL) ** 2
 
+    def feasible(px: np.ndarray, py: np.ndarray) -> np.ndarray:
+        """Which nodes lie inside every range disk (all of them in box mode)."""
+        return np.concatenate([
+            np.all((px[k, None] - cx) ** 2 + (py[k, None] - cy) ** 2 <= r2, axis=1)
+            for k in _blocks(len(px), len(cx))
+        ])
+
     xs_u, ys_u, es = user_arrays(scenario.users)
+    z = scenario.bounds.z_min
     grid_xs = grid.xs()
     grid_ys = grid.ys()
     n_y = len(grid_ys)
 
-    best_point = None
-    best_value = -math.inf
-    evaluated = 0
-    for block in _blocks(len(grid_xs) * n_y, max(len(xs_u), len(cx))):
-        node = np.arange(block.start, block.stop)
-        px, py = grid_xs[node // n_y], grid_ys[node % n_y]
-        if len(cx):
-            inside = np.all((px[:, None] - cx) ** 2 + (py[:, None] - cy) ** 2 <= r2, axis=1)
-            px, py = px[inside], py[inside]
-            if not len(px):
-                continue
-        totals = grid_values(xs_u, ys_u, es, scenario.bounds.z_min, px, py)
-        evaluated += len(px)
-        j = int(np.argmax(totals))  # first occurrence: the earliest node in the block
-        if totals[j] > best_value:
-            best_value = float(totals[j])
-            best_point = (float(px[j]), float(py[j]))
-    if best_point is None:
+    # Coarse pass: one bound per tile, from its centre node.
+    tx, reach_x = _tiles(grid_xs)
+    ty, reach_y = _tiles(grid_ys)
+    px, py = np.repeat(grid_xs[tx], len(ty)), np.tile(grid_ys[ty], len(tx))
+    centre_values, slopes = _grid_slopes(xs_u, ys_u, es, z, px, py)
+    rho = np.hypot(reach_x[:, None], reach_y).ravel()
+    curvature_cap = np.sum(es) / (2.0 * z**4)
+    bounds = centre_values + slopes * rho + curvature_cap * rho**2 / 2.0
+    floor = np.max(centre_values[feasible(px, py)], initial=-math.inf)
+    keep = ~(bounds < floor * (1.0 - _PRUNE_SLACK))
+
+    # Fine pass: the feasible nodes of the surviving tiles, in x-major order.
+    tile_x, tile_y = np.arange(len(grid_xs)) // TILE, np.arange(n_y) // TILE
+    nodes = np.flatnonzero(keep.reshape(len(tx), len(ty))[tile_x[:, None], tile_y])
+    fx, fy = grid_xs[nodes // n_y], grid_ys[nodes % n_y]
+    inside = feasible(fx, fy)
+    fx, fy = fx[inside], fy[inside]
+    if not len(fx):
         raise ValidationError("no grid node is feasible; refine the spacing")
-    return GridSearchResult(best_point, best_value, evaluated)
-
-
-def fd_gradient(
-    users: Sequence[UserDevice],
-    z_min: float,
-    point: tuple[float, float],
-    h: float = 1e-4,
-) -> tuple[float, float]:
-    """Central-difference gradient (F(p+h) - F(p-h)) / 2h, one axis at a time."""
-    if not h > 0:
-        raise ValidationError(f"step h must be positive, got {h}")
-    x, y = point
-    gx = (value(users, z_min, (x + h, y)) - value(users, z_min, (x - h, y))) / (2.0 * h)
-    gy = (value(users, z_min, (x, y + h)) - value(users, z_min, (x, y - h))) / (2.0 * h)
-    return (gx, gy)
-
-
-def fd_hessian(
-    users: Sequence[UserDevice],
-    z_min: float,
-    point: tuple[float, float],
-    h: float = 1e-2,
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Second-order central-difference Hessian; the mixed entry is computed
-    once from the four-corner stencil, so the result is symmetric by
-    construction."""
-    if not h > 0:
-        raise ValidationError(f"step h must be positive, got {h}")
-    x, y = point
-
-    def f(px, py):
-        return value(users, z_min, (px, py))
-
-    f0 = f(x, y)
-    fxx = (f(x + h, y) - 2.0 * f0 + f(x - h, y)) / h**2
-    fyy = (f(x, y + h) - 2.0 * f0 + f(x, y - h)) / h**2
-    fxy = (f(x + h, y + h) - f(x + h, y - h) - f(x - h, y + h) + f(x - h, y - h)) / (4.0 * h**2)
-    return ((fxx, fxy), (fxy, fyy))
+    totals = grid_values(xs_u, ys_u, es, z, fx, fy)
+    j = int(np.argmax(totals))  # the first maximum: ties break toward the smallest x, then y
+    return GridSearchResult((float(fx[j]), float(fy[j])), float(totals[j]), len(px) + len(fx))

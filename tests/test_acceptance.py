@@ -5,12 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from finite_differences import fd_gradient, fd_hessian
 
 from uavlift import cases
 from uavlift.channel import system_constant
 from uavlift.cli import main
 from uavlift.objective import concavity_certificate, gradient, hessian, nsd_scan
-from uavlift.oracle import GridSpec, fd_gradient, fd_hessian, grid_search
+from uavlift.oracle import GridSpec, grid_search
 from uavlift.region import Disk, FeasibleRegion, contains, project
 from uavlift.rng import SplitMix64
 from uavlift.scenario import (

@@ -220,6 +220,11 @@ class TestGrid:
         capsys.readouterr()
         assert rc == 3
 
+    def test_spacing_beyond_the_node_ceiling_is_usage_error(self, relaxed_file, capsys):
+        rc = main(["grid", str(relaxed_file), "--spacing", "1e-4"])
+        assert rc == 2
+        assert "nodes" in capsys.readouterr().err
+
 
 class TestSurface:
     def test_csv_output(self, relaxed_file, tmp_path, capsys):
@@ -246,6 +251,13 @@ class TestSurface:
         ])
         capsys.readouterr()
         assert rc == 2
+
+    def test_spacing_beyond_the_node_ceiling_is_usage_error(self, relaxed_file, tmp_path, capsys):
+        out_path = tmp_path / "y.csv"
+        rc = main(["surface", str(relaxed_file), "--spacing", "1e-4", "--out", str(out_path)])
+        assert rc == 2
+        assert "nodes" in capsys.readouterr().err
+        assert not out_path.exists()
 
     def test_unknown_extension_is_usage_error(self, relaxed_file, tmp_path, capsys):
         rc = main([

@@ -68,7 +68,7 @@ class TestGradient:
         assert g[1] == 0.0
 
     def test_matches_finite_differences(self):
-        from uavlift.oracle import fd_gradient
+        from finite_differences import fd_gradient
 
         for seed in range(25):
             users, z, point = random_instance(seed)
@@ -92,7 +92,7 @@ class TestHessian:
         assert h[0][1] == h[1][0]
 
     def test_matches_finite_differences(self):
-        from uavlift.oracle import fd_hessian
+        from finite_differences import fd_hessian
 
         for seed in range(25):
             users, z, point = random_instance(seed)

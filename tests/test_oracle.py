@@ -3,14 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from finite_differences import fd_gradient, fd_hessian
 
 from uavlift import oracle
 from uavlift.channel import SPEED_OF_LIGHT
 from uavlift.cli import main
 from uavlift.errors import EmptyRegionError, ValidationError
-from uavlift.objective import concavity_certificate, gradient, hessian, value
-from uavlift.oracle import GridSpec, fd_gradient, fd_hessian, grid_search
-from uavlift.region import build, contains
+from uavlift.objective import concavity_certificate, gradient, hessian, user_arrays, value
+from uavlift.oracle import GridSpec, grid_search
+from uavlift.region import MEMBERSHIP_TOL, build, contains
 from uavlift.rng import SplitMix64
 from uavlift.scenario import AreaBounds, RfParams, Scenario, UserDevice, generate_uniform, save
 from uavlift.surface import surface_grid
@@ -32,6 +33,14 @@ class TestGridSpec:
         with pytest.raises(ValidationError):
             GridSpec(0.0, AreaBounds(0, 10, 0, 10, 1, 1))
 
+    def test_node_count_is_capped(self):
+        bounds = AreaBounds(0, 250, 0, 250, 650, 650)
+        assert 4001**2 <= oracle.MAX_NODES < 4201**2
+        GridSpec(250 / 4000, bounds)
+        for spacing in (250 / 4200, 1e-4, 5e-324):
+            with pytest.raises(ValidationError, match="nodes"):
+                GridSpec(spacing, bounds)
+
 
 class TestGridSearch:
     def test_single_user_found_exactly(self):
@@ -39,7 +48,7 @@ class TestGridSearch:
         s = Scenario(users=(UserDevice(50, 50, 9000.0),), rf=RF, bounds=bounds)
         result = grid_search(s, GridSpec(1.0, bounds))
         assert result.point == (50.0, 50.0)
-        assert result.evaluated == 101 * 101
+        assert 7 * 7 + 16 * 16 <= result.evaluated < 101 * 101  # centres, the best tile, not all
 
     def test_tie_breaks_toward_smallest_x(self):
         # At a low altitude two identical users produce two bitwise-equal
@@ -143,8 +152,139 @@ def test_grid_kernel_blocks_do_not_change_answers(monkeypatch, chunk):
         assert result.value == pytest.approx(expected.value, rel=1e-12)  # users summed in parts
     feas = build(scenario)
     inside = sum(contains(feas, p) for p in nodes)
-    assert 0 < inside < len(nodes) == before["box"].evaluated
-    assert result.evaluated == inside
+    # 4 tile centres (21 = 16 + 5 nodes an axis); box mode prunes the 5 x 5 corner tile
+    assert 0 < inside < len(nodes) == before["box"].evaluated - 4 + 5 * 5
+    assert result.evaluated == 4 + inside
+
+
+def exhaustive_search(scenario: Scenario, grid: GridSpec, mode: str = "box", c=SPEED_OF_LIGHT):
+    """The scan `grid_search` must reproduce: `grid_values` at every node,
+    then the first x-major maximum among the nodes inside every range disk."""
+    px, py = (a.ravel() for a in np.meshgrid(grid.xs(), grid.ys(), indexing="ij"))
+    values = oracle.grid_values(*user_arrays(scenario.users), scenario.bounds.z_min, px, py)
+    if mode == "region":
+        table = build(scenario, c).table
+        r2 = (table.r + MEMBERSHIP_TOL) ** 2
+        inside = np.all((px[:, None] - table.cx) ** 2 + (py[:, None] - table.cy) ** 2 <= r2, axis=1)
+        values = np.where(inside, values, -np.inf)
+    j = int(np.argmax(values))
+    return (float(px[j]), float(py[j])), float(values[j])
+
+
+def anchored_scenario(n: int, seed: int, side: float, z: float) -> Scenario:
+    """n devices in a side x side box at unit system constant whose disks at
+    altitude z all pass 0.15 side beyond the anchor (0.6 side, 0.6 side)."""
+    gen = SplitMix64(seed)
+    users = []
+    for _ in range(n):
+        x, y = gen.uniform(0.0, side), gen.uniform(0.0, side)
+        radius = math.hypot(x - 0.6 * side, y - 0.6 * side) + 0.15 * side
+        users.append(UserDevice(x, y, radius * radius + z * z))
+    rf = RfParams(rate=1.0, bandwidth=float(n), noise=1.0,
+                  frequency=SPEED_OF_LIGHT / (4.0 * math.pi), p_max=1e6, tau_th=1.0)
+    return Scenario(users=tuple(users), rf=rf, bounds=AreaBounds(0, side, 0, side, z, z))
+
+
+def assert_exhaustive(scenario: Scenario, grid: GridSpec, mode: str) -> None:
+    result = grid_search(scenario, grid, mode=mode)
+    assert (result.point, result.value) == exhaustive_search(scenario, grid, mode)
+
+
+# The box side per spacing keeps 3-7 tiles an axis; 3 and 7 leave a short last gap.
+SIDES = {1.0: 100.0, 2.5: 160.0, 3.0: 200.0, 7.0: 250.0}
+
+
+class TestGridSearchIsExhaustive:
+    """`grid_search` returns the node and value bits of a scan of every node."""
+
+    @pytest.mark.parametrize("z", [650.0, 130.0, 30.0, 10.0])
+    @pytest.mark.parametrize("spacing", sorted(SIDES))
+    def test_random_layouts(self, spacing, z):
+        side = SIDES[spacing]
+        grid = GridSpec(spacing, AreaBounds(0, side, 0, side, z, z))
+        for n in (1, 2, 5, 20, 200):
+            for seed in (1, 2):
+                box = generate_uniform(n, grid.bounds, 4500, 18000, seed=seed)
+                assert_exhaustive(box, grid, "box")
+                assert_exhaustive(anchored_scenario(n, seed, side, z), grid, "region")
+        # Region mode is left out at n = 2000: building 2000 disks takes seconds.
+        assert_exhaustive(generate_uniform(2000, grid.bounds, 4500, 18000, seed=1), grid, "box")
+
+    @pytest.mark.parametrize("m", [5, 20, 50])
+    def test_binding_layout(self, m):
+        from test_region import binding_scenario
+
+        scenario = binding_scenario(m)
+        for spacing in SIDES:
+            grid = GridSpec(spacing, scenario.bounds)
+            for mode in ("box", "region"):
+                assert_exhaustive(scenario, grid, mode)
+
+    @pytest.mark.parametrize(
+        "users", [((1, 1), (3, 1)), ((15, 8), (16, 8)), ((15, 8), (17, 8)), ((3, 20), (15, 3))]
+    )
+    def test_two_user_ties(self, users):
+        # Equal users give bitwise-equal maxima at their own nodes. The next
+        # two pairs sit on either side of the boundary between tiles 0 and 1;
+        # in the last, the x-major first node is in the later tile row.
+        bounds = AreaBounds(0, 40, 0, 20, 0.5, 0.5)
+        scenario = Scenario(users=tuple(UserDevice(x, y, 100.0) for x, y in users), rf=RF, bounds=bounds)
+        result = grid_search(scenario, GridSpec(1.0, bounds))
+        assert result.point == (float(users[0][0]), float(users[0][1]))
+        assert_exhaustive(scenario, GridSpec(1.0, bounds), "box")
+
+    @pytest.mark.parametrize("z", [0.5, 10.0, 30.0, 130.0, 650.0])
+    def test_four_user_symmetric_layout(self, z):
+        # Users at the corners of a square centred on (31.5, 31.5): every
+        # maximum, at a user or at the centre, falls between tile 0|1 or
+        # 1|2 nodes (15|16, 31|32, 47|48) on both axes.
+        corners = [(15.5, 15.5), (47.5, 15.5), (15.5, 47.5), (47.5, 47.5)]
+        users = tuple(UserDevice(x, y, 30.0**2 + z * z) for x, y in corners)
+        rf = RfParams(rate=1.0, bandwidth=4.0, noise=1.0,
+                      frequency=SPEED_OF_LIGHT / (4.0 * math.pi), p_max=1e6, tau_th=1.0)
+        scenario = Scenario(users=users, rf=rf, bounds=AreaBounds(0, 63, 0, 63, z, z))
+        for mode in ("box", "region"):
+            assert_exhaustive(scenario, GridSpec(1.0, scenario.bounds), mode)
+
+    def test_sharp_peak_needs_the_curvature_term(self):
+        # At z = 0.5 the best node (0, 0) is a corner of the tile centred at
+        # (8, 8), where value and slope are small; the centre of the next tile
+        # holds a user nearly as strong. Only the curvature term keeps the
+        # first tile.
+        bounds = AreaBounds(0, 40, 0, 20, 0.5, 0.5)
+        users = (UserDevice(0, 0, 100.0), UserDevice(24, 8, 90.0))
+        scenario = Scenario(users=users, rf=RF, bounds=bounds)
+        assert grid_search(scenario, GridSpec(1.0, bounds)).point == (0.0, 0.0)
+        assert_exhaustive(scenario, GridSpec(1.0, bounds), "box")
+
+    def test_boundary_maximum_needs_the_full_gradient_term(self):
+        # The objective rises almost linearly along d (25.6 degrees) towards
+        # a strong user H, and the disk of a user W 20 m behind cuts it off on
+        # a line across d through the node m = c1 + 7 (s, s), a corner of the
+        # tile centred at c1. The feasible centre c1 + 16 (s, -s) lies further
+        # along d than c1 by 16 s (cos - sin) = 7.5 s, more than half the
+        # tile's reach 8 s sqrt(2), and less far than m; a bound with half the
+        # gradient term drops the tile that holds m.
+        s, z = 0.1, 40.0
+        d = (math.cos(math.radians(25.6)), math.sin(math.radians(25.6)))
+        m = (24.8 + 7 * s, 24.8 + 7 * s)
+        h = (m[0] + 25.0 * d[0], m[1] + 25.0 * d[1])
+        w = (m[0] - 20.0 * d[0], m[1] - 20.0 * d[1])
+        reach = math.hypot(m[0] - w[0], m[1] - w[1]) + 1e-4
+        users = (UserDevice(*h, 1e6), UserDevice(*w, reach * reach + z * z))
+        rf = RfParams(rate=1.0, bandwidth=2.0, noise=1.0,
+                      frequency=SPEED_OF_LIGHT / (4.0 * math.pi), p_max=1e6, tau_th=1.0)
+        scenario = Scenario(users=users, rf=rf, bounds=AreaBounds(0, 60, 0, 60, z, z))
+        grid = GridSpec(s, scenario.bounds)
+        assert grid_search(scenario, grid, mode="region").point == m
+        assert_exhaustive(scenario, grid, "region")
+
+    def test_paper_box_evaluates_under_a_tenth_of_the_nodes(self):
+        bounds = AreaBounds(0, 250, 0, 250, 650, 650)
+        grid = GridSpec(1.0, bounds)
+        result = grid_search(generate_uniform(2000, bounds, 4500, 18000, seed=101), grid)
+        assert len(grid.xs()) * len(grid.ys()) == 63001
+        assert result.evaluated < 0.1 * 63001
 
 
 class TestFiniteDifferences:
