@@ -257,16 +257,16 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_surface(args) -> int:
+    if not args.out.endswith((".csv", ".svg")):
+        raise ValidationError(f"--out must end in .csv or .svg, got {args.out!r}")
     scenario = load(args.scenario)
     z = args.z if args.z is not None else scenario.bounds.z_min
     grid = GridSpec(spacing=args.spacing, bounds=scenario.bounds)
     xs, ys, values = surface_mod.surface_grid(scenario.users, z, grid)
     if args.out.endswith(".csv"):
         surface_mod.write_surface_csv(args.out, xs, ys, values)
-    elif args.out.endswith(".svg"):
-        surface_mod.write_surface_svg(args.out, xs, ys, values)
     else:
-        raise ValidationError(f"--out must end in .csv or .svg, got {args.out!r}")
+        surface_mod.write_surface_svg(args.out, xs, ys, values)
     print(f"wrote {args.out}: {len(xs)}x{len(ys)} nodes at z = {z:g} m")
     return EXIT_OK
 

@@ -3,8 +3,13 @@
 `grid_search` returns the best grid node, exactly the one a scan of every
 node would return, but evaluates only the tiles of nodes where that node can
 be. It is the reference answer the optimizer is tested against. The grid
-kernels here share no code with the solver's point kernel in `objective`;
-the surface export evaluates its grids with the same `grid_values` kernel.
+kernels here share no code with the solver's point kernel in `objective`.
+
+`grid_values` is the one kernel that evaluates grid nodes: `grid_search`'s
+fine pass and the surface export both name their nodes by flat x-major
+index. A squared offset (gx - x)^2 or (gy - y)^2 depends on one axis only,
+so the kernel tabulates each axis once per band of rows or columns instead
+of once per node, and still gives every node the bits of the flat formula.
 """
 
 from __future__ import annotations
@@ -83,16 +88,60 @@ def _blocks(n: int, width: int):
 
 
 def grid_values(
-    xs: np.ndarray, ys: np.ndarray, es: np.ndarray, z: float, px: np.ndarray, py: np.ndarray
+    xs: np.ndarray,
+    ys: np.ndarray,
+    es: np.ndarray,
+    z: float,
+    gxs: np.ndarray,
+    gys: np.ndarray,
+    nodes: np.ndarray,
 ) -> np.ndarray:
-    """The grid kernel: sum_i es[i] / ((px - xs[i])^2 + (py - ys[i])^2 + z^2)
-    at every node (px[k], py[k]), one block of nodes and users at a time."""
-    totals = np.zeros(len(px))
+    """The grid kernel: sum_i es[i] / ((gx - xs[i])^2 + (gy - ys[i])^2 + z^2)
+    at each of `nodes`, ascending flat x-major indices into the grid
+    gxs x gys (node ix * len(gys) + iy is (gxs[ix], gys[iy])).
+
+    A squared offset depends on one grid axis only, so per block of users
+    it is tabulated once per band of grid rows, (gx - xs)^2, and per band
+    of grid columns, (gy - ys)^2, each band CHUNK_ELEMENTS // users long.
+    The nodes of one row within a column band gather their column offsets,
+    add the row's (addition commutes), then z^2, divide the energies and
+    take one sum over the users: the flat formula's association and
+    reduction, so every value has the bits of
+    np.sum(es / ((gx - xs)**2 + (gy - ys)**2 + z*z))."""
+    nodes = np.asarray(nodes, dtype=np.intp)
+    if np.any(nodes[1:] <= nodes[:-1]):
+        raise ValidationError("grid nodes must be ascending flat indices")
+    totals = np.zeros(len(nodes))
+    n_x, n_y = len(gxs), len(gys)
     z2 = z * z
     for u in _blocks(len(xs), 1):
-        for k in _blocks(len(px), u.stop - u.start):
-            qx, qy = px[k, None], py[k, None]
-            totals[k] += np.sum(es[u] / ((qx - xs[u]) ** 2 + (qy - ys[u]) ** 2 + z2), axis=1)
+        xs_u, ys_u, es_u = xs[u], ys[u], es[u]
+        band = max(1, CHUNK_ELEMENTS // len(xs_u))
+        out = np.empty((band, len(xs_u)))
+        for x0 in range(0, n_x, band):
+            row_starts = np.arange(x0, min(x0 + band, n_x)) * n_y  # flat index of (row, 0)
+            a, b = np.searchsorted(nodes, (row_starts[0], row_starts[-1] + n_y))
+            if a == b:
+                continue
+            in_band = nodes[a:b]
+            dx2 = (gxs[x0 : x0 + len(row_starts), None] - xs_u) ** 2
+            for y0 in range(0, n_y, band):
+                y1 = min(y0 + band, n_y)
+                lo = np.searchsorted(in_band, row_starts + y0)
+                hi = np.searchsorted(in_band, row_starts + y1)
+                if not np.any(hi > lo):
+                    continue
+                dy2 = (gys[y0:y1, None] - ys_u) ** 2
+                for r, (p, q) in enumerate(zip(lo.tolist(), hi.tolist())):
+                    if p == q:
+                        continue
+                    cols = in_band[p:q] - (row_starts[r] + y0)
+                    # "clip" fills `out` in place (every index is in range); "raise" buffers
+                    d = np.take(dy2, cols, axis=0, out=out[: q - p], mode="clip")
+                    d += dx2[r]
+                    d += z2
+                    np.divide(es_u, d, out=d)
+                    totals[a + p : a + q] += np.sum(d, axis=1)
     return totals
 
 
@@ -189,9 +238,9 @@ def grid_search(
     nodes = np.flatnonzero(keep.reshape(len(tx), len(ty))[tile_x[:, None], tile_y])
     fx, fy = grid_xs[nodes // n_y], grid_ys[nodes % n_y]
     inside = feasible(fx, fy)
-    fx, fy = fx[inside], fy[inside]
-    if not len(fx):
+    nodes, fx, fy = nodes[inside], fx[inside], fy[inside]
+    if not len(nodes):
         raise ValidationError("no grid node is feasible; refine the spacing")
-    totals = grid_values(xs_u, ys_u, es, z, fx, fy)
+    totals = grid_values(xs_u, ys_u, es, z, grid_xs, grid_ys, nodes)
     j = int(np.argmax(totals))  # the first maximum: ties break toward the smallest x, then y
     return GridSearchResult((float(fx[j]), float(fy[j])), float(totals[j]), len(px) + len(fx))

@@ -22,17 +22,21 @@ def surface_grid(
     xs_u, ys_u, es = user_arrays(users)
     gxs = grid.xs()
     gys = grid.ys()
-    px, py = (a.ravel() for a in np.meshgrid(gxs, gys, indexing="ij"))
-    values = grid_values(xs_u, ys_u, es, z, px, py).reshape(len(gxs), len(gys))
+    nodes = np.arange(len(gxs) * len(gys))
+    values = grid_values(xs_u, ys_u, es, z, gxs, gys, nodes).reshape(len(gxs), len(gys))
     return gxs, gys, values
 
 
 def write_surface_csv(path: str | Path, xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> None:
-    lines = ["x,y,value"]
-    for ix, x in enumerate(xs):
-        for iy, y in enumerate(ys):
-            lines.append(f"{float(x)!r},{float(y)!r},{float(values[ix, iy])!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """One `x,y,value` line per node, x-major, every number as its
+    round-tripping repr. Each axis value is formatted once, and the file is
+    written a grid row at a time."""
+    ys_text = [repr(y) for y in np.asarray(ys, dtype=float).tolist()]
+    with open(path, "w") as f:
+        f.write("x,y,value\n")
+        for x, row in zip(np.asarray(xs, dtype=float).tolist(), np.asarray(values, dtype=float)):
+            x_text = repr(x)
+            f.write("".join([f"{x_text},{y},{v!r}\n" for y, v in zip(ys_text, row.tolist())]))
 
 
 def _color(t: float) -> str:
@@ -75,15 +79,14 @@ def write_surface_svg(
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    for ix, x in enumerate(xs):
-        for iy, y in enumerate(ys):
-            t = (values[ix, iy] - v_lo) / v_span if v_span > 0 else 0.5
-            cx = margin_left + ix * cell_w
-            cy = margin_top + (len(ys) - 1 - iy) * cell_h
-            parts.append(
-                f'<rect x="{cx:.2f}" y="{cy:.2f}" width="{cell_w + 0.5:.2f}" '
-                f'height="{cell_h + 0.5:.2f}" fill="{_color(float(t))}"/>'
-            )
+    # Cell corners are formatted once per axis; row iy is drawn flipped, +y up.
+    cxs = [f"{margin_left + ix * cell_w:.2f}" for ix in range(len(xs))]
+    cys = [f"{margin_top + (len(ys) - 1 - iy) * cell_h:.2f}" for iy in range(len(ys))]
+    size = f'width="{cell_w + 0.5:.2f}" height="{cell_h + 0.5:.2f}"'
+    for cx, row in zip(cxs, np.asarray(values, dtype=float).tolist()):
+        for cy, v in zip(cys, row):
+            t = (v - v_lo) / v_span if v_span > 0 else 0.5
+            parts.append(f'<rect x="{cx}" y="{cy}" {size} fill="{_color(t)}"/>')
     # Axes with five ticks each, labeled in meters.
     axis_y = margin_top + plot_px
     parts.append(

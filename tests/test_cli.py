@@ -267,6 +267,21 @@ class TestSurface:
         capsys.readouterr()
         assert rc == 2
 
+    def test_unknown_extension_is_refused_before_the_grid(
+        self, relaxed_file, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("surface_grid ran before --out was checked")
+
+        monkeypatch.setattr("uavlift.surface.surface_grid", refuse)
+        rc = main([
+            "surface", str(relaxed_file), "--spacing", "1",
+            "--out", str(tmp_path / "x.txt"),
+        ])
+        assert rc == 2
+        assert ".csv or .svg" in capsys.readouterr().err
+        assert not (tmp_path / "x.txt").exists()
+
 
 class TestReproduce:
     def test_uniform_case_passes(self, capsys):

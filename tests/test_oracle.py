@@ -157,11 +157,22 @@ def test_grid_kernel_blocks_do_not_change_answers(monkeypatch, chunk):
     assert result.evaluated == 4 + inside
 
 
+def flat_values(xs, ys, es, z: float, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """The objective at every node (px[k], py[k]) by the flat formula, a block
+    of nodes at a time: the reference `oracle.grid_values` must match bit for bit."""
+    values = np.empty(len(px))
+    step = max(1, 2**16 // len(xs))
+    for k in range(0, len(px), step):
+        qx, qy = px[k : k + step, None], py[k : k + step, None]
+        values[k : k + step] = np.sum(es / ((qx - xs) ** 2 + (qy - ys) ** 2 + z * z), axis=1)
+    return values
+
+
 def exhaustive_search(scenario: Scenario, grid: GridSpec, mode: str = "box", c=SPEED_OF_LIGHT):
-    """The scan `grid_search` must reproduce: `grid_values` at every node,
+    """The scan `grid_search` must reproduce: `flat_values` at every node,
     then the first x-major maximum among the nodes inside every range disk."""
     px, py = (a.ravel() for a in np.meshgrid(grid.xs(), grid.ys(), indexing="ij"))
-    values = oracle.grid_values(*user_arrays(scenario.users), scenario.bounds.z_min, px, py)
+    values = flat_values(*user_arrays(scenario.users), scenario.bounds.z_min, px, py)
     if mode == "region":
         table = build(scenario, c).table
         r2 = (table.r + MEMBERSHIP_TOL) ** 2
@@ -169,6 +180,51 @@ def exhaustive_search(scenario: Scenario, grid: GridSpec, mode: str = "box", c=S
         values = np.where(inside, values, -np.inf)
     j = int(np.argmax(values))
     return (float(px[j]), float(py[j])), float(values[j])
+
+
+# (users, box sides, spacing). A band is 65 536 // users grid rows or columns:
+# 327 at n = 200, so 400 x 20 and 20 x 400 cross one band in x and in y; 32 at
+# n = 2000 and 5 at n = 12 000. Spacings 3 and 7 leave a short last gap.
+KERNEL_GRIDS = [
+    (1, 250.0, 170.0, 3.0),
+    (2, 250.0, 170.0, 3.0),
+    (200, 400.0, 20.0, 1.0),
+    (200, 20.0, 400.0, 1.0),
+    (200, 250.0, 170.0, 3.0),
+    (2000, 250.0, 170.0, 3.0),
+    (12000, 250.0, 170.0, 7.0),
+]
+
+
+class TestGridValues:
+    """`grid_values` gives the flat formula's bits at any ascending set of nodes."""
+
+    @pytest.mark.parametrize("select", ["all", "scattered", "single", "none"])
+    @pytest.mark.parametrize("z", [10.0, 650.0])
+    @pytest.mark.parametrize("n, x_side, y_side, spacing", KERNEL_GRIDS)
+    def test_matches_the_flat_formula(self, n, x_side, y_side, spacing, z, select):
+        grid = GridSpec(spacing, AreaBounds(0, x_side, 0, y_side, z, z))
+        xs, ys, es = user_arrays(generate_uniform(n, grid.bounds, 4500, 18000, seed=n).users)
+        gxs, gys = grid.xs(), grid.ys()
+        total = len(gxs) * len(gys)
+        gen = SplitMix64(total)
+        nodes = {
+            "all": np.arange(total),
+            "scattered": np.flatnonzero([gen.uniform(0.0, 1.0) < 0.3 for _ in range(total)]),
+            "single": np.array([int(gen.uniform(0.0, total))]),
+            "none": np.arange(0),
+        }[select]
+        px, py = np.repeat(gxs, len(gys))[nodes], np.tile(gys, len(gxs))[nodes]
+        values = oracle.grid_values(xs, ys, es, z, gxs, gys, nodes)
+        assert values.shape == nodes.shape
+        assert np.array_equal(values, flat_values(xs, ys, es, z, px, py))
+
+    def test_nodes_must_ascend(self):
+        xs, ys, es = np.array([1.0]), np.array([2.0]), np.array([3.0])
+        axis = np.arange(4.0)
+        for nodes in ([2, 1], [3, 3]):
+            with pytest.raises(ValidationError, match="ascending"):
+                oracle.grid_values(xs, ys, es, 10.0, axis, axis, np.array(nodes))
 
 
 def anchored_scenario(n: int, seed: int, side: float, z: float) -> Scenario:

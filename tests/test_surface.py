@@ -1,10 +1,13 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from uavlift.objective import hessian, value
 from uavlift.oracle import GridSpec
-from uavlift.scenario import AreaBounds, generate_uniform
-from uavlift.surface import surface_grid, write_surface_csv, write_surface_svg
+from uavlift.scenario import AreaBounds, UserDevice, generate_uniform
+from uavlift.surface import _color, surface_grid, write_surface_csv, write_surface_svg
 
 BOUNDS = AreaBounds(0, 250, 0, 250, 650, 650)
 
@@ -76,3 +79,119 @@ def test_low_altitude_surface_is_multimodal(scenario):
         if found_positive:
             break
     assert found_positive
+
+
+def test_surface_grid_memory_stays_within_the_kernel_tables():
+    # 63 001 nodes x 12 000 users: a full node x user array would take 6 GB,
+    # axis tables over every row or column 24 MB each.
+    users = generate_uniform(12000, BOUNDS, 4500, 18000, seed=3).users
+    grid = GridSpec(1.0, BOUNDS)
+    tracemalloc.start()
+    try:
+        xs, ys, _ = surface_grid(users, 650.0, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(xs) * len(ys) == 63001
+    assert peak < 8e6
+
+
+# The writers as they were before each axis was formatted once: the new ones
+# must write the same bytes.
+def reference_csv(path, xs, ys, values):
+    lines = ["x,y,value"]
+    for ix, x in enumerate(xs):
+        for iy, y in enumerate(ys):
+            lines.append(f"{float(x)!r},{float(y)!r},{float(values[ix, iy])!r}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def reference_svg(path, xs, ys, values, plot_px=560):
+    margin_left, margin_bottom, margin_top, margin_right = 70, 45, 30, 20
+    width = margin_left + plot_px + margin_right
+    height = margin_top + plot_px + margin_bottom
+    x_lo, x_hi = float(xs[0]), float(xs[-1])
+    y_lo, y_hi = float(ys[0]), float(ys[-1])
+    v_lo, v_hi = float(np.min(values)), float(np.max(values))
+    v_span = v_hi - v_lo
+
+    def px(x):
+        return margin_left + (x - x_lo) / max(x_hi - x_lo, 1e-300) * plot_px
+
+    def py(y):
+        return margin_top + (y_hi - y) / max(y_hi - y_lo, 1e-300) * plot_px
+
+    cell_w = plot_px / len(xs)
+    cell_h = plot_px / len(ys)
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+    ]
+    for ix, x in enumerate(xs):
+        for iy, y in enumerate(ys):
+            t = (values[ix, iy] - v_lo) / v_span if v_span > 0 else 0.5
+            cx = margin_left + ix * cell_w
+            cy = margin_top + (len(ys) - 1 - iy) * cell_h
+            parts.append(
+                f'<rect x="{cx:.2f}" y="{cy:.2f}" width="{cell_w + 0.5:.2f}" '
+                f'height="{cell_h + 0.5:.2f}" fill="{_color(float(t))}"/>'
+            )
+    axis_y = margin_top + plot_px
+    parts.append(
+        f'<line x1="{margin_left}" y1="{axis_y}" x2="{margin_left + plot_px}" y2="{axis_y}" stroke="black"/>'
+    )
+    parts.append(
+        f'<line x1="{margin_left}" y1="{margin_top}" x2="{margin_left}" y2="{axis_y}" stroke="black"/>'
+    )
+    for i in range(5):
+        fx = x_lo + (x_hi - x_lo) * i / 4
+        fy = y_lo + (y_hi - y_lo) * i / 4
+        parts.append(
+            f'<text x="{px(fx):.1f}" y="{axis_y + 16}" font-size="11" text-anchor="middle">{fx:g}</text>'
+        )
+        parts.append(
+            f'<text x="{margin_left - 6}" y="{py(fy) + 4:.1f}" font-size="11" text-anchor="end">{fy:g}</text>'
+        )
+    parts.append(
+        f'<text x="{margin_left + plot_px / 2:.0f}" y="{height - 8}" font-size="12" '
+        f'text-anchor="middle">x (m)</text>'
+    )
+    parts.append(
+        f'<text x="14" y="{margin_top + plot_px / 2:.0f}" font-size="12" text-anchor="middle" '
+        f'transform="rotate(-90 14 {margin_top + plot_px / 2:.0f})">y (m)</text>'
+    )
+    parts.append(
+        f'<text x="{margin_left}" y="{margin_top - 10}" font-size="11">'
+        f"value range: {v_lo:.4g} to {v_hi:.4g} J/m^2</text>"
+    )
+    parts.append("</svg>")
+    Path(path).write_text("\n".join(parts) + "\n")
+
+
+CENTRE_USER = (UserDevice(125.0, 125.0, 9000.0),)
+
+
+@pytest.mark.parametrize(
+    "grid, z, centre_only",
+    [
+        (GridSpec(5.0, BOUNDS), 650.0, False),  # 51 x 51
+        (GridSpec(5.0, BOUNDS), 30.0, False),
+        (GridSpec(1.0, BOUNDS), 650.0, False),  # 251 x 251
+        (GridSpec(3.0, AreaBounds(0, 250, 0, 170, 130, 130)), 130.0, False),  # 1 m last gaps
+        (GridSpec(250.0, BOUNDS), 650.0, True),  # 2 x 2 corners, all one value
+        (GridSpec(400.0, BOUNDS), 30.0, True),
+    ],
+)
+def test_writers_match_the_reference_bytes(scenario, tmp_path, grid, z, centre_only):
+    users = CENTRE_USER if centre_only else scenario.users
+    xs, ys, values = surface_grid(users, z, grid)
+    if centre_only:
+        assert values.shape == (2, 2) and np.ptp(values) == 0.0
+    for suffix, write, reference in (
+        ("csv", write_surface_csv, reference_csv),
+        ("svg", write_surface_svg, reference_svg),
+    ):
+        write(tmp_path / f"new.{suffix}", xs, ys, values)
+        reference(tmp_path / f"ref.{suffix}", xs, ys, values)
+        assert (tmp_path / f"new.{suffix}").read_bytes() == (tmp_path / f"ref.{suffix}").read_bytes()
