@@ -57,10 +57,13 @@ def cluster_distances(
     scenario: Scenario, point: tuple[float, float]
 ) -> list[tuple[tuple[float, float], float]]:
     """(centroid, distance from `point`) of the dense, then the sparse cluster;
-    the generator emits users cluster by cluster, so slices recover them."""
+    the generator emits users cluster by cluster, so slices recover them.
+    The centroids use Python's sum, whose rounding the printed output pins."""
+    xs, ys, _ = scenario.users.arrays
     result = []
-    for users in (scenario.users[: DENSE.count], scenario.users[DENSE.count:]):
-        c = (sum(u.x for u in users) / len(users), sum(u.y for u in users) / len(users))
+    for part in (slice(None, DENSE.count), slice(DENSE.count, None)):
+        cx, cy = xs[part].tolist(), ys[part].tolist()
+        c = (sum(cx) / len(cx), sum(cy) / len(cy))
         result.append((c, math.hypot(point[0] - c[0], point[1] - c[1])))
     return result
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .rng import SplitMix64
-from .scenario import AreaBounds, UserDevice
+from .scenario import AreaBounds, UserArrays, UserDevice, user_arrays
 
 # Scale-free NSD tolerance: an eigenvalue counts as positive only beyond
 # 1e-12 times the trace magnitude, so scaling all energies cannot flip it.
@@ -26,26 +26,6 @@ NSD_EIGENVALUE_RTOL = 1e-12
 # Largest sample x user block of the NSD scan computed at once, so its
 # temporaries stay under a MB whatever the sample and user counts.
 SCAN_BLOCK_ELEMENTS = 2**16
-
-
-class UserArrays(NamedTuple):
-    """User positions and energies as flat float arrays, one entry per user."""
-
-    xs: np.ndarray
-    ys: np.ndarray
-    es: np.ndarray
-
-
-def user_arrays(users: Sequence[UserDevice] | UserArrays) -> UserArrays:
-    """Positions and energies as flat arrays (xs, ys, es). Arrays that are
-    already a `UserArrays` come back unchanged, so a caller that evaluates
-    the objective many times builds them once and passes them instead."""
-    if isinstance(users, UserArrays):
-        return users
-    xs = np.array([u.x for u in users], dtype=float)
-    ys = np.array([u.y for u in users], dtype=float)
-    es = np.array([u.energy for u in users], dtype=float)
-    return UserArrays(xs, ys, es)
 
 
 def _offsets(users: Sequence[UserDevice] | UserArrays, z_min: float, px, py):
@@ -166,12 +146,10 @@ def nsd_scan(
     tolerance), plus the largest eigenvalue seen and where it occurred."""
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
-    gen = SplitMix64(seed)
-    pts = np.array(
-        [
-            (gen.uniform(bounds.x_min, bounds.x_max), gen.uniform(bounds.y_min, bounds.y_max))
-            for _ in range(samples)
-        ]
+    pts = SplitMix64(seed).uniforms(
+        (samples, 2),
+        np.array([bounds.x_min, bounds.y_min]),
+        np.array([bounds.x_max, bounds.y_max]),
     )
     users = user_arrays(users)
     rows = max(1, SCAN_BLOCK_ELEMENTS // max(1, len(users.xs)))

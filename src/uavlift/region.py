@@ -164,13 +164,13 @@ def build(scenario: Scenario, c: float = SPEED_OF_LIGHT) -> FeasibleRegion:
     k = system_constant(scenario.rf, len(scenario.users), c)
     z = scenario.bounds.z_min
     d_power = max_range_power(scenario.rf.p_max, k)
-    limits = []
-    for i, u in enumerate(scenario.users):
-        d_energy = max_range_energy(u.energy, scenario.rf.tau_th, k)
-        limits.append(
-            UserRangeLimit(user_index=i, d_power=d_power, d_energy=d_energy)
+    xs, ys, es = scenario.users.arrays
+    limits = tuple(
+        UserRangeLimit(
+            user_index=i, d_power=d_power, d_energy=max_range_energy(e, scenario.rf.tau_th, k)
         )
-    limits = tuple(limits)
+        for i, e in enumerate(es.tolist())
+    )
 
     failing = [lim for lim in limits if lim.d_limit <= z]
     if failing:
@@ -190,8 +190,8 @@ def build(scenario: Scenario, c: float = SPEED_OF_LIGHT) -> FeasibleRegion:
         )
 
     disks = tuple(
-        Disk(u.x, u.y, math.sqrt(lim.d_limit**2 - z**2))
-        for u, lim in zip(scenario.users, limits)
+        Disk(x, y, math.sqrt(lim.d_limit**2 - z**2))
+        for x, y, lim in zip(xs.tolist(), ys.tolist(), limits)
     )
     check = check_empty(disks, scenario.bounds)
     return FeasibleRegion(

@@ -11,7 +11,10 @@ any language with unsigned 64-bit arithmetic reproduces the same stream:
     output  = z xor (z >> 31)
 
 Uniform doubles take the top 53 bits of the output, so the uniform stream
-is bit-exact everywhere. Gaussian draws use the Box-Muller transform and
+is bit-exact everywhere. The k-th draw after a state s uses the state
+s + k * 0x9E3779B97F4A7C15 mod 2^64, so `SplitMix64.uniforms` computes a
+block of draws at once in NumPy uint64 arithmetic, bit-identical to as many
+scalar `uniform` calls. Gaussian draws use the Box-Muller transform and
 therefore inherit the platform's libm accuracy (identical in practice,
 equal to within 1 ulp in the worst case).
 """
@@ -19,6 +22,8 @@ equal to within 1 ulp in the worst case).
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -50,6 +55,19 @@ class SplitMix64:
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         """Uniform double in [low, high); exactly `low` when the interval is degenerate."""
         u = (self.next_u64() >> 11) * _TWO53_INV
+        return low + (high - low) * u
+
+    def uniforms(self, shape, low=0.0, high=1.0) -> np.ndarray:
+        """The next prod(shape) uniform draws as an array of `shape`, filled in
+        C order, bit-identical to as many `uniform(low, high)` calls; `low`
+        and `high` may be arrays that broadcast against `shape`."""
+        count = int(np.prod(shape))
+        z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(self.state)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        self.state = (self.state + count * _GAMMA) & _MASK64
+        u = (z >> np.uint64(11)).astype(np.float64).reshape(shape) * _TWO53_INV
         return low + (high - low) * u
 
     def normal(self, mean: float = 0.0, std: float = 1.0) -> float:

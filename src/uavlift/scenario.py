@@ -1,18 +1,26 @@
 """Problem instances: ground devices, radio parameters, deployment bounds.
 
-A :class:`Scenario` is immutable after construction and safe to share
-across threads. Generators are deterministic under an explicit seed (see
-:mod:`uavlift.rng`), and the file format is plain JSON with full
+A :class:`Scenario` keeps its users as columns: three contiguous float64
+arrays (x, y, energy), validated in one vectorized pass when the scenario
+is built and read-only from then on, so a scenario is safe to share across
+threads. ``scenario.users`` is a read-only sequence of :class:`UserDevice`
+over those arrays, and ``scenario.users.arrays`` hands the arrays to the
+kernels without a copy. Generators are deterministic under an explicit
+seed (see :mod:`uavlift.rng`), and the file format is plain JSON with full
 double-precision decimals, so ``load(save(s)) == s`` holds exactly.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ParseError, ValidationError
 from .rng import SplitMix64
@@ -44,6 +52,92 @@ class UserDevice:
         object.__setattr__(self, "energy", _finite(self.energy, "user", "energy"))
         if not self.energy > 0:
             raise ValidationError(f"user energy must be positive, got {self.energy}")
+
+
+class UserArrays(NamedTuple):
+    """User positions and energies as flat float arrays, one entry per user."""
+
+    xs: np.ndarray
+    ys: np.ndarray
+    es: np.ndarray
+
+
+def _device(x: float, y: float, energy: float) -> UserDevice:
+    """A UserDevice over values a scenario has already validated."""
+    device = object.__new__(UserDevice)
+    device.__dict__.update(x=x, y=y, energy=energy)
+    return device
+
+
+class UserView(Sequence):
+    """A scenario's users as a read-only sequence of :class:`UserDevice`
+    over its arrays. Indexing builds one device, slicing gives a view of
+    the slice, and equality compares the arrays bit for bit."""
+
+    __slots__ = ("_arrays",)
+
+    def __init__(self, arrays: UserArrays):
+        self._arrays = arrays
+
+    @property
+    def arrays(self) -> UserArrays:
+        return self._arrays
+
+    def __len__(self) -> int:
+        return len(self._arrays.xs)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return UserView(UserArrays(*(a[index] for a in self._arrays)))
+        return _device(*(float(a[index]) for a in self._arrays))
+
+    def __iter__(self):
+        return map(_device, *(a.tolist() for a in self._arrays))
+
+    def __eq__(self, other):
+        if not isinstance(other, UserView):
+            return NotImplemented
+        return all(a.tobytes() == b.tobytes() for a, b in zip(self._arrays, other._arrays))
+
+    def __hash__(self):
+        return hash(tuple(a.tobytes() for a in self._arrays))
+
+    def __repr__(self):
+        return f"UserView({len(self)} users)"
+
+
+def user_arrays(users: Sequence[UserDevice] | UserArrays) -> UserArrays:
+    """Positions and energies as flat arrays (xs, ys, es). A `UserArrays`
+    comes back unchanged and a scenario's users give their arrays without a
+    copy; a plain sequence of devices is built into new arrays."""
+    if isinstance(users, UserArrays):
+        return users
+    if isinstance(users, UserView):
+        return users.arrays
+    xs = np.array([u.x for u in users], dtype=float)
+    ys = np.array([u.y for u in users], dtype=float)
+    es = np.array([u.energy for u in users], dtype=float)
+    return UserArrays(xs, ys, es)
+
+
+_USER_KEYS = ("x", "y", "energy")
+
+
+def _check_energy(i: int, energy: float) -> None:
+    if not energy > 0:
+        raise ValidationError(f"users[{i}].energy must be positive, got {energy}")
+
+
+def _check_user_values(arrays: UserArrays) -> None:
+    """Every value finite and every energy positive; otherwise the error for
+    the first bad user, checking x, y, then energy."""
+    xs, ys, es = arrays
+    bad = ~(np.isfinite(xs) & np.isfinite(ys) & np.isfinite(es) & (es > 0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        where = f"users[{i}]"
+        values = [_finite(float(a[i]), where, key) for a, key in zip(arrays, _USER_KEYS)]
+        _check_energy(i, values[2])
 
 
 @dataclass(frozen=True)
@@ -104,23 +198,38 @@ class AreaBounds:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A complete problem instance. `seed` records generator provenance when
-    the instance came from one of the generators below."""
+    """A complete problem instance. `users` may be given as a sequence of
+    :class:`UserDevice` or as :class:`UserArrays`; the scenario copies them
+    into its own read-only arrays and keeps a :class:`UserView`. `seed`
+    records generator provenance when the instance came from one of the
+    generators below."""
 
-    users: tuple[UserDevice, ...]
+    users: UserView
     rf: RfParams
     bounds: AreaBounds
     seed: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "users", tuple(self.users))
-        if not self.users:
+        users = self.users
+        if not isinstance(users, (UserArrays, UserView)):
+            users = tuple(users)
+        arrays = UserArrays(*(np.array(a, dtype=np.float64) for a in user_arrays(users)))
+        if not all(a.ndim == 1 and len(a) == len(arrays.xs) for a in arrays):
+            raise ValidationError("user arrays must be one-dimensional and of equal length")
+        if not len(arrays.xs):
             raise ValidationError("scenario requires at least one user")
-        for i, u in enumerate(self.users):
-            if not self.bounds.contains_xy(u.x, u.y):
-                raise ValidationError(
-                    f"user {i} at ({u.x}, {u.y}) lies outside the area rectangle"
-                )
+        for a in arrays:
+            a.flags.writeable = False
+        _check_user_values(arrays)
+        b = self.bounds
+        xs, ys, _ = arrays
+        outside = ~((b.x_min <= xs) & (xs <= b.x_max) & (b.y_min <= ys) & (ys <= b.y_max))
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise ValidationError(
+                f"user {i} at ({float(xs[i])}, {float(ys[i])}) lies outside the area rectangle"
+            )
+        object.__setattr__(self, "users", UserView(arrays))
 
 
 @dataclass(frozen=True)
@@ -173,18 +282,15 @@ def generate_uniform(
     [energy_low, energy_high]. Identical seed gives a bit-identical scenario.
 
     Draw order per user is x, y, energy; changing it would change the stream.
+    All 3 * count draws are made at once, interleaved in that order.
     """
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
     _check_energy_interval(energy_low, energy_high)
-    gen = SplitMix64(seed)
-    users = []
-    for _ in range(count):
-        x = gen.uniform(bounds.x_min, bounds.x_max)
-        y = gen.uniform(bounds.y_min, bounds.y_max)
-        energy = gen.uniform(energy_low, energy_high)
-        users.append(UserDevice(x, y, energy))
-    return Scenario(users=tuple(users), rf=rf, bounds=bounds, seed=seed)
+    low = np.array([bounds.x_min, bounds.y_min, energy_low], dtype=float)
+    high = np.array([bounds.x_max, bounds.y_max, energy_high], dtype=float)
+    draws = SplitMix64(seed).uniforms((count, 3), low, high)
+    return Scenario(users=UserArrays(*draws.T), rf=rf, bounds=bounds, seed=seed)
 
 
 def generate_clustered(
@@ -206,7 +312,7 @@ def generate_clustered(
                 f"cluster {i} center ({c.x}, {c.y}) lies outside the area rectangle"
             )
     gen = SplitMix64(seed)
-    users = []
+    xs, ys, es = [], [], []
     for c in clusters:
         for _ in range(c.count):
             for _attempt in range(1_000_000):
@@ -219,9 +325,11 @@ def generate_clustered(
                     f"rejection sampling for cluster at ({c.x}, {c.y}) did not "
                     f"land inside the area; std {c.std} is too large for the bounds"
                 )
-            energy = gen.uniform(c.energy_low, c.energy_high)
-            users.append(UserDevice(x, y, energy))
-    return Scenario(users=tuple(users), rf=rf, bounds=bounds, seed=seed)
+            xs.append(x)
+            ys.append(y)
+            es.append(gen.uniform(c.energy_low, c.energy_high))
+    users = UserArrays(*(np.array(col, dtype=float) for col in (xs, ys, es)))
+    return Scenario(users=users, rf=rf, bounds=bounds, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -231,27 +339,20 @@ def generate_clustered(
 # ---------------------------------------------------------------------------
 
 
-def scenario_to_dict(scenario: Scenario) -> dict:
+def _document(scenario: Scenario, users: list) -> dict:
     return {
         "seed": scenario.seed,
-        "users": [{"x": u.x, "y": u.y, "energy": u.energy} for u in scenario.users],
-        "rf": {
-            "rate": scenario.rf.rate,
-            "bandwidth": scenario.rf.bandwidth,
-            "noise": scenario.rf.noise,
-            "frequency": scenario.rf.frequency,
-            "p_max": scenario.rf.p_max,
-            "tau_th": scenario.rf.tau_th,
-        },
-        "bounds": {
-            "x_min": scenario.bounds.x_min,
-            "x_max": scenario.bounds.x_max,
-            "y_min": scenario.bounds.y_min,
-            "y_max": scenario.bounds.y_max,
-            "z_min": scenario.bounds.z_min,
-            "z_max": scenario.bounds.z_max,
-        },
+        "users": users,
+        "rf": dataclasses.asdict(scenario.rf),
+        "bounds": dataclasses.asdict(scenario.bounds),
     }
+
+
+def scenario_to_dict(scenario: Scenario) -> dict:
+    columns = (a.tolist() for a in scenario.users.arrays)
+    return _document(
+        scenario, [{"x": x, "y": y, "energy": e} for x, y, e in zip(*columns)]
+    )
 
 
 def _require(mapping, key: str, where: str):
@@ -271,6 +372,28 @@ def _number(mapping, key: str, where: str) -> float:
     return _finite(value, where, key)
 
 
+def _user_columns(raw_users: list) -> UserArrays:
+    """The users' x, y and energy columns, with every value finite and every
+    energy positive. One list comprehension pulls each column; when an entry
+    is not an object, lacks a key or holds a value that is not an int or
+    float (or an int beyond the double range), the per-user loop below
+    raises the error of the first bad user."""
+    try:
+        columns = [[raw[key] for raw in raw_users] for key in _USER_KEYS]
+        if all(set(map(type, col)) <= {int, float} for col in columns):
+            arrays = UserArrays(*(np.array(col, dtype=float) for col in columns))
+            _check_user_values(arrays)
+            return arrays
+    except (TypeError, KeyError, OverflowError):
+        pass
+    columns = ([], [], [])
+    for i, raw in enumerate(raw_users):
+        for key, col in zip(_USER_KEYS, columns):
+            col.append(_number(raw, key, f"users[{i}]"))
+        _check_energy(i, columns[2][-1])
+    return UserArrays(*(np.array(col, dtype=float) for col in columns))
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ParseError("scenario document must be a JSON object")
@@ -280,16 +403,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     raw_users = _require(doc, "users", "")
     if not isinstance(raw_users, list):
         raise ParseError("field 'users' must be an array")
-    users = []
-    for i, raw in enumerate(raw_users):
-        where = f"users[{i}]"
-        users.append(
-            UserDevice(
-                x=_number(raw, "x", where),
-                y=_number(raw, "y", where),
-                energy=_number(raw, "energy", where),
-            )
-        )
+    users = _user_columns(raw_users)
     raw_rf = _require(doc, "rf", "")
     rf = RfParams(
         rate=_number(raw_rf, "rate", "rf"),
@@ -308,11 +422,20 @@ def scenario_from_dict(doc: dict) -> Scenario:
         z_min=_number(raw_bounds, "z_min", "bounds"),
         z_max=_number(raw_bounds, "z_max", "bounds"),
     )
-    return Scenario(users=tuple(users), rf=rf, bounds=bounds, seed=seed)
+    return Scenario(users=users, rf=rf, bounds=bounds, seed=seed)
 
 
 def save(scenario: Scenario, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(scenario), indent=2) + "\n")
+    """Write `json.dumps(scenario_to_dict(scenario), indent=2)` plus a newline,
+    byte for byte. The user entries are formatted straight from the arrays
+    with repr, the float format json uses, in the same indented layout; only
+    the head and tail go through json.dumps."""
+    head, tail = json.dumps(_document(scenario, []), indent=2).split('"users": []')
+    entries = ",\n".join([
+        f'    {{\n      "x": {x!r},\n      "y": {y!r},\n      "energy": {e!r}\n    }}'
+        for x, y, e in zip(*(a.tolist() for a in scenario.users.arrays))
+    ])
+    Path(path).write_text(f'{head}"users": [\n{entries}\n  ]{tail}\n')
 
 
 def load(path: str | Path) -> Scenario:

@@ -57,7 +57,8 @@ def write_surface_svg(
     plot_px: int = 560,
 ) -> None:
     """Hand-emitted heatmap: one rect per grid cell, axes labeled in meters,
-    linear color scale annotated with the value range."""
+    linear color scale annotated with the value range. The cells are
+    written a grid row at a time."""
     margin_left, margin_bottom, margin_top, margin_right = 70, 45, 30, 20
     width = margin_left + plot_px + margin_right
     height = margin_top + plot_px + margin_bottom
@@ -74,47 +75,50 @@ def write_surface_svg(
 
     cell_w = plot_px / len(xs)
     cell_h = plot_px / len(ys)
-    parts = [
+    head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
+    # Axes with five ticks each, labeled in meters.
+    axis_y = margin_top + plot_px
+    tail = [
+        f'<line x1="{margin_left}" y1="{axis_y}" x2="{margin_left + plot_px}" y2="{axis_y}" stroke="black"/>',
+        f'<line x1="{margin_left}" y1="{margin_top}" x2="{margin_left}" y2="{axis_y}" stroke="black"/>',
+    ]
+    for i in range(5):
+        fx = x_lo + (x_hi - x_lo) * i / 4
+        fy = y_lo + (y_hi - y_lo) * i / 4
+        tail.append(
+            f'<text x="{px(fx):.1f}" y="{axis_y + 16}" font-size="11" text-anchor="middle">{fx:g}</text>'
+        )
+        tail.append(
+            f'<text x="{margin_left - 6}" y="{py(fy) + 4:.1f}" font-size="11" text-anchor="end">{fy:g}</text>'
+        )
+    tail.append(
+        f'<text x="{margin_left + plot_px / 2:.0f}" y="{height - 8}" font-size="12" '
+        f'text-anchor="middle">x (m)</text>'
+    )
+    tail.append(
+        f'<text x="14" y="{margin_top + plot_px / 2:.0f}" font-size="12" text-anchor="middle" '
+        f'transform="rotate(-90 14 {margin_top + plot_px / 2:.0f})">y (m)</text>'
+    )
+    tail.append(
+        f'<text x="{margin_left}" y="{margin_top - 10}" font-size="11">'
+        f"value range: {v_lo:.4g} to {v_hi:.4g} J/m^2</text>"
+    )
+    tail.append("</svg>")
     # Cell corners are formatted once per axis; row iy is drawn flipped, +y up.
     cxs = [f"{margin_left + ix * cell_w:.2f}" for ix in range(len(xs))]
     cys = [f"{margin_top + (len(ys) - 1 - iy) * cell_h:.2f}" for iy in range(len(ys))]
     size = f'width="{cell_w + 0.5:.2f}" height="{cell_h + 0.5:.2f}"'
-    for cx, row in zip(cxs, np.asarray(values, dtype=float).tolist()):
-        for cy, v in zip(cys, row):
-            t = (v - v_lo) / v_span if v_span > 0 else 0.5
-            parts.append(f'<rect x="{cx}" y="{cy}" {size} fill="{_color(t)}"/>')
-    # Axes with five ticks each, labeled in meters.
-    axis_y = margin_top + plot_px
-    parts.append(
-        f'<line x1="{margin_left}" y1="{axis_y}" x2="{margin_left + plot_px}" y2="{axis_y}" stroke="black"/>'
-    )
-    parts.append(
-        f'<line x1="{margin_left}" y1="{margin_top}" x2="{margin_left}" y2="{axis_y}" stroke="black"/>'
-    )
-    for i in range(5):
-        fx = x_lo + (x_hi - x_lo) * i / 4
-        fy = y_lo + (y_hi - y_lo) * i / 4
-        parts.append(
-            f'<text x="{px(fx):.1f}" y="{axis_y + 16}" font-size="11" text-anchor="middle">{fx:g}</text>'
-        )
-        parts.append(
-            f'<text x="{margin_left - 6}" y="{py(fy) + 4:.1f}" font-size="11" text-anchor="end">{fy:g}</text>'
-        )
-    parts.append(
-        f'<text x="{margin_left + plot_px / 2:.0f}" y="{height - 8}" font-size="12" '
-        f'text-anchor="middle">x (m)</text>'
-    )
-    parts.append(
-        f'<text x="14" y="{margin_top + plot_px / 2:.0f}" font-size="12" text-anchor="middle" '
-        f'transform="rotate(-90 14 {margin_top + plot_px / 2:.0f})">y (m)</text>'
-    )
-    parts.append(
-        f'<text x="{margin_left}" y="{margin_top - 10}" font-size="11">'
-        f"value range: {v_lo:.4g} to {v_hi:.4g} J/m^2</text>"
-    )
-    parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    with open(path, "w") as f:
+        f.write("".join([f"{part}\n" for part in head]))
+        # One grid row of cells at a time, so memory stays one row deep.
+        for cx, row in zip(cxs, np.asarray(values, dtype=float)):
+            f.write("".join([
+                f'<rect x="{cx}" y="{cy}" {size} '
+                f'fill="{_color((v - v_lo) / v_span if v_span > 0 else 0.5)}"/>\n'
+                for cy, v in zip(cys, row.tolist())
+            ]))
+        f.write("".join([f"{part}\n" for part in tail]))

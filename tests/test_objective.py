@@ -244,3 +244,23 @@ class TestUserArrays:
         for z in (650.0, 30.0):
             on_arrays, on_users = (nsd_scan(u, z, BOUNDS, samples=50, seed=n) for u in (arrays, users))
             assert as_hex(on_arrays) == as_hex(on_users)
+
+    def test_scenario_users_give_their_arrays_without_a_copy(self):
+        users = generate_uniform(10, BOUNDS, 4500, 18000, seed=9).users
+        assert user_arrays(users) is users.arrays
+        assert user_arrays(users[2:5]).xs.base is not None
+
+    @pytest.mark.parametrize("n", [1, 10, 2000])
+    def test_kernels_agree_bit_for_bit_on_a_device_sequence(self, n):
+        users = generate_uniform(n, BOUNDS, 4500, 18000, seed=n).users
+        devices = tuple(users)
+        built = user_arrays(devices)
+        for mine, theirs in zip(built, users.arrays):
+            assert mine.tobytes() == theirs.tobytes()
+        point = (97.25, 141.5)
+        for kernel in (value, gradient, hessian):
+            assert repr(kernel(devices, 650.0, point)) == repr(kernel(users, 650.0, point))
+        for z in (650.0, 30.0):
+            assert repr(nsd_scan(devices, z, BOUNDS, samples=50, seed=n)) == repr(
+                nsd_scan(users, z, BOUNDS, samples=50, seed=n)
+            )

@@ -1,15 +1,22 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from uavlift import cases
 from uavlift.errors import ParseError, ValidationError
+from uavlift.objective import nsd_scan
+from uavlift.rng import SplitMix64
 from uavlift.scenario import (
+    DEFAULT_RF,
     AreaBounds,
     ClusterSpec,
     RfParams,
     Scenario,
+    UserArrays,
     UserDevice,
+    UserView,
     generate_clustered,
     generate_uniform,
     load,
@@ -217,3 +224,246 @@ class TestRoundTrip:
         path.write_text("{not json")
         with pytest.raises(ParseError):
             load(path)
+
+
+def fields_hex(users) -> list[tuple[str, str, str]]:
+    return [(u.x.hex(), u.y.hex(), u.energy.hex()) for u in users]
+
+
+# The generators as they were before the draws were vectorized: one scalar
+# draw at a time, x, y, then energy per user.
+def reference_uniform(count, bounds, energy_low, energy_high, seed):
+    gen = SplitMix64(seed)
+    users = []
+    for _ in range(count):
+        x = gen.uniform(bounds.x_min, bounds.x_max)
+        y = gen.uniform(bounds.y_min, bounds.y_max)
+        users.append(UserDevice(x, y, gen.uniform(energy_low, energy_high)))
+    return users
+
+
+def reference_clustered(clusters, bounds, seed):
+    gen = SplitMix64(seed)
+    users = []
+    for c in clusters:
+        for _ in range(c.count):
+            while True:
+                x, y = gen.normal(c.x, c.std), gen.normal(c.y, c.std)
+                if bounds.contains_xy(x, y):
+                    break
+            users.append(UserDevice(x, y, gen.uniform(c.energy_low, c.energy_high)))
+    return users
+
+
+class TestColumns:
+    def test_users_are_a_read_only_view_over_contiguous_arrays(self):
+        s = generate_uniform(50, BOUNDS, 4500, 18000, seed=4)
+        assert isinstance(s.users, UserView)
+        for a in s.users.arrays:
+            assert a.dtype == np.float64 and a.flags.c_contiguous and len(a) == 50
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+        with pytest.raises(ValueError):
+            s.users[10:20].arrays.es[0] = 1.0
+
+    def test_sequence_protocol(self):
+        s = generate_uniform(30, BOUNDS, 4500, 18000, seed=5)
+        xs, ys, es = s.users.arrays
+        devices = list(s.users)
+        assert len(s.users) == 30 and len(devices) == 30
+        assert s.users[3] == UserDevice(xs[3], ys[3], es[3]) == devices[3]
+        assert s.users[-1] == devices[-1]
+        assert isinstance(s.users[3], UserDevice) and type(s.users[3].x) is float
+        with pytest.raises(IndexError):
+            s.users[30]
+        part = s.users[5:9]
+        assert isinstance(part, UserView) and list(part) == devices[5:9]
+        assert part.arrays.xs.base is not None  # a view, not a copy
+        assert devices[7] in s.users and s.users.index(devices[7]) == 7
+
+    def test_scenario_copies_the_arrays_it_is_given(self):
+        xs, ys, es = np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([5.0, 6.0])
+        s = Scenario(users=UserArrays(xs, ys, es), rf=DEFAULT_RF, bounds=BOUNDS)
+        xs[0] = 99.0
+        assert s.users[0] == UserDevice(1.0, 3.0, 5.0)
+        assert s == Scenario(
+            users=(UserDevice(1, 3, 5), UserDevice(2, 4, 6)), rf=DEFAULT_RF, bounds=BOUNDS
+        )
+        assert Scenario(users=s.users, rf=DEFAULT_RF, bounds=BOUNDS) == s
+
+    def test_equality_is_bitwise(self, tmp_path):
+        s = generate_uniform(200, BOUNDS, 4500, 18000, seed=42)
+        path = tmp_path / "s.json"
+        save(s, path)
+        assert load(path) == s and hash(load(path)) == hash(s)
+        xs, ys, es = (a.copy() for a in s.users.arrays)
+        xs[117] = np.nextafter(xs[117], np.inf)
+        nudged = Scenario(users=UserArrays(xs, ys, es), rf=s.rf, bounds=s.bounds, seed=s.seed)
+        assert nudged != s and nudged.users != s.users
+        assert nudged.users[:117] == s.users[:117]
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            (0, math.nan, r"users\[1\]\.x must be finite"),
+            (1, math.inf, r"users\[1\]\.y must be finite"),
+            (2, -math.inf, r"users\[1\]\.energy must be finite"),
+            (2, 0.0, r"users\[1\]\.energy must be positive, got 0\.0"),
+            (0, 300.0, r"user 1 at \(300\.0, 1\.0\) lies outside"),
+        ],
+    )
+    def test_array_validation_names_the_first_bad_user(self, column, value, message):
+        columns = [np.ones(5), np.ones(5), np.ones(5)]
+        columns[column][[1, 3]] = value
+        with pytest.raises(ValidationError, match=message):
+            Scenario(users=UserArrays(*columns), rf=DEFAULT_RF, bounds=BOUNDS)
+
+    def test_mismatched_arrays_rejected(self):
+        with pytest.raises(ValidationError, match="equal length"):
+            Scenario(users=UserArrays(np.ones(3), np.ones(2), np.ones(3)), rf=DEFAULT_RF, bounds=BOUNDS)
+        with pytest.raises(ValidationError, match="at least one user"):
+            Scenario(users=UserArrays(np.ones(0), np.ones(0), np.ones(0)), rf=DEFAULT_RF, bounds=BOUNDS)
+
+
+class TestVectorizedGenerators:
+    @pytest.mark.parametrize("count", [1, 200, 12000])
+    @pytest.mark.parametrize("seed", [0, 9, 2**63, 2**64 - 1])
+    def test_uniform_matches_the_scalar_reference(self, count, seed):
+        s = generate_uniform(count, BOUNDS, 4500, 18000, seed=seed)
+        assert fields_hex(s.users) == fields_hex(reference_uniform(count, BOUNDS, 4500, 18000, seed))
+
+    def test_uniform_on_an_offset_box(self):
+        bounds = AreaBounds(-30.5, 1e-3, 7.0, 7.25, 10, 10)
+        s = generate_uniform(500, bounds, 0.125, 0.5, seed=77)
+        assert fields_hex(s.users) == fields_hex(reference_uniform(500, bounds, 0.125, 0.5, 77))
+
+    def test_clustered_matches_the_scalar_reference(self):
+        clusters = (cases.DENSE, cases.SPARSE, ClusterSpec(5, 5, 40.0, 100, 1, 2))
+        s = generate_clustered(clusters, BOUNDS, seed=3)
+        assert fields_hex(s.users) == fields_hex(reference_clustered(clusters, BOUNDS, 3))
+
+    @pytest.mark.parametrize(
+        "z, pinned",
+        [
+            (650.0, (True, "-0x1.fb8c83c480642p-17", "0x1.b9c4dc1d82c18p+1", "0x1.3c3c9dfc517c5p+1")),
+            (30.0, (False, "0x1.93dbde3e3b93fp-4", "0x1.b5e97f65a7d5dp+7", "0x1.0525e68ce443bp+7")),
+        ],
+    )
+    def test_canned_concavity_scan_is_unchanged(self, z, pinned):
+        # Values of the scan with one scalar draw per coordinate, x then y.
+        s = generate_uniform(cases.UNIFORM_USERS, cases.BOUNDS, *cases.ENERGY, cases.SEED)
+        scan = nsd_scan(s.users, z, cases.BOUNDS, samples=cases.SCAN_SAMPLES, seed=cases.SEED)
+        assert (scan.all_nsd, scan.worst_eigenvalue.hex(), *(w.hex() for w in scan.witness)) == pinned
+
+
+EXTREME_BOUNDS = AreaBounds(-1e300, 1e300, -0.0, 5e-324, 5e-324, 1e300)
+EXTREME_RF = RfParams(1e300, 5e-324, 1e-300, 4e9, 1.7976931348623157e308, 5e-324)
+
+
+class TestSaveBytes:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: generate_uniform(1, BOUNDS, 4500, 18000, seed=1), id="n1"),
+            pytest.param(lambda: generate_uniform(200, BOUNDS, 4500, 18000, seed=9), id="n200"),
+            pytest.param(lambda: generate_uniform(12000, BOUNDS, 4500, 18000, seed=101), id="n12000"),
+            pytest.param(
+                lambda: generate_clustered((cases.DENSE, cases.SPARSE), BOUNDS, seed=3), id="clustered"
+            ),
+            pytest.param(
+                lambda: Scenario(
+                    users=(UserDevice(3, 4, 5), UserDevice(250, 0, 1e-9)), rf=DEFAULT_RF, bounds=BOUNDS
+                ),
+                id="seed-none",
+            ),
+            pytest.param(
+                lambda: Scenario(
+                    users=(
+                        UserDevice(-0.0, 5e-324, 1e300),
+                        UserDevice(1e300, 0.0, 5e-324),
+                        UserDevice(-1e300, -0.0, 1.7976931348623157e308),
+                        UserDevice(0.1, 2.5e-324, 0.30000000000000004),
+                    ),
+                    rf=EXTREME_RF,
+                    bounds=EXTREME_BOUNDS,
+                    seed=2**64 - 1,
+                ),
+                id="extreme-doubles",
+            ),
+        ],
+    )
+    def test_writer_matches_json_dumps(self, tmp_path, make):
+        s = make()
+        path = tmp_path / "s.json"
+        save(s, path)
+        assert path.read_text() == json.dumps(scenario_to_dict(s), indent=2) + "\n"
+        assert load(path) == s
+
+
+def write_users(tmp_path, users, count=5):
+    """A valid `count`-user file whose users[i] entries are replaced by the
+    raw JSON texts in `users`."""
+    doc = scenario_to_dict(generate_uniform(count, BOUNDS, 5, 6, seed=1))
+    for i in users:
+        doc["users"][i] = f"RAW{i}"
+    text = json.dumps(doc)
+    for i, raw in users.items():
+        text = text.replace(f'"RAW{i}"', raw)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    return path
+
+
+GOOD = {"x": 10.0, "y": 20.0, "energy": 5.5}
+
+
+def entry(**fields) -> str:
+    return "{" + ", ".join(f'"{k}": {v}' for k, v in {**GOOD, **fields}.items() if v is not None) + "}"
+
+
+class TestLoadErrors:
+    @pytest.mark.parametrize(
+        "first, second, error, message",
+        [
+            ('{"x": 1.0, "energy": 5.5}', '{"x": 1.0, "energy": 5.5}', ParseError,
+             r"missing field 'users\[1\]\.y'"),
+            (entry(x="true"), entry(x="true"), ParseError, r"'users\[1\]\.x' must be a number, got True"),
+            (entry(y='"far"'), entry(y='"far"'), ParseError, r"'users\[1\]\.y' must be a number, got 'far'"),
+            (entry(energy="null"), entry(energy="null"), ParseError,
+             r"'users\[1\]\.energy' must be a number, got None"),
+            (entry(energy="NaN"), entry(energy="NaN"), ValidationError, r"users\[1\]\.energy must be finite"),
+            (entry(x="Infinity"), entry(x="Infinity"), ValidationError, r"users\[1\]\.x must be finite"),
+            (entry(y="1" + "0" * 400), entry(y="1" + "0" * 400), ValidationError,
+             r"users\[1\]\.y must be finite"),
+            (entry(energy="-3.0"), entry(energy="0"), ValidationError,
+             r"users\[1\]\.energy must be positive, got -3\.0"),
+            (entry(x="250.5"), entry(y="-1"), ValidationError, r"user 1 at \(250\.5, 20\.0\) lies outside"),
+            ("[1, 2, 3]", "7", ParseError, r"expected an object at 'users\[1\]'"),
+            # a value error ahead of a type error, and the other way round
+            (entry(energy="-3.0"), entry(x='"far"'), ValidationError, r"users\[1\]\.energy must be positive"),
+            (entry(x='"far"'), entry(energy="NaN"), ParseError, r"'users\[1\]\.x' must be a number"),
+            (entry(energy="NaN"), '{"x": 1.0}', ValidationError, r"users\[1\]\.energy must be finite"),
+        ],
+        ids=[
+            "missing-key", "true", "string", "null", "nan", "infinity", "int-1e400",
+            "non-positive-energy", "outside-box", "not-an-object",
+            "value-then-type", "type-then-value", "value-then-missing",
+        ],
+    )
+    def test_first_bad_user_is_named(self, tmp_path, first, second, error, message):
+        with pytest.raises(error, match=message) as info:
+            load(write_users(tmp_path, {1: first, 3: second}))
+        assert "users[3]" not in str(info.value) and "user 3" not in str(info.value)
+
+    def test_bad_user_is_reported_before_a_bad_rf_field(self, tmp_path):
+        doc = scenario_to_dict(generate_uniform(3, BOUNDS, 5, 6, seed=1))
+        doc["users"][2]["energy"] = -1.0
+        del doc["rf"]["noise"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=r"users\[2\]\.energy must be positive"):
+            load(path)
+
+    def test_integer_values_load_as_floats(self, tmp_path):
+        s = load(write_users(tmp_path, {0: '{"x": 1, "y": 2, "energy": 3}'}))
+        assert s.users[0] == UserDevice(1.0, 2.0, 3.0) and s.users.arrays.xs.dtype == np.float64

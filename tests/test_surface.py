@@ -195,3 +195,19 @@ def test_writers_match_the_reference_bytes(scenario, tmp_path, grid, z, centre_o
         write(tmp_path / f"new.{suffix}", xs, ys, values)
         reference(tmp_path / f"ref.{suffix}", xs, ys, values)
         assert (tmp_path / f"new.{suffix}").read_bytes() == (tmp_path / f"ref.{suffix}").read_bytes()
+
+
+def test_svg_writer_holds_one_row_at_a_time(tmp_path):
+    # All 63 001 cells of a 251 x 251 grid as strings take about 17 MB; one
+    # row of them takes well under 0.1 MB.
+    xs = ys = np.linspace(0.0, 250.0, 251)
+    values = np.random.default_rng(7).random((251, 251))
+    tracemalloc.start()
+    try:
+        write_surface_svg(tmp_path / "new.svg", xs, ys, values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    reference_svg(tmp_path / "ref.svg", xs, ys, values)
+    assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
+    assert peak < 2e6
