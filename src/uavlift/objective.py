@@ -23,17 +23,22 @@ from .scenario import AreaBounds, UserArrays, UserDevice, user_arrays
 # 1e-12 times the trace magnitude, so scaling all energies cannot flip it.
 NSD_EIGENVALUE_RTOL = 1e-12
 
-# Largest sample x user block of the NSD scan computed at once, so its
-# temporaries stay under a MB whatever the sample and user counts.
-SCAN_BLOCK_ELEMENTS = 2**16
+# Most point x user elements in one block of the Hessian kernel. Its five
+# buffers hold max(SCAN_BLOCK_ELEMENTS, users) doubles each: 128 KB, and a
+# scan's peak about 0.8 MB, up to 2**14 users; beyond that a block is one
+# point and the buffers grow with the user count (2 MB at 40 000 users).
+SCAN_BLOCK_ELEMENTS = 2**14
+
+
+def _check_altitude(z_min: float) -> None:
+    if not z_min > 0:
+        raise ValidationError(f"z_min must be positive, got {z_min}")
 
 
 def _offsets(users: Sequence[UserDevice] | UserArrays, z_min: float, px, py):
     """The point kernel: per-user offsets (dx, dy), squared distances d2 and
-    energies. `px`, `py` are one point's coordinates, or (k, 1) columns that
-    broadcast the kernel over k points; the user axis is always the last."""
-    if not z_min > 0:
-        raise ValidationError(f"z_min must be positive, got {z_min}")
+    energies at the point (`px`, `py`)."""
+    _check_altitude(z_min)
     xs, ys, es = user_arrays(users)
     dx = px - xs
     dy = py - ys
@@ -41,21 +46,57 @@ def _offsets(users: Sequence[UserDevice] | UserArrays, z_min: float, px, py):
 
 
 def _hessian_sums(users: Sequence[UserDevice] | UserArrays, z_min: float, px, py):
-    """Hessian entries (fxx, fyy, fxy) at the point(s) `px`, `py` of the
-    point kernel, summed over the user axis.
+    """Hessian entries (fxx, fyy, fxy) at each of the points (`px[i]`,
+    `py[i]`), summed over the users; the one Hessian kernel behind
+    `hessian` (one point) and `nsd_scan` (all its samples).
 
     Per user, with a = (X-x)^2, b = (Y-y)^2, D = a + b + z^2:
         d2/dX2  = (6a - 2b - 2z^2) / D^3
         d2/dY2  = (6b - 2a - 2z^2) / D^3
         d2/dXdY = 8*(X-x)*(Y-y) / D^3
+
+    The points go through in blocks of rows x users, at most
+    SCAN_BLOCK_ELEMENTS per block unless one row alone is larger, and every
+    block is computed in place in the same five buffers. a and b are
+    squared once and shared by D and both diagonal entries. The operations
+    and their order are those of the plain formulas, D^3 included (a power,
+    not two products), and each row is summed whole, so the sums have the
+    same bits whatever the block size.
     """
-    dx, dy, d3, es = _offsets(users, z_min, px, py)
-    d3 **= 3  # in place: the squared distances are not needed again
+    _check_altitude(z_min)
+    xs, ys, es = user_arrays(users)
+    count = len(px)
+    rows = min(count, max(1, SCAN_BLOCK_ELEMENTS // max(1, len(xs))))
+    buffers = np.empty((5, rows, len(xs)))
+    sums = np.empty((3, count))
     z2 = z_min**2
-    fxx = np.sum(es * (6.0 * dx**2 - 2.0 * dy**2 - 2.0 * z2) / d3, axis=-1)
-    fyy = np.sum(es * (6.0 * dy**2 - 2.0 * dx**2 - 2.0 * z2) / d3, axis=-1)
-    fxy = np.sum(es * 8.0 * dx * dy / d3, axis=-1)
-    return fxx, fyy, fxy
+    c = 2.0 * z2
+    es8 = es * 8.0
+    for start in range(0, count, rows):
+        stop = min(start + rows, count)
+        dx, dy, a, b, d3 = buffers[:, : stop - start]  # the last block may be short
+        fxx, fyy, fxy = sums[:, start:stop]
+        np.subtract(px[start:stop, None], xs, out=dx)
+        np.subtract(py[start:stop, None], ys, out=dy)
+        np.square(dx, out=a)
+        np.square(dy, out=b)
+        np.add(a, b, out=d3)
+        d3 += z2
+        np.power(d3, 3, out=d3)
+        # 8*(X-x)*(Y-y)/D^3, then dx and dy are free for the diagonal.
+        dx *= es8
+        dx *= dy
+        dx /= d3
+        np.sum(dx, axis=-1, out=fxy)
+        for lead, other, out in ((a, b, fxx), (b, a, fyy)):
+            np.multiply(lead, 6.0, out=dx)
+            np.multiply(other, 2.0, out=dy)
+            dx -= dy
+            dx -= c
+            dx *= es
+            dx /= d3
+            np.sum(dx, axis=-1, out=out)
+    return sums
 
 
 def value(
@@ -79,7 +120,7 @@ def hessian(
     users: Sequence[UserDevice] | UserArrays, z_min: float, point: tuple[float, float]
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Analytic 2x2 Hessian in J/m^4, symmetric by construction."""
-    fxx, fyy, fxy = (float(f) for f in _hessian_sums(users, z_min, *point))
+    fxx, fyy, fxy = _hessian_sums(users, z_min, *np.array([point]).T)[:, 0].tolist()
     return ((fxx, fxy), (fxy, fyy))
 
 
@@ -143,7 +184,11 @@ def nsd_scan(
 ) -> NsdScan:
     """Sample the Hessian at seeded-random points in the box and report
     whether it was negative semidefinite everywhere (within the scale-free
-    tolerance), plus the largest eigenvalue seen and where it occurred."""
+    tolerance), plus the largest eigenvalue seen and where it occurred.
+
+    All samples go through the Hessian kernel in one call, which works in
+    cache-sized blocks (SCAN_BLOCK_ELEMENTS) and gives each sample the bits
+    `hessian` gives at that point."""
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
     pts = SplitMix64(seed).uniforms(
@@ -151,13 +196,7 @@ def nsd_scan(
         np.array([bounds.x_min, bounds.y_min]),
         np.array([bounds.x_max, bounds.y_max]),
     )
-    users = user_arrays(users)
-    rows = max(1, SCAN_BLOCK_ELEMENTS // max(1, len(users.xs)))
-    blocks = [
-        _hessian_sums(users, z_min, pts[a:a + rows, 0, None], pts[a:a + rows, 1, None])
-        for a in range(0, samples, rows)
-    ]
-    fxx, fyy, fxy = (np.concatenate(parts) for parts in zip(*blocks))
+    fxx, fyy, fxy = _hessian_sums(users, z_min, pts[:, 0], pts[:, 1])
     # Largest eigenvalue of each 2x2 symmetric matrix, in closed form.
     lam_max = 0.5 * (fxx + fyy) + np.sqrt((0.5 * (fxx - fyy)) ** 2 + fxy**2)
     scale = np.abs(fxx + fyy)

@@ -222,16 +222,22 @@ def grid_search(
     grid_ys = grid.ys()
     n_y = len(grid_ys)
 
-    # Coarse pass: one bound per tile, from its centre node.
+    # Coarse pass: one bound per tile, from its centre node. The cap is
+    # infinite when z^4 underflows; then no tile is bounded and none is pruned.
     tx, reach_x = _tiles(grid_xs)
     ty, reach_y = _tiles(grid_ys)
-    px, py = np.repeat(grid_xs[tx], len(ty)), np.tile(grid_ys[ty], len(tx))
-    centre_values, slopes = _grid_slopes(xs_u, ys_u, es, z, px, py)
-    rho = np.hypot(reach_x[:, None], reach_y).ravel()
-    curvature_cap = np.sum(es) / (2.0 * z**4)
-    bounds = centre_values + slopes * rho + curvature_cap * rho**2 / 2.0
-    floor = np.max(centre_values[feasible(px, py)], initial=-math.inf)
-    keep = ~(bounds < floor * (1.0 - _PRUNE_SLACK))
+    z4 = z**4
+    curvature_cap = float(np.sum(es)) / (2.0 * z4) if z4 > 0 else math.inf
+    if math.isfinite(curvature_cap):
+        px, py = np.repeat(grid_xs[tx], len(ty)), np.tile(grid_ys[ty], len(tx))
+        centre_values, slopes = _grid_slopes(xs_u, ys_u, es, z, px, py)
+        rho = np.hypot(reach_x[:, None], reach_y).ravel()
+        bounds = centre_values + slopes * rho + curvature_cap * rho**2 / 2.0
+        floor = np.max(centre_values[feasible(px, py)], initial=-math.inf)
+        keep = ~(bounds < floor * (1.0 - _PRUNE_SLACK))
+        centres = len(px)
+    else:
+        keep, centres = np.ones(len(tx) * len(ty), dtype=bool), 0
 
     # Fine pass: the feasible nodes of the surviving tiles, in x-major order.
     tile_x, tile_y = np.arange(len(grid_xs)) // TILE, np.arange(n_y) // TILE
@@ -243,4 +249,4 @@ def grid_search(
         raise ValidationError("no grid node is feasible; refine the spacing")
     totals = grid_values(xs_u, ys_u, es, z, grid_xs, grid_ys, nodes)
     j = int(np.argmax(totals))  # the first maximum: ties break toward the smallest x, then y
-    return GridSearchResult((float(fx[j]), float(fy[j])), float(totals[j]), len(px) + len(fx))
+    return GridSearchResult((float(fx[j]), float(fy[j])), float(totals[j]), centres + len(fx))

@@ -35,15 +35,21 @@ _MIX2 = 0x94D049BB133111EB
 _TWO53_INV = 2.0 ** -53
 
 
+def check_seed(seed: int) -> int:
+    """`seed` if it is a valid generator seed, an integer in [0, 2^64).
+    A larger seed would alias the one 2^64 below it."""
+    if not 0 <= seed <= _MASK64:
+        raise ValidationError(f"seed must be a non-negative integer below 2**64, got {seed}")
+    return seed
+
+
 class SplitMix64:
     """Counter-based 64-bit generator; see module docstring for the update."""
 
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        if seed < 0:
-            raise ValidationError(f"seed must be a non-negative integer, got {seed}")
-        self.state = seed & _MASK64
+        self.state = check_seed(seed)
 
     def next_u64(self) -> int:
         self.state = (self.state + _GAMMA) & _MASK64

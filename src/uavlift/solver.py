@@ -41,7 +41,7 @@ from .objective import (
     user_arrays,
     value,
 )
-from .rng import SplitMix64
+from .rng import SplitMix64, check_seed
 from .scenario import Scenario
 
 _STEP_FLOOR = 1e-12
@@ -74,6 +74,7 @@ class SolverConfig:
             raise ValidationError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_iters < 1:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
+        check_seed(self.init_seed)
         if self.mode not in ("region", "box"):
             raise ValidationError(f"mode must be 'region' or 'box', got {self.mode!r}")
         if isinstance(self.init, str):
@@ -129,8 +130,18 @@ def solve(
 
     With line search enabled the objective is non-decreasing along the
     trajectory; without it the fixed step replays the plain update rule.
+    A z_min so small that L overflows is a ValidationError: no step is safe.
     """
     config = config or SolverConfig()
+    users = user_arrays(scenario.users)  # built once for the whole ascent
+    z = scenario.bounds.z_min
+    z4 = z**4
+    lipschitz = 2.0 * float(users.es.sum()) / z4 if z4 > 0 else math.inf
+    if not math.isfinite(lipschitz):
+        raise ValidationError(
+            f"z_min = {z:g} m is too small: the curvature bound 2*sum(E)/z_min^4 "
+            "is not finite, so no step size is safe"
+        )
     k = system_constant(scenario.rf, len(scenario.users), c)
     cert = concavity_certificate(scenario.bounds)
     if not cert.holds:
@@ -168,9 +179,6 @@ def solve(
                 min(max(p[1], b.y_min), b.y_max),
             )
 
-    users = user_arrays(scenario.users)  # built once for the whole ascent
-    z = scenario.bounds.z_min
-    lipschitz = 2.0 * float(users.es.sum()) / z**4
     p = project(_initial_point(scenario, config))
     f_p = value(users, z, p)
     trajectory = [(p[0], p[1], f_p)]

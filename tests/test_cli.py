@@ -1,5 +1,7 @@
 import json
+import warnings
 
+import numpy as np
 import pytest
 
 from uavlift.cli import _build_parser, main
@@ -206,6 +208,71 @@ def test_negative_seed_is_usage_error(relaxed_file, tmp_path, capsys, argv):
         argv += ["--out", str(tmp_path / "never.json")]
     assert main(argv) == 2
     assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--count", "5", "--seed", "SEED"],
+    ["reproduce", "--case", "uniform", "--seed", "SEED"],
+    ["reproduce", "--case", "concavity", "--seed", "SEED"],
+    ["solve", "SCENARIO", "--mode", "box", "--init", "random", "--init-seed", "SEED"],
+    ["solve", "SCENARIO", "--mode", "box", "--init-seed", "SEED"],
+], ids=["generate", "reproduce-uniform", "reproduce-concavity", "solve-random", "solve-centroid"])
+@pytest.mark.parametrize("seed", [2**64, 2**64 + 9, 2**200], ids=["2^64", "2^64+9", "2^200"])
+def test_seed_beyond_64_bits_is_usage_error(relaxed_file, tmp_path, capsys, argv, seed):
+    # SplitMix64 keeps 64 bits of state: 2**64 + s would silently replay seed s.
+    argv = [str(relaxed_file) if a == "SCENARIO" else str(seed) if a == "SEED" else a for a in argv]
+    out = tmp_path / "never.json"
+    if argv[0] == "generate":
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    assert "below 2**64" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_largest_seed_still_works(tmp_path, capsys):
+    path = tmp_path / "edge.json"
+    seed = str(2**64 - 1)
+    assert main(["generate", "--count", "5", "--seed", seed, "--out", str(path)]) == 0
+    assert load(path).seed == 2**64 - 1
+    assert main(["solve", str(path), "--mode", "box", "--init", "random", "--init-seed", seed]) == 0
+    capsys.readouterr()
+
+
+@pytest.fixture(params=["1e-100", "1e-80"])
+def tiny_altitude_file(request, tmp_path):
+    # z_min^4 underflows to 0 at 1e-100; at 1e-80 it is subnormal and
+    # 2*sum(E)/z_min^4 overflows. Either way the curvature bound is infinite.
+    path = tmp_path / "tiny.json"
+    argv = ["generate", "--count", "200", "--seed", "9", "--z-min", request.param, "--out", str(path)]
+    assert main(argv) == 0
+    return path
+
+
+class TestTinyAltitude:
+    @pytest.mark.parametrize("mode", ["box", "region"])
+    def test_solve_is_an_input_error_naming_z_min(self, tiny_altitude_file, capsys, mode):
+        capsys.readouterr()
+        assert main(["solve", str(tiny_altitude_file), "--mode", mode]) == 2
+        err = capsys.readouterr().err
+        assert "z_min" in err and "Traceback" not in err
+
+    def test_grid_prunes_nothing_and_warns_nothing(self, tiny_altitude_file, capsys):
+        from uavlift.oracle import GridSpec, grid_values
+
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["grid", str(tiny_altitude_file), "--spacing", "5"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        # every node is evaluated, and the answer is the exhaustive scan's
+        s = load(tiny_altitude_file)
+        grid = GridSpec(spacing=5.0, bounds=s.bounds)
+        gxs, gys = grid.xs(), grid.ys()
+        totals = grid_values(*s.users.arrays, s.bounds.z_min, gxs, gys, np.arange(len(gxs) * len(gys)))
+        j = int(np.argmax(totals))
+        best = f"best ({gxs[j // len(gys)]:g}, {gys[j % len(gys)]:g}) value {totals[j]:.6f} J/m^2"
+        assert out == f"{best} ({len(gxs) * len(gys)} nodes evaluated)\n"
 
 
 class TestGrid:

@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from uavlift import objective
 from uavlift.channel import lifetime, system_constant
 from uavlift.errors import ValidationError
 from uavlift.objective import (
+    NSD_EIGENVALUE_RTOL,
+    NsdScan,
     UserArrays,
     concavity_certificate,
     gradient,
@@ -264,3 +268,105 @@ class TestUserArrays:
             assert repr(nsd_scan(devices, z, BOUNDS, samples=50, seed=n)) == repr(
                 nsd_scan(users, z, BOUNDS, samples=50, seed=n)
             )
+
+
+# The Hessian kernel as it was before it computed its blocks in place, kept
+# as the bit-for-bit reference: a fresh temporary for every operation, and
+# scan blocks of at most 2**16 sample x user elements.
+def reference_hessian_sums(users, z_min, px, py):
+    xs, ys, es = user_arrays(users)
+    dx = px - xs
+    dy = py - ys
+    d3 = dx**2 + dy**2 + z_min**2
+    d3 **= 3
+    z2 = z_min**2
+    fxx = np.sum(es * (6.0 * dx**2 - 2.0 * dy**2 - 2.0 * z2) / d3, axis=-1)
+    fyy = np.sum(es * (6.0 * dy**2 - 2.0 * dx**2 - 2.0 * z2) / d3, axis=-1)
+    fxy = np.sum(es * 8.0 * dx * dy / d3, axis=-1)
+    return fxx, fyy, fxy
+
+
+def reference_hessian(users, z_min, point):
+    fxx, fyy, fxy = (float(f) for f in reference_hessian_sums(users, z_min, *point))
+    return ((fxx, fxy), (fxy, fyy))
+
+
+def scan_points(bounds, samples, seed):
+    return SplitMix64(seed).uniforms(
+        (samples, 2), np.array([bounds.x_min, bounds.y_min]), np.array([bounds.x_max, bounds.y_max])
+    )
+
+
+def reference_scan_sums(users, z_min, pts):
+    rows = max(1, 2**16 // len(users))
+    blocks = [
+        reference_hessian_sums(users, z_min, pts[a:a + rows, 0, None], pts[a:a + rows, 1, None])
+        for a in range(0, len(pts), rows)
+    ]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+def reference_nsd_scan(users, z_min, bounds, samples, seed):
+    pts = scan_points(bounds, samples, seed)
+    fxx, fyy, fxy = reference_scan_sums(users, z_min, pts)
+    lam_max = 0.5 * (fxx + fyy) + np.sqrt((0.5 * (fxx - fyy)) ** 2 + fxy**2)
+    scale = np.abs(fxx + fyy)
+    i_worst = int(np.argmax(lam_max - NSD_EIGENVALUE_RTOL * scale))
+    return NsdScan(
+        all_nsd=bool(np.all(lam_max <= NSD_EIGENVALUE_RTOL * scale)),
+        worst_eigenvalue=float(lam_max[i_worst]),
+        witness=(float(pts[i_worst, 0]), float(pts[i_worst, 1])),
+    )
+
+
+def hex_tree(result):
+    if isinstance(result, tuple):
+        return tuple(hex_tree(r) for r in result)
+    return result.hex() if isinstance(result, float) else result
+
+
+@functools.cache
+def canned_users(n):
+    return generate_uniform(n, BOUNDS, 4500, 18000, seed=n).users
+
+
+class TestHessianKernelAgainstReference:
+    """The in-place blocked kernel against the allocating one it replaced."""
+
+    # At n = 200 a block holds 81 rows: 81 samples fill one block exactly,
+    # 82 end one row into the second, 7 and 1000 end short blocks too.
+    @pytest.mark.parametrize("samples", [1, 7, 81, 82, 1000])
+    @pytest.mark.parametrize("n", [1, 2, 200, 2000, 12000])
+    def test_scan_is_bit_identical(self, n, samples):
+        users = canned_users(n)
+        pts = scan_points(BOUNDS, samples, seed=samples)
+        for z in (650.0, 30.0, 10.0):
+            sums = objective._hessian_sums(users, z, pts[:, 0], pts[:, 1])
+            for mine, theirs in zip(sums, reference_scan_sums(users, z, pts)):
+                assert mine.tobytes() == theirs.tobytes(), (n, samples, z)
+            for i in {0, samples - 1}:  # a scan row is `hessian` at that sample
+                (fxx, fxy), (_, fyy) = hessian(users, z, (pts[i, 0], pts[i, 1]))
+                assert hex_tree((fxx, fyy, fxy)) == hex_tree(tuple(sums[:, i].tolist()))
+            scan = nsd_scan(users, z, BOUNDS, samples=samples, seed=samples)
+            assert hex_tree(scan) == hex_tree(reference_nsd_scan(users, z, BOUNDS, samples, samples))
+
+    @pytest.mark.parametrize("n", [1, 2, 200, 12000])
+    def test_hessian_is_bit_identical(self, n):
+        users = canned_users(n)
+        above = (float(users.arrays.xs[0]), float(users.arrays.ys[0]))  # directly above user 0
+        for point in (above, (97.25, 141.5), (0.0, 250.0), (-1e3, 3e4)):
+            for z in (650.0, 30.0, 10.0):
+                assert hex_tree(hessian(users, z, point)) == hex_tree(
+                    reference_hessian(users, z, point)
+                ), (point, z)
+
+    @pytest.mark.parametrize("n", [200, 12000])
+    def test_scan_memory_stays_cache_sized(self, n):
+        users = canned_users(n)
+        tracemalloc.start()
+        try:
+            nsd_scan(users, 30.0, BOUNDS, samples=1000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6, peak
