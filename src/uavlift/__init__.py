@@ -33,9 +33,8 @@ from .objective import (
 )
 from .oracle import GridSpec, grid_search
 from .region import (
-    Disk,
     FeasibleRegion,
-    UserRangeLimit,
+    RangeLimits,
     build,
     check_empty,
     contains,
@@ -65,12 +64,12 @@ __all__ = [
     "ClusterSpec",
     "ConcavityCertificate",
     "ConfigurationError",
-    "Disk",
     "EmptyRegionError",
     "FeasibleRegion",
     "GridSpec",
     "NumericalError",
     "ParseError",
+    "RangeLimits",
     "RfParams",
     "Scenario",
     "SolveReport",
@@ -79,7 +78,6 @@ __all__ = [
     "SystemConstant",
     "UavliftError",
     "UserDevice",
-    "UserRangeLimit",
     "ValidationError",
     "build",
     "check_empty",

@@ -74,6 +74,10 @@ def system_constant(rf: RfParams, user_count: int, c: float = SPEED_OF_LIGHT) ->
     k = (2.0 ** exponent - 1.0) * rf.noise * (4.0 * math.pi * rf.frequency / c) ** 2
     if not k > 0:  # 2^x - 1 underflows to 0 for a tiny exponent
         raise ValidationError(f"system constant must be positive, got {k}")
+    if k == math.inf:  # a huge noise or frequency overflows the product
+        raise ConfigurationError(
+            f"system constant overflows to {k}; review the noise, frequency, or c"
+        )
     return SystemConstant(
         k=k,
         rate=rf.rate,

@@ -194,15 +194,12 @@ def _cmd_check(args) -> int:
     feas = build_region(scenario, c=args.c)
     print(f"{'user':>5} {'d_power(m)':>12} {'d_energy(m)':>12} {'d_limit(m)':>12} {'radius2d(m)':>12}")
     z = scenario.bounds.z_min
-    for lim in feas.limits:
-        if lim.d_limit > z:
-            radius = f"{math.sqrt(lim.d_limit ** 2 - z ** 2):12.2f}"
-        else:
-            radius = f"{'-':>12}"
-        print(
-            f"{lim.user_index:>5} {lim.d_power:12.2f} {lim.d_energy:12.2f} "
-            f"{lim.d_limit:12.2f} {radius}"
-        )
+    d_power = feas.limits.d_power
+    for i, (d_energy, d_limit) in enumerate(
+        zip(feas.limits.d_energy.tolist(), feas.limits.d_limit.tolist())
+    ):
+        radius = f"{math.sqrt(d_limit ** 2 - z ** 2):12.2f}" if d_limit > z else f"{'-':>12}"
+        print(f"{i:>5} {d_power:12.2f} {d_energy:12.2f} {d_limit:12.2f} {radius}")
     cert = concavity_certificate(scenario.bounds)
     verdict = "holds" if cert.holds else "fails"
     print(
@@ -212,7 +209,7 @@ def _cmd_check(args) -> int:
     if feas.empty:
         print(f"region: EMPTY ({feas.empty_reason})")
         return EXIT_INFEASIBLE
-    print(f"region: non-empty ({len(feas.disks)} disks intersected with the box)")
+    print(f"region: non-empty ({len(feas.table.r)} disks intersected with the box)")
     return EXIT_OK
 
 

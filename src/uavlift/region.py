@@ -12,8 +12,10 @@ region's vertices, found once by the pass that decides emptiness, and
 closed-form single-set projections. This replaces Dykstra's alternating
 projections (Boyle & Dykstra, 1986).
 
-A region keeps its disks as centre and radius arrays (`DiskTable`), made
-once when the region is made. One membership test, `_within`, measures how
+A region keeps each concept once, as arrays: the users' range limits as
+`RangeLimits` (one power range, one energy range per user) and the disks as
+centre and radius arrays (`DiskTable`), made once when the region is made and
+handed to `check_empty`. One membership test, `_within`, measures how
 far points miss the box and the disks; `contains`, `project` and
 `check_empty` all ask it. `project` takes one point: the point itself if it
 is inside, otherwise the nearest feasible closed-form candidate.
@@ -23,13 +25,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .channel import SPEED_OF_LIGHT, SystemConstant, system_constant
 from .errors import EmptyRegionError, ValidationError
 from .scenario import AreaBounds, Scenario
+
+if TYPE_CHECKING:  # importing numpy.typing costs about 1 ms
+    from numpy.typing import ArrayLike
 
 MEMBERSHIP_TOL = 1e-9   # meters, boundary slack for `contains`
 EMPTINESS_TOL = 1e-6    # meters, decision threshold of `check_empty`
@@ -44,33 +49,17 @@ _ROUNDING = 1e-12
 _BLOCK_ELEMENTS = 2**12
 
 
-class Disk(NamedTuple):
-    x: float
-    y: float
-    radius: float
+class RangeLimits(NamedTuple):
+    """Largest station distances: `d_power` under the power budget, the same
+    for every user, and `d_energy` under each user's energy. The smaller of
+    the two, `d_limit`, is what constrains the placement."""
 
-
-@dataclass(frozen=True)
-class UserRangeLimit:
-    """Range limits for one user: the power-limited and energy-limited maximum
-    station distances, and their minimum which is what actually constrains
-    the placement."""
-
-    user_index: int
     d_power: float
-    d_energy: float
-
-    def __post_init__(self):
-        if not (self.d_power > 0 and self.d_energy > 0):
-            raise ValidationError("range limits must be positive")
+    d_energy: np.ndarray
 
     @property
-    def d_limit(self) -> float:
-        return min(self.d_power, self.d_energy)
-
-    @property
-    def binding(self) -> str:
-        return "power" if self.d_power <= self.d_energy else "energy"
+    def d_limit(self) -> np.ndarray:
+        return np.minimum(self.d_power, self.d_energy)
 
 
 class DiskTable(NamedTuple):
@@ -91,48 +80,34 @@ class EmptinessCheck(NamedTuple):
     vertices: np.ndarray                 # (K, 2) feasible candidate points; none when empty
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeasibleRegion:
-    """Disks-and-box description of the feasible placements at one altitude.
+    """Disks-and-box description of the feasible placements at z_min.
 
+    `table` holds the disks as arrays; a region empty by range has none.
     `vertices` holds the feasible candidate points `check_empty` found: every
     vertex of the region, plus any box corner or disk centre inside it.
-    `table` holds the disks as arrays; it is derived from `disks` and `box`
-    when the region is made.
+    `limits` holds the range limits the disks came from, when `build` made
+    the region. Regions hold arrays, so `==` is identity.
     """
 
-    altitude: float
-    disks: tuple[Disk, ...]
+    table: DiskTable = field(repr=False)
     box: AreaBounds
     empty: bool
     empty_reason: str | None = None
-    limits: tuple[UserRangeLimit, ...] = ()
-    vertices: np.ndarray = field(
-        default_factory=lambda: np.empty((0, 2)), compare=False, repr=False
-    )
-    table: DiskTable = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "table", _disk_arrays(self.disks, self.box))
+    limits: RangeLimits | None = field(default=None, repr=False)
+    vertices: np.ndarray = field(default_factory=lambda: np.empty((0, 2)), repr=False)
 
     @classmethod
-    def from_disks(
-        cls, disks: Sequence[Disk], box: AreaBounds, altitude: float | None = None
-    ) -> "FeasibleRegion":
-        """Build a region directly from disks, running the emptiness check.
+    def from_disks(cls, disks: ArrayLike, box: AreaBounds) -> "FeasibleRegion":
+        """Build a region from (x, y, radius) rows or an (m, 3) array, running
+        the emptiness check.
 
         A disk of radius 0 is the single point at its centre.
         """
-        disks = tuple(Disk(*d) for d in disks)
-        check = check_empty(disks, box)
-        return cls(
-            altitude=box.z_min if altitude is None else altitude,
-            disks=disks,
-            box=box,
-            empty=check.empty,
-            empty_reason=check.cause,
-            vertices=check.vertices,
-        )
+        table = _disk_arrays(disks, box)
+        check = check_empty(table, box)
+        return cls(table, box, check.empty, check.cause, vertices=check.vertices)
 
 
 def max_range_power(p_max: float, k: SystemConstant) -> float:
@@ -142,13 +117,14 @@ def max_range_power(p_max: float, k: SystemConstant) -> float:
     return math.sqrt(p_max / k.k)
 
 
-def max_range_energy(energy: float, tau_th: float, k: SystemConstant) -> float:
-    """Largest distance at which a device can transmit for at least tau_th seconds."""
-    if not energy > 0:
-        raise ValidationError(f"energy must be positive, got {energy}")
+def max_range_energy(energy: ArrayLike, tau_th: float, k: SystemConstant) -> np.ndarray:
+    """Largest distance at which a device can transmit for at least tau_th
+    seconds; for an array of energies, one distance per device."""
+    if not np.all(energy > 0):
+        raise ValidationError(f"energy must be positive, got {np.min(energy)}")
     if not tau_th > 0:
         raise ValidationError(f"tau_th must be positive, got {tau_th}")
-    return math.sqrt(energy / (tau_th * k.k))
+    return np.sqrt(energy / (tau_th * k.k))
 
 
 def build(scenario: Scenario, c: float = SPEED_OF_LIGHT) -> FeasibleRegion:
@@ -163,40 +139,37 @@ def build(scenario: Scenario, c: float = SPEED_OF_LIGHT) -> FeasibleRegion:
     """
     k = system_constant(scenario.rf, len(scenario.users), c)
     z = scenario.bounds.z_min
-    d_power = max_range_power(scenario.rf.p_max, k)
     xs, ys, es = scenario.users.arrays
-    limits = tuple(
-        UserRangeLimit(
-            user_index=i, d_power=d_power, d_energy=max_range_energy(e, scenario.rf.tau_th, k)
-        )
-        for i, e in enumerate(es.tolist())
+    limits = RangeLimits(
+        max_range_power(scenario.rf.p_max, k), max_range_energy(es, scenario.rf.tau_th, k)
     )
+    d_limit = limits.d_limit
+    if not np.all(d_limit > 0):  # a range can underflow to 0
+        raise ValidationError("range limits must be positive")
 
-    failing = [lim for lim in limits if lim.d_limit <= z]
-    if failing:
-        worst = min(failing, key=lambda lim: lim.d_limit)
+    failing = np.flatnonzero(d_limit <= z)
+    if len(failing):
+        worst = int(failing[np.argmin(d_limit[failing])])
         scope = (
             "all users"
-            if len(failing) == len(limits)
-            else f"{len(failing)} of {len(limits)} users (worst: user {worst.user_index})"
+            if len(failing) == len(d_limit)
+            else f"{len(failing)} of {len(d_limit)} users (worst: user {worst})"
         )
+        binding = "power" if limits.d_power <= limits.d_energy[worst] else "energy"
         reason = (
-            f"{worst.binding} constraint unsatisfiable at altitude {z:g} m: "
-            f"d_limit = {worst.d_limit:.2f} m <= z_min = {z:g} m for {scope}"
+            f"{binding} constraint unsatisfiable at altitude {z:g} m: "
+            f"d_limit = {d_limit[worst]:.2f} m <= z_min = {z:g} m for {scope}"
         )
-        return FeasibleRegion(
-            altitude=z, disks=(), box=scenario.bounds, empty=True,
-            empty_reason=reason, limits=limits,
-        )
+        table = _disk_arrays((), scenario.bounds)
+        return FeasibleRegion(table, scenario.bounds, True, reason, limits)
 
-    disks = tuple(
-        Disk(x, y, math.sqrt(lim.d_limit**2 - z**2))
-        for x, y, lim in zip(xs.tolist(), ys.tolist(), limits)
-    )
-    check = check_empty(disks, scenario.bounds)
+    # float_power squares with libm pow, as Python's ** does, where ** on an
+    # array multiplies; the two disagree in the last bit for about 1 in 1 000.
+    radii = np.sqrt(np.float_power(d_limit, 2) - z**2)
+    table = _disk_arrays(np.column_stack((xs, ys, radii)), scenario.bounds)
+    check = check_empty(table, scenario.bounds)
     return FeasibleRegion(
-        altitude=z, disks=disks, box=scenario.bounds, empty=check.empty,
-        empty_reason=check.cause, limits=limits, vertices=check.vertices,
+        table, scenario.bounds, check.empty, check.cause, limits, vertices=check.vertices
     )
 
 
@@ -242,7 +215,7 @@ def project(region: FeasibleRegion, point: tuple[float, float]) -> tuple[float, 
 
 
 def check_empty(
-    disks: Sequence[Disk], box: AreaBounds, tol: float = EMPTINESS_TOL
+    disks: DiskTable | ArrayLike, box: AreaBounds, tol: float = EMPTINESS_TOL
 ) -> EmptinessCheck:
     """Decide whether the disks/box intersection is empty.
 
@@ -257,8 +230,11 @@ def check_empty(
     Non-empty verdicts carry the surviving candidate with the least
     violation as witness. Empty verdicts report min g as `shortfall`,
     found by bisecting the padding with the same candidate test.
+
+    `disks` is a region's `DiskTable`, or (x, y, radius) rows or an (m, 3)
+    array as `FeasibleRegion.from_disks` takes them.
     """
-    table = _disk_arrays(disks, box)
+    table = disks if isinstance(disks, DiskTable) else _disk_arrays(disks, box)
 
     def survivors(pad: float) -> tuple[np.ndarray, np.ndarray]:
         pts = _candidates(table, box, pad)
@@ -286,7 +262,7 @@ def check_empty(
     return EmptinessCheck(True, None, hi, cause, np.empty((0, 2)))
 
 
-def _disk_arrays(disks: Sequence[Disk], box: AreaBounds) -> DiskTable:
+def _disk_arrays(disks: ArrayLike, box: AreaBounds) -> DiskTable:
     table = np.array(disks, dtype=float).reshape(-1, 3)
     bounds = [1.0, box.x_min, box.x_max, box.y_min, box.y_max]
     rounding = _ROUNDING * float(np.max(np.abs(np.concatenate((bounds, table.ravel())))))

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .rng import SplitMix64
+from .rng import SplitMix64, check_seed
 
 
 def _finite(value, where: str, key: str) -> float:
@@ -398,8 +398,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ParseError("scenario document must be a JSON object")
     seed = doc.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
-        raise ParseError(f"field 'seed' must be a non-negative integer or null, got {seed!r}")
+    if seed is not None:
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ParseError(f"field 'seed' must be an integer or null, got {seed!r}")
+        check_seed(seed)
     raw_users = _require(doc, "users", "")
     if not isinstance(raw_users, list):
         raise ParseError("field 'users' must be an array")

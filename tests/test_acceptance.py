@@ -12,7 +12,7 @@ from uavlift.channel import system_constant
 from uavlift.cli import main
 from uavlift.objective import concavity_certificate, gradient, hessian, nsd_scan
 from uavlift.oracle import GridSpec, grid_search
-from uavlift.region import Disk, FeasibleRegion, contains, project
+from uavlift.region import FeasibleRegion, contains, project
 from uavlift.rng import SplitMix64
 from uavlift.scenario import (
     DEFAULT_RF,
@@ -154,7 +154,7 @@ def _random_region(seed: int, n_disks: int = 5) -> FeasibleRegion:
     disks = []
     for _ in range(n_disks):
         cx, cy = gen.uniform(0, 10), gen.uniform(0, 10)
-        disks.append(Disk(cx, cy, math.hypot(cx - ax, cy - ay) + gen.uniform(0.5, 3.0)))
+        disks.append((cx, cy, math.hypot(cx - ax, cy - ay) + gen.uniform(0.5, 3.0)))
     region = FeasibleRegion.from_disks(disks, box)
     assert not region.empty
     return region
@@ -192,10 +192,12 @@ def test_criterion_7_projection_correctness():
     worst_slack = -math.inf
     for seed in range(5):
         region = _random_region(seed)
+        table = region.table
+        disks = list(zip(table.cx.tolist(), table.cy.tolist(), table.r.tolist()))
         theta = np.linspace(0.0, 2.0 * math.pi, 8001)
         samples = [
-            np.column_stack((d.x + d.radius * np.cos(theta), d.y + d.radius * np.sin(theta)))
-            for d in region.disks
+            np.column_stack((x + r * np.cos(theta), y + r * np.sin(theta)))
+            for x, y, r in disks
         ]
         edge = np.linspace(0.0, 10.0, 4001)
         samples.append(np.column_stack((edge, np.zeros_like(edge))))
@@ -205,8 +207,8 @@ def test_criterion_7_projection_correctness():
         pts = np.vstack(samples)
         feasible = (pts[:, 0] >= -1e-9) & (pts[:, 0] <= 10 + 1e-9)
         feasible &= (pts[:, 1] >= -1e-9) & (pts[:, 1] <= 10 + 1e-9)
-        for d in region.disks:
-            feasible &= np.hypot(pts[:, 0] - d.x, pts[:, 1] - d.y) <= d.radius + 1e-9
+        for x, y, r in disks:
+            feasible &= np.hypot(pts[:, 0] - x, pts[:, 1] - y) <= r + 1e-9
         boundary = pts[feasible]
         assert len(boundary) > 100
         for _ in range(4):

@@ -114,6 +114,13 @@ class TestSystemConstant:
         with pytest.raises(ValidationError, match="system constant must be positive, got 0.0"):
             system_constant(rf, 5)
 
+    def test_overflow_to_inf_is_rejected(self):
+        # a finite exponent, but 65535 * 1e300 * (4*pi*f/c)^2 overflows, and an
+        # infinite K would make every range and lifetime 0
+        rf = RfParams(rate=4e6, bandwidth=50e6, noise=1e300, frequency=4e9, p_max=0.5, tau_th=900)
+        with pytest.raises(ConfigurationError, match="system constant overflows to inf"):
+            system_constant(rf, 200)
+
 
 class TestRequiredPower:
     def test_unit_constant_unit_distance(self):

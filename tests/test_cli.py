@@ -1,11 +1,13 @@
+import hashlib
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from uavlift.cli import _build_parser, main
-from uavlift.scenario import load
+from uavlift.scenario import AreaBounds, RfParams, Scenario, UserDevice, load, save
 
 
 @pytest.fixture()
@@ -105,13 +107,95 @@ class TestCheck:
         assert main(["check", str(path)]) == 2
         assert f"{path} is not UTF-8 text" in capsys.readouterr().err
 
-    def test_system_constant_underflow_is_input_error(self, tmp_path, capsys):
-        path = tmp_path / "tiny-rate.json"
-        argv = ["generate", "--count", "5", "--rate", "1e-10", "--bandwidth", "1e10"]
-        assert main(argv + ["--seed", "1", "--out", str(path)]) == 0
+    @pytest.mark.parametrize("command", [["check"], ["solve", "--mode", "box"]],
+                             ids=["check", "solve-box"])
+    @pytest.mark.parametrize("flags, error", [
+        # 2^(1e-10 * 5 / 1e10) - 1 rounds to 0.0
+        (["--count", "5", "--rate", "1e-10", "--bandwidth", "1e10", "--seed", "1"],
+         "system constant must be positive, got 0.0"),
+        # 65535 * 1e300 * (4*pi*f/c)^2 overflows; box mode would report a 0 s lifetime
+        (["--count", "200", "--noise", "1e300", "--seed", "9"], "system constant overflows to inf"),
+    ], ids=["underflow", "overflow"])
+    def test_system_constant_underflow_is_input_error(self, tmp_path, capsys, command, flags, error):
+        path = tmp_path / "extreme-k.json"
+        assert main(["generate", *flags, "--out", str(path)]) == 0
         capsys.readouterr()
-        assert main(["check", str(path)]) == 2
-        assert "system constant must be positive, got 0.0" in capsys.readouterr().err
+        assert main([command[0], str(path), *command[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert error in err and "Traceback" not in err
+        assert out == ""
+
+
+CHECK_HEADER = " user   d_power(m)  d_energy(m)   d_limit(m)  radius2d(m)\n"
+
+
+def _lens_file(tmp_path):
+    """Three devices at unit system constant whose disks (radii 22.91, 20 and
+    24.49 m at z = 10 m) cut the 40 m box and meet in a lens."""
+    rf = RfParams(
+        rate=1.0, bandwidth=3.0, noise=1.0,
+        frequency=299792458.0 / (4.0 * math.pi), p_max=1e6, tau_th=1.0,
+    )
+    users = (UserDevice(10, 10, 625.0), UserDevice(30, 12, 500.0), UserDevice(20, 30, 700.0))
+    path = tmp_path / "lens.json"
+    save(Scenario(users=users, rf=rf, bounds=AreaBounds(0, 40, 0, 40, 10, 10)), path)
+    return path
+
+
+class TestCheckOutput:
+    """`check`'s per-user table and verdict, pinned byte for byte."""
+
+    def test_empty_by_range_for_all_users(self, reference_file, capsys):
+        assert main(["check", str(reference_file), "--c", "3e8"]) == 3
+        out = capsys.readouterr().out
+        lines = out.splitlines(keepends=True)
+        assert len(lines) == 203
+        assert lines[:3] == [
+            CHECK_HEADER,
+            "    0       164.85       698.63       164.85            -\n",
+            "    1       164.85       604.33       164.85            -\n",
+        ]
+        assert lines[-3:] == [
+            "  199       164.85       929.98       164.85            -\n",
+            "concavity certificate: z_min 650 m vs sqrt(3)*d_max 612.37 m (d_max 353.55 m): holds\n",
+            "region: EMPTY (power constraint unsatisfiable at altitude 650 m: "
+            "d_limit = 164.85 m <= z_min = 650 m for all users)\n",
+        ]
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "f32f370c6190d819c104860306b3e01907ae7f7c7c615b16a934a2c23e2589cf"
+
+    def test_empty_by_range_for_some_users(self, tmp_path, capsys):
+        path = tmp_path / "mixed.json"
+        assert main([
+            "generate", "--count", "8", "--area", "50x50", "--energy-low", "1",
+            "--energy-high", "18000", "--seed", "3", "--z-min", "5000", "--tau-th", "1e6",
+            "--out", str(path),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["check", str(path)]) == 3
+        assert capsys.readouterr().out == CHECK_HEADER + (
+            "    0     56440.48      8384.38      8384.38      6730.36\n"
+            "    1     56440.48      8541.88      8541.88      6925.58\n"
+            "    2     56440.48      7504.52      7504.52      5596.23\n"
+            "    3     56440.48      9035.50      9035.50      7525.97\n"
+            "    4     56440.48      9070.32      9070.32      7567.74\n"
+            "    5     56440.48      3452.75      3452.75            -\n"
+            "    6     56440.48      9693.92      9693.92      8304.94\n"
+            "    7     56440.48      4681.96      4681.96            -\n"
+            "concavity certificate: z_min 5000 m vs sqrt(3)*d_max 122.47 m (d_max 70.71 m): holds\n"
+            "region: EMPTY (energy constraint unsatisfiable at altitude 5000 m: "
+            "d_limit = 3452.75 m <= z_min = 5000 m for 2 of 8 users (worst: user 5))\n"
+        )
+
+    def test_binding_disks_non_empty(self, tmp_path, capsys):
+        assert main(["check", str(_lens_file(tmp_path))]) == 0
+        assert capsys.readouterr().out == CHECK_HEADER + (
+            "    0      1000.00        25.00        25.00        22.91\n"
+            "    1      1000.00        22.36        22.36        20.00\n"
+            "    2      1000.00        26.46        26.46        24.49\n"
+            "concavity certificate: z_min 10 m vs sqrt(3)*d_max 97.98 m (d_max 56.57 m): fails\n"
+            "region: non-empty (3 disks intersected with the box)\n"
+        )
 
 
 class TestSolve:
@@ -227,6 +311,19 @@ def test_seed_beyond_64_bits_is_usage_error(relaxed_file, tmp_path, capsys, argv
     assert main(argv) == 2
     assert "below 2**64" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["check"], ["solve", "--mode", "box"]], ids=["check", "solve"])
+@pytest.mark.parametrize("seed", [2**64, 2**64 + 9], ids=["2^64", "2^64+9"])
+def test_file_seed_beyond_64_bits_is_usage_error(relaxed_file, tmp_path, capsys, command, seed):
+    path = tmp_path / "big-seed.json"
+    doc = json.loads(relaxed_file.read_text())
+    doc["seed"] = seed
+    path.write_text(json.dumps(doc))
+    assert main([command[0], str(path), *command[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"seed must be a non-negative integer below 2**64, got {seed}" in err
 
 
 def test_largest_seed_still_works(tmp_path, capsys):

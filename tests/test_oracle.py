@@ -122,7 +122,7 @@ def test_region_mode_solve_matches_oracle_when_disks_cut_the_box(tmp_path, capsy
     x, y = report["placement"][:2]
 
     feas = build(scenario)
-    slack = [d.radius - math.hypot(x - d.x, y - d.y) for d in feas.disks]
+    slack = feas.table.r - np.hypot(x - feas.table.cx, y - feas.table.cy)
     assert min(slack) <= 1e-6  # a disk is active at the solver's answer
 
     spacing = 0.5

@@ -10,9 +10,8 @@ import pytest
 import uavlift
 from uavlift import region as region_mod
 from uavlift.channel import SPEED_OF_LIGHT, system_constant
-from uavlift.errors import EmptyRegionError
+from uavlift.errors import EmptyRegionError, ValidationError
 from uavlift.region import (
-    Disk,
     FeasibleRegion,
     build,
     check_empty,
@@ -61,6 +60,19 @@ class TestRangeLimits:
         assert low == pytest.approx(521.31, abs=0.01)
         assert high == pytest.approx(2.0 * low, rel=1e-12)  # 4x energy doubles range
 
+    def test_energy_ranges_of_an_array_are_the_scalar_ranges(self):
+        k = system_constant(DEFAULT_RF, 200, c=3e8)
+        gen = SplitMix64(6)
+        es = np.array([gen.uniform(4500.0, 18000.0) for _ in range(500)])
+        want = [math.sqrt(e / (900.0 * k.k)) for e in es.tolist()]
+        assert max_range_energy(es, 900.0, k).tolist() == want
+        assert [max_range_energy(e, 900.0, k) for e in es.tolist()] == want
+
+    def test_non_positive_energy_in_an_array_is_named(self):
+        k = system_constant(DEFAULT_RF, 200)
+        with pytest.raises(ValidationError, match="energy must be positive, got -1.0"):
+            max_range_energy(np.array([4500.0, -1.0, 0.0]), 900.0, k)
+
     def test_quadrupling_power_doubles_range(self):
         k = system_constant(DEFAULT_RF, 200)
         assert max_range_power(2.0, k) == pytest.approx(2.0 * max_range_power(0.5, k), rel=1e-12)
@@ -85,12 +97,42 @@ class TestBuild:
         scenario = unit_scenario([UserDevice(0, 0, 100.0)], bounds, p_max=4.0)
         feas = build(scenario)
         assert not feas.empty
-        (disk,) = feas.disks
-        assert (disk.x, disk.y) == (0.0, 0.0)
-        assert disk.radius == pytest.approx(math.sqrt(3.0), rel=1e-9)
-        lim = feas.limits[0]
-        assert lim.d_limit == pytest.approx(2.0, rel=1e-9)
-        assert lim.binding == "power"
+        ((x, y, radius),) = disk_rows(feas)
+        assert (x, y) == (0.0, 0.0)
+        assert radius == pytest.approx(math.sqrt(3.0), rel=1e-9)
+        (d_limit,) = feas.limits.d_limit
+        assert d_limit == pytest.approx(2.0, rel=1e-9)
+        assert feas.limits.d_power <= feas.limits.d_energy[0]  # the power limit binds
+
+    def test_limits_and_radii_have_the_bits_of_the_scalar_formulas(self):
+        # Energies whose radius sqrt(d^2 - z^2) rounds differently when d^2 is
+        # d*d rather than pow(d, 2), the per-user formula's square.
+        z, tau = 3.0, 2.0
+        gen = SplitMix64(12)
+        energies = []
+        while len(energies) < 12:
+            e = gen.uniform(100.0, 1000.0)
+            d = math.sqrt(e / tau)
+            if math.sqrt(d**2 - z**2) != math.sqrt(d * d - z**2):
+                energies.append(e)
+        users = [UserDevice(0.5 * i - 3.0, 0.25 * i, e) for i, e in enumerate(energies)]
+        feas = build(unit_scenario(users, AreaBounds(-5, 5, -5, 5, z, z), p_max=1e6, tau_th=tau))
+        assert not feas.empty
+        d_energy = [math.sqrt(e / tau) for e in energies]
+        assert feas.limits.d_power == 1e3
+        assert feas.limits.d_energy.tolist() == d_energy
+        assert feas.limits.d_limit.tolist() == d_energy
+        assert feas.table.r.tolist() == [math.sqrt(d**2 - z**2) for d in d_energy]
+
+    def test_range_underflow_is_input_error(self):
+        # p_max/K is subnormal and its square root is not, but 5e-324/4 is 0
+        bounds = AreaBounds(-10, 10, -10, 10, 1, 1)
+        scenario = unit_scenario([UserDevice(0, 0, 100.0)], bounds, p_max=5e-324)
+        assert build(scenario).limits.d_power > 0
+        rf = unit_rf(p_max=5e-324, users=1)
+        scenario = Scenario(users=(UserDevice(0, 0, 100.0),), rf=rf, bounds=bounds)
+        with pytest.raises(ValidationError, match="range limits must be positive"):
+            build(scenario, c=SPEED_OF_LIGHT / 2.0)
 
     def test_two_far_users_make_disjoint_disks(self):
         # energies give d_limit = sqrt(17), so radius 4 at altitude 1;
@@ -102,7 +144,7 @@ class TestBuild:
         feas = build(scenario)
         assert feas.empty
         assert "disk intersection" in feas.empty_reason
-        assert all(d.radius == pytest.approx(4.0, rel=1e-9) for d in feas.disks)
+        assert all(r == pytest.approx(4.0, rel=1e-9) for _, _, r in disk_rows(feas))
 
     def test_energy_binding_named(self):
         bounds = AreaBounds(-10, 10, -10, 10, 3, 3)
@@ -118,7 +160,7 @@ class TestBuild:
         bounds = AreaBounds(-10, 10, -10, 10, 3, 3)
         feas = build(unit_scenario([UserDevice(0, 0, 9.0)], bounds, p_max=100.0))
         assert feas.empty
-        assert feas.disks == ()
+        assert disk_rows(feas) == []
         assert "energy constraint unsatisfiable" in feas.empty_reason
 
     def test_disks_shrink_and_region_empties_as_altitude_grows(self):
@@ -128,7 +170,7 @@ class TestBuild:
             scenario = unit_scenario([UserDevice(0, 0, 25.0)], bounds, p_max=1e6)
             feas = build(scenario)
             assert not feas.empty
-            radii.append(feas.disks[0].radius)
+            radii.append(disk_rows(feas)[0][2])
         assert radii == sorted(radii, reverse=True)
         for z in (5.0, 6.0):  # d_limit = 5 <= z: unsatisfiable
             bounds = AreaBounds(-10, 10, -10, 10, z, z)
@@ -140,7 +182,7 @@ class TestContains:
     BOX = AreaBounds(-10, 10, -10, 10, 1, 1)
 
     def region(self):
-        return FeasibleRegion.from_disks([Disk(0, 0, 2)], self.BOX)
+        return FeasibleRegion.from_disks([(0, 0, 2)], self.BOX)
 
     def test_center_inside(self):
         assert contains(self.region(), (0.0, 0.0))
@@ -152,11 +194,11 @@ class TestContains:
         assert not contains(self.region(), (2.0 + 1e-6, 0.0))
 
     def test_outside_box(self):
-        region = FeasibleRegion.from_disks([Disk(9, 0, 5)], self.BOX)
+        region = FeasibleRegion.from_disks([(9, 0, 5)], self.BOX)
         assert not contains(region, (10.5, 0.0))
 
     def test_empty_region_raises(self):
-        region = FeasibleRegion.from_disks([Disk(0, 0, 1), Disk(5, 0, 1)], self.BOX)
+        region = FeasibleRegion.from_disks([(0, 0, 1), (5, 0, 1)], self.BOX)
         assert region.empty
         with pytest.raises(EmptyRegionError):
             contains(region, (0.0, 0.0))
@@ -166,11 +208,11 @@ class TestProject:
     BOX = AreaBounds(-10, 10, -10, 10, 1, 1)
 
     def test_member_point_returned_unchanged(self):
-        region = FeasibleRegion.from_disks([Disk(0, 0, 2)], self.BOX)
+        region = FeasibleRegion.from_disks([(0, 0, 2)], self.BOX)
         assert project(region, (0.5, -0.25)) == (0.5, -0.25)
 
     def test_single_disk_radial_pullback(self):
-        region = FeasibleRegion.from_disks([Disk(0, 0, 2)], self.BOX)
+        region = FeasibleRegion.from_disks([(0, 0, 2)], self.BOX)
         out = project(region, (5.0, 0.0))
         assert out[0] == pytest.approx(2.0, abs=1e-9)
         assert out[1] == pytest.approx(0.0, abs=1e-9)
@@ -178,13 +220,13 @@ class TestProject:
     def test_lens_projection_hits_circle_intersection(self):
         # Two overlapping unit disks; from high above, the nearest feasible
         # point is the upper intersection of the circles at (0.5, sqrt(3)/2).
-        region = FeasibleRegion.from_disks([Disk(0, 0, 1), Disk(1, 0, 1)], self.BOX)
+        region = FeasibleRegion.from_disks([(0, 0, 1), (1, 0, 1)], self.BOX)
         out = project(region, (0.5, 5.0))
         assert out[0] == pytest.approx(0.5, abs=1e-6)
         assert out[1] == pytest.approx(math.sqrt(0.75), abs=1e-6)
 
     def test_lens_projection_beats_dense_boundary_sampling(self):
-        region = FeasibleRegion.from_disks([Disk(0, 0, 1), Disk(1, 0, 1)], self.BOX)
+        region = FeasibleRegion.from_disks([(0, 0, 1), (1, 0, 1)], self.BOX)
         q = np.array([0.5, 5.0])
         proj = np.array(project(region, tuple(q)))
         best = math.inf
@@ -199,12 +241,12 @@ class TestProject:
         assert np.hypot(*(proj - q)) <= best + 1e-6
 
     def test_empty_region_raises(self):
-        region = FeasibleRegion.from_disks([Disk(0, 0, 1), Disk(5, 0, 1)], self.BOX)
+        region = FeasibleRegion.from_disks([(0, 0, 1), (5, 0, 1)], self.BOX)
         with pytest.raises(EmptyRegionError):
             project(region, (0.0, 0.0))
 
     def test_zero_radius_disk_is_the_single_point_at_its_centre(self):
-        for disks in ([Disk(3, -2, 0)], [Disk(3, -2, 0), Disk(3, -2, 0), Disk(0, 0, 5)]):
+        for disks in ([(3, -2, 0)], [(3, -2, 0), (3, -2, 0), (0, 0, 5)]):
             check = check_empty(disks, self.BOX)
             assert not check.empty
             assert check.witness == (3.0, -2.0)
@@ -222,10 +264,10 @@ class TestProject:
         # Optimality: q - p lies in the normal cone of the region at p, i.e.
         # it is a non-negative combination of the active constraints' normals.
         normals = []
-        for d in region.disks:
-            dist = math.hypot(p[0] - d.x, p[1] - d.y)
-            if dist >= d.radius * (1.0 - 1e-9):
-                normals.append(((p[0] - d.x) / dist, (p[1] - d.y) / dist))
+        for x, y, radius in disk_rows(region):
+            dist = math.hypot(p[0] - x, p[1] - y)
+            if dist >= radius * (1.0 - 1e-9):
+                normals.append(((p[0] - x) / dist, (p[1] - y) / dist))
         box = region.box
         for coord, lo, hi, unit in ((p[0], box.x_min, box.x_max, (1.0, 0.0)),
                                     (p[1], box.y_min, box.y_max, (0.0, 1.0))):
@@ -235,6 +277,12 @@ class TestProject:
                 normals.append(unit)
         assert normals
         assert in_normal_cone(np.subtract(q, p), np.array(normals), rtol=1e-9)
+
+
+def disk_rows(region: FeasibleRegion) -> list[tuple[float, float, float]]:
+    """The region's disks as (x, y, radius) rows of Python floats."""
+    table = region.table
+    return list(zip(table.cx.tolist(), table.cy.tolist(), table.r.tolist()))
 
 
 def binding_scenario(m: int) -> Scenario:
@@ -277,7 +325,7 @@ def random_region(seed: int, n_disks: int = 5) -> FeasibleRegion:
     disks = []
     for _ in range(n_disks):
         cx, cy = gen.uniform(0, 10), gen.uniform(0, 10)
-        disks.append(Disk(cx, cy, math.hypot(cx - ax, cy - ay) + gen.uniform(0.5, 3.0)))
+        disks.append((cx, cy, math.hypot(cx - ax, cy - ay) + gen.uniform(0.5, 3.0)))
     region = FeasibleRegion.from_disks(disks, box)
     assert not region.empty
     return region
@@ -327,8 +375,8 @@ class TestProjectionProperties:
         for seed in range(6):
             region = random_region(seed)
             feasible = np.ones(len(gx), dtype=bool)
-            for d in region.disks:
-                feasible &= np.hypot(gx - d.x, gy - d.y) <= d.radius + 1e-9
+            for x, y, radius in disk_rows(region):
+                feasible &= np.hypot(gx - x, gy - y) <= radius + 1e-9
             fx, fy = gx[feasible], gy[feasible]
             for _ in range(5):
                 q = (gen.uniform(-15, 25), gen.uniform(-15, 25))
@@ -339,12 +387,12 @@ class TestProjectionProperties:
 
 
 def loop_contains(region: FeasibleRegion, p, tol: float, hypot) -> bool:
-    """Membership from `region.disks` one disk at a time."""
+    """Membership from the region's disks one disk at a time."""
     x, y = p
     box = region.box
     if not (box.x_min - tol <= x <= box.x_max + tol and box.y_min - tol <= y <= box.y_max + tol):
         return False
-    return all(hypot(x - d.x, y - d.y) <= d.radius + tol for d in region.disks)
+    return all(hypot(x - cx, y - cy) <= r + tol for cx, cy, r in disk_rows(region))
 
 
 @pytest.mark.parametrize("block", [3, 40])
@@ -352,8 +400,8 @@ def test_membership_blocks_do_not_change_answers(monkeypatch, block):
     regions = [build(binding_scenario(50))]
     regions += [random_region(seed) for seed in range(8)]
     regions.append(FeasibleRegion.from_disks([], AreaBounds(0, 10, 0, 10, 1, 1)))
-    triangle = [Disk(x, y, 1.05) for x, y in ((0.0, 0.0), (2.0, 0.0), (1.0, math.sqrt(3.0)))]
-    layouts = [(r.disks, r.box) for r in regions] + [(triangle, TestCheckEmpty.BOX)]
+    triangle = [(x, y, 1.05) for x, y in ((0.0, 0.0), (2.0, 0.0), (1.0, math.sqrt(3.0)))]
+    layouts = [(r.table, r.box) for r in regions] + [(triangle, TestCheckEmpty.BOX)]
     gen = SplitMix64(500)
     points = []
     for region in regions:
@@ -395,27 +443,38 @@ class TestCheckEmpty:
     BOX = AreaBounds(-10, 10, -10, 10, 1, 1)
 
     def test_concentric_disks(self):
-        check = check_empty([Disk(5, 5, 0.8), Disk(5, 5, 2.0)], self.BOX)
+        check = check_empty([(5, 5, 0.8), (5, 5, 2.0)], self.BOX)
         assert not check.empty
         wx, wy = check.witness
         assert math.hypot(wx - 5, wy - 5) <= 0.8 + 1e-6  # inside the smaller disk
 
     def test_disjoint_disks(self):
-        check = check_empty([Disk(0, 0, 4), Disk(10, 0, 4)], self.BOX)
+        check = check_empty([(0, 0, 4), (10, 0, 4)], self.BOX)
         assert check.empty
         assert check.witness is None
         # best achievable max-shortfall is half the gap between the circles
         assert check.shortfall == pytest.approx(1.0, abs=1e-6)
 
     def test_tangent_disks_meet_at_the_tangency_point(self):
-        check = check_empty([Disk(0, 0, 1), Disk(3, 0, 2)], self.BOX)
+        check = check_empty([(0, 0, 1), (3, 0, 2)], self.BOX)
         assert not check.empty
         wx, wy = check.witness
         assert math.hypot(wx - 1.0, wy) <= 1e-2
 
     def test_disk_outside_box_is_certified_fast(self):
-        check = check_empty([Disk(100, 100, 1)], self.BOX)
+        check = check_empty([(100, 100, 1)], self.BOX)
         assert check.empty
+
+    def test_rows_and_an_array_give_the_same_region(self):
+        rows = [(0.0, 0.0, 1.0), (1.0, 0.0, 1.0), (0.5, 3.0, 2.5)]
+        want = FeasibleRegion.from_disks(rows, self.BOX)
+        got = FeasibleRegion.from_disks(np.array(rows), self.BOX)
+        assert (got.empty, got.empty_reason) == (want.empty, want.empty_reason) == (False, None)
+        assert np.array_equal(got.vertices, want.vertices)
+        assert disk_rows(got) == disk_rows(want) == rows
+        from_table, from_rows = check_empty(want.table, self.BOX), check_empty(rows, self.BOX)
+        assert from_table[:4] == from_rows[:4]
+        assert np.array_equal(from_table.vertices, from_rows.vertices)
 
     def test_no_disks_means_the_box_itself(self):
         check = check_empty([], self.BOX)
@@ -426,13 +485,13 @@ class TestCheckEmpty:
         # disks overlaps, but the circumradius 2/sqrt(3) exceeds 1.05, so
         # the triple intersection is empty with a known shortfall.
         pts = [(0.0, 0.0), (2.0, 0.0), (1.0, math.sqrt(3.0))]
-        check = check_empty([Disk(x, y, 1.05) for x, y in pts], self.BOX)
+        check = check_empty([(x, y, 1.05) for x, y in pts], self.BOX)
         assert check.empty
         assert check.shortfall == pytest.approx(2.0 / math.sqrt(3.0) - 1.05, abs=1e-9)
 
     def test_barely_common_point_found_at_the_circumcenter(self):
         pts = [(0.0, 0.0), (2.0, 0.0), (1.0, math.sqrt(3.0))]
-        check = check_empty([Disk(x, y, 1.16) for x, y in pts], self.BOX)
+        check = check_empty([(x, y, 1.16) for x, y in pts], self.BOX)
         assert not check.empty
         wx, wy = check.witness
         assert math.hypot(wx - 1.0, wy - 1.0 / math.sqrt(3.0)) < 0.2

@@ -334,7 +334,7 @@ class TestRegionMode:
         )
         s = Scenario(users=users, rf=rf, bounds=bounds)
         feas = build(s)
-        assert not feas.empty and len(feas.disks) == 3
+        assert not feas.empty and len(feas.table.r) == 3
         config = SolverConfig(mode="region", init=(0.5, 0.5), tolerance=1e-6, max_iters=400)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # low altitude: no certificate
