@@ -2,13 +2,13 @@
 uplink data, maximizing the summed transmission lifetimes of ground devices.
 
 The public API mirrors the pipeline: build or load a :class:`Scenario`,
-derive the :class:`SystemConstant`, inspect the :class:`FeasibleRegion`,
-and run :func:`solve` (or the grid-search oracle) over it.
+derive the system constant K (a float, :func:`system_constant`), inspect
+the :class:`FeasibleRegion`, and run :func:`solve` (or the grid-search
+oracle) over it.
 """
 
 from .channel import (
     SPEED_OF_LIGHT,
-    SystemConstant,
     lifetime,
     path_loss,
     rate,
@@ -75,7 +75,6 @@ __all__ = [
     "SolveReport",
     "SolverConfig",
     "SplitMix64",
-    "SystemConstant",
     "UavliftError",
     "UserDevice",
     "ValidationError",

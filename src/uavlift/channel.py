@@ -2,15 +2,14 @@
 
 Everything here is linear scale (watts, joules, meters); nothing is in dB.
 The one modelling constant that matters downstream is the system constant
-K: the minimum transmit power to sustain the common rate at distance d is
-K*d^2, and the transmission lifetime of a device with energy E is then
-E/(K*d^2).
+K, a plain float in watts per square meter: the minimum transmit power to
+sustain the common rate at distance d is K*d^2, and the transmission
+lifetime of a device with energy E is then E/(K*d^2).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ConfigurationError, ValidationError
 from .scenario import RfParams
@@ -21,22 +20,6 @@ SPEED_OF_LIGHT = 299_792_458.0
 
 # 2^x overflows a double near x = 1024; refuse well before that.
 _MAX_RATE_EXPONENT = 1000.0
-
-
-@dataclass(frozen=True)
-class SystemConstant:
-    """K in watts per square meter, with the inputs it was derived from.
-
-    K = (2^(rate*user_count/bandwidth) - 1) * noise * (4*pi*frequency/c)^2
-    """
-
-    k: float
-    rate: float
-    user_count: int
-    bandwidth: float
-    noise: float
-    frequency: float
-    c: float = SPEED_OF_LIGHT
 
 
 def path_loss(distance: float, frequency: float, c: float = SPEED_OF_LIGHT) -> float:
@@ -61,8 +44,12 @@ def rate(bandwidth_per_user: float, power: float, loss: float, noise: float) -> 
     return bandwidth_per_user * math.log2(1.0 + power / loss / noise)
 
 
-def system_constant(rf: RfParams, user_count: int, c: float = SPEED_OF_LIGHT) -> SystemConstant:
-    """Derive K from the radio parameters and the number of served devices."""
+def system_constant(rf: RfParams, user_count: int, c: float = SPEED_OF_LIGHT) -> float:
+    """K in watts per square meter for the radio parameters and the number
+    of served devices:
+
+    K = (2^(rate*user_count/bandwidth) - 1) * noise * (4*pi*frequency/c)^2
+    """
     if user_count < 1:
         raise ValidationError(f"user_count must be >= 1, got {user_count}")
     exponent = rf.rate * user_count / rf.bandwidth
@@ -78,25 +65,17 @@ def system_constant(rf: RfParams, user_count: int, c: float = SPEED_OF_LIGHT) ->
         raise ConfigurationError(
             f"system constant overflows to {k}; review the noise, frequency, or c"
         )
-    return SystemConstant(
-        k=k,
-        rate=rf.rate,
-        user_count=user_count,
-        bandwidth=rf.bandwidth,
-        noise=rf.noise,
-        frequency=rf.frequency,
-        c=c,
-    )
+    return k
 
 
-def required_power(k: SystemConstant, distance: float) -> float:
+def required_power(k: float, distance: float) -> float:
     """Minimum transmit power K*d^2 in watts to sustain the common rate at distance d."""
     if not distance > 0:
         raise ValidationError(f"distance must be positive, got {distance}")
-    return k.k * distance * distance
+    return k * distance * distance
 
 
-def lifetime(energy: float, k: SystemConstant, distance: float) -> float:
+def lifetime(energy: float, k: float, distance: float) -> float:
     """Transmission duration E/(K*d^2) in seconds for a device with energy E at distance d."""
     if not energy > 0:
         raise ValidationError(f"energy must be positive, got {energy}")

@@ -119,8 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clusters", type=_clusters, default=None,
                    help="x,y,std,count,elow,ehigh[;...] for a non-uniform layout")
     p.add_argument("--z-min", type=_positive_float, default=650.0)
-    p.add_argument("--z-max", type=_positive_float, default=None,
-                   help="recorded in the file only; the station always flies at --z-min")
     p.add_argument("--rate", type=_positive_float, default=4e6)
     p.add_argument("--bandwidth", type=_positive_float, default=50e6)
     p.add_argument("--noise", type=_positive_float, default=1e-14)
@@ -142,7 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=100)
     p.add_argument("--init", type=_init_spec, default="centroid")
     p.add_argument("--init-seed", type=int, default=0)
-    p.add_argument("--no-line-search", action="store_true", help="replay the plain fixed-step update")
     p.add_argument("--report", default=None, help="write the full report JSON here")
     p.add_argument("--trajectory", default=None, help="write the trajectory CSV here")
     p.add_argument("--c", type=_positive_float, default=SPEED_OF_LIGHT)
@@ -169,8 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_generate(args) -> int:
     width, height = args.area
-    z_max = args.z_max if args.z_max is not None else args.z_min
-    bounds = AreaBounds(0.0, width, 0.0, height, args.z_min, z_max)
+    bounds = AreaBounds(0.0, width, 0.0, height, args.z_min, args.z_min)
     rf = RfParams(
         rate=args.rate, bandwidth=args.bandwidth, noise=args.noise,
         frequency=args.frequency, p_max=args.p_max, tau_th=args.tau_th,
@@ -221,7 +217,6 @@ def _cmd_solve(args) -> int:
         max_iters=args.max_iters,
         mode=args.mode,
         init=args.init,
-        line_search=not args.no_line_search,
         init_seed=args.init_seed,
     )
     report = solver_mod.solve(scenario, config, c=args.c)

@@ -87,6 +87,7 @@ def _blocks(n: int, width: int):
     return (slice(a, min(a + step, n)) for a in range(0, n, step))
 
 
+@np.errstate(over="ignore", divide="ignore")  # an infinite total is refused at the end
 def grid_values(
     xs: np.ndarray,
     ys: np.ndarray,
@@ -107,7 +108,11 @@ def grid_values(
     add the row's (addition commutes), then z^2, divide the energies and
     take one sum over the users: the flat formula's association and
     reduction, so every value has the bits of
-    np.sum(es / ((gx - xs)**2 + (gy - ys)**2 + z*z))."""
+    np.sum(es / ((gx - xs)**2 + (gy - ys)**2 + z*z)).
+
+    At an altitude so small that E/d^2 overflows at some node, as on a node
+    at a user at z = 1e-160 m, there is no answer to give: that is a
+    ValidationError naming z, not an infinite value."""
     nodes = np.asarray(nodes, dtype=np.intp)
     if np.any(nodes[1:] <= nodes[:-1]):
         raise ValidationError("grid nodes must be ascending flat indices")
@@ -142,6 +147,11 @@ def grid_values(
                     d += z2
                     np.divide(es_u, d, out=d)
                     totals[a + p : a + q] += np.sum(d, axis=1)
+    if not np.all(np.isfinite(totals)):
+        raise ValidationError(
+            f"the objective overflows at z = {z:g} m: a grid node is too close to a user; "
+            "use a higher altitude"
+        )
     return totals
 
 

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .channel import SPEED_OF_LIGHT, SystemConstant, system_constant
+from .channel import SPEED_OF_LIGHT, system_constant
 from .errors import EmptyRegionError, ValidationError
 from .scenario import AreaBounds, Scenario
 
@@ -110,21 +110,21 @@ class FeasibleRegion:
         return cls(table, box, check.empty, check.cause, vertices=check.vertices)
 
 
-def max_range_power(p_max: float, k: SystemConstant) -> float:
+def max_range_power(p_max: float, k: float) -> float:
     """Largest distance at which the rate is sustainable within the power budget."""
     if not p_max > 0:
         raise ValidationError(f"p_max must be positive, got {p_max}")
-    return math.sqrt(p_max / k.k)
+    return math.sqrt(p_max / k)
 
 
-def max_range_energy(energy: ArrayLike, tau_th: float, k: SystemConstant) -> np.ndarray:
+def max_range_energy(energy: ArrayLike, tau_th: float, k: float) -> np.ndarray:
     """Largest distance at which a device can transmit for at least tau_th
     seconds; for an array of energies, one distance per device."""
     if not np.all(energy > 0):
         raise ValidationError(f"energy must be positive, got {np.min(energy)}")
     if not tau_th > 0:
         raise ValidationError(f"tau_th must be positive, got {tau_th}")
-    return np.sqrt(energy / (tau_th * k.k))
+    return np.sqrt(energy / (tau_th * k))
 
 
 def build(scenario: Scenario, c: float = SPEED_OF_LIGHT) -> FeasibleRegion:
@@ -214,18 +214,17 @@ def project(region: FeasibleRegion, point: tuple[float, float]) -> tuple[float, 
     return (float(candidates[k, 0]), float(candidates[k, 1]))
 
 
-def check_empty(
-    disks: DiskTable | ArrayLike, box: AreaBounds, tol: float = EMPTINESS_TOL
-) -> EmptinessCheck:
+def check_empty(disks: DiskTable | ArrayLike, box: AreaBounds) -> EmptinessCheck:
     """Decide whether the disks/box intersection is empty.
 
     Let g(p) be the largest amount by which p violates the box or a disk.
-    The region counts as non-empty iff min g <= tol, that is iff the sets
-    padded by tol share a point. A non-empty intersection of these sets has
-    a vertex or is one whole disk, so that holds iff one of the padded sets'
-    candidate points (`_candidates`) lies in all of them: the test is exact
-    up to rounding. The unpadded sets are tried first, so that `vertices`
-    are those of the region itself unless it is thinner than tol.
+    The region counts as non-empty iff min g <= EMPTINESS_TOL, a fixed
+    1e-6 m, that is iff the sets padded by that much share a point. A
+    non-empty intersection of these sets has a vertex or is one whole disk,
+    so that holds iff one of the padded sets' candidate points
+    (`_candidates`) lies in all of them: the test is exact up to rounding.
+    The unpadded sets are tried first, so that `vertices` are those of the
+    region itself unless it is thinner than EMPTINESS_TOL.
 
     Non-empty verdicts carry the surviving candidate with the least
     violation as witness. Empty verdicts report min g as `shortfall`,
@@ -241,7 +240,7 @@ def check_empty(
         kept, viol = _within(pts, table, box, pad + table.rounding)
         return pts[kept], viol
 
-    for pad in (0.0, tol):
+    for pad in (0.0, EMPTINESS_TOL):
         pts, viol = survivors(pad)
         if len(pts):
             k = int(np.argmin(viol))
@@ -250,7 +249,7 @@ def check_empty(
 
     # min g lies in (lo, hi]; hi is always a violation some point attains.
     centre = np.array([[0.5 * (box.x_min + box.x_max), 0.5 * (box.y_min + box.y_max)]])
-    lo, hi = tol, float(_within(centre, table, box, math.inf)[1][0])
+    lo, hi = EMPTINESS_TOL, float(_within(centre, table, box, math.inf)[1][0])
     while hi - lo > 4.0 * table.rounding:
         mid = 0.5 * (lo + hi)
         _, viol = survivors(mid)

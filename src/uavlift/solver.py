@@ -3,12 +3,13 @@
 Each step moves along the analytic gradient and projects back onto the
 feasible convex set. The step starts at 1/L, where L = 2*sum(E_i)/z^4
 bounds the curvature of the objective everywhere at altitude z, concave or
-not. With line search on, a trial step is accepted once the descent lemma
-holds for it, f(p+) >= f(p) + g.(p+ - p) - |p+ - p|^2 / (2t), and halved
-otherwise; every accepted step doubles the next one (the backtracking rule
-of Beck & Teboulle, 2009, and Nesterov, 2013). An accepted step therefore
-never falls below 1/(2L), and the stop rule "the iterate moved less than
-the tolerance" is a stationarity test on the projected gradient.
+not. A trial step is accepted once the descent lemma holds for it,
+f(p+) >= f(p) + g.(p+ - p) - |p+ - p|^2 / (2t), and halved otherwise;
+every accepted step doubles the next one (the backtracking rule of Beck &
+Teboulle, 2009, and Nesterov, 2013). This is the only step rule. An
+accepted step therefore never falls below 1/(2L), and the stop rule "the
+iterate moved less than the tolerance" is a stationarity test on the
+projected gradient.
 
 When the concavity certificate holds, the objective is strongly concave on
 the box with a closed-form modulus, and the report carries a proven bound
@@ -52,9 +53,8 @@ class SolverConfig:
     """Knobs of the ascent.
 
     step_size is the first step; None means 1/L with L = 2*sum(E_i)/z^4.
-    With line_search the step halves until the descent lemma holds (down to
-    a floor of 1e-12) and doubles after every accepted step; without it the
-    step stays fixed, replaying the plain update. tolerance is the movement
+    The step halves until the descent lemma holds (down to a floor of
+    1e-12) and doubles after every accepted step. tolerance is the movement
     in metres below which the ascent stops. `init` is "centroid", "random",
     or an explicit (x, y).
     """
@@ -64,7 +64,6 @@ class SolverConfig:
     max_iters: int = 100
     mode: str = "region"
     init: str | tuple[float, float] = "centroid"
-    line_search: bool = True
     init_seed: int = 0
 
     def __post_init__(self):
@@ -128,9 +127,8 @@ def solve(
 ) -> SolveReport:
     """Run projected gradient ascent and report the trajectory.
 
-    With line search enabled the objective is non-decreasing along the
-    trajectory; without it the fixed step replays the plain update rule.
-    A z_min so small that L overflows is a ValidationError: no step is safe.
+    The objective is non-decreasing along the trajectory. A z_min so small
+    that L overflows is a ValidationError: no step is safe.
     """
     config = config or SolverConfig()
     users = user_arrays(scenario.users)  # built once for the whole ascent
@@ -163,7 +161,7 @@ def solve(
                 converged=False,
                 trajectory=(),
                 certificate=cert,
-                k=k.k,
+                k=k,
                 infeasible=feas.empty_reason,
             )
 
@@ -195,8 +193,7 @@ def solve(
             f_trial = value(users, z, trial)
             dx, dy = trial[0] - p[0], trial[1] - p[1]
             if (
-                not config.line_search
-                or step <= _STEP_FLOOR
+                step <= _STEP_FLOOR
                 or f_trial >= f_p + g[0] * dx + g[1] * dy - (dx * dx + dy * dy) / (2.0 * step)
             ):
                 break
@@ -208,8 +205,7 @@ def solve(
         if math.hypot(dx, dy) < config.tolerance:
             converged = True
             break
-        if config.line_search:
-            step *= 2.0
+        step *= 2.0
 
     gap_bound = projected_gradient = None
     mu = strong_concavity(users, scenario.bounds)
@@ -227,12 +223,12 @@ def solve(
     return SolveReport(
         placement=(p[0], p[1], z),
         objective=f_p,
-        lifetime_seconds=f_p / k.k,
+        lifetime_seconds=f_p / k,
         iterations=iterations,
         converged=converged,
         trajectory=tuple(trajectory),
         certificate=cert,
-        k=k.k,
+        k=k,
         step_size_final=step,
         gap_bound=gap_bound,
         projected_gradient=projected_gradient,

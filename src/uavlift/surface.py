@@ -14,6 +14,9 @@ from .scenario import UserDevice
 # Low / mid / high stops of a perceptually ordered colormap.
 _STOPS = ((68, 1, 84), (33, 145, 140), (253, 231, 37))
 
+# Side of the square heatmap in SVG pixels, between the axis margins.
+PLOT_PX = 560
+
 
 def surface_grid(
     users: Sequence[UserDevice], z: float, grid: GridSpec
@@ -49,41 +52,35 @@ def _color(t: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def write_surface_svg(
-    path: str | Path,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    values: np.ndarray,
-    plot_px: int = 560,
-) -> None:
+def write_surface_svg(path: str | Path, xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> None:
     """Hand-emitted heatmap: one rect per grid cell, axes labeled in meters,
     linear color scale annotated with the value range. The cells are
     written a grid row at a time."""
     margin_left, margin_bottom, margin_top, margin_right = 70, 45, 30, 20
-    width = margin_left + plot_px + margin_right
-    height = margin_top + plot_px + margin_bottom
+    width = margin_left + PLOT_PX + margin_right
+    height = margin_top + PLOT_PX + margin_bottom
     x_lo, x_hi = float(xs[0]), float(xs[-1])
     y_lo, y_hi = float(ys[0]), float(ys[-1])
     v_lo, v_hi = float(np.min(values)), float(np.max(values))
     v_span = v_hi - v_lo
 
     def px(x):  # meters -> svg x
-        return margin_left + (x - x_lo) / max(x_hi - x_lo, 1e-300) * plot_px
+        return margin_left + (x - x_lo) / max(x_hi - x_lo, 1e-300) * PLOT_PX
 
     def py(y):  # meters -> svg y, flipped so +y points up
-        return margin_top + (y_hi - y) / max(y_hi - y_lo, 1e-300) * plot_px
+        return margin_top + (y_hi - y) / max(y_hi - y_lo, 1e-300) * PLOT_PX
 
-    cell_w = plot_px / len(xs)
-    cell_h = plot_px / len(ys)
+    cell_w = PLOT_PX / len(xs)
+    cell_h = PLOT_PX / len(ys)
     head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
     # Axes with five ticks each, labeled in meters.
-    axis_y = margin_top + plot_px
+    axis_y = margin_top + PLOT_PX
     tail = [
-        f'<line x1="{margin_left}" y1="{axis_y}" x2="{margin_left + plot_px}" y2="{axis_y}" stroke="black"/>',
+        f'<line x1="{margin_left}" y1="{axis_y}" x2="{margin_left + PLOT_PX}" y2="{axis_y}" stroke="black"/>',
         f'<line x1="{margin_left}" y1="{margin_top}" x2="{margin_left}" y2="{axis_y}" stroke="black"/>',
     ]
     for i in range(5):
@@ -96,12 +93,12 @@ def write_surface_svg(
             f'<text x="{margin_left - 6}" y="{py(fy) + 4:.1f}" font-size="11" text-anchor="end">{fy:g}</text>'
         )
     tail.append(
-        f'<text x="{margin_left + plot_px / 2:.0f}" y="{height - 8}" font-size="12" '
+        f'<text x="{margin_left + PLOT_PX / 2:.0f}" y="{height - 8}" font-size="12" '
         f'text-anchor="middle">x (m)</text>'
     )
     tail.append(
-        f'<text x="14" y="{margin_top + plot_px / 2:.0f}" font-size="12" text-anchor="middle" '
-        f'transform="rotate(-90 14 {margin_top + plot_px / 2:.0f})">y (m)</text>'
+        f'<text x="14" y="{margin_top + PLOT_PX / 2:.0f}" font-size="12" text-anchor="middle" '
+        f'transform="rotate(-90 14 {margin_top + PLOT_PX / 2:.0f})">y (m)</text>'
     )
     tail.append(
         f'<text x="{margin_left}" y="{margin_top - 10}" font-size="11">'

@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 from finite_differences import fd_gradient, fd_hessian
+from region_layouts import project_each, random_region
 
 from uavlift import cases
 from uavlift.channel import system_constant
 from uavlift.cli import main
 from uavlift.objective import concavity_certificate, gradient, hessian, nsd_scan
 from uavlift.oracle import GridSpec, grid_search
-from uavlift.region import FeasibleRegion, contains, project
+from uavlift.region import contains, project
 from uavlift.rng import SplitMix64
 from uavlift.scenario import (
     DEFAULT_RF,
@@ -27,9 +28,9 @@ from uavlift.solver import SolverConfig, solve
 def test_criterion_1_system_constant_cross_check():
     k = system_constant(DEFAULT_RF, cases.UNIFORM_USERS, c=cases.C_ROUNDED)
     implied = cases.REFERENCE_UNIFORM["cost"] / cases.REFERENCE_UNIFORM["lifetime"]
-    rel = abs(k.k - implied) / implied
+    rel = abs(k - implied) / implied
     assert rel < 0.005
-    print(f"ACCEPTANCE 1 PASS: K = {k.k:.6e} vs implied {implied:.6e} (rel {rel:.2e} < 0.5%)")
+    print(f"ACCEPTANCE 1 PASS: K = {k:.6e} vs implied {implied:.6e} (rel {rel:.2e} < 0.5%)")
 
 
 def test_criterion_2_uniform_case_reproduction():
@@ -147,43 +148,26 @@ def test_criterion_6_derivative_correctness():
     )
 
 
-def _random_region(seed: int, n_disks: int = 5) -> FeasibleRegion:
-    gen = SplitMix64(seed)
-    box = AreaBounds(0, 10, 0, 10, 1, 1)
-    ax, ay = gen.uniform(3, 7), gen.uniform(3, 7)
-    disks = []
-    for _ in range(n_disks):
-        cx, cy = gen.uniform(0, 10), gen.uniform(0, 10)
-        disks.append((cx, cy, math.hypot(cx - ax, cy - ay) + gen.uniform(0.5, 3.0)))
-    region = FeasibleRegion.from_disks(disks, box)
-    assert not region.empty
-    return region
-
-
-def _project_each(region, pts: np.ndarray) -> np.ndarray:
-    return np.array([project(region, (float(x), float(y))) for x, y in pts])
-
-
 def test_criterion_7_projection_correctness():
     gen = SplitMix64(700)
 
     # idempotence to 1e-8 over 10 regions x 20 points
     worst_idem = 0.0
     for seed in range(10):
-        region = _random_region(seed)
+        region = random_region(seed)
         pts = np.array([[gen.uniform(-15, 25), gen.uniform(-15, 25)] for _ in range(20)])
-        once = _project_each(region, pts)
-        twice = _project_each(region, once)
+        once = project_each(region, pts)
+        twice = project_each(region, once)
         worst_idem = max(worst_idem, float(np.max(np.hypot(*(twice - once).T))))
     assert worst_idem <= 1e-8
 
     # non-expansiveness over 1000 random pairs
     worst_expansion = -math.inf
     for seed in range(10):
-        region = _random_region(seed)
+        region = random_region(seed)
         a = np.array([[gen.uniform(-15, 25), gen.uniform(-15, 25)] for _ in range(100)])
         b = np.array([[gen.uniform(-15, 25), gen.uniform(-15, 25)] for _ in range(100)])
-        pa, pb = _project_each(region, a), _project_each(region, b)
+        pa, pb = project_each(region, a), project_each(region, b)
         expansion = np.hypot(*(pa - pb).T) - np.hypot(*(a - b).T)
         worst_expansion = max(worst_expansion, float(np.max(expansion)))
     assert worst_expansion <= 2e-8
@@ -191,7 +175,7 @@ def test_criterion_7_projection_correctness():
     # minimality against dense boundary sampling (plus box edges)
     worst_slack = -math.inf
     for seed in range(5):
-        region = _random_region(seed)
+        region = random_region(seed)
         table = region.table
         disks = list(zip(table.cx.tolist(), table.cy.tolist(), table.r.tolist()))
         theta = np.linspace(0.0, 2.0 * math.pi, 8001)

@@ -372,6 +372,45 @@ class TestTinyAltitude:
         assert out == f"{best} ({len(gxs) * len(gys)} nodes evaluated)\n"
 
 
+@pytest.fixture()
+def node_file(tmp_path):
+    # one user exactly on grid node (0, 0) at z = 1e-160 m: E / z^2 overflows there
+    path = tmp_path / "node.json"
+    argv = ["generate", "--clusters", "0,0,0,1,4500,4500", "--seed", "1",
+            "--z-min", "1e-160", "--out", str(path)]
+    assert main(argv) == 0
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["surface", "--spacing", "5", "--out", "n.svg"],
+    ["surface", "--spacing", "5", "--out", "n.csv"],
+    ["grid", "--spacing", "5"],
+], ids=["surface-svg", "surface-csv", "grid"])
+def test_overflowing_objective_is_input_error(node_file, tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([argv[0], str(node_file), *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: the objective overflows at z = 1e-160 m: a grid node is too close to a user; "
+        "use a higher altitude\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["node.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "s.json", "--mode", "box", "--no-line-search"],
+    ["generate", "--count", "5", "--seed", "1", "--z-max", "700"],
+], ids=["no-line-search", "z-max"])
+def test_removed_flags_are_refused(argv, capsys):
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestGrid:
     def test_box_mode(self, relaxed_file, capsys):
         rc = main(["grid", str(relaxed_file), "--spacing", "2"])

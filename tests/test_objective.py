@@ -130,7 +130,7 @@ class TestEvaluate:
         point = (100.0, 120.0)
         taus = [lifetime(u.energy, k, math.dist((*point, 650.0), (u.x, u.y, 0)))
                 for u in s.users]
-        assert value(s.users, 650.0, point) == pytest.approx(k.k * sum(taus), rel=1e-12)
+        assert value(s.users, 650.0, point) == pytest.approx(k * sum(taus), rel=1e-12)
 
     def test_per_user_tau_matches_channel_lifetime(self):
         s = generate_uniform(10, BOUNDS, 4500, 18000, seed=4)
@@ -138,7 +138,7 @@ class TestEvaluate:
         point = (30.0, 200.0)
         for u in s.users:
             d = math.sqrt((point[0] - u.x) ** 2 + (point[1] - u.y) ** 2 + 650.0**2)
-            tau = value([u], 650.0, point) / k.k
+            tau = value([u], 650.0, point) / k
             assert tau == pytest.approx(lifetime(u.energy, k, d), rel=1e-12)
 
 

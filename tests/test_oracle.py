@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +226,20 @@ class TestGridValues:
         for nodes in ([2, 1], [3, 3]):
             with pytest.raises(ValidationError, match="ascending"):
                 oracle.grid_values(xs, ys, es, 10.0, axis, axis, np.array(nodes))
+
+    @pytest.mark.parametrize("z", [1e-160, 1e-170])  # z^2 subnormal, z^2 == 0
+    def test_an_overflowing_node_is_an_input_error_naming_z(self, z):
+        # a user on node (1, 2): E / z^2 overflows, or divides by zero
+        xs, ys, es = np.array([1.0]), np.array([2.0]), np.array([4500.0])
+        axis = np.arange(4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"z = {z:g} m"):
+                oracle.grid_values(xs, ys, es, z, axis, axis, np.arange(16))
+            # off that node every value is finite, and comes back as before
+            values = oracle.grid_values(xs, ys, es, z, axis, axis, np.array([0, 15]))
+        corners = np.array([0.0, 3.0])  # nodes 0 and 15: (0, 0) and (3, 3)
+        assert np.array_equal(values, flat_values(xs, ys, es, z, corners, corners))
 
 
 def anchored_scenario(n: int, seed: int, side: float, z: float) -> Scenario:

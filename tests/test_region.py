@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from region_layouts import binding_scenario, project_each, random_region, unit_rf, unit_scenario
 
 import uavlift
 from uavlift import region as region_mod
@@ -21,26 +23,11 @@ from uavlift.region import (
     project,
 )
 from uavlift.rng import SplitMix64
-from uavlift.scenario import DEFAULT_RF, AreaBounds, RfParams, Scenario, UserDevice
+from uavlift.scenario import DEFAULT_RF, AreaBounds, Scenario, UserDevice
 
 # The geometry divides by distances that can be zero (concentric disks, a
 # query at a disk centre); it must guard them rather than warn.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
-
-def unit_rf(p_max=1.0, tau_th=1.0, users=1) -> RfParams:
-    """Radio parameters whose system constant is 1 W/m^2 for `users`
-    devices (rate exponent 1, unit noise, frequency c/(4*pi)), so range
-    limits reduce to plain square roots."""
-    return RfParams(
-        rate=1.0, bandwidth=float(users), noise=1.0,
-        frequency=SPEED_OF_LIGHT / (4.0 * math.pi), p_max=p_max, tau_th=tau_th,
-    )
-
-
-def unit_scenario(users, bounds, p_max=1.0, tau_th=1.0) -> Scenario:
-    rf = unit_rf(p_max, tau_th, users=len(users))
-    return Scenario(users=tuple(users), rf=rf, bounds=bounds)
 
 
 class TestRangeLimits:
@@ -64,7 +51,7 @@ class TestRangeLimits:
         k = system_constant(DEFAULT_RF, 200, c=3e8)
         gen = SplitMix64(6)
         es = np.array([gen.uniform(4500.0, 18000.0) for _ in range(500)])
-        want = [math.sqrt(e / (900.0 * k.k)) for e in es.tolist()]
+        want = [math.sqrt(e / (900.0 * k)) for e in es.tolist()]
         assert max_range_energy(es, 900.0, k).tolist() == want
         assert [max_range_energy(e, 900.0, k) for e in es.tolist()] == want
 
@@ -279,22 +266,24 @@ class TestProject:
         assert in_normal_cone(np.subtract(q, p), np.array(normals), rtol=1e-9)
 
 
+@pytest.mark.parametrize("m, digest", [
+    (5, "23fe6075157eca0bab8c6e6b3594a0ee2c6aaa1817de64c03ff1b1eb76bf03b9"),
+    (20, "b95c064ce0715b3767a5067d4e6754c3fb1ee6fc9fad61b4284e993e277698d2"),
+    (50, "006344dc2004f252c5a2449a2f0374e549d0bbe240807a33616f87ac989349a1"),
+])
+def test_binding_layout_keeps_its_bits(m, digest):
+    # sha256 of the xs, ys and es bytes the layout had when the region and
+    # solver tests each built their own copy of it
+    s = binding_scenario(m)
+    assert hashlib.sha256(b"".join(a.tobytes() for a in s.users.arrays)).hexdigest() == digest
+    assert s.rf == unit_rf(p_max=1e6, users=m)
+    assert s.bounds == AreaBounds(0, 100, 0, 100, 10, 10)
+
+
 def disk_rows(region: FeasibleRegion) -> list[tuple[float, float, float]]:
     """The region's disks as (x, y, radius) rows of Python floats."""
     table = region.table
     return list(zip(table.cx.tolist(), table.cy.tolist(), table.r.tolist()))
-
-
-def binding_scenario(m: int) -> Scenario:
-    """m devices whose disks at altitude 10 all pass 15 m beyond the anchor
-    (60, 60) in a 100 m box, at unit system constant."""
-    gen = SplitMix64(1)
-    users = []
-    for _ in range(m):
-        x, y = gen.uniform(0.0, 100.0), gen.uniform(0.0, 100.0)
-        radius = math.hypot(x - 60.0, y - 60.0) + 15.0
-        users.append(UserDevice(x, y, radius * radius + 100.0))
-    return unit_scenario(users, AreaBounds(0, 100, 0, 100, 10, 10), p_max=1e6)
 
 
 def in_normal_cone(v: np.ndarray, normals: np.ndarray, rtol: float) -> bool:
@@ -314,25 +303,6 @@ def in_normal_cone(v: np.ndarray, normals: np.ndarray, rtol: float) -> bool:
             if np.all(lam >= -rtol * scale):
                 return True
     return False
-
-
-def random_region(seed: int, n_disks: int = 5) -> FeasibleRegion:
-    """Disks drawn so that a random anchor point is inside all of them,
-    guaranteeing a non-empty intersection with the box."""
-    gen = SplitMix64(seed)
-    box = AreaBounds(0, 10, 0, 10, 1, 1)
-    ax, ay = gen.uniform(3, 7), gen.uniform(3, 7)
-    disks = []
-    for _ in range(n_disks):
-        cx, cy = gen.uniform(0, 10), gen.uniform(0, 10)
-        disks.append((cx, cy, math.hypot(cx - ax, cy - ay) + gen.uniform(0.5, 3.0)))
-    region = FeasibleRegion.from_disks(disks, box)
-    assert not region.empty
-    return region
-
-
-def project_each(region: FeasibleRegion, pts: np.ndarray) -> np.ndarray:
-    return np.array([project(region, (float(x), float(y))) for x, y in pts])
 
 
 class TestProjectionProperties:

@@ -1,8 +1,10 @@
+import hashlib
 import math
 import warnings
 
 import numpy as np
 import pytest
+from region_layouts import binding_scenario
 
 from uavlift import cases, objective
 from uavlift import solver as solver_mod
@@ -54,21 +56,6 @@ def newton_optimum(scenario, p=(125.0, 125.0), steps=30):
         det = a * d - b * b
         p = (p[0] - (d * gx - b * gy) / det, p[1] - (a * gy - b * gx) / det)
     return p
-
-
-def binding_scenario(m: int) -> Scenario:
-    """m devices at unit system constant whose disks at altitude 10 m all
-    pass 15 m beyond the anchor (60, 60) of a 100 m box: the benchmark's
-    binding layout, where the disks cut the box and no certificate holds."""
-    gen = SplitMix64(1)
-    users = []
-    for _ in range(m):
-        x, y = gen.uniform(0.0, 100.0), gen.uniform(0.0, 100.0)
-        radius = math.hypot(x - 60.0, y - 60.0) + 15.0
-        users.append(UserDevice(x, y, radius * radius + 100.0))
-    rf = RfParams(rate=1.0, bandwidth=float(m), noise=1.0,
-                  frequency=SPEED_OF_LIGHT / (4.0 * math.pi), p_max=1e6, tau_th=1.0)
-    return Scenario(users=tuple(users), rf=rf, bounds=AreaBounds(0, 100, 0, 100, 10, 10))
 
 
 def lipschitz(scenario) -> float:
@@ -154,6 +141,93 @@ class TestSolveBasics:
         assert built == [200]
 
 
+def z30_scenario():
+    # 250 m box at 30 m: no certificate, so the report carries the projected gradient
+    return generate_uniform(50, AreaBounds(0, 250, 0, 250, 30, 30), 4500, 18000, seed=3)
+
+
+# Each solve's report as float.hex: placement, objective, step_size_final,
+# gap_bound, projected_gradient, then iterations, converged and the sha256 of
+# the trajectory's hex. A change of step rule or summation order shows here.
+PINNED_SOLVES = {
+    "uniform": (
+        canned_uniform, cases.UNIFORM_CONFIG, cases.C_ROUNDED,
+        ("0x1.0479666f7e690p+7", "0x1.fa3546ec77d29p+6", "0x1.4500000000000p+9"),
+        "0x1.4d0b09d3aea98p+2", "0x1.35db7591e9e48p+15", "0x1.bd053438c76f8p-43", None, 5, True,
+        "04da25844dad40cd1622aaf90eba55f9e714a96f022e283a2a6607e877a6c279",
+    ),
+    "nonuniform": (
+        canned_nonuniform, cases.NONUNIFORM_CONFIG, cases.C_ROUNDED,
+        ("0x1.a6d9a04e9d8b4p+6", "0x1.f955381c331c6p+6", "0x1.4500000000000p+9"),
+        "0x1.52055c3f88c19p+2", "0x1.345af188f678ap+15", "0x1.353b21bcc58dap-50", None, 6, True,
+        "fe5c1888fb631542fd5d4dfee8da3244a8e9e3445de23a701046f0b652c00a75",
+    ),
+    "u2000-corner": (
+        lambda: generate_uniform(2000, cases.BOUNDS, *cases.ENERGY, cases.SEED),
+        SolverConfig(mode="box", init=(0.0, 0.0)), cases.C_ROUNDED,
+        ("0x1.ee69946a06c65p+6", "0x1.f93d85f8b0888p+6", "0x1.4500000000000p+9"),
+        "0x1.9f75c14806652p+5", "0x1.f04d1e3c6601ep+11", "0x1.0ff4d158642b4p-40", None, 7, True,
+        "b8145d6bde75009ec30492ee14b8fa82ef3d0aec7c0661949de155e980c01c00",
+    ),
+    "b20-centroid": (
+        lambda: binding_scenario(20), SolverConfig(mode="region"), SPEED_OF_LIGHT,
+        ("0x1.64d601ad70ba1p+5", "0x1.dea9cc6def43ep+5", "0x1.4000000000000p+3"),
+        "0x1.e48d55cc9a3bbp+5", "0x1.7a39a2e0b3da1p+4", None, "0x0.0p+0", 10, True,
+        "809d4b0734fdd20de9604a4ce0055430f9802b5b472735f991c3729874ac7dda",
+    ),
+    "b20-corner": (
+        lambda: binding_scenario(20), SolverConfig(mode="region", init=(0.0, 0.0)), SPEED_OF_LIGHT,
+        ("0x1.64d601ad70ba1p+5", "0x1.dea9cc6def43ep+5", "0x1.4000000000000p+3"),
+        "0x1.e48d55cc9a3bbp+5", "0x1.7a39a2e0b3da1p+4", None, "0x0.0p+0", 10, True,
+        "40572da142f67f6ea883784f6fd8f837ece1049d3c85c5849423ab26b0292a16",
+    ),
+    "b50-centroid": (
+        lambda: binding_scenario(50), SolverConfig(mode="region"), SPEED_OF_LIGHT,
+        ("0x1.654919934d900p+5", "0x1.e12f69e47ee73p+5", "0x1.4000000000000p+3"),
+        "0x1.cc5d9ed7a5df0p+6", "0x1.f16cbbaed2cecp+9", None, "0x0.0p+0", 16, True,
+        "78179f66c7099f4835837eb877a16557cd98541964e1a274e44afa3d205a70ac",
+    ),
+    "b50-corner": (
+        lambda: binding_scenario(50), SolverConfig(mode="region", init=(0.0, 0.0)), SPEED_OF_LIGHT,
+        ("0x1.654919934d900p+5", "0x1.e12f69e47ee73p+5", "0x1.4000000000000p+3"),
+        "0x1.cc5d9ed7a5df0p+6", "0x1.f16cbbaed2cecp+9", None, "0x0.0p+0", 16, True,
+        "46646b7f0a2026a6f5fa5e34e1d640be32edfb7a618f9e7670fd67c406185b5f",
+    ),
+    # 1/L is about 0.03 here, so a first step of 1 must halve
+    "b50-box-step1": (
+        lambda: binding_scenario(50), SolverConfig(mode="box", step_size=1.0), SPEED_OF_LIGHT,
+        ("0x1.b0eabbbc3dcedp+5", "0x1.6d12ccb92c13ep+3", "0x1.4000000000000p+3"),
+        "0x1.12a2b0f17d6cbp+8", "0x1.0000000000000p-1", None, "0x1.30f7afabf39e1p-12", 29, True,
+        "6cbfe439dd54a926013ad201636ee2e3fb5cc1dcdedcb07d0b50f52db9350bb0",
+    ),
+    "z30-box": (
+        z30_scenario, SolverConfig(mode="box"), SPEED_OF_LIGHT,
+        ("0x1.6c3cf49fc88e3p+6", "0x1.22566fb5d7b09p+6", "0x1.e000000000000p+4"),
+        "0x1.98b902655a140p+6", "0x1.7e573c1bc33ebp+4", None, "0x1.c9331f1d8c79ap-17", 20, True,
+        "0f10696e7deaaa1daf9b5a0c098f19731bdb0b157d39c160132d740ed43c882c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_SOLVES)
+def test_pinned_solve_reports(name):
+    make, config, c, *want = PINNED_SOLVES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # binding and z = 30 m: no certificate
+        r = solve(make(), config, c=c)
+
+    def hexed(v):
+        return None if v is None else float.hex(v)
+
+    rows = repr([tuple(map(float.hex, row)) for row in r.trajectory]).encode()
+    got = [
+        tuple(map(float.hex, r.placement)), hexed(r.objective), hexed(r.step_size_final),
+        hexed(r.gap_bound), hexed(r.projected_gradient), r.iterations, r.converged,
+        hashlib.sha256(rows).hexdigest(),
+    ]
+    assert got == want
+
+
 class TestStepRule:
     def test_canned_uniform_case_converges_to_the_newton_optimum(self, value_calls):
         scenario = canned_uniform()
@@ -172,16 +246,16 @@ class TestStepRule:
         assert math.dist(report.placement[:2], newton_optimum(scenario)) <= 1e-3
         assert len(value_calls) <= 3 * report.iterations + 1
 
-    def test_fixed_step_defaults_to_one_over_lipschitz(self):
+    def test_first_accepted_step_is_one_over_lipschitz(self):
         scenario = canned_uniform()
-        config = SolverConfig(mode="box", line_search=False, max_iters=3)
+        config = SolverConfig(mode="box", max_iters=1)
         report = solve(scenario, config, c=cases.C_ROUNDED)
-        step = 1.0 / lipschitz(scenario)
-        assert report.step_size_final == pytest.approx(step, rel=1e-12)
         z = scenario.bounds.z_min
-        for (x0, y0, _), (x1, y1, _) in zip(report.trajectory, report.trajectory[1:]):
-            gx, gy = gradient(scenario.users, z, (x0, y0))  # interior: no clamping
-            assert (x1, y1) == pytest.approx((x0 + step * gx, y0 + step * gy), rel=1e-12)
+        step = 1.0 / (2.0 * float(scenario.users.arrays.es.sum()) / z**4)  # the solver's 1/L
+        (x0, y0, _), (x1, y1, _) = report.trajectory
+        gx, gy = gradient(scenario.users, z, (x0, y0))  # interior: no clamping
+        assert (x1, y1) == (x0 + step * gx, y0 + step * gy)
+        assert report.step_size_final == 2.0 * step  # an accepted step doubles the next
 
     @pytest.mark.parametrize("m", [5, 20, 50])
     def test_binding_region_solves_agree_from_both_starts(self, m, value_calls):
@@ -276,9 +350,8 @@ class TestGapBound:
         assert gap <= report.gap_bound <= 1.5 * gap
 
     def test_no_gap_without_the_certificate(self):
-        bounds = AreaBounds(0, 250, 0, 250, 30, 30)
-        s = generate_uniform(50, bounds, 4500, 18000, seed=3)
-        assert strong_concavity(s.users, bounds) <= 0
+        s = z30_scenario()
+        assert strong_concavity(s.users, s.bounds) <= 0
         with pytest.warns(RuntimeWarning, match="non-concave"):
             report = solve(s, SolverConfig(mode="box"))
         assert report.gap_bound is None
@@ -293,12 +366,6 @@ class TestMonotoneAscent:
         report = solve(reference_scenario(), SolverConfig(mode="box", max_iters=100), c=3e8)
         values = [f for _, _, f in report.trajectory]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
-
-    def test_fixed_step_mode_reports_what_happened(self):
-        # An aggressive fixed step may oscillate; the trajectory must simply
-        # record it without doctoring.
-        config = SolverConfig(mode="box", step_size=1e6, line_search=False, max_iters=30)
-        report = solve(reference_scenario(), config, c=3e8)
         assert len(report.trajectory) == report.iterations + 1
 
 
@@ -356,8 +423,7 @@ class TestRegionMode:
 
 class TestNonConcaveWarning:
     def test_warns_when_certificate_fails(self):
-        bounds = AreaBounds(0, 250, 0, 250, 30, 30)
-        s = generate_uniform(50, bounds, 4500, 18000, seed=3)
+        s = z30_scenario()
         with pytest.warns(RuntimeWarning, match="non-concave"):
             solve(s, SolverConfig(mode="box", max_iters=5))
 
