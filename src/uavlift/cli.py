@@ -12,6 +12,7 @@ import argparse
 import functools
 import math
 import sys
+import warnings
 
 from . import cases
 from . import solver as solver_mod
@@ -330,6 +331,10 @@ _COMMANDS = {
 }
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -337,7 +342,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        # a library warning is one line on stderr, without a source location
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            return _COMMANDS[args.command](args)
     except (ValidationError, ParseError, ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

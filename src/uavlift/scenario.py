@@ -6,8 +6,11 @@ is built and read-only from then on, so a scenario is safe to share across
 threads. ``scenario.users`` is a read-only sequence of :class:`UserDevice`
 over those arrays, and ``scenario.users.arrays`` hands the arrays to the
 kernels without a copy. Generators are deterministic under an explicit
-seed (see :mod:`uavlift.rng`), and the file format is plain JSON with full
-double-precision decimals, so ``load(save(s)) == s`` holds exactly.
+seed (see :mod:`uavlift.rng`). The file format is plain JSON with full
+double-precision decimals, so ``load(save(s)) == s`` holds exactly, and it
+keeps the users as columns too: one array each of x, y and energy, so a
+load parses numbers and builds no per-user objects. ``load`` also reads
+the older row layout, one ``{"x", "y", "energy"}`` object per user.
 """
 
 from __future__ import annotations
@@ -333,13 +336,17 @@ def generate_clustered(
 
 
 # ---------------------------------------------------------------------------
-# File format: a single JSON document with users[{x,y,energy}], rf{...},
-# bounds{...} and the generator seed. json round-trips doubles exactly
-# (repr emits the shortest decimal that parses back to the same bits).
+# File format: a single JSON document with the generator seed, the users,
+# rf{...} and bounds{...}. `save` writes the users as columns,
+# users{x: [...], y: [...], energy: [...]}, each column one line of decimals;
+# `load` also reads the row layout users[{x, y, energy}, ...] of hand-written
+# files and earlier versions, and both layouts go through the same checks.
+# json round-trips doubles exactly (repr emits the shortest decimal that
+# parses back to the same bits).
 # ---------------------------------------------------------------------------
 
 
-def _document(scenario: Scenario, users: list) -> dict:
+def _document(scenario: Scenario, users) -> dict:
     return {
         "seed": scenario.seed,
         "users": users,
@@ -349,9 +356,9 @@ def _document(scenario: Scenario, users: list) -> dict:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    columns = (a.tolist() for a in scenario.users.arrays)
+    """The document `save` writes: the users as x, y and energy lists."""
     return _document(
-        scenario, [{"x": x, "y": y, "energy": e} for x, y, e in zip(*columns)]
+        scenario, dict(zip(_USER_KEYS, (a.tolist() for a in scenario.users.arrays)))
     )
 
 
@@ -372,22 +379,50 @@ def _number(mapping, key: str, where: str) -> float:
     return _finite(value, where, key)
 
 
-def _user_columns(raw_users: list) -> UserArrays:
-    """The users' x, y and energy columns, with every value finite and every
-    energy positive. One list comprehension pulls each column; when an entry
-    is not an object, lacks a key or holds a value that is not an int or
-    float (or an int beyond the double range), the per-user loop below
-    raises the error of the first bad user."""
-    try:
-        columns = [[raw[key] for raw in raw_users] for key in _USER_KEYS]
-        if all(set(map(type, col)) <= {int, float} for col in columns):
+def _raw_columns(raw_users: dict) -> list[list]:
+    """The x, y and energy arrays of the column layout, as parsed."""
+    columns = [_require(raw_users, key, "users") for key in _USER_KEYS]
+    for key, col in zip(_USER_KEYS, columns):
+        if not isinstance(col, list):
+            raise ParseError(f"field 'users.{key}' must be an array")
+    if len(set(map(len, columns))) > 1:
+        lengths = ", ".join(f"{key} {len(col)}" for key, col in zip(_USER_KEYS, columns))
+        raise ParseError(f"user columns must have equal length, got {lengths}")
+    return columns
+
+
+def _user_columns(raw_users) -> UserArrays:
+    """The users' x, y and energy columns, from either file layout, with
+    every value finite and every energy positive. A column file gives its
+    arrays as they are; a row file's are pulled by one list comprehension
+    each. Both then take one type check and one vectorized value check. When
+    a row is not an object or lacks a key, or a value is not an int or float
+    (or is an int beyond the double range), the per-user loop below raises
+    the error of the first bad user, so the two layouts name a bad value
+    alike: users[i].key."""
+    if isinstance(raw_users, dict):
+        columns = _raw_columns(raw_users)
+        rows = None
+    elif isinstance(raw_users, list):
+        rows = raw_users
+        try:
+            columns = [[raw[key] for raw in rows] for key in _USER_KEYS]
+        except (TypeError, KeyError):
+            columns = None
+    else:
+        raise ParseError("field 'users' must be an array or an object")
+    if columns is not None and all(set(map(type, col)) <= {int, float} for col in columns):
+        try:
             arrays = UserArrays(*(np.array(col, dtype=float) for col in columns))
+        except OverflowError:
+            pass
+        else:
             _check_user_values(arrays)
             return arrays
-    except (TypeError, KeyError, OverflowError):
-        pass
+    if rows is None:
+        rows = [dict(zip(_USER_KEYS, values)) for values in zip(*columns)]
     columns = ([], [], [])
-    for i, raw in enumerate(raw_users):
+    for i, raw in enumerate(rows):
         for key, col in zip(_USER_KEYS, columns):
             col.append(_number(raw, key, f"users[{i}]"))
         _check_energy(i, columns[2][-1])
@@ -402,10 +437,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ParseError(f"field 'seed' must be an integer or null, got {seed!r}")
         check_seed(seed)
-    raw_users = _require(doc, "users", "")
-    if not isinstance(raw_users, list):
-        raise ParseError("field 'users' must be an array")
-    users = _user_columns(raw_users)
+    users = _user_columns(_require(doc, "users", ""))
     raw_rf = _require(doc, "rf", "")
     rf = RfParams(
         rate=_number(raw_rf, "rate", "rf"),
@@ -428,16 +460,17 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 
 def save(scenario: Scenario, path: str | Path) -> None:
-    """Write `json.dumps(scenario_to_dict(scenario), indent=2)` plus a newline,
-    byte for byte. The user entries are formatted straight from the arrays
-    with repr, the float format json uses, in the same indented layout; only
-    the head and tail go through json.dumps."""
-    head, tail = json.dumps(_document(scenario, []), indent=2).split('"users": []')
-    entries = ",\n".join([
-        f'    {{\n      "x": {x!r},\n      "y": {y!r},\n      "energy": {e!r}\n    }}'
-        for x, y, e in zip(*(a.tolist() for a in scenario.users.arrays))
-    ])
-    Path(path).write_text(f'{head}"users": [\n{entries}\n  ]{tail}\n')
+    """Write `scenario_to_dict(scenario)` as `json.dumps(..., indent=2)`
+    lays it out, plus a newline, except that each user column is one line:
+    `"x": [x0, x1, ...]`. The columns are formatted straight from the arrays
+    with repr, the float format json uses; only the head and tail go through
+    json.dumps."""
+    head, tail = json.dumps(_document(scenario, {}), indent=2).split('"users": {}')
+    columns = ",\n".join(
+        f'    "{key}": [{", ".join(map(repr, a.tolist()))}]'
+        for key, a in zip(_USER_KEYS, scenario.users.arrays)
+    )
+    Path(path).write_text(f'{head}"users": {{\n{columns}\n  }}{tail}\n')
 
 
 def load(path: str | Path) -> Scenario:

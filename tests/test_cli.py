@@ -51,6 +51,13 @@ class TestGenerate:
         main(argv + [str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_generator_stream_is_pinned_apart_from_the_file_layout(self, reference_file):
+        # sha256 of the xs, ys and es bytes, the same when loaded from the
+        # row-layout file that earlier versions wrote for these flags
+        s = load(reference_file)
+        digest = hashlib.sha256(b"".join(a.tobytes() for a in s.users.arrays)).hexdigest()
+        assert digest == "f291096db08272dcd1ceeba31f8b4bfef7ddbaf1dc73013b0233db0afc92dce7"
+
     def test_missing_count_is_usage_error(self, tmp_path, capsys):
         assert main(["generate", "--seed", "1", "--out", str(tmp_path / "x.json")]) == 2
         capsys.readouterr()
@@ -216,6 +223,17 @@ class TestSolve:
         assert rc == 0
         assert "converged true" in capsys.readouterr().out
 
+    def test_library_warning_is_one_line_on_stderr(self, tmp_path, capsys):
+        path = tmp_path / "z2.json"
+        assert main(["generate", "--count", "200", "--seed", "9", "--z-min", "2", "--out", str(path)]) == 0
+        capsys.readouterr()
+        for _ in range(2):  # once per command, not once per process
+            assert main(["solve", str(path), "--mode", "box"]) == 0
+            assert capsys.readouterr().err == (
+                "warning: objective may be non-concave: z_min = 2 m does not exceed "
+                "sqrt(3)*d_max = 612.37 m; the ascent finds a local optimum\n"
+            )
+
     def test_honest_convergence_with_one_iteration(self, relaxed_file, capsys):
         rc = main(["solve", str(relaxed_file), "--mode", "box", "--max-iters", "1"])
         out = capsys.readouterr().out
@@ -274,7 +292,7 @@ def test_parser_is_built_once_and_reused(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["check", "solve"])
 def test_non_finite_energy_is_input_error_exit_2(relaxed_file, tmp_path, capsys, command, literal):
     doc = json.loads(relaxed_file.read_text())
-    doc["users"][0]["energy"] = "NUMBER"
+    doc["users"]["energy"][0] = "NUMBER"
     path = tmp_path / "infinite.json"
     path.write_text(json.dumps(doc).replace('"NUMBER"', literal))
     assert main([command, str(path)]) == 2

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from uavlift import cases
+from uavlift.cli import main
 from uavlift.errors import ParseError, ValidationError
 from uavlift.objective import nsd_scan
 from uavlift.rng import SplitMix64
@@ -26,6 +27,15 @@ from uavlift.scenario import (
 )
 
 BOUNDS = AreaBounds(0, 250, 0, 250, 650, 650)
+
+
+def row_document(scenario: Scenario) -> dict:
+    """`scenario_to_dict` with the users in the row layout of earlier
+    versions and hand-written files: one {"x", "y", "energy"} object each."""
+    doc = scenario_to_dict(scenario)
+    columns = doc["users"]
+    doc["users"] = [dict(zip(columns, values)) for values in zip(*columns.values())]
+    return doc
 
 
 class TestTypes:
@@ -176,7 +186,7 @@ class TestRoundTrip:
             assert (a.x, a.y, a.energy) == (b.x, b.y, b.energy)
 
     def test_negative_energy_is_validation_error(self, tmp_path):
-        doc = scenario_to_dict(generate_uniform(2, BOUNDS, 5, 6, seed=1))
+        doc = row_document(generate_uniform(2, BOUNDS, 5, 6, seed=1))
         doc["users"][1]["energy"] = -3.0
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -192,7 +202,7 @@ class TestRoundTrip:
             load(path)
 
     def test_missing_user_coordinate_names_the_field(self, tmp_path):
-        doc = scenario_to_dict(generate_uniform(5, BOUNDS, 5, 6, seed=1))
+        doc = row_document(generate_uniform(5, BOUNDS, 5, 6, seed=1))
         del doc["users"][3]["y"]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -212,7 +222,7 @@ class TestRoundTrip:
         ["Infinity", "-Infinity", "NaN", "1e400", pytest.param("1" + "0" * 400, id="int-1e400")],
     )
     def test_non_finite_number_names_the_field(self, tmp_path, literal):
-        doc = scenario_to_dict(generate_uniform(2, BOUNDS, 5, 6, seed=1))
+        doc = row_document(generate_uniform(2, BOUNDS, 5, 6, seed=1))
         doc["users"][1]["energy"] = "NUMBER"
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc).replace('"NUMBER"', literal))
@@ -360,50 +370,70 @@ EXTREME_BOUNDS = AreaBounds(-1e300, 1e300, -0.0, 5e-324, 5e-324, 1e300)
 EXTREME_RF = RfParams(1e300, 5e-324, 1e-300, 4e9, 1.7976931348623157e308, 5e-324)
 
 
+SAVE_CASES = [
+    pytest.param(lambda: generate_uniform(1, BOUNDS, 4500, 18000, seed=1), id="n1"),
+    pytest.param(lambda: generate_uniform(200, BOUNDS, 4500, 18000, seed=9), id="n200"),
+    pytest.param(lambda: generate_uniform(12000, BOUNDS, 4500, 18000, seed=101), id="n12000"),
+    pytest.param(
+        lambda: generate_clustered((cases.DENSE, cases.SPARSE), BOUNDS, seed=3), id="clustered"
+    ),
+    pytest.param(
+        lambda: Scenario(
+            users=(UserDevice(3, 4, 5), UserDevice(250, 0, 1e-9)), rf=DEFAULT_RF, bounds=BOUNDS
+        ),
+        id="seed-none",
+    ),
+    pytest.param(
+        lambda: Scenario(
+            users=(
+                UserDevice(-0.0, 5e-324, 1e300),
+                UserDevice(1e300, 0.0, 5e-324),
+                UserDevice(-1e300, -0.0, 1.7976931348623157e308),
+                UserDevice(0.1, 2.5e-324, 0.30000000000000004),
+            ),
+            rf=EXTREME_RF,
+            bounds=EXTREME_BOUNDS,
+            seed=2**64 - 1,
+        ),
+        id="extreme-doubles",
+    ),
+]
+
+
 class TestSaveBytes:
-    @pytest.mark.parametrize(
-        "make",
-        [
-            pytest.param(lambda: generate_uniform(1, BOUNDS, 4500, 18000, seed=1), id="n1"),
-            pytest.param(lambda: generate_uniform(200, BOUNDS, 4500, 18000, seed=9), id="n200"),
-            pytest.param(lambda: generate_uniform(12000, BOUNDS, 4500, 18000, seed=101), id="n12000"),
-            pytest.param(
-                lambda: generate_clustered((cases.DENSE, cases.SPARSE), BOUNDS, seed=3), id="clustered"
-            ),
-            pytest.param(
-                lambda: Scenario(
-                    users=(UserDevice(3, 4, 5), UserDevice(250, 0, 1e-9)), rf=DEFAULT_RF, bounds=BOUNDS
-                ),
-                id="seed-none",
-            ),
-            pytest.param(
-                lambda: Scenario(
-                    users=(
-                        UserDevice(-0.0, 5e-324, 1e300),
-                        UserDevice(1e300, 0.0, 5e-324),
-                        UserDevice(-1e300, -0.0, 1.7976931348623157e308),
-                        UserDevice(0.1, 2.5e-324, 0.30000000000000004),
-                    ),
-                    rf=EXTREME_RF,
-                    bounds=EXTREME_BOUNDS,
-                    seed=2**64 - 1,
-                ),
-                id="extreme-doubles",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("make", SAVE_CASES)
     def test_writer_matches_json_dumps(self, tmp_path, make):
+        # json.dumps(..., indent=2) lays out the head and tail, and each user
+        # column is one line, as json.dumps writes a list of floats
         s = make()
         path = tmp_path / "s.json"
         save(s, path)
-        assert path.read_text() == json.dumps(scenario_to_dict(s), indent=2) + "\n"
+        doc = scenario_to_dict(s)
+        assert list(doc["users"]) == ["x", "y", "energy"]
+        assert all(type(v) is float for col in doc["users"].values() for v in col)
+        columns = ",\n".join(f'    "{key}": {json.dumps(col)}' for key, col in doc["users"].items())
+        expected = json.dumps({**doc, "users": "USERS"}, indent=2).replace(
+            '"USERS"', "{\n" + columns + "\n  }"
+        )
+        text = path.read_text()
+        assert text == expected + "\n"
+        assert json.loads(text) == doc
         assert load(path) == s
+
+    @pytest.mark.parametrize("make", SAVE_CASES)
+    def test_row_and_column_files_load_to_the_same_bits(self, tmp_path, make):
+        s = make()
+        rows, columns = tmp_path / "rows.json", tmp_path / "columns.json"
+        rows.write_text(json.dumps(row_document(s), indent=2) + "\n")  # the earlier writer's bytes
+        save(s, columns)
+        assert fields_hex(load(rows).users) == fields_hex(load(columns).users) == fields_hex(s.users)
+        assert load(rows) == load(columns) == s
 
 
 def write_users(tmp_path, users, count=5):
-    """A valid `count`-user file whose users[i] entries are replaced by the
-    raw JSON texts in `users`."""
-    doc = scenario_to_dict(generate_uniform(count, BOUNDS, 5, 6, seed=1))
+    """A valid `count`-user row file whose users[i] entries are replaced by
+    the raw JSON texts in `users`."""
+    doc = row_document(generate_uniform(count, BOUNDS, 5, 6, seed=1))
     for i in users:
         doc["users"][i] = f"RAW{i}"
     text = json.dumps(doc)
@@ -456,7 +486,7 @@ class TestLoadErrors:
         assert "users[3]" not in str(info.value) and "user 3" not in str(info.value)
 
     def test_bad_user_is_reported_before_a_bad_rf_field(self, tmp_path):
-        doc = scenario_to_dict(generate_uniform(3, BOUNDS, 5, 6, seed=1))
+        doc = row_document(generate_uniform(3, BOUNDS, 5, 6, seed=1))
         doc["users"][2]["energy"] = -1.0
         del doc["rf"]["noise"]
         path = tmp_path / "bad.json"
@@ -467,3 +497,97 @@ class TestLoadErrors:
     def test_integer_values_load_as_floats(self, tmp_path):
         s = load(write_users(tmp_path, {0: '{"x": 1, "y": 2, "energy": 3}'}))
         assert s.users[0] == UserDevice(1.0, 2.0, 3.0) and s.users.arrays.xs.dtype == np.float64
+
+
+def write_columns(tmp_path, values, users=None, count=5):
+    """A valid `count`-user column file whose users.key[i] entries are
+    replaced by the raw JSON texts in `values`, keyed by (key, i), and whose
+    whole users object is replaced by the raw text `users` if one is given."""
+    doc = scenario_to_dict(generate_uniform(count, BOUNDS, 5, 6, seed=1))
+    for key, i in values:
+        doc["users"][key][i] = f"RAW-{key}-{i}"
+    if users is not None:
+        doc["users"] = "RAW-users"
+    text = json.dumps(doc)
+    for (key, i), raw in values.items():
+        text = text.replace(f'"RAW-{key}-{i}"', raw)
+    path = tmp_path / "bad.json"
+    path.write_text(text.replace('"RAW-users"', users or ""))
+    return path
+
+
+class TestColumnLoadErrors:
+    @pytest.mark.parametrize(
+        "users, message",
+        [
+            ('{"x": [1, 2, 3], "energy": [1, 2, 3]}', r"missing field 'users\.y'"),
+            ('{"x": [1, 2, 3], "y": 2, "energy": [1, 2, 3]}', r"field 'users\.y' must be an array"),
+            ('{"x": [1, 2, 3], "y": {"0": 1}, "energy": [1, 2, 3]}', r"field 'users\.y' must be an array"),
+            ('{"x": [1, 2, 3], "y": [1, 2, 3], "energy": [1, 2]}',
+             r"user columns must have equal length, got x 3, y 3, energy 2"),
+            ('{"x": [], "y": [1], "energy": []}', r"equal length, got x 0, y 1, energy 0"),
+            ("7", r"field 'users' must be an array or an object"),
+            ('"users"', r"field 'users' must be an array or an object"),
+            ("null", r"field 'users' must be an array or an object"),
+        ],
+        ids=["missing-column", "number-column", "object-column", "short-column", "long-column",
+             "users-number", "users-string", "users-null"],
+    )
+    def test_malformed_columns_are_parse_errors_exit_2(self, tmp_path, capsys, users, message):
+        path = write_columns(tmp_path, {}, users=users)
+        with pytest.raises(ParseError, match=message):
+            load(path)
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "values, error, message",
+        [
+            ({("x", 1): "true"}, ParseError, r"'users\[1\]\.x' must be a number, got True"),
+            ({("y", 1): '"far"'}, ParseError, r"'users\[1\]\.y' must be a number, got 'far'"),
+            ({("energy", 1): "null"}, ParseError, r"'users\[1\]\.energy' must be a number, got None"),
+            ({("x", 1): "[1]"}, ParseError, r"'users\[1\]\.x' must be a number, got \[1\]"),
+            ({("energy", 1): "NaN"}, ValidationError, r"users\[1\]\.energy must be finite"),
+            ({("x", 1): "Infinity"}, ValidationError, r"users\[1\]\.x must be finite"),
+            ({("y", 1): "-Infinity"}, ValidationError, r"users\[1\]\.y must be finite"),
+            ({("energy", 1): "1e400"}, ValidationError, r"users\[1\]\.energy must be finite"),
+            ({("y", 1): "1" + "0" * 400}, ValidationError, r"users\[1\]\.y must be finite"),
+            ({("energy", 1): "-3.0"}, ValidationError, r"users\[1\]\.energy must be positive, got -3\.0"),
+            ({("energy", 1): "0"}, ValidationError, r"users\[1\]\.energy must be positive, got 0\.0"),
+            ({("x", 1): "250.5"}, ValidationError, r"user 1 at \(250\.5, "),
+            ({("y", 1): "-1"}, ValidationError, r"user 1 at \(.*, -1\.0\) lies outside"),
+        ],
+        ids=["true", "string", "null", "array", "nan", "infinity", "minus-infinity", "1e400",
+             "int-1e400", "negative-energy", "zero-energy", "outside-x", "outside-y"],
+    )
+    def test_bad_value_names_the_column_and_index(self, tmp_path, capsys, values, error, message):
+        path = write_columns(tmp_path, values)
+        with pytest.raises(error, match=message):
+            load(path)
+        assert main(["check", str(path)]) == 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "values, error, message",
+        [
+            ({("energy", 1): "-3.0", ("x", 3): '"far"'}, ValidationError,
+             r"users\[1\]\.energy must be positive"),
+            ({("x", 1): '"far"', ("energy", 3): "NaN"}, ParseError, r"'users\[1\]\.x' must be a number"),
+            ({("energy", 1): "NaN", ("x", 3): "1" + "0" * 400}, ValidationError,
+             r"users\[1\]\.energy must be finite"),
+            ({("energy", 1): "true", ("x", 3): "true"}, ParseError, r"'users\[1\]\.energy'"),
+        ],
+        ids=["value-then-type", "type-then-value", "value-then-overflow", "later-column-first"],
+    )
+    def test_first_bad_user_is_named(self, tmp_path, values, error, message):
+        with pytest.raises(error, match=message) as info:
+            load(write_columns(tmp_path, values))
+        assert "users[3]" not in str(info.value)
+
+    def test_integer_values_load_as_floats(self, tmp_path):
+        s = load(write_columns(tmp_path, {}, users='{"x": [1, 2, 3], "y": [1, 2, 3], "energy": [1, 2, 3]}'))
+        assert s.users[2] == UserDevice(3.0, 3.0, 3.0) and s.users.arrays.es.dtype == np.float64
+
+    def test_no_users_is_a_validation_error(self, tmp_path):
+        with pytest.raises(ValidationError, match="at least one user"):
+            load(write_columns(tmp_path, {}, users='{"x": [], "y": [], "energy": []}'))
