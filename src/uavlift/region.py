@@ -10,7 +10,10 @@ That intersection is a convex region bounded by circular arcs and box
 edges, so emptiness and Euclidean projection are exact 2D geometry: the
 region's vertices, found once by the pass that decides emptiness, and
 closed-form single-set projections. This replaces Dykstra's alternating
-projections (Boyle & Dykstra, 1986).
+projections (Boyle & Dykstra, 1986). How far an empty region is from being
+non-empty, min over p of the largest violation g(p), is exact too: an
+LP-type problem of combinatorial dimension 3 that `minmax` solves by
+pivoting on the most violated constraint.
 
 A region keeps each concept once, as arrays: the users' range limits as
 `RangeLimits` (one power range, one energy range per user) and the disks as
@@ -75,7 +78,7 @@ class DiskTable(NamedTuple):
 class EmptinessCheck(NamedTuple):
     empty: bool
     witness: tuple[float, float] | None  # a feasible point when non-empty
-    shortfall: float                     # max violation of the witness, or min-max when empty
+    shortfall: float                     # max violation of the witness, or exact min-max when empty
     cause: str | None                    # human-readable reason when empty
     vertices: np.ndarray                 # (K, 2) feasible candidate points; none when empty
 
@@ -227,38 +230,28 @@ def check_empty(disks: DiskTable | ArrayLike, box: AreaBounds) -> EmptinessCheck
     region itself unless it is thinner than EMPTINESS_TOL.
 
     Non-empty verdicts carry the surviving candidate with the least
-    violation as witness. Empty verdicts report min g as `shortfall`,
-    found by bisecting the padding with the same candidate test.
+    violation as witness. Empty verdicts report min g as `shortfall`, exact
+    up to rounding, from the min-max solve `minmax.least_violation`.
 
     `disks` is a region's `DiskTable`, or (x, y, radius) rows or an (m, 3)
     array as `FeasibleRegion.from_disks` takes them.
     """
     table = disks if isinstance(disks, DiskTable) else _disk_arrays(disks, box)
 
-    def survivors(pad: float) -> tuple[np.ndarray, np.ndarray]:
+    for pad in (0.0, EMPTINESS_TOL):
         pts = _candidates(table, box, pad)
         kept, viol = _within(pts, table, box, pad + table.rounding)
-        return pts[kept], viol
-
-    for pad in (0.0, EMPTINESS_TOL):
-        pts, viol = survivors(pad)
-        if len(pts):
+        if len(kept):
+            pts = pts[kept]
             k = int(np.argmin(viol))
             witness = (float(pts[k, 0]), float(pts[k, 1]))
             return EmptinessCheck(False, witness, float(viol[k]), None, pts)
 
-    # min g lies in (lo, hi]; hi is always a violation some point attains.
-    centre = np.array([[0.5 * (box.x_min + box.x_max), 0.5 * (box.y_min + box.y_max)]])
-    lo, hi = EMPTINESS_TOL, float(_within(centre, table, box, math.inf)[1][0])
-    while hi - lo > 4.0 * table.rounding:
-        mid = 0.5 * (lo + hi)
-        _, viol = survivors(mid)
-        if len(viol):
-            hi = min(hi, float(np.min(viol)))
-        else:
-            lo = mid
-    cause = f"disk intersection is empty: best placement still misses some disk by {hi:.6g} m"
-    return EmptinessCheck(True, None, hi, cause, np.empty((0, 2)))
+    from .minmax import least_violation  # only empty regions need it; the package import skips it
+
+    _, shortfall = least_violation(table, box)
+    cause = f"disk intersection is empty: best placement still misses some disk by {shortfall:.6g} m"
+    return EmptinessCheck(True, None, shortfall, cause, np.empty((0, 2)))
 
 
 def _disk_arrays(disks: ArrayLike, box: AreaBounds) -> DiskTable:

@@ -234,6 +234,22 @@ class TestSolve:
                 "sqrt(3)*d_max = 612.37 m; the ascent finds a local optimum\n"
             )
 
+    def test_warning_raised_as_error_is_one_line_and_exit_4(self, tmp_path, capsys):
+        # what `python -W error -m uavlift.cli solve ...` does to the same warning
+        path = tmp_path / "z2.json"
+        assert main(["generate", "--count", "200", "--seed", "9", "--z-min", "2", "--out", str(path)]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["solve", str(path), "--mode", "box"])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.out == ""
+        assert captured.err == (
+            "error: objective may be non-concave: z_min = 2 m does not exceed "
+            "sqrt(3)*d_max = 612.37 m; the ascent finds a local optimum\n"
+        )
+
     def test_honest_convergence_with_one_iteration(self, relaxed_file, capsys):
         rc = main(["solve", str(relaxed_file), "--mode", "box", "--max-iters", "1"])
         out = capsys.readouterr().out

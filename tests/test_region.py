@@ -7,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from padding_bisection import bisected_shortfall
 from region_layouts import binding_scenario, project_each, random_region, unit_rf, unit_scenario
 
 import uavlift
+from uavlift import minmax
 from uavlift import region as region_mod
 from uavlift.channel import SPEED_OF_LIGHT, system_constant
 from uavlift.errors import EmptyRegionError, ValidationError
@@ -418,12 +420,23 @@ class TestCheckEmpty:
         wx, wy = check.witness
         assert math.hypot(wx - 5, wy - 5) <= 0.8 + 1e-6  # inside the smaller disk
 
+    def checked(self, disks) -> region_mod.EmptinessCheck:
+        """`check_empty`'s answer, after checking that g measured by the
+        membership test at the min-max solve's argmin is its shortfall."""
+        table = region_mod._disk_arrays(disks, self.BOX)
+        check = check_empty(table, self.BOX)
+        point, g = minmax.least_violation(table, self.BOX)
+        assert g == check.shortfall
+        measured = region_mod._within(np.array([point]), table, self.BOX, math.inf)[1]
+        assert measured[0] == pytest.approx(check.shortfall, abs=table.rounding)
+        return check
+
     def test_disjoint_disks(self):
-        check = check_empty([(0, 0, 4), (10, 0, 4)], self.BOX)
+        check = self.checked([(0, 0, 4), (10, 0, 4)])
         assert check.empty
         assert check.witness is None
         # best achievable max-shortfall is half the gap between the circles
-        assert check.shortfall == pytest.approx(1.0, abs=1e-6)
+        assert check.shortfall == 1.0
 
     def test_tangent_disks_meet_at_the_tangency_point(self):
         check = check_empty([(0, 0, 1), (3, 0, 2)], self.BOX)
@@ -432,8 +445,19 @@ class TestCheckEmpty:
         assert math.hypot(wx - 1.0, wy) <= 1e-2
 
     def test_disk_outside_box_is_certified_fast(self):
-        check = check_empty([(100, 100, 1)], self.BOX)
+        check = self.checked([(100, 100, 1)])
         assert check.empty
+        # the corner case: on the diagonal x = y = 10 + s, where the x_max and
+        # y_max edges and the disk are all missed by s = sqrt(2)*(90 - s) - 1
+        want = (90.0 * math.sqrt(2.0) - 1.0) / (1.0 + math.sqrt(2.0))
+        assert check.shortfall == pytest.approx(want, abs=1e-12)
+
+    def test_disk_left_of_the_box_misses_by_half_the_gap(self):
+        # the edge case: halfway along the perpendicular from the centre to x_min
+        cx, r = -30.0, 5.0
+        check = self.checked([(cx, 3.0, r)])
+        assert check.empty
+        assert check.shortfall == pytest.approx((self.BOX.x_min - cx - r) / 2.0, abs=1e-12)
 
     def test_rows_and_an_array_give_the_same_region(self):
         rows = [(0.0, 0.0, 1.0), (1.0, 0.0, 1.0), (0.5, 3.0, 2.5)]
@@ -455,9 +479,9 @@ class TestCheckEmpty:
         # disks overlaps, but the circumradius 2/sqrt(3) exceeds 1.05, so
         # the triple intersection is empty with a known shortfall.
         pts = [(0.0, 0.0), (2.0, 0.0), (1.0, math.sqrt(3.0))]
-        check = check_empty([(x, y, 1.05) for x, y in pts], self.BOX)
+        check = self.checked([(x, y, 1.05) for x, y in pts])
         assert check.empty
-        assert check.shortfall == pytest.approx(2.0 / math.sqrt(3.0) - 1.05, abs=1e-9)
+        assert check.shortfall == pytest.approx(2.0 / math.sqrt(3.0) - 1.05, abs=1e-12)
 
     def test_barely_common_point_found_at_the_circumcenter(self):
         pts = [(0.0, 0.0), (2.0, 0.0), (1.0, math.sqrt(3.0))]
@@ -465,6 +489,53 @@ class TestCheckEmpty:
         assert not check.empty
         wx, wy = check.witness
         assert math.hypot(wx - 1.0, wy - 1.0 / math.sqrt(3.0)) < 0.2
+
+
+def random_disks(seed: int) -> tuple[list[tuple[float, float, float]], AreaBounds]:
+    """Up to 30 disks around a box of random shape: disks inside it, cutting
+    it, far outside it, huge ones whose edge passes near it, and disks with
+    integer radii on one horizontal line, so concentric, collinear and
+    zero-radius sets occur."""
+    gen = SplitMix64(seed)
+    w, h = gen.uniform(1.0, 50.0), gen.uniform(1.0, 50.0)
+    box = AreaBounds(0, w, 0, h, 1, 1)
+    disks = []
+    for _ in range(1 + int(gen.uniform(0, 30))):
+        kind = gen.uniform(0, 5)
+        if kind < 1:
+            disks.append((gen.uniform(0, w), gen.uniform(0, h), gen.uniform(0.0, 0.4) * min(w, h)))
+        elif kind < 2:
+            disks.append((gen.uniform(-w, 2 * w), gen.uniform(-h, 2 * h), gen.uniform(0, w)))
+        elif kind < 3:
+            disks.append((gen.uniform(-5 * w, 5 * w), gen.uniform(-5 * h, 5 * h), gen.uniform(0, 5 * w)))
+        elif kind < 4:
+            angle, d = gen.uniform(0, 2 * math.pi), gen.uniform(100, 1000)
+            cx, cy = w / 2 + d * math.cos(angle), h / 2 + d * math.sin(angle)
+            disks.append((cx, cy, d - gen.uniform(-30, 60)))
+        else:
+            disks.append((round(gen.uniform(0, w)), h / 2, round(gen.uniform(0, 5))))
+    return disks, box
+
+
+def test_exact_shortfall_against_the_padding_bisection():
+    # The bisection's value is a violation some point attains and lies within
+    # 4*rounding above min g, so the exact value may not exceed it, up to the
+    # rounding of the two computed points, nor fall more than 4*rounding short.
+    empty = 0
+    seed = 0
+    while empty < 1000:
+        disks, box = random_disks(seed)
+        seed += 1
+        table = region_mod._disk_arrays(disks, box)
+        check = check_empty(table, box)
+        if not check.empty:
+            continue
+        empty += 1
+        want = bisected_shortfall(table, box)
+        assert want - 4.0 * table.rounding <= check.shortfall <= want + table.rounding, seed - 1
+        point, _ = minmax.least_violation(table, box)
+        measured = region_mod._within(np.array([point]), table, box, math.inf)[1][0]
+        assert measured == check.shortfall
 
 
 def test_import_pulls_in_no_scipy():
