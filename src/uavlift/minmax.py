@@ -1,12 +1,12 @@
-"""The least largest violation of a box and disks, the exact shortfall of an
-empty region.
+"""The least largest violation of a box and disks: the exact shortfall of an
+empty region, and the point of one thinner than the emptiness tolerance.
 
 Let g(p) be the largest amount by which p violates an edge of the box or
 one of the disks. Minimizing g is an LP-type problem of combinatorial
 dimension 3 (Matousek, Sharir & Welzl, 1996), solved here by pivoting on
 the most violated constraint, with closed-form optima of at most three
 constraints. `region.check_empty` imports this module only for a region
-that is empty.
+none of whose candidate points is feasible.
 """
 
 from __future__ import annotations

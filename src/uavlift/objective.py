@@ -130,15 +130,13 @@ class ConcavityCertificate:
 
     d_max is the box diagonal, the largest 2D distance any placement can
     have from any user in the area; the objective is concave everywhere on
-    the box when z_min > sqrt(3) * d_max. `marginal` flags z_min within
-    numerical noise of the threshold, where the strict test is meaningless.
+    the box when z_min > sqrt(3) * d_max.
     """
 
     z_min: float
     d_max: float
     threshold: float
     holds: bool
-    marginal: bool = False
 
 
 def concavity_certificate(bounds: AreaBounds) -> ConcavityCertificate:
@@ -150,7 +148,6 @@ def concavity_certificate(bounds: AreaBounds) -> ConcavityCertificate:
         d_max=d_max,
         threshold=threshold,
         holds=z > threshold,
-        marginal=abs(z - threshold) <= 1e-9 * max(1.0, threshold),
     )
 
 

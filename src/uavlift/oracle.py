@@ -27,8 +27,8 @@ from .objective import user_arrays
 from .scenario import AreaBounds, Scenario
 
 
-# Largest node x user (or node x disk) block computed at once, so the
-# temporaries stay at a few MB whatever the grid size and the user count.
+# Largest node x user block computed at once, so the temporaries stay at a
+# few MB whatever the grid size and the user count.
 CHUNK_ELEMENTS = 2**16
 
 # Most nodes a grid may have. The benchmark's 1 m grids have 63 001; a
@@ -204,30 +204,24 @@ def grid_search(
     `_PRUNE_SLACK` cannot hold the best node; the fine pass evaluates the
     rest with `grid_values`.
 
-    Region mode counts only nodes inside every range disk, for the lower
-    bound as for the answer. The fine nodes are taken in x-major order and
-    the first maximum wins, so the node and value are those of a scan of
-    every node: ties break toward the smallest x, then the smallest y.
+    Only nodes inside the box and, in region mode, every range disk count,
+    for the lower bound as for the answer; `region._within` tests them as
+    `region.contains` does. The fine nodes are taken in x-major order and the
+    first maximum wins, so the node and value are those of a scan of every
+    node: ties break toward the smallest x, then the smallest y.
     """
     if mode not in ("box", "region"):
         raise ValidationError(f"mode must be 'box' or 'region', got {mode!r}")
-    cx = cy = r2 = np.empty(0)
+    box = scenario.bounds
+    table = region_mod._disk_arrays((), box)
     if mode == "region":
         feas = region_mod.build(scenario, c)
         if feas.empty:
             raise EmptyRegionError(feas.empty_reason or "feasible region is empty")
         table = feas.table
-        cx, cy, r2 = table.cx, table.cy, (table.r + region_mod.MEMBERSHIP_TOL) ** 2
-
-    def feasible(px: np.ndarray, py: np.ndarray) -> np.ndarray:
-        """Which nodes lie inside every range disk (all of them in box mode)."""
-        return np.concatenate([
-            np.all((px[k, None] - cx) ** 2 + (py[k, None] - cy) ** 2 <= r2, axis=1)
-            for k in _blocks(len(px), len(cx))
-        ])
 
     xs_u, ys_u, es = user_arrays(scenario.users)
-    z = scenario.bounds.z_min
+    z = box.z_min
     grid_xs = grid.xs()
     grid_ys = grid.ys()
     n_y = len(grid_ys)
@@ -243,7 +237,8 @@ def grid_search(
         centre_values, slopes = _grid_slopes(xs_u, ys_u, es, z, px, py)
         rho = np.hypot(reach_x[:, None], reach_y).ravel()
         bounds = centre_values + slopes * rho + curvature_cap * rho**2 / 2.0
-        floor = np.max(centre_values[feasible(px, py)], initial=-math.inf)
+        inside, _ = region_mod._within(np.column_stack((px, py)), table, box, region_mod.MEMBERSHIP_TOL)
+        floor = np.max(centre_values[inside], initial=-math.inf)
         keep = ~(bounds < floor * (1.0 - _PRUNE_SLACK))
         centres = len(px)
     else:
@@ -252,11 +247,11 @@ def grid_search(
     # Fine pass: the feasible nodes of the surviving tiles, in x-major order.
     tile_x, tile_y = np.arange(len(grid_xs)) // TILE, np.arange(n_y) // TILE
     nodes = np.flatnonzero(keep.reshape(len(tx), len(ty))[tile_x[:, None], tile_y])
-    fx, fy = grid_xs[nodes // n_y], grid_ys[nodes % n_y]
-    inside = feasible(fx, fy)
-    nodes, fx, fy = nodes[inside], fx[inside], fy[inside]
+    fine = np.column_stack((grid_xs[nodes // n_y], grid_ys[nodes % n_y]))
+    inside, _ = region_mod._within(fine, table, box, region_mod.MEMBERSHIP_TOL)
+    nodes, fine = nodes[inside], fine[inside]
     if not len(nodes):
         raise ValidationError("no grid node is feasible; refine the spacing")
     totals = grid_values(xs_u, ys_u, es, z, grid_xs, grid_ys, nodes)
     j = int(np.argmax(totals))  # the first maximum: ties break toward the smallest x, then y
-    return GridSearchResult((float(fx[j]), float(fy[j])), float(totals[j]), centres + len(fx))
+    return GridSearchResult((float(fine[j, 0]), float(fine[j, 1])), float(totals[j]), centres + len(fine))

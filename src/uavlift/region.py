@@ -8,12 +8,12 @@ the intersection of all disks with the x/y box.
 
 That intersection is a convex region bounded by circular arcs and box
 edges, so emptiness and Euclidean projection are exact 2D geometry: the
-region's vertices, found once by the pass that decides emptiness, and
-closed-form single-set projections. This replaces Dykstra's alternating
-projections (Boyle & Dykstra, 1986). How far an empty region is from being
-non-empty, min over p of the largest violation g(p), is exact too: an
-LP-type problem of combinatorial dimension 3 that `minmax` solves by
-pivoting on the most violated constraint.
+region's vertices, found once by one pass over the candidate crossings,
+and closed-form single-set projections. This replaces Dykstra's alternating
+projections (Boyle & Dykstra, 1986). Where no candidate is feasible,
+`minmax` gives min over p of the largest violation g(p) exactly, and that
+decides: up to EMPTINESS_TOL the region is thin, and the solve's point is
+its one vertex; beyond it the region is empty.
 
 A region keeps each concept once, as arrays: the users' range limits as
 `RangeLimits` (one power range, one energy range per user) and the disks as
@@ -78,9 +78,9 @@ class DiskTable(NamedTuple):
 class EmptinessCheck(NamedTuple):
     empty: bool
     witness: tuple[float, float] | None  # a feasible point when non-empty
-    shortfall: float                     # max violation of the witness, or exact min-max when empty
+    shortfall: float                     # max violation of the witness: min g when the pass found none
     cause: str | None                    # human-readable reason when empty
-    vertices: np.ndarray                 # (K, 2) feasible candidate points; none when empty
+    vertices: np.ndarray                 # (K, 2) feasible candidate points, else the witness; none when empty
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +89,8 @@ class FeasibleRegion:
 
     `table` holds the disks as arrays; a region empty by range has none.
     `vertices` holds the feasible candidate points `check_empty` found: every
-    vertex of the region, plus any box corner or disk centre inside it.
+    vertex of the region, plus any box corner or disk centre inside it; a
+    region thinner than EMPTINESS_TOL has only its point of least violation.
     `limits` holds the range limits the disks came from, when `build` made
     the region. Regions hold arrays, so `==` is identity.
     """
@@ -117,7 +118,7 @@ def max_range_power(p_max: float, k: float) -> float:
     """Largest distance at which the rate is sustainable within the power budget."""
     if not p_max > 0:
         raise ValidationError(f"p_max must be positive, got {p_max}")
-    return math.sqrt(p_max / k)
+    return _valid_range(math.sqrt(p_max / k), k)
 
 
 def max_range_energy(energy: ArrayLike, tau_th: float, k: float) -> np.ndarray:
@@ -127,7 +128,15 @@ def max_range_energy(energy: ArrayLike, tau_th: float, k: float) -> np.ndarray:
         raise ValidationError(f"energy must be positive, got {np.min(energy)}")
     if not tau_th > 0:
         raise ValidationError(f"tau_th must be positive, got {tau_th}")
-    return np.sqrt(energy / (tau_th * k))
+    with np.errstate(over="ignore", divide="ignore"):  # a tiny K: refused, not warned about
+        return _valid_range(np.sqrt(energy / (tau_th * k)), k)
+
+
+def _valid_range(d, k: float):
+    """`d`, unless a range underflowed to 0 or overflowed, as under a subnormal K."""
+    if not np.all((0 < d) & (d < math.inf)):
+        raise ValidationError(f"range limits must be positive and finite; system constant K = {k:g} W/m^2")
+    return d
 
 
 def build(scenario: Scenario, c: float = SPEED_OF_LIGHT) -> FeasibleRegion:
@@ -147,9 +156,6 @@ def build(scenario: Scenario, c: float = SPEED_OF_LIGHT) -> FeasibleRegion:
         max_range_power(scenario.rf.p_max, k), max_range_energy(es, scenario.rf.tau_th, k)
     )
     d_limit = limits.d_limit
-    if not np.all(d_limit > 0):  # a range can underflow to 0
-        raise ValidationError("range limits must be positive")
-
     failing = np.flatnonzero(d_limit <= z)
     if len(failing):
         worst = int(failing[np.argmin(d_limit[failing])])
@@ -222,34 +228,32 @@ def check_empty(disks: DiskTable | ArrayLike, box: AreaBounds) -> EmptinessCheck
 
     Let g(p) be the largest amount by which p violates the box or a disk.
     The region counts as non-empty iff min g <= EMPTINESS_TOL, a fixed
-    1e-6 m, that is iff the sets padded by that much share a point. A
-    non-empty intersection of these sets has a vertex or is one whole disk,
-    so that holds iff one of the padded sets' candidate points
-    (`_candidates`) lies in all of them: the test is exact up to rounding.
-    The unpadded sets are tried first, so that `vertices` are those of the
-    region itself unless it is thinner than EMPTINESS_TOL.
-
-    Non-empty verdicts carry the surviving candidate with the least
-    violation as witness. Empty verdicts report min g as `shortfall`, exact
-    up to rounding, from the min-max solve `minmax.least_violation`.
+    1e-6 m. A region with a point has a vertex or is one whole disk, so one
+    of the candidate points (`_candidates`) lies in every set, up to
+    rounding: the survivors of one pass are the `vertices`, and the one of
+    least violation is the witness. If none survives, the min-max solve
+    `minmax.least_violation` gives min g, exact up to rounding, and a point
+    attaining it: the witness and only vertex of a region thinner than
+    EMPTINESS_TOL. A larger min g is the `shortfall` of an empty region.
 
     `disks` is a region's `DiskTable`, or (x, y, radius) rows or an (m, 3)
     array as `FeasibleRegion.from_disks` takes them.
     """
     table = disks if isinstance(disks, DiskTable) else _disk_arrays(disks, box)
 
-    for pad in (0.0, EMPTINESS_TOL):
-        pts = _candidates(table, box, pad)
-        kept, viol = _within(pts, table, box, pad + table.rounding)
-        if len(kept):
-            pts = pts[kept]
-            k = int(np.argmin(viol))
-            witness = (float(pts[k, 0]), float(pts[k, 1]))
-            return EmptinessCheck(False, witness, float(viol[k]), None, pts)
+    pts = _candidates(table, box)
+    kept, viol = _within(pts, table, box, table.rounding)
+    if len(kept):
+        pts = pts[kept]
+        k = int(np.argmin(viol))
+        witness = (float(pts[k, 0]), float(pts[k, 1]))
+        return EmptinessCheck(False, witness, float(viol[k]), None, pts)
 
-    from .minmax import least_violation  # only empty regions need it; the package import skips it
+    from .minmax import least_violation  # seldom needed; the package import skips it
 
-    _, shortfall = least_violation(table, box)
+    point, shortfall = least_violation(table, box)
+    if shortfall <= EMPTINESS_TOL:
+        return EmptinessCheck(False, point, shortfall, None, np.array([point]))
     cause = f"disk intersection is empty: best placement still misses some disk by {shortfall:.6g} m"
     return EmptinessCheck(True, None, shortfall, cause, np.empty((0, 2)))
 
@@ -289,9 +293,9 @@ def _within(
     return kept, viol
 
 
-def _candidates(table: DiskTable, box: AreaBounds, pad: float) -> np.ndarray:
-    """Every point that can be a vertex of the region with each set padded by
-    `pad`, as an (K, 2) array with K = O(m^2) for m disks.
+def _candidates(table: DiskTable, box: AreaBounds) -> np.ndarray:
+    """Every point that can be a vertex of the region, as an (K, 2) array
+    with K = O(m^2) for m disks.
 
     These are the box corners, all circle-circle and circle-edge crossings,
     and the disk centres, which cover a region that is one whole disk and so
@@ -299,9 +303,7 @@ def _candidates(table: DiskTable, box: AreaBounds, pad: float) -> np.ndarray:
     approach instead; membership filtering drops it unless it is feasible.
     """
     cx, cy, r = table.cx, table.cy, table.r
-    x0, x1 = box.x_min - pad, box.x_max + pad
-    y0, y1 = box.y_min - pad, box.y_max + pad
-    rp = r + pad
+    x0, x1, y0, y1 = box.x_min, box.x_max, box.y_min, box.y_max
     parts = [np.array([[x0, y0], [x0, y1], [x1, y0], [x1, y1]]), np.column_stack((cx, cy))]
 
     i, j = np.triu_indices(len(r), 1)
@@ -309,8 +311,8 @@ def _candidates(table: DiskTable, box: AreaBounds, pad: float) -> np.ndarray:
     d = np.hypot(dx, dy)
     apart = d > 0  # concentric circles do not cross
     i, j, dx, dy, d = i[apart], j[apart], dx[apart], dy[apart], d[apart]
-    along = (d * d + (rp[i] - rp[j]) * (rp[i] + rp[j])) / (2.0 * d)  # centre i to the chord
-    half = np.sqrt(np.maximum((rp[i] - along) * (rp[i] + along), 0.0))  # half the chord
+    along = (d * d + (r[i] - r[j]) * (r[i] + r[j])) / (2.0 * d)  # centre i to the chord
+    half = np.sqrt(np.maximum((r[i] - along) * (r[i] + along), 0.0))  # half the chord
     ux, uy = dx / d, dy / d
     mx, my = cx[i] + along * ux, cy[i] + along * uy
     parts += [
@@ -319,11 +321,11 @@ def _candidates(table: DiskTable, box: AreaBounds, pad: float) -> np.ndarray:
     ]
 
     for edge in (x0, x1):
-        s = np.sqrt(np.maximum(rp * rp - (edge - cx) ** 2, 0.0))
+        s = np.sqrt(np.maximum(r * r - (edge - cx) ** 2, 0.0))
         at = np.full_like(cy, edge)
         parts += [np.column_stack((at, cy + s)), np.column_stack((at, cy - s))]
     for edge in (y0, y1):
-        s = np.sqrt(np.maximum(rp * rp - (edge - cy) ** 2, 0.0))
+        s = np.sqrt(np.maximum(r * r - (edge - cy) ** 2, 0.0))
         at = np.full_like(cx, edge)
         parts += [np.column_stack((cx + s, at)), np.column_stack((cx - s, at))]
     return np.vstack(parts)

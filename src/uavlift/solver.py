@@ -128,7 +128,8 @@ def solve(
     """Run projected gradient ascent and report the trajectory.
 
     The objective is non-decreasing along the trajectory. A z_min so small
-    that L overflows is a ValidationError: no step is safe.
+    that L overflows is a ValidationError: no step is safe. So is a system
+    constant so small that the lifetime overflows.
     """
     config = config or SolverConfig()
     users = user_arrays(scenario.users)  # built once for the whole ascent
@@ -220,10 +221,13 @@ def solve(
         y = project((p[0] + g[0] / lipschitz, p[1] + g[1] / lipschitz))
         projected_gradient = lipschitz * math.hypot(y[0] - p[0], y[1] - p[1])
 
+    lifetime_seconds = f_p / k
+    if not math.isfinite(lifetime_seconds):
+        raise ValidationError(f"lifetime overflows: {f_p:g} J/m^2 over the system constant K = {k:g} W/m^2")
     return SolveReport(
         placement=(p[0], p[1], z),
         objective=f_p,
-        lifetime_seconds=f_p / k,
+        lifetime_seconds=lifetime_seconds,
         iterations=iterations,
         converged=converged,
         trajectory=tuple(trajectory),

@@ -132,6 +132,26 @@ class TestCheck:
         assert error in err and "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("command, error", [
+        (["check"], "range limits must be positive and finite"),
+        (["solve", "--mode", "box"], "lifetime overflows"),
+        (["solve", "--mode", "region"], "range limits must be positive and finite"),
+    ], ids=["check", "solve-box", "solve-region"])
+    def test_subnormal_system_constant_is_input_error(self, tmp_path, capsys, command, error):
+        # noise 1e-320 gives K = 5.08e-317: 0.5/K, each E/(tau_th*K) and the
+        # lifetime objective/K overflow
+        path = tmp_path / "subnormal-k.json"
+        flags = ["--count", "3", "--seed", "1", "--noise", "1e-320"]
+        assert main(["generate", *flags, "--out", str(path)]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under python -W error: no overflow warning
+            assert main([command[0], str(path), *command[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: {error}") and err.count("\n") == 1
+        assert "K = 5.08351e-317 W/m^2\n" in err
+        assert out == ""
+
 
 CHECK_HEADER = " user   d_power(m)  d_energy(m)   d_limit(m)  radius2d(m)\n"
 

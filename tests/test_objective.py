@@ -168,7 +168,7 @@ class TestConcavityCertificate:
         cert = concavity_certificate(BOUNDS)
         assert cert.d_max == pytest.approx(353.55, abs=0.01)
         assert cert.threshold == pytest.approx(612.37, abs=0.01)
-        assert cert.holds and not cert.marginal
+        assert cert.holds
 
     def test_reference_box_at_30(self):
         cert = concavity_certificate(AreaBounds(0, 250, 0, 250, 30, 30))
@@ -177,12 +177,6 @@ class TestConcavityCertificate:
     def test_tiny_box_holds_for_any_altitude(self):
         cert = concavity_certificate(AreaBounds(0, 1e-9, 0, 1e-9, 1e-6, 1.0))
         assert cert.holds
-
-    def test_marginal_flag_near_threshold(self):
-        d_max = math.hypot(250.0, 250.0)
-        z = math.sqrt(3.0) * d_max  # exactly at the strict threshold
-        cert = concavity_certificate(AreaBounds(0, 250, 0, 250, z, z))
-        assert cert.marginal
 
 
 class TestNsdScan:

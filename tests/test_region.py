@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from padding_bisection import bisected_shortfall
+from padding_bisection import bisected_shortfall, two_pass_check
 from region_layouts import binding_scenario, project_each, random_region, unit_rf, unit_scenario
 
 import uavlift
@@ -536,6 +536,65 @@ def test_exact_shortfall_against_the_padding_bisection():
         point, _ = minmax.least_violation(table, box)
         measured = region_mod._within(np.array([point]), table, box, math.inf)[1][0]
         assert measured == check.shortfall
+
+
+def test_region_thinner_than_the_tolerance_keeps_its_point_of_least_violation():
+    # Two unit disks 5e-7 m apart share no point, but the midpoint of the gap
+    # misses each by 2.5e-7 m, less than EMPTINESS_TOL: a non-empty region
+    # whose one vertex is that point.
+    box = TestCheckEmpty.BOX
+    region = FeasibleRegion.from_disks([(0, 0, 1), (2 + 5e-7, 0, 1)], box)
+    check = check_empty(region.table, box)
+    assert not region.empty and not check.empty
+    assert check.shortfall == pytest.approx(2.5e-7, abs=region.table.rounding)
+    assert check.witness == pytest.approx((1.00000025, 0.0), abs=region.table.rounding)
+    assert np.array_equal(region.vertices, [check.witness])
+    gen = SplitMix64(3)
+    pts = np.array([(gen.uniform(-15, 15), gen.uniform(-15, 15)) for _ in range(200)])
+    _, viol = region_mod._within(project_each(region, pts), region.table, box, math.inf)
+    assert len(viol) == len(pts) and np.all(viol <= check.shortfall)
+
+
+def anchored_disks(seed: int) -> tuple[list[tuple[float, float, float]], AreaBounds]:
+    """Up to 12 disks around an anchor point in a 10 m box, each passing the
+    anchor by a margin drawn from [0, 20] m (the anchor is inside all of
+    them), [-2e-6, 2e-6] m (regions about as thin as EMPTINESS_TOL) or
+    [-1, 5] m, by seed. In the thin family every second anchor lies within
+    2e-6 m of the x_min edge, so the box can be what makes a region thin."""
+    gen = SplitMix64(seed)
+    box = AreaBounds(0, 10, 0, 10, 1, 1)
+    low, high = ((0.0, 20.0), (-2e-6, 2e-6), (-1.0, 5.0))[seed % 3]
+    ax, ay = gen.uniform(0, 10), gen.uniform(0, 10)
+    if seed % 6 == 1:
+        ax = gen.uniform(-2e-6, 2e-6)
+    disks = []
+    for _ in range(1 + int(gen.uniform(0, 12))):
+        cx, cy = gen.uniform(-10, 20), gen.uniform(-10, 20)
+        disks.append((cx, cy, max(0.0, math.hypot(cx - ax, cy - ay) + gen.uniform(low, high))))
+    return disks, box
+
+
+def test_one_candidate_pass_keeps_the_two_pass_verdicts():
+    # The unpadded pass answers as before, bit for bit; where it finds no
+    # point, the min-max solve's min g <= EMPTINESS_TOL stands for the pass
+    # over the sets padded by EMPTINESS_TOL.
+    thin = 0
+    for seed in range(1200):
+        disks, box = anchored_disks(seed)
+        table = region_mod._disk_arrays(disks, box)
+        check = check_empty(table, box)
+        want, pad = two_pass_check(table, box)
+        assert check.empty == want.empty, seed
+        if pad == 0.0:
+            assert (check.witness, check.shortfall) == (want.witness, want.shortfall), seed
+            assert np.array_equal(check.vertices, want.vertices), seed
+        elif not check.empty:
+            thin += 1
+            assert check.shortfall <= region_mod.EMPTINESS_TOL
+            assert np.array_equal(check.vertices, [check.witness])
+            measured = region_mod._within(check.vertices, table, box, math.inf)[1]
+            assert measured[0] == check.shortfall
+    assert thin >= 20
 
 
 def test_import_pulls_in_no_scipy():
