@@ -64,6 +64,7 @@ class GridSpec:
     def axis(self, lo: float, hi: float) -> np.ndarray:
         n = int(math.floor((hi - lo) / self.spacing + 1e-9))
         values = lo + self.spacing * np.arange(n + 1)
+        values[-1] = min(values[-1], hi)  # a span just short of n spacings puts it past hi
         if values[-1] < hi - 1e-9 * max(1.0, abs(hi)):
             values = np.append(values, hi)
         return values

@@ -4,28 +4,27 @@ Serving user i at all requires the station within distance
 sqrt(p_max/K) (power limit) and sqrt(E_i/(tau_th*K)) (energy limit).
 At the fixed operating altitude z these 3D range balls become 2D disks
 of radius sqrt(d_limit^2 - z^2) around each user, and the feasible set is
-the intersection of all disks with the x/y box.
+the intersection of all disks with the x/y box: a convex region bounded by
+circular arcs and box edges.
 
-That intersection is a convex region bounded by circular arcs and box
-edges, so emptiness and Euclidean projection are exact 2D geometry: the
-region's vertices, found once by one pass over the candidate crossings,
-and closed-form single-set projections. This replaces Dykstra's alternating
-projections (Boyle & Dykstra, 1986). Where no candidate is feasible,
-`minmax` gives min over p of the largest violation g(p) exactly, and that
-decides: up to EMPTINESS_TOL the region is thin, and the solve's point is
-its one vertex; beyond it the region is empty.
+Both questions asked of it are LP-type problems in two variables
+(Matousek, Sharir & Welzl, 1996; Amenta, 1994), solved exactly by one pivot
+loop that adds the most violated edge or disk to a basis of at most three.
+`check_empty` minimizes g, the largest violation: the region is non-empty
+iff min g <= EMPTINESS_TOL, and the minimizer, its deepest point, is the
+witness. `project` finds the nearest point, a tight point of at most two
+constraints. Each pivot is one vectorized pass over the disks.
 
 A region keeps each concept once, as arrays: the users' range limits as
-`RangeLimits` (one power range, one energy range per user) and the disks as
-centre and radius arrays (`DiskTable`), made once when the region is made and
-handed to `check_empty`. One membership test, `_within`, measures how
-far points miss the box and the disks; `contains`, `project` and
-`check_empty` all ask it. `project` takes one point: the point itself if it
-is inside, otherwise the nearest feasible closed-form candidate.
+`RangeLimits` and the disks as centre and radius arrays (`DiskTable`), made
+once with the region. One membership test, `_within`, measures how far
+points miss the box and the disks; `contains` and `project` ask it.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
@@ -33,7 +32,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .channel import SPEED_OF_LIGHT, system_constant
-from .errors import EmptyRegionError, ValidationError
+from .errors import EmptyRegionError, NumericalError, ValidationError
 from .scenario import AreaBounds, Scenario
 
 if TYPE_CHECKING:  # importing numpy.typing costs about 1 ms
@@ -41,14 +40,14 @@ if TYPE_CHECKING:  # importing numpy.typing costs about 1 ms
 
 MEMBERSHIP_TOL = 1e-9   # meters, boundary slack for `contains`
 EMPTINESS_TOL = 1e-6    # meters, decision threshold of `check_empty`
-# Candidate points are computed in floating point, so a vertex that lies
-# exactly on a boundary can land a few ulps outside it. Membership tests on
-# computed candidates allow this much, relative to the largest coordinate or
-# radius in the instance.
+# Points are computed in floating point, so one that lies exactly on a
+# boundary can land a few ulps outside it. Membership tests on computed
+# points allow this much, relative to the largest coordinate or radius in
+# the instance.
 _ROUNDING = 1e-12
-# Points x disks that `_within` measures in one NumPy pass. The few points of
-# a projection meet every disk at once; the O(m^2) candidates of
-# `check_empty` meet a few disks at a time, and rejects drop out in between.
+# Points x disks that `_within` measures in one NumPy pass: one point meets
+# every disk at once, the nodes of a grid a few disks at a time, and rejects
+# drop out in between.
 _BLOCK_ELEMENTS = 2**12
 
 
@@ -67,7 +66,7 @@ class RangeLimits(NamedTuple):
 
 class DiskTable(NamedTuple):
     """Disk centres and radii as arrays, and the membership slack in meters
-    for candidate points computed from them."""
+    for points computed from them."""
 
     cx: np.ndarray
     cy: np.ndarray
@@ -77,10 +76,9 @@ class DiskTable(NamedTuple):
 
 class EmptinessCheck(NamedTuple):
     empty: bool
-    witness: tuple[float, float] | None  # a feasible point when non-empty
-    shortfall: float                     # max violation of the witness: min g when the pass found none
+    witness: tuple[float, float] | None  # the deepest point when non-empty
+    shortfall: float                     # min g: negative when the region has an interior
     cause: str | None                    # human-readable reason when empty
-    vertices: np.ndarray                 # (K, 2) feasible candidate points, else the witness; none when empty
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,9 +86,9 @@ class FeasibleRegion:
     """Disks-and-box description of the feasible placements at z_min.
 
     `table` holds the disks as arrays; a region empty by range has none.
-    `vertices` holds the feasible candidate points `check_empty` found: every
-    vertex of the region, plus any box corner or disk centre inside it; a
-    region thinner than EMPTINESS_TOL has only its point of least violation.
+    `slack` is max(min g, 0): 0 for a region with a feasible point, and for
+    one thinner than EMPTINESS_TOL the amount by which its deepest point
+    still misses some set; `contains` and `project` widen every set by it.
     `limits` holds the range limits the disks came from, when `build` made
     the region. Regions hold arrays, so `==` is identity.
     """
@@ -100,7 +98,7 @@ class FeasibleRegion:
     empty: bool
     empty_reason: str | None = None
     limits: RangeLimits | None = field(default=None, repr=False)
-    vertices: np.ndarray = field(default_factory=lambda: np.empty((0, 2)), repr=False)
+    slack: float = 0.0
 
     @classmethod
     def from_disks(cls, disks: ArrayLike, box: AreaBounds) -> "FeasibleRegion":
@@ -111,7 +109,7 @@ class FeasibleRegion:
         """
         table = _disk_arrays(disks, box)
         check = check_empty(table, box)
-        return cls(table, box, check.empty, check.cause, vertices=check.vertices)
+        return cls(table, box, check.empty, check.cause, slack=max(check.shortfall, 0.0))
 
 
 def max_range_power(p_max: float, k: float) -> float:
@@ -178,49 +176,43 @@ def build(scenario: Scenario, c: float = SPEED_OF_LIGHT) -> FeasibleRegion:
     table = _disk_arrays(np.column_stack((xs, ys, radii)), scenario.bounds)
     check = check_empty(table, scenario.bounds)
     return FeasibleRegion(
-        table, scenario.bounds, check.empty, check.cause, limits, vertices=check.vertices
+        table, scenario.bounds, check.empty, check.cause, limits, max(check.shortfall, 0.0)
     )
 
 
 def contains(
     region: FeasibleRegion, point: tuple[float, float], tol: float = MEMBERSHIP_TOL
 ) -> bool:
-    """Closed-set membership with `tol` meters of boundary slack."""
+    """Closed-set membership with `tol` meters of boundary slack, beyond the
+    region's own `slack`."""
     if region.empty:
         raise EmptyRegionError(region.empty_reason or "region is empty")
-    return len(_within(np.array([point], dtype=float), region.table, region.box, tol)[0]) > 0
+    pts = np.array([point], dtype=float)
+    return len(_within(pts, region.table, region.box, tol + region.slack)[0]) > 0
 
 
 def project(region: FeasibleRegion, point: tuple[float, float]) -> tuple[float, float]:
     """Euclidean projection onto the region, exact up to rounding.
 
-    A point already in the region comes back unchanged. Otherwise the nearest
-    point has either one active set, and then it is that set's own
-    projection, or it lies where two boundaries cross, which makes it a
-    stored vertex. So it is the nearest of the feasible ones among the box
-    clamp, the radial pull-backs onto the disks the point violates and the
-    vertices. A disk that holds the point would pull it nowhere, so the
-    point itself stands in for those disks: it failed the exact test, but
-    like every computed candidate it is tested with the rounding slack.
+    A point q already in the region comes back unchanged. Otherwise the
+    solve pivots from q with no constraint tight, and `_nearest_of` solves
+    each group. A region thinner than EMPTINESS_TOL has no point in every
+    set, so the solve runs on the sets widened by its `slack`.
     """
     if region.empty:
         raise EmptyRegionError(region.empty_reason or "region is empty")
     q = np.array([point], dtype=float)
-    table, box = region.table, region.box
-    if len(_within(q, table, box, 0.0)[0]):
-        return (float(q[0, 0]), float(q[0, 1]))
-
+    table, box, s = region.table, region.box, region.slack
+    if s:
+        box = dataclasses.replace(box, x_min=box.x_min - s, x_max=box.x_max + s,
+                                  y_min=box.y_min - s, y_max=box.y_max + s)
+        table = table._replace(r=table.r + s)
+    viol = _violations(q, table, box)[0]
     qx, qy = q[0]
-    dist = np.hypot(qx - table.cx, qy - table.cy)
-    out = dist > table.r
-    cx, cy, pull = table.cx[out], table.cy[out], table.r[out] / dist[out]
-    clamp = [[min(max(qx, box.x_min), box.x_max), min(max(qy, box.y_min), box.y_max)]]
-    pulled = np.column_stack((cx + (qx - cx) * pull, cy + (qy - cy) * pull))
-    candidates = np.vstack((clamp, q, pulled) if not out.all() else (clamp, pulled))
-    feasible, _ = _within(candidates, table, box, table.rounding)
-    candidates = np.vstack((candidates[feasible], region.vertices))
-    k = np.argmin(np.hypot(candidates[:, 0] - qx, candidates[:, 1] - qy))
-    return (float(candidates[k, 0]), float(candidates[k, 1]))
+    if not s and np.max(viol) <= 0.0:  # inside; no point is inside a region with slack
+        return (float(qx), float(qy))
+    return _pivot("projection", lambda group, basis, p: _nearest_of(group, qx, qy, table, box),
+                  (), (float(qx), float(qy)), 0.0, viol, table, box)[0]
 
 
 def check_empty(disks: DiskTable | ArrayLike, box: AreaBounds) -> EmptinessCheck:
@@ -228,34 +220,241 @@ def check_empty(disks: DiskTable | ArrayLike, box: AreaBounds) -> EmptinessCheck
 
     Let g(p) be the largest amount by which p violates the box or a disk.
     The region counts as non-empty iff min g <= EMPTINESS_TOL, a fixed
-    1e-6 m. A region with a point has a vertex or is one whole disk, so one
-    of the candidate points (`_candidates`) lies in every set, up to
-    rounding: the survivors of one pass are the `vertices`, and the one of
-    least violation is the witness. If none survives, the min-max solve
-    `minmax.least_violation` gives min g, exact up to rounding, and a point
-    attaining it: the witness and only vertex of a region thinner than
-    EMPTINESS_TOL. A larger min g is the `shortfall` of an empty region.
+    1e-6 m. `least_violation` gives min g, exact up to rounding, and a point
+    attaining it: the witness of a non-empty region, its deepest point. min g
+    is the `shortfall`, negative when the region has an interior. A table
+    with no disks is the box, whose centre is its deepest point.
 
     `disks` is a region's `DiskTable`, or (x, y, radius) rows or an (m, 3)
     array as `FeasibleRegion.from_disks` takes them.
     """
     table = disks if isinstance(disks, DiskTable) else _disk_arrays(disks, box)
-
-    pts = _candidates(table, box)
-    kept, viol = _within(pts, table, box, table.rounding)
-    if len(kept):
-        pts = pts[kept]
-        k = int(np.argmin(viol))
-        witness = (float(pts[k, 0]), float(pts[k, 1]))
-        return EmptinessCheck(False, witness, float(viol[k]), None, pts)
-
-    from .minmax import least_violation  # seldom needed; the package import skips it
-
+    if not len(table.r):
+        point = (0.5 * (box.x_min + box.x_max), 0.5 * (box.y_min + box.y_max))
+        return EmptinessCheck(False, point, -0.5 * min(box.x_max - box.x_min, box.y_max - box.y_min), None)
     point, shortfall = least_violation(table, box)
     if shortfall <= EMPTINESS_TOL:
-        return EmptinessCheck(False, point, shortfall, None, np.array([point]))
+        return EmptinessCheck(False, point, shortfall, None)
     cause = f"disk intersection is empty: best placement still misses some disk by {shortfall:.6g} m"
-    return EmptinessCheck(True, None, shortfall, cause, np.empty((0, 2)))
+    return EmptinessCheck(True, None, shortfall, cause)
+
+
+def least_violation(table: DiskTable, box: AreaBounds) -> tuple[tuple[float, float], float]:
+    """The point p that minimizes g, and g(p), for a table with at least one
+    disk: an LP-type problem of combinatorial dimension 3, solved by
+    pivoting from the centre of the disk farthest from the box centre, with
+    `_least_violation_of` for each group. The value rises with every pivot.
+    """
+    cx, cy, r = table.cx, table.cy, table.r
+    mid_x, mid_y = 0.5 * (box.x_min + box.x_max), 0.5 * (box.y_min + box.y_max)
+    i = int(np.argmax(np.hypot(mid_x - cx, mid_y - cy) - r))
+    p = (float(cx[i]), float(cy[i]))
+    return _pivot("emptiness shortfall",
+                  lambda group, basis, p: _least_violation_of(group, basis, p, table, box),
+                  (4 + i,), p, -float(r[i]), _violations(np.array([p]), table, box)[0], table, box)
+
+
+def _pivot(what, solve, basis, p, value, viol, table, box) -> tuple[tuple[float, float], float]:
+    """The pivot loop of both solves. From `p`, the optimum of the
+    constraints `basis`, with `value` there and violations `viol`, pivot on
+    the constraint most violated at p until none is violated by more than
+    the value, up to rounding, and return p and its largest violation.
+
+    Constraints 0-3 are the edges x_min, x_max, y_min and y_max, and 4 + i
+    is disk i. `solve(group, basis, p)` gives the optimum of `group`, the
+    basis plus the violated constraint, as (its basis, point, value, and
+    the point's violations of every constraint, `_violations`' row): one
+    vectorized pass over the disks a pivot. A solve that has not stopped
+    after 10*(m + 4) pivots raises NumericalError.
+    """
+    pivots = 10 * (len(table.r) + 4)
+    for _ in range(pivots):
+        j = int(np.argmax(viol))
+        if viol[j] <= value + table.rounding:
+            return p, float(viol[j])
+        basis, p, value, viol = solve(basis + (j,), basis, p)
+    raise NumericalError(
+        f"{what} of {len(table.r)} disks in the box [{box.x_min:g}, {box.x_max:g}] x "
+        f"[{box.y_min:g}, {box.y_max:g}] did not settle within {pivots} pivots"
+    )
+
+
+def _nearest_of(group, qx, qy, table, box) -> tuple[tuple[int, ...], tuple[float, float], float, np.ndarray]:
+    """The point of the constraints `group` nearest to q = (qx, qy), where
+    the last, j, is violated at the optimum of the others; value 0.
+
+    Then j is tight at the optimum, and at most one other constraint b is,
+    so the optimum is the nearest of the tight points of {j} and of each
+    {b, j} that meet the whole group, up to rounding: any other such point
+    is feasible too, so no nearer.
+    """
+    *others, j = group
+    points, subsets = [], []
+    for subset in [(j,)] + [(b, j) for b in others]:
+        found = _boundary_points(subset, qx, qy, table, box)
+        points += found
+        subsets += [subset] * len(found)
+    xy = np.array(points).reshape(-1, 2)
+    full = _violations(xy, table, box)
+    feasible = np.flatnonzero(np.max(full[:, list(group)], axis=1) <= table.rounding)
+    if not len(feasible):
+        raise NumericalError(f"projection of ({qx:g}, {qy:g}) found no point meeting constraints {group}")
+    k = int(feasible[np.argmin(np.hypot(xy[feasible, 0] - qx, xy[feasible, 1] - qy))])
+    return subsets[k], (float(xy[k, 0]), float(xy[k, 1])), 0.0, full[k]
+
+
+def _boundary_points(subset, qx, qy, table, box) -> list[tuple[float, float]]:
+    """The points where the one or two constraints of `subset` are tight and
+    that can be their nearest point to q: an edge's clamp of q; the radial
+    pull of q onto a disk that q violates (one that holds q pulls it
+    nowhere); the corner of two edges; the crossings of a circle and an
+    edge or of two circles, or their point of closest approach if they do
+    not cross. Disk pairs are taken in index order, with the arithmetic of
+    the list of every crossing that these solves replaced, bit for bit.
+    """
+    edges = (box.x_min, box.x_max, box.y_min, box.y_max)
+    lines = sorted(c for c in subset if c < 4)
+    disks = sorted(c - 4 for c in subset if c >= 4)
+    cx, cy, r = table.cx, table.cy, table.r
+    if not disks:
+        if len(lines) == 1:
+            return [(edges[lines[0]], qy)] if lines[0] < 2 else [(qx, edges[lines[0]])]
+        return [(edges[lines[0]], edges[lines[1]])] if lines[0] < 2 <= lines[1] else []
+    i = disks[0]
+    if len(subset) == 1:
+        dist = np.hypot(qx - cx[i], qy - cy[i])
+        if not dist > r[i]:
+            return []
+        pull = r[i] / dist
+        return [(cx[i] + (qx - cx[i]) * pull, cy[i] + (qy - cy[i]) * pull)]
+    if lines:  # on the edge x = e, or y = e with the axes swapped
+        e, vertical = edges[lines[0]], lines[0] < 2
+        a, b = (cx[i], cy[i]) if vertical else (cy[i], cx[i])
+        s = math.sqrt(max(r[i] * r[i] - (e - a) * (e - a), 0.0))
+        return [(e, b + s), (e, b - s)] if vertical else [(b + s, e), (b - s, e)]
+    j = disks[1]
+    dx, dy = cx[j] - cx[i], cy[j] - cy[i]
+    d = np.hypot(dx, dy)
+    if d == 0:  # concentric circles do not cross
+        return []
+    along = (d * d + (r[i] - r[j]) * (r[i] + r[j])) / (2.0 * d)  # centre i to the chord
+    half = math.sqrt(max((r[i] - along) * (r[i] + along), 0.0))  # half the chord
+    ux, uy = dx / d, dy / d
+    mx, my = cx[i] + along * ux, cy[i] + along * uy
+    return [(mx - half * uy, my + half * ux), (mx + half * uy, my - half * ux)]
+
+
+def _least_violation_of(
+    group: tuple[int, ...],
+    basis: tuple[int, ...],
+    p: tuple[float, float],
+    table: DiskTable,
+    box: AreaBounds,
+) -> tuple[tuple[int, ...], tuple[float, float], float, np.ndarray]:
+    """The optimum of g over the at most four constraints `group`, as
+    `_pivot` takes it.
+
+    The optimum is the tight point of a subset of one to three constraints,
+    so it is the best of all subsets' tight points (`_tight_points`), each
+    scored by its actual violations; a tight point that is not its subset's
+    optimum only scores worse. `p`, the optimum of `basis`, competes too. On
+    a tie the point with the smaller violation of all constraints wins, so a
+    subproblem with a segment of optima, where two opposite edges are
+    tight, moves towards the region.
+    """
+    points, subsets = [p], [basis]
+    for size in (1, 2, 3):
+        for subset in itertools.combinations(group, size):
+            found = _tight_points(subset, table, box)
+            points += found
+            subsets += [subset] * len(found)
+    xy = np.array(points)
+    viol = _violations(xy, table, box, group)
+    g = np.max(viol, axis=1)
+    tied = np.flatnonzero(g <= np.min(g) + table.rounding)
+    full = _violations(xy[tied], table, box)
+    best = int(np.argmin(np.max(full, axis=1)))
+    k = int(tied[best])
+    tight = {c for c, v in zip(group, viol[k]) if v >= g[k] - table.rounding}
+    new_basis = tuple(sorted(tight | set(subsets[k])))
+    if len(new_basis) > 3:
+        new_basis = subsets[k]
+    return new_basis, (float(xy[k, 0]), float(xy[k, 1])), float(g[k]), full[best]
+
+
+def _tight_points(
+    subset: tuple[int, ...], table: DiskTable, box: AreaBounds
+) -> list[tuple[float, float]]:
+    """The points where the constraints of `subset` are violated by one
+    common amount s and that can be the subset's optimum: for one disk its
+    centre; for two disks the point on the segment between the centres; for
+    a disk and an edge the point on the perpendicular from the centre to the
+    edge; for three constraints the solutions of their equations in
+    (x, y, s). A lone edge, two edges and other degenerate subsets, such as
+    parallel rows or concentric disks, give none.
+    """
+    # Edge k is violated by ax*x + ay*y - b.
+    edges = ((-1.0, 0.0, -box.x_min), (1.0, 0.0, box.x_max),
+             (0.0, -1.0, -box.y_min), (0.0, 1.0, box.y_max))
+    lines = [edges[c] for c in subset if c < 4]
+    disks = [(float(table.cx[c - 4]), float(table.cy[c - 4]), float(table.r[c - 4]))
+             for c in subset if c >= 4]
+    if len(subset) == 1:
+        return [disks[0][:2]] if disks else []
+    if len(subset) == 2:
+        if len(disks) == 2:
+            (x0, y0, r0), (x1, y1, r1) = disks
+            d = math.hypot(x1 - x0, y1 - y0)
+            if d == 0.0:
+                return []
+            t = 0.5 * (d + r0 - r1) / d
+            return [(x0 + t * (x1 - x0), y0 + t * (y1 - y0))]
+        if len(disks) == 1:
+            (x0, y0, r0), (ax, ay, b) = disks[0], lines[0]
+            t = 0.5 * (ax * x0 + ay * y0 - b + r0)  # moved this far against the edge's normal
+            return [(x0 - t * ax, y0 - t * ay)]
+        return []
+
+    # Three constraints: two linear equations in q = (x, y) - origin and s,
+    # and a third that is linear (three edges) or the smallest disk's
+    # |q|^2 = (r0 + s)^2, centred on the origin. Subtracting that from another
+    # disk's equation leaves a linear one, so every other disk gives a row;
+    # the small disk keeps the squares, and their cancellation, small.
+    disks.sort(key=lambda disk: disk[2])
+    ox, oy, r0 = disks[0] if disks else (0.0, 0.0, 0.0)
+    rows = [(ax, ay, -1.0, b - ax * ox - ay * oy) for ax, ay, b in lines]
+    for xk, yk, rk in disks[1:]:
+        dx, dy = xk - ox, yk - oy
+        d = math.hypot(dx, dy)
+        rows.append((-dx, -dy, r0 - rk, 0.5 * ((rk - d) * (rk + d) - r0 * r0)))
+    (a0, a1, a2, b0), (c0, c1, c2, b1) = rows[:2]
+    # The solutions of the first two rows are z + lam*u, u = row0 x row1,
+    # where z is the one nearest the origin; |u|^2 is their Gram determinant.
+    u = (a1 * c2 - a2 * c1, a2 * c0 - a0 * c2, a0 * c1 - a1 * c0)
+    g00, g01, g11 = a0 * a0 + a1 * a1 + a2 * a2, a0 * c0 + a1 * c1 + a2 * c2, c0 * c0 + c1 * c1 + c2 * c2
+    det = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
+    if not det > 1e-24 * g00 * g11:  # parallel rows
+        return []
+    w0, w1 = (g11 * b0 - g01 * b1) / det, (g00 * b1 - g01 * b0) / det
+    z = (w0 * a0 + w1 * c0, w0 * a1 + w1 * c1, w0 * a2 + w1 * c2)
+    if not disks:
+        e0, e1, e2, b2 = rows[2]
+        den = e0 * u[0] + e1 * u[1] + e2 * u[2]
+        lams = [(b2 - e0 * z[0] - e1 * z[1] - e2 * z[2]) / den] if den else []
+    else:
+        # a*lam^2 + 2*h*lam + c = 0
+        rs = r0 + z[2]
+        a = u[0] * u[0] + u[1] * u[1] - u[2] * u[2]
+        h = z[0] * u[0] + z[1] * u[1] - rs * u[2]
+        c = z[0] * z[0] + z[1] * z[1] - rs * rs
+        if a == 0.0:
+            lams = [-0.5 * c / h] if h else []
+        else:
+            # a slightly negative discriminant is rounding at a double root
+            t = -(h + math.copysign(math.sqrt(max(h * h - a * c, 0.0)), h))
+            lams = [t / a, c / t] if t else [0.0]
+    points = [(ox + z[0] + lam * u[0], oy + z[1] + lam * u[1]) for lam in lams]
+    return [q for q in points if math.isfinite(q[0]) and math.isfinite(q[1])]
 
 
 def _disk_arrays(disks: ArrayLike, box: AreaBounds) -> DiskTable:
@@ -293,39 +492,14 @@ def _within(
     return kept, viol
 
 
-def _candidates(table: DiskTable, box: AreaBounds) -> np.ndarray:
-    """Every point that can be a vertex of the region, as an (K, 2) array
-    with K = O(m^2) for m disks.
-
-    These are the box corners, all circle-circle and circle-edge crossings,
-    and the disk centres, which cover a region that is one whole disk and so
-    has no vertex. A pair that does not cross yields its point of closest
-    approach instead; membership filtering drops it unless it is feasible.
-    """
-    cx, cy, r = table.cx, table.cy, table.r
-    x0, x1, y0, y1 = box.x_min, box.x_max, box.y_min, box.y_max
-    parts = [np.array([[x0, y0], [x0, y1], [x1, y0], [x1, y1]]), np.column_stack((cx, cy))]
-
-    i, j = np.triu_indices(len(r), 1)
-    dx, dy = cx[j] - cx[i], cy[j] - cy[i]
-    d = np.hypot(dx, dy)
-    apart = d > 0  # concentric circles do not cross
-    i, j, dx, dy, d = i[apart], j[apart], dx[apart], dy[apart], d[apart]
-    along = (d * d + (r[i] - r[j]) * (r[i] + r[j])) / (2.0 * d)  # centre i to the chord
-    half = np.sqrt(np.maximum((r[i] - along) * (r[i] + along), 0.0))  # half the chord
-    ux, uy = dx / d, dy / d
-    mx, my = cx[i] + along * ux, cy[i] + along * uy
-    parts += [
-        np.column_stack((mx - half * uy, my + half * ux)),
-        np.column_stack((mx + half * uy, my - half * ux)),
-    ]
-
-    for edge in (x0, x1):
-        s = np.sqrt(np.maximum(r * r - (edge - cx) ** 2, 0.0))
-        at = np.full_like(cy, edge)
-        parts += [np.column_stack((at, cy + s)), np.column_stack((at, cy - s))]
-    for edge in (y0, y1):
-        s = np.sqrt(np.maximum(r * r - (edge - cy) ** 2, 0.0))
-        at = np.full_like(cx, edge)
-        parts += [np.column_stack((cx + s, at)), np.column_stack((cx - s, at))]
-    return np.vstack(parts)
+def _violations(
+    xy: np.ndarray, table: DiskTable, box: AreaBounds, group: tuple[int, ...] | None = None
+) -> np.ndarray:
+    """How far each row of `xy` violates the edges x_min, x_max, y_min and
+    y_max and every disk, or only the constraints `group` in its order, with
+    `_within`'s arithmetic."""
+    x, y = xy[:, :1], xy[:, 1:]
+    disks = slice(None) if group is None else [c - 4 for c in group if c >= 4]
+    gap = np.hypot(x - table.cx[disks], y - table.cy[disks]) - table.r[disks]
+    viol = np.concatenate((box.x_min - x, x - box.x_max, box.y_min - y, y - box.y_max, gap), axis=1)
+    return viol if group is None else viol[:, [c if c < 4 else 4 + disks.index(c - 4) for c in group]]

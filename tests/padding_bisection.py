@@ -9,14 +9,15 @@ import dataclasses
 import math
 
 import numpy as np
+from candidate_pass import candidates
 
-from uavlift.region import EMPTINESS_TOL, DiskTable, EmptinessCheck, _candidates, _within
+from uavlift.region import EMPTINESS_TOL, DiskTable, _within
 from uavlift.scenario import AreaBounds
 
 
 def padded(table: DiskTable, box: AreaBounds, pad: float) -> tuple[DiskTable, AreaBounds]:
     """Every disk's radius and every box edge moved out by `pad`, with the
-    arithmetic `_candidates` once applied to its `pad` argument, so its
+    arithmetic the candidate pass once applied to its `pad` argument, so its
     candidate points keep their bits."""
     box = dataclasses.replace(
         box, x_min=box.x_min - pad, x_max=box.x_max + pad,
@@ -28,24 +29,20 @@ def padded(table: DiskTable, box: AreaBounds, pad: float) -> tuple[DiskTable, Ar
 def padded_violations(table: DiskTable, box: AreaBounds, pad: float) -> tuple[np.ndarray, np.ndarray]:
     """The candidate points of the sets padded by `pad` that lie in all of
     them, up to rounding, and their largest violations of the unpadded sets."""
-    pts = _candidates(*padded(table, box, pad))
+    pts = candidates(*padded(table, box, pad))
     kept, viol = _within(pts, table, box, pad + table.rounding)
     return pts[kept], viol
 
 
-def two_pass_check(table: DiskTable, box: AreaBounds) -> tuple[EmptinessCheck, float]:
-    """The verdict `check_empty` gave with two candidate passes, and the pad
-    of the pass that decided it: the region is non-empty iff a candidate of
-    the unpadded sets, or else of the sets padded by EMPTINESS_TOL, lies in
-    all of them. The witness is the survivor with the least violation, and
-    the survivors are the vertices. An empty verdict carries no shortfall."""
+def two_pass_check(table: DiskTable, box: AreaBounds) -> tuple[bool, float]:
+    """The emptiness verdict `check_empty` gave with two candidate passes, and
+    the pad of the pass that decided it: the region is non-empty iff a
+    candidate of the unpadded sets, or else of the sets padded by
+    EMPTINESS_TOL, lies in all of them."""
     for pad in (0.0, EMPTINESS_TOL):
-        pts, viol = padded_violations(table, box, pad)
-        if len(pts):
-            k = int(np.argmin(viol))
-            witness = (float(pts[k, 0]), float(pts[k, 1]))
-            return EmptinessCheck(False, witness, float(viol[k]), None, pts), pad
-    return EmptinessCheck(True, None, math.nan, None, np.empty((0, 2))), EMPTINESS_TOL
+        if len(padded_violations(table, box, pad)[0]):
+            return False, pad
+    return True, EMPTINESS_TOL
 
 
 def bisected_shortfall(table: DiskTable, box: AreaBounds) -> float:

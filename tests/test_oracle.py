@@ -30,6 +30,16 @@ class TestGridSpec:
         spec = GridSpec(3.0, AreaBounds(0, 10, 0, 10, 1, 1))
         assert list(spec.xs()) == [0.0, 3.0, 6.0, 9.0, 10.0]
 
+    def test_axis_clamps_a_last_node_past_the_far_edge(self):
+        # (250 - 0) / spacing is 100 - 5e-10, which rounds up to 100 nodes
+        # past the first; the last would land 1.25e-9 m past the edge, where
+        # grid_search's box test drops its row and column and surface keeps them.
+        bounds = AreaBounds(0, 250, 0, 250, 650, 650)
+        spec = GridSpec(250 / (100 - 5e-10), bounds)
+        assert len(spec.xs()) == 101 and spec.xs()[-1] == spec.ys()[-1] == 250.0
+        s = Scenario(users=(UserDevice(250, 250, 9000.0),), rf=RF, bounds=bounds)
+        assert grid_search(s, spec).point == (250.0, 250.0)
+
     def test_spacing_must_be_positive(self):
         with pytest.raises(ValidationError):
             GridSpec(0.0, AreaBounds(0, 10, 0, 10, 1, 1))
@@ -278,8 +288,8 @@ class TestGridSearchIsExhaustive:
                 box = generate_uniform(n, grid.bounds, 4500, 18000, seed=seed)
                 assert_exhaustive(box, grid, "box")
                 assert_exhaustive(anchored_scenario(n, seed, side, z), grid, "region")
-        # Region mode is left out at n = 2000: building 2000 disks takes seconds.
         assert_exhaustive(generate_uniform(2000, grid.bounds, 4500, 18000, seed=1), grid, "box")
+        assert_exhaustive(anchored_scenario(2000, 1, side, z), grid, "region")
 
     @pytest.mark.parametrize("m", [5, 20, 50])
     def test_binding_layout(self, m):
