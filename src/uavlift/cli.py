@@ -28,6 +28,7 @@ from .errors import (
 from .objective import concavity_certificate, nsd_scan
 from .oracle import GridSpec, grid_search
 from .region import build as build_region
+from .region import disk_radius
 from .scenario import (
     DEFAULT_ENERGY_HIGH,
     DEFAULT_ENERGY_LOW,
@@ -191,12 +192,12 @@ def _cmd_check(args) -> int:
     feas = build_region(scenario, c=args.c)
     print(f"{'user':>5} {'d_power(m)':>12} {'d_energy(m)':>12} {'d_limit(m)':>12} {'radius2d(m)':>12}")
     z = scenario.bounds.z_min
-    d_power = feas.limits.d_power
-    for i, (d_energy, d_limit) in enumerate(
-        zip(feas.limits.d_energy.tolist(), feas.limits.d_limit.tolist())
+    limits = feas.limits
+    for i, (d_energy, d_limit, radius) in enumerate(
+        zip(limits.d_energy.tolist(), limits.d_limit.tolist(), disk_radius(limits.d_limit, z).tolist())
     ):
-        radius = f"{math.sqrt(d_limit ** 2 - z ** 2):12.2f}" if d_limit > z else f"{'-':>12}"
-        print(f"{i:>5} {d_power:12.2f} {d_energy:12.2f} {d_limit:12.2f} {radius}")
+        radius = f"{radius:12.2f}" if d_limit > z else f"{'-':>12}"
+        print(f"{i:>5} {limits.d_power:12.2f} {d_energy:12.2f} {d_limit:12.2f} {radius}")
     cert = concavity_certificate(scenario.bounds)
     verdict = "holds" if cert.holds else "fails"
     print(

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import region as region_mod
 from .channel import SPEED_OF_LIGHT
-from .errors import EmptyRegionError, ValidationError
+from .errors import ValidationError
 from .objective import user_arrays
 from .scenario import AreaBounds, Scenario
 
@@ -205,24 +205,15 @@ def grid_search(
     `_PRUNE_SLACK` cannot hold the best node; the fine pass evaluates the
     rest with `grid_values`.
 
-    Only nodes inside the box and, in region mode, every range disk count,
-    for the lower bound as for the answer; `region._within` tests them as
-    `region.contains` does. The fine nodes are taken in x-major order and the
+    Only nodes of the mode's `region.feasible_set` count, for the lower bound
+    as for the answer; `region.within` tests them as `region.contains` does,
+    with the region's slack. The fine nodes are taken in x-major order and the
     first maximum wins, so the node and value are those of a scan of every
     node: ties break toward the smallest x, then the smallest y.
     """
-    if mode not in ("box", "region"):
-        raise ValidationError(f"mode must be 'box' or 'region', got {mode!r}")
-    box = scenario.bounds
-    table = region_mod._disk_arrays((), box)
-    if mode == "region":
-        feas = region_mod.build(scenario, c)
-        if feas.empty:
-            raise EmptyRegionError(feas.empty_reason or "feasible region is empty")
-        table = feas.table
-
+    feas = region_mod.feasible_set(scenario, mode, c)
     xs_u, ys_u, es = user_arrays(scenario.users)
-    z = box.z_min
+    z = scenario.bounds.z_min
     grid_xs = grid.xs()
     grid_ys = grid.ys()
     n_y = len(grid_ys)
@@ -235,10 +226,10 @@ def grid_search(
     curvature_cap = float(np.sum(es)) / (2.0 * z4) if z4 > 0 else math.inf
     if math.isfinite(curvature_cap):
         px, py = np.repeat(grid_xs[tx], len(ty)), np.tile(grid_ys[ty], len(tx))
+        inside, _ = region_mod.within(feas, np.column_stack((px, py)))  # raises if feas is empty
         centre_values, slopes = _grid_slopes(xs_u, ys_u, es, z, px, py)
         rho = np.hypot(reach_x[:, None], reach_y).ravel()
         bounds = centre_values + slopes * rho + curvature_cap * rho**2 / 2.0
-        inside, _ = region_mod._within(np.column_stack((px, py)), table, box, region_mod.MEMBERSHIP_TOL)
         floor = np.max(centre_values[inside], initial=-math.inf)
         keep = ~(bounds < floor * (1.0 - _PRUNE_SLACK))
         centres = len(px)
@@ -249,10 +240,11 @@ def grid_search(
     tile_x, tile_y = np.arange(len(grid_xs)) // TILE, np.arange(n_y) // TILE
     nodes = np.flatnonzero(keep.reshape(len(tx), len(ty))[tile_x[:, None], tile_y])
     fine = np.column_stack((grid_xs[nodes // n_y], grid_ys[nodes % n_y]))
-    inside, _ = region_mod._within(fine, table, box, region_mod.MEMBERSHIP_TOL)
+    inside, _ = region_mod.within(feas, fine)
     nodes, fine = nodes[inside], fine[inside]
     if not len(nodes):
-        raise ValidationError("no grid node is feasible; refine the spacing")
+        thin = f"the region is thinner than the emptiness tolerance (slack {feas.slack:.3g} m)"
+        raise ValidationError(f"no grid node is feasible; {thin if feas.slack else 'refine the spacing'}")
     totals = grid_values(xs_u, ys_u, es, z, grid_xs, grid_ys, nodes)
     j = int(np.argmax(totals))  # the first maximum: ties break toward the smallest x, then y
     return GridSearchResult((float(fine[j, 0]), float(fine[j, 1])), float(totals[j]), centres + len(fine))

@@ -17,8 +17,9 @@ constraints. Each pivot is one vectorized pass over the disks.
 
 A region keeps each concept once, as arrays: the users' range limits as
 `RangeLimits` and the disks as centre and radius arrays (`DiskTable`), made
-once with the region. One membership test, `_within`, measures how far
-points miss the box and the disks; `contains` and `project` ask it.
+once with the region; `feasible_set` gives "box" mode a region with none.
+`within`, the one membership test, measures how far points miss the box and
+the disks; `contains` and the grid oracle ask it.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ EMPTINESS_TOL = 1e-6    # meters, decision threshold of `check_empty`
 # points allow this much, relative to the largest coordinate or radius in
 # the instance.
 _ROUNDING = 1e-12
-# Points x disks that `_within` measures in one NumPy pass: one point meets
+# Points x disks that `within` measures in one NumPy pass: one point meets
 # every disk at once, the nodes of a grid a few disks at a time, and rejects
 # drop out in between.
 _BLOCK_ELEMENTS = 2**12
@@ -137,6 +138,26 @@ def _valid_range(d, k: float):
     return d
 
 
+def check_mode(mode: str) -> str:
+    """`mode`, if it names a feasible set: "box" or "region"."""
+    if mode not in ("box", "region"):
+        raise ValidationError(f"mode must be 'box' or 'region', got {mode!r}")
+    return mode
+
+
+def feasible_set(scenario: Scenario, mode: str, c: float = SPEED_OF_LIGHT) -> FeasibleRegion:
+    """The region of `mode`: `build`'s for "region", the bare box for "box"."""
+    if check_mode(mode) == "region":
+        return build(scenario, c)
+    return FeasibleRegion.from_disks((), scenario.bounds)
+
+
+def disk_radius(d_limit: np.ndarray, z: float) -> np.ndarray:
+    """Radii at altitude z of range balls of radii d_limit, 0 where d_limit <= z,
+    squared by libm pow as Python's ** does, not as ** on arrays."""
+    return np.sqrt(np.maximum(np.float_power(d_limit, 2) - z**2, 0.0))
+
+
 def build(scenario: Scenario, c: float = SPEED_OF_LIGHT) -> FeasibleRegion:
     """Compute per-user range limits, reduce them to disks at altitude z_min,
     intersect with the box and decide emptiness.
@@ -170,10 +191,7 @@ def build(scenario: Scenario, c: float = SPEED_OF_LIGHT) -> FeasibleRegion:
         table = _disk_arrays((), scenario.bounds)
         return FeasibleRegion(table, scenario.bounds, True, reason, limits)
 
-    # float_power squares with libm pow, as Python's ** does, where ** on an
-    # array multiplies; the two disagree in the last bit for about 1 in 1 000.
-    radii = np.sqrt(np.float_power(d_limit, 2) - z**2)
-    table = _disk_arrays(np.column_stack((xs, ys, radii)), scenario.bounds)
+    table = _disk_arrays(np.column_stack((xs, ys, disk_radius(d_limit, z))), scenario.bounds)
     check = check_empty(table, scenario.bounds)
     return FeasibleRegion(
         table, scenario.bounds, check.empty, check.cause, limits, max(check.shortfall, 0.0)
@@ -185,24 +203,23 @@ def contains(
 ) -> bool:
     """Closed-set membership with `tol` meters of boundary slack, beyond the
     region's own `slack`."""
-    if region.empty:
-        raise EmptyRegionError(region.empty_reason or "region is empty")
-    pts = np.array([point], dtype=float)
-    return len(_within(pts, region.table, region.box, tol + region.slack)[0]) > 0
+    return len(within(region, np.array([point], dtype=float), tol)[0]) > 0
 
 
 def project(region: FeasibleRegion, point: tuple[float, float]) -> tuple[float, float]:
     """Euclidean projection onto the region, exact up to rounding.
 
-    A point q already in the region comes back unchanged. Otherwise the
-    solve pivots from q with no constraint tight, and `_nearest_of` solves
-    each group. A region thinner than EMPTINESS_TOL has no point in every
-    set, so the solve runs on the sets widened by its `slack`.
+    A point q in the region comes back unchanged; a bare box clamps q. Else
+    the solve pivots from q with no constraint tight, and `_nearest_of`
+    solves each group. A region thinner than EMPTINESS_TOL has no point in
+    every set, so the solve runs on the sets widened by its `slack`.
     """
     if region.empty:
         raise EmptyRegionError(region.empty_reason or "region is empty")
-    q = np.array([point], dtype=float)
     table, box, s = region.table, region.box, region.slack
+    if not len(table.r):
+        return (min(max(point[0], box.x_min), box.x_max), min(max(point[1], box.y_min), box.y_max))
+    q = np.array([point], dtype=float)
     if s:
         box = dataclasses.replace(box, x_min=box.x_min - s, x_max=box.x_max + s,
                                   y_min=box.y_min - s, y_max=box.y_max + s)
@@ -464,17 +481,20 @@ def _disk_arrays(disks: ArrayLike, box: AreaBounds) -> DiskTable:
     return DiskTable(table[:, 0], table[:, 1], table[:, 2], rounding)
 
 
-def _within(
-    pts: np.ndarray, table: DiskTable, box: AreaBounds, limit: float
+def within(
+    region: FeasibleRegion, pts: np.ndarray, tol: float = MEMBERSHIP_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the rows of `pts` that violate the box and every disk by at
-    most `limit` meters, and their largest violations.
+    most `tol` meters beyond the region's `slack`, and their largest violations.
 
     Filters by the box first, then by the disks a block at a time, dropping
     the rows that fail after each block. A block spans as many disks as fit
     in `_BLOCK_ELEMENTS` for the rows still in play, so memory stays bounded
     however many points and disks there are.
     """
+    if region.empty:
+        raise EmptyRegionError(region.empty_reason or "region is empty")
+    table, box, limit = region.table, region.box, tol + region.slack
     x, y = pts[:, 0], pts[:, 1]
     viol = np.maximum(
         np.maximum(box.x_min - x, x - box.x_max), np.maximum(box.y_min - y, y - box.y_max)
@@ -497,7 +517,7 @@ def _violations(
 ) -> np.ndarray:
     """How far each row of `xy` violates the edges x_min, x_max, y_min and
     y_max and every disk, or only the constraints `group` in its order, with
-    `_within`'s arithmetic."""
+    `within`'s arithmetic."""
     x, y = xy[:, :1], xy[:, 1:]
     disks = slice(None) if group is None else [c - 4 for c in group if c >= 4]
     gap = np.hypot(x - table.cx[disks], y - table.cy[disks]) - table.r[disks]

@@ -1,15 +1,16 @@
-"""Gradient projection ascent over the feasible region or the bare box.
+"""Gradient projection ascent over the feasible set of a mode.
 
 Each step moves along the analytic gradient and projects back onto the
-feasible convex set. The step starts at 1/L, where L = 2*sum(E_i)/z^4
-bounds the curvature of the objective everywhere at altitude z, concave or
-not. A trial step is accepted once the descent lemma holds for it,
-f(p+) >= f(p) + g.(p+ - p) - |p+ - p|^2 / (2t), and halved otherwise;
-every accepted step doubles the next one (the backtracking rule of Beck &
-Teboulle, 2009, and Nesterov, 2013). This is the only step rule. An
-accepted step therefore never falls below 1/(2L), and the stop rule "the
-iterate moved less than the tolerance" is a stationarity test on the
-projected gradient.
+feasible convex set, `region.feasible_set`: the box cut by the range disks,
+or in `box` mode the box alone. The step starts at 1/L, where
+L = 2*sum(E_i)/z^4 bounds the curvature of the objective everywhere at
+altitude z, concave or not. A trial step is accepted once the descent
+lemma holds for it, f(p+) >= f(p) + g.(p+ - p) - |p+ - p|^2 / (2t), and
+halved otherwise; every accepted step doubles the next one (the
+backtracking rule of Beck & Teboulle, 2009, and Nesterov, 2013). This is
+the only step rule. An accepted step therefore never falls below 1/(2L),
+and the stop rule "the iterate moved less than the tolerance" is a
+stationarity test on the projected gradient.
 
 When the concavity certificate holds, the objective is strongly concave on
 the box with a closed-form modulus, and the report carries a proven bound
@@ -17,9 +18,8 @@ on the optimality gap. Without the certificate the report gives the norm
 of the projected gradient: the point is stationary, not proven optimal.
 
 Because the printed parameter set of the bundled reproduction cases makes
-the full region empty at 650 m, `box` mode runs the same ascent with only
-the rectangle constraints; an empty region in `region` mode is reported,
-never raised.
+the full region empty at 650 m, those cases run in `box` mode; an empty
+region in `region` mode is reported, never raised.
 """
 
 from __future__ import annotations
@@ -74,8 +74,7 @@ class SolverConfig:
         if self.max_iters < 1:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
         check_seed(self.init_seed)
-        if self.mode not in ("region", "box"):
-            raise ValidationError(f"mode must be 'region' or 'box', got {self.mode!r}")
+        region_mod.check_mode(self.mode)
         if isinstance(self.init, str):
             if self.init not in ("centroid", "random"):
                 raise ValidationError(f"init must be 'centroid', 'random' or (x, y), got {self.init!r}")
@@ -151,34 +150,21 @@ def solve(
             stacklevel=2,
         )
 
-    if config.mode == "region":
-        feas = region_mod.build(scenario, c)
-        if feas.empty:
-            return SolveReport(
-                placement=None,
-                objective=None,
-                lifetime_seconds=None,
-                iterations=0,
-                converged=False,
-                trajectory=(),
-                certificate=cert,
-                k=k,
-                infeasible=feas.empty_reason,
-            )
+    feas = region_mod.feasible_set(scenario, config.mode, c)
+    if feas.empty:
+        return SolveReport(
+            placement=None,
+            objective=None,
+            lifetime_seconds=None,
+            iterations=0,
+            converged=False,
+            trajectory=(),
+            certificate=cert,
+            k=k,
+            infeasible=feas.empty_reason,
+        )
 
-        def project(p):
-            return region_mod.project(feas, p)
-
-    else:
-        b = scenario.bounds
-
-        def project(p):
-            return (
-                min(max(p[0], b.x_min), b.x_max),
-                min(max(p[1], b.y_min), b.y_max),
-            )
-
-    p = project(_initial_point(scenario, config))
+    p = region_mod.project(feas, _initial_point(scenario, config))
     f_p = value(users, z, p)
     trajectory = [(p[0], p[1], f_p)]
     g = gradient(users, z, p)
@@ -190,7 +176,7 @@ def solve(
         if not (math.isfinite(g[0]) and math.isfinite(g[1])):
             raise NumericalError(f"gradient is not finite at {p}")
         while True:
-            trial = project((p[0] + step * g[0], p[1] + step * g[1]))
+            trial = region_mod.project(feas, (p[0] + step * g[0], p[1] + step * g[1]))
             f_trial = value(users, z, trial)
             dx, dy = trial[0] - p[0], trial[1] - p[1]
             if (
@@ -214,11 +200,11 @@ def solve(
         # f(p + s) <= f(p) + g.s - mu/2 |s|^2 on the box, so over the
         # feasible set f* - f(p) is at most that model's maximum, taken at
         # s = P(p + g/mu) - p.
-        y = project((p[0] + g[0] / mu, p[1] + g[1] / mu))
+        y = region_mod.project(feas, (p[0] + g[0] / mu, p[1] + g[1] / mu))
         sx, sy = y[0] - p[0], y[1] - p[1]
         gap_bound = max(0.0, g[0] * sx + g[1] * sy - 0.5 * mu * (sx * sx + sy * sy))
     else:
-        y = project((p[0] + g[0] / lipschitz, p[1] + g[1] / lipschitz))
+        y = region_mod.project(feas, (p[0] + g[0] / lipschitz, p[1] + g[1] / lipschitz))
         projected_gradient = lipschitz * math.hypot(y[0] - p[0], y[1] - p[1])
 
     lifetime_seconds = f_p / k

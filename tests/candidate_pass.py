@@ -8,8 +8,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from uavlift.region import DiskTable, FeasibleRegion, _within
+from uavlift.region import DiskTable, FeasibleRegion, within
 from uavlift.scenario import AreaBounds
+
+
+def within_sets(
+    pts: np.ndarray, table: DiskTable, box: AreaBounds, limit: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """`region.within` on the sets `table` and `box` alone, with no slack:
+    the rows of `pts` that violate none by more than `limit`, and their
+    largest violations."""
+    return within(FeasibleRegion(table, box, False), pts, limit)
 
 
 def candidates(table: DiskTable, box: AreaBounds) -> np.ndarray:
@@ -55,7 +64,7 @@ def vertices(table: DiskTable, box: AreaBounds) -> tuple[np.ndarray, np.ndarray]
     largest violations: every vertex of the region, plus any box corner or
     disk centre inside it."""
     pts = candidates(table, box)
-    kept, viol = _within(pts, table, box, table.rounding)
+    kept, viol = within_sets(pts, table, box, table.rounding)
     return pts[kept], viol
 
 
@@ -67,7 +76,7 @@ def project(region: FeasibleRegion, point: tuple[float, float], verts: np.ndarra
     would pull it nowhere, so the point itself stands in for those disks."""
     q = np.array([point], dtype=float)
     table, box = region.table, region.box
-    if len(_within(q, table, box, 0.0)[0]):
+    if len(within_sets(q, table, box, 0.0)[0]):
         return (float(q[0, 0]), float(q[0, 1]))
 
     qx, qy = q[0]
@@ -77,7 +86,7 @@ def project(region: FeasibleRegion, point: tuple[float, float], verts: np.ndarra
     clamp = [[min(max(qx, box.x_min), box.x_max), min(max(qy, box.y_min), box.y_max)]]
     pulled = np.column_stack((cx + (qx - cx) * pull, cy + (qy - cy) * pull))
     cands = np.vstack((clamp, q, pulled) if not out.all() else (clamp, pulled))
-    feasible, _ = _within(cands, table, box, table.rounding)
+    feasible, _ = within_sets(cands, table, box, table.rounding)
     cands = np.vstack((cands[feasible], verts))
     k = np.argmin(np.hypot(cands[:, 0] - qx, cands[:, 1] - qy))
     return (float(cands[k, 0]), float(cands[k, 1]))

@@ -9,9 +9,9 @@ import dataclasses
 import math
 
 import numpy as np
-from candidate_pass import candidates
+from candidate_pass import candidates, within_sets
 
-from uavlift.region import EMPTINESS_TOL, DiskTable, _within
+from uavlift.region import EMPTINESS_TOL, DiskTable
 from uavlift.scenario import AreaBounds
 
 
@@ -30,7 +30,7 @@ def padded_violations(table: DiskTable, box: AreaBounds, pad: float) -> tuple[np
     """The candidate points of the sets padded by `pad` that lie in all of
     them, up to rounding, and their largest violations of the unpadded sets."""
     pts = candidates(*padded(table, box, pad))
-    kept, viol = _within(pts, table, box, pad + table.rounding)
+    kept, viol = within_sets(pts, table, box, pad + table.rounding)
     return pts[kept], viol
 
 
@@ -55,7 +55,7 @@ def bisected_shortfall(table: DiskTable, box: AreaBounds) -> float:
     violation is a value of g some point attains, so it caps min g from above.
     """
     centre = np.array([[0.5 * (box.x_min + box.x_max), 0.5 * (box.y_min + box.y_max)]])
-    lo, hi = EMPTINESS_TOL, float(_within(centre, table, box, math.inf)[1][0])
+    lo, hi = EMPTINESS_TOL, float(within_sets(centre, table, box, math.inf)[1][0])
     while hi - lo > 4.0 * table.rounding:
         mid = 0.5 * (lo + hi)
         _, viol = padded_violations(table, box, mid)

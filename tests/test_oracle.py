@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from finite_differences import fd_gradient, fd_hessian
+from region_layouts import binding_scenario
 
 from uavlift import oracle
 from uavlift.channel import SPEED_OF_LIGHT
@@ -168,6 +169,31 @@ def test_grid_kernel_blocks_do_not_change_answers(monkeypatch, chunk):
     assert result.evaluated == 4 + inside
 
 
+def gap_node_scenario() -> Scenario:
+    """Two unit-K users whose 10 m disks at z = 10 m are 5e-7 m apart, with
+    the gap's midpoint on the 1 m grid node (50, 50): a region thinner than
+    the emptiness tolerance, whose slack lets that node in."""
+    users = (UserDevice(40.0 - 2.5e-7, 50.0, 200.0), UserDevice(60.0 + 2.5e-7, 50.0, 200.0))
+    rf = RfParams(rate=1.0, bandwidth=2.0, noise=1.0,
+                  frequency=SPEED_OF_LIGHT / (4.0 * math.pi), p_max=1e6, tau_th=1.0)
+    return Scenario(users=users, rf=rf, bounds=AreaBounds(0, 100, 0, 100, 10, 10))
+
+
+@pytest.mark.parametrize("layout", ["binding", "thin"])
+def test_grid_nodes_are_feasible_as_contains_says(monkeypatch, layout):
+    scenario = binding_scenario(20) if layout == "binding" else gap_node_scenario()
+    grid = GridSpec(1.0, scenario.bounds)
+    feas = build(scenario)
+    accepted = [(float(x), float(y)) for x in grid.xs() for y in grid.ys() if contains(feas, (x, y))]
+    assert accepted
+    # One tile: its centre's bound reaches the best feasible centre value, so
+    # the fine pass evaluates every node the oracle counts feasible.
+    monkeypatch.setattr(oracle, "TILE", 10**6)
+    result = grid_search(scenario, grid, mode="region")
+    assert result.evaluated == 1 + len(accepted)
+    assert result.point in accepted
+
+
 def flat_values(xs, ys, es, z: float, px: np.ndarray, py: np.ndarray) -> np.ndarray:
     """The objective at every node (px[k], py[k]) by the flat formula, a block
     of nodes at a time: the reference `oracle.grid_values` must match bit for bit."""
@@ -185,8 +211,9 @@ def exhaustive_search(scenario: Scenario, grid: GridSpec, mode: str = "box", c=S
     px, py = (a.ravel() for a in np.meshgrid(grid.xs(), grid.ys(), indexing="ij"))
     values = flat_values(*user_arrays(scenario.users), scenario.bounds.z_min, px, py)
     if mode == "region":
-        table = build(scenario, c).table
-        r2 = (table.r + MEMBERSHIP_TOL) ** 2
+        feas = build(scenario, c)
+        table = feas.table
+        r2 = (table.r + MEMBERSHIP_TOL + feas.slack) ** 2
         inside = np.all((px[:, None] - table.cx) ** 2 + (py[:, None] - table.cy) ** 2 <= r2, axis=1)
         values = np.where(inside, values, -np.inf)
     j = int(np.argmax(values))
@@ -293,8 +320,6 @@ class TestGridSearchIsExhaustive:
 
     @pytest.mark.parametrize("m", [5, 20, 50])
     def test_binding_layout(self, m):
-        from test_region import binding_scenario
-
         scenario = binding_scenario(m)
         for spacing in SIDES:
             grid = GridSpec(spacing, scenario.bounds)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from candidate_pass import project as reference_project
-from candidate_pass import vertices
+from candidate_pass import vertices, within_sets
 from padding_bisection import bisected_shortfall, two_pass_check
 from region_layouts import binding_scenario, project_each, random_region, unit_rf, unit_scenario
 
@@ -16,6 +16,7 @@ import uavlift
 from uavlift import region as region_mod
 from uavlift.channel import SPEED_OF_LIGHT, system_constant
 from uavlift.errors import EmptyRegionError, ValidationError
+from uavlift.oracle import GridSpec, grid_search
 from uavlift.region import (
     FeasibleRegion,
     build,
@@ -426,7 +427,7 @@ class TestCheckEmpty:
         check = check_empty(table, self.BOX)
         point, g = region_mod.least_violation(table, self.BOX)
         assert g == check.shortfall
-        measured = region_mod._within(np.array([point]), table, self.BOX, math.inf)[1]
+        measured = within_sets(np.array([point]), table, self.BOX, math.inf)[1]
         assert measured[0] == pytest.approx(check.shortfall, abs=table.rounding)
         return check
 
@@ -531,7 +532,7 @@ def test_exact_shortfall_against_the_padding_bisection():
         want = bisected_shortfall(table, box)
         assert want - 4.0 * table.rounding <= check.shortfall <= want + table.rounding, seed - 1
         point, _ = region_mod.least_violation(table, box)
-        measured = region_mod._within(np.array([point]), table, box, math.inf)[1][0]
+        measured = within_sets(np.array([point]), table, box, math.inf)[1][0]
         assert measured == check.shortfall
 
 
@@ -553,7 +554,7 @@ def test_region_thinner_than_the_tolerance_keeps_its_point_of_least_violation():
     pts = np.array([(gen.uniform(-15, 15), gen.uniform(-15, 15)) for _ in range(200)])
     projected = project_each(region, pts)
     assert all(contains(region, (float(x), float(y))) for x, y in projected)
-    _, viol = region_mod._within(projected, region.table, box, math.inf)
+    _, viol = region_mod.within(region, projected, math.inf)
     assert len(viol) == len(pts) and np.all(viol <= check.shortfall)
 
 
@@ -593,7 +594,7 @@ def test_one_candidate_pass_keeps_the_two_pass_verdicts():
         if check.empty:
             continue
         slack = max(check.shortfall, 0.0)
-        _, measured = region_mod._within(np.array([check.witness]), table, box, slack + table.rounding)
+        _, measured = within_sets(np.array([check.witness]), table, box, slack + table.rounding)
         assert measured.tolist() == [check.shortfall], seed
         if pad:
             thin += 1
@@ -640,3 +641,45 @@ class TestBoxOnlyRegion:
         assert not region.empty
         assert project(region, (12.0, -3.0)) == (10.0, 0.0)
         assert project(region, (4.0, 5.0)) == (4.0, 5.0)
+
+    def test_projection_keeps_the_bits_of_the_candidate_pass(self):
+        # Points inside and outside the box, past each corner and on each
+        # edge, including the corners themselves.
+        box = AreaBounds(-3, 10, 2, 7, 1, 1)
+        region = FeasibleRegion.from_disks([], box)
+        verts, _ = vertices(region.table, box)
+        gen = SplitMix64(23)
+        points = []
+        for _ in range(200):
+            u, v = gen.uniform(0, 1), gen.uniform(0, 1)
+            x, y = box.x_min + u * (box.x_max - box.x_min), box.y_min + v * (box.y_max - box.y_min)
+            d, e = gen.uniform(0, 30), gen.uniform(0, 30)
+            points += [(x, y), (gen.uniform(-40, 40), gen.uniform(-40, 40))]
+            points += [(box.x_min - d, box.y_min - e), (box.x_min - d, box.y_max + e),
+                       (box.x_max + d, box.y_min - e), (box.x_max + d, box.y_max + e)]
+            points += [(box.x_min, y), (box.x_max, y), (x, box.y_min), (x, box.y_max)]
+        points += [(cx, cy) for cx in (box.x_min, box.x_max) for cy in (box.y_min, box.y_max)]
+        for q in points:
+            got, want = project(region, q), reference_project(region, q, verts)
+            assert [float(c).hex() for c in got] == [float(c).hex() for c in want], q
+
+
+def test_grid_on_a_region_thinner_than_the_tolerance_says_so():
+    # Two unit-K users whose 10 m disks at z = 10 m are 5e-7 m apart: the
+    # sets widened by the region's slack meet in a sliver nanometres wide,
+    # which no node of a 1 m or 0.5 m grid hits, so the oracle names the thin
+    # region instead of asking for a finer spacing.
+    bounds = AreaBounds(0, 100, 0, 100, 10, 10)
+    users = [UserDevice(40.0, 50.0, 200.0), UserDevice(60.0 + 5e-7, 50.0, 200.0)]
+    scenario = unit_scenario(users, bounds, p_max=1e6)
+    region = build(scenario)
+    assert not region.empty and region.slack == pytest.approx(2.5e-7, rel=1e-6)
+    message = rf"thinner than the emptiness tolerance \(slack {region.slack:.3g} m\)"
+    for spacing in (1.0, 0.5):
+        with pytest.raises(ValidationError, match=message):
+            grid_search(scenario, GridSpec(spacing, bounds), mode="region")
+    # a region with an interior between the nodes still asks for a finer grid
+    small = unit_scenario([UserDevice(50.5, 50.5, 0.3**2 + 100.0)], bounds, p_max=1e6)
+    assert build(small).slack == 0.0
+    with pytest.raises(ValidationError, match="refine the spacing"):
+        grid_search(small, GridSpec(1.0, bounds), mode="region")

@@ -125,6 +125,22 @@ class TestSolveBasics:
         with pytest.raises(ValidationError):
             SolverConfig(init=(math.nan, 0.0))
 
+    def test_every_mode_check_gives_one_message(self):
+        from uavlift.errors import ValidationError
+
+        scenario = relaxed_scenario()
+        config = SolverConfig()
+        object.__setattr__(config, "mode", "sideways")  # past the config's own check
+        calls = (
+            lambda: SolverConfig(mode="sideways"),
+            lambda: solve(scenario, config),
+            lambda: grid_search(scenario, GridSpec(5.0, scenario.bounds), mode="sideways"),
+        )
+        for call in calls:
+            with pytest.raises(ValidationError) as info:
+                call()
+            assert str(info.value) == "mode must be 'box' or 'region', got 'sideways'"
+
     def test_box_solve_builds_the_user_arrays_once(self, monkeypatch):
         built = []
         real = objective.user_arrays
