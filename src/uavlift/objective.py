@@ -9,6 +9,7 @@ z exceeds sqrt(3) times the maximum 2D distance in the area.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -151,19 +152,29 @@ def concavity_certificate(bounds: AreaBounds) -> ConcavityCertificate:
     )
 
 
-def strong_concavity(users: Sequence[UserDevice] | UserArrays, bounds: AreaBounds) -> float:
-    """A modulus mu with Hessian <= -mu * I everywhere on the box at z_min.
+def curvature_bounds(
+    users: Sequence[UserDevice] | UserArrays, z_min: float, reach: float = math.inf
+) -> tuple[float, float]:
+    """(lo, hi) with lo*I <= Hessian <= hi*I at altitude z_min within 2D
+    distance `reach` of every user: -lo is the ascent's L, -hi its modulus
+    of strong concavity, and hi the grid oracle's cap.
 
-    Per user, with D = r^2 + z^2 at 2D distance r, the Hessian eigenvalues
-    are -2E/D^2 (tangential) and E*(6r^2 - 2z^2)/D^3 (radial, the larger).
-    Both grow with r while r <= z, and no r on the box exceeds d_max, so by
-    Weyl's inequality the sum is at most sum(E_i)*(6d^2 - 2z^2)/(d^2 + z^2)^3
-    times the identity, with d = d_max. mu is positive exactly when the
-    concavity certificate holds; otherwise it proves nothing.
+    Per user at 2D distance r, with D = r^2 + z^2, the Hessian eigenvalues
+    are -2E/D^2 and E*(6r^2 - 2z^2)/D^3. Both are -2E/z^4 at r = 0; the
+    first rises towards 0, the second to its peak E/(2z^4) at r = z. Weyl's
+    inequality sums the users. A power that overflows counts as infinite.
     """
-    d2 = math.hypot(bounds.x_max - bounds.x_min, bounds.y_max - bounds.y_min) ** 2
-    z2 = bounds.z_min**2
-    return float(user_arrays(users).es.sum()) * (2.0 * z2 - 6.0 * d2) / (d2 + z2) ** 3
+    total = float(user_arrays(users).es.sum())
+    z4 = math.inf
+    with contextlib.suppress(OverflowError):
+        z4 = z_min**4
+    if not z4 > 0:
+        return -math.inf, math.inf
+    if reach < z_min:
+        with contextlib.suppress(OverflowError, ZeroDivisionError):  # else the cap at r = z holds
+            r2, z2 = reach**2, z_min**2
+            return -2.0 * total / z4, -(total * (2.0 * z2 - 6.0 * r2) / (r2 + z2) ** 3)
+    return -2.0 * total / z4, total / (2.0 * z4)
 
 
 class NsdScan(NamedTuple):

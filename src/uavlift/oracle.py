@@ -23,7 +23,7 @@ import numpy as np
 from . import region as region_mod
 from .channel import SPEED_OF_LIGHT
 from .errors import ValidationError
-from .objective import user_arrays
+from .objective import curvature_bounds, user_arrays
 from .scenario import AreaBounds, Scenario
 
 
@@ -197,13 +197,10 @@ def grid_search(
     The coarse pass evaluates the value f(c) and the gradient at the centre
     node c of every TILE x TILE tile. Every node p of a tile then has
     f(p) <= f(c) + |grad f(c)| rho + L rho^2 / 2, where rho is the largest
-    distance from c to the tile's nodes and L = sum(E) / (2 z^4) caps the
-    largest Hessian eigenvalue: each user's radial eigenvalue
-    E (6 r^2 - 2 z^2) / (r^2 + z^2)^3 peaks at E / (2 z^4) at r = z, its
-    tangential one is negative, and Weyl's inequality sums the caps. Tiles
-    whose bound falls below the best feasible centre value by a relative
-    `_PRUNE_SLACK` cannot hold the best node; the fine pass evaluates the
-    rest with `grid_values`.
+    distance from c to the tile's nodes and L, `objective.curvature_bounds`'
+    hi, caps the largest Hessian eigenvalue. Tiles whose bound falls below
+    the best feasible centre value by a relative `_PRUNE_SLACK` cannot hold
+    the best node; the fine pass evaluates the rest with `grid_values`.
 
     Only nodes of the mode's `region.feasible_set` count, for the lower bound
     as for the answer; `region.within` tests them as `region.contains` does,
@@ -222,8 +219,7 @@ def grid_search(
     # infinite when z^4 underflows; then no tile is bounded and none is pruned.
     tx, reach_x = _tiles(grid_xs)
     ty, reach_y = _tiles(grid_ys)
-    z4 = z**4
-    curvature_cap = float(np.sum(es)) / (2.0 * z4) if z4 > 0 else math.inf
+    _, curvature_cap = curvature_bounds(scenario.users, z)
     if math.isfinite(curvature_cap):
         px, py = np.repeat(grid_xs[tx], len(ty)), np.tile(grid_ys[ty], len(tx))
         inside, _ = region_mod.within(feas, np.column_stack((px, py)))  # raises if feas is empty

@@ -24,6 +24,7 @@ the disks; `contains` and the grid oracle ask it.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -155,7 +156,10 @@ def feasible_set(scenario: Scenario, mode: str, c: float = SPEED_OF_LIGHT) -> Fe
 def disk_radius(d_limit: np.ndarray, z: float) -> np.ndarray:
     """Radii at altitude z of range balls of radii d_limit, 0 where d_limit <= z,
     squared by libm pow as Python's ** does, not as ** on arrays."""
-    return np.sqrt(np.maximum(np.float_power(d_limit, 2) - z**2, 0.0))
+    z2 = math.inf  # where z**2 overflows: no range reaches so high, so every radius is 0
+    with contextlib.suppress(OverflowError):
+        z2 = z**2
+    return np.sqrt(np.maximum(np.float_power(d_limit, 2) - z2, 0.0))
 
 
 def build(scenario: Scenario, c: float = SPEED_OF_LIGHT) -> FeasibleRegion:
@@ -209,13 +213,16 @@ def contains(
 def project(region: FeasibleRegion, point: tuple[float, float]) -> tuple[float, float]:
     """Euclidean projection onto the region, exact up to rounding.
 
-    A point q in the region comes back unchanged; a bare box clamps q. Else
-    the solve pivots from q with no constraint tight, and `_nearest_of`
-    solves each group. A region thinner than EMPTINESS_TOL has no point in
-    every set, so the solve runs on the sets widened by its `slack`.
+    A non-finite q is a ValidationError. A point q in the region comes back
+    unchanged; a bare box clamps q. Else the solve pivots from q with no
+    constraint tight, and `_nearest_of` solves each group. A region thinner
+    than EMPTINESS_TOL has no point in every set, so the solve runs on the
+    sets widened by its `slack`.
     """
     if region.empty:
         raise EmptyRegionError(region.empty_reason or "region is empty")
+    if not (math.isfinite(point[0]) and math.isfinite(point[1])):
+        raise ValidationError(f"cannot project the non-finite point {tuple(point)}")
     table, box, s = region.table, region.box, region.slack
     if not len(table.r):
         return (min(max(point[0], box.x_min), box.x_max), min(max(point[1], box.y_min), box.y_max))

@@ -480,4 +480,6 @@ def load(path: str | Path) -> Scenario:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path} nests arrays or objects too deeply to parse") from exc
     return scenario_from_dict(doc)

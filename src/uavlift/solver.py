@@ -2,20 +2,25 @@
 
 Each step moves along the analytic gradient and projects back onto the
 feasible convex set, `region.feasible_set`: the box cut by the range disks,
-or in `box` mode the box alone. The step starts at 1/L, where
-L = 2*sum(E_i)/z^4 bounds the curvature of the objective everywhere at
-altitude z, concave or not. A trial step is accepted once the descent
-lemma holds for it, f(p+) >= f(p) + g.(p+ - p) - |p+ - p|^2 / (2t), and
-halved otherwise; every accepted step doubles the next one (the
-backtracking rule of Beck & Teboulle, 2009, and Nesterov, 2013). This is
-the only step rule. An accepted step therefore never falls below 1/(2L),
-and the stop rule "the iterate moved less than the tolerance" is a
-stationarity test on the projected gradient.
+or in `box` mode the box alone. The step starts at 1/L, where L = -lo from
+`objective.curvature_bounds` bounds the curvature of the objective
+everywhere at altitude z, concave or not. A trial step t is accepted once
+the descent lemma holds for it, f(p+) >= f(p) + g.(p+ - p) - |p+ - p|^2 / (2t),
+and halved otherwise, as is a step so long that p + t*g overflows; every
+accepted step doubles the next one (the backtracking rule of Beck &
+Teboulle, 2009, and Nesterov, 2013). This is the only step rule. An
+accepted step therefore never falls below 1/(2L), unless `step_size`
+starts it lower, and the stop rule "the iterate moved less than the
+tolerance eps" is a stationarity test on the projected gradient: it bounds
+the projected-gradient norm |P(p + t*g) - p| / t by eps/t <= 2L*eps. That
+threshold grows as z^-4, so at a low altitude the ascent can stop after
+one short step far from the optimum.
 
 When the concavity certificate holds, the objective is strongly concave on
-the box with a closed-form modulus, and the report carries a proven bound
-on the optimality gap. Without the certificate the report gives the norm
-of the projected gradient: the point is stationary, not proven optimal.
+the box with modulus mu = -hi from the same `curvature_bounds`, and the
+report carries a proven bound on the optimality gap. Without the
+certificate the report gives the norm of the projected gradient: the point
+is stationary, not proven optimal.
 
 Because the printed parameter set of the bundled reproduction cases makes
 the full region empty at 650 m, those cases run in `box` mode; an empty
@@ -27,6 +32,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,8 +43,8 @@ from .errors import NumericalError, ValidationError
 from .objective import (
     ConcavityCertificate,
     concavity_certificate,
+    curvature_bounds,
     gradient,
-    strong_concavity,
     user_arrays,
     value,
 )
@@ -127,21 +133,27 @@ def solve(
     """Run projected gradient ascent and report the trajectory.
 
     The objective is non-decreasing along the trajectory. A z_min so small
-    that L overflows is a ValidationError: no step is safe. So is a system
-    constant so small that the lifetime overflows.
+    that L overflows is a ValidationError: no step is safe. So is an L that
+    rounds to 0, from a z_min so large or energies so small that 1/L is not
+    finite, and a system constant so small that the lifetime overflows.
     """
     config = config or SolverConfig()
     users = user_arrays(scenario.users)  # built once for the whole ascent
     z = scenario.bounds.z_min
-    z4 = z**4
-    lipschitz = 2.0 * float(users.es.sum()) / z4 if z4 > 0 else math.inf
+    cert = concavity_certificate(scenario.bounds)
+    lo, hi = curvature_bounds(users, z, cert.d_max)
+    lipschitz, mu = -lo, -hi
     if not math.isfinite(lipschitz):
         raise ValidationError(
             f"z_min = {z:g} m is too small: the curvature bound 2*sum(E)/z_min^4 "
             "is not finite, so no step size is safe"
         )
+    if not lipschitz > 0:
+        raise ValidationError(
+            f"z_min = {z:g} m is too large for the energies: the curvature bound "
+            "2*sum(E)/z_min^4 rounds to 0, so the step 1/L is not finite"
+        )
     k = system_constant(scenario.rf, len(scenario.users), c)
-    cert = concavity_certificate(scenario.bounds)
     if not cert.holds:
         warnings.warn(
             f"objective may be non-concave: z_min = {cert.z_min:g} m does not exceed "
@@ -176,14 +188,17 @@ def solve(
         if not (math.isfinite(g[0]) and math.isfinite(g[1])):
             raise NumericalError(f"gradient is not finite at {p}")
         while True:
-            trial = region_mod.project(feas, (p[0] + step * g[0], p[1] + step * g[1]))
-            f_trial = value(users, z, trial)
-            dx, dy = trial[0] - p[0], trial[1] - p[1]
-            if (
-                step <= _STEP_FLOOR
-                or f_trial >= f_p + g[0] * dx + g[1] * dy - (dx * dx + dy * dy) / (2.0 * step)
-            ):
-                break
+            ahead = (p[0] + step * g[0], p[1] + step * g[1])
+            # a step so long that p + step*g overflows fails the test like any other
+            if math.isfinite(ahead[0]) and math.isfinite(ahead[1]):
+                trial = region_mod.project(feas, ahead)
+                f_trial = value(users, z, trial)
+                dx, dy = trial[0] - p[0], trial[1] - p[1]
+                if (
+                    step <= _STEP_FLOOR
+                    or f_trial >= f_p + g[0] * dx + g[1] * dy - (dx * dx + dy * dy) / (2.0 * step)
+                ):
+                    break
             step *= 0.5
         p, f_p = trial, f_trial
         iterations += 1
@@ -192,10 +207,9 @@ def solve(
         if math.hypot(dx, dy) < config.tolerance:
             converged = True
             break
-        step *= 2.0
+        step = min(2.0 * step, sys.float_info.max)  # finite, so halving can shorten it
 
     gap_bound = projected_gradient = None
-    mu = strong_concavity(users, scenario.bounds)
     if mu > 0:
         # f(p + s) <= f(p) + g.s - mu/2 |s|^2 on the box, so over the
         # feasible set f* - f(p) is at most that model's maximum, taken at

@@ -114,6 +114,12 @@ class TestCheck:
         assert main(["check", str(path)]) == 2
         assert f"{path} is not UTF-8 text" in capsys.readouterr().err
 
+    def test_deeply_nested_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path} nests arrays or objects too deeply to parse\n"
+
     @pytest.mark.parametrize("command", [["check"], ["solve", "--mode", "box"]],
                              ids=["check", "solve-box"])
     @pytest.mark.parametrize("flags, error", [
@@ -424,6 +430,56 @@ class TestTinyAltitude:
         j = int(np.argmax(totals))
         best = f"best ({gxs[j // len(gys)]:g}, {gys[j % len(gys)]:g}) value {totals[j]:.6f} J/m^2"
         assert out == f"{best} ({len(gxs) * len(gys)} nodes evaluated)\n"
+
+
+@pytest.fixture(params=[
+    ["--count", "200", "--seed", "9", "--z-min", "1e80"],
+    ["--count", "200", "--seed", "9", "--z-min", "1e160"],
+    ["--count", "2", "--seed", "9", "--z-min", "1e10", "--energy-low", "1e-310", "--energy-high", "1e-310"],
+], ids=["1e80", "1e160", "E=1e-310"])
+def huge_altitude_file(request, tmp_path):
+    # 2*sum(E)/z_min^4 rounds to 0: z_min^4 overflows at 1e80 (and z_min^2 at
+    # 1e160), and at 1e10 the subnormal energies leave nothing of it
+    path = tmp_path / "huge.json"
+    assert main(["generate", *request.param, "--out", str(path)]) == 0
+    return path
+
+
+class TestHugeAltitude:
+    @pytest.mark.parametrize("mode", ["box", "region"])
+    def test_solve_is_an_input_error_naming_z_min(self, huge_altitude_file, capsys, mode):
+        capsys.readouterr()
+        assert main(["solve", str(huge_altitude_file), "--mode", mode]) == 2
+        err = capsys.readouterr().err
+        assert "z_min" in err and "rounds to 0" in err and "Traceback" not in err
+
+    def test_grid_prunes_with_a_zero_cap_and_warns_nothing(self, huge_altitude_file, capsys):
+        from uavlift.oracle import GridSpec, grid_values
+
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["grid", str(huge_altitude_file), "--spacing", "5"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        # the answer is the exhaustive scan's
+        s = load(huge_altitude_file)
+        grid = GridSpec(spacing=5.0, bounds=s.bounds)
+        gxs, gys = grid.xs(), grid.ys()
+        totals = grid_values(*s.users.arrays, s.bounds.z_min, gxs, gys, np.arange(len(gxs) * len(gys)))
+        j = int(np.argmax(totals))
+        assert out.startswith(f"best ({gxs[j // len(gys)]:g}, {gys[j % len(gys)]:g}) value {totals[j]:.6f} J/m^2 (")
+
+    def test_check_prints_no_radius_and_exits_3(self, huge_altitude_file, capsys):
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", str(huge_altitude_file)]) == 3
+        out, err = capsys.readouterr()
+        assert err == ""
+        rows = out.splitlines()[1:-2]
+        assert rows and all(row.split()[-1] == "-" for row in rows)
+        assert "region: EMPTY" in out
 
 
 @pytest.fixture()

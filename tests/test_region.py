@@ -236,6 +236,13 @@ class TestProject:
         with pytest.raises(EmptyRegionError):
             project(region, (0.0, 0.0))
 
+    @pytest.mark.parametrize("disks", [[], [(0, 0, 2)]], ids=["box", "disk"])
+    @pytest.mark.parametrize("q", [(math.inf, 0.0), (-math.inf, math.inf), (0.0, math.nan)])
+    def test_non_finite_point_is_an_input_error(self, disks, q):
+        region = FeasibleRegion.from_disks(disks, self.BOX)
+        with pytest.raises(ValidationError, match="non-finite point"):
+            project(region, q)
+
     def test_zero_radius_disk_is_the_single_point_at_its_centre(self):
         for disks in ([(3, -2, 0)], [(3, -2, 0), (3, -2, 0), (0, 0, 5)]):
             check = check_empty(disks, self.BOX)

@@ -235,6 +235,12 @@ class TestRoundTrip:
         with pytest.raises(ParseError):
             load(path)
 
+    def test_deeply_nested_json_is_parse_error(self, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ParseError, match="too deeply"):
+            load(path)
+
 
 def fields_hex(users) -> list[tuple[str, str, str]]:
     return [(u.x.hex(), u.y.hex(), u.energy.hex()) for u in users]

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from region_layouts import binding_scenario
 from uavlift import cases, objective
 from uavlift import solver as solver_mod
 from uavlift.channel import SPEED_OF_LIGHT
-from uavlift.objective import UserArrays, gradient, hessian, strong_concavity, value
+from uavlift.objective import UserArrays, curvature_bounds, gradient, hessian, value
 from uavlift.oracle import GridSpec, grid_search
 from uavlift.region import build, contains
 from uavlift.rng import SplitMix64
@@ -273,6 +274,31 @@ class TestStepRule:
         assert (x1, y1) == (x0 + step * gx, y0 + step * gy)
         assert report.step_size_final == 2.0 * step  # an accepted step doubles the next
 
+    def test_overflowing_trial_step_is_halved(self, value_calls):
+        # From (100, 100) a first step of 1e308 m overflows p + step*g to
+        # (-inf, inf): that trial fails the test and the step halves.
+        scenario = binding_scenario(20)
+        config = SolverConfig(mode="region", step_size=1e308, init=(100.0, 100.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # z = 10 m: no certificate
+            report = solve(scenario, config)
+        assert report.converged
+        assert contains(build(scenario), report.placement[:2])
+        assert all(math.isfinite(x) and math.isfinite(y) for _, _, (x, y) in value_calls)
+        assert report.objective >= report.trajectory[0][2]
+
+    def test_doubling_keeps_the_step_finite(self):
+        # One step of 1e308 m from (50, 100) ends clamped on the user at the
+        # corner; doubled, it would be infinite, and inf * 0 at the user a NaN
+        # trial that no halving could shorten.
+        s = Scenario(users=(UserDevice(0.0, 0.0, 9000.0),), rf=RF, bounds=AreaBounds(0, 100, 0, 100, 1, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # z = 1 m: no certificate
+            report = solve(s, SolverConfig(mode="box", step_size=1e308, init=(50.0, 100.0)))
+        assert report.converged
+        assert report.placement == (0.0, 0.0, 1.0)
+        assert report.step_size_final == sys.float_info.max
+
     @pytest.mark.parametrize("m", [5, 20, 50])
     def test_binding_region_solves_agree_from_both_starts(self, m, value_calls):
         scenario = binding_scenario(m)
@@ -337,22 +363,42 @@ class TestGapBound:
                 assert gap > 1e-12  # a truncated ascent leaves a measurable gap
                 assert report.gap_bound <= 50.0 * gap
 
-    def test_modulus_bounds_every_hessian_on_the_box(self):
+    @pytest.mark.parametrize("z", [2.0, 10.0, 30.0, 650.0])
+    def test_modulus_bounds_every_hessian_on_the_box(self, z):
         scenario = canned_uniform()
-        b, z = scenario.bounds, scenario.bounds.z_min
-        mu = strong_concavity(scenario.users, b)
-        assert mu > 0
+        b = scenario.bounds
+        d_max = math.hypot(b.x_max - b.x_min, b.y_max - b.y_min)
+        lo, hi = curvature_bounds(scenario.users, z, d_max)
+        assert lo < 0
+        assert (hi < 0) == (z > math.sqrt(3.0) * d_max)  # a modulus exactly under the certificate
         gen = SplitMix64(4)
         for _ in range(200):
             p = (gen.uniform(b.x_min, b.x_max), gen.uniform(b.y_min, b.y_max))
-            assert np.linalg.eigvalsh(hessian(scenario.users, z, p)).max() <= -mu
+            eigenvalues = np.linalg.eigvalsh(hessian(scenario.users, z, p))
+            assert lo <= eigenvalues.min() and eigenvalues.max() <= hi
 
     def test_modulus_is_attained_by_one_user_across_the_diagonal(self):
         bounds = cases.BOUNDS
         s = Scenario(users=(UserDevice(0.0, 0.0, 9000.0),), rf=RF, bounds=bounds)
-        mu = strong_concavity(s.users, bounds)
+        _, hi = curvature_bounds(s.users, bounds.z_min, math.hypot(250.0, 250.0))
         top = np.linalg.eigvalsh(hessian(s.users, bounds.z_min, (250.0, 250.0))).max()
-        assert top == pytest.approx(-mu, rel=1e-12)
+        assert top == pytest.approx(hi, rel=1e-12)
+
+    @pytest.mark.parametrize("z", [2.0, 30.0, 650.0])
+    def test_one_user_attains_each_bound(self, z):
+        users = (UserDevice(0.0, 0.0, 9000.0),)
+        lo, hi = curvature_bounds(users, z)
+        assert np.linalg.eigvalsh(hessian(users, z, (0.0, 0.0))) == pytest.approx([lo, lo], rel=1e-12)
+        assert np.linalg.eigvalsh(hessian(users, z, (z, 0.0))).max() == pytest.approx(hi, rel=1e-12)
+        # an eigenvalue above hi at some r != z would break the bound
+        for r in (0.5 * z, 0.9 * z, 1.1 * z, 3.0 * z):
+            assert np.linalg.eigvalsh(hessian(users, z, (0.0, r))).max() < hi
+        # within a reach below z the radial eigenvalue peaks at the reach
+        _, hi_near = curvature_bounds(users, z, 0.5 * z)
+        assert hi_near < hi
+        top = np.linalg.eigvalsh(hessian(users, z, (0.3 * z, 0.4 * z))).max()
+        assert top == pytest.approx(hi_near, rel=1e-12)
+        assert curvature_bounds(users, z, z) == (lo, hi)
 
     def test_bound_is_near_tight_for_one_user_across_the_diagonal(self):
         # The optimum is the user's own corner. From the far corner the
@@ -367,7 +413,8 @@ class TestGapBound:
 
     def test_no_gap_without_the_certificate(self):
         s = z30_scenario()
-        assert strong_concavity(s.users, s.bounds) <= 0
+        b = s.bounds
+        assert curvature_bounds(s.users, b.z_min, math.hypot(b.x_max - b.x_min, b.y_max - b.y_min))[1] >= 0
         with pytest.warns(RuntimeWarning, match="non-concave"):
             report = solve(s, SolverConfig(mode="box"))
         assert report.gap_bound is None
