@@ -9,6 +9,7 @@ flags; all randomness comes from explicit seeds.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -32,6 +33,7 @@ from .region import disk_radius
 from .scenario import (
     DEFAULT_ENERGY_HIGH,
     DEFAULT_ENERGY_LOW,
+    DEFAULT_RF,
     AreaBounds,
     ClusterSpec,
     RfParams,
@@ -74,16 +76,7 @@ def _clusters(text: str) -> list[ClusterSpec]:
                 f"cluster {i} must be x,y,std,count,energy_low,energy_high, got {chunk!r}"
             )
         try:
-            specs.append(
-                ClusterSpec(
-                    x=float(fields[0]),
-                    y=float(fields[1]),
-                    std=float(fields[2]),
-                    count=int(fields[3]),
-                    energy_low=float(fields[4]),
-                    energy_high=float(fields[5]),
-                )
-            )
+            specs.append(ClusterSpec(*map(float, fields[:3]), int(fields[3]), *map(float, fields[4:])))
         except (ValueError, ValidationError) as exc:
             raise argparse.ArgumentTypeError(f"bad cluster {chunk!r}: {exc}")
     return specs
@@ -114,19 +107,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="write a scenario file")
     p.add_argument("--count", type=int, default=None,
                    help="number of ground users (required unless --clusters is given)")
-    p.add_argument("--area", type=_area, default=(250.0, 250.0), help="WxH rectangle in meters")
+    b = cases.BOUNDS
+    p.add_argument("--area", type=_area, default=(b.x_max - b.x_min, b.y_max - b.y_min),
+                   help="WxH rectangle in meters")
     p.add_argument("--energy-low", type=_positive_float, default=DEFAULT_ENERGY_LOW)
     p.add_argument("--energy-high", type=_positive_float, default=DEFAULT_ENERGY_HIGH)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--clusters", type=_clusters, default=None,
                    help="x,y,std,count,elow,ehigh[;...] for a non-uniform layout")
-    p.add_argument("--z-min", type=_positive_float, default=650.0)
-    p.add_argument("--rate", type=_positive_float, default=4e6)
-    p.add_argument("--bandwidth", type=_positive_float, default=50e6)
-    p.add_argument("--noise", type=_positive_float, default=1e-14)
-    p.add_argument("--frequency", type=_positive_float, default=4e9)
-    p.add_argument("--p-max", type=_positive_float, default=0.5)
-    p.add_argument("--tau-th", type=_positive_float, default=900.0)
+    p.add_argument("--z-min", type=_positive_float, default=b.z_min)
+    for f in dataclasses.fields(RfParams):
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=_positive_float,
+                       default=getattr(DEFAULT_RF, f.name))
     p.add_argument("--out", default="scenario.json")
 
     p = sub.add_parser("check", help="feasibility and concavity report")
@@ -135,13 +127,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="gradient projection ascent")
     p.add_argument("scenario")
-    p.add_argument("--mode", choices=("box", "region"), default="region")
-    p.add_argument("--gamma", type=_positive_float, default=None,
+    config = solver_mod.SolverConfig()
+    p.add_argument("--mode", choices=("box", "region"), default=config.mode)
+    p.add_argument("--gamma", type=_positive_float, default=config.step_size,
                    help="initial step; default 1/L with L = 2*sum(E)/z^4")
-    p.add_argument("--eps", type=_positive_float, default=1e-3, help="movement stop threshold, m")
-    p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--init", type=_init_spec, default="centroid")
-    p.add_argument("--init-seed", type=int, default=0)
+    p.add_argument("--eps", type=_positive_float, default=config.tolerance, help="movement stop threshold, m")
+    p.add_argument("--max-iters", type=int, default=config.max_iters)
+    p.add_argument("--init", type=_init_spec, default=config.init)
+    p.add_argument("--init-seed", type=int, default=config.init_seed)
     p.add_argument("--report", default=None, help="write the full report JSON here")
     p.add_argument("--trajectory", default=None, help="write the trajectory CSV here")
     p.add_argument("--c", type=_positive_float, default=SPEED_OF_LIGHT)
@@ -169,10 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_generate(args) -> int:
     width, height = args.area
     bounds = AreaBounds(0.0, width, 0.0, height, args.z_min, args.z_min)
-    rf = RfParams(
-        rate=args.rate, bandwidth=args.bandwidth, noise=args.noise,
-        frequency=args.frequency, p_max=args.p_max, tau_th=args.tau_th,
-    )
+    rf = RfParams(**{f.name: getattr(args, f.name) for f in dataclasses.fields(RfParams)})
     if args.clusters is not None:
         scenario = generate_clustered(args.clusters, bounds, args.seed, rf=rf)
     else:

@@ -195,11 +195,8 @@ def build(scenario: Scenario, c: float = SPEED_OF_LIGHT) -> FeasibleRegion:
         table = _disk_arrays((), scenario.bounds)
         return FeasibleRegion(table, scenario.bounds, True, reason, limits)
 
-    table = _disk_arrays(np.column_stack((xs, ys, disk_radius(d_limit, z))), scenario.bounds)
-    check = check_empty(table, scenario.bounds)
-    return FeasibleRegion(
-        table, scenario.bounds, check.empty, check.cause, limits, max(check.shortfall, 0.0)
-    )
+    disks = np.column_stack((xs, ys, disk_radius(d_limit, z)))
+    return dataclasses.replace(FeasibleRegion.from_disks(disks, scenario.bounds), limits=limits)
 
 
 def contains(

@@ -50,11 +50,13 @@ class UserDevice:
     energy: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _finite(self.x, "user", "x"))
-        object.__setattr__(self, "y", _finite(self.y, "user", "y"))
-        object.__setattr__(self, "energy", _finite(self.energy, "user", "energy"))
+        for f in dataclasses.fields(self):
+            object.__setattr__(self, f.name, _finite(getattr(self, f.name), "user", f.name))
         if not self.energy > 0:
             raise ValidationError(f"user energy must be positive, got {self.energy}")
+
+
+_USER_KEYS = tuple(f.name for f in dataclasses.fields(UserDevice))
 
 
 class UserArrays(NamedTuple):
@@ -117,13 +119,7 @@ def user_arrays(users: Sequence[UserDevice] | UserArrays) -> UserArrays:
         return users
     if isinstance(users, UserView):
         return users.arrays
-    xs = np.array([u.x for u in users], dtype=float)
-    ys = np.array([u.y for u in users], dtype=float)
-    es = np.array([u.energy for u in users], dtype=float)
-    return UserArrays(xs, ys, es)
-
-
-_USER_KEYS = ("x", "y", "energy")
+    return UserArrays(*(np.array([getattr(u, key) for u in users], dtype=float) for key in _USER_KEYS))
 
 
 def _check_energy(i: int, energy: float) -> None:
@@ -163,11 +159,11 @@ class RfParams:
     tau_th: float
 
     def __post_init__(self):
-        for name in ("rate", "bandwidth", "noise", "frequency", "p_max", "tau_th"):
-            value = _finite(getattr(self, name), "rf", name)
-            object.__setattr__(self, name, value)
+        for f in dataclasses.fields(self):
+            value = _finite(getattr(self, f.name), "rf", f.name)
+            object.__setattr__(self, f.name, value)
             if not value > 0:
-                raise ValidationError(f"rf.{name} must be positive, got {value}")
+                raise ValidationError(f"rf.{f.name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -184,8 +180,8 @@ class AreaBounds:
     z_max: float
 
     def __post_init__(self):
-        for name in ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max"):
-            object.__setattr__(self, name, _finite(getattr(self, name), "bounds", name))
+        for f in dataclasses.fields(self):
+            object.__setattr__(self, f.name, _finite(getattr(self, f.name), "bounds", f.name))
         if not self.x_min < self.x_max:
             raise ValidationError(f"bounds require x_min < x_max, got [{self.x_min}, {self.x_max}]")
         if not self.y_min < self.y_max:
@@ -203,7 +199,8 @@ class AreaBounds:
 class Scenario:
     """A complete problem instance. `users` may be given as a sequence of
     :class:`UserDevice` or as :class:`UserArrays`; the scenario copies them
-    into its own read-only arrays and keeps a :class:`UserView`. `seed`
+    into its own read-only arrays and keeps a :class:`UserView`. Each
+    energy must be finite and positive, and their sum finite. `seed`
     records generator provenance when the instance came from one of the
     generators below."""
 
@@ -224,6 +221,10 @@ class Scenario:
         for a in arrays:
             a.flags.writeable = False
         _check_user_values(arrays)
+        with np.errstate(over="ignore"):  # the sum every curvature bound takes
+            total = float(arrays.es.sum())
+        if not math.isfinite(total):
+            raise ValidationError(f"the users' total energy must be finite, got {total}")
         b = self.bounds
         xs, ys, _ = arrays
         outside = ~((b.x_min <= xs) & (xs <= b.x_max) & (b.y_min <= ys) & (ys <= b.y_max))
@@ -429,6 +430,12 @@ def _user_columns(raw_users) -> UserArrays:
     return UserArrays(*(np.array(col, dtype=float) for col in columns))
 
 
+def _record(cls, doc: dict, key: str):
+    """A `cls` from the object at `doc[key]`, one number per field of `cls`."""
+    raw = _require(doc, key, "")
+    return cls(**{f.name: _number(raw, f.name, key) for f in dataclasses.fields(cls)})
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ParseError("scenario document must be a JSON object")
@@ -438,24 +445,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
             raise ParseError(f"field 'seed' must be an integer or null, got {seed!r}")
         check_seed(seed)
     users = _user_columns(_require(doc, "users", ""))
-    raw_rf = _require(doc, "rf", "")
-    rf = RfParams(
-        rate=_number(raw_rf, "rate", "rf"),
-        bandwidth=_number(raw_rf, "bandwidth", "rf"),
-        noise=_number(raw_rf, "noise", "rf"),
-        frequency=_number(raw_rf, "frequency", "rf"),
-        p_max=_number(raw_rf, "p_max", "rf"),
-        tau_th=_number(raw_rf, "tau_th", "rf"),
-    )
-    raw_bounds = _require(doc, "bounds", "")
-    bounds = AreaBounds(
-        x_min=_number(raw_bounds, "x_min", "bounds"),
-        x_max=_number(raw_bounds, "x_max", "bounds"),
-        y_min=_number(raw_bounds, "y_min", "bounds"),
-        y_max=_number(raw_bounds, "y_max", "bounds"),
-        z_min=_number(raw_bounds, "z_min", "bounds"),
-        z_max=_number(raw_bounds, "z_max", "bounds"),
-    )
+    rf = _record(RfParams, doc, "rf")
+    bounds = _record(AreaBounds, doc, "bounds")
     return Scenario(users=users, rf=rf, bounds=bounds, seed=seed)
 
 

@@ -34,7 +34,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import region as region_mod
@@ -256,12 +256,7 @@ def report_to_dict(report: SolveReport) -> dict:
         "projected_gradient": report.projected_gradient,
         "infeasible": report.infeasible,
         "k": report.k,
-        "certificate": {
-            "z_min": report.certificate.z_min,
-            "d_max": report.certificate.d_max,
-            "threshold": report.certificate.threshold,
-            "holds": report.certificate.holds,
-        },
+        "certificate": asdict(report.certificate),
         "trajectory": [list(row) for row in report.trajectory],
     }
 

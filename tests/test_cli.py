@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -6,8 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
+from uavlift import cases
 from uavlift.cli import _build_parser, main
-from uavlift.scenario import AreaBounds, RfParams, Scenario, UserDevice, load, save
+from uavlift.scenario import DEFAULT_RF, AreaBounds, RfParams, Scenario, UserDevice, load, save
 
 
 @pytest.fixture()
@@ -57,6 +59,19 @@ class TestGenerate:
         s = load(reference_file)
         digest = hashlib.sha256(b"".join(a.tobytes() for a in s.users.arrays)).hexdigest()
         assert digest == "f291096db08272dcd1ceeba31f8b4bfef7ddbaf1dc73013b0233db0afc92dce7"
+
+    def test_defaults_are_the_paper_parameters(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        assert main(["generate", "--count", "3", "--seed", "1", "--out", str(path)]) == 0
+        scenario = load(path)
+        assert (scenario.rf, scenario.bounds) == (DEFAULT_RF, cases.BOUNDS)
+
+    @pytest.mark.parametrize("field", ["rate", "bandwidth", "noise", "frequency", "p_max", "tau_th"])
+    def test_radio_flag_sets_only_its_field(self, tmp_path, capsys, field):
+        path = tmp_path / "s.json"
+        flag = "--" + field.replace("_", "-")
+        assert main(["generate", "--count", "3", "--seed", "1", flag, "0.25", "--out", str(path)]) == 0
+        assert load(path).rf == dataclasses.replace(DEFAULT_RF, **{field: 0.25})
 
     def test_missing_count_is_usage_error(self, tmp_path, capsys):
         assert main(["generate", "--seed", "1", "--out", str(tmp_path / "x.json")]) == 2
@@ -510,6 +525,31 @@ def test_overflowing_objective_is_input_error(node_file, tmp_path, capsys, monke
         "use a higher altitude\n"
     )
     assert sorted(p.name for p in tmp_path.iterdir()) == ["node.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--count", "2", "--seed", "1", "--energy-low", "1e308", "--energy-high", "1e308",
+     "--out", "out.json"],
+    ["check", "e.json"],
+    ["solve", "e.json", "--mode", "box"],
+    ["solve", "e.json"],
+    ["grid", "e.json", "--spacing", "5"],
+    ["grid", "e.json", "--spacing", "5", "--mode", "region"],
+    ["surface", "e.json", "--spacing", "5", "--out", "e.csv"],
+], ids=["generate", "check", "solve-box", "solve-region", "grid-box", "grid-region", "surface"])
+@pytest.mark.parametrize("warnings_as_errors", [False, True], ids=["warn", "W-error"])
+def test_overflowing_total_energy_is_input_error(tmp_path, capsys, monkeypatch, argv, warnings_as_errors):
+    # two users whose energies are finite but sum beyond the double range
+    monkeypatch.chdir(tmp_path)
+    doc = {"users": {"x": [0.0, 250.0], "y": [0.0, 250.0], "energy": [1e308, 1e308]},
+           "rf": dataclasses.asdict(DEFAULT_RF), "bounds": dataclasses.asdict(cases.BOUNDS)}
+    (tmp_path / "e.json").write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        if warnings_as_errors:
+            warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: the users' total energy must be finite, got inf\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["e.json"]
 
 
 @pytest.mark.parametrize("argv", [

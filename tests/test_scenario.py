@@ -193,12 +193,16 @@ class TestRoundTrip:
         with pytest.raises(ValidationError):
             load(path)
 
-    def test_missing_rf_noise_names_the_field(self, tmp_path):
+    @pytest.mark.parametrize("record, field", [
+        *(("rf", name) for name in ("rate", "bandwidth", "noise", "frequency", "p_max", "tau_th")),
+        *(("bounds", name) for name in ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max")),
+    ])
+    def test_missing_record_field_names_the_field(self, tmp_path, record, field):
         doc = scenario_to_dict(generate_uniform(2, BOUNDS, 5, 6, seed=1))
-        del doc["rf"]["noise"]
+        del doc[record][field]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ParseError, match="rf.noise"):
+        with pytest.raises(ParseError, match=rf"^missing field '{record}\.{field}'$"):
             load(path)
 
     def test_missing_user_coordinate_names_the_field(self, tmp_path):
@@ -392,7 +396,7 @@ SAVE_CASES = [
     pytest.param(
         lambda: Scenario(
             users=(
-                UserDevice(-0.0, 5e-324, 1e300),
+                UserDevice(-0.0, 5e-324, 1e291),
                 UserDevice(1e300, 0.0, 5e-324),
                 UserDevice(-1e300, -0.0, 1.7976931348623157e308),
                 UserDevice(0.1, 2.5e-324, 0.30000000000000004),
@@ -404,6 +408,31 @@ SAVE_CASES = [
         id="extreme-doubles",
     ),
 ]
+
+
+class TestTotalEnergy:
+    """Each energy is finite, but their sum, which every curvature bound
+    takes, overflows: refused where a scenario is made, without a warning."""
+
+    pytestmark = pytest.mark.filterwarnings("error")
+    MESSAGE = r"^the users' total energy must be finite, got inf$"
+
+    def test_scenario(self):
+        users = (UserDevice(0, 0, 1e308), UserDevice(250, 250, 1e308))
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            Scenario(users=users, rf=DEFAULT_RF, bounds=BOUNDS)
+
+    def test_generate_uniform(self):
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            generate_uniform(2, BOUNDS, 1e308, 1e308, seed=1)
+
+    def test_load(self, tmp_path):
+        doc = scenario_to_dict(generate_uniform(2, BOUNDS, 5, 6, seed=1))
+        doc["users"]["energy"] = [1e308, 1e308]
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            load(path)
 
 
 class TestSaveBytes:
