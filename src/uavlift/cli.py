@@ -28,8 +28,8 @@ from .errors import (
 )
 from .objective import concavity_certificate, nsd_scan
 from .oracle import GridSpec, grid_search
+from .region import MODES, disk_radius
 from .region import build as build_region
-from .region import disk_radius
 from .scenario import (
     DEFAULT_ENERGY_HIGH,
     DEFAULT_ENERGY_LOW,
@@ -68,15 +68,17 @@ def _area(text: str) -> tuple[float, float]:
 
 
 def _clusters(text: str) -> list[ClusterSpec]:
+    fields = dataclasses.fields(ClusterSpec)
     specs = []
     for i, chunk in enumerate(text.split(";")):
-        fields = chunk.split(",")
-        if len(fields) != 6:
+        values = chunk.split(",")
+        if len(values) != len(fields):
             raise argparse.ArgumentTypeError(
-                f"cluster {i} must be x,y,std,count,energy_low,energy_high, got {chunk!r}"
+                f"cluster {i} must be {','.join(f.name for f in fields)}, got {chunk!r}"
             )
-        try:
-            specs.append(ClusterSpec(*map(float, fields[:3]), int(fields[3]), *map(float, fields[4:])))
+        try:  # a field's type is its annotation's name: scenario postpones annotations
+            specs.append(ClusterSpec(*(int(v) if f.type == "int" else float(v)
+                                       for f, v in zip(fields, values))))
         except (ValueError, ValidationError) as exc:
             raise argparse.ArgumentTypeError(f"bad cluster {chunk!r}: {exc}")
     return specs
@@ -128,10 +130,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="gradient projection ascent")
     p.add_argument("scenario")
     config = solver_mod.SolverConfig()
-    p.add_argument("--mode", choices=("box", "region"), default=config.mode)
-    p.add_argument("--gamma", type=_positive_float, default=config.step_size,
-                   help="initial step; default 1/L with L = 2*sum(E)/z^4")
-    p.add_argument("--eps", type=_positive_float, default=config.tolerance, help="movement stop threshold, m")
+    p.add_argument("--mode", choices=MODES, default=config.mode)
+    # each flag's dest is a SolverConfig field
+    p.add_argument("--gamma", dest="step_size", metavar="GAMMA", type=_positive_float,
+                   default=config.step_size, help="initial step; default 1/L with L = 2*sum(E)/z^4")
+    p.add_argument("--eps", dest="tolerance", metavar="EPS", type=_positive_float,
+                   default=config.tolerance, help="movement stop threshold, m")
     p.add_argument("--max-iters", type=int, default=config.max_iters)
     p.add_argument("--init", type=_init_spec, default=config.init)
     p.add_argument("--init-seed", type=int, default=config.init_seed)
@@ -142,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid", help="best grid node, exact (oracle; evaluates only tiles that can hold it)")
     p.add_argument("scenario")
     p.add_argument("--spacing", type=_positive_float, default=1.0)
-    p.add_argument("--mode", choices=("box", "region"), default="box")
+    p.add_argument("--mode", choices=MODES, default="box")
     p.add_argument("--c", type=_positive_float, default=SPEED_OF_LIGHT)
 
     p = sub.add_parser("surface", help="objective surface as CSV or SVG")
@@ -203,14 +207,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_solve(args) -> int:
     scenario = load(args.scenario)
-    config = solver_mod.SolverConfig(
-        step_size=args.gamma,
-        tolerance=args.eps,
-        max_iters=args.max_iters,
-        mode=args.mode,
-        init=args.init,
-        init_seed=args.init_seed,
-    )
+    fields = dataclasses.fields(solver_mod.SolverConfig)
+    config = solver_mod.SolverConfig(**{f.name: getattr(args, f.name) for f in fields})
     report = solver_mod.solve(scenario, config, c=args.c)
     if args.report:
         solver_mod.save_report(report, args.report)

@@ -162,7 +162,10 @@ def curvature_bounds(
     Per user at 2D distance r, with D = r^2 + z^2, the Hessian eigenvalues
     are -2E/D^2 and E*(6r^2 - 2z^2)/D^3. Both are -2E/z^4 at r = 0; the
     first rises towards 0, the second to its peak E/(2z^4) at r = z. Weyl's
-    inequality sums the users. A power that overflows counts as infinite.
+    inequality sums the users. A power of z that overflows counts as
+    infinite. Where the plain expression of the reach < z eigenvalue
+    overflows, as for a total energy near the largest double, it is taken
+    in the scaled form (E/z^4) * (6*rho - 2) / (1 + rho)^3, rho = (r/z)^2.
     """
     total = float(user_arrays(users).es.sum())
     z4 = math.inf
@@ -170,11 +173,16 @@ def curvature_bounds(
         z4 = z_min**4
     if not z4 > 0:
         return -math.inf, math.inf
-    if reach < z_min:
-        with contextlib.suppress(OverflowError, ZeroDivisionError):  # else the cap at r = z holds
-            r2, z2 = reach**2, z_min**2
-            return -2.0 * total / z4, -(total * (2.0 * z2 - 6.0 * r2) / (r2 + z2) ** 3)
-    return -2.0 * total / z4, total / (2.0 * z4)
+    lo = -2.0 * (total / z4)
+    if not reach < z_min:
+        return lo, total / (2.0 * z4)
+    with contextlib.suppress(OverflowError):
+        r2, z2 = reach**2, z_min**2
+        hi = -(total * (2.0 * z2 - 6.0 * r2) / (r2 + z2) ** 3)
+        if math.isfinite(hi):
+            return lo, hi
+    rho = (reach / z_min) ** 2
+    return lo, total / z4 * (6.0 * rho - 2.0) / (1.0 + rho) ** 3
 
 
 class NsdScan(NamedTuple):

@@ -27,8 +27,8 @@ from .objective import curvature_bounds, user_arrays
 from .scenario import AreaBounds, Scenario
 
 
-# Largest node x user block computed at once, so the temporaries stay at a
-# few MB whatever the grid size and the user count.
+# Most node x user elements in one block of the grid kernels, unless one
+# node's users alone are more: every node sums all its users at once.
 CHUNK_ELEMENTS = 2**16
 
 # Most nodes a grid may have. The benchmark's 1 m grids have 63 001; a
@@ -82,12 +82,6 @@ class GridSearchResult(NamedTuple):
     evaluated: int  # nodes where the objective was computed: tile centres plus fine nodes
 
 
-def _blocks(n: int, width: int):
-    """Slices covering range(n), each CHUNK_ELEMENTS // width long (at least 1)."""
-    step = max(1, CHUNK_ELEMENTS // max(width, 1))
-    return (slice(a, min(a + step, n)) for a in range(0, n, step))
-
-
 @np.errstate(over="ignore", divide="ignore")  # an infinite total is refused at the end
 def grid_values(
     xs: np.ndarray,
@@ -102,13 +96,13 @@ def grid_values(
     at each of `nodes`, ascending flat x-major indices into the grid
     gxs x gys (node ix * len(gys) + iy is (gxs[ix], gys[iy])).
 
-    A squared offset depends on one grid axis only, so per block of users
-    it is tabulated once per band of grid rows, (gx - xs)^2, and per band
-    of grid columns, (gy - ys)^2, each band CHUNK_ELEMENTS // users long.
-    The nodes of one row within a column band gather their column offsets,
-    add the row's (addition commutes), then z^2, divide the energies and
-    take one sum over the users: the flat formula's association and
-    reduction, so every value has the bits of
+    A squared offset depends on one grid axis only, so it is tabulated once
+    per band of grid rows, (gx - xs)^2, and per band of grid columns,
+    (gy - ys)^2, each band max(1, CHUNK_ELEMENTS // users) long. The nodes
+    of one row within a column band gather their column offsets, add the
+    row's (addition commutes), then z^2, divide the energies and take one
+    sum over all the users: the flat formula's association and reduction,
+    so at any user count every value has the bits of
     np.sum(es / ((gx - xs)**2 + (gy - ys)**2 + z*z)).
 
     At an altitude so small that E/d^2 overflows at some node, as on a node
@@ -120,34 +114,32 @@ def grid_values(
     totals = np.zeros(len(nodes))
     n_x, n_y = len(gxs), len(gys)
     z2 = z * z
-    for u in _blocks(len(xs), 1):
-        xs_u, ys_u, es_u = xs[u], ys[u], es[u]
-        band = max(1, CHUNK_ELEMENTS // len(xs_u))
-        out = np.empty((band, len(xs_u)))
-        for x0 in range(0, n_x, band):
-            row_starts = np.arange(x0, min(x0 + band, n_x)) * n_y  # flat index of (row, 0)
-            a, b = np.searchsorted(nodes, (row_starts[0], row_starts[-1] + n_y))
-            if a == b:
+    band = max(1, CHUNK_ELEMENTS // max(len(xs), 1))
+    out = np.empty((band, len(xs)))
+    for x0 in range(0, n_x, band):
+        row_starts = np.arange(x0, min(x0 + band, n_x)) * n_y  # flat index of (row, 0)
+        a, b = np.searchsorted(nodes, (row_starts[0], row_starts[-1] + n_y))
+        if a == b:
+            continue
+        in_band = nodes[a:b]
+        dx2 = (gxs[x0 : x0 + len(row_starts), None] - xs) ** 2
+        for y0 in range(0, n_y, band):
+            y1 = min(y0 + band, n_y)
+            lo = np.searchsorted(in_band, row_starts + y0)
+            hi = np.searchsorted(in_band, row_starts + y1)
+            if not np.any(hi > lo):
                 continue
-            in_band = nodes[a:b]
-            dx2 = (gxs[x0 : x0 + len(row_starts), None] - xs_u) ** 2
-            for y0 in range(0, n_y, band):
-                y1 = min(y0 + band, n_y)
-                lo = np.searchsorted(in_band, row_starts + y0)
-                hi = np.searchsorted(in_band, row_starts + y1)
-                if not np.any(hi > lo):
+            dy2 = (gys[y0:y1, None] - ys) ** 2
+            for r, (p, q) in enumerate(zip(lo.tolist(), hi.tolist())):
+                if p == q:
                     continue
-                dy2 = (gys[y0:y1, None] - ys_u) ** 2
-                for r, (p, q) in enumerate(zip(lo.tolist(), hi.tolist())):
-                    if p == q:
-                        continue
-                    cols = in_band[p:q] - (row_starts[r] + y0)
-                    # "clip" fills `out` in place (every index is in range); "raise" buffers
-                    d = np.take(dy2, cols, axis=0, out=out[: q - p], mode="clip")
-                    d += dx2[r]
-                    d += z2
-                    np.divide(es_u, d, out=d)
-                    totals[a + p : a + q] += np.sum(d, axis=1)
+                cols = in_band[p:q] - (row_starts[r] + y0)
+                # "clip" fills `out` in place (every index is in range); "raise" buffers
+                d = np.take(dy2, cols, axis=0, out=out[: q - p], mode="clip")
+                d += dx2[r]
+                d += z2
+                np.divide(es, d, out=d)
+                totals[a + p : a + q] = np.sum(d, axis=1)
     if not np.all(np.isfinite(totals)):
         raise ValidationError(
             f"the objective overflows at z = {z:g} m: a grid node is too close to a user; "
@@ -162,17 +154,18 @@ def _grid_slopes(
     """Value and gradient norm of the objective at every node, blocked like
     `grid_values`: each user adds E/D to the value and -2E(p - u)/D^2 to the
     gradient, with D = |p - u|^2 + z^2."""
-    values, gx, gy = np.zeros(len(px)), np.zeros(len(px)), np.zeros(len(px))
+    values, gx, gy = np.empty(len(px)), np.empty(len(px)), np.empty(len(px))
     z2 = z * z
-    for u in _blocks(len(xs), 1):
-        for k in _blocks(len(px), u.stop - u.start):
-            dx, dy = px[k, None] - xs[u], py[k, None] - ys[u]
-            inv = 1.0 / (dx * dx + dy * dy + z2)
-            w = es[u] * inv
-            values[k] += np.sum(w, axis=1)
-            w *= inv
-            gx[k] -= 2.0 * np.sum(w * dx, axis=1)
-            gy[k] -= 2.0 * np.sum(w * dy, axis=1)
+    rows = max(1, CHUNK_ELEMENTS // max(len(xs), 1))
+    for start in range(0, len(px), rows):
+        k = slice(start, start + rows)
+        dx, dy = px[k, None] - xs, py[k, None] - ys
+        inv = 1.0 / (dx * dx + dy * dy + z2)
+        w = es * inv
+        values[k] = np.sum(w, axis=1)
+        w *= inv
+        gx[k] = -2.0 * np.sum(w * dx, axis=1)
+        gy[k] = -2.0 * np.sum(w * dy, axis=1)
     return values, np.hypot(gx, gy)
 
 

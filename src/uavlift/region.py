@@ -40,6 +40,7 @@ from .scenario import AreaBounds, Scenario
 if TYPE_CHECKING:  # importing numpy.typing costs about 1 ms
     from numpy.typing import ArrayLike
 
+MODES = ("box", "region")  # the feasible sets a solve or a grid search runs over
 MEMBERSHIP_TOL = 1e-9   # meters, boundary slack for `contains`
 EMPTINESS_TOL = 1e-6    # meters, decision threshold of `check_empty`
 # Points are computed in floating point, so one that lies exactly on a
@@ -140,9 +141,9 @@ def _valid_range(d, k: float):
 
 
 def check_mode(mode: str) -> str:
-    """`mode`, if it names a feasible set: "box" or "region"."""
-    if mode not in ("box", "region"):
-        raise ValidationError(f"mode must be 'box' or 'region', got {mode!r}")
+    """`mode`, if it names a feasible set: one of MODES."""
+    if mode not in MODES:
+        raise ValidationError(f"mode must be {' or '.join(map(repr, MODES))}, got {mode!r}")
     return mode
 
 

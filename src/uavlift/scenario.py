@@ -248,8 +248,9 @@ class ClusterSpec:
     energy_high: float
 
     def __post_init__(self):
-        for name in ("x", "y", "std", "energy_low", "energy_high"):
-            object.__setattr__(self, name, _finite(getattr(self, name), "cluster", name))
+        for f in dataclasses.fields(self):
+            if f.type == "float":  # a string: annotations are postponed here
+                object.__setattr__(self, f.name, _finite(getattr(self, f.name), "cluster", f.name))
         if self.count < 1:
             raise ValidationError(f"cluster count must be >= 1, got {self.count}")
         if not self.std >= 0:

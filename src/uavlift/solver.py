@@ -8,13 +8,15 @@ everywhere at altitude z, concave or not. A trial step t is accepted once
 the descent lemma holds for it, f(p+) >= f(p) + g.(p+ - p) - |p+ - p|^2 / (2t),
 and halved otherwise, as is a step so long that p + t*g overflows; every
 accepted step doubles the next one (the backtracking rule of Beck &
-Teboulle, 2009, and Nesterov, 2013). This is the only step rule. An
-accepted step therefore never falls below 1/(2L), unless `step_size`
-starts it lower, and the stop rule "the iterate moved less than the
-tolerance eps" is a stationarity test on the projected gradient: it bounds
-the projected-gradient norm |P(p + t*g) - p| / t by eps/t <= 2L*eps. That
-threshold grows as z^-4, so at a low altitude the ascent can stop after
-one short step far from the optimum.
+Teboulle, 2009, and Nesterov, 2013), except that a trial of at most 1/L,
+for which the lemma holds anyway, is accepted untested. This is the only
+step rule; it has no absolute constant, so scaling every energy by a power
+of two changes no step t*g. An accepted step never falls below 1/(2L),
+unless `step_size` starts it lower, and the stop rule "the iterate moved
+less than the tolerance eps" is a stationarity test on the projected
+gradient: it bounds |P(p + t*g) - p| / t by eps/t <= 2L*eps. That threshold
+grows as z^-4, so at a low altitude the ascent can stop after one short
+step far from the optimum.
 
 When the concavity certificate holds, the objective is strongly concave on
 the box with modulus mu = -hi from the same `curvature_bounds`, and the
@@ -51,16 +53,14 @@ from .objective import (
 from .rng import SplitMix64, check_seed
 from .scenario import Scenario
 
-_STEP_FLOOR = 1e-12
-
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs of the ascent.
 
     step_size is the first step; None means 1/L with L = 2*sum(E_i)/z^4.
-    The step halves until the descent lemma holds (down to a floor of
-    1e-12) and doubles after every accepted step. tolerance is the movement
+    The step halves until the descent lemma holds or the step is at most
+    1/L, and doubles after every accepted step. tolerance is the movement
     in metres below which the ascent stops. `init` is "centroid", "random",
     or an explicit (x, y).
     """
@@ -133,8 +133,8 @@ def solve(
     """Run projected gradient ascent and report the trajectory.
 
     The objective is non-decreasing along the trajectory. A z_min so small
-    that L overflows is a ValidationError: no step is safe. So is an L that
-    rounds to 0, from a z_min so large or energies so small that 1/L is not
+    that L overflows is a ValidationError: no step is safe. So is an L so
+    small, from a z_min so large or energies so small, that 1/L is not
     finite, and a system constant so small that the lifetime overflows.
     """
     config = config or SolverConfig()
@@ -148,10 +148,11 @@ def solve(
             f"z_min = {z:g} m is too small: the curvature bound 2*sum(E)/z_min^4 "
             "is not finite, so no step size is safe"
         )
-    if not lipschitz > 0:
+    safe_step = 1.0 / lipschitz if lipschitz > 0 else math.inf  # the lemma holds up to 1/L
+    if not math.isfinite(safe_step):
         raise ValidationError(
             f"z_min = {z:g} m is too large for the energies: the curvature bound "
-            "2*sum(E)/z_min^4 rounds to 0, so the step 1/L is not finite"
+            f"2*sum(E)/z_min^4 rounds to {lipschitz:g}, so the step 1/L is not finite"
         )
     k = system_constant(scenario.rf, len(scenario.users), c)
     if not cert.holds:
@@ -183,7 +184,7 @@ def solve(
 
     converged = False
     iterations = 0
-    step = config.step_size if config.step_size is not None else 1.0 / lipschitz
+    step = config.step_size if config.step_size is not None else safe_step
     for _n in range(config.max_iters):
         if not (math.isfinite(g[0]) and math.isfinite(g[1])):
             raise NumericalError(f"gradient is not finite at {p}")
@@ -194,9 +195,8 @@ def solve(
                 trial = region_mod.project(feas, ahead)
                 f_trial = value(users, z, trial)
                 dx, dy = trial[0] - p[0], trial[1] - p[1]
-                if (
-                    step <= _STEP_FLOOR
-                    or f_trial >= f_p + g[0] * dx + g[1] * dy - (dx * dx + dy * dy) / (2.0 * step)
+                if step <= safe_step or (
+                    f_trial >= f_p + g[0] * dx + g[1] * dy - (dx * dx + dy * dy) / (2.0 * step)
                 ):
                     break
             step *= 0.5

@@ -552,6 +552,24 @@ def test_overflowing_total_energy_is_input_error(tmp_path, capsys, monkeypatch, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["e.json"]
 
 
+@pytest.mark.parametrize("warnings_as_errors", [False, True], ids=["warn", "W-error"])
+def test_largest_double_energy_solves(tmp_path, capsys, warnings_as_errors):
+    # one user of 1.7e308 J: L = 2E/z^4 is about 1.9e-3 although 2E overflows,
+    # and the noise keeps the lifetime finite
+    path = tmp_path / "e.json"
+    argv = ["generate", "--count", "1", "--seed", "1", "--energy-low", "1.7e308",
+            "--energy-high", "1.7e308", "--noise", "1e-3", "--out", str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        if warnings_as_errors:
+            warnings.simplefilter("error")
+        assert main(["solve", str(path), "--mode", "box"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "converged true" in out
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "s.json", "--mode", "box", "--no-line-search"],
     ["generate", "--count", "5", "--seed", "1", "--z-max", "700"],

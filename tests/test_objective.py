@@ -179,6 +179,31 @@ class TestConcavityCertificate:
         assert cert.holds
 
 
+class TestCurvatureBounds:
+    DIAGONAL = math.hypot(250.0, 250.0)
+
+    def test_largest_double_energy(self):
+        # 2E and E*(2z^2 - 6r^2) overflow, although both bounds are about 1e-3
+        def bounds(energy):
+            return objective.curvature_bounds([UserDevice(125.0, 125.0, energy)], 650.0, self.DIAGONAL)
+
+        lo, hi = bounds(1.7e308)
+        assert math.isfinite(lo) and lo < 0 and math.isfinite(hi) and hi < 0
+        # a power of two scales both bounds exactly or to within rounding
+        lo_small, hi_small = bounds(1.7e308 / 2**64)
+        assert lo == lo_small * 2**64
+        assert hi == pytest.approx(hi_small * 2**64, rel=1e-14)
+
+    def test_altitude_beyond_cube_overflow(self):
+        # (r^2 + z^2)^3 overflows at z = 1e52 m; there every user's Hessian is
+        # -2E/z^4 times the identity to within rounding, so hi is lo
+        bounds = AreaBounds(0, 250, 0, 250, 1e52, 1e52)
+        users = generate_uniform(200, bounds, 4500, 18000, seed=9).users
+        lo, hi = objective.curvature_bounds(users, 1e52, self.DIAGONAL)
+        assert math.isfinite(lo) and lo < 0 and math.isfinite(hi) and hi < 0
+        assert hi == lo
+
+
 class TestNsdScan:
     def test_concave_altitude_passes(self):
         s = generate_uniform(200, BOUNDS, 4500, 18000, seed=9)

@@ -148,7 +148,8 @@ def test_region_mode_solve_matches_oracle_when_disks_cut_the_box(tmp_path, capsy
     assert math.hypot(x - best.point[0], y - best.point[1]) <= math.sqrt(2.0) * spacing
 
 
-# 6 users on 21 x 21 nodes: 4 elements a block split the users, 25 the columns.
+# 6 users on 21 x 21 nodes: at 4 elements a block is one node's row of all
+# the users, at 25 four columns of them.
 @pytest.mark.parametrize("chunk", [4, 25])
 def test_grid_kernel_blocks_do_not_change_answers(monkeypatch, chunk):
     scenario, z = cutting_disks_scenario(3), 130.0
@@ -161,7 +162,7 @@ def test_grid_kernel_blocks_do_not_change_answers(monkeypatch, chunk):
     for mode, expected in before.items():
         result = grid_search(scenario, grid, mode=mode)
         assert result.point == expected.point
-        assert result.value == pytest.approx(expected.value, rel=1e-12)  # users summed in parts
+        assert result.value == expected.value  # every node sums all its users at once
     feas = build(scenario)
     inside = sum(contains(feas, p) for p in nodes)
     # 4 tile centres (21 = 16 + 5 nodes an axis); box mode prunes the 5 x 5 corner tile
@@ -256,6 +257,19 @@ class TestGridValues:
         values = oracle.grid_values(xs, ys, es, z, gxs, gys, nodes)
         assert values.shape == nodes.shape
         assert np.array_equal(values, flat_values(xs, ys, es, z, px, py))
+
+    def test_matches_the_flat_formula_above_one_block_of_users(self):
+        # 70 000 users, more than CHUNK_ELEMENTS: a band is one row or column,
+        # and each node still sums all its users in one reduction
+        bounds = AreaBounds(0, 250, 0, 250, 650, 650)
+        xs, ys, es = user_arrays(generate_uniform(70000, bounds, 4500, 18000, seed=3).users)
+        assert len(xs) > oracle.CHUNK_ELEMENTS
+        grid = GridSpec(25.0, bounds)
+        gxs, gys = grid.xs(), grid.ys()
+        nodes = np.arange(len(gxs) * len(gys))
+        values = oracle.grid_values(xs, ys, es, 650.0, gxs, gys, nodes)
+        px, py = np.repeat(gxs, len(gys)), np.tile(gys, len(gxs))
+        assert np.array_equal(values, flat_values(xs, ys, es, 650.0, px, py))
 
     def test_nodes_must_ascend(self):
         xs, ys, es = np.array([1.0]), np.array([2.0]), np.array([3.0])

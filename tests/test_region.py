@@ -630,6 +630,20 @@ def test_projection_keeps_the_bits_of_the_candidate_pass(family):
             assert project(region, q) == reference_project(region, q, verts), q
 
 
+def test_projection_past_a_box_corner_keeps_the_bits_of_the_candidate_pass():
+    # One or three disks that hold the whole box: past a corner the nearest
+    # feasible point is that corner, where two edges are tight and no disk is.
+    box = AreaBounds(0, 100, 0, 100, 1, 1)
+    queries = [(150.0, 150.0), (-20.0, -30.0), (130.0, -5.0), (-1.0, 120.0)]
+    for disks in ([(50, 50, 200)], [(50, 50, 200), (0, 50, 180), (60, -40, 250)]):
+        region = FeasibleRegion.from_disks(disks, box)
+        verts, _ = vertices(region.table, box)
+        for q in queries:
+            got, want = project(region, q), reference_project(region, q, verts)
+            assert [c.hex() for c in got] == [c.hex() for c in want], (disks, q)
+            assert got == (min(max(q[0], 0.0), 100.0), min(max(q[1], 0.0), 100.0)), (disks, q)
+
+
 def test_import_pulls_in_no_scipy():
     src = str(Path(uavlift.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))

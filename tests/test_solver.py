@@ -10,6 +10,7 @@ from region_layouts import binding_scenario
 from uavlift import cases, objective
 from uavlift import solver as solver_mod
 from uavlift.channel import SPEED_OF_LIGHT
+from uavlift.errors import ValidationError
 from uavlift.objective import UserArrays, curvature_bounds, gradient, hessian, value
 from uavlift.oracle import GridSpec, grid_search
 from uavlift.region import build, contains
@@ -287,6 +288,25 @@ class TestStepRule:
         assert all(math.isfinite(x) and math.isfinite(y) for _, _, (x, y) in value_calls)
         assert report.objective >= report.trajectory[0][2]
 
+    @pytest.mark.parametrize("z", [650.0, 30.0])
+    def test_scaling_every_energy_by_a_power_of_two_changes_no_bit(self, z):
+        # f, g and L scale by 2^k together, so every step t*g stays the same:
+        # the step rule has no absolute constant, even where 1/L is 1e-270
+        base = generate_uniform(20, AreaBounds(0, 250, 0, 250, z, z), 4500, 18000, seed=4)
+        xs, ys, es = base.users.arrays
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # z = 30 m: no certificate
+            reports = [
+                solve(Scenario(UserArrays(xs, ys, es * 2.0**k), base.rf, base.bounds), SolverConfig(mode="box"))
+                for k in (0, 64, 100, 300, 600, 900)
+            ]
+        want = reports[0]
+        assert want.converged
+        for r in reports[1:]:
+            assert [row[:2] for row in r.trajectory] == [row[:2] for row in want.trajectory]
+            assert r.placement == want.placement
+            assert (r.iterations, r.converged) == (want.iterations, want.converged)
+
     def test_doubling_keeps_the_step_finite(self):
         # One step of 1e308 m from (50, 100) ends clamped on the user at the
         # corner; doubled, it would be infinite, and inf * 0 at the user a NaN
@@ -430,6 +450,26 @@ class TestMonotoneAscent:
         values = [f for _, _, f in report.trajectory]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
         assert len(report.trajectory) == report.iterations + 1
+
+
+    def test_objective_never_falls_near_the_largest_double(self):
+        # 1e300 and 5e299 J at 650 m: 1/L is about 6e-290
+        users = (UserDevice(100.0, 100.0, 1e300), UserDevice(150.0, 120.0, 5e299))
+        s = Scenario(users=users, rf=RF, bounds=AreaBounds(0, 250, 0, 250, 650, 650))
+        report = solve(s, SolverConfig(mode="box"), c=3e8)
+        values = [f for _, _, f in report.trajectory]
+        assert all(b >= a for a, b in zip(values, values[1:]))
+        assert report.converged
+        assert report.gap_bound is not None
+
+    def test_a_curvature_bound_without_a_finite_step_is_an_input_error(self):
+        # 2*sum(E)/z^4 = 2e-315 > 0, but 1/L overflows: no step up to 1/L is
+        # safe to take untested, whether or not a first step is given
+        bounds = AreaBounds(0, 250, 0, 250, 1e75, 1e75)
+        s = Scenario(users=(UserDevice(125.0, 125.0, 1e-15),), rf=RF, bounds=bounds)
+        for step in (1.0, None):
+            with pytest.raises(ValidationError, match="rounds to 2e-315, so the step 1/L is not finite"):
+                solve(s, SolverConfig(mode="box", step_size=step))
 
 
 class TestRegionMode:
