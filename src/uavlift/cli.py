@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .objective import concavity_certificate, nsd_scan
+from .objective import NsdScan, concavity_certificate, nsd_scan
 from .oracle import GridSpec, grid_search
 from .region import MODES, disk_radius
 from .region import build as build_region
@@ -285,6 +285,15 @@ def _repro_nonuniform(seed: int, c: float) -> int:
     return _verdicts(cases.nonuniform_verdicts(d_dense, d_sparse))
 
 
+def _describe_scan(scan: NsdScan) -> str:
+    if scan.outcome == "proven":
+        return f"concavity proven, per-user curvature bound {scan.hi:.3e}"
+    if scan.outcome == "refuted":
+        x, y = scan.witness
+        return f"concavity refuted, eigenvalue {scan.eigenvalue:.3e} at ({x:.1f}, {y:.1f})"
+    return f"concavity undecided, per-user curvature bound {scan.hi:.3e} and no witness"
+
+
 def _repro_concavity(seed: int) -> int:
     scenario = generate_uniform(cases.UNIFORM_USERS, cases.BOUNDS, *cases.ENERGY, seed)
     cert = concavity_certificate(cases.BOUNDS)
@@ -294,11 +303,8 @@ def _repro_concavity(seed: int) -> int:
         for z in cases.SCAN_ALTITUDES
     )
     high_z, low_z = cases.SCAN_ALTITUDES
-    print(f"  z {high_z:g} m: certificate holds={cert.holds}; scan all_nsd={high.all_nsd}")
-    print(
-        f"  z {low_z:g} m: scan all_nsd={low.all_nsd}; worst eigenvalue {low.worst_eigenvalue:.3e} "
-        f"at ({low.witness[0]:.1f}, {low.witness[1]:.1f})"
-    )
+    print(f"  z {high_z:g} m: certificate holds={cert.holds}; {_describe_scan(high)}")
+    print(f"  z {low_z:g} m: {_describe_scan(low)}")
     return _verdicts(cases.concavity_verdicts(cert, high, low))
 
 

@@ -67,9 +67,9 @@ def test_criterion_4_concavity_contrast():
     )
     assert [label for label, ok in cases.concavity_verdicts(cert, high, low) if not ok] == []
     print(
-        f"ACCEPTANCE 4 PASS: z=650 all NSD over 1000 points (threshold {cert.threshold:.1f} m); "
-        f"z=30 witness eigenvalue {low.worst_eigenvalue:.3e} at "
-        f"({low.witness[0]:.1f}, {low.witness[1]:.1f})"
+        f"ACCEPTANCE 4 PASS: z=650 concavity proven on the whole box, per-user curvature bound "
+        f"{high.hi:.3e} (threshold {cert.threshold:.1f} m); z=30 witness eigenvalue "
+        f"{low.eigenvalue:.3e} at ({low.witness[0]:.1f}, {low.witness[1]:.1f})"
     )
 
 

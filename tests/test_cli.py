@@ -712,16 +712,16 @@ PASS placement strictly closer to the dense cluster centroid
 PASS placement strictly closer to the dense cluster centroid
 """),
     ("concavity", None): (0, """case concavity: seed 9, d_max 353.55 m, threshold 612.37 m
-  z 650 m: certificate holds=True; scan all_nsd=True
-  z 30 m: scan all_nsd=False; worst eigenvalue 9.860e-02 at (219.0, 130.6)
-PASS certificate holds at z=650 and scan is all NSD
-PASS scan at z=30 finds a positive-eigenvalue witness
+  z 650 m: certificate holds=True; concavity proven, per-user curvature bound -8.132e-06
+  z 30 m: concavity refuted, eigenvalue 4.904e-02 at (170.6, 187.7)
+PASS certificate holds at z=650 and the per-user bound proves concavity
+PASS z=30 has a positive-eigenvalue witness
 """),
     ("concavity", 3): (0, """case concavity: seed 3, d_max 353.55 m, threshold 612.37 m
-  z 650 m: certificate holds=True; scan all_nsd=True
-  z 30 m: scan all_nsd=False; worst eigenvalue 8.975e-02 at (72.4, 111.3)
-PASS certificate holds at z=650 and scan is all NSD
-PASS scan at z=30 finds a positive-eigenvalue witness
+  z 650 m: certificate holds=True; concavity proven, per-user curvature bound -7.255e-06
+  z 30 m: concavity refuted, eigenvalue 5.213e-03 at (28.4, 175.1)
+PASS certificate holds at z=650 and the per-user bound proves concavity
+PASS z=30 has a positive-eigenvalue witness
 """),
 }
 

@@ -5,11 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from uavlift import objective
+from uavlift import cases, objective
 from uavlift.channel import lifetime, system_constant
 from uavlift.errors import ValidationError
 from uavlift.objective import (
-    NSD_EIGENVALUE_RTOL,
     NsdScan,
     UserArrays,
     concavity_certificate,
@@ -20,7 +19,7 @@ from uavlift.objective import (
     value,
 )
 from uavlift.rng import SplitMix64
-from uavlift.scenario import AreaBounds, UserDevice, generate_uniform
+from uavlift.scenario import AreaBounds, UserDevice, generate_clustered, generate_uniform
 
 BOUNDS = AreaBounds(0, 250, 0, 250, 650, 650)
 
@@ -203,46 +202,91 @@ class TestCurvatureBounds:
         assert math.isfinite(lo) and lo < 0 and math.isfinite(hi) and hi < 0
         assert hi == lo
 
+    @pytest.mark.parametrize("z", [30.0, 448.0, 650.0])
+    def test_per_user_reaches_within_one_reach(self, z):
+        users = generate_uniform(200, BOUNDS, 4500, 18000, seed=9).users
+        n = len(users)
+        for reach in (0.0, 100.0, 0.5 * z, z, self.DIAGONAL, 2.0 * z, math.inf):
+            lo, hi = objective.curvature_bounds(users, z, reach)
+            lo_each, hi_each = objective.curvature_bounds(users, z, np.full(n, reach))
+            assert lo_each == lo
+            assert hi_each == pytest.approx(hi, rel=1e-12)
+        # each user's own reach, at most the diagonal, bounds no higher
+        reach = np.linspace(0.0, self.DIAGONAL, n)
+        _, hi_each = objective.curvature_bounds(users, z, reach)
+        assert hi_each <= objective.curvature_bounds(users, z, self.DIAGONAL)[1]
+
+
+CANNED_LAYOUTS = {
+    "uniform": lambda: generate_uniform(cases.UNIFORM_USERS, cases.BOUNDS, *cases.ENERGY, cases.SEED),
+    "clustered": lambda: generate_clustered((cases.DENSE, cases.SPARSE), cases.BOUNDS, cases.SEED),
+}
+
 
 class TestNsdScan:
     def test_concave_altitude_passes(self):
         s = generate_uniform(200, BOUNDS, 4500, 18000, seed=9)
         for seed in (0, 1, 2):
             scan = nsd_scan(s.users, 650.0, BOUNDS, samples=400, seed=seed)
-            assert scan.all_nsd
+            assert scan == NsdScan("proven", pytest.approx(-8.132e-06, rel=1e-4))
 
     def test_low_altitude_produces_witness(self):
         s = generate_uniform(200, BOUNDS, 4500, 18000, seed=9)
         scan = nsd_scan(s.users, 30.0, BOUNDS, samples=400, seed=0)
-        assert not scan.all_nsd
-        assert scan.worst_eigenvalue > 0
+        assert scan.outcome == "refuted"
+        assert scan.eigenvalue > 0
         wx, wy = scan.witness
         assert 0 <= wx <= 250 and 0 <= wy <= 250
+        (fxx, fxy), (_, fyy) = hessian(s.users, 30.0, scan.witness)
+        assert np.linalg.eigvalsh([[fxx, fxy], [fxy, fyy]]).max() == pytest.approx(scan.eigenvalue)
 
     def test_single_user_below_is_negative_definite(self):
         box = AreaBounds(49.999, 50.001, 49.999, 50.001, 5, 5)
         scan = nsd_scan([UserDevice(50, 50, 3.0)], 5.0, box, samples=10, seed=1)
-        assert scan.all_nsd
-        assert scan.worst_eigenvalue < 0
+        assert scan.outcome == "proven"
+        assert scan.hi < 0
 
     def test_certificate_implies_all_nsd_everywhere_sampled(self):
         s = generate_uniform(60, BOUNDS, 4500, 18000, seed=12)
         cert = concavity_certificate(BOUNDS)
         assert cert.holds
         for seed in range(5):
-            assert nsd_scan(s.users, 650.0, BOUNDS, samples=200, seed=seed).all_nsd
+            assert nsd_scan(s.users, 650.0, BOUNDS, samples=200, seed=seed).outcome == "proven"
 
     def test_scale_free_under_energy_scaling(self):
         s = generate_uniform(40, BOUNDS, 4500, 18000, seed=13)
         big = [UserDevice(u.x, u.y, 1e6 * u.energy) for u in s.users]
-        assert nsd_scan(big, 650.0, BOUNDS, samples=200, seed=0).all_nsd
+        scan, scan_big = (nsd_scan(u, 650.0, BOUNDS, samples=200, seed=0) for u in (s.users, big))
+        assert scan_big.outcome == "proven"
+        assert scan_big.hi == pytest.approx(1e6 * scan.hi, rel=1e-12)
 
-    @pytest.mark.parametrize("block", [1, 7, 601])
-    def test_sample_blocks_do_not_change_the_scan(self, monkeypatch, block):
-        users = generate_uniform(200, BOUNDS, 4500, 18000, seed=9).users
-        whole = [nsd_scan(users, z, BOUNDS, samples=100, seed=4) for z in (650.0, 30.0)]
-        monkeypatch.setattr(objective, "SCAN_BLOCK_ELEMENTS", block)
-        assert [nsd_scan(users, z, BOUNDS, samples=100, seed=4) for z in (650.0, 30.0)] == whole
+    def test_samples_prove_nothing(self):
+        # At 440 m none of the canned layout's 1 000 samples has a positive
+        # eigenvalue, but the per-user bound proves concavity only from about
+        # 448 m up, so the scan must not report concavity.
+        s = generate_uniform(cases.UNIFORM_USERS, cases.BOUNDS, *cases.ENERGY, cases.SEED)
+        scan = nsd_scan(s.users, 440.0, cases.BOUNDS, samples=cases.SCAN_SAMPLES, seed=cases.SEED)
+        assert scan == NsdScan("undecided", pytest.approx(1.678e-06, rel=1e-3))
+
+    @pytest.mark.parametrize("z", [448.0, 500.0, 650.0])
+    @pytest.mark.parametrize("layout", ["uniform", "clustered"])
+    def test_proof_bounds_every_sampled_eigenvalue(self, layout, z):
+        users = CANNED_LAYOUTS[layout]().users
+        b = cases.BOUNDS
+        scan = nsd_scan(users, z, b, samples=1)
+        assert scan.outcome == "proven"
+        d_max = math.hypot(b.x_max - b.x_min, b.y_max - b.y_min)
+        assert scan.hi <= objective.curvature_bounds(users, z, d_max)[1]
+        corners = [(x, y) for x in (b.x_min, b.x_max) for y in (b.y_min, b.y_max)]
+        for point in corners + scan_points(b, 1000, seed=5).tolist():
+            assert np.linalg.eigvalsh(hessian(users, z, point)).max() <= scan.hi, point
+
+    def test_rejects_bad_arguments(self):
+        users = [UserDevice(50, 50, 3.0)]
+        with pytest.raises(ValidationError, match="samples"):
+            nsd_scan(users, 650.0, BOUNDS, samples=0)
+        with pytest.raises(ValidationError, match="z_min"):
+            nsd_scan(users, 0.0, BOUNDS)
 
 
 class TestUserArrays:
@@ -290,8 +334,7 @@ class TestUserArrays:
 
 
 # The Hessian kernel as it was before it computed its blocks in place, kept
-# as the bit-for-bit reference: a fresh temporary for every operation, and
-# scan blocks of at most 2**16 sample x user elements.
+# as the bit-for-bit reference: a fresh temporary for every operation.
 def reference_hessian_sums(users, z_min, px, py):
     xs, ys, es = user_arrays(users)
     dx = px - xs
@@ -316,26 +359,22 @@ def scan_points(bounds, samples, seed):
     )
 
 
-def reference_scan_sums(users, z_min, pts):
-    rows = max(1, 2**16 // len(users))
-    blocks = [
-        reference_hessian_sums(users, z_min, pts[a:a + rows, 0, None], pts[a:a + rows, 1, None])
-        for a in range(0, len(pts), rows)
-    ]
-    return tuple(np.concatenate(parts) for parts in zip(*blocks))
-
-
 def reference_nsd_scan(users, z_min, bounds, samples, seed):
-    pts = scan_points(bounds, samples, seed)
-    fxx, fyy, fxy = reference_scan_sums(users, z_min, pts)
-    lam_max = 0.5 * (fxx + fyy) + np.sqrt((0.5 * (fxx - fyy)) ** 2 + fxy**2)
-    scale = np.abs(fxx + fyy)
-    i_worst = int(np.argmax(lam_max - NSD_EIGENVALUE_RTOL * scale))
-    return NsdScan(
-        all_nsd=bool(np.all(lam_max <= NSD_EIGENVALUE_RTOL * scale)),
-        worst_eigenvalue=float(lam_max[i_worst]),
-        witness=(float(pts[i_worst, 0]), float(pts[i_worst, 1])),
-    )
+    """The scan spelled out: each user's reach the largest of its four
+    corner distances, the plain per-user eigenvalue peak E*h(min(r, z)), and
+    the samples' Hessians from the reference kernel."""
+    xs, ys, es = user_arrays(users)
+    corners = [(x, y) for x in (bounds.x_min, bounds.x_max) for y in (bounds.y_min, bounds.y_max)]
+    r2 = np.minimum(np.max([(xs - x) ** 2 + (ys - y) ** 2 for x, y in corners], axis=0), z_min**2)
+    hi = float(np.sum(es * (6.0 * r2 - 2.0 * z_min**2) / (r2 + z_min**2) ** 3))
+    if hi < 0:
+        return NsdScan("proven", hi)
+    for x, y in scan_points(bounds, samples, seed):
+        (fxx, fxy), (_, fyy) = reference_hessian(users, z_min, (x, y))
+        lam_max = 0.5 * (fxx + fyy) + math.sqrt((0.5 * (fxx - fyy)) ** 2 + fxy**2)
+        if lam_max > 0:
+            return NsdScan("refuted", hi, (float(x), float(y)), lam_max)
+    return NsdScan("undecided", hi)
 
 
 def hex_tree(result):
@@ -350,24 +389,19 @@ def canned_users(n):
 
 
 class TestHessianKernelAgainstReference:
-    """The in-place blocked kernel against the allocating one it replaced."""
+    """The one-point Hessian and the scan against the allocating kernel."""
 
-    # At n = 200 a block holds 81 rows: 81 samples fill one block exactly,
-    # 82 end one row into the second, 7 and 1000 end short blocks too.
     @pytest.mark.parametrize("samples", [1, 7, 81, 82, 1000])
     @pytest.mark.parametrize("n", [1, 2, 200, 2000, 12000])
     def test_scan_is_bit_identical(self, n, samples):
+        # The witness and its eigenvalue have the reference's bits; the bound
+        # is the same sum in its scaled form.
         users = canned_users(n)
-        pts = scan_points(BOUNDS, samples, seed=samples)
         for z in (650.0, 30.0, 10.0):
-            sums = objective._hessian_sums(users, z, pts[:, 0], pts[:, 1])
-            for mine, theirs in zip(sums, reference_scan_sums(users, z, pts)):
-                assert mine.tobytes() == theirs.tobytes(), (n, samples, z)
-            for i in {0, samples - 1}:  # a scan row is `hessian` at that sample
-                (fxx, fxy), (_, fyy) = hessian(users, z, (pts[i, 0], pts[i, 1]))
-                assert hex_tree((fxx, fyy, fxy)) == hex_tree(tuple(sums[:, i].tolist()))
             scan = nsd_scan(users, z, BOUNDS, samples=samples, seed=samples)
-            assert hex_tree(scan) == hex_tree(reference_nsd_scan(users, z, BOUNDS, samples, samples))
+            reference = reference_nsd_scan(users, z, BOUNDS, samples, samples)
+            assert scan.hi == pytest.approx(reference.hi, rel=1e-12)
+            assert hex_tree(scan._replace(hi=0.0)) == hex_tree(reference._replace(hi=0.0)), z
 
     @pytest.mark.parametrize("n", [1, 2, 200, 12000])
     def test_hessian_is_bit_identical(self, n):

@@ -365,15 +365,26 @@ class TestVectorizedGenerators:
     @pytest.mark.parametrize(
         "z, pinned",
         [
-            (650.0, (True, "-0x1.fb8c83c480642p-17", "0x1.b9c4dc1d82c18p+1", "0x1.3c3c9dfc517c5p+1")),
-            (30.0, (False, "0x1.93dbde3e3b93fp-4", "0x1.b5e97f65a7d5dp+7", "0x1.0525e68ce443bp+7")),
+            (650.0, ("proven", "-0x1.10da2021241a0p-17", None, None)),
+            (
+                30.0,
+                (
+                    "refuted",
+                    "0x1.639cbd70310aep+0",
+                    ("0x1.552e6e198bf38p+7", "0x1.7758f240a1039p+7"),
+                    "0x1.91c5d2724e427p-5",
+                ),
+            ),
         ],
     )
     def test_canned_concavity_scan_is_unchanged(self, z, pinned):
-        # Values of the scan with one scalar draw per coordinate, x then y.
+        # The per-user bound, and the scan's first witness drawn with one
+        # scalar draw per coordinate, x then y.
         s = generate_uniform(cases.UNIFORM_USERS, cases.BOUNDS, *cases.ENERGY, cases.SEED)
         scan = nsd_scan(s.users, z, cases.BOUNDS, samples=cases.SCAN_SAMPLES, seed=cases.SEED)
-        assert (scan.all_nsd, scan.worst_eigenvalue.hex(), *(w.hex() for w in scan.witness)) == pinned
+        witness = None if scan.witness is None else tuple(w.hex() for w in scan.witness)
+        eigenvalue = None if scan.eigenvalue is None else scan.eigenvalue.hex()
+        assert (scan.outcome, scan.hi.hex(), witness, eigenvalue) == pinned
 
 
 EXTREME_BOUNDS = AreaBounds(-1e300, 1e300, -0.0, 5e-324, 5e-324, 1e300)
