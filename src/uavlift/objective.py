@@ -102,22 +102,26 @@ def concavity_certificate(bounds: AreaBounds) -> ConcavityCertificate:
 
 
 def curvature_bounds(
-    users: Sequence[UserDevice] | UserArrays, z_min: float, reach: float | np.ndarray = math.inf
-) -> tuple[float, float]:
+    users: Sequence[UserDevice] | UserArrays,
+    z_min: float,
+    reach: float | np.ndarray = math.inf,
+    near: float | np.ndarray = 0.0,
+) -> tuple[float, float | np.ndarray]:
     """(lo, hi) with lo*I <= Hessian <= hi*I at altitude z_min within 2D
-    distance `reach` of every user, or of user i within `reach[i]` when
-    `reach` is an array: -lo is the ascent's L, -hi its modulus of strong
-    concavity, and hi the grid oracle's cap and `nsd_scan`'s proof.
+    distance `reach` of every user, or of user i between `near[..., i]` and
+    `reach[..., i]` when `reach` is an array, one hi per row of a 2D one:
+    -lo is the ascent's L, -hi its modulus of strong concavity, and hi
+    `nsd_scan`'s proof and the grid oracle's cap on a tile.
 
     Per user at 2D distance r, with D = r^2 + z^2, the Hessian eigenvalues
     are -2E/D^2 and E*(6r^2 - 2z^2)/D^3. Both are -2E/z^4 at r = 0; the
-    first rises towards 0, the second to its peak E/(2z^4) at r = z. Weyl's
+    first rises towards 0, the second to its peak E/(2z^4) at r = z, so
+    over [near, reach] it peaks at r = clamp(z, near, reach). Weyl's
     inequality sums the users. A power of z that overflows counts as
-    infinite. Per-user reaches are summed in the scaled form
-    (E/z^4) * (6*rho - 2) / (1 + rho)^3, rho = (min(r, z)/z)^2, which
-    cannot overflow; a scalar reach takes it only where the plain
-    expression of the reach < z eigenvalue overflows, as for a total
-    energy near the largest double.
+    infinite. Per-user ranges are summed in the scaled form
+    (E/z^4) * (6*rho - 2) / (1 + rho)^3, rho = (r/z)^2; a scalar reach
+    takes it only where the plain expression of the reach < z eigenvalue
+    overflows, as for a total energy near the largest double.
     """
     es = user_arrays(users).es
     total = float(es.sum())
@@ -128,8 +132,9 @@ def curvature_bounds(
         return -math.inf, math.inf
     lo = -2.0 * (total / z4)
     if np.ndim(reach):
-        rho = (np.minimum(reach, z_min) / z_min) ** 2
-        return lo, float(np.sum(es / z4 * (6.0 * rho - 2.0) / (1.0 + rho) ** 3))
+        rho = (np.maximum(near, np.minimum(reach, z_min)) / z_min) ** 2
+        hi = np.sum(es / z4 * (6.0 * rho - 2.0) / (1.0 + rho) ** 3, axis=-1)
+        return lo, hi if np.ndim(hi) else float(hi)
     if not reach < z_min:
         return lo, total / (2.0 * z4)
     with contextlib.suppress(OverflowError):
@@ -139,6 +144,14 @@ def curvature_bounds(
             return lo, hi
     rho = (reach / z_min) ** 2
     return lo, total / z4 * (6.0 * rho - 2.0) / (1.0 + rho) ** 3
+
+
+def farthest_corner(xs: np.ndarray, ys: np.ndarray, bounds: AreaBounds) -> np.ndarray:
+    """2D distance from each user (xs, ys) to the farthest corner of the box."""
+    return np.hypot(
+        np.maximum(xs - bounds.x_min, bounds.x_max - xs),
+        np.maximum(ys - bounds.y_min, bounds.y_max - ys),
+    )
 
 
 class NsdScan(NamedTuple):
@@ -172,11 +185,7 @@ def nsd_scan(
         raise ValidationError(f"samples must be >= 1, got {samples}")
     _check_altitude(z_min)
     xs, ys, _ = user_arrays(users)
-    reach = np.hypot(
-        np.maximum(xs - bounds.x_min, bounds.x_max - xs),
-        np.maximum(ys - bounds.y_min, bounds.y_max - ys),
-    )
-    _, hi = curvature_bounds(users, z_min, reach)
+    _, hi = curvature_bounds(users, z_min, farthest_corner(xs, ys, bounds))
     if hi < 0:
         return NsdScan("proven", hi)
     pts = SplitMix64(seed).uniforms(

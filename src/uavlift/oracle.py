@@ -1,12 +1,14 @@
 """Independent verification: an exact branch-and-bound search of the grid.
 
 `grid_search` returns the best grid node, exactly the one a scan of every
-node would return, but evaluates only the tiles of nodes where that node can
-be. It is the reference answer the optimizer is tested against. The grid
-kernels here share no code with the solver's point kernel in `objective`.
+node would return, but evaluates only where that node can be: a quadtree
+over rectangles of nodes drops each one whose curvature bound falls below
+the best node found so far. It is the reference answer the optimizer is
+tested against. The grid kernels here share no code with the solver's
+point kernel in `objective`.
 
 `grid_values` is the one kernel that evaluates grid nodes: `grid_search`'s
-fine pass and the surface export both name their nodes by flat x-major
+leaves and the surface export both name their nodes by flat x-major
 index. A squared offset (gx - x)^2 or (gy - y)^2 depends on one axis only,
 so the kernel tabulates each axis once per band of rows or columns instead
 of once per node, and still gives every node the bits of the flat formula.
@@ -23,20 +25,23 @@ import numpy as np
 from . import region as region_mod
 from .channel import SPEED_OF_LIGHT
 from .errors import ValidationError
-from .objective import curvature_bounds, user_arrays
+from .objective import curvature_bounds, farthest_corner, user_arrays
 from .scenario import AreaBounds, Scenario
 
 
 # Most node x user elements in one block of the grid kernels, unless one
-# node's users alone are more: every node sums all its users at once.
+# node's users alone are more: every node sums all its users at once. The
+# bound kernels, which keep several temporaries of a block live, take a
+# quarter of it: on a 2-vCPU Xeon VM, 2**14 elements ran 1.5 times faster
+# than 2**16 or 2**12.
 CHUNK_ELEMENTS = 2**16
 
 # Most nodes a grid may have. The benchmark's 1 m grids have 63 001; a
 # spacing that asks for more is an input error, not a memory error.
 MAX_NODES = 2**24
 
-# Nodes per tile side in `grid_search`'s coarse pass.
-TILE = 16
+# Most nodes a side of a quadtree leaf, whose nodes `grid_search` evaluates.
+LEAF = 4
 
 # A tile is pruned only when its bound is below the best centre value by
 # this relative margin, far above the kernels' rounding error.
@@ -79,7 +84,7 @@ class GridSpec:
 class GridSearchResult(NamedTuple):
     point: tuple[float, float]
     value: float
-    evaluated: int  # nodes where the objective was computed: tile centres plus fine nodes
+    evaluated: int  # nodes where the objective was computed: tile centres plus feasible leaf nodes
 
 
 @np.errstate(over="ignore", divide="ignore")  # an infinite total is refused at the end
@@ -151,12 +156,12 @@ def grid_values(
 def _grid_slopes(
     xs: np.ndarray, ys: np.ndarray, es: np.ndarray, z: float, px: np.ndarray, py: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Value and gradient norm of the objective at every node, blocked like
-    `grid_values`: each user adds E/D to the value and -2E(p - u)/D^2 to the
-    gradient, with D = |p - u|^2 + z^2."""
+    """Value and gradient norm of the objective at every node, a quarter
+    block of `grid_values` at a time: each user adds E/D to the value and
+    -2E(p - u)/D^2 to the gradient, with D = |p - u|^2 + z^2."""
     values, gx, gy = np.empty(len(px)), np.empty(len(px)), np.empty(len(px))
     z2 = z * z
-    rows = max(1, CHUNK_ELEMENTS // max(len(xs), 1))
+    rows = max(1, CHUNK_ELEMENTS // 4 // max(len(xs), 1))
     for start in range(0, len(px), rows):
         k = slice(start, start + rows)
         dx, dy = px[k, None] - xs, py[k, None] - ys
@@ -169,14 +174,111 @@ def _grid_slopes(
     return values, np.hypot(gx, gy)
 
 
-def _tiles(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centre node index of each TILE-node run of the axis, and the largest
-    distance from that centre to a node of its run (a short last run too)."""
-    starts = np.arange(0, len(axis), TILE)
-    stops = np.minimum(starts + TILE, len(axis)) - 1
-    centres = (starts + stops + 1) // 2
-    reach = np.maximum(axis[centres] - axis[starts], axis[stops] - axis[centres])
-    return centres, reach
+def _reaches(px, py, x0, x1, y0, y1) -> tuple[np.ndarray, np.ndarray]:
+    """2D distances from each point (px, py) to the farthest and to the
+    nearest point of the rectangle [x0, x1] x [y0, y1], one rectangle a row
+    of the column arrays."""
+    bx, ax, by, ay = x0 - px, px - x1, y0 - py, py - y1
+    near = np.maximum(np.maximum(bx, ax), 0.0) ** 2 + np.maximum(np.maximum(by, ay), 0.0) ** 2
+    return np.sqrt(np.minimum(bx, ax) ** 2 + np.minimum(by, ay) ** 2), np.sqrt(near)
+
+
+def _blocked(table, rects: tuple, columns: int) -> np.ndarray:
+    """`table(x0, x1, y0, y1)` for the non-empty set of rectangles `rects`,
+    passed as column arrays a block of at most CHUNK_ELEMENTS / 4 rectangle
+    x column elements at a time."""
+    rows = max(1, CHUNK_ELEMENTS // 4 // max(columns, 1))
+    return np.concatenate([table(*(a[k : k + rows, None] for a in rects))
+                           for k in range(0, len(rects[0]), rows)])
+
+
+def _tile_bounds(users, z, hi, rect, values, slopes, reach, cut) -> tuple[np.ndarray, np.ndarray]:
+    """For each tile [x0, x1] x [y0, y1] of `rect`, the largest f(c) +
+    |grad f(c)| t + hi t^2 / 2 over 0 <= t <= reach from its centre node c,
+    and the cap hi it took. That is t = reach, unless hi < 0 puts the peak
+    |grad f(c)| / -hi nearer. `hi` is each tile's parent's cap; where it is
+    positive and leaves the bound at or above `cut`, the tile takes its own
+    from each user's nearest and farthest distance to it."""
+    def taylor(k):
+        t = np.where(hi[k] < 0, np.minimum(reach[k], slopes[k] / -hi[k]), reach[k])
+        return values[k] + slopes[k] * t + hi[k] * t * t / 2.0
+
+    bounds = taylor(slice(None))
+    # a zero cap is every term underflowing, as a tile's would
+    own = (hi > 0) & ~(bounds < cut)
+    if own.any():
+        xs, ys, _ = users
+        hi = hi.copy()
+        hi[own] = _blocked(lambda *r: curvature_bounds(users, z, *_reaches(xs, ys, *r))[1],
+                           tuple(a[own] for a in rect), len(xs))
+        bounds[own] = taylor(own)
+    return bounds, hi
+
+
+def _split(tiles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The quarters of each tile (rows of inclusive node index ranges i0, i1,
+    j0, j1), halving each axis of more than LEAF nodes at its centre node,
+    and the row of each quarter's tile."""
+    i0, i1, j0, j1 = tiles.T
+    mi = np.where(i1 - i0 < LEAF, i0, (i0 + i1 + 1) // 2)
+    mj = np.where(j1 - j0 < LEAF, j0, (j0 + j1 + 1) // 2)
+    kids = np.array([(i0, mi - 1, j0, mj - 1), (i0, mi - 1, mj, j1),
+                     (mi, i1, j0, mj - 1), (mi, i1, mj, j1)]).transpose(0, 2, 1).reshape(-1, 4)
+    real = (kids[:, 0] <= kids[:, 1]) & (kids[:, 2] <= kids[:, 3])
+    return kids[real], np.tile(np.arange(len(tiles)), 4)[real]
+
+
+@np.errstate(all="ignore")  # a bound that overflows is inf or nan, and only keeps its tile
+def _candidate_nodes(feas, users, bounds: AreaBounds, gxs, gys) -> tuple[np.ndarray, int]:
+    """The ascending flat indices of the nodes that can hold the best
+    feasible node, and the number of tile centres evaluated to find them."""
+    xs, ys, es = users
+    z = bounds.z_min
+    _, cap = curvature_bounds(users, z, farthest_corner(xs, ys, bounds))
+    if not math.isfinite(cap):  # as where z^4 underflows: no tile is bounded
+        return np.arange(len(gxs) * len(gys)), 0
+
+    def best_feasible(px, py, values):
+        best = values[region_mod.within(feas, np.column_stack((px, py)))[0]]
+        return np.max(best[np.isfinite(best)], initial=-math.inf)
+
+    table = feas.table
+    radius = (table.r + region_mod.MEMBERSHIP_TOL + feas.slack) * (1.0 + _PRUNE_SLACK)
+    # The first two levels, one tile and four, reach so far that their bounds
+    # seldom drop a tile. The search starts from the sixteen tiles of the
+    # third, which saves their fixed cost (most of a small grid's search);
+    # the root's centre node, near the peak of a concave objective, still
+    # seeds the incumbent.
+    tiles = _split(_split(np.array([[0, len(gxs) - 1, 0, len(gys) - 1]]))[0])[0]
+    caps = np.full(len(tiles), cap)
+    px, py = gxs[len(gxs) // 2 : len(gxs) // 2 + 1], gys[len(gys) // 2 : len(gys) // 2 + 1]
+    floor = best_feasible(px, py, _grid_slopes(xs, ys, es, z, px, py)[0])
+    centres, leaves, leaf_bounds = 1, [], []
+    while len(tiles):
+        if len(table.r):  # drop the tiles whose nearest point to a disk's centre misses that disk
+            rect = (gxs[tiles[:, 0]], gxs[tiles[:, 1]], gys[tiles[:, 2]], gys[tiles[:, 3]])
+            hits = _blocked(lambda *r: np.all(_reaches(table.cx, table.cy, *r)[1] <= radius, axis=1),
+                            rect, len(table.r))
+            tiles, caps = tiles[hits], caps[hits]
+        i0, i1, j0, j1 = tiles.T
+        rect = (gxs[i0], gxs[i1], gys[j0], gys[j1])
+        px, py = gxs[(i0 + i1 + 1) // 2], gys[(j0 + j1 + 1) // 2]
+        values, slopes = _grid_slopes(xs, ys, es, z, px, py)
+        centres += len(px)
+        floor = max(floor, best_feasible(px, py, values))
+        cut = floor * (1.0 - _PRUNE_SLACK)
+        reach = np.hypot(np.maximum(px - rect[0], rect[1] - px), np.maximum(py - rect[2], rect[3] - py))
+        tile_bounds, caps = _tile_bounds(users, z, caps, rect, values, slopes, reach, cut)
+        keep = ~(tile_bounds < cut)
+        leaf = keep & (i1 - i0 < LEAF) & (j1 - j0 < LEAF)
+        leaves.append(tiles[leaf])
+        leaf_bounds.append(tile_bounds[leaf])
+        tiles, parent = _split(tiles[keep & ~leaf])
+        caps = caps[keep & ~leaf][parent]
+    leaves = np.concatenate(leaves)[~(np.concatenate(leaf_bounds) < cut)]  # the last, highest cut
+    i0, i1, j0, j1 = (a[:, None, None] for a in leaves.T)
+    ix, iy = i0 + np.arange(LEAF)[:, None], j0 + np.arange(LEAF)
+    return np.sort((ix * len(gys) + iy)[(ix <= i1) & (iy <= j1)]), centres
 
 
 def grid_search(
@@ -185,55 +287,43 @@ def grid_search(
     mode: str = "box",
     c: float = SPEED_OF_LIGHT,
 ) -> GridSearchResult:
-    """The best feasible grid node, found by a two-level Lipschitz search.
+    """The best feasible grid node, found by a quadtree branch and bound.
 
-    The coarse pass evaluates the value f(c) and the gradient at the centre
-    node c of every TILE x TILE tile. Every node p of a tile then has
-    f(p) <= f(c) + |grad f(c)| rho + L rho^2 / 2, where rho is the largest
-    distance from c to the tile's nodes and L, `objective.curvature_bounds`'
-    hi, caps the largest Hessian eigenvalue. Tiles whose bound falls below
-    the best feasible centre value by a relative `_PRUNE_SLACK` cannot hold
-    the best node; the fine pass evaluates the rest with `grid_values`.
+    The search splits the grid level by level into tiles, rectangles of
+    nodes, from the grid cut in sixteen, with the grid's centre node as the
+    first incumbent. At each tile's centre node c it evaluates f(c) and
+    the gradient; every node p of the tile then has f(p) <= f(c) +
+    |grad f(c)| t + hi t^2 / 2 with t = |p - c| at most rho, the tile's
+    reach from c, and the tile's bound is the largest such value over
+    t <= rho. hi caps the
+    Hessian's largest eigenvalue: `objective.curvature_bounds` with each
+    user's reach its farthest box corner, or where that is positive the
+    tile's own cap over each user's distances to it. A tile whose bound
+    falls below the best feasible centre value by a relative
+    `_PRUNE_SLACK` cannot hold the best node and is dropped, as in region
+    mode is a tile whose nearest point to some disk's centre lies outside
+    that disk beyond `region.within`'s tolerance and the region's slack.
+    The rest split in four down to leaves of at most LEAF x LEAF nodes,
+    whose feasible nodes `grid_values` evaluates. Where no cap is finite,
+    as where z^4 underflows, every node is evaluated and no centre.
 
     Only nodes of the mode's `region.feasible_set` count, for the lower bound
     as for the answer; `region.within` tests them as `region.contains` does,
-    with the region's slack. The fine nodes are taken in x-major order and the
-    first maximum wins, so the node and value are those of a scan of every
-    node: ties break toward the smallest x, then the smallest y.
+    with the region's slack. The leaf nodes are taken in x-major order and
+    the first maximum wins, so the node and value are those of a scan of
+    every node: ties break toward the smallest x, then the smallest y.
     """
     feas = region_mod.feasible_set(scenario, mode, c)
-    xs_u, ys_u, es = user_arrays(scenario.users)
-    z = scenario.bounds.z_min
-    grid_xs = grid.xs()
-    grid_ys = grid.ys()
+    users = user_arrays(scenario.users)
+    grid_xs, grid_ys = grid.xs(), grid.ys()
     n_y = len(grid_ys)
-
-    # Coarse pass: one bound per tile, from its centre node. The cap is
-    # infinite when z^4 underflows; then no tile is bounded and none is pruned.
-    tx, reach_x = _tiles(grid_xs)
-    ty, reach_y = _tiles(grid_ys)
-    _, curvature_cap = curvature_bounds(scenario.users, z)
-    if math.isfinite(curvature_cap):
-        px, py = np.repeat(grid_xs[tx], len(ty)), np.tile(grid_ys[ty], len(tx))
-        inside, _ = region_mod.within(feas, np.column_stack((px, py)))  # raises if feas is empty
-        centre_values, slopes = _grid_slopes(xs_u, ys_u, es, z, px, py)
-        rho = np.hypot(reach_x[:, None], reach_y).ravel()
-        bounds = centre_values + slopes * rho + curvature_cap * rho**2 / 2.0
-        floor = np.max(centre_values[inside], initial=-math.inf)
-        keep = ~(bounds < floor * (1.0 - _PRUNE_SLACK))
-        centres = len(px)
-    else:
-        keep, centres = np.ones(len(tx) * len(ty), dtype=bool), 0
-
-    # Fine pass: the feasible nodes of the surviving tiles, in x-major order.
-    tile_x, tile_y = np.arange(len(grid_xs)) // TILE, np.arange(n_y) // TILE
-    nodes = np.flatnonzero(keep.reshape(len(tx), len(ty))[tile_x[:, None], tile_y])
+    nodes, centres = _candidate_nodes(feas, users, scenario.bounds, grid_xs, grid_ys)
     fine = np.column_stack((grid_xs[nodes // n_y], grid_ys[nodes % n_y]))
     inside, _ = region_mod.within(feas, fine)
     nodes, fine = nodes[inside], fine[inside]
     if not len(nodes):
         thin = f"the region is thinner than the emptiness tolerance (slack {feas.slack:.3g} m)"
         raise ValidationError(f"no grid node is feasible; {thin if feas.slack else 'refine the spacing'}")
-    totals = grid_values(xs_u, ys_u, es, z, grid_xs, grid_ys, nodes)
+    totals = grid_values(*users, scenario.bounds.z_min, grid_xs, grid_ys, nodes)
     j = int(np.argmax(totals))  # the first maximum: ties break toward the smallest x, then y
     return GridSearchResult((float(fine[j, 0]), float(fine[j, 1])), float(totals[j]), centres + len(fine))

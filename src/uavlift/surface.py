@@ -42,14 +42,20 @@ def write_surface_csv(path: str | Path, xs: np.ndarray, ys: np.ndarray, values: 
             f.write("".join([f"{x_text},{y},{v!r}\n" for y, v in zip(ys_text, row.tolist())]))
 
 
-def _color(t: float) -> str:
-    """Linear interpolation through the colormap stops; t in [0, 1]."""
-    if t <= 0.5:
-        lo, hi, u = _STOPS[0], _STOPS[1], t * 2.0
-    else:
-        lo, hi, u = _STOPS[1], _STOPS[2], (t - 0.5) * 2.0
-    r, g, b = (round(a + (b_ - a) * u) for a, b_ in zip(lo, hi))
-    return f"#{r:02x}{g:02x}{b:02x}"
+# Two-digit lower-case hex of each 8-bit channel value.
+_HEX = [f"{i:02x}" for i in range(256)]
+
+
+def _colors(t: np.ndarray) -> list[str]:
+    """Linear interpolation through the colormap stops, one "#rrggbb" per t
+    in [0, 1]: the lower segment up to t = 0.5 inclusive, and each channel
+    rounded half to even, as `round` does."""
+    upper = t > 0.5
+    stops = np.array(_STOPS, dtype=float)
+    lo, hi = stops[upper.astype(int)], stops[upper.astype(int) + 1]
+    u = np.where(upper, (t - 0.5) * 2.0, t * 2.0)[:, None]
+    rgb = np.rint(lo + (hi - lo) * u).astype(int).tolist()
+    return [f"#{_HEX[r]}{_HEX[g]}{_HEX[b]}" for r, g, b in rgb]
 
 
 def write_surface_svg(path: str | Path, xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> None:
@@ -113,9 +119,9 @@ def write_surface_svg(path: str | Path, xs: np.ndarray, ys: np.ndarray, values: 
         f.write("".join([f"{part}\n" for part in head]))
         # One grid row of cells at a time, so memory stays one row deep.
         for cx, row in zip(cxs, np.asarray(values, dtype=float)):
+            t = (row - v_lo) / v_span if v_span > 0 else np.full(len(row), 0.5)
             f.write("".join([
-                f'<rect x="{cx}" y="{cy}" {size} '
-                f'fill="{_color((v - v_lo) / v_span if v_span > 0 else 0.5)}"/>\n'
-                for cy, v in zip(cys, row.tolist())
+                f'<rect x="{cx}" y="{cy}" {size} fill="{color}"/>\n'
+                for cy, color in zip(cys, _colors(t))
             ]))
         f.write("".join([f"{part}\n" for part in tail]))

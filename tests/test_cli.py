@@ -447,6 +447,31 @@ class TestTinyAltitude:
         assert out == f"{best} ({len(gxs) * len(gys)} nodes evaluated)\n"
 
 
+@pytest.mark.parametrize("z_min", ["1e-76", "1e-75"])
+def test_grid_whose_bound_overflows_warns_nothing(tmp_path, capsys, z_min):
+    # One user: at 1e-76 m the old global cap sum(E)/(2 z_min^4) was finite
+    # but its product with a tile's squared reach overflowed, a warning that
+    # -W error turned into exit 4; at 1e-75 m the box-wide cap is finite and
+    # a tile's bound or own cap still overflows. An infinite bound keeps its
+    # tile, so the answer is the exhaustive scan's.
+    from uavlift.oracle import GridSpec, grid_values
+
+    path = tmp_path / "g.json"
+    assert main(["generate", "--count", "1", "--seed", "1", "--z-min", z_min, "--out", str(path)]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["grid", str(path), "--spacing", "5"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    s = load(path)
+    grid = GridSpec(spacing=5.0, bounds=s.bounds)
+    gxs, gys = grid.xs(), grid.ys()
+    totals = grid_values(*s.users.arrays, s.bounds.z_min, gxs, gys, np.arange(len(gxs) * len(gys)))
+    j = int(np.argmax(totals))
+    assert out.startswith(f"best ({gxs[j // len(gys)]:g}, {gys[j % len(gys)]:g}) value {totals[j]:.6f} J/m^2 (")
+
+
 @pytest.fixture(params=[
     ["--count", "200", "--seed", "9", "--z-min", "1e80"],
     ["--count", "200", "--seed", "9", "--z-min", "1e160"],

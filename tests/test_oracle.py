@@ -13,7 +13,7 @@ from uavlift.cli import main
 from uavlift.errors import EmptyRegionError, ValidationError
 from uavlift.objective import concavity_certificate, gradient, hessian, user_arrays, value
 from uavlift.oracle import GridSpec, grid_search
-from uavlift.region import MEMBERSHIP_TOL, build, contains
+from uavlift.region import MEMBERSHIP_TOL, build, contains, within
 from uavlift.rng import SplitMix64
 from uavlift.scenario import AreaBounds, RfParams, Scenario, UserDevice, generate_uniform, save
 from uavlift.surface import surface_grid
@@ -60,7 +60,8 @@ class TestGridSearch:
         s = Scenario(users=(UserDevice(50, 50, 9000.0),), rf=RF, bounds=bounds)
         result = grid_search(s, GridSpec(1.0, bounds))
         assert result.point == (50.0, 50.0)
-        assert 7 * 7 + 16 * 16 <= result.evaluated < 101 * 101  # centres, the best tile, not all
+        assert (result.point, result.value) == exhaustive_search(s, GridSpec(1.0, bounds))
+        assert result.evaluated < 101 * 101
 
     def test_tie_breaks_toward_smallest_x(self):
         # At a low altitude two identical users produce two bitwise-equal
@@ -160,14 +161,12 @@ def test_grid_kernel_blocks_do_not_change_answers(monkeypatch, chunk):
     nodes = [(float(x), float(y)) for x in xs for y in ys]
     assert values.ravel() == pytest.approx([value(scenario.users, z, p) for p in nodes], rel=1e-12)
     for mode, expected in before.items():
-        result = grid_search(scenario, grid, mode=mode)
-        assert result.point == expected.point
-        assert result.value == expected.value  # every node sums all its users at once
+        # every node and tile sums all its users at once, so no bound moves either
+        assert grid_search(scenario, grid, mode=mode) == expected
+        assert (expected.point, expected.value) == exhaustive_search(scenario, grid, mode)
+        assert expected.evaluated < len(nodes)
     feas = build(scenario)
-    inside = sum(contains(feas, p) for p in nodes)
-    # 4 tile centres (21 = 16 + 5 nodes an axis); box mode prunes the 5 x 5 corner tile
-    assert 0 < inside < len(nodes) == before["box"].evaluated - 4 + 5 * 5
-    assert result.evaluated == 4 + inside
+    assert 0 < sum(contains(feas, p) for p in nodes) < len(nodes)  # the disks cut the grid
 
 
 def gap_node_scenario() -> Scenario:
@@ -181,18 +180,19 @@ def gap_node_scenario() -> Scenario:
 
 
 @pytest.mark.parametrize("layout", ["binding", "thin"])
-def test_grid_nodes_are_feasible_as_contains_says(monkeypatch, layout):
+def test_grid_nodes_are_feasible_as_contains_says(layout):
     scenario = binding_scenario(20) if layout == "binding" else gap_node_scenario()
     grid = GridSpec(1.0, scenario.bounds)
     feas = build(scenario)
-    accepted = [(float(x), float(y)) for x in grid.xs() for y in grid.ys() if contains(feas, (x, y))]
+    nodes = [(float(x), float(y)) for x in grid.xs() for y in grid.ys()]
+    accepted = [p for p in nodes if contains(feas, p)]
     assert accepted
-    # One tile: its centre's bound reaches the best feasible centre value, so
-    # the fine pass evaluates every node the oracle counts feasible.
-    monkeypatch.setattr(oracle, "TILE", 10**6)
+    # the oracle's membership test, over all nodes at once, is contains'
+    assert [nodes[k] for k in within(feas, np.array(nodes))[0]] == accepted
     result = grid_search(scenario, grid, mode="region")
-    assert result.evaluated == 1 + len(accepted)
     assert result.point in accepted
+    assert (result.point, result.value) == exhaustive_search(scenario, grid, "region")
+    assert result.evaluated < len(nodes)
 
 
 def flat_values(xs, ys, es, z: float, px: np.ndarray, py: np.ndarray) -> np.ndarray:
@@ -312,7 +312,8 @@ def assert_exhaustive(scenario: Scenario, grid: GridSpec, mode: str) -> None:
     assert (result.point, result.value) == exhaustive_search(scenario, grid, mode)
 
 
-# The box side per spacing keeps 3-7 tiles an axis; 3 and 7 leave a short last gap.
+# The box side per spacing gives 37 to 101 nodes an axis, five or six levels
+# of the quadtree; spacings 3 and 7 leave a short last gap.
 SIDES = {1.0: 100.0, 2.5: 160.0, 3.0: 200.0, 7.0: 250.0}
 
 
@@ -344,9 +345,11 @@ class TestGridSearchIsExhaustive:
         "users", [((1, 1), (3, 1)), ((15, 8), (16, 8)), ((15, 8), (17, 8)), ((3, 20), (15, 3))]
     )
     def test_two_user_ties(self, users):
-        # Equal users give bitwise-equal maxima at their own nodes. The next
-        # two pairs sit on either side of the boundary between tiles 0 and 1;
-        # in the last, the x-major first node is in the later tile row.
+        # Equal users give bitwise-equal maxima at their own nodes. The
+        # quadtree's leaves on this 41 x 21 grid span x nodes 0-1, 2-4, ...,
+        # 15-16, 17-19: the first pair and (15, 17) lie in neighbouring
+        # leaves, (15, 16) in one; in the last, the x-major first node lies in
+        # the later half of the grid along y.
         bounds = AreaBounds(0, 40, 0, 20, 0.5, 0.5)
         scenario = Scenario(users=tuple(UserDevice(x, y, 100.0) for x, y in users), rf=RF, bounds=bounds)
         result = grid_search(scenario, GridSpec(1.0, bounds))
@@ -405,6 +408,47 @@ class TestGridSearchIsExhaustive:
         result = grid_search(generate_uniform(2000, bounds, 4500, 18000, seed=101), grid)
         assert len(grid.xs()) * len(grid.ys()) == 63001
         assert result.evaluated < 0.1 * 63001
+
+
+@pytest.mark.parametrize("mode", ["box", "region"])
+def test_every_tile_bound_holds_the_tiles_best_node(monkeypatch, mode):
+    """Each bound the search takes is at least the exact maximum over the
+    tile's feasible nodes, within the relative margin it prunes with: with a
+    negative cap (the concave box at 650 m) and a positive one (all lower)."""
+    bounded = []
+
+    def recording(users, z, hi, rect, *rest):
+        bounds, caps = real(users, z, hi, rect, *rest)
+        bounded.append((rect, bounds, caps))
+        return bounds, caps
+
+    real = oracle._tile_bounds
+    monkeypatch.setattr(oracle, "_tile_bounds", recording)
+    signs, side = set(), 60.0
+    for z in (2.0, 10.0, 30.0, 130.0, 650.0):
+        grid = GridSpec(1.0, AreaBounds(0, side, 0, side, z, z))
+        gxs, gys = grid.xs(), grid.ys()
+        px, py = (a.ravel() for a in np.meshgrid(gxs, gys, indexing="ij"))
+        for n, seed in ((3, 1), (20, 2), (60, 3)):
+            if mode == "box":
+                scenario = generate_uniform(n, grid.bounds, 4500, 18000, seed=seed)
+                feasible = np.ones(len(px), dtype=bool)
+            else:
+                scenario = anchored_scenario(n, seed, side, z)
+                feasible = np.zeros(len(px), dtype=bool)
+                feasible[within(build(scenario), np.column_stack((px, py)))[0]] = True
+            values = flat_values(*user_arrays(scenario.users), z, px, py)
+            values = np.where(feasible, values, -np.inf).reshape(len(gxs), len(gys))
+            bounded.clear()
+            assert grid_search(scenario, grid, mode).value == values.max()
+            for (x0, x1, y0, y1), bounds, caps in bounded:
+                for k in range(len(bounds)):
+                    ix = slice(np.searchsorted(gxs, x0[k]), np.searchsorted(gxs, x1[k], "right"))
+                    iy = slice(np.searchsorted(gys, y0[k]), np.searchsorted(gys, y1[k], "right"))
+                    best = values[ix, iy].max()
+                    assert not bounds[k] < best * (1.0 - oracle._PRUNE_SLACK), (z, n, k)
+                signs.update(np.sign(caps).tolist())
+    assert {-1.0, 1.0} <= signs
 
 
 class TestFiniteDifferences:

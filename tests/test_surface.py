@@ -7,7 +7,7 @@ import pytest
 from uavlift.objective import hessian, value
 from uavlift.oracle import GridSpec
 from uavlift.scenario import AreaBounds, UserDevice, generate_uniform
-from uavlift.surface import _color, surface_grid, write_surface_csv, write_surface_svg
+from uavlift.surface import _STOPS, _colors, surface_grid, write_surface_csv, write_surface_svg
 
 BOUNDS = AreaBounds(0, 250, 0, 250, 650, 650)
 
@@ -106,6 +106,17 @@ def reference_csv(path, xs, ys, values):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def reference_color(t: float) -> str:
+    """The colormap one cell at a time, as the writer computed it before it
+    took a row at once."""
+    if t <= 0.5:
+        lo, hi, u = _STOPS[0], _STOPS[1], t * 2.0
+    else:
+        lo, hi, u = _STOPS[1], _STOPS[2], (t - 0.5) * 2.0
+    r, g, b = (round(a + (b_ - a) * u) for a, b_ in zip(lo, hi))
+    return f"#{r:02x}{g:02x}{b:02x}"
+
+
 def reference_svg(path, xs, ys, values, plot_px=560):
     margin_left, margin_bottom, margin_top, margin_right = 70, 45, 30, 20
     width = margin_left + plot_px + margin_right
@@ -135,7 +146,7 @@ def reference_svg(path, xs, ys, values, plot_px=560):
             cy = margin_top + (len(ys) - 1 - iy) * cell_h
             parts.append(
                 f'<rect x="{cx:.2f}" y="{cy:.2f}" width="{cell_w + 0.5:.2f}" '
-                f'height="{cell_h + 0.5:.2f}" fill="{_color(float(t))}"/>'
+                f'height="{cell_h + 0.5:.2f}" fill="{reference_color(float(t))}"/>'
             )
     axis_y = margin_top + plot_px
     parts.append(
@@ -211,3 +222,26 @@ def test_svg_writer_holds_one_row_at_a_time(tmp_path):
     reference_svg(tmp_path / "ref.svg", xs, ys, values)
     assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
     assert peak < 2e6
+
+
+def test_row_colors_match_the_per_cell_formula():
+    # Every t = k/1024 and a fine sweep. t = 1/4 puts red at 68 - 35/2 = 50.5
+    # and t = 3/4 blue at 140 - 103/2 = 88.5: ties that round to even.
+    t = np.concatenate((np.arange(1025) / 1024, np.linspace(0.0, 1.0, 10007)))
+    assert _colors(t) == [reference_color(float(v)) for v in t]
+    assert _colors(np.array([0.25, 0.5, 0.75])) == ["#324970", "#21918c", "#8fbc58"]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.full((3, 4), 7.5),  # flat: every cell takes t = 0.5
+        np.array([[0.0, 1.0, 2.0], [0.5, 1.5, 0.25], [1.0, 1.0, 0.0]]),  # t = 0, 1/2, 1, 1/4, 3/4, 1/8
+    ],
+)
+def test_svg_matches_the_per_cell_formula_at_the_middle_stop(tmp_path, values):
+    xs, ys = np.arange(float(values.shape[0])), np.arange(float(values.shape[1]))
+    write_surface_svg(tmp_path / "new.svg", xs, ys, values)
+    reference_svg(tmp_path / "ref.svg", xs, ys, values)
+    assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
+    assert ('fill="#21918c"' in (tmp_path / "new.svg").read_text())
