@@ -3,10 +3,11 @@
 With the station at (X, Y) and altitude z, each user contributes
 E_i / ((X - x_i)^2 + (Y - y_i)^2 + z^2) in J/m^2; dividing a term by K
 gives that user's lifetime in seconds. The gradient and Hessian are
-analytic, and the whole sum is concave over the deployment box whenever
-z exceeds sqrt(3) times the maximum 2D distance in the area; `nsd_scan`
-proves it lower down by bounding each user's curvature within its own
-farthest box corner.
+analytic. The paper proves the whole sum concave over the deployment box
+whenever z exceeds sqrt(3) times the maximum 2D distance in the area
+(`concavity_certificate`); `box_curvature_bounds` proves it lower down by
+bounding each user's curvature within its own farthest box corner, and
+that one bound decides concavity for the solver and for `nsd_scan`.
 """
 
 from __future__ import annotations
@@ -101,57 +102,61 @@ def concavity_certificate(bounds: AreaBounds) -> ConcavityCertificate:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow makes a bound infinite or nan, not a warning
 def curvature_bounds(
     users: Sequence[UserDevice] | UserArrays,
     z_min: float,
     reach: float | np.ndarray = math.inf,
     near: float | np.ndarray = 0.0,
 ) -> tuple[float, float | np.ndarray]:
-    """(lo, hi) with lo*I <= Hessian <= hi*I at altitude z_min within 2D
-    distance `reach` of every user, or of user i between `near[..., i]` and
-    `reach[..., i]` when `reach` is an array, one hi per row of a 2D one:
-    -lo is the ascent's L, -hi its modulus of strong concavity, and hi
-    `nsd_scan`'s proof and the grid oracle's cap on a tile.
+    """(lo, hi) with lo*I <= Hessian <= hi*I at altitude z_min wherever
+    user i lies between 2D distances `near[..., i]` and `reach[..., i]`
+    (scalars broadcast), one hi per row of a 2D range: -lo is the ascent's
+    L, and hi the solver's modulus -mu, `nsd_scan`'s proof and the grid
+    oracle's cap on a tile.
 
     Per user at 2D distance r, with D = r^2 + z^2, the Hessian eigenvalues
     are -2E/D^2 and E*(6r^2 - 2z^2)/D^3. Both are -2E/z^4 at r = 0; the
     first rises towards 0, the second to its peak E/(2z^4) at r = z, so
     over [near, reach] it peaks at r = clamp(z, near, reach). Weyl's
-    inequality sums the users. A power of z that overflows counts as
-    infinite. Per-user ranges are summed in the scaled form
-    (E/z^4) * (6*rho - 2) / (1 + rho)^3, rho = (r/z)^2; a scalar reach
-    takes it only where the plain expression of the reach < z eigenvalue
-    overflows, as for a total energy near the largest double.
+    inequality sums the users. With s = z^2/D = 1/(1 + (r/z)^2) the second
+    is (E/z^4) * s^2 * (6 - 8s), which stays finite however far r is from
+    z. A power of z, a term or a sum that overflows counts as infinite.
     """
     es = user_arrays(users).es
-    total = float(es.sum())
     z4 = math.inf
     with contextlib.suppress(OverflowError):
         z4 = z_min**4
     if not z4 > 0:
         return -math.inf, math.inf
-    lo = -2.0 * (total / z4)
-    if np.ndim(reach):
-        rho = (np.maximum(near, np.minimum(reach, z_min)) / z_min) ** 2
-        hi = np.sum(es / z4 * (6.0 * rho - 2.0) / (1.0 + rho) ** 3, axis=-1)
-        return lo, hi if np.ndim(hi) else float(hi)
-    if not reach < z_min:
-        return lo, total / (2.0 * z4)
-    with contextlib.suppress(OverflowError):
-        r2, z2 = reach**2, z_min**2
-        hi = -(total * (2.0 * z2 - 6.0 * r2) / (r2 + z2) ** 3)
-        if math.isfinite(hi):
-            return lo, hi
-    rho = (reach / z_min) ** 2
-    return lo, total / z4 * (6.0 * rho - 2.0) / (1.0 + rho) ** 3
+    lo = -2.0 * (float(es.sum()) / z4)
+    s = 1.0 / (1.0 + (np.maximum(near, np.minimum(reach, z_min)) / z_min) ** 2)
+    hi = np.sum(es / z4 * (s * s * (6.0 - 8.0 * s)), axis=-1)
+    return lo, hi if np.ndim(hi) else float(hi)
 
 
-def farthest_corner(xs: np.ndarray, ys: np.ndarray, bounds: AreaBounds) -> np.ndarray:
-    """2D distance from each user (xs, ys) to the farthest corner of the box."""
-    return np.hypot(
-        np.maximum(xs - bounds.x_min, bounds.x_max - xs),
-        np.maximum(ys - bounds.y_min, bounds.y_max - ys),
-    )
+def farthest(px, py, x0, x1, y0, y1) -> np.ndarray:
+    """2D distance from each point (px, py) to the farthest point, a
+    corner, of the rectangle [x0, x1] x [y0, y1]."""
+    dx, dy = np.maximum(px - x0, x1 - px), np.maximum(py - y0, y1 - py)
+    return np.sqrt(dx * dx + dy * dy)  # np.hypot is several times slower
+
+
+def nearest(px, py, x0, x1, y0, y1) -> np.ndarray:
+    """2D distance from each point (px, py) to the nearest point of the
+    rectangle [x0, x1] x [y0, y1]: 0 within it."""
+    dx = np.maximum(np.maximum(x0 - px, px - x1), 0.0)
+    dy = np.maximum(np.maximum(y0 - py, py - y1), 0.0)
+    return np.sqrt(dx * dx + dy * dy)
+
+
+def box_curvature_bounds(
+    users: Sequence[UserDevice] | UserArrays, z_min: float, b: AreaBounds
+) -> tuple[float, float]:
+    """`curvature_bounds` at altitude z_min over the box `b`: each user's
+    reach is its farthest box corner, so hi bounds every Hessian on the box."""
+    xs, ys, _ = user_arrays(users)
+    return curvature_bounds(users, z_min, farthest(xs, ys, b.x_min, b.x_max, b.y_min, b.y_max))
 
 
 class NsdScan(NamedTuple):
@@ -176,16 +181,15 @@ def nsd_scan(
     """Prove the Hessian negative definite over the box, or find a point
     where it is not.
 
-    The proof is `curvature_bounds` with each user's reach its farthest box
-    corner: hi < 0 bounds every Hessian on the box. Failing that, seeded
-    random points in the box are checked in order with `hessian`, and the
-    first whose largest eigenvalue is positive is the witness. No number of
-    samples proves anything, so a search without a witness is undecided."""
+    The proof is `box_curvature_bounds`: hi < 0 bounds every Hessian on
+    the box. Failing that, seeded random points in the box are checked in
+    order with `hessian`, and the first whose largest eigenvalue is
+    positive is the witness. No number of samples proves anything, so a
+    search without a witness is undecided."""
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
     _check_altitude(z_min)
-    xs, ys, _ = user_arrays(users)
-    _, hi = curvature_bounds(users, z_min, farthest_corner(xs, ys, bounds))
+    _, hi = box_curvature_bounds(users, z_min, bounds)
     if hi < 0:
         return NsdScan("proven", hi)
     pts = SplitMix64(seed).uniforms(

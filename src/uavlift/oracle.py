@@ -25,7 +25,7 @@ import numpy as np
 from . import region as region_mod
 from .channel import SPEED_OF_LIGHT
 from .errors import ValidationError
-from .objective import curvature_bounds, farthest_corner, user_arrays
+from .objective import box_curvature_bounds, curvature_bounds, farthest, nearest, user_arrays
 from .scenario import AreaBounds, Scenario
 
 
@@ -174,15 +174,6 @@ def _grid_slopes(
     return values, np.hypot(gx, gy)
 
 
-def _reaches(px, py, x0, x1, y0, y1) -> tuple[np.ndarray, np.ndarray]:
-    """2D distances from each point (px, py) to the farthest and to the
-    nearest point of the rectangle [x0, x1] x [y0, y1], one rectangle a row
-    of the column arrays."""
-    bx, ax, by, ay = x0 - px, px - x1, y0 - py, py - y1
-    near = np.maximum(np.maximum(bx, ax), 0.0) ** 2 + np.maximum(np.maximum(by, ay), 0.0) ** 2
-    return np.sqrt(np.minimum(bx, ax) ** 2 + np.minimum(by, ay) ** 2), np.sqrt(near)
-
-
 def _blocked(table, rects: tuple, columns: int) -> np.ndarray:
     """`table(x0, x1, y0, y1)` for the non-empty set of rectangles `rects`,
     passed as column arrays a block of at most CHUNK_ELEMENTS / 4 rectangle
@@ -209,8 +200,9 @@ def _tile_bounds(users, z, hi, rect, values, slopes, reach, cut) -> tuple[np.nda
     if own.any():
         xs, ys, _ = users
         hi = hi.copy()
-        hi[own] = _blocked(lambda *r: curvature_bounds(users, z, *_reaches(xs, ys, *r))[1],
-                           tuple(a[own] for a in rect), len(xs))
+        hi[own] = _blocked(
+            lambda *r: curvature_bounds(users, z, farthest(xs, ys, *r), nearest(xs, ys, *r))[1],
+            tuple(a[own] for a in rect), len(xs))
         bounds[own] = taylor(own)
     return bounds, hi
 
@@ -234,7 +226,7 @@ def _candidate_nodes(feas, users, bounds: AreaBounds, gxs, gys) -> tuple[np.ndar
     feasible node, and the number of tile centres evaluated to find them."""
     xs, ys, es = users
     z = bounds.z_min
-    _, cap = curvature_bounds(users, z, farthest_corner(xs, ys, bounds))
+    _, cap = box_curvature_bounds(users, z, bounds)
     if not math.isfinite(cap):  # as where z^4 underflows: no tile is bounded
         return np.arange(len(gxs) * len(gys)), 0
 
@@ -257,7 +249,7 @@ def _candidate_nodes(feas, users, bounds: AreaBounds, gxs, gys) -> tuple[np.ndar
     while len(tiles):
         if len(table.r):  # drop the tiles whose nearest point to a disk's centre misses that disk
             rect = (gxs[tiles[:, 0]], gxs[tiles[:, 1]], gys[tiles[:, 2]], gys[tiles[:, 3]])
-            hits = _blocked(lambda *r: np.all(_reaches(table.cx, table.cy, *r)[1] <= radius, axis=1),
+            hits = _blocked(lambda *r: np.all(nearest(table.cx, table.cy, *r) <= radius, axis=1),
                             rect, len(table.r))
             tiles, caps = tiles[hits], caps[hits]
         i0, i1, j0, j1 = tiles.T
@@ -267,8 +259,7 @@ def _candidate_nodes(feas, users, bounds: AreaBounds, gxs, gys) -> tuple[np.ndar
         centres += len(px)
         floor = max(floor, best_feasible(px, py, values))
         cut = floor * (1.0 - _PRUNE_SLACK)
-        reach = np.hypot(np.maximum(px - rect[0], rect[1] - px), np.maximum(py - rect[2], rect[3] - py))
-        tile_bounds, caps = _tile_bounds(users, z, caps, rect, values, slopes, reach, cut)
+        tile_bounds, caps = _tile_bounds(users, z, caps, rect, values, slopes, farthest(px, py, *rect), cut)
         keep = ~(tile_bounds < cut)
         leaf = keep & (i1 - i0 < LEAF) & (j1 - j0 < LEAF)
         leaves.append(tiles[leaf])

@@ -18,11 +18,13 @@ gradient: it bounds |P(p + t*g) - p| / t by eps/t <= 2L*eps. That threshold
 grows as z^-4, so at a low altitude the ascent can stop after one short
 step far from the optimum.
 
-When the concavity certificate holds, the objective is strongly concave on
-the box with modulus mu = -hi from the same `curvature_bounds`, and the
-report carries a proven bound on the optimality gap. Without the
-certificate the report gives the norm of the projected gradient: the point
-is stationary, not proven optimal.
+The same bounds over the box, `objective.box_curvature_bounds`, decide
+concavity once. Where mu = -hi > 0 the objective is strongly concave on
+the box with modulus mu, and the report carries a proven bound on the
+optimality gap; elsewhere the solver warns, and the report gives the norm
+of the projected gradient: the point is stationary, not proven optimal.
+The paper's condition z > sqrt(3)*d_max, the report's `certificate`,
+implies mu > 0, which also holds lower down.
 
 Because the printed parameter set of the bundled reproduction cases makes
 the full region empty at 650 m, those cases run in `box` mode; an empty
@@ -44,8 +46,8 @@ from .channel import SPEED_OF_LIGHT, system_constant
 from .errors import NumericalError, ValidationError
 from .objective import (
     ConcavityCertificate,
+    box_curvature_bounds,
     concavity_certificate,
-    curvature_bounds,
     gradient,
     user_arrays,
     value,
@@ -96,9 +98,11 @@ class SolveReport:
     """Everything a run produced; placement fields are None when infeasible.
 
     gap_bound is a proven upper bound on f* - objective in J/m^2, set when
-    the concavity certificate holds. projected_gradient, set when it does
-    not, is L * |P(p + g/L) - p| in J/m^3 at the placement p: near zero at a
-    stationary point, which is all a run without the certificate can claim.
+    the per-user box bound proves the objective concave (mu > 0).
+    projected_gradient, set when it does not, is L * |P(p + g/L) - p| in
+    J/m^3 at the placement p: near zero at a stationary point, which is all
+    a run without that proof can claim. `certificate` is the paper's
+    condition, which implies the proof but is not needed for it.
     """
 
     placement: tuple[float, float, float] | None
@@ -141,7 +145,7 @@ def solve(
     users = user_arrays(scenario.users)  # built once for the whole ascent
     z = scenario.bounds.z_min
     cert = concavity_certificate(scenario.bounds)
-    lo, hi = curvature_bounds(users, z, cert.d_max)
+    lo, hi = box_curvature_bounds(users, z, scenario.bounds)
     lipschitz, mu = -lo, -hi
     if not math.isfinite(lipschitz):
         raise ValidationError(
@@ -155,7 +159,7 @@ def solve(
             f"2*sum(E)/z_min^4 rounds to {lipschitz:g}, so the step 1/L is not finite"
         )
     k = system_constant(scenario.rf, len(scenario.users), c)
-    if not cert.holds:
+    if not mu > 0:
         warnings.warn(
             f"objective may be non-concave: z_min = {cert.z_min:g} m does not exceed "
             f"sqrt(3)*d_max = {cert.threshold:.2f} m; the ascent finds a local optimum",

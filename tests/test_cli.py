@@ -428,6 +428,15 @@ class TestTinyAltitude:
         err = capsys.readouterr().err
         assert "z_min" in err and "Traceback" not in err
 
+    def test_solve_warns_nothing_before_the_error(self, tiny_altitude_file, capsys):
+        # the box curvature bound overflows with L, silently
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", str(tiny_altitude_file), "--mode", "box"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: z_min = ") and err.count("\n") == 1
+
     def test_grid_prunes_nothing_and_warns_nothing(self, tiny_altitude_file, capsys):
         from uavlift.oracle import GridSpec, grid_values
 

@@ -359,8 +359,9 @@ class TestGridSearchIsExhaustive:
     @pytest.mark.parametrize("z", [0.5, 10.0, 30.0, 130.0, 650.0])
     def test_four_user_symmetric_layout(self, z):
         # Users at the corners of a square centred on (31.5, 31.5): every
-        # maximum, at a user or at the centre, falls between tile 0|1 or
-        # 1|2 nodes (15|16, 31|32, 47|48) on both axes.
+        # maximum, at a user or at the centre, falls between nodes 15|16,
+        # 31|32 or 47|48 on both axes, the edges of the sixteen tiles the
+        # quadtree starts from.
         corners = [(15.5, 15.5), (47.5, 15.5), (15.5, 47.5), (47.5, 47.5)]
         users = tuple(UserDevice(x, y, 30.0**2 + z * z) for x, y in corners)
         rf = RfParams(rate=1.0, bandwidth=4.0, noise=1.0,
@@ -370,10 +371,10 @@ class TestGridSearchIsExhaustive:
             assert_exhaustive(scenario, GridSpec(1.0, scenario.bounds), mode)
 
     def test_sharp_peak_needs_the_curvature_term(self):
-        # At z = 0.5 the best node (0, 0) is a corner of the tile centred at
-        # (8, 8), where value and slope are small; the centre of the next tile
-        # holds a user nearly as strong. Only the curvature term keeps the
-        # first tile.
+        # At z = 0.5 the best node (0, 0) is a corner of its starting tile,
+        # [0, 9] x [0, 4] centred at (5, 2), where value and slope are small;
+        # the centre (25, 7) of another tile lies next to a user nearly as
+        # strong. Only the curvature term keeps the first tile.
         bounds = AreaBounds(0, 40, 0, 20, 0.5, 0.5)
         users = (UserDevice(0, 0, 100.0), UserDevice(24, 8, 90.0))
         scenario = Scenario(users=users, rf=RF, bounds=bounds)
@@ -383,11 +384,10 @@ class TestGridSearchIsExhaustive:
     def test_boundary_maximum_needs_the_full_gradient_term(self):
         # The objective rises almost linearly along d (25.6 degrees) towards
         # a strong user H, and the disk of a user W 20 m behind cuts it off on
-        # a line across d through the node m = c1 + 7 (s, s), a corner of the
-        # tile centred at c1. The feasible centre c1 + 16 (s, -s) lies further
-        # along d than c1 by 16 s (cos - sin) = 7.5 s, more than half the
-        # tile's reach 8 s sqrt(2), and less far than m; a bound with half the
-        # gradient term drops the tile that holds m.
+        # a line across d through the node m, so the best feasible node lies
+        # on the region's edge, where the gradient is far from zero. On the
+        # quadtree's tiles a bound with half the gradient term still keeps
+        # every tile that holds m (136 nodes evaluated instead of 223).
         s, z = 0.1, 40.0
         d = (math.cos(math.radians(25.6)), math.sin(math.radians(25.6)))
         m = (24.8 + 7 * s, 24.8 + 7 * s)
@@ -409,6 +409,16 @@ class TestGridSearchIsExhaustive:
         assert len(grid.xs()) * len(grid.ys()) == 63001
         assert result.evaluated < 0.1 * 63001
 
+    def test_far_tiles_are_bounded_at_a_vanishing_altitude(self):
+        # At z = 1e-60 m a user 100 m from a tile is 1e62 z away, where the
+        # curvature term must stay finite for the tile to be bounded at all.
+        bounds = AreaBounds(0, 250, 0, 250, 1e-60, 1e-60)
+        grid = GridSpec(5.0, bounds)
+        scenario = generate_uniform(20, bounds, 4500, 18000, seed=3)
+        result = grid_search(scenario, grid)
+        assert (result.point, result.value) == exhaustive_search(scenario, grid)
+        assert result.evaluated < len(grid.xs()) * len(grid.ys())
+
 
 @pytest.mark.parametrize("mode", ["box", "region"])
 def test_every_tile_bound_holds_the_tiles_best_node(monkeypatch, mode):
@@ -425,7 +435,7 @@ def test_every_tile_bound_holds_the_tiles_best_node(monkeypatch, mode):
     real = oracle._tile_bounds
     monkeypatch.setattr(oracle, "_tile_bounds", recording)
     signs, side = set(), 60.0
-    for z in (2.0, 10.0, 30.0, 130.0, 650.0):
+    for z in (1e-60, 2.0, 10.0, 30.0, 130.0, 650.0):
         grid = GridSpec(1.0, AreaBounds(0, side, 0, side, z, z))
         gxs, gys = grid.xs(), grid.ys()
         px, py = (a.ravel() for a in np.meshgrid(gxs, gys, indexing="ij"))

@@ -11,7 +11,16 @@ from uavlift import cases, objective
 from uavlift import solver as solver_mod
 from uavlift.channel import SPEED_OF_LIGHT
 from uavlift.errors import ValidationError
-from uavlift.objective import UserArrays, curvature_bounds, gradient, hessian, value
+from uavlift.objective import (
+    UserArrays,
+    box_curvature_bounds,
+    concavity_certificate,
+    curvature_bounds,
+    gradient,
+    hessian,
+    nsd_scan,
+    value,
+)
 from uavlift.oracle import GridSpec, grid_search
 from uavlift.region import build, contains
 from uavlift.rng import SplitMix64
@@ -42,6 +51,12 @@ def relaxed_scenario(seed=5, n=30):
 
 def canned_uniform():
     return generate_uniform(cases.UNIFORM_USERS, cases.BOUNDS, *cases.ENERGY, cases.SEED)
+
+
+def canned_uniform_at(z):
+    """The canned uniform layout with the station at altitude z."""
+    bounds = AreaBounds(0, 250, 0, 250, z, z)
+    return generate_uniform(cases.UNIFORM_USERS, bounds, *cases.ENERGY, cases.SEED)
 
 
 def canned_nonuniform():
@@ -171,20 +186,20 @@ PINNED_SOLVES = {
     "uniform": (
         canned_uniform, cases.UNIFORM_CONFIG, cases.C_ROUNDED,
         ("0x1.0479666f7e690p+7", "0x1.fa3546ec77d29p+6", "0x1.4500000000000p+9"),
-        "0x1.4d0b09d3aea98p+2", "0x1.35db7591e9e48p+15", "0x1.bd053438c76f8p-43", None, 5, True,
+        "0x1.4d0b09d3aea98p+2", "0x1.35db7591e9e48p+15", "0x1.1d2871184ee40p-45", None, 5, True,
         "04da25844dad40cd1622aaf90eba55f9e714a96f022e283a2a6607e877a6c279",
     ),
     "nonuniform": (
         canned_nonuniform, cases.NONUNIFORM_CONFIG, cases.C_ROUNDED,
         ("0x1.a6d9a04e9d8b4p+6", "0x1.f955381c331c6p+6", "0x1.4500000000000p+9"),
-        "0x1.52055c3f88c19p+2", "0x1.345af188f678ap+15", "0x1.353b21bcc58dap-50", None, 6, True,
+        "0x1.52055c3f88c19p+2", "0x1.345af188f678ap+15", "0x1.49265b007f260p-53", None, 6, True,
         "fe5c1888fb631542fd5d4dfee8da3244a8e9e3445de23a701046f0b652c00a75",
     ),
     "u2000-corner": (
         lambda: generate_uniform(2000, cases.BOUNDS, *cases.ENERGY, cases.SEED),
         SolverConfig(mode="box", init=(0.0, 0.0)), cases.C_ROUNDED,
         ("0x1.ee69946a06c65p+6", "0x1.f93d85f8b0888p+6", "0x1.4500000000000p+9"),
-        "0x1.9f75c14806652p+5", "0x1.f04d1e3c6601ep+11", "0x1.0ff4d158642b4p-40", None, 7, True,
+        "0x1.9f75c14806652p+5", "0x1.f04d1e3c6601ep+11", "0x1.688bb6b324633p-43", None, 7, True,
         "b8145d6bde75009ec30492ee14b8fa82ef3d0aec7c0661949de155e980c01c00",
     ),
     "b20-centroid": (
@@ -431,10 +446,45 @@ class TestGapBound:
         gap = 9000.0 / bounds.z_min**2 - report.objective
         assert gap <= report.gap_bound <= 1.5 * gap
 
+    @pytest.mark.parametrize("z", [448.0, 500.0, 600.0])
+    def test_per_user_bound_gives_a_gap_below_the_certificate(self, z):
+        # The paper's condition needs z > 612 m; each user's curvature within
+        # its own farthest box corner proves concavity from about 448 m.
+        scenario = canned_uniform_at(z)
+        assert not concavity_certificate(scenario.bounds).holds
+        f_star = value(scenario.users, z, newton_optimum(scenario))
+        for max_iters in (1, 2, cases.UNIFORM_CONFIG.max_iters):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                report = solve(scenario, SolverConfig(mode="box", max_iters=max_iters), c=cases.C_ROUNDED)
+            assert report.projected_gradient is None
+            assert report.gap_bound >= f_star - report.objective - 1e-14
+
+    def test_warns_where_the_per_user_bound_proves_nothing(self):
+        scenario = canned_uniform_at(440.0)
+        with pytest.warns(RuntimeWarning, match="non-concave"):
+            report = solve(scenario, cases.UNIFORM_CONFIG, c=cases.C_ROUNDED)
+        assert report.gap_bound is None
+        assert report.projected_gradient >= 0.0
+
+    def test_gap_bound_exactly_where_the_scan_proves_concavity(self):
+        # the box bound changes sign between 447.95884314881016 m and the next double up
+        outcomes = set()
+        for z in (30.0, 440.0, 447.95884314881016, 447.9588431488102, 448.0, 612.0, 650.0, 1e4):
+            scenario = canned_uniform_at(z)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                report = solve(scenario, SolverConfig(mode="box", max_iters=3), c=cases.C_ROUNDED)
+            proven = nsd_scan(scenario.users, z, scenario.bounds, samples=1).outcome == "proven"
+            assert (report.gap_bound is not None) == proven, z
+            assert (report.projected_gradient is None) == proven, z
+            outcomes.add(proven)
+        assert outcomes == {True, False}
+
     def test_no_gap_without_the_certificate(self):
         s = z30_scenario()
         b = s.bounds
-        assert curvature_bounds(s.users, b.z_min, math.hypot(b.x_max - b.x_min, b.y_max - b.y_min))[1] >= 0
+        assert box_curvature_bounds(s.users, b.z_min, b)[1] >= 0
         with pytest.warns(RuntimeWarning, match="non-concave"):
             report = solve(s, SolverConfig(mode="box"))
         assert report.gap_bound is None
