@@ -5,99 +5,53 @@ The public API mirrors the pipeline: build or load a :class:`Scenario`,
 derive the system constant K (a float, :func:`system_constant`), inspect
 the :class:`FeasibleRegion`, and run :func:`solve` (or the grid-search
 oracle) over it.
-"""
 
-from .channel import (
-    SPEED_OF_LIGHT,
-    lifetime,
-    path_loss,
-    rate,
-    required_power,
-    system_constant,
-)
-from .errors import (
-    ConfigurationError,
-    EmptyRegionError,
-    NumericalError,
-    ParseError,
-    UavliftError,
-    ValidationError,
-)
-from .objective import (
-    ConcavityCertificate,
-    concavity_certificate,
-    gradient,
-    hessian,
-    nsd_scan,
-    value,
-)
-from .oracle import GridSpec, grid_search
-from .region import (
-    FeasibleRegion,
-    RangeLimits,
-    build,
-    check_empty,
-    contains,
-    max_range_energy,
-    max_range_power,
-    project,
-)
-from .rng import SplitMix64
-from .scenario import (
-    AreaBounds,
-    ClusterSpec,
-    RfParams,
-    Scenario,
-    UserDevice,
-    generate_clustered,
-    generate_uniform,
-    load,
-    save,
-)
-from .solver import SolveReport, SolverConfig, solve
+Every public name lives in one submodule, listed in ``_EXPORTS``, and that
+submodule is imported on the first access to one of its names (PEP 562).
+So ``import uavlift`` loads no submodule, and a caller that only generates
+and saves scenarios never loads the objective, region, oracle or solver.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "SPEED_OF_LIGHT",
-    "AreaBounds",
-    "ClusterSpec",
-    "ConcavityCertificate",
-    "ConfigurationError",
-    "EmptyRegionError",
-    "FeasibleRegion",
-    "GridSpec",
-    "NumericalError",
-    "ParseError",
-    "RangeLimits",
-    "RfParams",
-    "Scenario",
-    "SolveReport",
-    "SolverConfig",
-    "SplitMix64",
-    "UavliftError",
-    "UserDevice",
-    "ValidationError",
-    "build",
-    "check_empty",
-    "concavity_certificate",
-    "contains",
-    "generate_clustered",
-    "generate_uniform",
-    "gradient",
-    "grid_search",
-    "hessian",
-    "lifetime",
-    "load",
-    "max_range_energy",
-    "max_range_power",
-    "nsd_scan",
-    "path_loss",
-    "project",
-    "rate",
-    "required_power",
-    "save",
-    "solve",
-    "system_constant",
-    "value",
-]
+_EXPORTS = {
+    "channel": ("SPEED_OF_LIGHT", "lifetime", "path_loss", "rate", "required_power", "system_constant"),
+    "errors": (
+        "ConfigurationError", "EmptyRegionError", "NumericalError", "ParseError", "UavliftError",
+        "ValidationError",
+    ),
+    "objective": ("ConcavityCertificate", "concavity_certificate", "gradient", "hessian", "nsd_scan", "value"),
+    "oracle": ("GridSpec", "grid_search"),
+    "region": (
+        "FeasibleRegion", "RangeLimits", "build", "check_empty", "contains", "max_range_energy",
+        "max_range_power", "project",
+    ),
+    "rng": ("SplitMix64",),
+    "scenario": (
+        "AreaBounds", "ClusterSpec", "RfParams", "Scenario", "UserDevice", "generate_clustered",
+        "generate_uniform", "load", "save",
+    ),
+    "solver": ("SolveReport", "SolverConfig", "solve"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    home = name if name in _EXPORTS else _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # the import statement's own path, which `python -X importtime` times
+    # (it does not time a module that importlib.import_module loads); the
+    # import binds the submodule in this package's globals
+    __import__(f"{__name__}.{home}")
+    module = globals()[home]
+    if name == home:
+        return module
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

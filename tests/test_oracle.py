@@ -385,12 +385,15 @@ class TestGridSearchIsExhaustive:
         # The objective rises almost linearly along d (25.6 degrees) towards
         # a strong user H, and the disk of a user W 20 m behind cuts it off on
         # a line across d through the node m, so the best feasible node lies
-        # on the region's edge, where the gradient is far from zero. On the
-        # quadtree's tiles a bound with half the gradient term still keeps
-        # every tile that holds m (136 nodes evaluated instead of 223).
+        # on the region's edge, where the gradient is far from zero. m is node
+        # 256 on both axes, the last node of the quadtree's tile of nodes
+        # 252-256, whose centre node 254 lies 0.28 m behind it along d. There
+        # f(c) + |grad f(c)| t bounds the tile at 450.60 J/m^2 above m's
+        # 450.44, while half the gradient term gives 449.18, below the
+        # neighbouring centre value 450.00 that the search already holds.
         s, z = 0.1, 40.0
         d = (math.cos(math.radians(25.6)), math.sin(math.radians(25.6)))
-        m = (24.8 + 7 * s, 24.8 + 7 * s)
+        m = (24.8 + 8 * s, 24.8 + 8 * s)
         h = (m[0] + 25.0 * d[0], m[1] + 25.0 * d[1])
         w = (m[0] - 20.0 * d[0], m[1] - 20.0 * d[1])
         reach = math.hypot(m[0] - w[0], m[1] - w[1]) + 1e-4

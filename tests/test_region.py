@@ -649,7 +649,8 @@ def test_import_pulls_in_no_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     loaded = subprocess.run(
         [sys.executable, "-c",
-         "import sys, uavlift; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+         # the CLI imports every module of the package
+         "import sys, uavlift.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
         capture_output=True, text=True, env=env, check=True,
     ).stdout.strip()
     assert loaded == "[]"
