@@ -13,7 +13,8 @@ loop that adds the most violated edge or disk to a basis of at most three.
 `check_empty` minimizes g, the largest violation: the region is non-empty
 iff min g <= EMPTINESS_TOL, and the minimizer, its deepest point, is the
 witness. `project` finds the nearest point, a tight point of at most two
-constraints. Each pivot is one vectorized pass over the disks.
+constraints. A pivot makes one NumPy pass, the distances from its few
+candidate points to the disks; the rest is arithmetic on Python floats.
 
 A region keeps each concept once, as arrays: the users' range limits as
 `RangeLimits` and the disks as centre and radius arrays (`DiskTable`), made
@@ -224,17 +225,27 @@ def project(region: FeasibleRegion, point: tuple[float, float]) -> tuple[float, 
     table, box, s = region.table, region.box, region.slack
     if not len(table.r):
         return (min(max(point[0], box.x_min), box.x_max), min(max(point[1], box.y_min), box.y_max))
-    q = np.array([point], dtype=float)
+    qx, qy = float(point[0]), float(point[1])
+    # A point beyond 2^1000 m is scaled towards the origin by a power of two,
+    # so that no distance of the solve overflows. Projections of points that
+    # recede along a ray converge, and from that far this one moves by much
+    # less than rounding.
+    k = math.frexp(max(abs(qx), abs(qy)))[1] - 1000
+    if k > 0:
+        qx, qy = math.ldexp(qx, -k), math.ldexp(qy, -k)
     if s:
         box = dataclasses.replace(box, x_min=box.x_min - s, x_max=box.x_max + s,
                                   y_min=box.y_min - s, y_max=box.y_max + s)
         table = table._replace(r=table.r + s)
-    viol = _violations(q, table, box)[0]
-    qx, qy = q[0]
-    if not s and np.max(viol) <= 0.0:  # inside; no point is inside a region with slack
-        return (float(qx), float(qy))
-    return _pivot("projection", lambda group, basis, p: _nearest_of(group, qx, qy, table, box),
-                  (), (float(qx), float(qy)), 0.0, viol, table, box)[0]
+    reach = _distances(qx, qy, table.cx, table.cy)
+    viol = _edge_violations(qx, qy, box) + (reach - table.r).tolist()
+    if not s and max(viol) <= 0.0:  # inside; no point is inside a region with slack
+        return (qx, qy)
+    # q as one more disk, of radius 0: a point's gap to it is its distance to q
+    near = DiskTable(np.concatenate((table.cx, (qx,))), np.concatenate((table.cy, (qy,))),
+                     np.concatenate((table.r, (0.0,))), table.rounding)
+    return _pivot("projection", lambda group, basis, p: _nearest_of(group, qx, qy, reach, near, box),
+                  (), (qx, qy), 0.0, viol, table, box)[0]
 
 
 def check_empty(disks: DiskTable | ArrayLike, box: AreaBounds) -> EmptinessCheck:
@@ -267,13 +278,12 @@ def least_violation(table: DiskTable, box: AreaBounds) -> tuple[tuple[float, flo
     pivoting from the centre of the disk farthest from the box centre, with
     `_least_violation_of` for each group. The value rises with every pivot.
     """
-    cx, cy, r = table.cx, table.cy, table.r
     mid_x, mid_y = 0.5 * (box.x_min + box.x_max), 0.5 * (box.y_min + box.y_max)
-    i = int(np.argmax(np.hypot(mid_x - cx, mid_y - cy) - r))
-    p = (float(cx[i]), float(cy[i]))
+    i = int(np.argmax(_distances(mid_x, mid_y, table.cx, table.cy) - table.r))
+    p = (table.cx.item(i), table.cy.item(i))
     return _pivot("emptiness shortfall",
                   lambda group, basis, p: _least_violation_of(group, basis, p, table, box),
-                  (4 + i,), p, -float(r[i]), _violations(np.array([p]), table, box)[0], table, box)
+                  (4 + i,), p, -table.r.item(i), _violation_rows([p], table, box)[0], table, box)
 
 
 def _pivot(what, solve, basis, p, value, viol, table, box) -> tuple[tuple[float, float], float]:
@@ -283,27 +293,33 @@ def _pivot(what, solve, basis, p, value, viol, table, box) -> tuple[tuple[float,
     the value, up to rounding, and return p and its largest violation.
 
     Constraints 0-3 are the edges x_min, x_max, y_min and y_max, and 4 + i
-    is disk i. `solve(group, basis, p)` gives the optimum of `group`, the
-    basis plus the violated constraint, as (its basis, point, value, and
-    the point's violations of every constraint, `_violations`' row): one
-    vectorized pass over the disks a pivot. A solve that has not stopped
-    after 10*(m + 4) pivots raises NumericalError.
+    is disk i; `viol` lists the violations in that order, and the pivot is
+    on the first of those tied for the largest. `solve(group, basis, p)`
+    gives the optimum of `group`, the basis plus the violated constraint, as
+    (its basis, point, value, and the point's `viol`). A pivot costs one
+    NumPy pass, the distances from that solve's few candidate points to the
+    disks (`_violation_rows`); the rest is arithmetic on Python floats. A
+    solve that has not stopped after 10*(m + 4) pivots raises NumericalError.
     """
     pivots = 10 * (len(table.r) + 4)
     for _ in range(pivots):
-        j = int(np.argmax(viol))
-        if viol[j] <= value + table.rounding:
-            return p, float(viol[j])
-        basis, p, value, viol = solve(basis + (j,), basis, p)
+        top = max(viol)
+        if top <= value + table.rounding:
+            return p, top
+        basis, p, value, viol = solve(basis + (viol.index(top),), basis, p)
     raise NumericalError(
         f"{what} of {len(table.r)} disks in the box [{box.x_min:g}, {box.x_max:g}] x "
         f"[{box.y_min:g}, {box.y_max:g}] did not settle within {pivots} pivots"
     )
 
 
-def _nearest_of(group, qx, qy, table, box) -> tuple[tuple[int, ...], tuple[float, float], float, np.ndarray]:
+def _nearest_of(
+    group, qx, qy, reach, near, box
+) -> tuple[tuple[int, ...], tuple[float, float], float, list[float]]:
     """The point of the constraints `group` nearest to q = (qx, qy), where
-    the last, j, is violated at the optimum of the others; value 0.
+    the last, j, is violated at the optimum of the others; value 0. `reach`
+    holds q's distances to the disk centres, and `near` is the disk table
+    with q appended as one more disk, of radius 0.
 
     Then j is tight at the optimum, and at most one other constraint b is,
     so the optimum is the nearest of the tight points of {j} and of each
@@ -313,19 +329,18 @@ def _nearest_of(group, qx, qy, table, box) -> tuple[tuple[int, ...], tuple[float
     *others, j = group
     points, subsets = [], []
     for subset in [(j,)] + [(b, j) for b in others]:
-        found = _boundary_points(subset, qx, qy, table, box)
+        found = _boundary_points(subset, qx, qy, reach, near, box)
         points += found
         subsets += [subset] * len(found)
-    xy = np.array(points).reshape(-1, 2)
-    full = _violations(xy, table, box)
-    feasible = np.flatnonzero(np.max(full[:, list(group)], axis=1) <= table.rounding)
-    if not len(feasible):
+    rows = _violation_rows(points, near, box)
+    feasible = [i for i, row in enumerate(rows) if all(row[c] <= near.rounding for c in group)]
+    if not feasible:
         raise NumericalError(f"projection of ({qx:g}, {qy:g}) found no point meeting constraints {group}")
-    k = int(feasible[np.argmin(np.hypot(xy[feasible, 0] - qx, xy[feasible, 1] - qy))])
-    return subsets[k], (float(xy[k, 0]), float(xy[k, 1])), 0.0, full[k]
+    k = min(feasible, key=lambda i: rows[i][-1])  # each row ends in the point's distance to q
+    return subsets[k], points[k], 0.0, rows[k][:-1]
 
 
-def _boundary_points(subset, qx, qy, table, box) -> list[tuple[float, float]]:
+def _boundary_points(subset, qx, qy, reach, table, box) -> list[tuple[float, float]]:
     """The points where the one or two constraints of `subset` are tight and
     that can be their nearest point to q: an edge's clamp of q; the radial
     pull of q onto a disk that q violates (one that holds q pulls it
@@ -333,36 +348,36 @@ def _boundary_points(subset, qx, qy, table, box) -> list[tuple[float, float]]:
     edge or of two circles, or their point of closest approach if they do
     not cross. Disk pairs are taken in index order, with the arithmetic of
     the list of every crossing that these solves replaced, bit for bit.
+    `reach` holds q's distances to the disk centres.
     """
     edges = (box.x_min, box.x_max, box.y_min, box.y_max)
     lines = sorted(c for c in subset if c < 4)
     disks = sorted(c - 4 for c in subset if c >= 4)
-    cx, cy, r = table.cx, table.cy, table.r
     if not disks:
         if len(lines) == 1:
             return [(edges[lines[0]], qy)] if lines[0] < 2 else [(qx, edges[lines[0]])]
         return [(edges[lines[0]], edges[lines[1]])] if lines[0] < 2 <= lines[1] else []
-    i = disks[0]
+    x0, y0, r0 = _disk(table, disks[0])
     if len(subset) == 1:
-        dist = np.hypot(qx - cx[i], qy - cy[i])
-        if not dist > r[i]:
+        dist = reach.item(disks[0])
+        if not dist > r0:
             return []
-        pull = r[i] / dist
-        return [(cx[i] + (qx - cx[i]) * pull, cy[i] + (qy - cy[i]) * pull)]
+        pull = r0 / dist
+        return [(x0 + (qx - x0) * pull, y0 + (qy - y0) * pull)]
     if lines:  # on the edge x = e, or y = e with the axes swapped
         e, vertical = edges[lines[0]], lines[0] < 2
-        a, b = (cx[i], cy[i]) if vertical else (cy[i], cx[i])
-        s = math.sqrt(max(r[i] * r[i] - (e - a) * (e - a), 0.0))
+        a, b = (x0, y0) if vertical else (y0, x0)
+        s = math.sqrt(max(r0 * r0 - (e - a) * (e - a), 0.0))
         return [(e, b + s), (e, b - s)] if vertical else [(b + s, e), (b - s, e)]
-    j = disks[1]
-    dx, dy = cx[j] - cx[i], cy[j] - cy[i]
-    d = np.hypot(dx, dy)
+    x1, y1, r1 = _disk(table, disks[1])
+    dx, dy = x1 - x0, y1 - y0
+    d = float(np.hypot(dx, dy))
     if d == 0:  # concentric circles do not cross
         return []
-    along = (d * d + (r[i] - r[j]) * (r[i] + r[j])) / (2.0 * d)  # centre i to the chord
-    half = math.sqrt(max((r[i] - along) * (r[i] + along), 0.0))  # half the chord
+    along = (d * d + (r0 - r1) * (r0 + r1)) / (2.0 * d)  # centre i to the chord
+    half = math.sqrt(max((r0 - along) * (r0 + along), 0.0))  # half the chord
     ux, uy = dx / d, dy / d
-    mx, my = cx[i] + along * ux, cy[i] + along * uy
+    mx, my = x0 + along * ux, y0 + along * uy
     return [(mx - half * uy, my + half * ux), (mx + half * uy, my - half * ux)]
 
 
@@ -372,7 +387,7 @@ def _least_violation_of(
     p: tuple[float, float],
     table: DiskTable,
     box: AreaBounds,
-) -> tuple[tuple[int, ...], tuple[float, float], float, np.ndarray]:
+) -> tuple[tuple[int, ...], tuple[float, float], float, list[float]]:
     """The optimum of g over the at most four constraints `group`, as
     `_pivot` takes it.
 
@@ -384,28 +399,26 @@ def _least_violation_of(
     subproblem with a segment of optima, where two opposite edges are
     tight, moves towards the region.
     """
+    group_disks = {c: _disk(table, c - 4) for c in group if c >= 4}
     points, subsets = [p], [basis]
     for size in (1, 2, 3):
         for subset in itertools.combinations(group, size):
-            found = _tight_points(subset, table, box)
+            found = _tight_points(subset, group_disks, box)
             points += found
             subsets += [subset] * len(found)
-    xy = np.array(points)
-    viol = _violations(xy, table, box, group)
-    g = np.max(viol, axis=1)
-    tied = np.flatnonzero(g <= np.min(g) + table.rounding)
-    full = _violations(xy[tied], table, box)
-    best = int(np.argmin(np.max(full, axis=1)))
-    k = int(tied[best])
-    tight = {c for c, v in zip(group, viol[k]) if v >= g[k] - table.rounding}
+    rows = _violation_rows(points, table, box)
+    g = [max([row[c] for c in group]) for row in rows]
+    least = min(g) + table.rounding
+    k = min((i for i in range(len(rows)) if g[i] <= least), key=lambda i: max(rows[i]))
+    tight = {c for c in group if rows[k][c] >= g[k] - table.rounding}
     new_basis = tuple(sorted(tight | set(subsets[k])))
     if len(new_basis) > 3:
         new_basis = subsets[k]
-    return new_basis, (float(xy[k, 0]), float(xy[k, 1])), float(g[k]), full[best]
+    return new_basis, points[k], g[k], rows[k]
 
 
 def _tight_points(
-    subset: tuple[int, ...], table: DiskTable, box: AreaBounds
+    subset: tuple[int, ...], group_disks: dict[int, tuple[float, float, float]], box: AreaBounds
 ) -> list[tuple[float, float]]:
     """The points where the constraints of `subset` are violated by one
     common amount s and that can be the subset's optimum: for one disk its
@@ -413,14 +426,14 @@ def _tight_points(
     a disk and an edge the point on the perpendicular from the centre to the
     edge; for three constraints the solutions of their equations in
     (x, y, s). A lone edge, two edges and other degenerate subsets, such as
-    parallel rows or concentric disks, give none.
+    parallel rows or concentric disks, give none. `group_disks` maps each
+    disk constraint to its centre and radius.
     """
     # Edge k is violated by ax*x + ay*y - b.
     edges = ((-1.0, 0.0, -box.x_min), (1.0, 0.0, box.x_max),
              (0.0, -1.0, -box.y_min), (0.0, 1.0, box.y_max))
     lines = [edges[c] for c in subset if c < 4]
-    disks = [(float(table.cx[c - 4]), float(table.cy[c - 4]), float(table.r[c - 4]))
-             for c in subset if c >= 4]
+    disks = [group_disks[c] for c in subset if c >= 4]
     if len(subset) == 1:
         return [disks[0][:2]] if disks else []
     if len(subset) == 2:
@@ -509,22 +522,34 @@ def within(
     start = 0
     while len(kept) and start < len(table.r):
         block = slice(start, start + max(1, _BLOCK_ELEMENTS // len(kept)))
-        gap = np.hypot(pts[kept, :1] - table.cx[block], pts[kept, 1:] - table.cy[block])
-        viol = np.maximum(viol, np.max(gap - table.r[block], axis=1))
+        gap = _distances(pts[kept, :1], pts[kept, 1:], table.cx[block], table.cy[block]) - table.r[block]
+        viol = np.maximum(viol, np.max(gap, axis=1))
         inside = viol <= limit
         kept, viol = kept[inside], viol[inside]
         start = block.stop
     return kept, viol
 
 
-def _violations(
-    xy: np.ndarray, table: DiskTable, box: AreaBounds, group: tuple[int, ...] | None = None
-) -> np.ndarray:
-    """How far each row of `xy` violates the edges x_min, x_max, y_min and
-    y_max and every disk, or only the constraints `group` in its order, with
-    `within`'s arithmetic."""
-    x, y = xy[:, :1], xy[:, 1:]
-    disks = slice(None) if group is None else [c - 4 for c in group if c >= 4]
-    gap = np.hypot(x - table.cx[disks], y - table.cy[disks]) - table.r[disks]
-    viol = np.concatenate((box.x_min - x, x - box.x_max, box.y_min - y, y - box.y_max, gap), axis=1)
-    return viol if group is None else viol[:, [c if c < 4 else 4 + disks.index(c - 4) for c in group]]
+def _distances(x, y, cx, cy) -> np.ndarray:
+    """np.hypot(x - cx, y - cy), broadcast: every distance that the pivots
+    and `within` compare. A distance too large for a double is inf, an
+    infinite violation, and no overflow warning."""
+    with np.errstate(over="ignore"):
+        return np.hypot(x - cx, y - cy)
+
+
+def _edge_violations(x: float, y: float, box: AreaBounds) -> list[float]:
+    return [box.x_min - x, x - box.x_max, box.y_min - y, y - box.y_max]
+
+
+def _disk(table: DiskTable, i: int) -> tuple[float, float, float]:
+    return table.cx.item(i), table.cy.item(i), table.r.item(i)
+
+
+def _violation_rows(points, table: DiskTable, box: AreaBounds) -> list[list[float]]:
+    """How far each of `points` violates the edges x_min, x_max, y_min and
+    y_max and each disk, as lists in `_pivot`'s order, from one NumPy pass
+    over the disks."""
+    xy = np.array(points).reshape(-1, 2)
+    gaps = (_distances(xy[:, :1], xy[:, 1:], table.cx, table.cy) - table.r).tolist()
+    return [_edge_violations(x, y, box) + row for (x, y), row in zip(points, gaps)]

@@ -604,6 +604,29 @@ def test_largest_double_energy_solves(tmp_path, capsys, warnings_as_errors):
     assert "converged true" in out
 
 
+def test_start_beyond_the_double_range_solves_like_a_far_one(tmp_path, capsys):
+    # Three unit-K users whose 8 m disks at z = 30 m cut a 10 m box, where the
+    # certificate holds. From (1.7e308, 1.7e308) every distance to a user
+    # overflows: the solve warns nothing, also under -W error, and ends where
+    # the start 1e300 m out does.
+    path = tmp_path / "c.json"
+    rf = RfParams(rate=1.0, bandwidth=3.0, noise=1.0, frequency=299792458 / (4 * math.pi),
+                  p_max=1e6, tau_th=1.0)
+    users = tuple(UserDevice(x, y, 30.0**2 + 8.0**2) for x, y in ((3, 3), (7, 4), (5, 8)))
+    save(Scenario(users=users, rf=rf, bounds=AreaBounds(0, 10, 0, 10, 30, 30)), path)
+    answers = []
+    for init in ("1e300,1e300", "1.7e308,1.7e308"):
+        report = tmp_path / f"{init}.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under python -W error
+            assert main(["solve", str(path), "--mode", "region", "--init", init, "--report", str(report)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        answers.append((out, json.loads(report.read_text())["placement"]))
+    assert answers[1] == answers[0]
+    assert "converged true" in answers[0][0]
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "s.json", "--mode", "box", "--no-line-search"],
     ["generate", "--count", "5", "--seed", "1", "--z-max", "700"],

@@ -243,6 +243,17 @@ class TestProject:
         with pytest.raises(ValidationError, match="non-finite point"):
             project(region, q)
 
+    def test_point_whose_distances_overflow_is_infinitely_far_out(self):
+        # (1.7e308, 1.7e308) lies farther than the largest double from every
+        # centre: it is outside, without an overflow warning, and projects
+        # where the start 1e300 m out along the same line does.
+        box = AreaBounds(0, 10, 0, 10, 30, 30)
+        region = FeasibleRegion.from_disks([(3, 3, 8), (7, 4, 8), (5, 8, 8)], box)
+        far = (1.7e308, 1.7e308)
+        assert not contains(region, far)
+        assert project(region, far) == project(region, (1e300, 1e300))
+        assert contains(region, project(region, far))
+
     def test_zero_radius_disk_is_the_single_point_at_its_centre(self):
         for disks in ([(3, -2, 0)], [(3, -2, 0), (3, -2, 0), (0, 0, 5)]):
             check = check_empty(disks, self.BOX)
@@ -628,6 +639,50 @@ def test_projection_keeps_the_bits_of_the_candidate_pass(family):
             q = (gen.uniform(box.x_min - spread, box.x_max + spread),
                  gen.uniform(box.y_min - spread, box.y_max + spread))
             assert project(region, q) == reference_project(region, q, verts), q
+
+
+@pytest.mark.parametrize("family, digest", [
+    ("random", "9a494588bf3f09b42257b94690670e91f2e2bcb5987236d8d2ab4153f15fb9ec"),
+    ("binding", "ba8acff548001890722b72d20abeebaa6265949a313966e47511a0061bf26c02"),
+])
+def test_emptiness_witness_keeps_its_bits(family, digest):
+    # sha256 over float.hex of each region's witness and shortfall: the
+    # pivots' choices decide the witness's bits, which the shortfall tests
+    # above leave free
+    if family == "random":
+        regions = [random_region(seed, 5 + seed % 20) for seed in range(300)]
+    else:
+        regions = [build(binding_scenario(m)) for m in (50, 200, 1000)]
+    h = hashlib.sha256()
+    for region in regions:
+        check = check_empty(region.table, region.box)
+        h.update(" ".join([*(v.hex() for v in check.witness), check.shortfall.hex()]).encode() + b"\n")
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("disks, q, witness, shortfall", [
+    # x_min and the disk are both violated by exactly 10.0 at q
+    ([(50, 50, 50)], (-10.0, 50.0), (50.0, 50.0), -50.0),
+    # the disks are violated by the same amount at q and at the box centre
+    ([(0, 50, 60), (100, 50, 60)], (50.0, -10.0), (50.0, 50.0), -10.0),
+    # the same for two disks outside the box, whose region is empty
+    ([(-10, 50, 5), (110, 50, 5)], None, (50.0, 50.0), 55.0),
+    # a disk that holds the box from outside: at the box centre x_min ties
+    # with x_max and y_min with y_max, and the pivot order decides the bits
+    ([(-40, 90, 160)], None, (50.0, 50.000000000000014), -49.999999999999986),
+])
+def test_tied_violations_pick_the_first_constraint(disks, q, witness, shortfall):
+    # Edges 0-3 come before the disks, and disks go by index: the most
+    # violated constraint is the first of those tied for the largest violation.
+    box = AreaBounds(0, 100, 0, 100, 1, 1)
+    table = region_mod._disk_arrays(disks, box)
+    point, g = region_mod.least_violation(table, box)
+    assert [v.hex() for v in (*point, g)] == [v.hex() for v in (*witness, shortfall)]
+    if q is not None:
+        region = FeasibleRegion.from_disks(disks, box)
+        verts, _ = vertices(region.table, box)
+        got, want = project(region, q), reference_project(region, q, verts)
+        assert [c.hex() for c in got] == [c.hex() for c in want]
 
 
 def test_projection_past_a_box_corner_keeps_the_bits_of_the_candidate_pass():
