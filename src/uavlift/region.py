@@ -13,8 +13,9 @@ loop that adds the most violated edge or disk to a basis of at most three.
 `check_empty` minimizes g, the largest violation: the region is non-empty
 iff min g <= EMPTINESS_TOL, and the minimizer, its deepest point, is the
 witness. `project` finds the nearest point, a tight point of at most two
-constraints. A pivot makes one NumPy pass, the distances from its few
-candidate points to the disks; the rest is arithmetic on Python floats.
+constraints. A pivot makes two NumPy passes, its few candidate points'
+gaps to the disks of its group and the chosen point's gaps to every disk;
+the rest is arithmetic on Python floats.
 
 A region keeps each concept once, as arrays: the users' range limits as
 `RangeLimits` and the disks as centre and radius arrays (`DiskTable`), made
@@ -216,7 +217,8 @@ def project(region: FeasibleRegion, point: tuple[float, float]) -> tuple[float, 
     unchanged; a bare box clamps q. Else the solve pivots from q with no
     constraint tight, and `_nearest_of` solves each group. A region thinner
     than EMPTINESS_TOL has no point in every set, so the solve runs on the
-    sets widened by its `slack`.
+    sets widened by its `slack`. A q so far out that its distance to some
+    disk centre overflows is first moved in along its ray (`_pulled_in`).
     """
     if region.empty:
         raise EmptyRegionError(region.empty_reason or "region is empty")
@@ -226,26 +228,33 @@ def project(region: FeasibleRegion, point: tuple[float, float]) -> tuple[float, 
     if not len(table.r):
         return (min(max(point[0], box.x_min), box.x_max), min(max(point[1], box.y_min), box.y_max))
     qx, qy = float(point[0]), float(point[1])
-    # A point beyond 2^1000 m is scaled towards the origin by a power of two,
-    # so that no distance of the solve overflows. Projections of points that
-    # recede along a ray converge, and from that far this one moves by much
-    # less than rounding.
-    k = math.frexp(max(abs(qx), abs(qy)))[1] - 1000
-    if k > 0:
-        qx, qy = math.ldexp(qx, -k), math.ldexp(qy, -k)
     if s:
         box = dataclasses.replace(box, x_min=box.x_min - s, x_max=box.x_max + s,
                                   y_min=box.y_min - s, y_max=box.y_max + s)
         table = table._replace(r=table.r + s)
-    reach = _distances(qx, qy, table.cx, table.cy)
-    viol = _edge_violations(qx, qy, box) + (reach - table.r).tolist()
-    if not s and max(viol) <= 0.0:  # inside; no point is inside a region with slack
-        return (qx, qy)
-    # q as one more disk, of radius 0: a point's gap to it is its distance to q
-    near = DiskTable(np.concatenate((table.cx, (qx,))), np.concatenate((table.cy, (qy,))),
-                     np.concatenate((table.r, (0.0,))), table.rounding)
-    return _pivot("projection", lambda group, basis, p: _nearest_of(group, qx, qy, reach, near, box),
-                  (), (qx, qy), 0.0, viol, table, box)[0]
+    with np.errstate(over="ignore"):  # see `_gaps`
+        reach = _gaps(qx, qy, table.cx, table.cy, 0.0)  # q's distances to the centres
+        if reach.max() == math.inf:  # q is too far out for hypot
+            qx, qy = _pulled_in(qx, qy, table, box)
+            reach = _gaps(qx, qy, table.cx, table.cy, 0.0)
+        top, j = _most_violated(qx, qy, table, box)
+        if not s and top <= 0.0:  # inside; no point is inside a region with slack
+            return (qx, qy)
+        return _pivot("projection", lambda group, basis, p: _nearest_of(group, qx, qy, reach, table, box),
+                      (), (qx, qy), 0.0, top, j, table, box)[0]
+
+
+def _pulled_in(qx: float, qy: float, table: DiskTable, box: AreaBounds) -> tuple[float, float]:
+    """q moved along the line from the box centre c towards c, to about 2^40
+    times the instance's largest coordinate or radius from c, but at least
+    half way: near enough that no distance to a disk overflows, and so far
+    out that, as projections of points receding along a ray converge, its
+    projection moves by about 2^-40 of the instance's size."""
+    cx, cy = 0.5 * box.x_min + 0.5 * box.x_max, 0.5 * box.y_min + 0.5 * box.y_max
+    dx, dy = 0.5 * qx - 0.5 * cx, 0.5 * qy - 0.5 * cy  # (q - c) / 2, which cannot overflow
+    size = math.frexp(table.rounding / _ROUNDING)[1]
+    shift = min(size + 40 - math.frexp(max(abs(dx), abs(dy)))[1], 0)
+    return cx + math.ldexp(dx, shift), cy + math.ldexp(dy, shift)
 
 
 def check_empty(disks: DiskTable | ArrayLike, box: AreaBounds) -> EmptinessCheck:
@@ -279,34 +288,34 @@ def least_violation(table: DiskTable, box: AreaBounds) -> tuple[tuple[float, flo
     `_least_violation_of` for each group. The value rises with every pivot.
     """
     mid_x, mid_y = 0.5 * (box.x_min + box.x_max), 0.5 * (box.y_min + box.y_max)
-    i = int(np.argmax(_distances(mid_x, mid_y, table.cx, table.cy) - table.r))
-    p = (table.cx.item(i), table.cy.item(i))
-    return _pivot("emptiness shortfall",
-                  lambda group, basis, p: _least_violation_of(group, basis, p, table, box),
-                  (4 + i,), p, -table.r.item(i), _violation_rows([p], table, box)[0], table, box)
+    with np.errstate(over="ignore"):  # see `_gaps`
+        i = int(np.argmax(_gaps(mid_x, mid_y, table.cx, table.cy, table.r)))
+        p = (table.cx.item(i), table.cy.item(i))
+        return _pivot("emptiness shortfall",
+                      lambda group, basis, p: _least_violation_of(group, basis, p, table, box),
+                      (4 + i,), p, -table.r.item(i), *_most_violated(*p, table, box), table, box)
 
 
-def _pivot(what, solve, basis, p, value, viol, table, box) -> tuple[tuple[float, float], float]:
+def _pivot(what, solve, basis, p, value, top, j, table, box) -> tuple[tuple[float, float], float]:
     """The pivot loop of both solves. From `p`, the optimum of the
-    constraints `basis`, with `value` there and violations `viol`, pivot on
-    the constraint most violated at p until none is violated by more than
-    the value, up to rounding, and return p and its largest violation.
+    constraints `basis`, with `value` there, pivot on j, the constraint most
+    violated at p, by `top`, until none is violated by more than the value,
+    up to rounding, and return p and its largest violation.
 
     Constraints 0-3 are the edges x_min, x_max, y_min and y_max, and 4 + i
-    is disk i; `viol` lists the violations in that order, and the pivot is
-    on the first of those tied for the largest. `solve(group, basis, p)`
-    gives the optimum of `group`, the basis plus the violated constraint, as
-    (its basis, point, value, and the point's `viol`). A pivot costs one
-    NumPy pass, the distances from that solve's few candidate points to the
-    disks (`_violation_rows`); the rest is arithmetic on Python floats. A
-    solve that has not stopped after 10*(m + 4) pivots raises NumericalError.
+    is disk i; j is the first of those tied for the largest violation
+    (`_most_violated`). `solve(group, basis, p)` gives the optimum of
+    `group`, the basis plus j, as (its basis, point, value, top, j). A pivot
+    costs two NumPy passes, the candidate points' gaps to the group's disks
+    (`_group_rows`) and the chosen point's gaps to every disk, so it is
+    linear in m once; the rest is arithmetic on Python floats. A solve that
+    has not stopped after 10*(m + 4) pivots raises NumericalError.
     """
     pivots = 10 * (len(table.r) + 4)
     for _ in range(pivots):
-        top = max(viol)
         if top <= value + table.rounding:
             return p, top
-        basis, p, value, viol = solve(basis + (viol.index(top),), basis, p)
+        basis, p, value, top, j = solve(basis + (j,), basis, p)
     raise NumericalError(
         f"{what} of {len(table.r)} disks in the box [{box.x_min:g}, {box.x_max:g}] x "
         f"[{box.y_min:g}, {box.y_max:g}] did not settle within {pivots} pivots"
@@ -314,12 +323,11 @@ def _pivot(what, solve, basis, p, value, viol, table, box) -> tuple[tuple[float,
 
 
 def _nearest_of(
-    group, qx, qy, reach, near, box
-) -> tuple[tuple[int, ...], tuple[float, float], float, list[float]]:
+    group, qx, qy, reach, table, box
+) -> tuple[tuple[int, ...], tuple[float, float], float, float, int]:
     """The point of the constraints `group` nearest to q = (qx, qy), where
     the last, j, is violated at the optimum of the others; value 0. `reach`
-    holds q's distances to the disk centres, and `near` is the disk table
-    with q appended as one more disk, of radius 0.
+    holds q's distances to the disk centres.
 
     Then j is tight at the optimum, and at most one other constraint b is,
     so the optimum is the nearest of the tight points of {j} and of each
@@ -329,15 +337,17 @@ def _nearest_of(
     *others, j = group
     points, subsets = [], []
     for subset in [(j,)] + [(b, j) for b in others]:
-        found = _boundary_points(subset, qx, qy, reach, near, box)
+        found = _boundary_points(subset, qx, qy, reach, table, box)
         points += found
         subsets += [subset] * len(found)
-    rows = _violation_rows(points, near, box)
-    feasible = [i for i, row in enumerate(rows) if all(row[c] <= near.rounding for c in group)]
+    # q as one more disk, of radius 0: a point's gap to it is its distance to q
+    disks = [_disk(table, c - 4) for c in group if c >= 4] + [(qx, qy, 0.0)]
+    rows = _group_rows(points, group, disks, box)
+    feasible = [i for i, row in enumerate(rows) if max(row[:-1]) <= table.rounding]
     if not feasible:
         raise NumericalError(f"projection of ({qx:g}, {qy:g}) found no point meeting constraints {group}")
-    k = min(feasible, key=lambda i: rows[i][-1])  # each row ends in the point's distance to q
-    return subsets[k], points[k], 0.0, rows[k][:-1]
+    k = min(feasible, key=lambda i: rows[i][-1])
+    return subsets[k], points[k], 0.0, *_most_violated(*points[k], table, box)
 
 
 def _boundary_points(subset, qx, qy, reach, table, box) -> list[tuple[float, float]]:
@@ -387,7 +397,7 @@ def _least_violation_of(
     p: tuple[float, float],
     table: DiskTable,
     box: AreaBounds,
-) -> tuple[tuple[int, ...], tuple[float, float], float, list[float]]:
+) -> tuple[tuple[int, ...], tuple[float, float], float, float, int]:
     """The optimum of g over the at most four constraints `group`, as
     `_pivot` takes it.
 
@@ -406,15 +416,17 @@ def _least_violation_of(
             found = _tight_points(subset, group_disks, box)
             points += found
             subsets += [subset] * len(found)
-    rows = _violation_rows(points, table, box)
-    g = [max([row[c] for c in group]) for row in rows]
+    rows = _group_rows(points, group, list(group_disks.values()), box)
+    g = [max(row) for row in rows]
     least = min(g) + table.rounding
-    k = min((i for i in range(len(rows)) if g[i] <= least), key=lambda i: max(rows[i]))
-    tight = {c for c in group if rows[k][c] >= g[k] - table.rounding}
+    tied = [i for i, v in enumerate(g) if v <= least]
+    full = {i: _most_violated(*points[i], table, box) for i in tied}
+    k = min(tied, key=lambda i: full[i][0])
+    tight = {c for c, v in zip(group, rows[k]) if v >= g[k] - table.rounding}
     new_basis = tuple(sorted(tight | set(subsets[k])))
     if len(new_basis) > 3:
         new_basis = subsets[k]
-    return new_basis, points[k], g[k], rows[k]
+    return new_basis, points[k], g[k], *full[k]
 
 
 def _tight_points(
@@ -514,28 +526,29 @@ def within(
         raise EmptyRegionError(region.empty_reason or "region is empty")
     table, box, limit = region.table, region.box, tol + region.slack
     x, y = pts[:, 0], pts[:, 1]
-    viol = np.maximum(
-        np.maximum(box.x_min - x, x - box.x_max), np.maximum(box.y_min - y, y - box.y_max)
-    )
-    kept = np.flatnonzero(viol <= limit)
-    viol = viol[kept]
-    start = 0
-    while len(kept) and start < len(table.r):
-        block = slice(start, start + max(1, _BLOCK_ELEMENTS // len(kept)))
-        gap = _distances(pts[kept, :1], pts[kept, 1:], table.cx[block], table.cy[block]) - table.r[block]
-        viol = np.maximum(viol, np.max(gap, axis=1))
-        inside = viol <= limit
-        kept, viol = kept[inside], viol[inside]
-        start = block.stop
+    with np.errstate(over="ignore"):  # a violation beyond the double range is inf; see `_gaps`
+        viol = np.maximum(
+            np.maximum(box.x_min - x, x - box.x_max), np.maximum(box.y_min - y, y - box.y_max)
+        )
+        kept = np.flatnonzero(viol <= limit)
+        viol = viol[kept]
+        start = 0
+        while len(kept) and start < len(table.r):
+            block = slice(start, start + max(1, _BLOCK_ELEMENTS // len(kept)))
+            gap = _gaps(pts[kept, :1], pts[kept, 1:], table.cx[block], table.cy[block], table.r[block])
+            viol = np.maximum(viol, np.max(gap, axis=1))
+            inside = viol <= limit
+            kept, viol = kept[inside], viol[inside]
+            start = block.stop
     return kept, viol
 
 
-def _distances(x, y, cx, cy) -> np.ndarray:
-    """np.hypot(x - cx, y - cy), broadcast: every distance that the pivots
-    and `within` compare. A distance too large for a double is inf, an
-    infinite violation, and no overflow warning."""
-    with np.errstate(over="ignore"):
-        return np.hypot(x - cx, y - cy)
+def _gaps(x, y, cx, cy, r) -> np.ndarray:
+    """np.hypot(x - cx, y - cy) - r, broadcast: how far points lie outside
+    disks, the one gap expression of the pivots and `within`. Callers run it
+    under np.errstate(over="ignore"), so a distance too large for a double
+    is inf, an infinite violation, and no overflow warning."""
+    return np.hypot(x - cx, y - cy) - r
 
 
 def _edge_violations(x: float, y: float, box: AreaBounds) -> list[float]:
@@ -546,10 +559,28 @@ def _disk(table: DiskTable, i: int) -> tuple[float, float, float]:
     return table.cx.item(i), table.cy.item(i), table.r.item(i)
 
 
-def _violation_rows(points, table: DiskTable, box: AreaBounds) -> list[list[float]]:
-    """How far each of `points` violates the edges x_min, x_max, y_min and
-    y_max and each disk, as lists in `_pivot`'s order, from one NumPy pass
-    over the disks."""
-    xy = np.array(points).reshape(-1, 2)
-    gaps = (_distances(xy[:, :1], xy[:, 1:], table.cx, table.cy) - table.r).tolist()
-    return [_edge_violations(x, y, box) + row for (x, y), row in zip(points, gaps)]
+def _group_rows(points, group, disks, box: AreaBounds) -> list[list[float]]:
+    """How far each of `points` violates the constraints `group`, in its
+    order, then its gaps to the (x, y, r) rows of `disks` past the group's:
+    `disks` begins with the group's disks, in the group's order. One NumPy
+    pass."""
+    xy = np.array(points, dtype=float).reshape(-1, 2)
+    cx, cy, r = np.array(disks, dtype=float).reshape(-1, 3).T
+    place = {c: 4 + i for i, c in enumerate(c for c in group if c >= 4)}  # in edges + gaps
+    order = [place.get(c, c) for c in group]
+    rows = []
+    for (x, y), gap in zip(points, _gaps(xy[:, :1], xy[:, 1:], cx, cy, r).tolist()):
+        viol = _edge_violations(x, y, box) + gap
+        rows.append([viol[i] for i in order] + gap[len(place):])
+    return rows
+
+
+def _most_violated(x: float, y: float, table: DiskTable, box: AreaBounds) -> tuple[float, int]:
+    """The largest violation at (x, y) of an edge or a disk, from one NumPy
+    pass over the disks, and the first constraint violated by that much:
+    the edges 0-3, then 4 + i for disk i, as np.argmax over them."""
+    gaps = _gaps(x, y, table.cx, table.cy, table.r)
+    i = int(gaps.argmax())
+    edges = _edge_violations(x, y, box)
+    top = max(edges)
+    return (gaps.item(i), 4 + i) if gaps.item(i) > top else (top, edges.index(top))

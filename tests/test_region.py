@@ -254,6 +254,31 @@ class TestProject:
         assert project(region, far) == project(region, (1e300, 1e300))
         assert contains(region, project(region, far))
 
+    @pytest.mark.parametrize("sx, sy", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    def test_point_too_far_for_hypot_projects_as_one_far_out_on_its_ray(self, sx, sy):
+        # Projections of points receding from the box centre (5, 5) along a
+        # ray converge; 1e9 m out, this one is within 1e-7 m of the limit.
+        box = AreaBounds(0, 10, 0, 10, 30, 30)
+        region = FeasibleRegion.from_disks([(3, 3, 8), (7, 4, 8), (5, 8, 8)], box)
+        far = project(region, (sx * 1.7e308, sy * 1.7e308))
+        assert far == pytest.approx(project(region, (5 + sx * 1e9, 5 + sy * 1e9)), abs=1e-6)
+        assert contains(region, far)
+
+    def test_region_near_the_double_range_keeps_its_projections(self):
+        # The disk's distances are finite, so no point is moved before the
+        # solve: a member comes back unchanged, and the projections of points
+        # near it keep their bits.
+        box = AreaBounds(0, 1.7e308, -1e308, 1e308, 1, 1)
+        region = FeasibleRegion.from_disks([(1.5e308, 0, 1e307)], box)
+        assert project(region, (1.5e308, 0.0)) == (1.5e308, 0.0)
+        for q, want in [
+            ((1.4e308, 3e306), ("0x1.8fef33b495c9ep+1023", "0x1.05e2d4f4fcfe5p+1018")),
+            ((1.7e308, 5e306), ("0x1.c6d841f494ca3p+1023", "0x1.ba16d6679fb2dp+1017")),
+            ((1.52e308, -1e307), ("0x1.b0ccbca9b6fcep+1023", "-0x1.bed888a0ce567p+1019")),
+        ]:
+            assert not contains(region, q)
+            assert tuple(c.hex() for c in project(region, q)) == want, q
+
     def test_zero_radius_disk_is_the_single_point_at_its_centre(self):
         for disks in ([(3, -2, 0)], [(3, -2, 0), (3, -2, 0), (0, 0, 5)]):
             check = check_empty(disks, self.BOX)
