@@ -15,7 +15,8 @@ iff min g <= EMPTINESS_TOL, and the minimizer, its deepest point, is the
 witness. `project` finds the nearest point, a tight point of at most two
 constraints. A pivot makes two NumPy passes, its few candidate points'
 gaps to the disks of its group and the chosen point's gaps to every disk;
-the rest is arithmetic on Python floats.
+the rest is arithmetic on Python floats, at a power-of-two scale where no
+term overflows or underflows, so that the answers scale with the instance.
 
 A region keeps each concept once, as arrays: the users' range limits as
 `RangeLimits` and the disks as centre and radius arrays (`DiskTable`), made
@@ -217,8 +218,7 @@ def project(region: FeasibleRegion, point: tuple[float, float]) -> tuple[float, 
     unchanged; a bare box clamps q. Else the solve pivots from q with no
     constraint tight, and `_nearest_of` solves each group. A region thinner
     than EMPTINESS_TOL has no point in every set, so the solve runs on the
-    sets widened by its `slack`. A q so far out that its distance to some
-    disk centre overflows is first moved in along its ray (`_pulled_in`).
+    sets widened by its `slack`, at the scale `_at_scale` picks for q.
     """
     if region.empty:
         raise EmptyRegionError(region.empty_reason or "region is empty")
@@ -232,29 +232,30 @@ def project(region: FeasibleRegion, point: tuple[float, float]) -> tuple[float, 
         box = dataclasses.replace(box, x_min=box.x_min - s, x_max=box.x_max + s,
                                   y_min=box.y_min - s, y_max=box.y_max + s)
         table = table._replace(r=table.r + s)
+    e, table, box = _at_scale(table, box, (qx, qy))
+    x, y = math.ldexp(qx, -e), math.ldexp(qy, -e)
     with np.errstate(over="ignore"):  # see `_gaps`
-        reach = _gaps(qx, qy, table.cx, table.cy, 0.0)  # q's distances to the centres
-        if reach.max() == math.inf:  # q is too far out for hypot
-            qx, qy = _pulled_in(qx, qy, table, box)
-            reach = _gaps(qx, qy, table.cx, table.cy, 0.0)
-        top, j = _most_violated(qx, qy, table, box)
+        top, j = _most_violated(x, y, table, box)
         if not s and top <= 0.0:  # inside; no point is inside a region with slack
             return (qx, qy)
-        return _pivot("projection", lambda group, basis, p: _nearest_of(group, qx, qy, reach, table, box),
-                      (), (qx, qy), 0.0, top, j, table, box)[0]
+        px, py = _pivot("projection", lambda group, basis, p: _nearest_of(group, x, y, table, box),
+                        (), (x, y), 0.0, top, j, table, box)[0]
+    return math.ldexp(px, e), math.ldexp(py, e)
 
 
-def _pulled_in(qx: float, qy: float, table: DiskTable, box: AreaBounds) -> tuple[float, float]:
-    """q moved along the line from the box centre c towards c, to about 2^40
-    times the instance's largest coordinate or radius from c, but at least
-    half way: near enough that no distance to a disk overflows, and so far
-    out that, as projections of points receding along a ray converge, its
-    projection moves by about 2^-40 of the instance's size."""
-    cx, cy = 0.5 * box.x_min + 0.5 * box.x_max, 0.5 * box.y_min + 0.5 * box.y_max
-    dx, dy = 0.5 * qx - 0.5 * cx, 0.5 * qy - 0.5 * cy  # (q - c) / 2, which cannot overflow
-    size = math.frexp(table.rounding / _ROUNDING)[1]
-    shift = min(size + 40 - math.frexp(max(abs(dx), abs(dy)))[1], 0)
-    return cx + math.ldexp(dx, shift), cy + math.ldexp(dy, shift)
+def _at_scale(table: DiskTable, box: AreaBounds, q=(0.0, 0.0)) -> tuple[int, DiskTable, AreaBounds]:
+    """e, and the centres, radii, box and `rounding` at scale 2^-e, exact,
+    where every term of a solve from q stays finite and normal. e is 0 while
+    the instance's size, s = `table.rounding / _ROUNDING`, lies within
+    2^+-160, as the terms of `_tight_points` go up to s^6, and q's largest
+    coordinate times max(s, 1) stays below 2^1000."""
+    size, far = math.frexp(table.rounding / _ROUNDING)[1], math.frexp(max(map(abs, q)))[1]
+    if -160 <= size <= 160 and far + max(size, 0) <= 1000:
+        return 0, table, box
+    e = max(size, far - 1000)
+    cx, cy, r = (np.ldexp(a, -e) for a in table[:3])
+    edges = {f: math.ldexp(getattr(box, f), -e) for f in ("x_min", "x_max", "y_min", "y_max")}
+    return e, DiskTable(cx, cy, r, math.ldexp(table.rounding, -e)), dataclasses.replace(box, **edges)
 
 
 def check_empty(disks: DiskTable | ArrayLike, box: AreaBounds) -> EmptinessCheck:
@@ -285,15 +286,18 @@ def least_violation(table: DiskTable, box: AreaBounds) -> tuple[tuple[float, flo
     """The point p that minimizes g, and g(p), for a table with at least one
     disk: an LP-type problem of combinatorial dimension 3, solved by
     pivoting from the centre of the disk farthest from the box centre, with
-    `_least_violation_of` for each group. The value rises with every pivot.
+    `_least_violation_of` for each group, at the scale `_at_scale` picks.
+    The value rises with every pivot.
     """
+    e, table, box = _at_scale(table, box)
     mid_x, mid_y = 0.5 * (box.x_min + box.x_max), 0.5 * (box.y_min + box.y_max)
     with np.errstate(over="ignore"):  # see `_gaps`
         i = int(np.argmax(_gaps(mid_x, mid_y, table.cx, table.cy, table.r)))
         p = (table.cx.item(i), table.cy.item(i))
-        return _pivot("emptiness shortfall",
-                      lambda group, basis, p: _least_violation_of(group, basis, p, table, box),
-                      (4 + i,), p, -table.r.item(i), *_most_violated(*p, table, box), table, box)
+        (x, y), g = _pivot("emptiness shortfall",
+                           lambda group, basis, p: _least_violation_of(group, basis, p, table, box),
+                           (4 + i,), p, -table.r.item(i), *_most_violated(*p, table, box), table, box)
+    return (math.ldexp(x, e), math.ldexp(y, e)), math.ldexp(g, e)
 
 
 def _pivot(what, solve, basis, p, value, top, j, table, box) -> tuple[tuple[float, float], float]:
@@ -323,34 +327,39 @@ def _pivot(what, solve, basis, p, value, top, j, table, box) -> tuple[tuple[floa
 
 
 def _nearest_of(
-    group, qx, qy, reach, table, box
+    group, qx, qy, table, box
 ) -> tuple[tuple[int, ...], tuple[float, float], float, float, int]:
     """The point of the constraints `group` nearest to q = (qx, qy), where
-    the last, j, is violated at the optimum of the others; value 0. `reach`
-    holds q's distances to the disk centres.
+    the last, j, is violated at the optimum of the others; value 0.
 
     Then j is tight at the optimum, and at most one other constraint b is,
     so the optimum is the nearest of the tight points of {j} and of each
     {b, j} that meet the whole group, up to rounding: any other such point
-    is feasible too, so no nearer.
+    is feasible too, so no nearer. Candidates a, b are compared by
+    |a - q|^2 - |b - q|^2 = <a - b, (a - c) + (b - c) - 2(q - c)>, c the box
+    centre, which takes a - b before the long q - c can swamp it.
     """
     *others, j = group
     points, subsets = [], []
     for subset in [(j,)] + [(b, j) for b in others]:
-        found = _boundary_points(subset, qx, qy, reach, table, box)
+        found = _boundary_points(subset, qx, qy, table, box)
         points += found
         subsets += [subset] * len(found)
-    # q as one more disk, of radius 0: a point's gap to it is its distance to q
-    disks = [_disk(table, c - 4) for c in group if c >= 4] + [(qx, qy, 0.0)]
-    rows = _group_rows(points, group, disks, box)
-    feasible = [i for i, row in enumerate(rows) if max(row[:-1]) <= table.rounding]
+    rows = _group_rows(points, group, [_disk(table, c - 4) for c in group if c >= 4], box)
+    feasible = [i for i, row in enumerate(rows) if max(row) <= table.rounding]
     if not feasible:
         raise NumericalError(f"projection of ({qx:g}, {qy:g}) found no point meeting constraints {group}")
-    k = min(feasible, key=lambda i: rows[i][-1])
+    cx, cy = 0.5 * (box.x_min + box.x_max), 0.5 * (box.y_min + box.y_max)
+    ux, uy = 2.0 * (qx - cx), 2.0 * (qy - cy)
+    k = feasible[0]
+    for i in feasible[1:]:  # the first of the nearest
+        (ax, ay), (bx, by) = points[i], points[k]
+        if (ax - bx) * (ax - cx + (bx - cx) - ux) + (ay - by) * (ay - cy + (by - cy) - uy) < 0.0:
+            k = i
     return subsets[k], points[k], 0.0, *_most_violated(*points[k], table, box)
 
 
-def _boundary_points(subset, qx, qy, reach, table, box) -> list[tuple[float, float]]:
+def _boundary_points(subset, qx, qy, table, box) -> list[tuple[float, float]]:
     """The points where the one or two constraints of `subset` are tight and
     that can be their nearest point to q: an edge's clamp of q; the radial
     pull of q onto a disk that q violates (one that holds q pulls it
@@ -358,7 +367,6 @@ def _boundary_points(subset, qx, qy, reach, table, box) -> list[tuple[float, flo
     edge or of two circles, or their point of closest approach if they do
     not cross. Disk pairs are taken in index order, with the arithmetic of
     the list of every crossing that these solves replaced, bit for bit.
-    `reach` holds q's distances to the disk centres.
     """
     edges = (box.x_min, box.x_max, box.y_min, box.y_max)
     lines = sorted(c for c in subset if c < 4)
@@ -369,7 +377,7 @@ def _boundary_points(subset, qx, qy, reach, table, box) -> list[tuple[float, flo
         return [(edges[lines[0]], edges[lines[1]])] if lines[0] < 2 <= lines[1] else []
     x0, y0, r0 = _disk(table, disks[0])
     if len(subset) == 1:
-        dist = reach.item(disks[0])
+        dist = float(np.hypot(qx - x0, qy - y0))
         if not dist > r0:
             return []
         pull = r0 / dist
@@ -392,11 +400,7 @@ def _boundary_points(subset, qx, qy, reach, table, box) -> list[tuple[float, flo
 
 
 def _least_violation_of(
-    group: tuple[int, ...],
-    basis: tuple[int, ...],
-    p: tuple[float, float],
-    table: DiskTable,
-    box: AreaBounds,
+    group: tuple[int, ...], basis: tuple[int, ...], p: tuple[float, float], table: DiskTable, box: AreaBounds
 ) -> tuple[tuple[int, ...], tuple[float, float], float, float, int]:
     """The optimum of g over the at most four constraints `group`, as
     `_pivot` takes it.
@@ -429,9 +433,8 @@ def _least_violation_of(
     return new_basis, points[k], g[k], *full[k]
 
 
-def _tight_points(
-    subset: tuple[int, ...], group_disks: dict[int, tuple[float, float, float]], box: AreaBounds
-) -> list[tuple[float, float]]:
+def _tight_points(subset: tuple[int, ...], group_disks: dict[int, tuple[float, float, float]],
+                  box: AreaBounds) -> list[tuple[float, float]]:
     """The points where the constraints of `subset` are violated by one
     common amount s and that can be the subset's optimum: for one disk its
     centre; for two disks the point on the segment between the centres; for
@@ -506,7 +509,7 @@ def _tight_points(
 
 def _disk_arrays(disks: ArrayLike, box: AreaBounds) -> DiskTable:
     table = np.array(disks, dtype=float).reshape(-1, 3)
-    bounds = [1.0, box.x_min, box.x_max, box.y_min, box.y_max]
+    bounds = [box.x_min, box.x_max, box.y_min, box.y_max]
     rounding = _ROUNDING * float(np.max(np.abs(np.concatenate((bounds, table.ravel())))))
     return DiskTable(table[:, 0], table[:, 1], table[:, 2], rounding)
 
@@ -561,17 +564,14 @@ def _disk(table: DiskTable, i: int) -> tuple[float, float, float]:
 
 def _group_rows(points, group, disks, box: AreaBounds) -> list[list[float]]:
     """How far each of `points` violates the constraints `group`, in its
-    order, then its gaps to the (x, y, r) rows of `disks` past the group's:
-    `disks` begins with the group's disks, in the group's order. One NumPy
-    pass."""
+    order; `disks` holds the (x, y, r) rows of the group's disks, in the
+    group's order. One NumPy pass."""
     xy = np.array(points, dtype=float).reshape(-1, 2)
     cx, cy, r = np.array(disks, dtype=float).reshape(-1, 3).T
-    place = {c: 4 + i for i, c in enumerate(c for c in group if c >= 4)}  # in edges + gaps
-    order = [place.get(c, c) for c in group]
     rows = []
     for (x, y), gap in zip(points, _gaps(xy[:, :1], xy[:, 1:], cx, cy, r).tolist()):
-        viol = _edge_violations(x, y, box) + gap
-        rows.append([viol[i] for i in order] + gap[len(place):])
+        edges, gap = _edge_violations(x, y, box), iter(gap)
+        rows.append([edges[c] if c < 4 else next(gap) for c in group])
     return rows
 
 

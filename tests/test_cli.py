@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from region_layouts import random_region, unit_scenario
 
 from uavlift import cases
 from uavlift.cli import _build_parser, main
@@ -625,6 +626,24 @@ def test_start_beyond_the_double_range_solves_like_a_far_one(tmp_path, capsys):
         answers.append((out, json.loads(report.read_text())["placement"]))
     assert answers[1] == answers[0]
     assert "converged true" in answers[0][0]
+
+
+def test_far_starts_solve_like_starts_1e9_m_out(tmp_path, capsys):
+    # The 12 disks of random_region(7, 12) as unit-K users at z = 1 m. From
+    # (1e17, 1e17) every candidate's distance to the start was one double, so
+    # the first projection cycled to its pivot cap (exit 4); from 1e300 m out
+    # the nearest candidate could be taken on the wrong side of the box.
+    table = random_region(7, 12).table
+    users = [UserDevice(x, y, r * r + 1.0) for x, y, r in zip(*(a.tolist() for a in table[:3]))]
+    path = tmp_path / "k12.json"
+    save(unit_scenario(users, AreaBounds(0, 10, 0, 10, 1, 1), p_max=1e6), path)
+    for far, near in (("1e17,1e17", "1e9,1e9"), ("-1e300,1e300", "-1e9,1e9")):
+        outs = []
+        for init in (far, near):
+            assert main(["solve", str(path), "--mode", "region", f"--init={init}"]) == 0, init
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert "converged true" in outs[0]
 
 
 @pytest.mark.parametrize("argv", [

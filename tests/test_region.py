@@ -32,6 +32,8 @@ from uavlift.scenario import DEFAULT_RF, AreaBounds, Scenario, UserDevice
 # The geometry divides by distances that can be zero (concentric disks, a
 # query at a disk centre); it must guard them rather than warn.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+# `random_region` layouts of 12 disks in the far-point and scaling sweeps
+SWEEP_SEEDS = 120
 
 
 class TestRangeLimits:
@@ -279,6 +281,39 @@ class TestProject:
             assert not contains(region, q)
             assert tuple(c.hex() for c in project(region, q)) == want, q
 
+    @pytest.mark.parametrize("q, near, side", [
+        ((-1e300, -1e300), (-1e9, -1e9), 0.0),
+        ((1e300, -1e300), (1e9, -1e9), 10.0),
+    ])
+    def test_far_point_projects_on_its_own_side(self, q, near, side):
+        # 1e300 m out every candidate's distance to q is the same double; the
+        # nearest is still the one on q's side of the box.
+        box = AreaBounds(0, 10, 0, 10, 30, 30)
+        region = FeasibleRegion.from_disks([(3, 3, 8), (7, 4, 8), (5, 8, 8)], box)
+        assert project(region, q) == project(region, near)
+        assert project(region, q) == pytest.approx((side, 1.755), abs=1e-3)
+
+    @pytest.mark.parametrize("x", [1e9, 1e17, 1e300, 1.7e308])
+    def test_far_point_facing_a_box_edge_takes_its_nearest_point_on_the_edge(self, x):
+        # The region meets the edge x = 10 in the segment from the crossing
+        # (10, 9 - sqrt(11)) up to the corner (10, 10). From (x, 5) every point
+        # of it is equally far up to rounding, yet the crossing is nearer than
+        # the corner by 24.5 / (2x) m, which only a comparison of the two
+        # candidates' difference resolves.
+        region = FeasibleRegion.from_disks([(5, 9, 6)], AreaBounds(0, 10, 0, 10, 1, 1))
+        assert project(region, (x, 5.0)) == pytest.approx((10.0, 9.0 - math.sqrt(11.0)), abs=1e-12)
+
+    def test_region_spanning_the_double_range_projects_far_points_onto_its_rim(self):
+        # Distances from these points overflow, and the disk's squared radius
+        # does too: the solve runs at a power-of-two scale and lands on the
+        # disk's rim, up to the table's rounding.
+        box = AreaBounds(0, 1.7e308, -1e308, 1e308, 1, 1)
+        region = FeasibleRegion.from_disks([(1.5e308, 0, 1e307)], box)
+        for q in ((-1.7e308, 1.7e308), (-1.7e308, -1.7e308), (1.7e308, -1.7e308), (0.0, 0.0)):
+            x, y = project(region, q)
+            assert abs(math.hypot(x - 1.5e308, y) - 1e307) <= region.table.rounding, q
+            assert box.contains_xy(x, y), q
+
     def test_zero_radius_disk_is_the_single_point_at_its_centre(self):
         for disks in ([(3, -2, 0)], [(3, -2, 0), (3, -2, 0), (0, 0, 5)]):
             check = check_empty(disks, self.BOX)
@@ -401,6 +436,54 @@ class TestProjectionProperties:
                 proj_dist = math.hypot(proj[0] - q[0], proj[1] - q[1])
                 grid_dist = float(np.min(np.hypot(fx - q[0], fy - q[1])))
                 assert grid_dist >= proj_dist - 1e-6
+
+
+# Axis directions are exact: a ray a rounding error off an axis, 1e300 m out,
+# lies 1e284 m to one side, and its projection slides along the box edge it
+# faces, away from where the point 1e9 m out projects.
+RAYS = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, 1), (-1, -1), (1, -1),
+        (2, 1), (-1, 3), (3, -2), (-2, -5)]
+
+
+def test_far_points_project_as_the_limit_along_their_ray():
+    # Projections of points receding from the box centre (5, 5) along a ray
+    # converge; 1e9 m out a point is within 1e-7 m of the limit. Every point
+    # farther out, up to the double range, must project there within 1e-6 of
+    # the box's 10 m, without an error.
+    for seed in range(SWEEP_SEEDS):
+        region = random_region(seed, 12)
+        for a, b in RAYS:
+            ux, uy = a / math.hypot(a, b), b / math.hypot(a, b)
+            limit = project(region, (5 + 1e9 * ux, 5 + 1e9 * uy))
+            for radius in (1e3, 1e15, 1e16, 1e17, 1e18, 1e100, 1e300, 1.7e308):
+                p = project(region, (5 + radius * ux, 5 + radius * uy))
+                assert contains(region, p), (seed, a, b, radius)
+                if radius > 1e3:
+                    assert math.hypot(p[0] - limit[0], p[1] - limit[1]) <= 1e-5, (seed, a, b, radius)
+
+
+@pytest.mark.parametrize("k", [-500, -300, -100, 60, 200, 400, 600, 800, 1000])
+def test_instance_scaled_by_a_power_of_two_scales_its_answers(k):
+    # The layouts of the sweep above with coordinates and radii times 2^k:
+    # the region is non-empty at every scale, and the witness and every
+    # projection are the unscaled ones times 2^k, to 1e-9 of the box size.
+    # Membership is judged by distance with the table's rounding as slack,
+    # which scales with the instance; `contains` adds an absolute 1e-9 m.
+    f = 2.0**k
+    gen = SplitMix64(31)
+    for seed in range(SWEEP_SEEDS // 4):
+        unscaled = random_region(seed, 12)
+        rows = np.column_stack(unscaled.table[:3]) * f
+        box = AreaBounds(0, 10 * f, 0, 10 * f, 1, 1)
+        check, want = check_empty(rows, box), check_empty(unscaled.table, unscaled.box)
+        assert not check.empty, seed
+        assert math.dist(check.witness, (want.witness[0] * f, want.witness[1] * f)) <= 1e-8 * f, seed
+        region = FeasibleRegion.from_disks(rows, box)
+        for _ in range(10):
+            q = (gen.uniform(-15, 25), gen.uniform(-15, 25))
+            p, p0 = project(region, (q[0] * f, q[1] * f)), project(unscaled, q)
+            assert math.dist(p, (p0[0] * f, p0[1] * f)) <= 1e-8 * f, (seed, q)
+            assert len(region_mod.within(region, np.array([p]), region.table.rounding)[0]) == 1, (seed, q)
 
 
 def loop_contains(region: FeasibleRegion, p, tol: float, hypot) -> bool:
