@@ -12,6 +12,10 @@ leaves and the surface export both name their nodes by flat x-major
 index. A squared offset (gx - x)^2 or (gy - y)^2 depends on one axis only,
 so the kernel tabulates each axis once per band of rows or columns instead
 of once per node, and still gives every node the bits of the flat formula.
+A band of rows whose every node is asked for, as the surface's are, takes
+contiguous blocks instead: no gather, and no row of users broadcast over a
+block, which NumPy runs as one short loop per node. Its steps are the same
+elementwise operations on the same numbers, so its values keep those bits.
 """
 
 from __future__ import annotations
@@ -110,6 +114,15 @@ def grid_values(
     so at any user count every value has the bits of
     np.sum(es / ((gx - xs)**2 + (gy - ys)**2 + z*z)).
 
+    Where a band of rows asks for all its nodes, which the indices show as
+    b - a == rows * len(gys), each row instead copies its row offsets into
+    the block, adds the column band's offsets and z^2, divides a block of
+    the energies, tiled once a call, and sums straight into the totals.
+    Every operand is then contiguous, and each step is the same elementwise
+    IEEE operation on the same two numbers, so the bits do not change. The
+    quadtree's leaves, a few nodes a row, almost never fill a band and
+    keep the gather.
+
     At an altitude so small that E/d^2 overflows at some node, as on a node
     at a user at z = 1e-160 m, there is no answer to give: that is a
     ValidationError naming z, not an infinite value."""
@@ -121,15 +134,29 @@ def grid_values(
     z2 = z * z
     band = max(1, CHUNK_ELEMENTS // max(len(xs), 1))
     out = np.empty((band, len(xs)))
+    energies = None  # tiled at the first dense band; grid_search's leaves seldom fill one
     for x0 in range(0, n_x, band):
         row_starts = np.arange(x0, min(x0 + band, n_x)) * n_y  # flat index of (row, 0)
         a, b = np.searchsorted(nodes, (row_starts[0], row_starts[-1] + n_y))
         if a == b:
             continue
         in_band = nodes[a:b]
+        dense = b - a == len(row_starts) * n_y  # all of these rows: in_band[k] == row_starts[0] + k
         dx2 = (gxs[x0 : x0 + len(row_starts), None] - xs) ** 2
         for y0 in range(0, n_y, band):
             y1 = min(y0 + band, n_y)
+            if dense:
+                if energies is None:
+                    energies = np.tile(es, (min(band, n_y), 1))
+                dy2 = (gys[y0:y1, None] - ys) ** 2
+                d = out[: y1 - y0]
+                for r, start in enumerate((row_starts - row_starts[0] + a + y0).tolist()):
+                    d[...] = dx2[r]
+                    d += dy2
+                    d += z2
+                    np.divide(energies[: y1 - y0], d, out=d)
+                    np.sum(d, axis=1, out=totals[start : start + y1 - y0])
+                continue
             lo = np.searchsorted(in_band, row_starts + y0)
             hi = np.searchsorted(in_band, row_starts + y1)
             if not np.any(hi > lo):

@@ -7,6 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ValidationError
 from .objective import user_arrays
 from .oracle import GridSpec, grid_values
 from .scenario import UserDevice
@@ -30,16 +31,31 @@ def surface_grid(
     return gxs, gys, values
 
 
+def _checked_values(xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """`values` as floats, refused unless it holds one value per node of the
+    grid xs x ys: the writers would otherwise drop the nodes that do not pair."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (len(xs), len(ys)):
+        raise ValidationError(
+            f"surface values have shape {values.shape}, not ({len(xs)}, {len(ys)}) for the grid"
+        )
+    return values
+
+
 def write_surface_csv(path: str | Path, xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> None:
     """One `x,y,value` line per node, x-major, every number as its
-    round-tripping repr. Each axis value is formatted once, and the file is
-    written a grid row at a time."""
-    ys_text = [repr(y) for y in np.asarray(ys, dtype=float).tolist()]
+    round-tripping repr. The grid rows' lines differ only in x and the
+    values, so one %-template of a row, a NUL, the y and a %r on each line,
+    is built once. Each row's text is the template with its x's repr for the
+    NUL and its values' reprs for the %r, written at once; a float's repr
+    holds neither a NUL nor a %. ValidationError unless `values` has one
+    value per node, shape (len(xs), len(ys))."""
+    values = _checked_values(xs, ys, values)
+    template = "".join([f"\0,{y!r},%r\n" for y in np.asarray(ys, dtype=float).tolist()])
     with open(path, "w") as f:
         f.write("x,y,value\n")
-        for x, row in zip(np.asarray(xs, dtype=float).tolist(), np.asarray(values, dtype=float)):
-            x_text = repr(x)
-            f.write("".join([f"{x_text},{y},{v!r}\n" for y, v in zip(ys_text, row.tolist())]))
+        for x, row in zip(np.asarray(xs, dtype=float).tolist(), values):
+            f.write(template.replace("\0", repr(x)) % tuple(row.tolist()))
 
 
 # Two-digit lower-case hex of each 8-bit channel value.
@@ -61,7 +77,9 @@ def _colors(t: np.ndarray) -> list[str]:
 def write_surface_svg(path: str | Path, xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> None:
     """Hand-emitted heatmap: one rect per grid cell, axes labeled in meters,
     linear color scale annotated with the value range. The cells are
-    written a grid row at a time."""
+    written a grid row at a time. ValidationError unless `values` has shape
+    (len(xs), len(ys))."""
+    values = _checked_values(xs, ys, values)
     margin_left, margin_bottom, margin_top, margin_right = 70, 45, 30, 20
     width = margin_left + PLOT_PX + margin_right
     height = margin_top + PLOT_PX + margin_bottom
@@ -118,7 +136,7 @@ def write_surface_svg(path: str | Path, xs: np.ndarray, ys: np.ndarray, values: 
     with open(path, "w") as f:
         f.write("".join([f"{part}\n" for part in head]))
         # One grid row of cells at a time, so memory stays one row deep.
-        for cx, row in zip(cxs, np.asarray(values, dtype=float)):
+        for cx, row in zip(cxs, values):
             t = (row - v_lo) / v_span if v_span > 0 else np.full(len(row), 0.5)
             f.write("".join([
                 f'<rect x="{cx}" y="{cy}" {size} fill="{color}"/>\n'

@@ -13,7 +13,7 @@ from uavlift.cli import main
 from uavlift.errors import EmptyRegionError, ValidationError
 from uavlift.objective import concavity_certificate, gradient, hessian, user_arrays, value
 from uavlift.oracle import GridSpec, grid_search
-from uavlift.region import MEMBERSHIP_TOL, build, contains, within
+from uavlift.region import MEMBERSHIP_TOL, build, contains, membership_slack, within
 from uavlift.rng import SplitMix64
 from uavlift.scenario import AreaBounds, RfParams, Scenario, UserDevice, generate_uniform, save
 from uavlift.surface import surface_grid
@@ -214,7 +214,7 @@ def exhaustive_search(scenario: Scenario, grid: GridSpec, mode: str = "box", c=S
     if mode == "region":
         feas = build(scenario, c)
         table = feas.table
-        r2 = (table.r + MEMBERSHIP_TOL + feas.slack) ** 2
+        r2 = (table.r + membership_slack(feas)) ** 2
         inside = np.all((px[:, None] - table.cx) ** 2 + (py[:, None] - table.cy) ** 2 <= r2, axis=1)
         values = np.where(inside, values, -np.inf)
     j = int(np.argmax(values))
@@ -238,20 +238,35 @@ KERNEL_GRIDS = [
 class TestGridValues:
     """`grid_values` gives the flat formula's bits at any ascending set of nodes."""
 
-    @pytest.mark.parametrize("select", ["all", "scattered", "single", "none"])
+    @pytest.mark.parametrize("select", ["all", "rows", "runs", "scattered", "single", "none"])
     @pytest.mark.parametrize("z", [10.0, 650.0])
     @pytest.mark.parametrize("n, x_side, y_side, spacing", KERNEL_GRIDS)
     def test_matches_the_flat_formula(self, n, x_side, y_side, spacing, z, select):
+        # "all" takes the dense path in every band of rows. "rows" lacks the
+        # last node of the middle row, so that row's band gathers although
+        # its other rows are whole. "runs" takes one or two runs of 1-4
+        # nodes a row, as the quadtree's leaves do.
         grid = GridSpec(spacing, AreaBounds(0, x_side, 0, y_side, z, z))
         xs, ys, es = user_arrays(generate_uniform(n, grid.bounds, 4500, 18000, seed=n).users)
         gxs, gys = grid.xs(), grid.ys()
-        total = len(gxs) * len(gys)
-        gen = SplitMix64(total)
+        n_y = len(gys)
+        total = len(gxs) * n_y
+        gen, leaf_gen = SplitMix64(total), SplitMix64(total + 1)
+
+        def runs():
+            for ix in range(len(gxs)):
+                for _ in range(1 + (leaf_gen.uniform(0.0, 1.0) < 0.5)):
+                    length = 1 + int(leaf_gen.uniform(0.0, 4.0))
+                    start = ix * n_y + int(leaf_gen.uniform(0.0, n_y - length + 1))
+                    yield from range(start, start + length)
+
         nodes = {
             "all": np.arange(total),
             "scattered": np.flatnonzero([gen.uniform(0.0, 1.0) < 0.3 for _ in range(total)]),
             "single": np.array([int(gen.uniform(0.0, total))]),
             "none": np.arange(0),
+            "rows": np.delete(np.arange(total), (len(gxs) // 2 + 1) * n_y - 1),
+            "runs": np.unique(np.fromiter(runs(), dtype=np.intp)),
         }[select]
         px, py = np.repeat(gxs, len(gys))[nodes], np.tile(gys, len(gxs))[nodes]
         values = oracle.grid_values(xs, ys, es, z, gxs, gys, nodes)
@@ -404,6 +419,29 @@ class TestGridSearchIsExhaustive:
         grid = GridSpec(s, scenario.bounds)
         assert grid_search(scenario, grid, mode="region").point == m
         assert_exhaustive(scenario, grid, "region")
+
+    def test_a_node_within_the_rounding_of_a_large_instance_is_feasible(self):
+        # On a box 1e5 m across the region's rounding is 1e-7 m, a hundred
+        # times MEMBERSHIP_TOL. The strong user A sits on the node (5e4, 5e4),
+        # which misses the disk of the user W, 3e4 m to its left, by 3e-8 m:
+        # inside the rounding, so the node is feasible and the best.
+        z = 100.0
+        rf = RfParams(rate=1.0, bandwidth=2.0, noise=1.0,
+                      frequency=SPEED_OF_LIGHT / (4.0 * math.pi), p_max=1e12, tau_th=1.0)
+        bounds = AreaBounds(0, 1e5, 0, 1e5, z, z)
+        node = (5e4, 5e4)
+
+        def scenario(wx):
+            users = (UserDevice(*node, 6e4**2 + z * z), UserDevice(wx, node[1], 3e4**2 + z * z))
+            return Scenario(users=users, rf=rf, bounds=bounds)
+
+        wx = node[0] - float(build(scenario(0.0)).table.r[1]) - 3e-8
+        feas = build(scenario(wx))
+        miss = node[0] - wx - feas.table.r[1]
+        assert MEMBERSHIP_TOL < miss < feas.table.rounding == 1e-7
+        grid = GridSpec(2500.0, bounds)
+        assert grid_search(scenario(wx), grid, mode="region").point == node
+        assert_exhaustive(scenario(wx), grid, "region")
 
     def test_paper_box_evaluates_under_a_tenth_of_the_nodes(self):
         bounds = AreaBounds(0, 250, 0, 250, 650, 650)

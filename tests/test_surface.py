@@ -1,9 +1,11 @@
+import hashlib
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from uavlift.errors import ValidationError
 from uavlift.objective import hessian, value
 from uavlift.oracle import GridSpec
 from uavlift.scenario import AreaBounds, UserDevice, generate_uniform
@@ -208,6 +210,22 @@ def test_writers_match_the_reference_bytes(scenario, tmp_path, grid, z, centre_o
         assert (tmp_path / f"new.{suffix}").read_bytes() == (tmp_path / f"ref.{suffix}").read_bytes()
 
 
+# sha256 of the CSV bytes `surface` writes for these layouts at 650 m: the
+# kernel's values and the writer's text, pinned bit for bit.
+@pytest.mark.parametrize(
+    "count, seed, spacing, size, digest",
+    [
+        (200, 9, 1.0, 1835604, "95773e84233290561be9e421d43d2d25ad445514a4a963716782f3cc28349193"),
+        (12000, 3, 5.0, 76750, "896a3c5b6be22d70c04e2271d0772bf0c15231f36eaf3fe8f9520b04110f8278"),
+    ],
+)
+def test_surface_csv_keeps_its_bytes(tmp_path, count, seed, spacing, size, digest):
+    users = generate_uniform(count, BOUNDS, 4500, 18000, seed=seed).users
+    write_surface_csv(tmp_path / "s.csv", *surface_grid(users, 650.0, GridSpec(spacing, BOUNDS)))
+    data = (tmp_path / "s.csv").read_bytes()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
 def test_svg_writer_holds_one_row_at_a_time(tmp_path):
     # All 63 001 cells of a 251 x 251 grid as strings take about 17 MB; one
     # row of them takes well under 0.1 MB.
@@ -245,3 +263,12 @@ def test_svg_matches_the_per_cell_formula_at_the_middle_stop(tmp_path, values):
     reference_svg(tmp_path / "ref.svg", xs, ys, values)
     assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
     assert ('fill="#21918c"' in (tmp_path / "new.svg").read_text())
+
+
+@pytest.mark.parametrize("write", [write_surface_csv, write_surface_svg])
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (2, 3), (6,), (3, 2, 1)])
+def test_writers_refuse_values_that_do_not_fill_the_grid(tmp_path, write, shape):
+    # unchecked, the writers' zip stops at the shorter of the 3 x 2 grid and
+    # the values, and writes a smaller file without a word
+    with pytest.raises(ValidationError, match=r"shape .* not \(3, 2\)"):
+        write(tmp_path / "s.out", np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0]), np.ones(shape))
