@@ -461,6 +461,32 @@ class TestGridSearchIsExhaustive:
         assert result.evaluated < len(grid.xs()) * len(grid.ys())
 
 
+# (layout, z, spacing, mode): (point, float.hex(value), evaluated). "seed 9" is
+# `generate --count 200 --seed 9` at altitude z; "binding" is binding_scenario(20).
+GRID_SEARCH_PINS = {
+    ("seed 9", 2.0, 1.0, "box"): ((119.0, 167.0), "0x1.c55062d12e673p+12", 4697),
+    ("seed 9", 2.0, 0.5, "box"): ((118.5, 167.0), "0x1.ce44e07089b84p+12", 3813),
+    ("seed 9", 30.0, 1.0, "box"): ((105.0, 143.0), "0x1.b7381ff7049a6p+8", 561),
+    ("seed 9", 30.0, 0.5, "box"): ((104.5, 143.0), "0x1.b73a38755edb8p+8", 581),
+    ("seed 9", 650.0, 1.0, "box"): ((130.0, 127.0), "0x1.4d0afd6eb35fep+2", 189),
+    ("seed 9", 650.0, 0.5, "box"): ((130.0, 126.5), "0x1.4d0b06fd3b55dp+2", 177),
+    ("binding", 10.0, 1.0, "region"): ((52.0, 73.0), "0x1.12ab0d12bcf82p+6", 91),
+    ("binding", 10.0, 0.5, "region"): ((53.0, 73.5), "0x1.13224bfbac091p+6", 122),
+}
+
+
+@pytest.mark.parametrize("layout, z, spacing, mode", list(GRID_SEARCH_PINS))
+def test_grid_search_keeps_its_answers(layout, z, spacing, mode):
+    # the node, the bits of its value and the count of nodes evaluated
+    if layout == "binding":
+        scenario = binding_scenario(20)
+    else:
+        scenario = generate_uniform(200, AreaBounds(0, 250, 0, 250, z, z), 4500, 18000, seed=9)
+    result = grid_search(scenario, GridSpec(spacing, scenario.bounds), mode=mode)
+    got = (result.point, result.value.hex(), result.evaluated)
+    assert got == GRID_SEARCH_PINS[layout, z, spacing, mode]
+
+
 @pytest.mark.parametrize("mode", ["box", "region"])
 def test_every_tile_bound_holds_the_tiles_best_node(monkeypatch, mode):
     """Each bound the search takes is at least the exact maximum over the
