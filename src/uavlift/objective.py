@@ -135,9 +135,10 @@ def curvature_bounds(
     return lo, hi if np.ndim(hi) else float(hi)
 
 
+@np.errstate(over="ignore")  # on a box over about 1e154 m wide: curvature_bounds takes inf as 0
 def farthest(px, py, x0, x1, y0, y1) -> np.ndarray:
     """2D distance from each point (px, py) to the farthest point, a
-    corner, of the rectangle [x0, x1] x [y0, y1]."""
+    corner, of the rectangle [x0, x1] x [y0, y1]; inf where it overflows."""
     dx, dy = np.maximum(px - x0, x1 - px), np.maximum(py - y0, y1 - py)
     return np.sqrt(dx * dx + dy * dy)  # np.hypot is several times slower
 

@@ -7,15 +7,14 @@ the best node found so far. It is the reference answer the optimizer is
 tested against. The grid kernels here share no code with the solver's
 point kernel in `objective`.
 
-`grid_values` is the one kernel that evaluates grid nodes: `grid_search`'s
-leaves and the surface export both name their nodes by flat x-major
-index. A squared offset (gx - x)^2 or (gy - y)^2 depends on one axis only,
-so the kernel tabulates each axis once per band of rows or columns instead
-of once per node, and still gives every node the bits of the flat formula.
-A band of rows whose every node is asked for, as the surface's are, takes
-contiguous blocks instead: no gather, and no row of users broadcast over a
-block, which NumPy runs as one short loop per node. Its steps are the same
-elementwise operations on the same numbers, so its values keep those bits.
+There is one kernel for each input a caller has. `grid_values` evaluates
+a whole grid, as the surface export does: a squared offset (gx - x)^2 or
+(gy - y)^2 depends on one axis only, so it tabulates each axis once per
+band of rows or columns instead of once per node, and fills contiguous
+blocks, with no row of users broadcast over a block, which NumPy runs as
+one short loop per node. `node_values` evaluates the few scattered nodes
+of `grid_search`'s leaves by the flat formula. Both give every node the
+flat formula's bits, so a leaf node's value is the surface's there.
 """
 
 from __future__ import annotations
@@ -91,93 +90,83 @@ class GridSearchResult(NamedTuple):
     evaluated: int  # nodes where the objective was computed: tile centres plus feasible leaf nodes
 
 
-@np.errstate(over="ignore", divide="ignore")  # an infinite total is refused at the end
-def grid_values(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    es: np.ndarray,
-    z: float,
-    gxs: np.ndarray,
-    gys: np.ndarray,
-    nodes: np.ndarray,
-) -> np.ndarray:
-    """The grid kernel: sum_i es[i] / ((gx - xs[i])^2 + (gy - ys[i])^2 + z^2)
-    at each of `nodes`, ascending flat x-major indices into the grid
-    gxs x gys (node ix * len(gys) + iy is (gxs[ix], gys[iy])).
-
-    A squared offset depends on one grid axis only, so it is tabulated once
-    per band of grid rows, (gx - xs)^2, and per band of grid columns,
-    (gy - ys)^2, each band max(1, CHUNK_ELEMENTS // users) long. The nodes
-    of one row within a column band gather their column offsets, add the
-    row's (addition commutes), then z^2, divide the energies and take one
-    sum over all the users: the flat formula's association and reduction,
-    so at any user count every value has the bits of
-    np.sum(es / ((gx - xs)**2 + (gy - ys)**2 + z*z)).
-
-    Where a band of rows asks for all its nodes, which the indices show as
-    b - a == rows * len(gys), each row instead copies its row offsets into
-    the block, adds the column band's offsets and z^2, divides a block of
-    the energies, tiled once a call, and sums straight into the totals.
-    Every operand is then contiguous, and each step is the same elementwise
-    IEEE operation on the same two numbers, so the bits do not change. The
-    quadtree's leaves, a few nodes a row, almost never fill a band and
-    keep the gather.
-
-    At an altitude so small that E/d^2 overflows at some node, as on a node
-    at a user at z = 1e-160 m, there is no answer to give: that is a
-    ValidationError naming z, not an infinite value."""
-    nodes = np.asarray(nodes, dtype=np.intp)
-    if np.any(nodes[1:] <= nodes[:-1]):
-        raise ValidationError("grid nodes must be ascending flat indices")
-    totals = np.zeros(len(nodes))
-    n_x, n_y = len(gxs), len(gys)
-    z2 = z * z
-    band = max(1, CHUNK_ELEMENTS // max(len(xs), 1))
-    out = np.empty((band, len(xs)))
-    energies = None  # tiled at the first dense band; grid_search's leaves seldom fill one
-    for x0 in range(0, n_x, band):
-        row_starts = np.arange(x0, min(x0 + band, n_x)) * n_y  # flat index of (row, 0)
-        a, b = np.searchsorted(nodes, (row_starts[0], row_starts[-1] + n_y))
-        if a == b:
-            continue
-        in_band = nodes[a:b]
-        dense = b - a == len(row_starts) * n_y  # all of these rows: in_band[k] == row_starts[0] + k
-        dx2 = (gxs[x0 : x0 + len(row_starts), None] - xs) ** 2
-        for y0 in range(0, n_y, band):
-            y1 = min(y0 + band, n_y)
-            if dense:
-                if energies is None:
-                    energies = np.tile(es, (min(band, n_y), 1))
-                dy2 = (gys[y0:y1, None] - ys) ** 2
-                d = out[: y1 - y0]
-                for r, start in enumerate((row_starts - row_starts[0] + a + y0).tolist()):
-                    d[...] = dx2[r]
-                    d += dy2
-                    d += z2
-                    np.divide(energies[: y1 - y0], d, out=d)
-                    np.sum(d, axis=1, out=totals[start : start + y1 - y0])
-                continue
-            lo = np.searchsorted(in_band, row_starts + y0)
-            hi = np.searchsorted(in_band, row_starts + y1)
-            if not np.any(hi > lo):
-                continue
-            dy2 = (gys[y0:y1, None] - ys) ** 2
-            for r, (p, q) in enumerate(zip(lo.tolist(), hi.tolist())):
-                if p == q:
-                    continue
-                cols = in_band[p:q] - (row_starts[r] + y0)
-                # "clip" fills `out` in place (every index is in range); "raise" buffers
-                d = np.take(dy2, cols, axis=0, out=out[: q - p], mode="clip")
-                d += dx2[r]
-                d += z2
-                np.divide(es, d, out=d)
-                totals[a + p : a + q] = np.sum(d, axis=1)
-    if not np.all(np.isfinite(totals)):
+def _refuse_overflow(values: np.ndarray, z: float) -> np.ndarray:
+    """`values`, unless some node's E/d^2 overflowed: at an altitude so small,
+    as on a node at a user at z = 1e-160 m, there is no answer to give, and
+    that is a ValidationError naming z, not an infinite value."""
+    if not np.all(np.isfinite(values)):
         raise ValidationError(
             f"the objective overflows at z = {z:g} m: a grid node is too close to a user; "
             "use a higher altitude"
         )
-    return totals
+    return values
+
+
+@np.errstate(over="ignore", divide="ignore")  # an infinite total is refused at the end
+def grid_values(
+    xs: np.ndarray, ys: np.ndarray, es: np.ndarray, z: float, gxs: np.ndarray, gys: np.ndarray
+) -> np.ndarray:
+    """The objective sum_i es[i] / ((gx - xs[i])^2 + (gy - ys[i])^2 + z^2) at
+    every node of the grid gxs x gys: result[ix, iy] is at (gxs[ix], gys[iy]).
+
+    A squared offset depends on one grid axis only, so it is tabulated once
+    per band of grid rows, (gx - xs)^2, and per band of grid columns,
+    (gy - ys)^2, each band max(1, CHUNK_ELEMENTS // users) long. Each row of
+    a row band copies its row offsets into a block, adds the column band's
+    offsets (addition commutes), then z^2, divides a block of the energies,
+    tiled once a call, and sums over all the users straight into the
+    result. Every operand is contiguous, so NumPy runs no short loop per
+    node, and each step is the flat formula's elementwise IEEE operation on
+    the same two numbers, in its association and reduction: at any user
+    count every value has the bits of
+    np.sum(es / ((gx - xs)**2 + (gy - ys)**2 + z*z)).
+
+    A value that overflows is a ValidationError naming z."""
+    n_x, n_y = len(gxs), len(gys)
+    totals = np.empty((n_x, n_y))
+    z2 = z * z
+    band = max(1, CHUNK_ELEMENTS // max(len(xs), 1))
+    energies = np.tile(es, (min(band, n_y), 1))
+    out = np.empty_like(energies)
+    for x0 in range(0, n_x, band):
+        dx2 = (gxs[x0 : x0 + band, None] - xs) ** 2
+        for y0 in range(0, n_y, band):
+            y1 = min(y0 + band, n_y)
+            dy2 = (gys[y0:y1, None] - ys) ** 2
+            d = out[: y1 - y0]
+            for r, row in enumerate(dx2, start=x0):
+                d[...] = row
+                d += dy2
+                d += z2
+                np.divide(energies[: y1 - y0], d, out=d)
+                np.sum(d, axis=1, out=totals[r, y0:y1])
+    return _refuse_overflow(totals, z)
+
+
+@np.errstate(over="ignore", divide="ignore")  # an infinite value is refused at the end
+def node_values(
+    xs: np.ndarray, ys: np.ndarray, es: np.ndarray, z: float, px: np.ndarray, py: np.ndarray
+) -> np.ndarray:
+    """The objective at each node (px[k], py[k]) by the flat formula
+    np.sum(es / ((px - xs)**2 + (py - ys)**2 + z*z), axis=1), in place a
+    block of CHUNK_ELEMENTS node x user elements at a time: the kernel of
+    `grid_search`'s leaves, a few scattered nodes a grid row, where a
+    tabulated band would go mostly unused. Its values have `grid_values`'
+    bits at the same nodes, and one that overflows is a ValidationError
+    naming z."""
+    values = np.empty(len(px))
+    z2 = z * z
+    rows = max(1, CHUNK_ELEMENTS // max(len(xs), 1))
+    for k in range(0, len(px), rows):
+        d = px[k : k + rows, None] - xs
+        d *= d
+        dy = py[k : k + rows, None] - ys
+        dy *= dy
+        d += dy
+        d += z2
+        np.divide(es, d, out=d)
+        np.sum(d, axis=1, out=values[k : k + rows])
+    return _refuse_overflow(values, z)
 
 
 def _grid_slopes(
@@ -322,7 +311,7 @@ def grid_search(
     mode is a tile whose nearest point to some disk's centre lies outside
     that disk by more than `region.membership_slack`.
     The rest split in four down to leaves of at most LEAF x LEAF nodes,
-    whose feasible nodes `grid_values` evaluates. Where no cap is finite,
+    whose feasible nodes `node_values` evaluates. Where no cap is finite,
     as where z^4 underflows, every node is evaluated and no centre.
 
     Only nodes of the mode's `region.feasible_set` count, for the lower bound
@@ -337,11 +326,10 @@ def grid_search(
     n_y = len(grid_ys)
     nodes, centres = _candidate_nodes(feas, users, scenario.bounds, grid_xs, grid_ys)
     fine = np.column_stack((grid_xs[nodes // n_y], grid_ys[nodes % n_y]))
-    inside, _ = region_mod.within(feas, fine)
-    nodes, fine = nodes[inside], fine[inside]
-    if not len(nodes):
+    fine = fine[region_mod.within(feas, fine)[0]]
+    if not len(fine):
         thin = f"the region is thinner than the emptiness tolerance (slack {feas.slack:.3g} m)"
         raise ValidationError(f"no grid node is feasible; {thin if feas.slack else 'refine the spacing'}")
-    totals = grid_values(*users, scenario.bounds.z_min, grid_xs, grid_ys, nodes)
+    totals = node_values(*users, scenario.bounds.z_min, fine[:, 0], fine[:, 1])
     j = int(np.argmax(totals))  # the first maximum: ties break toward the smallest x, then y
     return GridSearchResult((float(fine[j, 0]), float(fine[j, 1])), float(totals[j]), centres + len(fine))

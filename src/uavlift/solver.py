@@ -12,11 +12,13 @@ Teboulle, 2009, and Nesterov, 2013), except that a trial of at most 1/L,
 for which the lemma holds anyway, is accepted untested. This is the only
 step rule; it has no absolute constant, so scaling every energy by a power
 of two changes no step t*g. An accepted step never falls below 1/(2L),
-unless `step_size` starts it lower, and the stop rule "the iterate moved
-less than the tolerance eps" is a stationarity test on the projected
-gradient: it bounds |P(p + t*g) - p| / t by eps/t <= 2L*eps. That threshold
-grows as z^-4, so at a low altitude the ascent can stop after one short
-step far from the optimum.
+unless `step_size` starts it lower. The ascent stops when a step of at
+least 1/(2L) moves the iterate less than the tolerance eps, a
+stationarity test on the projected gradient: it bounds |P(p + t*g) - p| / t
+by eps/t <= 2L*eps. That threshold grows as z^-4, so at a low altitude the
+ascent can stop after one short step far from the optimum. A step shorter
+than 1/(2L), as a small `step_size` takes while it doubles, proves nothing
+and never stops the ascent.
 
 The same bounds over the box, `objective.box_curvature_bounds`, decide
 concavity once. Where mu = -hi > 0 the objective is strongly concave on
@@ -63,8 +65,8 @@ class SolverConfig:
     step_size is the first step; None means 1/L with L = 2*sum(E_i)/z^4.
     The step halves until the descent lemma holds or the step is at most
     1/L, and doubles after every accepted step. tolerance is the movement
-    in metres below which the ascent stops. `init` is "centroid", "random",
-    or an explicit (x, y).
+    in metres below which a step of at least 1/(2L) stops the ascent.
+    `init` is "centroid", "random", or an explicit (x, y).
     """
 
     step_size: float | None = None
@@ -208,7 +210,9 @@ def solve(
         iterations += 1
         trajectory.append((p[0], p[1], f_p))
         g = gradient(users, z, p)
-        if math.hypot(dx, dy) < config.tolerance:
+        # a short move is a stationarity test only after a step of at least
+        # 1/(2L): one from a small `step_size` stops nothing
+        if math.hypot(dx, dy) < config.tolerance and step >= 0.5 * safe_step:
             converged = True
             break
         step = min(2.0 * step, sys.float_info.max)  # finite, so halving can shorten it

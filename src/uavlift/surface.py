@@ -26,9 +26,7 @@ def surface_grid(
     xs_u, ys_u, es = user_arrays(users)
     gxs = grid.xs()
     gys = grid.ys()
-    nodes = np.arange(len(gxs) * len(gys))
-    values = grid_values(xs_u, ys_u, es, z, gxs, gys, nodes).reshape(len(gxs), len(gys))
-    return gxs, gys, values
+    return gxs, gys, grid_values(xs_u, ys_u, es, z, gxs, gys)
 
 
 def _checked_values(xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> np.ndarray:

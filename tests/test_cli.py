@@ -451,7 +451,7 @@ class TestTinyAltitude:
         s = load(tiny_altitude_file)
         grid = GridSpec(spacing=5.0, bounds=s.bounds)
         gxs, gys = grid.xs(), grid.ys()
-        totals = grid_values(*s.users.arrays, s.bounds.z_min, gxs, gys, np.arange(len(gxs) * len(gys)))
+        totals = grid_values(*s.users.arrays, s.bounds.z_min, gxs, gys).ravel()
         j = int(np.argmax(totals))
         best = f"best ({gxs[j // len(gys)]:g}, {gys[j % len(gys)]:g}) value {totals[j]:.6f} J/m^2"
         assert out == f"{best} ({len(gxs) * len(gys)} nodes evaluated)\n"
@@ -477,7 +477,7 @@ def test_grid_whose_bound_overflows_warns_nothing(tmp_path, capsys, z_min):
     s = load(path)
     grid = GridSpec(spacing=5.0, bounds=s.bounds)
     gxs, gys = grid.xs(), grid.ys()
-    totals = grid_values(*s.users.arrays, s.bounds.z_min, gxs, gys, np.arange(len(gxs) * len(gys)))
+    totals = grid_values(*s.users.arrays, s.bounds.z_min, gxs, gys).ravel()
     j = int(np.argmax(totals))
     assert out.startswith(f"best ({gxs[j // len(gys)]:g}, {gys[j % len(gys)]:g}) value {totals[j]:.6f} J/m^2 (")
 
@@ -516,7 +516,7 @@ class TestHugeAltitude:
         s = load(huge_altitude_file)
         grid = GridSpec(spacing=5.0, bounds=s.bounds)
         gxs, gys = grid.xs(), grid.ys()
-        totals = grid_values(*s.users.arrays, s.bounds.z_min, gxs, gys, np.arange(len(gxs) * len(gys)))
+        totals = grid_values(*s.users.arrays, s.bounds.z_min, gxs, gys).ravel()
         j = int(np.argmax(totals))
         assert out.startswith(f"best ({gxs[j // len(gys)]:g}, {gys[j % len(gys)]:g}) value {totals[j]:.6f} J/m^2 (")
 
@@ -530,6 +530,23 @@ class TestHugeAltitude:
         rows = out.splitlines()[1:-2]
         assert rows and all(row.split()[-1] == "-" for row in rows)
         assert "region: EMPTY" in out
+
+
+def test_solve_on_a_box_too_wide_for_its_corner_distances_warns_nothing(tmp_path, capsys):
+    # On a 1e200 m box each user's distance to its farthest corner overflows:
+    # an infinite reach, whose curvature term is 0. At z_min = 1e201 m the
+    # bound then rounds to 0, an input error, with no overflow warning that
+    # -W error would turn into exit 4.
+    path = tmp_path / "wide.json"
+    argv = ["generate", "--count", "200", "--seed", "9", "--area", "1e200x1e200",
+            "--z-min", "1e201", "--out", str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", str(path), "--mode", "box"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: z_min = 1e+201 m is too large for the energies") and err.count("\n") == 1
 
 
 @pytest.fixture()

@@ -197,7 +197,8 @@ def test_grid_nodes_are_feasible_as_contains_says(layout):
 
 def flat_values(xs, ys, es, z: float, px: np.ndarray, py: np.ndarray) -> np.ndarray:
     """The objective at every node (px[k], py[k]) by the flat formula, a block
-    of nodes at a time: the reference `oracle.grid_values` must match bit for bit."""
+    of nodes at a time: the reference `oracle.grid_values` and
+    `oracle.node_values` must match bit for bit."""
     values = np.empty(len(px))
     step = max(1, 2**16 // len(xs))
     for k in range(0, len(px), step):
@@ -221,8 +222,9 @@ def exhaustive_search(scenario: Scenario, grid: GridSpec, mode: str = "box", c=S
     return (float(px[j]), float(py[j])), float(values[j])
 
 
-# (users, box sides, spacing). A band is 65 536 // users grid rows or columns:
-# 327 at n = 200, so 400 x 20 and 20 x 400 cross one band in x and in y; 32 at
+# (users, box sides, spacing). A band of `grid_values`, and a block of
+# `node_values`, is 65 536 // users grid rows, columns or nodes: 327 at
+# n = 200, so 400 x 20 and 20 x 400 cross one band in x and in y; 32 at
 # n = 2000 and 5 at n = 12 000. Spacings 3 and 7 leave a short last gap.
 KERNEL_GRIDS = [
     (1, 250.0, 170.0, 3.0),
@@ -236,16 +238,17 @@ KERNEL_GRIDS = [
 
 
 class TestGridValues:
-    """`grid_values` gives the flat formula's bits at any ascending set of nodes."""
+    """`grid_values` over a whole grid, and `node_values` at any set of its
+    nodes, give the flat formula's bits."""
 
     @pytest.mark.parametrize("select", ["all", "rows", "runs", "scattered", "single", "none"])
     @pytest.mark.parametrize("z", [10.0, 650.0])
     @pytest.mark.parametrize("n, x_side, y_side, spacing", KERNEL_GRIDS)
     def test_matches_the_flat_formula(self, n, x_side, y_side, spacing, z, select):
-        # "all" takes the dense path in every band of rows. "rows" lacks the
-        # last node of the middle row, so that row's band gathers although
-        # its other rows are whole. "runs" takes one or two runs of 1-4
-        # nodes a row, as the quadtree's leaves do.
+        # "all" is the whole grid, which `grid_values` evaluates; the other
+        # selections go to `node_values`. "rows" lacks only the last node of
+        # the middle row; "runs" takes one or two runs of 1-4 nodes a row, as
+        # the quadtree's leaves do.
         grid = GridSpec(spacing, AreaBounds(0, x_side, 0, y_side, z, z))
         xs, ys, es = user_arrays(generate_uniform(n, grid.bounds, 4500, 18000, seed=n).users)
         gxs, gys = grid.xs(), grid.ys()
@@ -269,29 +272,27 @@ class TestGridValues:
             "runs": np.unique(np.fromiter(runs(), dtype=np.intp)),
         }[select]
         px, py = np.repeat(gxs, len(gys))[nodes], np.tile(gys, len(gxs))[nodes]
-        values = oracle.grid_values(xs, ys, es, z, gxs, gys, nodes)
-        assert values.shape == nodes.shape
+        if select == "all":
+            values = oracle.grid_values(xs, ys, es, z, gxs, gys)
+            assert values.shape == (len(gxs), n_y)
+            values = values.ravel()
+        else:
+            values = oracle.node_values(xs, ys, es, z, px, py)
+            assert values.shape == nodes.shape
         assert np.array_equal(values, flat_values(xs, ys, es, z, px, py))
 
     def test_matches_the_flat_formula_above_one_block_of_users(self):
-        # 70 000 users, more than CHUNK_ELEMENTS: a band is one row or column,
-        # and each node still sums all its users in one reduction
+        # 70 000 users, more than CHUNK_ELEMENTS: a band or block is one row,
+        # column or node, and each node still sums all its users in one reduction
         bounds = AreaBounds(0, 250, 0, 250, 650, 650)
         xs, ys, es = user_arrays(generate_uniform(70000, bounds, 4500, 18000, seed=3).users)
         assert len(xs) > oracle.CHUNK_ELEMENTS
         grid = GridSpec(25.0, bounds)
         gxs, gys = grid.xs(), grid.ys()
-        nodes = np.arange(len(gxs) * len(gys))
-        values = oracle.grid_values(xs, ys, es, 650.0, gxs, gys, nodes)
         px, py = np.repeat(gxs, len(gys)), np.tile(gys, len(gxs))
-        assert np.array_equal(values, flat_values(xs, ys, es, 650.0, px, py))
-
-    def test_nodes_must_ascend(self):
-        xs, ys, es = np.array([1.0]), np.array([2.0]), np.array([3.0])
-        axis = np.arange(4.0)
-        for nodes in ([2, 1], [3, 3]):
-            with pytest.raises(ValidationError, match="ascending"):
-                oracle.grid_values(xs, ys, es, 10.0, axis, axis, np.array(nodes))
+        expected = flat_values(xs, ys, es, 650.0, px, py)
+        assert np.array_equal(oracle.grid_values(xs, ys, es, 650.0, gxs, gys).ravel(), expected)
+        assert np.array_equal(oracle.node_values(xs, ys, es, 650.0, px, py), expected)
 
     @pytest.mark.parametrize("z", [1e-160, 1e-170])  # z^2 subnormal, z^2 == 0
     def test_an_overflowing_node_is_an_input_error_naming_z(self, z):
@@ -301,10 +302,12 @@ class TestGridValues:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match=f"z = {z:g} m"):
-                oracle.grid_values(xs, ys, es, z, axis, axis, np.arange(16))
+                oracle.grid_values(xs, ys, es, z, axis, axis)
+            with pytest.raises(ValidationError, match=f"z = {z:g} m"):
+                oracle.node_values(xs, ys, es, z, np.array([0.0, 1.0]), np.array([0.0, 2.0]))
             # off that node every value is finite, and comes back as before
-            values = oracle.grid_values(xs, ys, es, z, axis, axis, np.array([0, 15]))
-        corners = np.array([0.0, 3.0])  # nodes 0 and 15: (0, 0) and (3, 3)
+            corners = np.array([0.0, 3.0])  # (0, 0) and (3, 3)
+            values = oracle.node_values(xs, ys, es, z, corners, corners)
         assert np.array_equal(values, flat_values(xs, ys, es, z, corners, corners))
 
 

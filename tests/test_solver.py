@@ -290,6 +290,16 @@ class TestStepRule:
         assert (x1, y1) == (x0 + step * gx, y0 + step * gy)
         assert report.step_size_final == 2.0 * step  # an accepted step doubles the next
 
+    def test_a_small_first_step_does_not_stop_the_ascent(self):
+        # From a 1e-9 first step the first moves are far below the tolerance
+        # and prove nothing: the ascent goes on while the step doubles, and
+        # stops at the optimum, not after one move at the box centre
+        scenario = reference_scenario()
+        report = solve(scenario, SolverConfig(mode="box", step_size=1e-9))
+        assert report.converged
+        assert report.iterations > solve(scenario, SolverConfig(mode="box")).iterations
+        assert math.dist(report.placement[:2], newton_optimum(scenario)) <= 1e-3
+
     def test_overflowing_trial_step_is_halved(self, value_calls):
         # From (100, 100) a first step of 1e308 m overflows p + step*g to
         # (-inf, inf): that trial fails the test and the step halves.
