@@ -90,6 +90,13 @@ class ConcavityCertificate:
     holds: bool
 
 
+def metres(length: float) -> str:
+    """`length` for a report line: two decimals below 1e15 m, six significant
+    digits from there up, where two decimals would print more digits than a
+    double holds (a 1e200 m box's would be 200)."""
+    return f"{length:.2f}" if abs(length) < 1e15 else f"{length:.6g}"
+
+
 def concavity_certificate(bounds: AreaBounds) -> ConcavityCertificate:
     d_max = math.hypot(bounds.x_max - bounds.x_min, bounds.y_max - bounds.y_min)
     threshold = math.sqrt(3.0) * d_max

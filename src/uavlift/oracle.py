@@ -13,8 +13,10 @@ a whole grid, as the surface export does: a squared offset (gx - x)^2 or
 band of rows or columns instead of once per node, and fills contiguous
 blocks, with no row of users broadcast over a block, which NumPy runs as
 one short loop per node. `node_values` evaluates the few scattered nodes
-of `grid_search`'s leaves by the flat formula. Both give every node the
-flat formula's bits, so a leaf node's value is the surface's there.
+of `grid_search`, its tile centres and its leaves' nodes, by the flat
+formula, and gives each its slope, the gradient's norm, as well; a leaf
+takes the value alone. Both give every node the flat formula's bits, so a
+leaf node's value is the surface's there.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from .scenario import AreaBounds, Scenario
 
 
 # Most node x user elements in one block of the grid kernels, unless one
-# node's users alone are more: every node sums all its users at once. The
-# bound kernels, which keep several temporaries of a block live, take a
-# quarter of it: on a 2-vCPU Xeon VM, 2**14 elements ran 1.5 times faster
-# than 2**16 or 2**12.
+# node's users alone are more: every node sums all its users at once.
+# `node_values` and the bound kernels, which keep several temporaries of a
+# block live, take a quarter of it: on a 2-vCPU Xeon VM, 2**14 elements ran
+# 1.5 times faster than 2**16 or 2**12.
 CHUNK_ELEMENTS = 2**16
 
 # Most nodes a grid may have. The benchmark's 1 m grids have 63 001; a
@@ -143,51 +145,36 @@ def grid_values(
     return _refuse_overflow(totals, z)
 
 
-@np.errstate(over="ignore", divide="ignore")  # an infinite value is refused at the end
+@np.errstate(all="ignore")  # an infinite value or slope is for the caller to refuse or keep
 def node_values(
     xs: np.ndarray, ys: np.ndarray, es: np.ndarray, z: float, px: np.ndarray, py: np.ndarray
-) -> np.ndarray:
-    """The objective at each node (px[k], py[k]) by the flat formula
-    np.sum(es / ((px - xs)**2 + (py - ys)**2 + z*z), axis=1), in place a
-    block of CHUNK_ELEMENTS node x user elements at a time: the kernel of
-    `grid_search`'s leaves, a few scattered nodes a grid row, where a
-    tabulated band would go mostly unused. Its values have `grid_values`'
-    bits at the same nodes, and one that overflows is a ValidationError
-    naming z."""
-    values = np.empty(len(px))
-    z2 = z * z
-    rows = max(1, CHUNK_ELEMENTS // max(len(xs), 1))
-    for k in range(0, len(px), rows):
-        d = px[k : k + rows, None] - xs
-        d *= d
-        dy = py[k : k + rows, None] - ys
-        dy *= dy
-        d += dy
-        d += z2
-        np.divide(es, d, out=d)
-        np.sum(d, axis=1, out=values[k : k + rows])
-    return _refuse_overflow(values, z)
-
-
-def _grid_slopes(
-    xs: np.ndarray, ys: np.ndarray, es: np.ndarray, z: float, px: np.ndarray, py: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Value and gradient norm of the objective at every node, a quarter
-    block of `grid_values` at a time: each user adds E/D to the value and
-    -2E(p - u)/D^2 to the gradient, with D = |p - u|^2 + z^2."""
+    """Value and gradient norm of the objective at each node (px[k], py[k]),
+    a block of CHUNK_ELEMENTS / 4 node x user elements at a time: the kernel
+    of `grid_search`'s tile centres and leaves, a few scattered nodes a grid
+    row, where a tabulated band would go mostly unused.
+
+    Each user adds w = E/D to the value, with D = |p - u|^2 + z^2, and
+    -2 w (p - u) / D to the gradient. The values are the flat formula
+    np.sum(es / ((px - xs)**2 + (py - ys)**2 + z*z), axis=1), with
+    `grid_values`' bits at the same nodes. An overflow gives an infinite
+    value or slope, without a warning: a centre's only keeps its tile, and
+    `grid_search` refuses a leaf's."""
     values, gx, gy = np.empty(len(px)), np.empty(len(px)), np.empty(len(px))
     z2 = z * z
     rows = max(1, CHUNK_ELEMENTS // 4 // max(len(xs), 1))
     for start in range(0, len(px), rows):
         k = slice(start, start + rows)
         dx, dy = px[k, None] - xs, py[k, None] - ys
-        inv = 1.0 / (dx * dx + dy * dy + z2)
-        w = es * inv
-        values[k] = np.sum(w, axis=1)
-        w *= inv
-        gx[k] = -2.0 * np.sum(w * dx, axis=1)
-        gy[k] = -2.0 * np.sum(w * dy, axis=1)
-    return values, np.hypot(gx, gy)
+        d = dx * dx
+        d += dy * dy
+        d += z2
+        w = es / d
+        np.sum(w, axis=1, out=values[k])
+        w /= d
+        gx[k] = np.einsum("ij,ij->i", w, dx)
+        gy[k] = np.einsum("ij,ij->i", w, dy)
+    return values, 2.0 * np.hypot(gx, gy)
 
 
 def _blocked(table, rects: tuple, columns: int) -> np.ndarray:
@@ -260,7 +247,7 @@ def _candidate_nodes(feas, users, bounds: AreaBounds, gxs, gys) -> tuple[np.ndar
     tiles = _split(_split(np.array([[0, len(gxs) - 1, 0, len(gys) - 1]]))[0])[0]
     caps = np.full(len(tiles), cap)
     px, py = gxs[len(gxs) // 2 : len(gxs) // 2 + 1], gys[len(gys) // 2 : len(gys) // 2 + 1]
-    floor = best_feasible(px, py, _grid_slopes(xs, ys, es, z, px, py)[0])
+    floor = best_feasible(px, py, node_values(xs, ys, es, z, px, py)[0])
     centres, leaves, leaf_bounds = 1, [], []
     while len(tiles):
         if len(table.r):  # drop the tiles whose nearest point to a disk's centre misses that disk
@@ -271,7 +258,7 @@ def _candidate_nodes(feas, users, bounds: AreaBounds, gxs, gys) -> tuple[np.ndar
         i0, i1, j0, j1 = tiles.T
         rect = (gxs[i0], gxs[i1], gys[j0], gys[j1])
         px, py = gxs[(i0 + i1 + 1) // 2], gys[(j0 + j1 + 1) // 2]
-        values, slopes = _grid_slopes(xs, ys, es, z, px, py)
+        values, slopes = node_values(xs, ys, es, z, px, py)
         centres += len(px)
         floor = max(floor, best_feasible(px, py, values))
         cut = floor * (1.0 - _PRUNE_SLACK)
@@ -311,8 +298,10 @@ def grid_search(
     mode is a tile whose nearest point to some disk's centre lies outside
     that disk by more than `region.membership_slack`.
     The rest split in four down to leaves of at most LEAF x LEAF nodes,
-    whose feasible nodes `node_values` evaluates. Where no cap is finite,
-    as where z^4 underflows, every node is evaluated and no centre.
+    whose feasible nodes `node_values` evaluates, the kernel that gave the
+    centres their values and slopes. A leaf node whose value overflows is a
+    ValidationError naming z. Where no cap is finite, as where z^4
+    underflows, every node is evaluated and no centre.
 
     Only nodes of the mode's `region.feasible_set` count, for the lower bound
     as for the answer; `region.within` tests them as `region.contains` does,
@@ -330,6 +319,7 @@ def grid_search(
     if not len(fine):
         thin = f"the region is thinner than the emptiness tolerance (slack {feas.slack:.3g} m)"
         raise ValidationError(f"no grid node is feasible; {thin if feas.slack else 'refine the spacing'}")
-    totals = node_values(*users, scenario.bounds.z_min, fine[:, 0], fine[:, 1])
+    z = scenario.bounds.z_min
+    totals = _refuse_overflow(node_values(*users, z, fine[:, 0], fine[:, 1])[0], z)
     j = int(np.argmax(totals))  # the first maximum: ties break toward the smallest x, then y
     return GridSearchResult((float(fine[j, 0]), float(fine[j, 1])), float(totals[j]), centres + len(fine))

@@ -43,6 +43,8 @@ import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import region as region_mod
 from .channel import SPEED_OF_LIGHT, system_constant
 from .errors import NumericalError, ValidationError
@@ -51,6 +53,7 @@ from .objective import (
     box_curvature_bounds,
     concavity_certificate,
     gradient,
+    metres,
     user_arrays,
     value,
 )
@@ -164,7 +167,7 @@ def solve(
     if not mu > 0:
         warnings.warn(
             f"objective may be non-concave: z_min = {cert.z_min:g} m does not exceed "
-            f"sqrt(3)*d_max = {cert.threshold:.2f} m; the ascent finds a local optimum",
+            f"sqrt(3)*d_max = {metres(cert.threshold)} m; the ascent finds a local optimum",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -183,51 +186,54 @@ def solve(
             infeasible=feas.empty_reason,
         )
 
-    p = region_mod.project(feas, _initial_point(scenario, config))
-    f_p = value(users, z, p)
-    trajectory = [(p[0], p[1], f_p)]
-    g = gradient(users, z, p)
-
-    converged = False
-    iterations = 0
-    step = config.step_size if config.step_size is not None else safe_step
-    for _n in range(config.max_iters):
-        if not (math.isfinite(g[0]) and math.isfinite(g[1])):
-            raise NumericalError(f"gradient is not finite at {p}")
-        while True:
-            ahead = (p[0] + step * g[0], p[1] + step * g[1])
-            # a step so long that p + step*g overflows fails the test like any other
-            if math.isfinite(ahead[0]) and math.isfinite(ahead[1]):
-                trial = region_mod.project(feas, ahead)
-                f_trial = value(users, z, trial)
-                dx, dy = trial[0] - p[0], trial[1] - p[1]
-                if step <= safe_step or (
-                    f_trial >= f_p + g[0] * dx + g[1] * dy - (dx * dx + dy * dy) / (2.0 * step)
-                ):
-                    break
-            step *= 0.5
-        p, f_p = trial, f_trial
-        iterations += 1
-        trajectory.append((p[0], p[1], f_p))
+    # A squared distance that overflows is an infinite distance, whose term
+    # and gradient are 0: no warning, which -W error would make exit 4.
+    with np.errstate(over="ignore"):
+        p = region_mod.project(feas, _initial_point(scenario, config))
+        f_p = value(users, z, p)
+        trajectory = [(p[0], p[1], f_p)]
         g = gradient(users, z, p)
-        # a short move is a stationarity test only after a step of at least
-        # 1/(2L): one from a small `step_size` stops nothing
-        if math.hypot(dx, dy) < config.tolerance and step >= 0.5 * safe_step:
-            converged = True
-            break
-        step = min(2.0 * step, sys.float_info.max)  # finite, so halving can shorten it
 
-    gap_bound = projected_gradient = None
-    if mu > 0:
-        # f(p + s) <= f(p) + g.s - mu/2 |s|^2 on the box, so over the
-        # feasible set f* - f(p) is at most that model's maximum, taken at
-        # s = P(p + g/mu) - p.
-        y = region_mod.project(feas, (p[0] + g[0] / mu, p[1] + g[1] / mu))
-        sx, sy = y[0] - p[0], y[1] - p[1]
-        gap_bound = max(0.0, g[0] * sx + g[1] * sy - 0.5 * mu * (sx * sx + sy * sy))
-    else:
-        y = region_mod.project(feas, (p[0] + g[0] / lipschitz, p[1] + g[1] / lipschitz))
-        projected_gradient = lipschitz * math.hypot(y[0] - p[0], y[1] - p[1])
+        converged = False
+        iterations = 0
+        step = config.step_size if config.step_size is not None else safe_step
+        for _n in range(config.max_iters):
+            if not (math.isfinite(g[0]) and math.isfinite(g[1])):
+                raise NumericalError(f"gradient is not finite at {p}")
+            while True:
+                ahead = (p[0] + step * g[0], p[1] + step * g[1])
+                # a step so long that p + step*g overflows fails the test like any other
+                if math.isfinite(ahead[0]) and math.isfinite(ahead[1]):
+                    trial = region_mod.project(feas, ahead)
+                    f_trial = value(users, z, trial)
+                    dx, dy = trial[0] - p[0], trial[1] - p[1]
+                    if step <= safe_step or (
+                        f_trial >= f_p + g[0] * dx + g[1] * dy - (dx * dx + dy * dy) / (2.0 * step)
+                    ):
+                        break
+                step *= 0.5
+            p, f_p = trial, f_trial
+            iterations += 1
+            trajectory.append((p[0], p[1], f_p))
+            g = gradient(users, z, p)
+            # a short move is a stationarity test only after a step of at least
+            # 1/(2L): one from a small `step_size` stops nothing
+            if math.hypot(dx, dy) < config.tolerance and step >= 0.5 * safe_step:
+                converged = True
+                break
+            step = min(2.0 * step, sys.float_info.max)  # finite, so halving can shorten it
+
+        gap_bound = projected_gradient = None
+        if mu > 0:
+            # f(p + s) <= f(p) + g.s - mu/2 |s|^2 on the box, so over the
+            # feasible set f* - f(p) is at most that model's maximum, taken at
+            # s = P(p + g/mu) - p.
+            y = region_mod.project(feas, (p[0] + g[0] / mu, p[1] + g[1] / mu))
+            sx, sy = y[0] - p[0], y[1] - p[1]
+            gap_bound = max(0.0, g[0] * sx + g[1] * sy - 0.5 * mu * (sx * sx + sy * sy))
+        else:
+            y = region_mod.project(feas, (p[0] + g[0] / lipschitz, p[1] + g[1] / lipschitz))
+            projected_gradient = lipschitz * math.hypot(y[0] - p[0], y[1] - p[1])
 
     lifetime_seconds = f_p / k
     if not math.isfinite(lifetime_seconds):

@@ -549,6 +549,37 @@ def test_solve_on_a_box_too_wide_for_its_corner_distances_warns_nothing(tmp_path
     assert err.startswith("error: z_min = 1e+201 m is too large for the energies") and err.count("\n") == 1
 
 
+def test_check_prints_a_wide_box_in_six_digits(tmp_path, capsys):
+    # two decimals of a 1e200 m length would be 200 digits, more than a double holds
+    path = tmp_path / "wide.json"
+    argv = ["generate", "--count", "200", "--seed", "9", "--area", "1e200x1e200",
+            "--z-min", "1e201", "--out", str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["check", str(path)]) == 3
+    assert ("concavity certificate: z_min 1e+201 m vs sqrt(3)*d_max 2.44949e+200 m "
+            "(d_max 1.41421e+200 m): holds\n") in capsys.readouterr().out
+
+
+def test_solve_on_a_box_too_wide_for_its_squared_distances_warns_once(tmp_path, capsys):
+    # On a 1e80 m box a squared distance to a user, or its square in the
+    # gradient, overflows: an infinite distance, whose term is 0. The one line
+    # on stderr is the non-concavity warning, and the placement and threshold
+    # print in six digits.
+    path = tmp_path / "w.json"
+    argv = ["generate", "--count", "5", "--seed", "1", "--area", "1e80x1e80",
+            "--z-min", "1", "--out", str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["solve", str(path), "--mode", "box"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "warning: objective may be non-concave: z_min = 1 m does not exceed "
+        "sqrt(3)*d_max = 2.44949e+80 m; the ascent finds a local optimum\n"
+    )
+    assert captured.out.startswith("placement (5e+79, 5e+79, 1) m | ")
+
+
 @pytest.fixture()
 def node_file(tmp_path):
     # one user exactly on grid node (0, 0) at z = 1e-160 m: E / z^2 overflows there

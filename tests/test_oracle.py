@@ -222,10 +222,11 @@ def exhaustive_search(scenario: Scenario, grid: GridSpec, mode: str = "box", c=S
     return (float(px[j]), float(py[j])), float(values[j])
 
 
-# (users, box sides, spacing). A band of `grid_values`, and a block of
-# `node_values`, is 65 536 // users grid rows, columns or nodes: 327 at
-# n = 200, so 400 x 20 and 20 x 400 cross one band in x and in y; 32 at
-# n = 2000 and 5 at n = 12 000. Spacings 3 and 7 leave a short last gap.
+# (users, box sides, spacing). A band of `grid_values` is 65 536 // users
+# grid rows or columns: 327 at n = 200, so 400 x 20 and 20 x 400 cross one
+# band in x and in y; 32 at n = 2000 and 5 at n = 12 000. A block of
+# `node_values` is a quarter of that many nodes. Spacings 3 and 7 leave a
+# short last gap.
 KERNEL_GRIDS = [
     (1, 250.0, 170.0, 3.0),
     (2, 250.0, 170.0, 3.0),
@@ -277,7 +278,7 @@ class TestGridValues:
             assert values.shape == (len(gxs), n_y)
             values = values.ravel()
         else:
-            values = oracle.node_values(xs, ys, es, z, px, py)
+            values = oracle.node_values(xs, ys, es, z, px, py)[0]
             assert values.shape == nodes.shape
         assert np.array_equal(values, flat_values(xs, ys, es, z, px, py))
 
@@ -292,7 +293,7 @@ class TestGridValues:
         px, py = np.repeat(gxs, len(gys)), np.tile(gys, len(gxs))
         expected = flat_values(xs, ys, es, 650.0, px, py)
         assert np.array_equal(oracle.grid_values(xs, ys, es, 650.0, gxs, gys).ravel(), expected)
-        assert np.array_equal(oracle.node_values(xs, ys, es, 650.0, px, py), expected)
+        assert np.array_equal(oracle.node_values(xs, ys, es, 650.0, px, py)[0], expected)
 
     @pytest.mark.parametrize("z", [1e-160, 1e-170])  # z^2 subnormal, z^2 == 0
     def test_an_overflowing_node_is_an_input_error_naming_z(self, z):
@@ -303,12 +304,36 @@ class TestGridValues:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match=f"z = {z:g} m"):
                 oracle.grid_values(xs, ys, es, z, axis, axis)
+            # `node_values` gives that node an infinite value, which a tile
+            # centre's bound keeps and `grid_search`'s leaves refuse
+            nodes = np.array([0.0, 1.0, 3.0]), np.array([0.0, 2.0, 3.0])
+            values = oracle.node_values(xs, ys, es, z, *nodes)[0]
+            bounds = AreaBounds(0, 3, 0, 3, z, z)
+            scenario = Scenario(users=(UserDevice(1.0, 2.0, 4500.0),), rf=RF, bounds=bounds)
             with pytest.raises(ValidationError, match=f"z = {z:g} m"):
-                oracle.node_values(xs, ys, es, z, np.array([0.0, 1.0]), np.array([0.0, 2.0]))
-            # off that node every value is finite, and comes back as before
-            corners = np.array([0.0, 3.0])  # (0, 0) and (3, 3)
-            values = oracle.node_values(xs, ys, es, z, corners, corners)
-        assert np.array_equal(values, flat_values(xs, ys, es, z, corners, corners))
+                grid_search(scenario, GridSpec(1.0, scenario.bounds))
+        assert values[1] == math.inf
+        # off that node every value is finite, and comes back as before
+        corners = np.array([0.0, 3.0])  # (0, 0) and (3, 3)
+        assert np.array_equal(values[[0, 2]], flat_values(xs, ys, es, z, corners, corners))
+
+    # 200 users at z = 30 m, whose block is 81 nodes, on 26 x 18 nodes; the
+    # 20 binding users at z = 10 m, whose block is 819 nodes, on 41 x 41
+    @pytest.mark.parametrize("layout", ["uniform", "binding"])
+    def test_slopes_are_the_gradient_norm(self, layout):
+        if layout == "binding":
+            scenario, spacing = binding_scenario(20), 2.5
+        else:
+            bounds = AreaBounds(0, 250, 0, 170, 30, 30)
+            scenario, spacing = generate_uniform(200, bounds, 4500, 18000, seed=9), 10.0
+        z = scenario.bounds.z_min
+        grid = GridSpec(spacing, scenario.bounds)
+        px, py = (a.ravel() for a in np.meshgrid(grid.xs(), grid.ys(), indexing="ij"))
+        users = user_arrays(scenario.users)
+        assert len(px) > oracle.CHUNK_ELEMENTS // 4 // len(users.xs)
+        _, slopes = oracle.node_values(*users, z, px, py)
+        expected = [math.hypot(*gradient(users, z, p)) for p in zip(px.tolist(), py.tolist())]
+        assert slopes.tolist() == pytest.approx(expected, rel=1e-12)
 
 
 def anchored_scenario(n: int, seed: int, side: float, z: float) -> Scenario:
