@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .objective import NsdScan, concavity_certificate, metres, nsd_scan
+from .objective import NsdScan, concavity_certificate, nsd_scan
 from .oracle import GridSpec, grid_search
 from .region import MODES, disk_radius
 from .region import build as build_region
@@ -196,7 +196,7 @@ def _cmd_check(args) -> int:
     verdict = "holds" if cert.holds else "fails"
     print(
         f"concavity certificate: z_min {cert.z_min:g} m vs sqrt(3)*d_max "
-        f"{metres(cert.threshold)} m (d_max {metres(cert.d_max)} m): {verdict}"
+        f"{cert.threshold:.2f} m (d_max {cert.d_max:.2f} m): {verdict}"
     )
     if feas.empty:
         print(f"region: EMPTY ({feas.empty_reason})")
@@ -219,7 +219,7 @@ def _cmd_solve(args) -> int:
         return EXIT_INFEASIBLE
     x, y, z = report.placement
     print(
-        f"placement ({metres(x)}, {metres(y)}, {z:g}) m | objective {report.objective:.4f} J/m^2 | "
+        f"placement ({x:.2f}, {y:.2f}, {z:g}) m | objective {report.objective:.4f} J/m^2 | "
         f"lifetime {report.lifetime_seconds:.0f} s | iterations {report.iterations} | "
         f"converged {str(report.converged).lower()}"
     )

@@ -8,11 +8,13 @@ whenever z exceeds sqrt(3) times the maximum 2D distance in the area
 (`concavity_certificate`); `box_curvature_bounds` proves it lower down by
 bounding each user's curvature within its own farthest box corner, and
 that one bound decides concavity for the solver and for `nsd_scan`.
+
+Every kernel takes the altitude through `scenario.check_altitude`; within
+the input domain declared in `scenario` no term, power or sum overflows.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -21,18 +23,13 @@ import numpy as np
 
 from .errors import ValidationError
 from .rng import SplitMix64
-from .scenario import AreaBounds, UserArrays, UserDevice, user_arrays
-
-
-def _check_altitude(z_min: float) -> None:
-    if not z_min > 0:
-        raise ValidationError(f"z_min must be positive, got {z_min}")
+from .scenario import AreaBounds, UserArrays, UserDevice, check_altitude, user_arrays
 
 
 def _offsets(users: Sequence[UserDevice] | UserArrays, z_min: float, px, py):
     """The point kernel: per-user offsets (dx, dy), squared distances d2 and
     energies at the point (`px`, `py`)."""
-    _check_altitude(z_min)
+    check_altitude(z_min, "z_min")
     xs, ys, es = user_arrays(users)
     dx = px - xs
     dy = py - ys
@@ -90,13 +87,6 @@ class ConcavityCertificate:
     holds: bool
 
 
-def metres(length: float) -> str:
-    """`length` for a report line: two decimals below 1e15 m, six significant
-    digits from there up, where two decimals would print more digits than a
-    double holds (a 1e200 m box's would be 200)."""
-    return f"{length:.2f}" if abs(length) < 1e15 else f"{length:.6g}"
-
-
 def concavity_certificate(bounds: AreaBounds) -> ConcavityCertificate:
     d_max = math.hypot(bounds.x_max - bounds.x_min, bounds.y_max - bounds.y_min)
     threshold = math.sqrt(3.0) * d_max
@@ -109,7 +99,6 @@ def concavity_certificate(bounds: AreaBounds) -> ConcavityCertificate:
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow makes a bound infinite or nan, not a warning
 def curvature_bounds(
     users: Sequence[UserDevice] | UserArrays,
     z_min: float,
@@ -128,24 +117,19 @@ def curvature_bounds(
     over [near, reach] it peaks at r = clamp(z, near, reach). Weyl's
     inequality sums the users. With s = z^2/D = 1/(1 + (r/z)^2) the second
     is (E/z^4) * s^2 * (6 - 8s), which stays finite however far r is from
-    z. A power of z, a term or a sum that overflows counts as infinite.
+    z.
     """
     es = user_arrays(users).es
-    z4 = math.inf
-    with contextlib.suppress(OverflowError):
-        z4 = z_min**4
-    if not z4 > 0:
-        return -math.inf, math.inf
+    z4 = check_altitude(z_min, "z_min") ** 4
     lo = -2.0 * (float(es.sum()) / z4)
     s = 1.0 / (1.0 + (np.maximum(near, np.minimum(reach, z_min)) / z_min) ** 2)
     hi = np.sum(es / z4 * (s * s * (6.0 - 8.0 * s)), axis=-1)
     return lo, hi if np.ndim(hi) else float(hi)
 
 
-@np.errstate(over="ignore")  # on a box over about 1e154 m wide: curvature_bounds takes inf as 0
 def farthest(px, py, x0, x1, y0, y1) -> np.ndarray:
     """2D distance from each point (px, py) to the farthest point, a
-    corner, of the rectangle [x0, x1] x [y0, y1]; inf where it overflows."""
+    corner, of the rectangle [x0, x1] x [y0, y1]."""
     dx, dy = np.maximum(px - x0, x1 - px), np.maximum(py - y0, y1 - py)
     return np.sqrt(dx * dx + dy * dy)  # np.hypot is several times slower
 
@@ -196,7 +180,7 @@ def nsd_scan(
     search without a witness is undecided."""
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
-    _check_altitude(z_min)
+    check_altitude(z_min, "z_min")
     _, hi = box_curvature_bounds(users, z_min, bounds)
     if hi < 0:
         return NsdScan("proven", hi)

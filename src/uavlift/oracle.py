@@ -92,19 +92,6 @@ class GridSearchResult(NamedTuple):
     evaluated: int  # nodes where the objective was computed: tile centres plus feasible leaf nodes
 
 
-def _refuse_overflow(values: np.ndarray, z: float) -> np.ndarray:
-    """`values`, unless some node's E/d^2 overflowed: at an altitude so small,
-    as on a node at a user at z = 1e-160 m, there is no answer to give, and
-    that is a ValidationError naming z, not an infinite value."""
-    if not np.all(np.isfinite(values)):
-        raise ValidationError(
-            f"the objective overflows at z = {z:g} m: a grid node is too close to a user; "
-            "use a higher altitude"
-        )
-    return values
-
-
-@np.errstate(over="ignore", divide="ignore")  # an infinite total is refused at the end
 def grid_values(
     xs: np.ndarray, ys: np.ndarray, es: np.ndarray, z: float, gxs: np.ndarray, gys: np.ndarray
 ) -> np.ndarray:
@@ -121,9 +108,7 @@ def grid_values(
     node, and each step is the flat formula's elementwise IEEE operation on
     the same two numbers, in its association and reduction: at any user
     count every value has the bits of
-    np.sum(es / ((gx - xs)**2 + (gy - ys)**2 + z*z)).
-
-    A value that overflows is a ValidationError naming z."""
+    np.sum(es / ((gx - xs)**2 + (gy - ys)**2 + z*z))."""
     n_x, n_y = len(gxs), len(gys)
     totals = np.empty((n_x, n_y))
     z2 = z * z
@@ -142,10 +127,9 @@ def grid_values(
                 d += z2
                 np.divide(energies[: y1 - y0], d, out=d)
                 np.sum(d, axis=1, out=totals[r, y0:y1])
-    return _refuse_overflow(totals, z)
+    return totals
 
 
-@np.errstate(all="ignore")  # an infinite value or slope is for the caller to refuse or keep
 def node_values(
     xs: np.ndarray, ys: np.ndarray, es: np.ndarray, z: float, px: np.ndarray, py: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -157,9 +141,7 @@ def node_values(
     Each user adds w = E/D to the value, with D = |p - u|^2 + z^2, and
     -2 w (p - u) / D to the gradient. The values are the flat formula
     np.sum(es / ((px - xs)**2 + (py - ys)**2 + z*z), axis=1), with
-    `grid_values`' bits at the same nodes. An overflow gives an infinite
-    value or slope, without a warning: a centre's only keeps its tile, and
-    `grid_search` refuses a leaf's."""
+    `grid_values`' bits at the same nodes."""
     values, gx, gy = np.empty(len(px)), np.empty(len(px)), np.empty(len(px))
     z2 = z * z
     rows = max(1, CHUNK_ELEMENTS // 4 // max(len(xs), 1))
@@ -194,12 +176,13 @@ def _tile_bounds(users, z, hi, rect, values, slopes, reach, cut) -> tuple[np.nda
     positive and leaves the bound at or above `cut`, the tile takes its own
     from each user's nearest and farthest distance to it."""
     def taylor(k):
-        t = np.where(hi[k] < 0, np.minimum(reach[k], slopes[k] / -hi[k]), reach[k])
+        # the peak's quotient is taken only where it is nearer, so it stays finite
+        t = np.array(reach[k])
+        np.divide(slopes[k], -hi[k], out=t, where=slopes[k] < -hi[k] * reach[k])
         return values[k] + slopes[k] * t + hi[k] * t * t / 2.0
 
     bounds = taylor(slice(None))
-    # a zero cap is every term underflowing, as a tile's would
-    own = (hi > 0) & ~(bounds < cut)
+    own = (hi > 0) & (bounds >= cut)
     if own.any():
         xs, ys, _ = users
         hi = hi.copy()
@@ -223,19 +206,15 @@ def _split(tiles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return kids[real], np.tile(np.arange(len(tiles)), 4)[real]
 
 
-@np.errstate(all="ignore")  # a bound that overflows is inf or nan, and only keeps its tile
 def _candidate_nodes(feas, users, bounds: AreaBounds, gxs, gys) -> tuple[np.ndarray, int]:
     """The ascending flat indices of the nodes that can hold the best
     feasible node, and the number of tile centres evaluated to find them."""
     xs, ys, es = users
     z = bounds.z_min
     _, cap = box_curvature_bounds(users, z, bounds)
-    if not math.isfinite(cap):  # as where z^4 underflows: no tile is bounded
-        return np.arange(len(gxs) * len(gys)), 0
 
     def best_feasible(px, py, values):
-        best = values[region_mod.within(feas, np.column_stack((px, py)))[0]]
-        return np.max(best[np.isfinite(best)], initial=-math.inf)
+        return np.max(values[region_mod.within(feas, np.column_stack((px, py)))[0]], initial=-math.inf)
 
     table = feas.table
     radius = (table.r + region_mod.membership_slack(feas)) * (1.0 + _PRUNE_SLACK)
@@ -263,13 +242,13 @@ def _candidate_nodes(feas, users, bounds: AreaBounds, gxs, gys) -> tuple[np.ndar
         floor = max(floor, best_feasible(px, py, values))
         cut = floor * (1.0 - _PRUNE_SLACK)
         tile_bounds, caps = _tile_bounds(users, z, caps, rect, values, slopes, farthest(px, py, *rect), cut)
-        keep = ~(tile_bounds < cut)
+        keep = tile_bounds >= cut
         leaf = keep & (i1 - i0 < LEAF) & (j1 - j0 < LEAF)
         leaves.append(tiles[leaf])
         leaf_bounds.append(tile_bounds[leaf])
         tiles, parent = _split(tiles[keep & ~leaf])
         caps = caps[keep & ~leaf][parent]
-    leaves = np.concatenate(leaves)[~(np.concatenate(leaf_bounds) < cut)]  # the last, highest cut
+    leaves = np.concatenate(leaves)[np.concatenate(leaf_bounds) >= cut]  # the last, highest cut
     i0, i1, j0, j1 = (a[:, None, None] for a in leaves.T)
     ix, iy = i0 + np.arange(LEAF)[:, None], j0 + np.arange(LEAF)
     return np.sort((ix * len(gys) + iy)[(ix <= i1) & (iy <= j1)]), centres
@@ -299,9 +278,7 @@ def grid_search(
     that disk by more than `region.membership_slack`.
     The rest split in four down to leaves of at most LEAF x LEAF nodes,
     whose feasible nodes `node_values` evaluates, the kernel that gave the
-    centres their values and slopes. A leaf node whose value overflows is a
-    ValidationError naming z. Where no cap is finite, as where z^4
-    underflows, every node is evaluated and no centre.
+    centres their values and slopes.
 
     Only nodes of the mode's `region.feasible_set` count, for the lower bound
     as for the answer; `region.within` tests them as `region.contains` does,
@@ -320,6 +297,6 @@ def grid_search(
         thin = f"the region is thinner than the emptiness tolerance (slack {feas.slack:.3g} m)"
         raise ValidationError(f"no grid node is feasible; {thin if feas.slack else 'refine the spacing'}")
     z = scenario.bounds.z_min
-    totals = _refuse_overflow(node_values(*users, z, fine[:, 0], fine[:, 1])[0], z)
+    totals = node_values(*users, z, fine[:, 0], fine[:, 1])[0]
     j = int(np.argmax(totals))  # the first maximum: ties break toward the smallest x, then y
     return GridSearchResult((float(fine[j, 0]), float(fine[j, 1])), float(totals[j]), centres + len(fine))

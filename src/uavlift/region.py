@@ -16,8 +16,11 @@ witness. `project` finds the nearest point, a tight point of at most two
 constraints. A pivot makes two NumPy passes, its few candidate points'
 gaps to the disks of its group and the chosen point's gaps to every disk,
 except a projection's first, whose one candidate needs no test; the rest
-is arithmetic on Python floats, at a power-of-two scale where no term
-overflows or underflows, so that the answers scale with the instance.
+is arithmetic on Python floats. Within the input domain declared in
+`scenario`, centres lie within 2^24 m, `_disk_arrays` cuts each radius to
+at most twice the distance from its centre to the farthest box corner, and
+`project` takes points within REACH, so no term, not even `_tight_points`'
+sixth powers of lengths below 2^37 m, overflows.
 
 A region keeps each concept once, as arrays: the users' range limits as
 `RangeLimits` and the disks as centre and radius arrays (`DiskTable`), made
@@ -28,7 +31,6 @@ the disks; `contains` and the grid oracle ask it.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import itertools
 import math
@@ -39,7 +41,8 @@ import numpy as np
 
 from .channel import SPEED_OF_LIGHT, system_constant
 from .errors import EmptyRegionError, NumericalError, ValidationError
-from .scenario import AreaBounds, Scenario
+from .objective import farthest
+from .scenario import COORD_LIMIT, AreaBounds, Scenario
 
 if TYPE_CHECKING:  # importing numpy.typing costs about 1 ms
     from numpy.typing import ArrayLike
@@ -47,6 +50,10 @@ if TYPE_CHECKING:  # importing numpy.typing costs about 1 ms
 MODES = ("box", "region")  # the feasible sets a solve or a grid search runs over
 MEMBERSHIP_TOL = 1e-9   # meters, least boundary slack for `contains`
 EMPTINESS_TOL = 1e-6    # meters, decision threshold of `check_empty`
+# Meters, the largest coordinate `project` takes: a start lies within
+# COORD_LIMIT = 2^24 m, and a trial of the ascent within 2^10 box diagonals
+# (below 2^35.5 m) of a point of the box.
+REACH = 2.0**36
 # Points are computed in floating point, so one that lies exactly on a
 # boundary can land a few ulps outside it. Membership tests on computed
 # points allow this much, relative to the largest coordinate or radius in
@@ -79,6 +86,16 @@ class DiskTable(NamedTuple):
     cy: np.ndarray
     r: np.ndarray
     rounding: float
+
+
+class _Edges(NamedTuple):
+    """A box's four edges, all the solves read of it; `project` widens them
+    by a region's slack, which may take them past the input domain."""
+
+    x_min: float
+    x_max: float
+    y_min: float
+    y_max: float
 
 
 class EmptinessCheck(NamedTuple):
@@ -161,10 +178,7 @@ def feasible_set(scenario: Scenario, mode: str, c: float = SPEED_OF_LIGHT) -> Fe
 def disk_radius(d_limit: np.ndarray, z: float) -> np.ndarray:
     """Radii at altitude z of range balls of radii d_limit, 0 where d_limit <= z,
     squared by libm pow as Python's ** does, not as ** on arrays."""
-    z2 = math.inf  # where z**2 overflows: no range reaches so high, so every radius is 0
-    with contextlib.suppress(OverflowError):
-        z2 = z**2
-    return np.sqrt(np.maximum(np.float_power(d_limit, 2) - z2, 0.0))
+    return np.sqrt(np.maximum(np.float_power(d_limit, 2) - z**2, 0.0))
 
 
 def build(scenario: Scenario, c: float = SPEED_OF_LIGHT) -> FeasibleRegion:
@@ -222,72 +236,31 @@ def membership_slack(region: FeasibleRegion, tol: float = MEMBERSHIP_TOL) -> flo
 def project(region: FeasibleRegion, point: tuple[float, float]) -> tuple[float, float]:
     """Euclidean projection onto the region, exact up to rounding.
 
-    A non-finite q is a ValidationError. A point q in the region comes back
-    unchanged; a bare box clamps q. Else the solve pivots from q with no
-    constraint tight, and `_nearest_of` solves each group. A region thinner
-    than EMPTINESS_TOL has no point in every set, so the solve runs on the
-    sets widened by its `slack`, at the scale `_at_scale` picks for q.
+    A q with a coordinate that is not finite or lies beyond REACH is a
+    ValidationError. A point q in the region comes back unchanged; a bare
+    box clamps q. Else the solve pivots from q with no constraint tight,
+    and `_nearest_of` solves each group. A region thinner than
+    EMPTINESS_TOL has no point in every set, so the solve runs on the sets
+    widened by its `slack`.
     """
     if region.empty:
         raise EmptyRegionError(region.empty_reason or "region is empty")
-    if not (math.isfinite(point[0]) and math.isfinite(point[1])):
-        raise ValidationError(f"cannot project the non-finite point {tuple(point)}")
+    if not (abs(point[0]) <= REACH and abs(point[1]) <= REACH):
+        raise ValidationError(
+            f"cannot project the point {tuple(point)}: each coordinate must be finite and within {REACH:g} m"
+        )
     table, box, s = region.table, region.box, region.slack
     if not len(table.r):
         return (min(max(point[0], box.x_min), box.x_max), min(max(point[1], box.y_min), box.y_max))
     qx, qy = float(point[0]), float(point[1])
     if s:
-        box = dataclasses.replace(box, x_min=box.x_min - s, x_max=box.x_max + s,
-                                  y_min=box.y_min - s, y_max=box.y_max + s)
+        box = _Edges(box.x_min - s, box.x_max + s, box.y_min - s, box.y_max + s)
         table = table._replace(r=table.r + s)
-    e, table, box, (x, y) = _at_scale(table, box, (qx, qy))
-    with np.errstate(over="ignore"):  # see `_gaps`
-        top, j = _most_violated(x, y, table, box)
-        if not s and top <= 0.0:  # inside; no point is inside a region with slack
-            return (qx, qy)
-        px, py = _pivot("projection", lambda group, basis, p: _nearest_of(group, x, y, table, box),
-                        (), (x, y), 0.0, top, j, table, box)[0]
-    return math.ldexp(px, e), math.ldexp(py, e)
-
-
-def _at_scale(
-    table: DiskTable, box: AreaBounds, q=(0.0, 0.0)
-) -> tuple[int, DiskTable, AreaBounds, tuple[float, float]]:
-    """e, and the centres, radii, box, `rounding` and q at scale 2^-e, exact,
-    where every term of a solve from q stays finite and normal. e is 0 while
-    the instance's size, s = `table.rounding / _ROUNDING`, lies within
-    2^+-160, as the terms of `_tight_points` go up to s^6, and q's largest
-    coordinate times max(s, 1) stays below 2^1000. No scale holds a q more
-    than 2^1024 s out and the instance, as q's pull onto a disk, about
-    s/|q|, would underflow; such a q first moves in (`_moved_in`)."""
-    size, far = math.frexp(table.rounding / _ROUNDING)[1], math.frexp(max(map(abs, q)))[1]
-    if far - size > 1024:
-        q = _moved_in(q, box, size, far)
-        far = math.frexp(max(map(abs, q)))[1]
-    if -160 <= size <= 160 and far + max(size, 0) <= 1000:
-        return 0, table, box, q
-    e = max(size, far - 1000)
-    cx, cy, r = (np.ldexp(a, -e) for a in table[:3])
-    edges = {f: math.ldexp(getattr(box, f), -e) for f in ("x_min", "x_max", "y_min", "y_max")}
-    table = DiskTable(cx, cy, r, math.ldexp(table.rounding, -e))
-    return e, table, dataclasses.replace(box, **edges), (math.ldexp(q[0], -e), math.ldexp(q[1], -e))
-
-
-def _moved_in(q, box: AreaBounds, size: int, far: int) -> tuple[float, float]:
-    """A point to project in place of q, whose largest coordinate is below
-    2^far, onto an instance below 2^size across, with q's projection up to
-    far less than rounding: q's offset from the box centre shrunk by a
-    power of two to about 2^(size + 1000), except that no coordinate of the
-    offset shrinks below its own length or 2^(size + 8). So the direction
-    turns by at most 2^-990, and a coordinate that decides where q meets a
-    box edge keeps its value."""
-    near = math.ldexp(1.0, size + 8)
-
-    def moved(v, c):
-        d = abs(v - c)
-        return c + math.copysign(max(math.ldexp(d, size + 1000 - far), min(d, near)), v - c)
-
-    return moved(q[0], 0.5 * (box.x_min + box.x_max)), moved(q[1], 0.5 * (box.y_min + box.y_max))
+    top, j = _most_violated(qx, qy, table, box)
+    if not s and top <= 0.0:  # inside; no point is inside a region with slack
+        return (qx, qy)
+    return _pivot("projection", lambda group, basis, p: _nearest_of(group, qx, qy, table, box),
+                  (), (qx, qy), 0.0, top, j, table, box)[0]
 
 
 def check_empty(disks: DiskTable | ArrayLike, box: AreaBounds) -> EmptinessCheck:
@@ -318,18 +291,14 @@ def least_violation(table: DiskTable, box: AreaBounds) -> tuple[tuple[float, flo
     """The point p that minimizes g, and g(p), for a table with at least one
     disk: an LP-type problem of combinatorial dimension 3, solved by
     pivoting from the centre of the disk farthest from the box centre, with
-    `_least_violation_of` for each group, at the scale `_at_scale` picks.
-    The value rises with every pivot.
+    `_least_violation_of` for each group. The value rises with every pivot.
     """
-    e, table, box, _ = _at_scale(table, box)
     mid_x, mid_y = 0.5 * (box.x_min + box.x_max), 0.5 * (box.y_min + box.y_max)
-    with np.errstate(over="ignore"):  # see `_gaps`
-        i = int(np.argmax(_gaps(mid_x, mid_y, table.cx, table.cy, table.r)))
-        p = (table.cx.item(i), table.cy.item(i))
-        (x, y), g = _pivot("emptiness shortfall",
-                           lambda group, basis, p: _least_violation_of(group, basis, p, table, box),
-                           (4 + i,), p, -table.r.item(i), *_most_violated(*p, table, box), table, box)
-    return (math.ldexp(x, e), math.ldexp(y, e)), math.ldexp(g, e)
+    i = int(np.argmax(_gaps(mid_x, mid_y, table.cx, table.cy, table.r)))
+    p = (table.cx.item(i), table.cy.item(i))
+    return _pivot("emptiness shortfall",
+                  lambda group, basis, p: _least_violation_of(group, basis, p, table, box),
+                  (4 + i,), p, -table.r.item(i), *_most_violated(*p, table, box), table, box)
 
 
 def _pivot(what, solve, basis, p, value, top, j, table, box) -> tuple[tuple[float, float], float]:
@@ -552,10 +521,19 @@ def _tight_points(subset: tuple[int, ...], group_disks: dict[int, tuple[float, f
 
 
 def _disk_arrays(disks: ArrayLike, box: AreaBounds) -> DiskTable:
+    """The (x, y, radius) rows as a table. A centre beyond COORD_LIMIT is a
+    ValidationError. A radius of more than twice the distance from its
+    centre to the farthest box corner is cut to that: the disk still holds
+    the whole box, so the region is the same set, and no radius far beyond
+    the box inflates `rounding` or the terms of the solves."""
     table = np.array(disks, dtype=float).reshape(-1, 3)
+    cx, cy, r = table.T
+    if not np.all(np.abs(table[:, :2]) <= COORD_LIMIT):
+        raise ValidationError(f"disk centres must lie within {COORD_LIMIT:g} m of the origin")
+    r = np.minimum(r, 2.0 * farthest(cx, cy, box.x_min, box.x_max, box.y_min, box.y_max))
     bounds = [box.x_min, box.x_max, box.y_min, box.y_max]
-    rounding = _ROUNDING * float(np.max(np.abs(np.concatenate((bounds, table.ravel())))))
-    return DiskTable(table[:, 0], table[:, 1], table[:, 2], rounding)
+    rounding = _ROUNDING * float(np.max(np.abs(np.concatenate((bounds, cx, cy, r)))))
+    return DiskTable(cx, cy, r, rounding)
 
 
 def within(
@@ -573,28 +551,25 @@ def within(
         raise EmptyRegionError(region.empty_reason or "region is empty")
     table, box, limit = region.table, region.box, membership_slack(region, tol)
     x, y = pts[:, 0], pts[:, 1]
-    with np.errstate(over="ignore"):  # a violation beyond the double range is inf; see `_gaps`
-        viol = np.maximum(
-            np.maximum(box.x_min - x, x - box.x_max), np.maximum(box.y_min - y, y - box.y_max)
-        )
-        kept = np.flatnonzero(viol <= limit)
-        viol = viol[kept]
-        start = 0
-        while len(kept) and start < len(table.r):
-            block = slice(start, start + max(1, _BLOCK_ELEMENTS // len(kept)))
-            gap = _gaps(pts[kept, :1], pts[kept, 1:], table.cx[block], table.cy[block], table.r[block])
-            viol = np.maximum(viol, np.max(gap, axis=1))
-            inside = viol <= limit
-            kept, viol = kept[inside], viol[inside]
-            start = block.stop
+    viol = np.maximum(
+        np.maximum(box.x_min - x, x - box.x_max), np.maximum(box.y_min - y, y - box.y_max)
+    )
+    kept = np.flatnonzero(viol <= limit)
+    viol = viol[kept]
+    start = 0
+    while len(kept) and start < len(table.r):
+        block = slice(start, start + max(1, _BLOCK_ELEMENTS // len(kept)))
+        gap = _gaps(pts[kept, :1], pts[kept, 1:], table.cx[block], table.cy[block], table.r[block])
+        viol = np.maximum(viol, np.max(gap, axis=1))
+        inside = viol <= limit
+        kept, viol = kept[inside], viol[inside]
+        start = block.stop
     return kept, viol
 
 
 def _gaps(x, y, cx, cy, r) -> np.ndarray:
     """np.hypot(x - cx, y - cy) - r, broadcast: how far points lie outside
-    disks, the one gap expression of the pivots and `within`. Callers run it
-    under np.errstate(over="ignore"), so a distance too large for a double
-    is inf, an infinite violation, and no overflow warning."""
+    disks, the one gap expression of the pivots and `within`."""
     return np.hypot(x - cx, y - cy) - r
 
 

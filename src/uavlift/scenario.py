@@ -11,6 +11,30 @@ double-precision decimals, so ``load(save(s)) == s`` holds exactly, and it
 keeps the users as columns too: one array each of x, y and energy, so a
 load parses numbers and builds no per-user objects. ``load`` also reads
 the older row layout, one ``{"x", "y", "energy"}`` object per user.
+
+The input domain is declared here once, as module constants, and every
+instance is checked against it when it is built:
+
+- every box edge lies within COORD_LIMIT = 2^24 m of 0 (about 1.7e7 m, more
+  than the Earth's diameter), so every user does too; a solve's explicit
+  start is held to the same limit;
+- the box is at least MIN_SIDE = 2^-10 m wide and high;
+- z_min and z_max lie in ALTITUDE_LIMITS = [2^-10, 2^24] m;
+- the users' total energy T lies in ENERGY_LIMITS = [2^-900, 2^900] J.
+
+The paper's cases (a 250 m box at 650 m, 4500-18000 J a user) lie deep
+inside. Within the domain no kernel overflows, whatever the number of
+users: two points of the box are at most 2^25 m apart on each axis, so a
+squared distance d2 = dx^2 + dy^2 + z^2 lies in [2^-20, 2^52), d2^3 below
+2^156, and z^4 in [2^-40, 2^96]. Per user, E/d2 <= E 2^20, the gradient's
+2E r/d2^2 <= 0.65 E/z^3 <= E 2^30, every Hessian entry and curvature bound
+is at most 6E/d2^2 <= E 2^43, and an intermediate E (6 dx^2) at most E 2^53,
+so no sum over the users exceeds T 2^53. The largest product the program
+forms is a curvature bound times a squared length within the box, at most
+T 2^43 2^51 = T 2^94 <= 2^994, below the double range's 2^1024; the
+smallest quotient that must stay finite, the ascent's step 1/L = z^4/(2T),
+is at most 2^96/2^-899 = 2^995. A squared distance of a grid or solver
+point never falls below z^2 >= 2^-20, so no division is by zero.
 """
 
 from __future__ import annotations
@@ -28,6 +52,11 @@ import numpy as np
 from .errors import ParseError, ValidationError
 from .rng import SplitMix64, check_seed
 
+COORD_LIMIT = 2.0**24                     # m, the largest |box edge| and |start|
+MIN_SIDE = 2.0**-10                       # m, the least box width and height
+ALTITUDE_LIMITS = (2.0**-10, 2.0**24)     # m, z_min and z_max
+ENERGY_LIMITS = (2.0**-900, 2.0**900)     # J, the users' total energy
+
 
 def _finite(value, where: str, key: str) -> float:
     """`value` as a float, or a ValidationError naming `where.key` if it is
@@ -39,6 +68,25 @@ def _finite(value, where: str, key: str) -> float:
     if not math.isfinite(number):
         raise ValidationError(f"{where}.{key} must be finite, got {value!r}")
     return number
+
+
+def _check_in(name: str, value: float, low: float, high: float, unit: str) -> float:
+    """`value`, unless it lies outside [low, high]: a ValidationError naming
+    `name` and the domain's limits."""
+    if not low <= value <= high:
+        raise ValidationError(f"{name} must lie in [{low!r}, {high!r}] {unit}, got {value!r}")
+    return value
+
+
+def check_coordinate(value: float, name: str) -> float:
+    """`value`, if it lies within COORD_LIMIT of 0; else a ValidationError naming `name`."""
+    return _check_in(name, value, -COORD_LIMIT, COORD_LIMIT, "m")
+
+
+def check_altitude(z: float, name: str = "z") -> float:
+    """`z`, if it lies in ALTITUDE_LIMITS; else a ValidationError naming `name`.
+    The one altitude rule of boxes, objective kernels and surfaces."""
+    return _check_in(name, z, *ALTITUDE_LIMITS, "m")
 
 
 @dataclass(frozen=True)
@@ -170,7 +218,9 @@ class RfParams:
 class AreaBounds:
     """Axis-aligned deployment box: users live in the x/y rectangle and the
     aerial station is placed in it at the fixed altitude z_min. z_max is
-    validated and saved with the scenario but used by nothing."""
+    validated and saved with the scenario but used by nothing. Every edge,
+    side and altitude must lie in the input domain (see the module
+    docstring)."""
 
     x_min: float
     x_max: float
@@ -181,15 +231,20 @@ class AreaBounds:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            object.__setattr__(self, f.name, _finite(getattr(self, f.name), "bounds", f.name))
-        if not self.x_min < self.x_max:
-            raise ValidationError(f"bounds require x_min < x_max, got [{self.x_min}, {self.x_max}]")
-        if not self.y_min < self.y_max:
-            raise ValidationError(f"bounds require y_min < y_max, got [{self.y_min}, {self.y_max}]")
-        if not 0 < self.z_min <= self.z_max:
-            raise ValidationError(
-                f"bounds require 0 < z_min <= z_max, got [{self.z_min}, {self.z_max}]"
-            )
+            value = _finite(getattr(self, f.name), "bounds", f.name)
+            if f.name.startswith("z"):
+                check_altitude(value, f"bounds.{f.name}")
+            else:
+                check_coordinate(value, f"bounds.{f.name}")
+            object.__setattr__(self, f.name, value)
+        for axis in "xy":
+            low, high = getattr(self, f"{axis}_min"), getattr(self, f"{axis}_max")
+            if not high - low >= MIN_SIDE:
+                raise ValidationError(
+                    f"bounds require {axis}_max - {axis}_min >= {MIN_SIDE!r} m, got [{low}, {high}]"
+                )
+        if not self.z_min <= self.z_max:
+            raise ValidationError(f"bounds require z_min <= z_max, got [{self.z_min}, {self.z_max}]")
 
     def contains_xy(self, x: float, y: float) -> bool:
         return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
@@ -200,7 +255,7 @@ class Scenario:
     """A complete problem instance. `users` may be given as a sequence of
     :class:`UserDevice` or as :class:`UserArrays`; the scenario copies them
     into its own read-only arrays and keeps a :class:`UserView`. Each
-    energy must be finite and positive, and their sum finite. `seed`
+    energy must be finite and positive, and their sum in ENERGY_LIMITS. `seed`
     records generator provenance when the instance came from one of the
     generators below."""
 
@@ -221,10 +276,9 @@ class Scenario:
         for a in arrays:
             a.flags.writeable = False
         _check_user_values(arrays)
-        with np.errstate(over="ignore"):  # the sum every curvature bound takes
+        with np.errstate(over="ignore"):  # finite energies can sum to inf, refused below
             total = float(arrays.es.sum())
-        if not math.isfinite(total):
-            raise ValidationError(f"the users' total energy must be finite, got {total}")
+        _check_in("the users' total energy", total, *ENERGY_LIMITS, "J")
         b = self.bounds
         xs, ys, _ = arrays
         outside = ~((b.x_min <= xs) & (xs <= b.x_max) & (b.y_min <= ys) & (ys <= b.y_max))

@@ -6,19 +6,22 @@ or in `box` mode the box alone. The step starts at 1/L, where L = -lo from
 `objective.curvature_bounds` bounds the curvature of the objective
 everywhere at altitude z, concave or not. A trial step t is accepted once
 the descent lemma holds for it, f(p+) >= f(p) + g.(p+ - p) - |p+ - p|^2 / (2t),
-and halved otherwise, as is a step so long that p + t*g overflows; every
-accepted step doubles the next one (the backtracking rule of Beck &
-Teboulle, 2009, and Nesterov, 2013), except that a trial of at most 1/L,
-for which the lemma holds anyway, is accepted untested. This is the only
-step rule; it has no absolute constant, so scaling every energy by a power
-of two changes no step t*g. An accepted step never falls below 1/(2L),
-unless `step_size` starts it lower. The ascent stops when a step of at
-least 1/(2L) moves the iterate less than the tolerance eps, a
-stationarity test on the projected gradient: it bounds |P(p + t*g) - p| / t
-by eps/t <= 2L*eps. That threshold grows as z^-4, so at a low altitude the
-ascent can stop after one short step far from the optimum. A step shorter
-than 1/(2L), as a small `step_size` takes while it doubles, proves nothing
-and never stops the ascent.
+and halved otherwise; every accepted step doubles the next one (the
+backtracking rule of Beck & Teboulle, 2009, and Nesterov, 2013), except
+that a trial of at most 1/L, for which the lemma holds anyway, is accepted
+untested. This is the only step rule; it has no absolute constant, so
+scaling every energy by a power of two changes no step t*g. A step whose
+trial would reach more than TRIAL_DIAGONALS box diagonals D from p is cut
+to reach that far, the one far point the ascent makes, so every trial lies
+within `region.REACH`. Each user adds at most 2E D/z^4 to |g|, so
+|g| <= L D and a cut step is still at least 2^10/L. An accepted step never
+falls below 1/(2L), unless `step_size` starts it lower. The ascent stops
+when a step of at least 1/(2L) moves the iterate less than the tolerance
+eps, a stationarity test on the projected gradient: it bounds
+|P(p + t*g) - p| / t by eps/t <= 2L*eps. That threshold grows as z^-4, so
+at a low altitude the ascent can stop after one short step far from the
+optimum. A step shorter than 1/(2L), as a small `step_size` takes while it
+doubles, proves nothing and never stops the ascent.
 
 The same bounds over the box, `objective.box_curvature_bounds`, decide
 concavity once. Where mu = -hi > 0 the objective is strongly concave on
@@ -43,22 +46,22 @@ import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import region as region_mod
 from .channel import SPEED_OF_LIGHT, system_constant
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .objective import (
     ConcavityCertificate,
     box_curvature_bounds,
     concavity_certificate,
     gradient,
-    metres,
     user_arrays,
     value,
 )
 from .rng import SplitMix64, check_seed
-from .scenario import Scenario
+from .scenario import Scenario, check_coordinate
+
+# A trial p + t*g reaches at most this many box diagonals from p.
+TRIAL_DIAGONALS = 2**10
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,8 @@ class SolverConfig:
     The step halves until the descent lemma holds or the step is at most
     1/L, and doubles after every accepted step. tolerance is the movement
     in metres below which a step of at least 1/(2L) stops the ascent.
-    `init` is "centroid", "random", or an explicit (x, y).
+    `init` is "centroid", "random", or an explicit (x, y) within the input
+    domain's COORD_LIMIT (see `scenario`).
     """
 
     step_size: float | None = None
@@ -92,9 +96,7 @@ class SolverConfig:
             if self.init not in ("centroid", "random"):
                 raise ValidationError(f"init must be 'centroid', 'random' or (x, y), got {self.init!r}")
         else:
-            init = (float(self.init[0]), float(self.init[1]))
-            if not all(map(math.isfinite, init)):
-                raise ValidationError(f"init coordinates must be finite, got {init}")
+            init = tuple(check_coordinate(float(v), f"init.{axis}") for v, axis in zip(self.init, "xy"))
             object.__setattr__(self, "init", init)
 
 
@@ -141,33 +143,23 @@ def solve(
 ) -> SolveReport:
     """Run projected gradient ascent and report the trajectory.
 
-    The objective is non-decreasing along the trajectory. A z_min so small
-    that L overflows is a ValidationError: no step is safe. So is an L so
-    small, from a z_min so large or energies so small, that 1/L is not
-    finite, and a system constant so small that the lifetime overflows.
+    The objective is non-decreasing along the trajectory. Within the input
+    domain (see `scenario`) L and 1/L are finite and positive; a system
+    constant so small that the lifetime overflows is a ValidationError.
     """
     config = config or SolverConfig()
     users = user_arrays(scenario.users)  # built once for the whole ascent
-    z = scenario.bounds.z_min
-    cert = concavity_certificate(scenario.bounds)
-    lo, hi = box_curvature_bounds(users, z, scenario.bounds)
+    b = scenario.bounds
+    z = b.z_min
+    cert = concavity_certificate(b)
+    lo, hi = box_curvature_bounds(users, z, b)
     lipschitz, mu = -lo, -hi
-    if not math.isfinite(lipschitz):
-        raise ValidationError(
-            f"z_min = {z:g} m is too small: the curvature bound 2*sum(E)/z_min^4 "
-            "is not finite, so no step size is safe"
-        )
-    safe_step = 1.0 / lipschitz if lipschitz > 0 else math.inf  # the lemma holds up to 1/L
-    if not math.isfinite(safe_step):
-        raise ValidationError(
-            f"z_min = {z:g} m is too large for the energies: the curvature bound "
-            f"2*sum(E)/z_min^4 rounds to {lipschitz:g}, so the step 1/L is not finite"
-        )
+    safe_step = 1.0 / lipschitz  # the lemma holds up to 1/L
     k = system_constant(scenario.rf, len(scenario.users), c)
     if not mu > 0:
         warnings.warn(
             f"objective may be non-concave: z_min = {cert.z_min:g} m does not exceed "
-            f"sqrt(3)*d_max = {metres(cert.threshold)} m; the ascent finds a local optimum",
+            f"sqrt(3)*d_max = {cert.threshold:.2f} m; the ascent finds a local optimum",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -186,54 +178,62 @@ def solve(
             infeasible=feas.empty_reason,
         )
 
-    # A squared distance that overflows is an infinite distance, whose term
-    # and gradient are 0: no warning, which -W error would make exit 4.
-    with np.errstate(over="ignore"):
-        p = region_mod.project(feas, _initial_point(scenario, config))
-        f_p = value(users, z, p)
-        trajectory = [(p[0], p[1], f_p)]
-        g = gradient(users, z, p)
+    # every point of the widened sets lies within `diameter` of every other
+    diameter = math.hypot(b.x_max - b.x_min + 2.0 * feas.slack, b.y_max - b.y_min + 2.0 * feas.slack)
+    reach = TRIAL_DIAGONALS * diameter
+    p = region_mod.project(feas, _initial_point(scenario, config))
+    f_p = value(users, z, p)
+    trajectory = [(p[0], p[1], f_p)]
+    g = gradient(users, z, p)
 
-        converged = False
-        iterations = 0
-        step = config.step_size if config.step_size is not None else safe_step
-        for _n in range(config.max_iters):
-            if not (math.isfinite(g[0]) and math.isfinite(g[1])):
-                raise NumericalError(f"gradient is not finite at {p}")
-            while True:
-                ahead = (p[0] + step * g[0], p[1] + step * g[1])
-                # a step so long that p + step*g overflows fails the test like any other
-                if math.isfinite(ahead[0]) and math.isfinite(ahead[1]):
-                    trial = region_mod.project(feas, ahead)
-                    f_trial = value(users, z, trial)
-                    dx, dy = trial[0] - p[0], trial[1] - p[1]
-                    if step <= safe_step or (
-                        f_trial >= f_p + g[0] * dx + g[1] * dy - (dx * dx + dy * dy) / (2.0 * step)
-                    ):
-                        break
-                step *= 0.5
-            p, f_p = trial, f_trial
-            iterations += 1
-            trajectory.append((p[0], p[1], f_p))
-            g = gradient(users, z, p)
-            # a short move is a stationarity test only after a step of at least
-            # 1/(2L): one from a small `step_size` stops nothing
-            if math.hypot(dx, dy) < config.tolerance and step >= 0.5 * safe_step:
-                converged = True
+    converged = False
+    iterations = 0
+    step = config.step_size if config.step_size is not None else safe_step
+    for _n in range(config.max_iters):
+        norm = math.hypot(*g)
+        if step * norm > reach:
+            step = reach / norm
+        while True:
+            trial = region_mod.project(feas, (p[0] + step * g[0], p[1] + step * g[1]))
+            f_trial = value(users, z, trial)
+            dx, dy = trial[0] - p[0], trial[1] - p[1]
+            if step <= safe_step or (
+                f_trial >= f_p + g[0] * dx + g[1] * dy - (dx * dx + dy * dy) / (2.0 * step)
+            ):
                 break
-            step = min(2.0 * step, sys.float_info.max)  # finite, so halving can shorten it
+            step *= 0.5
+        p, f_p = trial, f_trial
+        iterations += 1
+        trajectory.append((p[0], p[1], f_p))
+        g = gradient(users, z, p)
+        # a short move is a stationarity test only after a step of at least
+        # 1/(2L): one from a small `step_size` stops nothing
+        if math.hypot(dx, dy) < config.tolerance and step >= 0.5 * safe_step:
+            converged = True
+            break
+        step = min(2.0 * step, sys.float_info.max)  # finite, so a step * norm is never NaN
 
-        gap_bound = projected_gradient = None
-        if mu > 0:
-            # f(p + s) <= f(p) + g.s - mu/2 |s|^2 on the box, so over the
-            # feasible set f* - f(p) is at most that model's maximum, taken at
-            # s = P(p + g/mu) - p.
-            y = region_mod.project(feas, (p[0] + g[0] / mu, p[1] + g[1] / mu))
-            sx, sy = y[0] - p[0], y[1] - p[1]
-            gap_bound = max(0.0, g[0] * sx + g[1] * sy - 0.5 * mu * (sx * sx + sy * sy))
+    gap_bound = projected_gradient = None
+    if mu > 0:
+        # f(p + s) <= f(p) + g.s - mu/2 |s|^2 on the box, so over the
+        # feasible set f* - f(p) is at most that model's maximum, taken at
+        # s = P(p + g/mu) - p. Where g/mu reaches beyond `reach`, s is
+        # P(p + t*g) - p for t = reach/|g| < 1/mu instead; the projection's
+        # optimality condition then bounds the maximum by the model at s plus
+        # (1/t - mu) |s| diameter.
+        norm = math.hypot(*g)
+        if norm <= mu * reach:
+            y, excess = region_mod.project(feas, (p[0] + g[0] / mu, p[1] + g[1] / mu)), 0.0
         else:
-            y = region_mod.project(feas, (p[0] + g[0] / lipschitz, p[1] + g[1] / lipschitz))
-            projected_gradient = lipschitz * math.hypot(y[0] - p[0], y[1] - p[1])
+            t = reach / norm
+            y = region_mod.project(feas, (p[0] + t * g[0], p[1] + t * g[1]))
+            excess = (norm / reach - mu) * math.hypot(y[0] - p[0], y[1] - p[1]) * diameter
+        sx, sy = y[0] - p[0], y[1] - p[1]
+        gap_bound = max(0.0, g[0] * sx + g[1] * sy - 0.5 * mu * (sx * sx + sy * sy) + excess)
+    else:
+        # |g| <= L diameter, so p + g/L lies within `region.REACH`
+        y = region_mod.project(feas, (p[0] + g[0] / lipschitz, p[1] + g[1] / lipschitz))
+        projected_gradient = lipschitz * math.hypot(y[0] - p[0], y[1] - p[1])
 
     lifetime_seconds = f_p / k
     if not math.isfinite(lifetime_seconds):

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import ValidationError
 from .objective import user_arrays
 from .oracle import GridSpec, grid_values
-from .scenario import UserDevice
+from .scenario import UserDevice, check_altitude
 
 # Low / mid / high stops of a perceptually ordered colormap.
 _STOPS = ((68, 1, 84), (33, 145, 140), (253, 231, 37))
@@ -22,7 +22,9 @@ PLOT_PX = 560
 def surface_grid(
     users: Sequence[UserDevice], z: float, grid: GridSpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Objective values over the grid; result[ix, iy] pairs with (xs[ix], ys[iy])."""
+    """Objective values over the grid; result[ix, iy] pairs with (xs[ix], ys[iy]).
+    An altitude outside the input domain is refused before any node is evaluated."""
+    check_altitude(z)
     xs_u, ys_u, es = user_arrays(users)
     gxs = grid.xs()
     gys = grid.ys()

@@ -10,7 +10,25 @@ from region_layouts import random_region, unit_scenario
 
 from uavlift import cases
 from uavlift.cli import _build_parser, main
-from uavlift.scenario import DEFAULT_RF, AreaBounds, RfParams, Scenario, UserDevice, load, save
+from uavlift.region import build, contains
+from uavlift.scenario import (
+    ALTITUDE_LIMITS,
+    COORD_LIMIT,
+    DEFAULT_RF,
+    ENERGY_LIMITS,
+    MIN_SIDE,
+    AreaBounds,
+    RfParams,
+    Scenario,
+    UserArrays,
+    UserDevice,
+    generate_uniform,
+    load,
+    save,
+    scenario_to_dict,
+)
+
+TOTAL_ENERGY = f"[{ENERGY_LIMITS[0]!r}, {ENERGY_LIMITS[1]!r}]"
 
 
 @pytest.fixture()
@@ -411,75 +429,105 @@ def test_largest_seed_still_works(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.fixture(params=["1e-100", "1e-80"])
-def tiny_altitude_file(request, tmp_path):
-    # z_min^4 underflows to 0 at 1e-100; at 1e-80 it is subnormal and
-    # 2*sum(E)/z_min^4 overflows. Either way the curvature bound is infinite.
-    path = tmp_path / "tiny.json"
-    argv = ["generate", "--count", "200", "--seed", "9", "--z-min", request.param, "--out", str(path)]
-    assert main(argv) == 0
+LOWEST, HIGHEST = (repr(z) for z in ALTITUDE_LIMITS)
+
+
+def refused(argv, capsys, field, tmp_path) -> None:
+    """`argv` exits 2 with one error line naming `field`, under warnings as
+    errors, and writes no file in `tmp_path` that was not there."""
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2, argv
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {field}") and err.count("\n") == 1, err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def out_of_domain_file(path, z_min=None, energy=None, area=None):
+    """`generate --count 200 --seed 9` with its altitude, energies or box
+    changed in the file, past the checks `generate` makes."""
+    doc = scenario_to_dict(generate_uniform(200, cases.BOUNDS, *cases.ENERGY, seed=9))
+    if z_min is not None:
+        doc["bounds"]["z_min"] = doc["bounds"]["z_max"] = z_min
+    if energy is not None:
+        doc["users"]["energy"] = [energy] * 200
+    if area is not None:
+        doc["bounds"]["x_max"] = doc["bounds"]["y_max"] = area
+    path.write_text(json.dumps(doc))
     return path
+
+
+def exhaustive(path, spacing) -> str:
+    """The answer line `grid` prints, up to the evaluated count, from a scan
+    of every node."""
+    from uavlift.oracle import GridSpec, grid_values
+
+    s = load(path)
+    grid = GridSpec(spacing=spacing, bounds=s.bounds)
+    gxs, gys = grid.xs(), grid.ys()
+    totals = grid_values(*s.users.arrays, s.bounds.z_min, gxs, gys).ravel()
+    j = int(np.argmax(totals))
+    return f"best ({gxs[j // len(gys)]:g}, {gys[j % len(gys)]:g}) value {totals[j]:.6f} J/m^2 ("
+
+
+@pytest.fixture(params=["1e-100", "1e-80"])
+def tiny_altitude_file(request, tmp_path, capsys):
+    # z_min^4 underflows at 1e-100 m, and 2*sum(E)/z_min^4 overflows at
+    # 1e-80 m: both lie below the input domain, so `generate` refuses them.
+    # The fixture gives the file at the domain's lowest altitude, 2^-10 m.
+    argv = ["generate", "--count", "200", "--seed", "9", "--out", str(tmp_path / "tiny.json")]
+    refused([*argv, "--z-min", request.param], capsys, "bounds.z_min must lie in", tmp_path)
+    assert main([*argv, "--z-min", LOWEST]) == 0
+    capsys.readouterr()
+    return tmp_path / "tiny.json", request.param
 
 
 class TestTinyAltitude:
     @pytest.mark.parametrize("mode", ["box", "region"])
-    def test_solve_is_an_input_error_naming_z_min(self, tiny_altitude_file, capsys, mode):
-        capsys.readouterr()
-        assert main(["solve", str(tiny_altitude_file), "--mode", mode]) == 2
+    def test_solve_is_an_input_error_naming_z_min(self, tiny_altitude_file, tmp_path, capsys, mode):
+        # a file at the tiny altitude is refused; at the lowest one the ascent runs
+        path, z_min = tiny_altitude_file
+        below = out_of_domain_file(tmp_path / "below.json", z_min=float(z_min))
+        refused(["solve", str(below), "--mode", mode], capsys, "bounds.z_min must lie in", tmp_path)
+        assert main(["solve", str(path), "--mode", mode]) == 0
         err = capsys.readouterr().err
-        assert "z_min" in err and "Traceback" not in err
+        assert err.startswith("warning: objective may be non-concave") and "Traceback" not in err
 
-    def test_solve_warns_nothing_before_the_error(self, tiny_altitude_file, capsys):
-        # the box curvature bound overflows with L, silently
-        capsys.readouterr()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["solve", str(tiny_altitude_file), "--mode", "box"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: z_min = ") and err.count("\n") == 1
+    def test_solve_warns_nothing_before_the_error(self, tiny_altitude_file, tmp_path, capsys):
+        path, z_min = tiny_altitude_file
+        below = out_of_domain_file(tmp_path / "below.json", z_min=float(z_min))
+        refused(["solve", str(below), "--mode", "box"], capsys, "bounds.z_min must lie in", tmp_path)
 
     def test_grid_prunes_nothing_and_warns_nothing(self, tiny_altitude_file, capsys):
-        from uavlift.oracle import GridSpec, grid_values
-
-        capsys.readouterr()
+        # at the lowest altitude the grid warns nothing and its answer is the exhaustive scan's
+        path, _ = tiny_altitude_file
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["grid", str(tiny_altitude_file), "--spacing", "5"]) == 0
+            assert main(["grid", str(path), "--spacing", "5"]) == 0
         out, err = capsys.readouterr()
         assert err == ""
-        # every node is evaluated, and the answer is the exhaustive scan's
-        s = load(tiny_altitude_file)
-        grid = GridSpec(spacing=5.0, bounds=s.bounds)
-        gxs, gys = grid.xs(), grid.ys()
-        totals = grid_values(*s.users.arrays, s.bounds.z_min, gxs, gys).ravel()
-        j = int(np.argmax(totals))
-        best = f"best ({gxs[j // len(gys)]:g}, {gys[j % len(gys)]:g}) value {totals[j]:.6f} J/m^2"
-        assert out == f"{best} ({len(gxs) * len(gys)} nodes evaluated)\n"
+        assert out.startswith(exhaustive(path, 5.0))
 
 
 @pytest.mark.parametrize("z_min", ["1e-76", "1e-75"])
 def test_grid_whose_bound_overflows_warns_nothing(tmp_path, capsys, z_min):
     # One user: at 1e-76 m the old global cap sum(E)/(2 z_min^4) was finite
-    # but its product with a tile's squared reach overflowed, a warning that
-    # -W error turned into exit 4; at 1e-75 m the box-wide cap is finite and
-    # a tile's bound or own cap still overflows. An infinite bound keeps its
-    # tile, so the answer is the exhaustive scan's.
-    from uavlift.oracle import GridSpec, grid_values
-
+    # but its product with a tile's squared reach overflowed. Both altitudes
+    # lie below the input domain; at its lowest, 2^-10 m, every bound is
+    # finite, no warning is raised, and the answer is the exhaustive scan's.
     path = tmp_path / "g.json"
-    assert main(["generate", "--count", "1", "--seed", "1", "--z-min", z_min, "--out", str(path)]) == 0
+    argv = ["generate", "--count", "1", "--seed", "1", "--out", str(path)]
+    refused([*argv, "--z-min", z_min], capsys, "bounds.z_min must lie in", tmp_path)
+    assert main([*argv, "--z-min", LOWEST]) == 0
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["grid", str(path), "--spacing", "5"]) == 0
     out, err = capsys.readouterr()
     assert err == ""
-    s = load(path)
-    grid = GridSpec(spacing=5.0, bounds=s.bounds)
-    gxs, gys = grid.xs(), grid.ys()
-    totals = grid_values(*s.users.arrays, s.bounds.z_min, gxs, gys).ravel()
-    j = int(np.argmax(totals))
-    assert out.startswith(f"best ({gxs[j // len(gys)]:g}, {gys[j % len(gys)]:g}) value {totals[j]:.6f} J/m^2 (")
+    assert out.startswith(exhaustive(path, 5.0))
 
 
 @pytest.fixture(params=[
@@ -487,44 +535,53 @@ def test_grid_whose_bound_overflows_warns_nothing(tmp_path, capsys, z_min):
     ["--count", "200", "--seed", "9", "--z-min", "1e160"],
     ["--count", "2", "--seed", "9", "--z-min", "1e10", "--energy-low", "1e-310", "--energy-high", "1e-310"],
 ], ids=["1e80", "1e160", "E=1e-310"])
-def huge_altitude_file(request, tmp_path):
-    # 2*sum(E)/z_min^4 rounds to 0: z_min^4 overflows at 1e80 (and z_min^2 at
-    # 1e160), and at 1e10 the subnormal energies leave nothing of it
+def huge_altitude_file(request, tmp_path, capsys):
+    # 2*sum(E)/z_min^4 rounded to 0 at these altitudes and energies, which lie
+    # beyond the input domain, so `generate` refuses them. The fixture gives
+    # the file at the domain's highest altitude, 2^24 m, and for the
+    # subnormal energies also at its least total energy, 2^-900 J.
     path = tmp_path / "huge.json"
-    assert main(["generate", *request.param, "--out", str(path)]) == 0
-    return path
+    refused(["generate", *request.param, "--out", str(path)], capsys, "bounds.z_min must lie in", tmp_path)
+    argv = [a if a not in ("1e80", "1e160", "1e10") else HIGHEST for a in request.param]
+    argv = [a if a != "1e-310" else repr(ENERGY_LIMITS[0] / 2) for a in argv]
+    assert main(["generate", *argv, "--out", str(path)]) == 0
+    capsys.readouterr()
+    return path, request.param
 
 
 class TestHugeAltitude:
     @pytest.mark.parametrize("mode", ["box", "region"])
-    def test_solve_is_an_input_error_naming_z_min(self, huge_altitude_file, capsys, mode):
-        capsys.readouterr()
-        assert main(["solve", str(huge_altitude_file), "--mode", mode]) == 2
-        err = capsys.readouterr().err
-        assert "z_min" in err and "rounds to 0" in err and "Traceback" not in err
-
-    def test_grid_prunes_with_a_zero_cap_and_warns_nothing(self, huge_altitude_file, capsys):
-        from uavlift.oracle import GridSpec, grid_values
-
-        capsys.readouterr()
+    def test_solve_is_an_input_error_naming_z_min(self, huge_altitude_file, tmp_path, capsys, mode):
+        # a file at the huge altitude is refused; at the highest one no range
+        # reaches the station, and box mode converges
+        path, argv = huge_altitude_file
+        above = out_of_domain_file(tmp_path / "above.json", z_min=float(argv[argv.index("--z-min") + 1]))
+        refused(["solve", str(above), "--mode", mode], capsys, "bounds.z_min must lie in", tmp_path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["grid", str(huge_altitude_file), "--spacing", "5"]) == 0
+            rc = main(["solve", str(path), "--mode", mode])
         out, err = capsys.readouterr()
         assert err == ""
-        # the answer is the exhaustive scan's
-        s = load(huge_altitude_file)
-        grid = GridSpec(spacing=5.0, bounds=s.bounds)
-        gxs, gys = grid.xs(), grid.ys()
-        totals = grid_values(*s.users.arrays, s.bounds.z_min, gxs, gys).ravel()
-        j = int(np.argmax(totals))
-        assert out.startswith(f"best ({gxs[j // len(gys)]:g}, {gys[j % len(gys)]:g}) value {totals[j]:.6f} J/m^2 (")
+        if mode == "box":
+            assert rc == 0 and "converged true" in out
+        else:
+            assert rc == 3 and out.startswith("infeasible: ")
+            assert "constraint unsatisfiable at altitude 1.67772e+07 m" in out
 
-    def test_check_prints_no_radius_and_exits_3(self, huge_altitude_file, capsys):
-        capsys.readouterr()
+    def test_grid_prunes_with_a_zero_cap_and_warns_nothing(self, huge_altitude_file, capsys):
+        path, _ = huge_altitude_file
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["check", str(huge_altitude_file)]) == 3
+            assert main(["grid", str(path), "--spacing", "5"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.startswith(exhaustive(path, 5.0))
+
+    def test_check_prints_no_radius_and_exits_3(self, huge_altitude_file, capsys):
+        path, _ = huge_altitude_file
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", str(path)]) == 3
         out, err = capsys.readouterr()
         assert err == ""
         rows = out.splitlines()[1:-2]
@@ -533,60 +590,73 @@ class TestHugeAltitude:
 
 
 def test_solve_on_a_box_too_wide_for_its_corner_distances_warns_nothing(tmp_path, capsys):
-    # On a 1e200 m box each user's distance to its farthest corner overflows:
-    # an infinite reach, whose curvature term is 0. At z_min = 1e201 m the
-    # bound then rounds to 0, an input error, with no overflow warning that
-    # -W error would turn into exit 4.
+    # A 1e200 m box, whose corner distances overflow, lies beyond the input
+    # domain: `generate` and every command refuse it with one error line,
+    # also under -W error. On the domain's widest box, 2^24 m a side, at its
+    # highest altitude, box mode solves with no warning but the model's own
+    # (the objective there is so flat that 100 steps do not converge).
     path = tmp_path / "wide.json"
-    argv = ["generate", "--count", "200", "--seed", "9", "--area", "1e200x1e200",
-            "--z-min", "1e201", "--out", str(path)]
-    assert main(argv) == 0
+    argv = ["generate", "--count", "200", "--seed", "9", "--out", str(path)]
+    refused([*argv, "--area", "1e200x1e200", "--z-min", "1e201"], capsys, "bounds.x_max must lie in", tmp_path)
+    wide = out_of_domain_file(tmp_path / "w200.json", area=1e200)
+    for command in (["solve", "--mode", "box"], ["check"], ["grid"], ["surface", "--out", "w.csv"]):
+        refused([command[0], str(wide), *command[1:]], capsys, "bounds.x_max must lie in", tmp_path)
+    assert main([*argv, "--area", "16777216x16777216", "--z-min", HIGHEST]) == 0
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["solve", str(path), "--mode", "box"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: z_min = 1e+201 m is too large for the energies") and err.count("\n") == 1
+        warnings.filterwarnings("ignore", "objective may be non-concave")
+        assert main(["solve", str(path), "--mode", "box"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("placement (")
 
 
 def test_check_prints_a_wide_box_in_six_digits(tmp_path, capsys):
-    # two decimals of a 1e200 m length would be 200 digits, more than a double holds
+    # the widest box of the input domain prints its lengths with two
+    # decimals, eight digits before the point; a 1e200 m box, whose would be
+    # 200, is refused
     path = tmp_path / "wide.json"
-    argv = ["generate", "--count", "200", "--seed", "9", "--area", "1e200x1e200",
-            "--z-min", "1e201", "--out", str(path)]
-    assert main(argv) == 0
+    argv = ["generate", "--count", "200", "--seed", "9", "--out", str(path)]
+    refused([*argv, "--area", "1e200x1e200", "--z-min", "1e201"], capsys, "bounds.x_max must lie in", tmp_path)
+    assert main([*argv, "--area", "16777216x16777216", "--z-min", HIGHEST]) == 0
     capsys.readouterr()
     assert main(["check", str(path)]) == 3
-    assert ("concavity certificate: z_min 1e+201 m vs sqrt(3)*d_max 2.44949e+200 m "
-            "(d_max 1.41421e+200 m): holds\n") in capsys.readouterr().out
+    assert ("concavity certificate: z_min 1.67772e+07 m vs sqrt(3)*d_max 41095618.50 m "
+            "(d_max 23726566.41 m): fails\n") in capsys.readouterr().out
 
 
 def test_solve_on_a_box_too_wide_for_its_squared_distances_warns_once(tmp_path, capsys):
-    # On a 1e80 m box a squared distance to a user, or its square in the
-    # gradient, overflows: an infinite distance, whose term is 0. The one line
-    # on stderr is the non-concavity warning, and the placement and threshold
-    # print in six digits.
+    # A 1e80 m box, whose squared distances overflow, lies beyond the input
+    # domain. On its widest box at z = 1 m the one line on stderr is the
+    # non-concavity warning, and the placement and threshold print with two
+    # decimals.
     path = tmp_path / "w.json"
-    argv = ["generate", "--count", "5", "--seed", "1", "--area", "1e80x1e80",
-            "--z-min", "1", "--out", str(path)]
-    assert main(argv) == 0
+    argv = ["generate", "--count", "5", "--seed", "1", "--z-min", "1", "--out", str(path)]
+    refused([*argv, "--area", "1e80x1e80"], capsys, "bounds.x_max must lie in", tmp_path)
+    assert main([*argv, "--area", "16777216x16777216"]) == 0
     capsys.readouterr()
     assert main(["solve", str(path), "--mode", "box"]) == 0
     captured = capsys.readouterr()
     assert captured.err == (
         "warning: objective may be non-concave: z_min = 1 m does not exceed "
-        "sqrt(3)*d_max = 2.44949e+80 m; the ascent finds a local optimum\n"
+        "sqrt(3)*d_max = 41095618.50 m; the ascent finds a local optimum\n"
     )
-    assert captured.out.startswith("placement (5e+79, 5e+79, 1) m | ")
+    assert captured.out.startswith("placement (8388608.00, 8388608.00, 1) m | ")
 
 
 @pytest.fixture()
-def node_file(tmp_path):
-    # one user exactly on grid node (0, 0) at z = 1e-160 m: E / z^2 overflows there
+def node_file(tmp_path, capsys):
+    # one user exactly on grid node (0, 0) at z = 1e-160 m, where E / z^2
+    # overflowed: below the input domain, so `generate` refuses it, and the
+    # fixture writes the file by hand
     path = tmp_path / "node.json"
-    argv = ["generate", "--clusters", "0,0,0,1,4500,4500", "--seed", "1",
-            "--z-min", "1e-160", "--out", str(path)]
-    assert main(argv) == 0
+    argv = ["generate", "--clusters", "0,0,0,1,4500,4500", "--seed", "1", "--out", str(path)]
+    refused([*argv, "--z-min", "1e-160"], capsys, "bounds.z_min must lie in", tmp_path)
+    assert main([*argv, "--z-min", "1"]) == 0
+    capsys.readouterr()
+    doc = json.loads(path.read_text())
+    doc["bounds"]["z_min"] = doc["bounds"]["z_max"] = 1e-160
+    path.write_text(json.dumps(doc))
     return path
 
 
@@ -596,17 +666,16 @@ def node_file(tmp_path):
     ["grid", "--spacing", "5"],
 ], ids=["surface-svg", "surface-csv", "grid"])
 def test_overflowing_objective_is_input_error(node_file, tmp_path, capsys, monkeypatch, argv):
+    # the file is refused, and so is an altitude override as low, before any
+    # grid node is evaluated
     monkeypatch.chdir(tmp_path)
-    capsys.readouterr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main([argv[0], str(node_file), *argv[1:]]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == (
-        "error: the objective overflows at z = 1e-160 m: a grid node is too close to a user; "
-        "use a higher altitude\n"
-    )
+    refused([argv[0], str(node_file), *argv[1:]], capsys, "bounds.z_min must lie in", tmp_path)
+    if argv[0] == "surface":
+        doc = json.loads(node_file.read_text())
+        doc["bounds"]["z_min"] = doc["bounds"]["z_max"] = 1.0
+        node_file.write_text(json.dumps(doc))
+        refused([argv[0], str(node_file), "--z", "1e-160", *argv[1:]], capsys,
+                "z must lie in [0.0009765625, 16777216.0] m, got 1e-160", tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["node.json"]
 
 
@@ -631,18 +700,21 @@ def test_overflowing_total_energy_is_input_error(tmp_path, capsys, monkeypatch, 
         if warnings_as_errors:
             warnings.simplefilter("error")
         assert main(argv) == 2
-    assert capsys.readouterr() == ("", "error: the users' total energy must be finite, got inf\n")
+    assert capsys.readouterr() == ("", f"error: the users' total energy must lie in {TOTAL_ENERGY} J, got inf\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["e.json"]
 
 
 @pytest.mark.parametrize("warnings_as_errors", [False, True], ids=["warn", "W-error"])
 def test_largest_double_energy_solves(tmp_path, capsys, warnings_as_errors):
-    # one user of 1.7e308 J: L = 2E/z^4 is about 1.9e-3 although 2E overflows,
-    # and the noise keeps the lifetime finite
+    # one user of 1.7e308 J lies beyond the input domain's total energy, and
+    # `generate` refuses it; one of 2^900 J, its ceiling, solves with no
+    # warning, and the noise keeps the lifetime finite
     path = tmp_path / "e.json"
-    argv = ["generate", "--count", "1", "--seed", "1", "--energy-low", "1.7e308",
-            "--energy-high", "1.7e308", "--noise", "1e-3", "--out", str(path)]
-    assert main(argv) == 0
+    argv = ["generate", "--count", "1", "--seed", "1", "--noise", "1e-3", "--out", str(path)]
+    refused([*argv, "--energy-low", "1.7e308", "--energy-high", "1.7e308"], capsys,
+            "the users' total energy must lie in", tmp_path)
+    top = repr(ENERGY_LIMITS[1])
+    assert main([*argv, "--energy-low", top, "--energy-high", top]) == 0
     capsys.readouterr()
     with warnings.catch_warnings():
         if warnings_as_errors:
@@ -653,39 +725,51 @@ def test_largest_double_energy_solves(tmp_path, capsys, warnings_as_errors):
     assert "converged true" in out
 
 
-def test_start_beyond_the_double_range_solves_like_a_far_one(tmp_path, capsys):
-    # Three unit-K users whose 8 m disks at z = 30 m cut a 10 m box, where the
-    # certificate holds. From (1.7e308, 1.7e308) every distance to a user
-    # overflows: the solve warns nothing, also under -W error, and ends where
-    # the start 1e300 m out does.
-    path = tmp_path / "c.json"
+def three_disk_file(path):
+    # Three unit-K users whose 8 m disks at z = 30 m cut a 10 m box, where
+    # the certificate holds.
     rf = RfParams(rate=1.0, bandwidth=3.0, noise=1.0, frequency=299792458 / (4 * math.pi),
                   p_max=1e6, tau_th=1.0)
     users = tuple(UserDevice(x, y, 30.0**2 + 8.0**2) for x, y in ((3, 3), (7, 4), (5, 8)))
     save(Scenario(users=users, rf=rf, bounds=AreaBounds(0, 10, 0, 10, 30, 30)), path)
-    answers = []
+    return path
+
+
+def test_start_beyond_the_double_range_solves_like_a_far_one(tmp_path, capsys):
+    # Starts 1e300 and 1.7e308 m out lie beyond the input domain: one error
+    # line naming the coordinate, and no report written. From the domain's
+    # edge, 2^24 m out on each axis, the solve warns nothing, also under
+    # -W error, and ends where the centroid start does.
+    path = three_disk_file(tmp_path / "c.json")
+    report = tmp_path / "r.json"
     for init in ("1e300,1e300", "1.7e308,1.7e308"):
-        report = tmp_path / f"{init}.json"
+        refused(["solve", str(path), "--mode", "region", "--init", init, "--report", str(report)], capsys,
+                "init.x must lie in [-16777216.0, 16777216.0] m", tmp_path)
+    answers = []
+    for init in ("16777216,16777216", "centroid"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # as under python -W error
             assert main(["solve", str(path), "--mode", "region", "--init", init, "--report", str(report)]) == 0
         out, err = capsys.readouterr()
-        assert err == ""
-        answers.append((out, json.loads(report.read_text())["placement"]))
-    assert answers[1] == answers[0]
-    assert "converged true" in answers[0][0]
+        assert err == "" and "converged true" in out
+        answers.append(json.loads(report.read_text())["placement"])
+    assert math.dist(answers[0], answers[1]) < 1e-3
+    assert contains(build(load(path)), answers[0][:2])
 
 
 def test_far_starts_solve_like_starts_1e9_m_out(tmp_path, capsys):
     # The 12 disks of random_region(7, 12) as unit-K users at z = 1 m. From
-    # (1e17, 1e17) every candidate's distance to the start was one double, so
-    # the first projection cycled to its pivot cap (exit 4); from 1e300 m out
-    # the nearest candidate could be taken on the wrong side of the box.
+    # (1e17, 1e17) every candidate's distance to the start was one double,
+    # and the first projection cycled to its pivot cap (exit 4). Starts 1e9 m
+    # out and more lie beyond the input domain and are refused; starts at its
+    # edge end where starts 1e6 m out on the same ray do.
     table = random_region(7, 12).table
     users = [UserDevice(x, y, r * r + 1.0) for x, y, r in zip(*(a.tolist() for a in table[:3]))]
     path = tmp_path / "k12.json"
     save(unit_scenario(users, AreaBounds(0, 10, 0, 10, 1, 1), p_max=1e6), path)
-    for far, near in (("1e17,1e17", "1e9,1e9"), ("-1e300,1e300", "-1e9,1e9")):
+    for far in ("1e17,1e17", "1e9,1e9", "-1e300,1e300", "-1e9,1e9"):
+        refused(["solve", str(path), "--mode", "region", f"--init={far}"], capsys, "init.", tmp_path)
+    for far, near in (("16777216,16777216", "1e6,1e6"), ("-16777216,16777216", "-1e6,1e6")):
         outs = []
         for init in (far, near):
             assert main(["solve", str(path), "--mode", "region", f"--init={init}"]) == 0, init
@@ -694,6 +778,80 @@ def test_far_starts_solve_like_starts_1e9_m_out(tmp_path, capsys):
         assert "converged true" in outs[0]
 
 
+def test_a_range_far_beyond_the_box_keeps_region_solves_in_the_box(tmp_path, capsys):
+    # p_max = 1e200 W and tau_th = 1e-100 s give disks of 1e57 m: region mode
+    # once counted (1e5, 1e5) as a member, as membership allowed 1e-12 of the
+    # largest radius, and answered there; it lands where box mode does
+    path = tmp_path / "far.json"
+    argv = ["generate", "--count", "5", "--seed", "1", "--p-max", "1e200", "--tau-th", "1e-100", "--out", str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    outs = []
+    for mode in ("region", "box"):
+        assert main(["solve", str(path), "--mode", mode, "--init", "1e5,1e5"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert outs[0].startswith("placement (151.30, 135.96, 650) m | ")
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["--area", "16777216.000000004x250"], "bounds.x_max must lie in"),
+    (["--area", "250x0.0009765624999999999"], "bounds require y_max - y_min >= 0.0009765625 m"),
+    (["--z-min", "0.0009765624999999999"], "bounds.z_min must lie in"),
+    (["--z-min", "16777216.000000004"], "bounds.z_min must lie in"),
+    (["--energy-low", "8.452712498170645e+270", "--energy-high", "8.452712498170645e+270"],
+     "the users' total energy must lie in"),
+    (["--energy-low", "1.1830521861667745e-271", "--energy-high", "1.1830521861667745e-271"],
+     "the users' total energy must lie in"),
+], ids=["width", "height", "lowest-z", "highest-z", "energy-ceiling", "energy-floor"])
+def test_generate_refuses_the_next_double_beyond_each_domain_edge(tmp_path, capsys, argv, field):
+    # the edge itself is accepted: the same flags one double inward write the file
+    out = tmp_path / "d.json"
+    refused(["generate", "--count", "1", "--seed", "1", *argv, "--out", str(out)], capsys, field, tmp_path)
+    inward = [a.replace("16777216.000000004", "16777216").replace("0.0009765624999999999", "0.0009765625")
+              .replace("8.452712498170645e+270", "8.452712498170644e+270")
+              .replace("1.1830521861667745e-271", "1.1830521861667747e-271") for a in argv]
+    assert main(["generate", "--count", "1", "--seed", "1", *inward, "--out", str(out)]) == 0
+    capsys.readouterr()
+
+
+def test_solve_refuses_a_start_one_double_beyond_the_domain(tmp_path, capsys, relaxed_file):
+    report = tmp_path / "r.json"
+    refused(["solve", str(relaxed_file), "--init", "0,-16777216.000000004", "--report", str(report)], capsys,
+            "init.y must lie in", tmp_path)
+    assert main(["solve", str(relaxed_file), "--init", "0,-16777216", "--report", str(report)]) == 0
+    capsys.readouterr()
+
+
+CORNERS = [
+    pytest.param(side, z, energy, id=f"side={side:g}-z={z:g}-E={energy:g}")
+    for side in (MIN_SIDE, COORD_LIMIT) for z in ALTITUDE_LIMITS for energy in ENERGY_LIMITS
+]
+
+
+@pytest.mark.parametrize("side, z, energy", CORNERS)
+def test_corner_instances_of_the_domain_warn_nothing(tmp_path, capsys, monkeypatch, side, z, energy):
+    # Three users, at two box corners and the centre, sharing the total
+    # energy, on the smallest and the widest box, at the lowest and highest
+    # altitude, with the least and the largest total energy. Under warnings
+    # as errors no command raises one, but for the model's own
+    # non-concavity warning, and each exits 0, or 3 where no range reaches.
+    monkeypatch.chdir(tmp_path)
+    users = UserArrays(np.array([0.0, side, 0.5 * side]), np.array([0.0, side, 0.25 * side]),
+                       np.array([0.5, 0.25, 0.25]) * energy)
+    save(Scenario(users, DEFAULT_RF, AreaBounds(0, side, 0, side, z, z)), "c.json")
+    spacing = repr(side / 8)
+    commands = [["check"], ["solve", "--mode", "box"], ["solve", "--mode", "region"],
+                ["grid", "--spacing", spacing], ["grid", "--spacing", spacing, "--mode", "region"],
+                ["surface", "--spacing", spacing, "--out", "c.csv"]]
+    for command in commands:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", "objective may be non-concave")
+            rc = main([command[0], "c.json", *command[1:]])
+        out, err = capsys.readouterr()
+        assert (rc, err) == (0, "") or (rc == 3 and (err == "" or err.startswith("infeasible: "))), (command, rc, err)
+        assert err.count("\n") <= 1
 @pytest.mark.parametrize("argv", [
     ["solve", "s.json", "--mode", "box", "--no-line-search"],
     ["generate", "--count", "5", "--seed", "1", "--z-max", "700"],

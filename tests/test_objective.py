@@ -19,7 +19,14 @@ from uavlift.objective import (
     value,
 )
 from uavlift.rng import SplitMix64
-from uavlift.scenario import AreaBounds, UserDevice, generate_clustered, generate_uniform
+from uavlift.scenario import (
+    ALTITUDE_LIMITS,
+    MIN_SIDE,
+    AreaBounds,
+    UserDevice,
+    generate_clustered,
+    generate_uniform,
+)
 
 BOUNDS = AreaBounds(0, 250, 0, 250, 650, 650)
 
@@ -173,9 +180,15 @@ class TestConcavityCertificate:
         cert = concavity_certificate(AreaBounds(0, 250, 0, 250, 30, 30))
         assert not cert.holds
 
-    def test_tiny_box_holds_for_any_altitude(self):
-        cert = concavity_certificate(AreaBounds(0, 1e-9, 0, 1e-9, 1e-6, 1.0))
-        assert cert.holds
+    def test_smallest_box_holds_from_a_few_millimetres(self):
+        # A 1e-9 m box lies below the input domain. Its smallest box, 2^-10 m
+        # a side: sqrt(3)*d_max is sqrt(6) 2^-10 m, above the lowest altitude
+        # and below 2^-8 m.
+        with pytest.raises(ValidationError, match="^bounds require x_max - x_min >= "):
+            AreaBounds(0, 1e-9, 0, 1e-9, 1.0, 1.0)
+        side, lowest = MIN_SIDE, ALTITUDE_LIMITS[0]
+        assert concavity_certificate(AreaBounds(0, side, 0, side, 2.0**-8, 1.0)).holds
+        assert not concavity_certificate(AreaBounds(0, side, 0, side, lowest, 1.0)).holds
 
 
 class TestCurvatureBounds:
@@ -194,13 +207,16 @@ class TestCurvatureBounds:
         assert hi == pytest.approx(hi_small * 2**64, rel=1e-14)
 
     def test_altitude_beyond_cube_overflow(self):
-        # (r^2 + z^2)^3 overflows at z = 1e52 m; there every user's Hessian is
-        # -2E/z^4 times the identity to within rounding, so hi is lo
-        bounds = AreaBounds(0, 250, 0, 250, 1e52, 1e52)
-        users = generate_uniform(200, bounds, 4500, 18000, seed=9).users
-        lo, hi = objective.curvature_bounds(users, 1e52, self.DIAGONAL)
+        # (r^2 + z^2)^3 overflowed at z = 1e52 m, beyond the input domain; at
+        # its highest altitude, 2^24 m, every user's Hessian over the 250 m box
+        # is -2E/z^4 times the identity to within 1e-9
+        with pytest.raises(ValidationError, match=r"^bounds\.z_min must lie in "):
+            AreaBounds(0, 250, 0, 250, 1e52, 1e52)
+        z = ALTITUDE_LIMITS[1]
+        users = generate_uniform(200, AreaBounds(0, 250, 0, 250, z, z), 4500, 18000, seed=9).users
+        lo, hi = objective.curvature_bounds(users, z, self.DIAGONAL)
         assert math.isfinite(lo) and lo < 0 and math.isfinite(hi) and hi < 0
-        assert hi == lo
+        assert hi == pytest.approx(lo, rel=1e-9)
 
     @pytest.mark.parametrize("z", [30.0, 448.0, 650.0])
     def test_per_user_reaches_within_one_reach(self, z):
@@ -285,8 +301,14 @@ class TestNsdScan:
         users = [UserDevice(50, 50, 3.0)]
         with pytest.raises(ValidationError, match="samples"):
             nsd_scan(users, 650.0, BOUNDS, samples=0)
-        with pytest.raises(ValidationError, match="z_min"):
-            nsd_scan(users, 0.0, BOUNDS)
+        for z in (0.0, math.nextafter(ALTITUDE_LIMITS[0], 0.0), math.nextafter(ALTITUDE_LIMITS[1], math.inf)):
+            with pytest.raises(ValidationError, match="^z_min must lie in "):
+                nsd_scan(users, z, BOUNDS)
+            for kernel in (value, gradient, hessian):
+                with pytest.raises(ValidationError, match="^z_min must lie in "):
+                    kernel(users, z, (50.0, 50.0))
+            with pytest.raises(ValidationError, match="^z_min must lie in "):
+                objective.curvature_bounds(users, z)
 
 
 class TestUserArrays:

@@ -15,7 +15,7 @@ from uavlift.objective import concavity_certificate, gradient, hessian, user_arr
 from uavlift.oracle import GridSpec, grid_search
 from uavlift.region import MEMBERSHIP_TOL, build, contains, membership_slack, within
 from uavlift.rng import SplitMix64
-from uavlift.scenario import AreaBounds, RfParams, Scenario, UserDevice, generate_uniform, save
+from uavlift.scenario import ALTITUDE_LIMITS, AreaBounds, RfParams, Scenario, UserDevice, generate_uniform, save
 from uavlift.surface import surface_grid
 
 RF = RfParams(rate=4e6, bandwidth=50e6, noise=1e-14, frequency=4e9, p_max=0.5, tau_th=900)
@@ -295,27 +295,31 @@ class TestGridValues:
         assert np.array_equal(oracle.grid_values(xs, ys, es, 650.0, gxs, gys).ravel(), expected)
         assert np.array_equal(oracle.node_values(xs, ys, es, 650.0, px, py)[0], expected)
 
-    @pytest.mark.parametrize("z", [1e-160, 1e-170])  # z^2 subnormal, z^2 == 0
-    def test_an_overflowing_node_is_an_input_error_naming_z(self, z):
-        # a user on node (1, 2): E / z^2 overflows, or divides by zero
+    @pytest.mark.parametrize("below", [1e-160, 1e-170])  # z^2 subnormal, z^2 == 0
+    def test_an_overflowing_node_is_an_input_error_naming_z(self, below):
+        # A user on node (1, 2): E / z^2 overflowed at these altitudes, which
+        # lie below the input domain and are refused, for a box and for a
+        # surface's override alike. At the domain's lowest altitude, 2^-10 m,
+        # E / z^2 is 4500 * 2^20, and no kernel warns.
+        z = ALTITUDE_LIMITS[0]
         xs, ys, es = np.array([1.0]), np.array([2.0]), np.array([4500.0])
         axis = np.arange(4.0)
+        nodes = np.array([0.0, 1.0, 3.0]), np.array([0.0, 2.0, 3.0])
+        bounds = AreaBounds(0, 3, 0, 3, z, z)
+        scenario = Scenario(users=(UserDevice(1.0, 2.0, 4500.0),), rf=RF, bounds=bounds)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValidationError, match=f"z = {z:g} m"):
-                oracle.grid_values(xs, ys, es, z, axis, axis)
-            # `node_values` gives that node an infinite value, which a tile
-            # centre's bound keeps and `grid_search`'s leaves refuse
-            nodes = np.array([0.0, 1.0, 3.0]), np.array([0.0, 2.0, 3.0])
+            grid = oracle.grid_values(xs, ys, es, z, axis, axis)
             values = oracle.node_values(xs, ys, es, z, *nodes)[0]
-            bounds = AreaBounds(0, 3, 0, 3, z, z)
-            scenario = Scenario(users=(UserDevice(1.0, 2.0, 4500.0),), rf=RF, bounds=bounds)
-            with pytest.raises(ValidationError, match=f"z = {z:g} m"):
-                grid_search(scenario, GridSpec(1.0, scenario.bounds))
-        assert values[1] == math.inf
-        # off that node every value is finite, and comes back as before
-        corners = np.array([0.0, 3.0])  # (0, 0) and (3, 3)
-        assert np.array_equal(values[[0, 2]], flat_values(xs, ys, es, z, corners, corners))
+            result = grid_search(scenario, GridSpec(1.0, scenario.bounds))
+        assert grid[1, 2] == values[1] == result.value == 4500.0 * 2**20
+        assert result.point == (1.0, 2.0)
+        assert np.array_equal(values, flat_values(xs, ys, es, z, *nodes))
+        for lower in (below, math.nextafter(z, 0.0)):
+            with pytest.raises(ValidationError, match=r"^bounds\.z_min must lie in "):
+                AreaBounds(0, 3, 0, 3, lower, lower)
+            with pytest.raises(ValidationError, match=r"^z must lie in "):
+                surface_grid(scenario.users, lower, GridSpec(1.0, scenario.bounds))
 
     # 200 users at z = 30 m, whose block is 81 nodes, on 26 x 18 nodes; the
     # 20 binding users at z = 10 m, whose block is 819 nodes, on 41 x 41
@@ -479,9 +483,13 @@ class TestGridSearchIsExhaustive:
         assert result.evaluated < 0.1 * 63001
 
     def test_far_tiles_are_bounded_at_a_vanishing_altitude(self):
-        # At z = 1e-60 m a user 100 m from a tile is 1e62 z away, where the
-        # curvature term must stay finite for the tile to be bounded at all.
-        bounds = AreaBounds(0, 250, 0, 250, 1e-60, 1e-60)
+        # At the input domain's lowest altitude, 2^-10 m, a user 100 m from a
+        # tile is 1e5 z away, and the tile is still bounded; 1e-60 m, where a
+        # curvature term once had to stay finite, lies below the domain.
+        with pytest.raises(ValidationError, match=r"^bounds\.z_min must lie in "):
+            AreaBounds(0, 250, 0, 250, 1e-60, 1e-60)
+        z = ALTITUDE_LIMITS[0]
+        bounds = AreaBounds(0, 250, 0, 250, z, z)
         grid = GridSpec(5.0, bounds)
         scenario = generate_uniform(20, bounds, 4500, 18000, seed=3)
         result = grid_search(scenario, grid)
@@ -530,7 +538,7 @@ def test_every_tile_bound_holds_the_tiles_best_node(monkeypatch, mode):
     real = oracle._tile_bounds
     monkeypatch.setattr(oracle, "_tile_bounds", recording)
     signs, side = set(), 60.0
-    for z in (1e-60, 2.0, 10.0, 30.0, 130.0, 650.0):
+    for z in (ALTITUDE_LIMITS[0], 2.0, 10.0, 30.0, 130.0, 650.0):
         grid = GridSpec(1.0, AreaBounds(0, side, 0, side, z, z))
         gxs, gys = grid.xs(), grid.ys()
         px, py = (a.ravel() for a in np.meshgrid(gxs, gys, indexing="ij"))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -19,6 +20,7 @@ from uavlift.channel import SPEED_OF_LIGHT, system_constant
 from uavlift.errors import EmptyRegionError, ValidationError
 from uavlift.oracle import GridSpec, grid_search
 from uavlift.region import (
+    REACH,
     FeasibleRegion,
     build,
     check_empty,
@@ -28,7 +30,7 @@ from uavlift.region import (
     project,
 )
 from uavlift.rng import SplitMix64
-from uavlift.scenario import DEFAULT_RF, AreaBounds, Scenario, UserDevice
+from uavlift.scenario import COORD_LIMIT, DEFAULT_RF, MIN_SIDE, AreaBounds, Scenario, UserDevice, generate_uniform
 from uavlift.solver import SolverConfig, solve
 
 # The geometry divides by distances that can be zero (concentric disks, a
@@ -117,7 +119,29 @@ class TestBuild:
         assert feas.limits.d_power == 1e3
         assert feas.limits.d_energy.tolist() == d_energy
         assert feas.limits.d_limit.tolist() == d_energy
-        assert feas.table.r.tolist() == [math.sqrt(d**2 - z**2) for d in d_energy]
+        radii = [math.sqrt(d**2 - z**2) for d in d_energy]
+        assert region_mod.disk_radius(feas.limits.d_limit, z).tolist() == radii
+        # the table cuts a radius beyond twice the distance to the farthest box corner
+        far = [math.sqrt(max(u.x + 5, 5 - u.x) ** 2 + max(u.y + 5, 5 - u.y) ** 2) for u in users]
+        assert feas.table.r.tolist() == [min(r, 2.0 * f) for r, f in zip(radii, far)]
+        assert 0 < sum(r > 2.0 * f for r, f in zip(radii, far)) < len(radii)
+
+    def test_a_range_far_beyond_the_box_leaves_the_region_the_box(self):
+        # p_max = 1e200 W and tau_th = 1e-100 s give 1e57 m disks: cut to
+        # twice the distance to the farthest box corner, they still hold the
+        # box, and membership allows 1e-12 of the instance's size, not of
+        # 1e57 m, so a solve from (1e5, 1e5) lands in the box where box mode
+        # does.
+        rf = dataclasses.replace(DEFAULT_RF, p_max=1e200, tau_th=1e-100)
+        scenario = generate_uniform(5, AreaBounds(0, 250, 0, 250, 650, 650), 4500, 18000, seed=1, rf=rf)
+        feas = build(scenario)
+        assert feas.limits.d_limit.min() > 1e56
+        assert np.all(feas.table.r <= 2 * math.hypot(250, 250))
+        assert feas.table.rounding < 1e-9
+        assert not contains(feas, (1e5, 1e5)) and contains(feas, (0.0, 250.0))
+        region, box = (solve(scenario, SolverConfig(mode=mode, init=(1e5, 1e5))) for mode in ("region", "box"))
+        assert region.converged and feas.box.contains_xy(*region.placement[:2])
+        assert math.dist(region.placement[:2], box.placement[:2]) < 0.01
 
     def test_range_underflow_is_input_error(self):
         # p_max/K is subnormal and its square root is not, but 5e-324/4 is 0
@@ -241,57 +265,73 @@ class TestProject:
             project(region, (0.0, 0.0))
 
     @pytest.mark.parametrize("disks", [[], [(0, 0, 2)]], ids=["box", "disk"])
-    @pytest.mark.parametrize("q", [(math.inf, 0.0), (-math.inf, math.inf), (0.0, math.nan)])
+    @pytest.mark.parametrize("q", [(math.inf, 0.0), (-math.inf, math.inf), (0.0, math.nan),
+                                   (math.nextafter(REACH, math.inf), 0.0), (0.0, -math.nextafter(REACH, math.inf))])
     def test_non_finite_point_is_an_input_error(self, disks, q):
+        # so is a point one double beyond REACH, where every start and trial lies
         region = FeasibleRegion.from_disks(disks, self.BOX)
-        with pytest.raises(ValidationError, match="non-finite point"):
+        with pytest.raises(ValidationError, match="^cannot project the point .* within 6.87195e[+]10 m$"):
             project(region, q)
+        edge = tuple(math.copysign(REACH, c) if math.isfinite(c) and c else 0.0 for c in q)
+        assert contains(region, project(region, edge))
 
     def test_point_whose_distances_overflow_is_infinitely_far_out(self):
         # (1.7e308, 1.7e308) lies farther than the largest double from every
-        # centre: it is outside, without an overflow warning, and projects
-        # where the start 1e300 m out along the same line does.
+        # centre: it is outside, without an overflow warning, and beyond
+        # REACH, so an input error. The point at REACH on the same line
+        # projects into the region, where the point 1e9 m out does.
         box = AreaBounds(0, 10, 0, 10, 30, 30)
         region = FeasibleRegion.from_disks([(3, 3, 8), (7, 4, 8), (5, 8, 8)], box)
         far = (1.7e308, 1.7e308)
         assert not contains(region, far)
-        assert project(region, far) == project(region, (1e300, 1e300))
-        assert contains(region, project(region, far))
+        with pytest.raises(ValidationError, match="^cannot project the point"):
+            project(region, far)
+        edge = project(region, (REACH, REACH))
+        assert contains(region, edge)
+        assert edge == pytest.approx(project(region, (1e9, 1e9)), abs=1e-6)
 
     @pytest.mark.parametrize("sx, sy", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
     def test_point_too_far_for_hypot_projects_as_one_far_out_on_its_ray(self, sx, sy):
         # Projections of points receding from the box centre (5, 5) along a
         # ray converge; 1e9 m out, this one is within 1e-7 m of the limit.
+        # A point too far for hypot lies beyond REACH: an input error; the
+        # point at REACH projects as the one 1e9 m out.
         box = AreaBounds(0, 10, 0, 10, 30, 30)
         region = FeasibleRegion.from_disks([(3, 3, 8), (7, 4, 8), (5, 8, 8)], box)
-        far = project(region, (sx * 1.7e308, sy * 1.7e308))
+        with pytest.raises(ValidationError, match="^cannot project the point"):
+            project(region, (sx * 1.7e308, sy * 1.7e308))
+        far = project(region, (sx * REACH, sy * REACH))
         assert far == pytest.approx(project(region, (5 + sx * 1e9, 5 + sy * 1e9)), abs=1e-6)
         assert contains(region, far)
 
     def test_region_near_the_double_range_keeps_its_projections(self):
-        # The disk's distances are finite, so no point is moved before the
-        # solve: a member comes back unchanged, and the projections of points
-        # near it keep their bits.
-        box = AreaBounds(0, 1.7e308, -1e308, 1e308, 1, 1)
-        region = FeasibleRegion.from_disks([(1.5e308, 0, 1e307)], box)
-        assert project(region, (1.5e308, 0.0)) == (1.5e308, 0.0)
-        for q, want in [
-            ((1.4e308, 3e306), ("0x1.8fef33b495c9ep+1023", "0x1.05e2d4f4fcfe5p+1018")),
-            ((1.7e308, 5e306), ("0x1.c6d841f494ca3p+1023", "0x1.ba16d6679fb2dp+1017")),
-            ((1.52e308, -1e307), ("0x1.b0ccbca9b6fcep+1023", "-0x1.bed888a0ce567p+1019")),
-        ]:
+        # A box near the double range lies outside the input domain. At the
+        # domain's edge a member comes back unchanged, and points near the
+        # disk take its radial pull, q's nearest point of the disk.
+        with pytest.raises(ValidationError, match=r"^bounds\.x_max must lie in "):
+            AreaBounds(0, 1.7e308, -1e308, 1e308, 1, 1)
+        box = AreaBounds(0, COORD_LIMIT, -COORD_LIMIT, COORD_LIMIT, 1, 1)
+        cx, r = 0.9 * COORD_LIMIT, 0.05 * COORD_LIMIT
+        region = FeasibleRegion.from_disks([(cx, 0, r)], box)
+        assert project(region, (cx, 0.0)) == (cx, 0.0)
+        for q in ((0.85 * COORD_LIMIT, 0.01 * COORD_LIMIT), (COORD_LIMIT, 0.03 * COORD_LIMIT),
+                  (0.91 * COORD_LIMIT, -0.06 * COORD_LIMIT)):
             assert not contains(region, q)
-            assert tuple(c.hex() for c in project(region, q)) == want, q
+            d = math.hypot(q[0] - cx, q[1])
+            pull = (cx + (q[0] - cx) * r / d, q[1] * r / d)
+            assert math.dist(project(region, q), pull) <= region.table.rounding, q
 
     @pytest.mark.parametrize("q, near, side", [
-        ((-1e300, -1e300), (-1e9, -1e9), 0.0),
-        ((1e300, -1e300), (1e9, -1e9), 10.0),
+        ((-REACH, -REACH), (-1e9, -1e9), 0.0),
+        ((REACH, -REACH), (1e9, -1e9), 10.0),
     ])
     def test_far_point_projects_on_its_own_side(self, q, near, side):
-        # 1e300 m out every candidate's distance to q is the same double; the
-        # nearest is still the one on q's side of the box.
+        # At REACH, 6.9e10 m out, the nearest candidate is the one on q's
+        # side of the box; 1e300 m out, q is an input error.
         box = AreaBounds(0, 10, 0, 10, 30, 30)
         region = FeasibleRegion.from_disks([(3, 3, 8), (7, 4, 8), (5, 8, 8)], box)
+        with pytest.raises(ValidationError, match="^cannot project the point"):
+            project(region, (math.copysign(1e300, q[0]), math.copysign(1e300, q[1])))
         assert project(region, q) == project(region, near)
         assert project(region, q) == pytest.approx((side, 1.755), abs=1e-3)
 
@@ -301,19 +341,25 @@ class TestProject:
         # (10, 9 - sqrt(11)) up to the corner (10, 10). From (x, 5) every point
         # of it is equally far up to rounding, yet the crossing is nearer than
         # the corner by 24.5 / (2x) m, which only a comparison of the two
-        # candidates' difference resolves.
+        # candidates' difference resolves. A point beyond REACH is an input
+        # error, and the point at REACH takes the crossing.
         region = FeasibleRegion.from_disks([(5, 9, 6)], AreaBounds(0, 10, 0, 10, 1, 1))
+        if x > REACH:
+            with pytest.raises(ValidationError, match="^cannot project the point"):
+                project(region, (x, 5.0))
+            x = REACH
         assert project(region, (x, 5.0)) == pytest.approx((10.0, 9.0 - math.sqrt(11.0)), abs=1e-12)
 
     def test_region_spanning_the_double_range_projects_far_points_onto_its_rim(self):
-        # Distances from these points overflow, and the disk's squared radius
-        # does too: the solve runs at a power-of-two scale and lands on the
-        # disk's rim, up to the table's rounding.
-        box = AreaBounds(0, 1.7e308, -1e308, 1e308, 1, 1)
-        region = FeasibleRegion.from_disks([(1.5e308, 0, 1e307)], box)
-        for q in ((-1.7e308, 1.7e308), (-1.7e308, -1.7e308), (1.7e308, -1.7e308), (0.0, 0.0)):
+        # A region spanning the input domain, 2^25 m across, with a disk near
+        # its edge: points at REACH and the origin land on the disk's rim, up
+        # to the table's rounding.
+        box = AreaBounds(-COORD_LIMIT, COORD_LIMIT, -COORD_LIMIT, COORD_LIMIT, 1, 1)
+        cx, r = 0.9 * COORD_LIMIT, 0.06 * COORD_LIMIT
+        region = FeasibleRegion.from_disks([(cx, 0, r)], box)
+        for q in ((-REACH, REACH), (-REACH, -REACH), (REACH, -REACH), (0.0, 0.0)):
             x, y = project(region, q)
-            assert abs(math.hypot(x - 1.5e308, y) - 1e307) <= region.table.rounding, q
+            assert abs(math.hypot(x - cx, y) - r) <= region.table.rounding, q
             assert box.contains_xy(x, y), q
 
     def test_zero_radius_disk_is_the_single_point_at_its_centre(self):
@@ -440,40 +486,64 @@ class TestProjectionProperties:
                 assert grid_dist >= proj_dist - 1e-6
 
 
-# Axis directions are exact: a ray a rounding error off an axis, 1e300 m out,
-# lies 1e284 m to one side, and its projection slides along the box edge it
-# faces, away from where the point 1e9 m out projects.
+# Axis directions are exact: a ray a rounding error off an axis, far out,
+# lies to one side, and its projection slides along the box edge it faces,
+# away from where the point 1e9 m out projects.
 RAYS = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, 1), (-1, -1), (1, -1),
         (2, 1), (-1, 3), (3, -2), (-2, -5)]
-FAR_RADII = (1e3, 1e15, 1e16, 1e17, 1e18, 1e100, 1e300, 1.7e308)
+# Exponents k of `random_region` layouts scaled by 2^k. Their 10 m box lies
+# in the input domain from k = -13 (1.2 mm) to k = 20 (1.0e7 m); beyond,
+# the scaled box is an input error, and the tests run at the nearer end.
 SCALE_EXPONENTS = [-500, -300, -100, 60, 200, 400, 600, 800, 1000]
+DOMAIN_SCALES = (-13, 20)
+
+
+def at_domain_edge(k: int) -> int:
+    """`k` if a box scaled by 2^k lies in the input domain, else the nearest
+    exponent that does, once a box at `k` is shown to be refused."""
+    edge = min(max(k, DOMAIN_SCALES[0]), DOMAIN_SCALES[1])
+    if edge != k:
+        with pytest.raises(ValidationError, match=r"^bounds(\.x_max must lie in| require x_max - x_min)"):
+            AreaBounds(0, 10 * 2.0**k, 0, 10 * 2.0**k, 1, 1)
+    return edge
+
+
+def far_radii(ux: float, uy: float) -> tuple[float, ...]:
+    """Distances along the ray (ux, uy) from (5, 5): 1e3 and 1e6 m, and those
+    of a start at the input domain's COORD_LIMIT and of a point near REACH."""
+    m = max(abs(ux), abs(uy))
+    return (1e3, 1e6, (COORD_LIMIT - 5) / m, (REACH - 10) / m)
 
 
 def test_far_points_project_as_the_limit_along_their_ray():
     # Projections of points receding from the box centre (5, 5) along a ray
     # converge; 1e9 m out a point is within 1e-7 m of the limit. Every point
-    # farther out, up to the double range, must project there within 1e-6 of
-    # the box's 10 m, without an error.
+    # from 1e3 m out must lie in the region, and from a start at 2^24 m to a
+    # trial near REACH it must project
+    # there within 1e-6 of the box's 10 m, without an error; one double beyond
+    # REACH is an input error.
     for seed in range(SWEEP_SEEDS):
         region = random_region(seed, 12)
         for a, b in RAYS:
             ux, uy = a / math.hypot(a, b), b / math.hypot(a, b)
             limit = project(region, (5 + 1e9 * ux, 5 + 1e9 * uy))
-            for radius in FAR_RADII:
+            for radius in far_radii(ux, uy):
                 p = project(region, (5 + radius * ux, 5 + radius * uy))
                 assert contains(region, p), (seed, a, b, radius)
-                if radius > 1e3:
+                if radius > 1e6:
                     assert math.hypot(p[0] - limit[0], p[1] - limit[1]) <= 1e-5, (seed, a, b, radius)
+    with pytest.raises(ValidationError, match="^cannot project the point"):
+        project(region, (math.nextafter(REACH, math.inf), 5.0))
 
 
 @pytest.mark.parametrize("k", SCALE_EXPONENTS)
 def test_instance_scaled_by_a_power_of_two_scales_its_answers(k):
-    # The layouts of the sweep above with coordinates and radii times 2^k:
-    # the region is non-empty at every scale, and the witness and every
-    # projection are the unscaled ones times 2^k, to 1e-9 of the box size.
-    # Membership is judged by distance with the table's rounding as slack,
-    # which scales with the instance.
-    f = 2.0**k
+    # The layouts of the sweep above with coordinates and radii times 2^k,
+    # or at the input domain's edge where 2^k lies beyond it: the region is
+    # non-empty, and the witness and every projection are the unscaled ones
+    # times 2^k, to 1e-9 of the box size. Membership is judged by distance
+    # with the table's rounding as slack, which scales with the instance.
+    f = 2.0 ** at_domain_edge(k)
     gen = SplitMix64(31)
     for seed in range(SWEEP_SEEDS // 4):
         unscaled = random_region(seed, 12)
@@ -498,49 +568,50 @@ def scaled_region(seed: int, f: float) -> FeasibleRegion:
 
 @pytest.mark.parametrize("k", [-100, -300, -600])
 def test_far_points_of_a_small_instance_project_as_the_limit_along_their_ray(k):
-    # From more than 2^1024 instance sizes out a point's pull onto a disk
-    # underflows, and the solve once returned a disk's centre. Each far point
+    # An instance scaled by 2^k lies beyond the input domain; its smallest,
+    # 1.2 mm across, seen from REACH, is 2^49 of its sizes out. Each far point
     # must project where the unscaled instance's point 1e9 m out on its ray
-    # does, times 2^k, on the region up to the table's rounding.
-    f = 2.0**k
+    # does, times the scale, on the region up to the table's rounding.
+    f = 2.0 ** at_domain_edge(k)
     for seed in range(SWEEP_SEEDS // 4):
         unscaled, region = random_region(seed, 12), scaled_region(seed, f)
         for a, b in RAYS:
             ux, uy = a / math.hypot(a, b), b / math.hypot(a, b)
             lx, ly = project(unscaled, (5 + 1e9 * ux, 5 + 1e9 * uy))
-            for radius in (1e20, 1e300, 1.7e308):
+            for radius in far_radii(ux, uy)[2:]:
                 p = project(region, (5 * f + radius * ux, 5 * f + radius * uy))
                 assert math.dist(p, (lx * f, ly * f)) <= 1e-5 * f, (seed, a, b, radius)
                 assert contains(region, p, tol=0.0), (seed, a, b, radius)
 
 
 def test_far_points_of_a_subnormal_instance_project_onto_its_boundary():
-    # Disks and box of about 1e-309 m. The largest violation at each answer,
-    # measured at an exact scale of 2^1030, is within the table's rounding of
-    # 0: the answer lies on the region's boundary.
-    box = AreaBounds(0, 1e-309, 0, 1e-309, 1, 1)
-
-    def up(v):
-        return np.ldexp(v, 1030)
+    # A box of about 1e-309 m lies beyond the input domain. Disks and box of
+    # its smallest size, 2^-10 m: the largest violation at the answer for a
+    # point near REACH, 2^46 of the sizes out, is within the table's rounding
+    # of 0, so the answer lies on the region's boundary.
+    with pytest.raises(ValidationError, match=r"^bounds require x_max - x_min >= "):
+        AreaBounds(0, 1e-309, 0, 1e-309, 1, 1)
+    s = MIN_SIDE
+    box = AreaBounds(0, s, 0, s, 1, 1)
 
     def largest_violation(region, p):
-        x, y = up(p[0]), up(p[1])
+        x, y = p
         table = region.table
-        edges = (up(box.x_min) - x, x - up(box.x_max), up(box.y_min) - y, y - up(box.y_max))
-        return float(max(*edges, *(np.hypot(x - up(table.cx), y - up(table.cy)) - up(table.r))))
+        edges = (box.x_min - x, x - box.x_max, box.y_min - y, y - box.y_max)
+        return float(max(*edges, *(np.hypot(x - table.cx, y - table.cy) - table.r)))
 
-    region = FeasibleRegion.from_disks([(5e-310, 5e-310, 4e-310), (7e-310, 5e-310, 3e-310)], box)
-    rounding = up(region.table.rounding)
+    region = FeasibleRegion.from_disks([(0.5 * s, 0.5 * s, 0.4 * s), (0.7 * s, 0.5 * s, 0.3 * s)], box)
+    rounding = region.table.rounding
     near = project(region, (1.0, 3.0))
-    for q in ((1e300, 3e300), (1e20, 3e20)):
+    for q in ((2.0**34, 3 * 2.0**34), (1e3, 3e3)):
         p = project(region, q)
         assert abs(largest_violation(region, p)) <= rounding, q
-        assert math.dist(up(np.array(p)), up(np.array(near))) <= rounding, q
+        assert math.dist(p, near) <= rounding, q
     # a disk that holds the box: from far out on the right, the answer is the
-    # point of the edge x = 1e-309 level with q
-    region = FeasibleRegion.from_disks([(5e-310, 5e-310, 1e-309)], box)
-    for qy in (2e-310, 0.0, 1e-309):
-        assert project(region, (1e300, qy)) == (1e-309, qy)
+    # point of the edge x = s level with q
+    region = FeasibleRegion.from_disks([(0.5 * s, 0.5 * s, s)], box)
+    for qy in (0.2 * s, 0.0, s):
+        assert project(region, (REACH, qy)) == (s, qy)
 
 
 def test_one_constraint_candidates_lie_on_their_constraint(monkeypatch):
@@ -562,14 +633,16 @@ def test_one_constraint_candidates_lie_on_their_constraint(monkeypatch):
         return found
 
     monkeypatch.setattr(region_mod, "_boundary_points", checking)
-    for seed in range(SWEEP_SEEDS):
-        region = random_region(seed, 12)
+    # a disk of radius 6 at the box centre cuts only the corners, so a point
+    # far out on an axis violates the edge it faces most
+    cut_corners = FeasibleRegion.from_disks([(5, 5, 6)], AreaBounds(0, 10, 0, 10, 1, 1))
+    for region in [random_region(seed, 12) for seed in range(SWEEP_SEEDS)] + [cut_corners]:
         for a, b in RAYS:
             ux, uy = a / math.hypot(a, b), b / math.hypot(a, b)
-            for radius in FAR_RADII:
+            for radius in far_radii(ux, uy):
                 project(region, (5 + radius * ux, 5 + radius * uy))
     gen = SplitMix64(31)
-    for k in SCALE_EXPONENTS:
+    for k in (DOMAIN_SCALES[0], -5, 5, DOMAIN_SCALES[1]):
         f = 2.0**k
         for seed in range(SWEEP_SEEDS // 4):
             region = scaled_region(seed, f)
@@ -770,6 +843,17 @@ def test_region_thinner_than_the_tolerance_keeps_its_point_of_least_violation():
     assert all(contains(region, (float(x), float(y))) for x, y in projected)
     _, viol = region_mod.within(region, projected, math.inf)
     assert len(viol) == len(pts) and np.all(viol <= check.shortfall)
+
+
+def test_region_thinner_than_the_tolerance_projects_at_the_edge_of_the_input_domain():
+    # The same gap in a box whose edge is the domain's, 2^24 m: `project`
+    # widens the box by the slack, past the domain, and still projects
+    edge = COORD_LIMIT
+    box = AreaBounds(edge - 8, edge, -4, 4, 1, 1)
+    region = FeasibleRegion.from_disks([(edge - 3, 0, 1), (edge - 1 + 5e-7, 0, 1)], box)
+    assert not region.empty and region.slack > 0
+    for q in ((edge - 20, 3.0), (edge + 5, 0.0), (edge - 2, -4.0)):
+        assert contains(region, project(region, q)), q
 
 
 def anchored_disks(seed: int) -> tuple[list[tuple[float, float, float]], AreaBounds]:

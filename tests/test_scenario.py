@@ -10,7 +10,11 @@ from uavlift.errors import ParseError, ValidationError
 from uavlift.objective import nsd_scan
 from uavlift.rng import SplitMix64
 from uavlift.scenario import (
+    ALTITUDE_LIMITS,
+    COORD_LIMIT,
     DEFAULT_RF,
+    ENERGY_LIMITS,
+    MIN_SIDE,
     AreaBounds,
     ClusterSpec,
     RfParams,
@@ -18,6 +22,7 @@ from uavlift.scenario import (
     UserArrays,
     UserDevice,
     UserView,
+    check_altitude,
     generate_clustered,
     generate_uniform,
     load,
@@ -97,10 +102,10 @@ class TestGenerateUniform:
         assert s.seed == 1
 
     def test_degenerate_intervals(self):
-        tiny = AreaBounds(0, 1e-9, 0, 1e-9, 1, 1)
+        tiny = AreaBounds(0, MIN_SIDE, 0, MIN_SIDE, 1, 1)  # the input domain's smallest box
         s = generate_uniform(1, tiny, 5, 5, seed=123)
         u = s.users[0]
-        assert 0 <= u.x <= 1e-9 and 0 <= u.y <= 1e-9
+        assert 0 <= u.x <= MIN_SIDE and 0 <= u.y <= MIN_SIDE
         assert u.energy == 5.0
 
     def test_seed_determinism(self):
@@ -387,7 +392,9 @@ class TestVectorizedGenerators:
         assert (scan.outcome, scan.hi.hex(), witness, eigenvalue) == pinned
 
 
-EXTREME_BOUNDS = AreaBounds(-1e300, 1e300, -0.0, 5e-324, 5e-324, 1e300)
+# The input domain's corners: the widest and the narrowest box, the lowest
+# and the highest altitude.
+EXTREME_BOUNDS = AreaBounds(-(2.0**24), 2.0**24, -0.0, 2.0**-10, 2.0**-10, 2.0**24)
 EXTREME_RF = RfParams(1e300, 5e-324, 1e-300, 4e9, 1.7976931348623157e308, 5e-324)
 
 
@@ -407,9 +414,9 @@ SAVE_CASES = [
     pytest.param(
         lambda: Scenario(
             users=(
-                UserDevice(-0.0, 5e-324, 1e291),
-                UserDevice(1e300, 0.0, 5e-324),
-                UserDevice(-1e300, -0.0, 1.7976931348623157e308),
+                UserDevice(-0.0, 5e-324, 1e270),
+                UserDevice(2.0**24, 0.0, 5e-324),
+                UserDevice(-(2.0**24), -0.0, 7e270),
                 UserDevice(0.1, 2.5e-324, 0.30000000000000004),
             ),
             rf=EXTREME_RF,
@@ -423,10 +430,11 @@ SAVE_CASES = [
 
 class TestTotalEnergy:
     """Each energy is finite, but their sum, which every curvature bound
-    takes, overflows: refused where a scenario is made, without a warning."""
+    takes, overflows: refused where a scenario is made, as a total beyond
+    the input domain, without a warning."""
 
     pytestmark = pytest.mark.filterwarnings("error")
-    MESSAGE = r"^the users' total energy must be finite, got inf$"
+    MESSAGE = r"^the users' total energy must lie in \[.*\] J, got inf$"
 
     def test_scenario(self):
         users = (UserDevice(0, 0, 1e308), UserDevice(250, 250, 1e308))
@@ -444,6 +452,61 @@ class TestTotalEnergy:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match=self.MESSAGE):
             load(path)
+
+
+def beyond(value: float, outward: float) -> float:
+    """The next double after `value` towards `outward`."""
+    return math.nextafter(value, outward)
+
+
+class TestInputDomain:
+    """Each bound of the input domain at its edge: the edge value is
+    accepted, and the next double beyond it is refused with a
+    ValidationError naming the field."""
+
+    pytestmark = pytest.mark.filterwarnings("error")
+    WIDEST = dict(x_min=-COORD_LIMIT, x_max=COORD_LIMIT, y_min=-COORD_LIMIT, y_max=COORD_LIMIT,
+                  z_min=1.0, z_max=1.0)
+
+    @pytest.mark.parametrize("field, outward", [
+        ("x_min", -math.inf), ("x_max", math.inf), ("y_min", -math.inf), ("y_max", math.inf),
+    ])
+    def test_box_edges(self, field, outward):
+        AreaBounds(**self.WIDEST)
+        with pytest.raises(ValidationError, match=rf"^bounds\.{field} must lie in "):
+            AreaBounds(**{**self.WIDEST, field: beyond(self.WIDEST[field], outward)})
+
+    @pytest.mark.parametrize("axis", "xy")
+    def test_box_sides(self, axis):
+        narrow = dict(x_min=0.0, x_max=1.0, y_min=0.0, y_max=1.0, z_min=1.0, z_max=1.0)
+        AreaBounds(**{**narrow, f"{axis}_max": MIN_SIDE})
+        with pytest.raises(ValidationError, match=rf"^bounds require {axis}_max - {axis}_min >= "):
+            AreaBounds(**{**narrow, f"{axis}_max": beyond(MIN_SIDE, 0.0)})
+
+    @pytest.mark.parametrize("field", ["z_min", "z_max"])
+    def test_altitudes(self, field):
+        low, high = ALTITUDE_LIMITS
+        for edge, outward in ((low, 0.0), (high, math.inf)):
+            AreaBounds(0, 1, 0, 1, edge, edge)
+            pair = {"z_min": edge, "z_max": edge, field: beyond(edge, outward)}
+            with pytest.raises(ValidationError, match=rf"^bounds\.{field} must lie in "):
+                AreaBounds(0, 1, 0, 1, pair["z_min"], pair["z_max"])
+
+    def test_one_altitude_rule(self):
+        low, high = ALTITUDE_LIMITS
+        assert (check_altitude(low), check_altitude(high)) == (low, high)
+        for z in (beyond(low, 0.0), beyond(high, math.inf), 0.0, math.nan):
+            with pytest.raises(ValidationError, match=r"^surface z must lie in "):
+                check_altitude(z, "surface z")
+
+    def test_total_energy(self):
+        low, high = ENERGY_LIMITS
+        for edge, outward in ((low, 0.0), (high, math.inf)):
+            users = UserArrays(np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.array([edge / 2, edge / 2]))
+            assert float(Scenario(users, DEFAULT_RF, BOUNDS).users.arrays.es.sum()) == edge
+            users = users._replace(es=np.array([beyond(edge, outward) / 2] * 2))
+            with pytest.raises(ValidationError, match=r"^the users' total energy must lie in "):
+                Scenario(users, DEFAULT_RF, BOUNDS)
 
 
 class TestSaveBytes:

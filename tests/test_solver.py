@@ -5,9 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
-from region_layouts import binding_scenario
+from region_layouts import binding_scenario, unit_scenario
 
 from uavlift import cases, objective
+from uavlift import region as region_mod
 from uavlift import solver as solver_mod
 from uavlift.channel import SPEED_OF_LIGHT
 from uavlift.errors import ValidationError
@@ -25,6 +26,9 @@ from uavlift.oracle import GridSpec, grid_search
 from uavlift.region import build, contains
 from uavlift.rng import SplitMix64
 from uavlift.scenario import (
+    ALTITUDE_LIMITS,
+    COORD_LIMIT,
+    ENERGY_LIMITS,
     AreaBounds,
     RfParams,
     Scenario,
@@ -141,6 +145,16 @@ class TestSolveBasics:
             SolverConfig(step_size=math.inf)  # would never leave the backtracking loop
         with pytest.raises(ValidationError):
             SolverConfig(init=(math.nan, 0.0))
+
+    def test_start_at_the_edge_of_the_input_domain(self):
+        # a start within 2^24 m of the origin is taken; the next double out is
+        # refused, naming the coordinate
+        edge = COORD_LIMIT
+        report = solve(relaxed_scenario(), SolverConfig(mode="box", init=(edge, -edge)))
+        assert report.converged
+        for init, axis in (((math.nextafter(edge, math.inf), 0.0), "x"), ((0.0, -math.nextafter(edge, math.inf)), "y")):
+            with pytest.raises(ValidationError, match=rf"^init\.{axis} must lie in "):
+                SolverConfig(init=init)
 
     def test_every_mode_check_gives_one_message(self):
         from uavlift.errors import ValidationError
@@ -300,9 +314,18 @@ class TestStepRule:
         assert report.iterations > solve(scenario, SolverConfig(mode="box")).iterations
         assert math.dist(report.placement[:2], newton_optimum(scenario)) <= 1e-3
 
-    def test_overflowing_trial_step_is_halved(self, value_calls):
-        # From (100, 100) a first step of 1e308 m overflows p + step*g to
-        # (-inf, inf): that trial fails the test and the step halves.
+    def test_a_step_beyond_the_trial_cap_is_cut_to_it(self, monkeypatch):
+        # From (100, 100) a first step of 1e308 would put p + step*g 1e300 m
+        # out; it is cut so that the trial lies TRIAL_DIAGONALS box diagonals
+        # from p, and every later trial lies within REACH.
+        trials = []
+        real = region_mod.project
+
+        def recording(region, point):
+            trials.append(point)
+            return real(region, point)
+
+        monkeypatch.setattr(region_mod, "project", recording)
         scenario = binding_scenario(20)
         config = SolverConfig(mode="region", step_size=1e308, init=(100.0, 100.0))
         with warnings.catch_warnings():
@@ -310,21 +333,27 @@ class TestStepRule:
             report = solve(scenario, config)
         assert report.converged
         assert contains(build(scenario), report.placement[:2])
-        assert all(math.isfinite(x) and math.isfinite(y) for _, _, (x, y) in value_calls)
         assert report.objective >= report.trajectory[0][2]
+        start = report.trajectory[0][:2]
+        assert math.dist(trials[1], start) == pytest.approx(solver_mod.TRIAL_DIAGONALS * math.hypot(100, 100))
+        assert all(abs(x) <= region_mod.REACH and abs(y) <= region_mod.REACH for x, y in trials)
 
     @pytest.mark.parametrize("z", [650.0, 30.0])
     def test_scaling_every_energy_by_a_power_of_two_changes_no_bit(self, z):
         # f, g and L scale by 2^k together, so every step t*g stays the same:
-        # the step rule has no absolute constant, even where 1/L is 1e-270
+        # the step rule has no absolute constant, from a total energy near
+        # the input domain's floor, 2^-900 J, to one near its ceiling, 2^900 J
         base = generate_uniform(20, AreaBounds(0, 250, 0, 250, z, z), 4500, 18000, seed=4)
         xs, ys, es = base.users.arrays
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # z = 30 m: no certificate
             reports = [
                 solve(Scenario(UserArrays(xs, ys, es * 2.0**k), base.rf, base.bounds), SolverConfig(mode="box"))
-                for k in (0, 64, 100, 300, 600, 900)
+                for k in (0, -900, -300, 64, 100, 300, 600, 881)
             ]
+        for k in (-919, 883):  # a total beyond the domain
+            with pytest.raises(ValidationError, match="^the users' total energy must lie in "):
+                Scenario(UserArrays(xs, ys, es * 2.0**k), base.rf, base.bounds)
         want = reports[0]
         assert want.converged
         for r in reports[1:]:
@@ -333,13 +362,15 @@ class TestStepRule:
             assert (r.iterations, r.converged) == (want.iterations, want.converged)
 
     def test_doubling_keeps_the_step_finite(self):
-        # One step of 1e308 m from (50, 100) ends clamped on the user at the
-        # corner; doubled, it would be infinite, and inf * 0 at the user a NaN
-        # trial that no halving could shorten.
+        # From (1e-308, 0), where |g| is 1.8e-304, a step of 1e308 m reaches
+        # 1.8e4 m, within the trial cap, and ends clamped on the user at the
+        # corner, a move of 1e-308 m that a tolerance of 1e-320 m does not
+        # stop; doubled, the step would be infinite, and inf * 0 at the user
+        # a NaN trial that no halving could shorten.
         s = Scenario(users=(UserDevice(0.0, 0.0, 9000.0),), rf=RF, bounds=AreaBounds(0, 100, 0, 100, 1, 1))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # z = 1 m: no certificate
-            report = solve(s, SolverConfig(mode="box", step_size=1e308, init=(50.0, 100.0)))
+            report = solve(s, SolverConfig(mode="box", step_size=1e308, init=(1e-308, 0.0), tolerance=1e-320))
         assert report.converged
         assert report.placement == (0.0, 0.0, 1.0)
         assert report.step_size_final == sys.float_info.max
@@ -407,6 +438,27 @@ class TestGapBound:
             if report.iterations < 4:
                 assert gap > 1e-12  # a truncated ascent leaves a measurable gap
                 assert report.gap_bound <= 50.0 * gap
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-10])
+    def test_bound_covers_the_true_gap_where_g_over_mu_passes_the_trial_cap(self, delta):
+        # Two unit-K users at opposite corners, the far one's 50 m disk the
+        # region, at a relative delta above the altitude from which the box
+        # bound proves concavity: mu is so small that p + g/mu lies 7.5e7 m or
+        # 7.5e11 m out, the latter beyond REACH. The bound projects the point
+        # at the trial cap instead and adds what the projection's optimality
+        # allows.
+        z = math.hypot(100, 100) * math.sqrt(3) * (1 + delta)
+        users = [UserDevice(0.0, 0.0, 1e6), UserDevice(100.0, 100.0, 50.0**2 + z * z)]
+        scenario = unit_scenario(users, AreaBounds(0, 100, 0, 100, z, z), p_max=1e12)
+        best = solve(scenario, SolverConfig(mode="region"))
+        assert best.converged and best.gap_bound <= 1e-15
+        for step, gap in ((1e3, 0.2219), (1e6, 0.0)):
+            report = solve(scenario, SolverConfig(mode="region", max_iters=1, init=(100.0, 100.0), step_size=step))
+            p, g = report.placement[:2], gradient(scenario.users, z, report.placement[:2])
+            mu = -box_curvature_bounds(scenario.users, z, scenario.bounds)[1]
+            assert math.hypot(*g) / mu > solver_mod.TRIAL_DIAGONALS * math.hypot(100, 100)
+            assert best.objective - report.objective == pytest.approx(gap, abs=1e-4)
+            assert best.objective - report.objective <= report.gap_bound <= 1.02 * gap + 1e-15, p
 
     @pytest.mark.parametrize("z", [2.0, 10.0, 30.0, 650.0])
     def test_modulus_bounds_every_hessian_on_the_box(self, z):
@@ -513,8 +565,11 @@ class TestMonotoneAscent:
 
 
     def test_objective_never_falls_near_the_largest_double(self):
-        # 1e300 and 5e299 J at 650 m: 1/L is about 6e-290
-        users = (UserDevice(100.0, 100.0, 1e300), UserDevice(150.0, 120.0, 5e299))
+        # 2^899 and 2^898 J at 650 m, near the input domain's ceiling of
+        # 2^900 J: 1/L is about 1e-260. 1e300 J lies beyond it.
+        with pytest.raises(ValidationError, match="^the users' total energy must lie in "):
+            Scenario(users=(UserDevice(100.0, 100.0, 1e300),), rf=RF, bounds=AreaBounds(0, 250, 0, 250, 650, 650))
+        users = (UserDevice(100.0, 100.0, 2.0**899), UserDevice(150.0, 120.0, 2.0**898))
         s = Scenario(users=users, rf=RF, bounds=AreaBounds(0, 250, 0, 250, 650, 650))
         report = solve(s, SolverConfig(mode="box"), c=3e8)
         values = [f for _, _, f in report.trajectory]
@@ -523,13 +578,27 @@ class TestMonotoneAscent:
         assert report.gap_bound is not None
 
     def test_a_curvature_bound_without_a_finite_step_is_an_input_error(self):
-        # 2*sum(E)/z^4 = 2e-315 > 0, but 1/L overflows: no step up to 1/L is
-        # safe to take untested, whether or not a first step is given
-        bounds = AreaBounds(0, 250, 0, 250, 1e75, 1e75)
-        s = Scenario(users=(UserDevice(125.0, 125.0, 1e-15),), rf=RF, bounds=bounds)
-        for step in (1.0, None):
-            with pytest.raises(ValidationError, match="rounds to 2e-315, so the step 1/L is not finite"):
-                solve(s, SolverConfig(mode="box", step_size=step))
+        # At z = 1e75 m and 1e-15 J, 2*sum(E)/z^4 = 2e-315 and 1/L overflowed:
+        # that altitude lies beyond the input domain. At its corner, the
+        # highest altitude, 2^24 m, and the least total energy, 2^-900 J,
+        # 1/L = z^4/(2 sum(E)) is 2^995, and the ascent runs, whether or not
+        # a first step is given. One double beyond either edge is an input
+        # error.
+        with pytest.raises(ValidationError, match=r"^bounds\.z_min must lie in "):
+            AreaBounds(0, 250, 0, 250, 1e75, 1e75)
+        z, energy = ALTITUDE_LIMITS[1], ENERGY_LIMITS[0]
+        bounds = AreaBounds(0, 250, 0, 250, z, z)
+        s = Scenario(users=(UserDevice(125.0, 125.0, energy),), rf=RF, bounds=bounds)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for step in (2.0**994, None):
+                report = solve(s, SolverConfig(mode="box", step_size=step, init=(0.0, 0.0)))
+                assert report.converged and math.dist(report.placement[:2], (125.0, 125.0)) < 1e-3
+        assert lipschitz(s) == 2.0**-995
+        with pytest.raises(ValidationError, match=r"^bounds\.z_min must lie in "):
+            AreaBounds(0, 250, 0, 250, math.nextafter(z, math.inf), math.nextafter(z, math.inf))
+        with pytest.raises(ValidationError, match="^the users' total energy must lie in "):
+            Scenario(users=(UserDevice(125.0, 125.0, math.nextafter(energy, 0.0)),), rf=RF, bounds=bounds)
 
 
 class TestRegionMode:
