@@ -85,7 +85,7 @@ def _clusters(text: str) -> list[ClusterSpec]:
 
 
 def _init_spec(text: str):
-    if text in ("centroid", "random"):
+    if text == "centroid":
         return text
     try:
         x, y = (float(v) for v in text.split(","))
@@ -94,7 +94,7 @@ def _init_spec(text: str):
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(
-        f"init must be centroid, random or finite x,y coordinates, got {text!r}"
+        f"init must be centroid or finite x,y coordinates, got {text!r}"
     )
 
 
@@ -132,13 +132,10 @@ def _build_parser() -> argparse.ArgumentParser:
     config = solver_mod.SolverConfig()
     p.add_argument("--mode", choices=MODES, default=config.mode)
     # each flag's dest is a SolverConfig field
-    p.add_argument("--gamma", dest="step_size", metavar="GAMMA", type=_positive_float,
-                   default=config.step_size, help="initial step; default 1/L with L = 2*sum(E)/z^4")
     p.add_argument("--eps", dest="tolerance", metavar="EPS", type=_positive_float,
                    default=config.tolerance, help="movement stop threshold, m")
     p.add_argument("--max-iters", type=int, default=config.max_iters)
     p.add_argument("--init", type=_init_spec, default=config.init)
-    p.add_argument("--init-seed", type=int, default=config.init_seed)
     p.add_argument("--report", default=None, help="write the full report JSON here")
     p.add_argument("--trajectory", default=None, help="write the trajectory CSV here")
     p.add_argument("--c", type=_positive_float, default=SPEED_OF_LIGHT)
@@ -181,17 +178,27 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _column(v: float) -> str:
+    """`v` in 12 characters: two decimals, or six digits where those overflow."""
+    text = f"{v:12.2f}"
+    return text if len(text) <= 12 else f"{v:12.6g}"
+
+
 def _cmd_check(args) -> int:
     scenario = load(args.scenario)
     feas = build_region(scenario, c=args.c)
     print(f"{'user':>5} {'d_power(m)':>12} {'d_energy(m)':>12} {'d_limit(m)':>12} {'radius2d(m)':>12}")
     z = scenario.bounds.z_min
     limits = feas.limits
+    # the region's disks, one per user, radii cut as `region` cuts them; a
+    # region empty by range has none, and the column gives the range at z
+    radii = feas.table.r if len(feas.table.r) else disk_radius(limits.d_limit, z)
+    d_power = _column(limits.d_power)
     for i, (d_energy, d_limit, radius) in enumerate(
-        zip(limits.d_energy.tolist(), limits.d_limit.tolist(), disk_radius(limits.d_limit, z).tolist())
+        zip(limits.d_energy.tolist(), limits.d_limit.tolist(), radii.tolist())
     ):
-        radius = f"{radius:12.2f}" if d_limit > z else f"{'-':>12}"
-        print(f"{i:>5} {limits.d_power:12.2f} {d_energy:12.2f} {d_limit:12.2f} {radius}")
+        radius = _column(radius) if d_limit > z else f"{'-':>12}"
+        print(f"{i:>5} {d_power} {_column(d_energy)} {_column(d_limit)} {radius}")
     cert = concavity_certificate(scenario.bounds)
     verdict = "holds" if cert.holds else "fails"
     print(
@@ -341,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = _print_warning
             return _COMMANDS[args.command](args)
-    except (ValidationError, ParseError, ConfigurationError, OSError) as exc:
+    except (ValidationError, ParseError, ConfigurationError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except EmptyRegionError as exc:

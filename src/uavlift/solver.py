@@ -14,14 +14,13 @@ scaling every energy by a power of two changes no step t*g. A step whose
 trial would reach more than TRIAL_DIAGONALS box diagonals D from p is cut
 to reach that far, the one far point the ascent makes, so every trial lies
 within `region.REACH`. Each user adds at most 2E D/z^4 to |g|, so
-|g| <= L D and a cut step is still at least 2^10/L. An accepted step never
-falls below 1/(2L), unless `step_size` starts it lower. The ascent stops
-when a step of at least 1/(2L) moves the iterate less than the tolerance
-eps, a stationarity test on the projected gradient: it bounds
+|g| <= L D and a cut step is still at least 2^10/L. Halving stops at a
+step of at most 1/L, so no accepted step falls below 1/(2L). The ascent
+stops when a step moves the iterate less than the tolerance eps, a
+stationarity test on the projected gradient: it bounds
 |P(p + t*g) - p| / t by eps/t <= 2L*eps. That threshold grows as z^-4, so
 at a low altitude the ascent can stop after one short step far from the
-optimum. A step shorter than 1/(2L), as a small `step_size` takes while it
-doubles, proves nothing and never stops the ascent.
+optimum.
 
 The same bounds over the box, `objective.box_curvature_bounds`, decide
 concavity once. Where mu = -hi > 0 the objective is strongly concave on
@@ -57,7 +56,6 @@ from .objective import (
     user_arrays,
     value,
 )
-from .rng import SplitMix64, check_seed
 from .scenario import Scenario, check_coordinate
 
 # A trial p + t*g reaches at most this many box diagonals from p.
@@ -66,35 +64,27 @@ TRIAL_DIAGONALS = 2**10
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the ascent.
+    """Knobs of the ascent; its steps come from the problem.
 
-    step_size is the first step; None means 1/L with L = 2*sum(E_i)/z^4.
-    The step halves until the descent lemma holds or the step is at most
-    1/L, and doubles after every accepted step. tolerance is the movement
-    in metres below which a step of at least 1/(2L) stops the ascent.
-    `init` is "centroid", "random", or an explicit (x, y) within the input
-    domain's COORD_LIMIT (see `scenario`).
+    tolerance is the movement in metres below which a step stops the
+    ascent. `init` is "centroid", the centre of the box, or an explicit
+    (x, y) within the input domain's COORD_LIMIT (see `scenario`).
     """
 
-    step_size: float | None = None
     tolerance: float = 1e-3
     max_iters: int = 100
     mode: str = "region"
     init: str | tuple[float, float] = "centroid"
-    init_seed: int = 0
 
     def __post_init__(self):
-        if self.step_size is not None and not 0 < self.step_size < math.inf:
-            raise ValidationError(f"step_size must be positive and finite, got {self.step_size}")
         if not self.tolerance > 0:
             raise ValidationError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_iters < 1:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
-        check_seed(self.init_seed)
         region_mod.check_mode(self.mode)
         if isinstance(self.init, str):
-            if self.init not in ("centroid", "random"):
-                raise ValidationError(f"init must be 'centroid', 'random' or (x, y), got {self.init!r}")
+            if self.init != "centroid":
+                raise ValidationError(f"init must be 'centroid' or (x, y), got {self.init!r}")
         else:
             init = tuple(check_coordinate(float(v), f"init.{axis}") for v, axis in zip(self.init, "xy"))
             object.__setattr__(self, "init", init)
@@ -130,9 +120,6 @@ def _initial_point(scenario: Scenario, config: SolverConfig) -> tuple[float, flo
     b = scenario.bounds
     if config.init == "centroid":
         return (0.5 * (b.x_min + b.x_max), 0.5 * (b.y_min + b.y_max))
-    if config.init == "random":
-        gen = SplitMix64(config.init_seed)
-        return (gen.uniform(b.x_min, b.x_max), gen.uniform(b.y_min, b.y_max))
     return config.init
 
 
@@ -188,7 +175,7 @@ def solve(
 
     converged = False
     iterations = 0
-    step = config.step_size if config.step_size is not None else safe_step
+    step = safe_step
     for _n in range(config.max_iters):
         norm = math.hypot(*g)
         if step * norm > reach:
@@ -206,9 +193,7 @@ def solve(
         iterations += 1
         trajectory.append((p[0], p[1], f_p))
         g = gradient(users, z, p)
-        # a short move is a stationarity test only after a step of at least
-        # 1/(2L): one from a small `step_size` stops nothing
-        if math.hypot(dx, dy) < config.tolerance and step >= 0.5 * safe_step:
+        if math.hypot(dx, dy) < config.tolerance:
             converged = True
             break
         step = min(2.0 * step, sys.float_info.max)  # finite, so a step * norm is never NaN

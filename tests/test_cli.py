@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from region_layouts import random_region, unit_scenario
 
-from uavlift import cases
+from uavlift import cases, rng
 from uavlift.cli import _build_parser, main
 from uavlift.region import build, contains
 from uavlift.scenario import (
@@ -339,16 +339,16 @@ class TestSolve:
         assert main(["solve", str(relaxed_file), "--init", "nan,0"]) == 2
         assert "finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--gamma", "--eps"])
+    @pytest.mark.parametrize("flag", ["--eps"])
     def test_non_finite_number_flag_is_rejected_by_the_parser(self, flag, capsys):
         with pytest.raises(SystemExit):
             _build_parser().parse_args(["solve", "s.json", flag, "inf"])
         assert "finite" in capsys.readouterr().err
 
-    def test_explicit_gamma_and_eps(self, relaxed_file, capsys):
+    def test_explicit_eps_and_max_iters(self, relaxed_file, capsys):
         rc = main([
             "solve", str(relaxed_file), "--mode", "box",
-            "--gamma", "1e4", "--eps", "1e-5", "--max-iters", "2000",
+            "--eps", "1e-5", "--max-iters", "2000",
         ])
         out = capsys.readouterr().out
         assert rc == 0
@@ -378,8 +378,7 @@ def test_non_finite_energy_is_input_error_exit_2(relaxed_file, tmp_path, capsys,
 @pytest.mark.parametrize("argv", [
     ["generate", "--count", "5", "--seed", "-1"],
     ["reproduce", "--case", "uniform", "--seed", "-1"],
-    ["solve", "SCENARIO", "--mode", "box", "--init", "random", "--init-seed", "-1"],
-], ids=["generate", "reproduce", "solve"])
+], ids=["generate", "reproduce"])
 def test_negative_seed_is_usage_error(relaxed_file, tmp_path, capsys, argv):
     argv = [str(relaxed_file) if a == "SCENARIO" else a for a in argv]
     if argv[0] == "generate":
@@ -392,9 +391,7 @@ def test_negative_seed_is_usage_error(relaxed_file, tmp_path, capsys, argv):
     ["generate", "--count", "5", "--seed", "SEED"],
     ["reproduce", "--case", "uniform", "--seed", "SEED"],
     ["reproduce", "--case", "concavity", "--seed", "SEED"],
-    ["solve", "SCENARIO", "--mode", "box", "--init", "random", "--init-seed", "SEED"],
-    ["solve", "SCENARIO", "--mode", "box", "--init-seed", "SEED"],
-], ids=["generate", "reproduce-uniform", "reproduce-concavity", "solve-random", "solve-centroid"])
+], ids=["generate", "reproduce-uniform", "reproduce-concavity"])
 @pytest.mark.parametrize("seed", [2**64, 2**64 + 9, 2**200], ids=["2^64", "2^64+9", "2^200"])
 def test_seed_beyond_64_bits_is_usage_error(relaxed_file, tmp_path, capsys, argv, seed):
     # SplitMix64 keeps 64 bits of state: 2**64 + s would silently replay seed s.
@@ -425,7 +422,7 @@ def test_largest_seed_still_works(tmp_path, capsys):
     seed = str(2**64 - 1)
     assert main(["generate", "--count", "5", "--seed", seed, "--out", str(path)]) == 0
     assert load(path).seed == 2**64 - 1
-    assert main(["solve", str(path), "--mode", "box", "--init", "random", "--init-seed", seed]) == 0
+    assert main(["solve", str(path), "--mode", "box"]) == 0
     capsys.readouterr()
 
 
@@ -852,13 +849,49 @@ def test_corner_instances_of_the_domain_warn_nothing(tmp_path, capsys, monkeypat
         out, err = capsys.readouterr()
         assert (rc, err) == (0, "") or (rc == 3 and (err == "" or err.startswith("infeasible: "))), (command, rc, err)
         assert err.count("\n") <= 1
-@pytest.mark.parametrize("argv", [
-    ["solve", "s.json", "--mode", "box", "--no-line-search"],
-    ["generate", "--count", "5", "--seed", "1", "--z-max", "700"],
-], ids=["no-line-search", "z-max"])
-def test_removed_flags_are_refused(argv, capsys):
+@pytest.mark.parametrize("argv, error", [
+    (["solve", "s.json", "--mode", "box", "--no-line-search"], "unrecognized arguments"),
+    (["generate", "--count", "5", "--seed", "1", "--z-max", "700"], "unrecognized arguments"),
+    (["solve", "s.json", "--gamma", "1"], "unrecognized arguments"),
+    (["solve", "s.json", "--init-seed", "3"], "unrecognized arguments"),
+    (["solve", "s.json", "--init", "random"], "init must be centroid or finite x,y coordinates, got 'random'"),
+], ids=["no-line-search", "z-max", "gamma", "init-seed", "init-random"])
+def test_removed_flags_are_refused(argv, error, capsys):
     assert main(argv) == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    assert error in capsys.readouterr().err
+
+
+def test_generate_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # a billion users need 22.4 GiB of draws: NumPy's MemoryError is an
+    # input error, not a traceback, and no file is written
+    def out_of_memory(self, shape, low, high):
+        raise MemoryError(f"Unable to allocate 22.4 GiB for an array with shape {shape}")
+
+    monkeypatch.setattr(rng.SplitMix64, "uniforms", out_of_memory)
+    argv = ["generate", "--count", "1000000000", "--seed", "1", "--out", str(tmp_path / "big.json")]
+    refused(argv, capsys, "Unable to allocate 22.4 GiB", tmp_path)
+
+
+def test_check_prints_the_region_radii_of_a_range_far_beyond_the_box(tmp_path, capsys):
+    # p_max = 1e200 W and tau_th = 1e-100 s: ranges of 1e57 m and more print
+    # in six digits, and the radius column is the region's, cut to twice the
+    # distance to the farthest box corner
+    path = tmp_path / "far.json"
+    argv = ["generate", "--count", "5", "--seed", "1", "--p-max", "1e200", "--tau-th", "1e-100", "--out", str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["check", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines(keepends=True)[:6] == [
+        CHECK_HEADER,
+        "    0 1.05514e+105  1.40014e+57  1.40014e+57       468.29\n",
+        "    1 1.05514e+105  1.28359e+57  1.28359e+57       392.93\n",
+        "    2 1.05514e+105  9.64421e+56  9.64421e+56       510.72\n",
+        "    3 1.05514e+105  1.18783e+57  1.18783e+57       496.36\n",
+        "    4 1.05514e+105  1.07529e+57  1.07529e+57       380.16\n",
+    ]
+    radii = [float(line.split()[-1]) for line in out.splitlines()[1:6]]
+    assert radii == [round(r, 2) for r in build(load(path)).table.r.tolist()]
 
 
 class TestGrid:

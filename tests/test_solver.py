@@ -83,6 +83,13 @@ def lipschitz(scenario) -> float:
     return 2.0 * sum(u.energy for u in scenario.users) / scenario.bounds.z_min**4
 
 
+def first_step(monkeypatch, step):
+    """Make the ascent's first step `step`: the solver's curvature bound
+    L = -lo becomes 1/step, its concavity modulus stays."""
+    real = solver_mod.box_curvature_bounds
+    monkeypatch.setattr(solver_mod, "box_curvature_bounds", lambda users, z, box: (-1.0 / step, real(users, z, box)[1]))
+
+
 @pytest.fixture()
 def value_calls(monkeypatch):
     """Counts objective evaluations through the solver's own module name."""
@@ -101,8 +108,8 @@ class TestSolveBasics:
     def test_single_user_box_mode_converges_to_the_user(self):
         bounds = AreaBounds(0, 250, 0, 250, 650, 650)
         s = Scenario(users=(UserDevice(50, 50, 9000.0),), rf=RF, bounds=bounds)
-        # step near the inverse curvature z^4 / 2E makes the ascent fast
-        config = SolverConfig(mode="box", step_size=1e7, tolerance=1e-6, max_iters=300)
+        # the first step, 1/L = z^4 / 2E, is the inverse curvature under the user
+        config = SolverConfig(mode="box", tolerance=1e-6, max_iters=300)
         report = solve(s, config)
         x, y, z = report.placement
         assert report.converged
@@ -124,14 +131,6 @@ class TestSolveBasics:
         b = solve(reference_scenario(), config, c=3e8)
         assert a == b
 
-    def test_random_init_is_seeded(self):
-        config = SolverConfig(mode="box", init="random", init_seed=77, max_iters=5)
-        a = solve(relaxed_scenario(), config)
-        b = solve(relaxed_scenario(), config)
-        assert a.trajectory[0] == b.trajectory[0]
-        other = solve(relaxed_scenario(), SolverConfig(mode="box", init="random", init_seed=78, max_iters=5))
-        assert a.trajectory[0] != other.trajectory[0]
-
     def test_config_validation(self):
         from uavlift.errors import ValidationError
 
@@ -142,9 +141,9 @@ class TestSolveBasics:
         with pytest.raises(ValidationError):
             SolverConfig(max_iters=0)
         with pytest.raises(ValidationError):
-            SolverConfig(step_size=math.inf)  # would never leave the backtracking loop
-        with pytest.raises(ValidationError):
             SolverConfig(init=(math.nan, 0.0))
+        with pytest.raises(ValidationError, match="^init must be 'centroid' or"):
+            SolverConfig(init="random")
 
     def test_start_at_the_edge_of_the_input_domain(self):
         # a start within 2^24 m of the origin is taken; the next double out is
@@ -240,13 +239,6 @@ PINNED_SOLVES = {
         "0x1.cc5d9ed7a5df0p+6", "0x1.f16cbbaed2cecp+9", None, "0x0.0p+0", 16, True,
         "46646b7f0a2026a6f5fa5e34e1d640be32edfb7a618f9e7670fd67c406185b5f",
     ),
-    # 1/L is about 0.03 here, so a first step of 1 must halve
-    "b50-box-step1": (
-        lambda: binding_scenario(50), SolverConfig(mode="box", step_size=1.0), SPEED_OF_LIGHT,
-        ("0x1.b0eabbbc3dcedp+5", "0x1.6d12ccb92c13ep+3", "0x1.4000000000000p+3"),
-        "0x1.12a2b0f17d6cbp+8", "0x1.0000000000000p-1", None, "0x1.30f7afabf39e1p-12", 29, True,
-        "6cbfe439dd54a926013ad201636ee2e3fb5cc1dcdedcb07d0b50f52db9350bb0",
-    ),
     "z30-box": (
         z30_scenario, SolverConfig(mode="box"), SPEED_OF_LIGHT,
         ("0x1.6c3cf49fc88e3p+6", "0x1.22566fb5d7b09p+6", "0x1.e000000000000p+4"),
@@ -273,6 +265,38 @@ def test_pinned_solve_reports(name):
         hashlib.sha256(rows).hexdigest(),
     ]
     assert got == want
+
+
+@pytest.mark.parametrize("name", PINNED_SOLVES)
+def test_no_accepted_step_falls_below_half_of_one_over_l(name, monkeypatch):
+    # Halving stops at a step of at most 1/L, and a trial cut to the cap is
+    # still at least 2^10/L, so the stop test only ever meets a step t of at
+    # least 1/(2L). t is read back from each accepted trial p + t*g: the
+    # first one that projects onto the next iterate.
+    make, config, c, *_ = PINNED_SOLVES[name]
+    scenario = make()
+    calls = []
+    real = region_mod.project
+
+    def recording(region, point):
+        calls.append((point, real(region, point)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(region_mod, "project", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # binding and z = 30 m: no certificate
+        report = solve(scenario, config, c=c)
+    z = scenario.bounds.z_min
+    big_l = -box_curvature_bounds(scenario.users, z, scenario.bounds)[0]
+    i = 1
+    for (x0, y0, _), (x1, y1, _) in zip(report.trajectory, report.trajectory[1:]):
+        while calls[i][1] != (x1, y1):
+            i += 1
+        (tx, ty), _ = calls[i]
+        t = math.hypot(tx - x0, ty - y0) / math.hypot(*gradient(scenario.users, z, (x0, y0)))
+        assert t >= 0.5 / big_l * (1 - 1e-9)
+        i += 1
+    assert report.step_size_final >= 1.0 / big_l
 
 
 class TestStepRule:
@@ -304,20 +328,13 @@ class TestStepRule:
         assert (x1, y1) == (x0 + step * gx, y0 + step * gy)
         assert report.step_size_final == 2.0 * step  # an accepted step doubles the next
 
-    def test_a_small_first_step_does_not_stop_the_ascent(self):
-        # From a 1e-9 first step the first moves are far below the tolerance
-        # and prove nothing: the ascent goes on while the step doubles, and
-        # stops at the optimum, not after one move at the box centre
-        scenario = reference_scenario()
-        report = solve(scenario, SolverConfig(mode="box", step_size=1e-9))
-        assert report.converged
-        assert report.iterations > solve(scenario, SolverConfig(mode="box")).iterations
-        assert math.dist(report.placement[:2], newton_optimum(scenario)) <= 1e-3
-
     def test_a_step_beyond_the_trial_cap_is_cut_to_it(self, monkeypatch):
-        # From (100, 100) a first step of 1e308 would put p + step*g 1e300 m
-        # out; it is cut so that the trial lies TRIAL_DIAGONALS box diagonals
-        # from p, and every later trial lies within REACH.
+        # From the corner (0, 0) of the 50 m box the first step 1/L reaches
+        # 0.38 box diagonals. Under a cap of 1/8 diagonal it is cut so that
+        # the trial lies that far from p, as is every later trial, and the
+        # ascent still ends where the uncut one does.
+        scenario, config = relaxed_scenario(), SolverConfig(mode="region", init=(0.0, 0.0))
+        uncut = solve(scenario, config)
         trials = []
         real = region_mod.project
 
@@ -326,17 +343,17 @@ class TestStepRule:
             return real(region, point)
 
         monkeypatch.setattr(region_mod, "project", recording)
-        scenario = binding_scenario(20)
-        config = SolverConfig(mode="region", step_size=1e308, init=(100.0, 100.0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # z = 10 m: no certificate
-            report = solve(scenario, config)
-        assert report.converged
+        monkeypatch.setattr(solver_mod, "TRIAL_DIAGONALS", 0.125)
+        report = solve(scenario, config)
+        assert report.converged and report.iterations > uncut.iterations
+        assert math.dist(report.placement[:2], uncut.placement[:2]) <= 1e-3
         assert contains(build(scenario), report.placement[:2])
-        assert report.objective >= report.trajectory[0][2]
-        start = report.trajectory[0][:2]
-        assert math.dist(trials[1], start) == pytest.approx(solver_mod.TRIAL_DIAGONALS * math.hypot(100, 100))
-        assert all(abs(x) <= region_mod.REACH and abs(y) <= region_mod.REACH for x, y in trials)
+        values = [f for _, _, f in report.trajectory]
+        assert all(b >= a for a, b in zip(values, values[1:]))
+        cap = 0.125 * math.hypot(50, 50)
+        assert math.dist(trials[1], (0.0, 0.0)) == pytest.approx(cap)
+        for trial in trials[1:]:  # each from the iterate it steps from
+            assert min(math.dist(trial, row[:2]) for row in report.trajectory) <= cap * (1 + 1e-12)
 
     @pytest.mark.parametrize("z", [650.0, 30.0])
     def test_scaling_every_energy_by_a_power_of_two_changes_no_bit(self, z):
@@ -361,16 +378,18 @@ class TestStepRule:
             assert r.placement == want.placement
             assert (r.iterations, r.converged) == (want.iterations, want.converged)
 
-    def test_doubling_keeps_the_step_finite(self):
-        # From (1e-308, 0), where |g| is 1.8e-304, a step of 1e308 m reaches
-        # 1.8e4 m, within the trial cap, and ends clamped on the user at the
-        # corner, a move of 1e-308 m that a tolerance of 1e-320 m does not
-        # stop; doubled, the step would be infinite, and inf * 0 at the user
-        # a NaN trial that no halving could shorten.
+    def test_doubling_keeps_the_step_finite(self, monkeypatch):
+        # Under a curvature bound of 1e-308, 1/L is 1e308. From (1e-308, 0),
+        # where |g| is 1.8e-304, that step reaches 1.8e4 m, within the trial
+        # cap, and ends clamped on the user at the corner, a move of 1e-308 m
+        # that a tolerance of 1e-320 m does not stop; doubled, the step would
+        # be infinite, and inf * 0 at the user a NaN trial that no halving
+        # could shorten.
+        first_step(monkeypatch, 1e308)
         s = Scenario(users=(UserDevice(0.0, 0.0, 9000.0),), rf=RF, bounds=AreaBounds(0, 100, 0, 100, 1, 1))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # z = 1 m: no certificate
-            report = solve(s, SolverConfig(mode="box", step_size=1e308, init=(1e-308, 0.0), tolerance=1e-320))
+            report = solve(s, SolverConfig(mode="box", init=(1e-308, 0.0), tolerance=1e-320))
         assert report.converged
         assert report.placement == (0.0, 0.0, 1.0)
         assert report.step_size_final == sys.float_info.max
@@ -440,20 +459,23 @@ class TestGapBound:
                 assert report.gap_bound <= 50.0 * gap
 
     @pytest.mark.parametrize("delta", [1e-6, 1e-10])
-    def test_bound_covers_the_true_gap_where_g_over_mu_passes_the_trial_cap(self, delta):
+    def test_bound_covers_the_true_gap_where_g_over_mu_passes_the_trial_cap(self, delta, monkeypatch):
         # Two unit-K users at opposite corners, the far one's 50 m disk the
         # region, at a relative delta above the altitude from which the box
         # bound proves concavity: mu is so small that p + g/mu lies 7.5e7 m or
         # 7.5e11 m out, the latter beyond REACH. The bound projects the point
         # at the trial cap instead and adds what the projection's optimality
-        # allows.
+        # allows. One step of 1/L, about 1700, from (100, 100) lands on the
+        # optimum; one of 1e3, under a curvature bound of 1e-3, stops short.
         z = math.hypot(100, 100) * math.sqrt(3) * (1 + delta)
         users = [UserDevice(0.0, 0.0, 1e6), UserDevice(100.0, 100.0, 50.0**2 + z * z)]
         scenario = unit_scenario(users, AreaBounds(0, 100, 0, 100, z, z), p_max=1e12)
         best = solve(scenario, SolverConfig(mode="region"))
         assert best.converged and best.gap_bound <= 1e-15
-        for step, gap in ((1e3, 0.2219), (1e6, 0.0)):
-            report = solve(scenario, SolverConfig(mode="region", max_iters=1, init=(100.0, 100.0), step_size=step))
+        for step, gap in ((None, 0.0), (1e3, 0.2219)):
+            if step is not None:
+                first_step(monkeypatch, step)
+            report = solve(scenario, SolverConfig(mode="region", max_iters=1, init=(100.0, 100.0)))
             p, g = report.placement[:2], gradient(scenario.users, z, report.placement[:2])
             mu = -box_curvature_bounds(scenario.users, z, scenario.bounds)[1]
             assert math.hypot(*g) / mu > solver_mod.TRIAL_DIAGONALS * math.hypot(100, 100)
@@ -497,13 +519,15 @@ class TestGapBound:
         assert top == pytest.approx(hi_near, rel=1e-12)
         assert curvature_bounds(users, z, z) == (lo, hi)
 
-    def test_bound_is_near_tight_for_one_user_across_the_diagonal(self):
+    def test_bound_is_near_tight_for_one_user_across_the_diagonal(self, monkeypatch):
         # The optimum is the user's own corner. From the far corner the
         # model's maximiser lies beyond the box, so the bound depends on the
-        # projection; here it is within 1.5x of the true gap.
+        # projection; here it is within 1.5x of the true gap. A first step
+        # of 1e-9, under a curvature bound of 1e9, keeps p at the corner.
+        first_step(monkeypatch, 1e-9)
         bounds = cases.BOUNDS
         s = Scenario(users=(UserDevice(0.0, 0.0, 9000.0),), rf=RF, bounds=bounds)
-        config = SolverConfig(mode="box", init=(250.0, 250.0), step_size=1e-9, max_iters=1)
+        config = SolverConfig(mode="box", init=(250.0, 250.0), max_iters=1)
         report = solve(s, config)
         gap = 9000.0 / bounds.z_min**2 - report.objective
         assert gap <= report.gap_bound <= 1.5 * gap
@@ -581,9 +605,8 @@ class TestMonotoneAscent:
         # At z = 1e75 m and 1e-15 J, 2*sum(E)/z^4 = 2e-315 and 1/L overflowed:
         # that altitude lies beyond the input domain. At its corner, the
         # highest altitude, 2^24 m, and the least total energy, 2^-900 J,
-        # 1/L = z^4/(2 sum(E)) is 2^995, and the ascent runs, whether or not
-        # a first step is given. One double beyond either edge is an input
-        # error.
+        # 1/L = z^4/(2 sum(E)) is 2^995, and the ascent runs. One double
+        # beyond either edge is an input error.
         with pytest.raises(ValidationError, match=r"^bounds\.z_min must lie in "):
             AreaBounds(0, 250, 0, 250, 1e75, 1e75)
         z, energy = ALTITUDE_LIMITS[1], ENERGY_LIMITS[0]
@@ -591,9 +614,8 @@ class TestMonotoneAscent:
         s = Scenario(users=(UserDevice(125.0, 125.0, energy),), rf=RF, bounds=bounds)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for step in (2.0**994, None):
-                report = solve(s, SolverConfig(mode="box", step_size=step, init=(0.0, 0.0)))
-                assert report.converged and math.dist(report.placement[:2], (125.0, 125.0)) < 1e-3
+            report = solve(s, SolverConfig(mode="box", init=(0.0, 0.0)))
+        assert report.converged and math.dist(report.placement[:2], (125.0, 125.0)) < 1e-3
         assert lipschitz(s) == 2.0**-995
         with pytest.raises(ValidationError, match=r"^bounds\.z_min must lie in "):
             AreaBounds(0, 250, 0, 250, math.nextafter(z, math.inf), math.nextafter(z, math.inf))
