@@ -28,7 +28,7 @@ from .errors import (
 )
 from .objective import NsdScan, concavity_certificate, nsd_scan
 from .oracle import GridSpec, grid_search
-from .region import MODES, disk_radius
+from .region import MODES, cut_radii, disk_radius
 from .region import build as build_region
 from .scenario import (
     DEFAULT_ENERGY_HIGH,
@@ -190,9 +190,10 @@ def _cmd_check(args) -> int:
     print(f"{'user':>5} {'d_power(m)':>12} {'d_energy(m)':>12} {'d_limit(m)':>12} {'radius2d(m)':>12}")
     z = scenario.bounds.z_min
     limits = feas.limits
-    # the region's disks, one per user, radii cut as `region` cuts them; a
-    # region empty by range has none, and the column gives the range at z
-    radii = feas.table.r if len(feas.table.r) else disk_radius(limits.d_limit, z)
+    # each user's disk at z, its radius cut as the region cuts it, also
+    # where the region is empty by range and keeps no disks
+    xs, ys, _ = scenario.users.arrays
+    radii = cut_radii(xs, ys, disk_radius(limits.d_limit, z), scenario.bounds)
     d_power = _column(limits.d_power)
     for i, (d_energy, d_limit, radius) in enumerate(
         zip(limits.d_energy.tolist(), limits.d_limit.tolist(), radii.tolist())

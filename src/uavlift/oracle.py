@@ -281,10 +281,12 @@ def grid_search(
     centres their values and slopes.
 
     Only nodes of the mode's `region.feasible_set` count, for the lower bound
-    as for the answer; `region.within` tests them as `region.contains` does,
-    with the region's slack. The leaf nodes are taken in x-major order and
-    the first maximum wins, so the node and value are those of a scan of
-    every node: ties break toward the smallest x, then the smallest y.
+    as for the answer; `region.within` tests them as `region.contains` does.
+    An empty region raises EmptyRegionError with its cause; a region that
+    no node hits, one that lies between the nodes, is a ValidationError.
+    The leaf nodes are taken in x-major order and the first maximum wins,
+    so the node and value are those of a scan of every node: ties break
+    toward the smallest x, then the smallest y.
     """
     feas = region_mod.feasible_set(scenario, mode, c)
     users = user_arrays(scenario.users)
@@ -294,8 +296,7 @@ def grid_search(
     fine = np.column_stack((grid_xs[nodes // n_y], grid_ys[nodes % n_y]))
     fine = fine[region_mod.within(feas, fine)[0]]
     if not len(fine):
-        thin = f"the region is thinner than the emptiness tolerance (slack {feas.slack:.3g} m)"
-        raise ValidationError(f"no grid node is feasible; {thin if feas.slack else 'refine the spacing'}")
+        raise ValidationError("no grid node is feasible; refine the spacing")
     z = scenario.bounds.z_min
     totals = node_values(*users, z, fine[:, 0], fine[:, 1])[0]
     j = int(np.argmax(totals))  # the first maximum: ties break toward the smallest x, then y

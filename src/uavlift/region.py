@@ -11,13 +11,13 @@ Both questions asked of it are LP-type problems in two variables
 (Matousek, Sharir & Welzl, 1996; Amenta, 1994), solved exactly by one pivot
 loop that adds the most violated edge or disk to a basis of at most three.
 `check_empty` minimizes g, the largest violation: the region is non-empty
-iff min g <= EMPTINESS_TOL, and the minimizer, its deepest point, is the
-witness. `project` finds the nearest point, a tight point of at most two
-constraints. A pivot makes two NumPy passes, its few candidate points'
-gaps to the disks of its group and the chosen point's gaps to every disk,
-except a projection's first, whose one candidate needs no test; the rest
-is arithmetic on Python floats. Within the input domain declared in
-`scenario`, centres lie within 2^24 m, `_disk_arrays` cuts each radius to
+iff min g is at most the table's `rounding`, and the minimizer, its deepest
+point, is the witness. `project` finds the nearest point, a tight point of
+at most two constraints. A pivot makes two NumPy passes, its few candidate
+points' gaps to the disks of its group and the chosen point's gaps to every
+disk, except a projection's first, whose one candidate needs no test; the
+rest is arithmetic on Python floats. Within the input domain declared in
+`scenario`, centres lie within 2^24 m, `cut_radii` cuts each radius to
 at most twice the distance from its centre to the farthest box corner, and
 `project` takes points within REACH, so no term, not even `_tight_points`'
 sixth powers of lengths below 2^37 m, overflows.
@@ -27,11 +27,15 @@ A region keeps each concept once, as arrays: the users' range limits as
 once with the region; `feasible_set` gives "box" mode a region with none.
 `within`, the one membership test, measures how far points miss the box and
 the disks; `contains` and the grid oracle ask it.
+
+Every test of a computed point, each pivot's, the emptiness verdict's and
+membership's, allows the same `rounding`, 1e-12 of the instance's size, as
+a point computed on a boundary lands a few ulps from it: exactly tangent
+disks meet, and a region that no point meets to within that is empty.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -49,7 +53,6 @@ if TYPE_CHECKING:  # importing numpy.typing costs about 1 ms
 
 MODES = ("box", "region")  # the feasible sets a solve or a grid search runs over
 MEMBERSHIP_TOL = 1e-9   # meters, least boundary slack for `contains`
-EMPTINESS_TOL = 1e-6    # meters, decision threshold of `check_empty`
 # Meters, the largest coordinate `project` takes: a start lies within
 # COORD_LIMIT = 2^24 m, and a trial of the ascent within 2^10 box diagonals
 # (below 2^35.5 m) of a point of the box.
@@ -88,16 +91,6 @@ class DiskTable(NamedTuple):
     rounding: float
 
 
-class _Edges(NamedTuple):
-    """A box's four edges, all the solves read of it; `project` widens them
-    by a region's slack, which may take them past the input domain."""
-
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
-
-
 class EmptinessCheck(NamedTuple):
     empty: bool
     witness: tuple[float, float] | None  # the deepest point when non-empty
@@ -109,12 +102,10 @@ class EmptinessCheck(NamedTuple):
 class FeasibleRegion:
     """Disks-and-box description of the feasible placements at z_min.
 
-    `table` holds the disks as arrays; a region empty by range has none.
-    `slack` is max(min g, 0): 0 for a region with a feasible point, and for
-    one thinner than EMPTINESS_TOL the amount by which its deepest point
-    still misses some set; `contains` and `project` widen every set by it.
-    `limits` holds the range limits the disks came from, when `build` made
-    the region. Regions hold arrays, so `==` is identity.
+    `table` holds the disks as arrays; a region empty by range has none. A
+    region that is not empty has a point in every set, up to the table's
+    `rounding`. `limits` holds the range limits the disks came from, when
+    `build` made the region. Regions hold arrays, so `==` is identity.
     """
 
     table: DiskTable = field(repr=False)
@@ -122,7 +113,6 @@ class FeasibleRegion:
     empty: bool
     empty_reason: str | None = None
     limits: RangeLimits | None = field(default=None, repr=False)
-    slack: float = 0.0
 
     @classmethod
     def from_disks(cls, disks: ArrayLike, box: AreaBounds) -> "FeasibleRegion":
@@ -131,9 +121,7 @@ class FeasibleRegion:
 
         A disk of radius 0 is the single point at its centre.
         """
-        table = _disk_arrays(disks, box)
-        check = check_empty(table, box)
-        return cls(table, box, check.empty, check.cause, slack=max(check.shortfall, 0.0))
+        return _decided(_disk_arrays(disks, box), box)
 
 
 def max_range_power(p_max: float, k: float) -> float:
@@ -192,7 +180,8 @@ def build(scenario: Scenario, c: float = SPEED_OF_LIGHT) -> FeasibleRegion:
     the single point under the user.
     """
     k = system_constant(scenario.rf, len(scenario.users), c)
-    z = scenario.bounds.z_min
+    box = scenario.bounds
+    z = box.z_min
     xs, ys, es = scenario.users.arrays
     limits = RangeLimits(
         max_range_power(scenario.rf.p_max, k), max_range_energy(es, scenario.rf.tau_th, k)
@@ -211,11 +200,14 @@ def build(scenario: Scenario, c: float = SPEED_OF_LIGHT) -> FeasibleRegion:
             f"{binding} constraint unsatisfiable at altitude {z:g} m: "
             f"d_limit = {d_limit[worst]:.2f} m <= z_min = {z:g} m for {scope}"
         )
-        table = _disk_arrays((), scenario.bounds)
-        return FeasibleRegion(table, scenario.bounds, True, reason, limits)
+        return FeasibleRegion(_disk_arrays((), box), box, True, reason, limits)
+    return _decided(_disk_table(xs, ys, disk_radius(d_limit, z), box), box, limits)
 
-    disks = np.column_stack((xs, ys, disk_radius(d_limit, z)))
-    return dataclasses.replace(FeasibleRegion.from_disks(disks, scenario.bounds), limits=limits)
+
+def _decided(table: DiskTable, box: AreaBounds, limits: RangeLimits | None = None) -> FeasibleRegion:
+    """The region of `table` and `box`, with `check_empty`'s verdict."""
+    check = check_empty(table, box)
+    return FeasibleRegion(table, box, check.empty, check.cause, limits)
 
 
 def contains(
@@ -228,9 +220,8 @@ def contains(
 def membership_slack(region: FeasibleRegion, tol: float = MEMBERSHIP_TOL) -> float:
     """How far a point may miss the box or a disk and still count as in the
     region: `tol` meters, or the table's `rounding` where that is more, as
-    a computed boundary point can miss by that much, beyond the region's
-    own `slack`."""
-    return max(tol, region.table.rounding) + region.slack
+    a computed boundary point can miss by that much."""
+    return max(tol, region.table.rounding)
 
 
 def project(region: FeasibleRegion, point: tuple[float, float]) -> tuple[float, float]:
@@ -239,9 +230,7 @@ def project(region: FeasibleRegion, point: tuple[float, float]) -> tuple[float, 
     A q with a coordinate that is not finite or lies beyond REACH is a
     ValidationError. A point q in the region comes back unchanged; a bare
     box clamps q. Else the solve pivots from q with no constraint tight,
-    and `_nearest_of` solves each group. A region thinner than
-    EMPTINESS_TOL has no point in every set, so the solve runs on the sets
-    widened by its `slack`.
+    and `_nearest_of` solves each group.
     """
     if region.empty:
         raise EmptyRegionError(region.empty_reason or "region is empty")
@@ -249,15 +238,12 @@ def project(region: FeasibleRegion, point: tuple[float, float]) -> tuple[float, 
         raise ValidationError(
             f"cannot project the point {tuple(point)}: each coordinate must be finite and within {REACH:g} m"
         )
-    table, box, s = region.table, region.box, region.slack
+    table, box = region.table, region.box
     if not len(table.r):
         return (min(max(point[0], box.x_min), box.x_max), min(max(point[1], box.y_min), box.y_max))
     qx, qy = float(point[0]), float(point[1])
-    if s:
-        box = _Edges(box.x_min - s, box.x_max + s, box.y_min - s, box.y_max + s)
-        table = table._replace(r=table.r + s)
     top, j = _most_violated(qx, qy, table, box)
-    if not s and top <= 0.0:  # inside; no point is inside a region with slack
+    if top <= 0.0:  # inside
         return (qx, qy)
     return _pivot("projection", lambda group, basis, p: _nearest_of(group, qx, qy, table, box),
                   (), (qx, qy), 0.0, top, j, table, box)[0]
@@ -267,11 +253,14 @@ def check_empty(disks: DiskTable | ArrayLike, box: AreaBounds) -> EmptinessCheck
     """Decide whether the disks/box intersection is empty.
 
     Let g(p) be the largest amount by which p violates the box or a disk.
-    The region counts as non-empty iff min g <= EMPTINESS_TOL, a fixed
-    1e-6 m. `least_violation` gives min g, exact up to rounding, and a point
+    The region is non-empty iff min g is at most the table's `rounding`, the
+    allowance of every pivot and membership test: exactly tangent disks
+    meet, and a region that every point misses by more is empty.
+    `least_violation` gives min g, exact up to rounding, and a point
     attaining it: the witness of a non-empty region, its deepest point. min g
-    is the `shortfall`, negative when the region has an interior. A table
-    with no disks is the box, whose centre is its deepest point.
+    is the `shortfall`, negative when the region has an interior, and the
+    cause of an empty region names it. A table with no disks is the box,
+    whose centre is its deepest point.
 
     `disks` is a region's `DiskTable`, or (x, y, radius) rows or an (m, 3)
     array as `FeasibleRegion.from_disks` takes them.
@@ -281,7 +270,7 @@ def check_empty(disks: DiskTable | ArrayLike, box: AreaBounds) -> EmptinessCheck
         point = (0.5 * (box.x_min + box.x_max), 0.5 * (box.y_min + box.y_max))
         return EmptinessCheck(False, point, -0.5 * min(box.x_max - box.x_min, box.y_max - box.y_min), None)
     point, shortfall = least_violation(table, box)
-    if shortfall <= EMPTINESS_TOL:
+    if shortfall <= table.rounding:
         return EmptinessCheck(False, point, shortfall, None)
     cause = f"disk intersection is empty: best placement still misses some disk by {shortfall:.6g} m"
     return EmptinessCheck(True, None, shortfall, cause)
@@ -521,16 +510,25 @@ def _tight_points(subset: tuple[int, ...], group_disks: dict[int, tuple[float, f
 
 
 def _disk_arrays(disks: ArrayLike, box: AreaBounds) -> DiskTable:
-    """The (x, y, radius) rows as a table. A centre beyond COORD_LIMIT is a
-    ValidationError. A radius of more than twice the distance from its
-    centre to the farthest box corner is cut to that: the disk still holds
-    the whole box, so the region is the same set, and no radius far beyond
-    the box inflates `rounding` or the terms of the solves."""
-    table = np.array(disks, dtype=float).reshape(-1, 3)
-    cx, cy, r = table.T
-    if not np.all(np.abs(table[:, :2]) <= COORD_LIMIT):
+    """The (x, y, radius) rows as a table, as `_disk_table` makes it."""
+    return _disk_table(*np.array(disks, dtype=float).reshape(-1, 3).T, box)
+
+
+def cut_radii(cx: np.ndarray, cy: np.ndarray, r: np.ndarray, box: AreaBounds) -> np.ndarray:
+    """The radii `r` of disks centred at (cx, cy), each cut to at most twice
+    the distance from its centre to the farthest box corner: the disk still
+    holds the whole box, so the region is the same set."""
+    return np.minimum(r, 2.0 * farthest(cx, cy, box.x_min, box.x_max, box.y_min, box.y_max))
+
+
+def _disk_table(cx: np.ndarray, cy: np.ndarray, r: np.ndarray, box: AreaBounds) -> DiskTable:
+    """The disks of centres (cx, cy) and radii `r` as a table. A centre
+    beyond COORD_LIMIT is a ValidationError. The radii are cut by
+    `cut_radii`, so no radius far beyond the box inflates `rounding` or the
+    terms of the solves."""
+    if not (np.all(np.abs(cx) <= COORD_LIMIT) and np.all(np.abs(cy) <= COORD_LIMIT)):
         raise ValidationError(f"disk centres must lie within {COORD_LIMIT:g} m of the origin")
-    r = np.minimum(r, 2.0 * farthest(cx, cy, box.x_min, box.x_max, box.y_min, box.y_max))
+    r = cut_radii(cx, cy, r, box)
     bounds = [box.x_min, box.x_max, box.y_min, box.y_max]
     rounding = _ROUNDING * float(np.max(np.abs(np.concatenate((bounds, cx, cy, r)))))
     return DiskTable(cx, cy, r, rounding)

@@ -32,7 +32,10 @@ implies mu > 0, which also holds lower down.
 
 Because the printed parameter set of the bundled reproduction cases makes
 the full region empty at 650 m, those cases run in `box` mode; an empty
-region in `region` mode is reported, never raised.
+region in `region` mode is reported, never raised. A region is empty when
+no point meets the box and every disk up to rounding (`region.check_empty`),
+so the ascent projects onto the feasible set itself, and every iterate
+meets every constraint up to rounding.
 """
 
 from __future__ import annotations
@@ -165,8 +168,8 @@ def solve(
             infeasible=feas.empty_reason,
         )
 
-    # every point of the widened sets lies within `diameter` of every other
-    diameter = math.hypot(b.x_max - b.x_min + 2.0 * feas.slack, b.y_max - b.y_min + 2.0 * feas.slack)
+    # every point of the box lies within `diameter` of every other
+    diameter = math.hypot(b.x_max - b.x_min, b.y_max - b.y_min)
     reach = TRIAL_DIAGONALS * diameter
     p = region_mod.project(feas, _initial_point(scenario, config))
     f_p = value(users, z, p)

@@ -27,6 +27,7 @@ from uavlift.scenario import (
     save,
     scenario_to_dict,
 )
+from uavlift.solver import SolverConfig, solve
 
 TOTAL_ENERGY = f"[{ENERGY_LIMITS[0]!r}, {ENERGY_LIMITS[1]!r}]"
 
@@ -240,14 +241,17 @@ class TestCheckOutput:
         ]) == 0
         capsys.readouterr()
         assert main(["check", str(path)]) == 3
+        # the radius column is each user's disk cut as the region cuts it, to
+        # twice the distance to the farthest corner of the 50 m box, also
+        # where the region is empty by range and keeps no disks
         assert capsys.readouterr().out == CHECK_HEADER + (
-            "    0     56440.48      8384.38      8384.38      6730.36\n"
-            "    1     56440.48      8541.88      8541.88      6925.58\n"
-            "    2     56440.48      7504.52      7504.52      5596.23\n"
-            "    3     56440.48      9035.50      9035.50      7525.97\n"
-            "    4     56440.48      9070.32      9070.32      7567.74\n"
+            "    0     56440.48      8384.38      8384.38       112.98\n"
+            "    1     56440.48      8541.88      8541.88       121.39\n"
+            "    2     56440.48      7504.52      7504.52       124.01\n"
+            "    3     56440.48      9035.50      9035.50       113.02\n"
+            "    4     56440.48      9070.32      9070.32        84.33\n"
             "    5     56440.48      3452.75      3452.75            -\n"
-            "    6     56440.48      9693.92      9693.92      8304.94\n"
+            "    6     56440.48      9693.92      9693.92       101.47\n"
             "    7     56440.48      4681.96      4681.96            -\n"
             "concavity certificate: z_min 5000 m vs sqrt(3)*d_max 122.47 m (d_max 70.71 m): holds\n"
             "region: EMPTY (energy constraint unsatisfiable at altitude 5000 m: "
@@ -263,6 +267,42 @@ class TestCheckOutput:
             "concavity certificate: z_min 10 m vs sqrt(3)*d_max 97.98 m (d_max 56.57 m): fails\n"
             "region: non-empty (3 disks intersected with the box)\n"
         )
+
+
+def _pair_file(tmp_path, gap: float):
+    """Two unit-K users whose 10 m disks at z = 10 m are `gap` m apart at the
+    centre of a 100 m box: exactly tangent at (50, 50) for a gap of 0."""
+    users = [UserDevice(40.0, 50.0, 200.0), UserDevice(60.0 + gap, 50.0, 200.0)]
+    path = tmp_path / f"pair-{gap:g}.json"
+    save(unit_scenario(users, AreaBounds(0, 100, 0, 100, 10, 10), p_max=1e6), path)
+    return path
+
+
+REGION_COMMANDS = [["check"], ["solve", "--mode", "region"], ["grid", "--mode", "region", "--spacing", "1"]]
+
+
+@pytest.mark.parametrize("command", REGION_COMMANDS, ids=lambda argv: argv[0])
+def test_disks_a_sliver_apart_are_empty(tmp_path, capsys, command):
+    # no point meets both disks: each command exits 3 and names the shortfall
+    assert main([command[0], str(_pair_file(tmp_path, 5e-7)), *command[1:]]) == 3
+    out, err = capsys.readouterr()
+    assert "disk intersection is empty: best placement still misses some disk by 2.5e-07 m" in out + err
+
+
+@pytest.mark.parametrize("command", REGION_COMMANDS, ids=lambda argv: argv[0])
+def test_tangent_disks_are_a_region(tmp_path, capsys, command):
+    path = _pair_file(tmp_path, 0.0)
+    assert main([command[0], str(path), *command[1:]]) == 0
+    out = capsys.readouterr().out
+    if command[0] == "check":
+        assert "region: non-empty (2 disks intersected with the box)" in out
+    elif command[0] == "grid":
+        assert out.startswith("best (50, 50) ")
+    else:
+        assert out.startswith("placement (50.00, 50.00, 10) m ")
+        with pytest.warns(RuntimeWarning, match="non-concave"):
+            placement = solve(load(path), SolverConfig(mode="region")).placement
+        assert contains(build(load(path)), placement[:2])
 
 
 class TestSolve:

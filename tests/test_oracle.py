@@ -169,24 +169,33 @@ def test_grid_kernel_blocks_do_not_change_answers(monkeypatch, chunk):
     assert 0 < sum(contains(feas, p) for p in nodes) < len(nodes)  # the disks cut the grid
 
 
-def gap_node_scenario() -> Scenario:
-    """Two unit-K users whose 10 m disks at z = 10 m are 5e-7 m apart, with
-    the gap's midpoint on the 1 m grid node (50, 50): a region thinner than
-    the emptiness tolerance, whose slack lets that node in."""
-    users = (UserDevice(40.0 - 2.5e-7, 50.0, 200.0), UserDevice(60.0 + 2.5e-7, 50.0, 200.0))
+def gap_node_scenario(gap: float) -> Scenario:
+    """Two unit-K users whose 10 m disks at z = 10 m are `gap` m apart, with
+    the gap's midpoint on the 1 m grid node (50, 50)."""
+    users = (UserDevice(40.0 - 0.5 * gap, 50.0, 200.0), UserDevice(60.0 + 0.5 * gap, 50.0, 200.0))
     rf = RfParams(rate=1.0, bandwidth=2.0, noise=1.0,
                   frequency=SPEED_OF_LIGHT / (4.0 * math.pi), p_max=1e6, tau_th=1.0)
     return Scenario(users=users, rf=rf, bounds=AreaBounds(0, 100, 0, 100, 10, 10))
 
 
-@pytest.mark.parametrize("layout", ["binding", "thin"])
+@pytest.mark.parametrize("layout", ["binding", "tangent", "thin"])
 def test_grid_nodes_are_feasible_as_contains_says(layout):
-    scenario = binding_scenario(20) if layout == "binding" else gap_node_scenario()
+    # tangent disks meet at the node (50, 50) alone; 5e-7 m apart they share
+    # no point, so the region is empty and every test names its shortfall
+    gaps = {"tangent": 0.0, "thin": 5e-7}
+    scenario = gap_node_scenario(gaps[layout]) if layout in gaps else binding_scenario(20)
     grid = GridSpec(1.0, scenario.bounds)
     feas = build(scenario)
     nodes = [(float(x), float(y)) for x in grid.xs() for y in grid.ys()]
+    if layout == "thin":
+        assert feas.empty
+        for ask in (lambda: contains(feas, (50.0, 50.0)), lambda: within(feas, np.array(nodes)),
+                    lambda: grid_search(scenario, grid, mode="region")):
+            with pytest.raises(EmptyRegionError, match=r"misses some disk by 2\.5e-07 m$"):
+                ask()
+        return
     accepted = [p for p in nodes if contains(feas, p)]
-    assert accepted
+    assert accepted == [(50.0, 50.0)] if layout == "tangent" else len(accepted) > 0
     # the oracle's membership test, over all nodes at once, is contains'
     assert [nodes[k] for k in within(feas, np.array(nodes))[0]] == accepted
     result = grid_search(scenario, grid, mode="region")

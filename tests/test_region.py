@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from candidate_pass import project as reference_project
 from candidate_pass import vertices, within_sets
-from padding_bisection import bisected_shortfall, two_pass_check
+from padding_bisection import bisected_shortfall, candidate_check
 from region_layouts import binding_scenario, project_each, random_region, unit_rf, unit_scenario
 
 import uavlift
@@ -750,8 +750,7 @@ class TestCheckEmpty:
         rows = [(0.0, 0.0, 1.0), (1.0, 0.0, 1.0), (0.5, 3.0, 2.5)]
         want = FeasibleRegion.from_disks(rows, self.BOX)
         got = FeasibleRegion.from_disks(np.array(rows), self.BOX)
-        assert (got.empty, got.empty_reason, got.slack) == (want.empty, want.empty_reason, want.slack)
-        assert (want.empty, want.empty_reason, want.slack) == (False, None, 0.0)
+        assert (got.empty, got.empty_reason) == (want.empty, want.empty_reason) == (False, None)
         assert disk_rows(got) == disk_rows(want) == rows
         assert check_empty(want.table, self.BOX) == check_empty(rows, self.BOX)
 
@@ -824,42 +823,79 @@ def test_exact_shortfall_against_the_padding_bisection():
 
 
 def test_region_thinner_than_the_tolerance_keeps_its_point_of_least_violation():
-    # Two unit disks 5e-7 m apart share no point, but the midpoint of the gap
-    # misses each by 2.5e-7 m, less than EMPTINESS_TOL: a non-empty region
-    # whose deepest point is that midpoint, and whose sets `contains` and
-    # `project` widen by that much.
+    # Two unit disks 5e-7 m apart share no point: the midpoint of the gap, the
+    # point of least violation, misses each by 2.5e-7 m, far beyond the
+    # table's rounding of 1e-11 m, so the region is empty, and its cause
+    # names that shortfall. `contains` and `project` refuse it with that
+    # cause. Exactly tangent, the same disks meet at (1, 0), where every
+    # projection lands.
     box = TestCheckEmpty.BOX
     region = FeasibleRegion.from_disks([(0, 0, 1), (2 + 5e-7, 0, 1)], box)
     check = check_empty(region.table, box)
-    assert not region.empty and not check.empty
+    assert region.empty and check.empty and check.witness is None
     assert check.shortfall == pytest.approx(2.5e-7, abs=region.table.rounding)
-    assert check.witness == pytest.approx((1.00000025, 0.0), abs=region.table.rounding)
-    assert region.slack == check.shortfall
-    assert contains(region, check.witness, tol=0.0)
-    assert contains(region, project(region, (5.0, 5.0)))
+    assert region.empty_reason == check.cause == (
+        "disk intersection is empty: best placement still misses some disk by 2.5e-07 m"
+    )
+    point, g = region_mod.least_violation(region.table, box)
+    assert g == check.shortfall
+    assert point == pytest.approx((1.00000025, 0.0), abs=region.table.rounding)
+    for ask in (lambda: contains(region, point), lambda: project(region, (5.0, 5.0))):
+        with pytest.raises(EmptyRegionError, match=r"misses some disk by 2\.5e-07 m$"):
+            ask()
+    tangent = FeasibleRegion.from_disks([(0, 0, 1), (2, 0, 1)], box)
+    assert not tangent.empty
+    assert contains(tangent, check_empty(tangent.table, box).witness, tol=0.0)
     gen = SplitMix64(3)
     pts = np.array([(gen.uniform(-15, 15), gen.uniform(-15, 15)) for _ in range(200)])
-    projected = project_each(region, pts)
-    assert all(contains(region, (float(x), float(y))) for x, y in projected)
-    _, viol = region_mod.within(region, projected, math.inf)
-    assert len(viol) == len(pts) and np.all(viol <= check.shortfall)
+    projected = project_each(tangent, pts)
+    assert projected == pytest.approx(np.tile((1.0, 0.0), (len(pts), 1)), abs=1e-6)
+    _, viol = region_mod.within(tangent, projected, math.inf)
+    assert len(viol) == len(pts) and np.all(viol <= tangent.table.rounding)
 
 
 def test_region_thinner_than_the_tolerance_projects_at_the_edge_of_the_input_domain():
-    # The same gap in a box whose edge is the domain's, 2^24 m: `project`
-    # widens the box by the slack, past the domain, and still projects
+    # The same gap in a box whose edge is the domain's, 2^24 m, where the
+    # table's rounding is 1e-12 of 2^24 m, 1.7e-5 m: a computed point there
+    # is only that exact, so the 2.5e-7 m shortfall is within it, the region
+    # is not empty, and `project` lands every point in it
     edge = COORD_LIMIT
     box = AreaBounds(edge - 8, edge, -4, 4, 1, 1)
     region = FeasibleRegion.from_disks([(edge - 3, 0, 1), (edge - 1 + 5e-7, 0, 1)], box)
-    assert not region.empty and region.slack > 0
+    check = check_empty(region.table, box)
+    assert not region.empty and 0 < check.shortfall <= region.table.rounding
     for q in ((edge - 20, 3.0), (edge + 5, 0.0), (edge - 2, -4.0)):
         assert contains(region, project(region, q)), q
+
+
+def test_tangent_disks_meet_at_every_scale():
+    # Two disks that touch at one point t, drawn at scales s from 1 m to
+    # 2^23 m: t within s/2 of the origin, radii from s/20 to s/2, in a box of
+    # side s around t. Each pair is non-empty, and its witness and the
+    # projections of points within s of t pass `contains`.
+    gen = SplitMix64(31)
+    for k in range(24):
+        scale = 2.0**k
+        for _ in range(12):
+            tx, ty = gen.uniform(-0.5, 0.5) * scale, gen.uniform(-0.5, 0.5) * scale
+            angle = gen.uniform(0.0, 2.0 * math.pi)
+            ux, uy = math.cos(angle), math.sin(angle)
+            r0, r1 = gen.uniform(0.05, 0.5) * scale, gen.uniform(0.05, 0.5) * scale
+            disks = [(tx - r0 * ux, ty - r0 * uy, r0), (tx + r1 * ux, ty + r1 * uy, r1)]
+            box = AreaBounds(tx - 0.5 * scale, tx + 0.5 * scale, ty - 0.5 * scale, ty + 0.5 * scale, 1, 1)
+            region = FeasibleRegion.from_disks(disks, box)
+            assert not region.empty, (k, disks)
+            assert contains(region, check_empty(region.table, box).witness), (k, disks)
+            for _ in range(4):
+                q = (tx + gen.uniform(-1.0, 1.0) * scale, ty + gen.uniform(-1.0, 1.0) * scale)
+                assert contains(region, project(region, q)), (k, disks, q)
 
 
 def anchored_disks(seed: int) -> tuple[list[tuple[float, float, float]], AreaBounds]:
     """Up to 12 disks around an anchor point in a 10 m box, each passing the
     anchor by a margin drawn from [0, 20] m (the anchor is inside all of
-    them), [-2e-6, 2e-6] m (regions about as thin as EMPTINESS_TOL) or
+    them), [-2e-6, 2e-6] m (regions a few micrometres thin, or a gap that
+    wide) or
     [-1, 5] m, by seed. In the thin family every second anchor lies within
     2e-6 m of the x_min edge, so the box can be what makes a region thin."""
     gen = SplitMix64(seed)
@@ -876,31 +912,33 @@ def anchored_disks(seed: int) -> tuple[list[tuple[float, float, float]], AreaBou
 
 
 def test_one_candidate_pass_keeps_the_two_pass_verdicts():
-    # The min-max solve alone gives the verdicts of the two candidate passes,
-    # unpadded and then padded by EMPTINESS_TOL. Its witness lies in every set
-    # widened by the region's slack, up to rounding, and g measured there by
-    # the membership test is the shortfall. On the thin regions, those that
-    # only the padded pass found non-empty, every projection is in the region.
-    thin = 0
+    # The min-max solve alone gives the verdict of the candidate pass over
+    # the sets themselves: a region is non-empty iff some point meets every
+    # set up to rounding. Its witness lies in every set, up to rounding, and
+    # g measured there by the membership test is the shortfall; an empty
+    # region misses by more than rounding. The thin family, margins within
+    # 2e-6 m, gives both verdicts, and every projection onto one of its
+    # non-empty regions is in the region.
+    thin = {True: 0, False: 0}
     gen = SplitMix64(13)
     for seed in range(1200):
         disks, box = anchored_disks(seed)
         table = region_mod._disk_arrays(disks, box)
         check = check_empty(table, box)
-        empty, pad = two_pass_check(table, box)
-        assert check.empty == empty, seed
+        assert check.empty == candidate_check(table, box), seed
+        if seed % 3 == 1:
+            thin[check.empty] += 1
         if check.empty:
+            assert check.shortfall > table.rounding, seed
             continue
-        slack = max(check.shortfall, 0.0)
-        _, measured = within_sets(np.array([check.witness]), table, box, slack + table.rounding)
+        _, measured = within_sets(np.array([check.witness]), table, box, table.rounding)
         assert measured.tolist() == [check.shortfall], seed
-        if pad:
-            thin += 1
+        if seed % 3 == 1:
             region = FeasibleRegion.from_disks(disks, box)
             for _ in range(20):
                 p = project(region, (gen.uniform(-10, 20), gen.uniform(-10, 20)))
                 assert contains(region, p), seed
-    assert thin >= 20
+    assert min(thin.values()) >= 20, thin
 
 
 @pytest.mark.parametrize("family", ["random", "binding"])
@@ -1065,21 +1103,18 @@ class TestBoxOnlyRegion:
 
 
 def test_grid_on_a_region_thinner_than_the_tolerance_says_so():
-    # Two unit-K users whose 10 m disks at z = 10 m are 5e-7 m apart: the
-    # sets widened by the region's slack meet in a sliver nanometres wide,
-    # which no node of a 1 m or 0.5 m grid hits, so the oracle names the thin
-    # region instead of asking for a finer spacing.
+    # Two unit-K users whose 10 m disks at z = 10 m are 5e-7 m apart share no
+    # point: the region is empty, and the oracle says so at every spacing,
+    # naming the 2.5e-7 m shortfall, as `check` does.
     bounds = AreaBounds(0, 100, 0, 100, 10, 10)
     users = [UserDevice(40.0, 50.0, 200.0), UserDevice(60.0 + 5e-7, 50.0, 200.0)]
     scenario = unit_scenario(users, bounds, p_max=1e6)
-    region = build(scenario)
-    assert not region.empty and region.slack == pytest.approx(2.5e-7, rel=1e-6)
-    message = rf"thinner than the emptiness tolerance \(slack {region.slack:.3g} m\)"
+    assert build(scenario).empty
     for spacing in (1.0, 0.5):
-        with pytest.raises(ValidationError, match=message):
+        with pytest.raises(EmptyRegionError, match=r"misses some disk by 2\.5e-07 m$"):
             grid_search(scenario, GridSpec(spacing, bounds), mode="region")
     # a region with an interior between the nodes still asks for a finer grid
     small = unit_scenario([UserDevice(50.5, 50.5, 0.3**2 + 100.0)], bounds, p_max=1e6)
-    assert build(small).slack == 0.0
+    assert check_empty(build(small).table, bounds).shortfall < 0.0
     with pytest.raises(ValidationError, match="refine the spacing"):
         grid_search(small, GridSpec(1.0, bounds), mode="region")
