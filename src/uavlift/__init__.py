@@ -16,10 +16,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "channel": ("SPEED_OF_LIGHT", "lifetime", "path_loss", "rate", "required_power", "system_constant"),
-    "errors": (
-        "ConfigurationError", "EmptyRegionError", "NumericalError", "ParseError", "UavliftError",
-        "ValidationError",
-    ),
+    "errors": ("EmptyRegionError", "NumericalError", "ParseError", "UavliftError", "ValidationError"),
     "objective": ("ConcavityCertificate", "concavity_certificate", "gradient", "hessian", "nsd_scan", "value"),
     "oracle": ("GridSpec", "grid_search"),
     "region": (

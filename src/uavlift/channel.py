@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ConfigurationError, ValidationError
+from .errors import ValidationError
 from .scenario import RfParams
 
 # Exact SI value. The bundled reproduction cases pass c=3e8 instead, which
@@ -54,7 +54,7 @@ def system_constant(rf: RfParams, user_count: int, c: float = SPEED_OF_LIGHT) ->
         raise ValidationError(f"user_count must be >= 1, got {user_count}")
     exponent = rf.rate * user_count / rf.bandwidth
     if exponent > _MAX_RATE_EXPONENT:
-        raise ConfigurationError(
+        raise ValidationError(
             f"rate*user_count/bandwidth = {exponent:.1f} would overflow 2^x; "
             "review the rate, user count, or bandwidth"
         )
@@ -62,7 +62,7 @@ def system_constant(rf: RfParams, user_count: int, c: float = SPEED_OF_LIGHT) ->
     if not k > 0:  # 2^x - 1 underflows to 0 for a tiny exponent
         raise ValidationError(f"system constant must be positive, got {k}")
     if k == math.inf:  # a huge noise or frequency overflows the product
-        raise ConfigurationError(
+        raise ValidationError(
             f"system constant overflows to {k}; review the noise, frequency, or c"
         )
     return k

@@ -19,13 +19,7 @@ from . import cases
 from . import solver as solver_mod
 from . import surface as surface_mod
 from .channel import SPEED_OF_LIGHT
-from .errors import (
-    ConfigurationError,
-    EmptyRegionError,
-    NumericalError,
-    ParseError,
-    ValidationError,
-)
+from .errors import EmptyRegionError, NumericalError, ParseError, ValidationError
 from .objective import NsdScan, concavity_certificate, nsd_scan
 from .oracle import GridSpec, grid_search
 from .region import MODES, cut_radii, disk_radius
@@ -105,29 +99,36 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Place a single aerial base station to maximize total uplink lifetime.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each flag matches only in full, so a removed flag such as `reproduce
+    # --c` is refused, not read as an abbreviation of another (`--case`)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("generate", help="write a scenario file")
-    p.add_argument("--count", type=int, default=None,
-                   help="number of ground users (required unless --clusters is given)")
+    p = add_parser("generate", help="write a scenario file")
+    layout = p.add_mutually_exclusive_group(required=True)
+    layout.add_argument("--count", type=int, help="number of uniformly placed ground users")
+    layout.add_argument("--clusters", type=_clusters,
+                        help="x,y,std,count,elow,ehigh[;...] for a non-uniform layout")
     b = cases.BOUNDS
     p.add_argument("--area", type=_area, default=(b.x_max - b.x_min, b.y_max - b.y_min),
                    help="WxH rectangle in meters")
-    p.add_argument("--energy-low", type=_positive_float, default=DEFAULT_ENERGY_LOW)
-    p.add_argument("--energy-high", type=_positive_float, default=DEFAULT_ENERGY_HIGH)
+    # None when not given and positive when given, so that --clusters, whose
+    # clusters carry their own energy intervals, can refuse them
+    p.add_argument("--energy-low", type=_positive_float,
+                   help=f"with --count only, default {DEFAULT_ENERGY_LOW:g} J")
+    p.add_argument("--energy-high", type=_positive_float,
+                   help=f"with --count only, default {DEFAULT_ENERGY_HIGH:g} J")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--clusters", type=_clusters, default=None,
-                   help="x,y,std,count,elow,ehigh[;...] for a non-uniform layout")
     p.add_argument("--z-min", type=_positive_float, default=b.z_min)
     for f in dataclasses.fields(RfParams):
         p.add_argument(f"--{f.name.replace('_', '-')}", type=_positive_float,
                        default=getattr(DEFAULT_RF, f.name))
     p.add_argument("--out", default="scenario.json")
 
-    p = sub.add_parser("check", help="feasibility and concavity report")
+    p = add_parser("check", help="feasibility and concavity report")
     p.add_argument("scenario")
     p.add_argument("--c", type=_positive_float, default=SPEED_OF_LIGHT)
 
-    p = sub.add_parser("solve", help="gradient projection ascent")
+    p = add_parser("solve", help="gradient projection ascent")
     p.add_argument("scenario")
     config = solver_mod.SolverConfig()
     p.add_argument("--mode", choices=MODES, default=config.mode)
@@ -137,26 +138,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=config.max_iters)
     p.add_argument("--init", type=_init_spec, default=config.init)
     p.add_argument("--report", default=None, help="write the full report JSON here")
-    p.add_argument("--trajectory", default=None, help="write the trajectory CSV here")
     p.add_argument("--c", type=_positive_float, default=SPEED_OF_LIGHT)
 
-    p = sub.add_parser("grid", help="best grid node, exact (oracle; evaluates only tiles that can hold it)")
+    p = add_parser("grid", help="best grid node, exact (oracle; evaluates only tiles that can hold it)")
     p.add_argument("scenario")
     p.add_argument("--spacing", type=_positive_float, default=1.0)
     p.add_argument("--mode", choices=MODES, default="box")
     p.add_argument("--c", type=_positive_float, default=SPEED_OF_LIGHT)
 
-    p = sub.add_parser("surface", help="objective surface as CSV or SVG")
+    p = add_parser("surface", help="objective surface as CSV or SVG")
     p.add_argument("scenario")
     p.add_argument("--z", type=_positive_float, default=None, help="altitude override, m")
     p.add_argument("--spacing", type=_positive_float, default=5.0)
     p.add_argument("--out", required=True, help="output path ending in .csv or .svg")
 
-    p = sub.add_parser("reproduce", help="rerun a bundled case against its reference numbers")
+    p = add_parser("reproduce",
+                   help="rerun a bundled case against its reference numbers, at their c = 3e8 m/s")
     p.add_argument("--case", choices=("uniform", "nonuniform", "concavity"), required=True)
     p.add_argument("--seed", type=int, default=cases.SEED)
-    p.add_argument("--c", type=_positive_float, default=cases.C_ROUNDED,
-                   help="reference numbers assume the rounded speed of light")
     return parser
 
 
@@ -164,24 +163,30 @@ def _cmd_generate(args) -> int:
     width, height = args.area
     bounds = AreaBounds(0.0, width, 0.0, height, args.z_min, args.z_min)
     rf = RfParams(**{f.name: getattr(args, f.name) for f in dataclasses.fields(RfParams)})
-    if args.clusters is not None:
-        scenario = generate_clustered(args.clusters, bounds, args.seed, rf=rf)
-    else:
-        if args.count is None:
-            print("error: --count is required unless --clusters is given", file=sys.stderr)
-            return EXIT_USAGE
+    if args.clusters is None:
         scenario = generate_uniform(
-            args.count, bounds, args.energy_low, args.energy_high, args.seed, rf=rf
+            args.count, bounds, args.energy_low or DEFAULT_ENERGY_LOW,
+            args.energy_high or DEFAULT_ENERGY_HIGH, args.seed, rf=rf,
         )
+    elif args.energy_low or args.energy_high:
+        raise ValidationError("--energy-low and --energy-high go with --count; each cluster gives its own")
+    else:
+        scenario = generate_clustered(args.clusters, bounds, args.seed, rf=rf)
     save(scenario, args.out)
     print(f"wrote {args.out}: {len(scenario.users)} users, seed {args.seed}")
     return EXIT_OK
 
 
+def _number(v: float, decimals: int) -> str:
+    """`v` with `decimals` decimals, or with six significant digits where
+    that form shows no nonzero digit or takes more than 12 characters."""
+    text = f"{v:.{decimals}f}"
+    return text if len(text) <= 12 and text.strip("-0.") else f"{v:.6g}"
+
+
 def _column(v: float) -> str:
-    """`v` in 12 characters: two decimals, or six digits where those overflow."""
-    text = f"{v:12.2f}"
-    return text if len(text) <= 12 else f"{v:12.6g}"
+    """`v` right-aligned in a 12-character column, as `_number` gives it."""
+    return f"{_number(v, 2):>12}"
 
 
 def _cmd_check(args) -> int:
@@ -220,15 +225,13 @@ def _cmd_solve(args) -> int:
     report = solver_mod.solve(scenario, config, c=args.c)
     if args.report:
         solver_mod.save_report(report, args.report)
-    if args.trajectory:
-        solver_mod.write_trajectory_csv(report, args.trajectory)
     if report.infeasible:
         print(f"infeasible: {report.infeasible}")
         return EXIT_INFEASIBLE
     x, y, z = report.placement
     print(
-        f"placement ({x:.2f}, {y:.2f}, {z:g}) m | objective {report.objective:.4f} J/m^2 | "
-        f"lifetime {report.lifetime_seconds:.0f} s | iterations {report.iterations} | "
+        f"placement ({x:.2f}, {y:.2f}, {z:g}) m | objective {_number(report.objective, 4)} J/m^2 | "
+        f"lifetime {_number(report.lifetime_seconds, 0)} s | iterations {report.iterations} | "
         f"converged {str(report.converged).lower()}"
     )
     return EXIT_OK
@@ -240,7 +243,7 @@ def _cmd_grid(args) -> int:
         scenario, GridSpec(spacing=args.spacing, bounds=scenario.bounds), mode=args.mode, c=args.c
     )
     print(
-        f"best ({result.point[0]:g}, {result.point[1]:g}) value {result.value:.6f} J/m^2 "
+        f"best ({result.point[0]:g}, {result.point[1]:g}) value {_number(result.value, 6)} J/m^2 "
         f"({result.evaluated} nodes evaluated)"
     )
     return EXIT_OK
@@ -267,9 +270,9 @@ def _verdicts(verdicts: list[tuple[str, bool]]) -> int:
     return EXIT_OK if all(ok for _, ok in verdicts) else 1
 
 
-def _repro_uniform(seed: int, c: float) -> int:
+def _repro_uniform(seed: int) -> int:
     scenario = generate_uniform(cases.UNIFORM_USERS, cases.BOUNDS, *cases.ENERGY, seed)
-    report = solver_mod.solve(scenario, cases.UNIFORM_CONFIG, c=c)
+    report = solver_mod.solve(scenario, cases.UNIFORM_CONFIG, c=cases.C_ROUNDED)
     x, y, z = report.placement
     ref = cases.REFERENCE_UNIFORM
     print(f"case uniform: {cases.UNIFORM_TITLE}, seed {seed}")
@@ -279,9 +282,9 @@ def _repro_uniform(seed: int, c: float) -> int:
     return _verdicts(cases.uniform_verdicts(report))
 
 
-def _repro_nonuniform(seed: int, c: float) -> int:
+def _repro_nonuniform(seed: int) -> int:
     scenario = generate_clustered((cases.DENSE, cases.SPARSE), cases.BOUNDS, seed)
-    report = solver_mod.solve(scenario, cases.NONUNIFORM_CONFIG, c=c)
+    report = solver_mod.solve(scenario, cases.NONUNIFORM_CONFIG, c=cases.C_ROUNDED)
     x, y, z = report.placement
     (cd, d_dense), (cs, d_sparse) = cases.cluster_distances(scenario, (x, y))
     ref = cases.REFERENCE_NONUNIFORM
@@ -318,9 +321,9 @@ def _repro_concavity(seed: int) -> int:
 
 def _cmd_reproduce(args) -> int:
     if args.case == "uniform":
-        return _repro_uniform(args.seed, args.c)
+        return _repro_uniform(args.seed)
     if args.case == "nonuniform":
-        return _repro_nonuniform(args.seed, args.c)
+        return _repro_nonuniform(args.seed)
     return _repro_concavity(args.seed)
 
 
@@ -349,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = _print_warning
             return _COMMANDS[args.command](args)
-    except (ValidationError, ParseError, ConfigurationError, OSError, MemoryError) as exc:
+    except (ValidationError, ParseError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except EmptyRegionError as exc:

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The command line maps each to one exit code: a ValidationError or a
+ParseError is an input error (2), an EmptyRegionError an empty feasible
+region (3), a NumericalError a numerical failure (4).
+"""
 
 
 class UavliftError(Exception):
@@ -6,15 +11,12 @@ class UavliftError(Exception):
 
 
 class ValidationError(UavliftError, ValueError):
-    """A value violates a documented invariant or precondition."""
+    """A value, alone or with others, violates a documented invariant or
+    precondition, as radio parameters whose system constant overflows."""
 
 
 class ParseError(UavliftError, ValueError):
     """A scenario or report file is malformed; the message names the field."""
-
-
-class ConfigurationError(UavliftError, ValueError):
-    """Parameters are individually valid but jointly unusable."""
 
 
 class EmptyRegionError(UavliftError, RuntimeError):

@@ -40,7 +40,6 @@ meets every constraint up to rounding.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import sys
@@ -242,8 +241,8 @@ def solve(
 
 
 # ---------------------------------------------------------------------------
-# Report serialization: same JSON family as scenario files, plus a CSV
-# export of the trajectory for convergence plots.
+# Report serialization: same JSON family as scenario files; the trajectory
+# is the report's list of [x, y, objective] rows.
 # ---------------------------------------------------------------------------
 
 
@@ -265,11 +264,3 @@ def report_to_dict(report: SolveReport) -> dict:
 
 def save_report(report: SolveReport, path: str | Path) -> None:
     Path(path).write_text(json.dumps(report_to_dict(report), indent=2) + "\n")
-
-
-def write_trajectory_csv(report: SolveReport, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "x", "y", "objective"])
-        for i, (x, y, f) in enumerate(report.trajectory):
-            writer.writerow([i, repr(x), repr(y), repr(f)])

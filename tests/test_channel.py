@@ -12,7 +12,7 @@ from uavlift.channel import (
     required_power,
     system_constant,
 )
-from uavlift.errors import ConfigurationError, ValidationError
+from uavlift.errors import ValidationError
 from uavlift.scenario import DEFAULT_RF, RfParams
 
 C_ROUNDED = 3e8
@@ -97,9 +97,9 @@ class TestSystemConstant:
         assert k_si != k_rounded
         assert k_si == pytest.approx(k_rounded, rel=3e-3)
 
-    def test_overflow_is_configuration_error(self):
+    def test_exponent_overflow_is_input_error(self):
         rf = RfParams(rate=4e6, bandwidth=1e3, noise=1e-14, frequency=4e9, p_max=0.5, tau_th=900)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match=r"rate\*user_count/bandwidth = 800000.0 would overflow 2\^x"):
             system_constant(rf, 200)
 
     def test_user_count_precondition(self):
@@ -117,7 +117,7 @@ class TestSystemConstant:
         # a finite exponent, but 65535 * 1e300 * (4*pi*f/c)^2 overflows, and an
         # infinite K would make every range and lifetime 0
         rf = RfParams(rate=4e6, bandwidth=50e6, noise=1e300, frequency=4e9, p_max=0.5, tau_th=900)
-        with pytest.raises(ConfigurationError, match="system constant overflows to inf"):
+        with pytest.raises(ValidationError, match="system constant overflows to inf"):
             system_constant(rf, 200)
 
 

@@ -9,7 +9,8 @@ import pytest
 from region_layouts import random_region, unit_scenario
 
 from uavlift import cases, rng
-from uavlift.cli import _build_parser, main
+from uavlift.cli import _build_parser, _number, main
+from uavlift.oracle import GridSpec, grid_search
 from uavlift.region import build, contains
 from uavlift.scenario import (
     ALTITUDE_LIMITS,
@@ -95,7 +96,26 @@ class TestGenerate:
 
     def test_missing_count_is_usage_error(self, tmp_path, capsys):
         assert main(["generate", "--seed", "1", "--out", str(tmp_path / "x.json")]) == 2
-        capsys.readouterr()
+        assert "one of the arguments --count --clusters is required" in capsys.readouterr().err
+
+    def test_count_and_clusters_exclude_each_other(self, tmp_path, capsys):
+        # each cluster carries its own count: the two would disagree on the users
+        argv = ["generate", "--count", "5", "--clusters", "100,100,10,3,4500,18000", "--seed", "1",
+                "--out", str(tmp_path / "c.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "argument --clusters: not allowed with argument --count" in err
+        assert err.count("error:") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags", [["--energy-low", "1"], ["--energy-high", "2"],
+                                       ["--energy-low", "1", "--energy-high", "2"]],
+                             ids=["low", "high", "both"])
+    def test_energy_flags_with_clusters_are_refused(self, tmp_path, capsys, flags):
+        # each cluster carries its own energy interval
+        argv = ["generate", "--clusters", "100,100,10,3,4500,18000", "--seed", "1", *flags,
+                "--out", str(tmp_path / "c.json")]
+        refused(argv, capsys, "--energy-low and --energy-high go with --count", tmp_path)
 
     def test_cluster_flag_produces_nonuniform_file(self, tmp_path):
         path = tmp_path / "clusters.json"
@@ -163,7 +183,9 @@ class TestCheck:
          "system constant must be positive, got 0.0"),
         # 65535 * 1e300 * (4*pi*f/c)^2 overflows; box mode would report a 0 s lifetime
         (["--count", "200", "--noise", "1e300", "--seed", "9"], "system constant overflows to inf"),
-    ], ids=["underflow", "overflow"])
+        # 2^x itself would overflow: the exponent passes 1000
+        (["--count", "12600", "--seed", "1"], "rate*user_count/bandwidth = 1008.0 would overflow 2^x"),
+    ], ids=["underflow", "overflow", "exponent"])
     def test_system_constant_underflow_is_input_error(self, tmp_path, capsys, command, flags, error):
         path = tmp_path / "extreme-k.json"
         assert main(["generate", *flags, "--out", str(path)]) == 0
@@ -356,22 +378,20 @@ class TestSolve:
         assert rc == 0
         assert "converged false" in out
 
-    def test_report_and_trajectory_files(self, relaxed_file, tmp_path, capsys):
+    def test_report_file_holds_the_trajectory(self, relaxed_file, tmp_path, capsys):
         report = tmp_path / "report.json"
-        traj = tmp_path / "trajectory.csv"
-        rc = main([
-            "solve", str(relaxed_file), "--mode", "region",
-            "--report", str(report), "--trajectory", str(traj),
-        ])
+        rc = main(["solve", str(relaxed_file), "--mode", "region", "--report", str(report)])
         capsys.readouterr()
         assert rc == 0
         doc = json.loads(report.read_text())
         assert doc["converged"] in (True, False)
         assert doc["placement"] is not None
-        assert traj.read_text().startswith("iteration,x,y,objective")
+        # one [x, y, objective] row per iterate, ending at the placement
+        assert len(doc["trajectory"]) == doc["iterations"] + 1
+        assert doc["trajectory"][-1] == [*doc["placement"][:2], doc["objective"]]
 
-    def test_trajectory_into_a_directory_is_usage_error(self, relaxed_file, tmp_path, capsys):
-        argv = ["solve", str(relaxed_file), "--mode", "box", "--trajectory", str(tmp_path)]
+    def test_report_into_a_directory_is_usage_error(self, relaxed_file, tmp_path, capsys):
+        argv = ["solve", str(relaxed_file), "--mode", "box", "--report", str(tmp_path)]
         assert main(argv) == 2
         assert str(tmp_path) in capsys.readouterr().err
 
@@ -506,7 +526,7 @@ def exhaustive(path, spacing) -> str:
     gxs, gys = grid.xs(), grid.ys()
     totals = grid_values(*s.users.arrays, s.bounds.z_min, gxs, gys).ravel()
     j = int(np.argmax(totals))
-    return f"best ({gxs[j // len(gys)]:g}, {gys[j % len(gys)]:g}) value {totals[j]:.6f} J/m^2 ("
+    return f"best ({gxs[j // len(gys)]:g}, {gys[j % len(gys)]:g}) value {_number(totals[j], 6)} J/m^2 ("
 
 
 @pytest.fixture(params=["1e-100", "1e-80"])
@@ -660,6 +680,26 @@ def test_check_prints_a_wide_box_in_six_digits(tmp_path, capsys):
     assert main(["check", str(path)]) == 3
     assert ("concavity certificate: z_min 1.67772e+07 m vs sqrt(3)*d_max 41095618.50 m "
             "(d_max 23726566.41 m): fails\n") in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("energy, z_min", [("1e250", "0.001"), ("1e-250", "650")], ids=["huge", "tiny"])
+def test_solve_and_grid_print_extreme_values_in_six_digits(tmp_path, capsys, energy, z_min):
+    # five users of 1e250 J at 1 mm give an objective of about 1e248 J/m^2,
+    # 253 characters with four decimals; five of 1e-250 J give one that four
+    # decimals print as 0.0000, and a lifetime that none print as 0
+    path, report = tmp_path / "s.json", tmp_path / "r.json"
+    assert main(["generate", "--count", "5", "--energy-low", energy, "--energy-high", energy,
+                 "--z-min", z_min, "--seed", "1", "--out", str(path)]) == 0
+    assert main(["solve", str(path), "--mode", "box", "--report", str(report)]) == 0
+    assert main(["grid", str(path)]) == 0
+    solve_line, grid_line = capsys.readouterr().out.splitlines()[1:]
+    doc = json.loads(report.read_text())
+    scenario = load(path)
+    best = grid_search(scenario, GridSpec(spacing=1.0, bounds=scenario.bounds))
+    numbers = (f"{doc['objective']:.6g}", f"{doc['lifetime_seconds']:.6g}", f"{best.value:.6g}")
+    assert f"objective {numbers[0]} J/m^2 | lifetime {numbers[1]} s |" in solve_line
+    assert f" value {numbers[2]} J/m^2 " in grid_line
+    assert all("e" in text and len(text) <= 12 for text in numbers), numbers
 
 
 def test_solve_on_a_box_too_wide_for_its_squared_distances_warns_once(tmp_path, capsys):
@@ -895,10 +935,14 @@ def test_corner_instances_of_the_domain_warn_nothing(tmp_path, capsys, monkeypat
     (["solve", "s.json", "--gamma", "1"], "unrecognized arguments"),
     (["solve", "s.json", "--init-seed", "3"], "unrecognized arguments"),
     (["solve", "s.json", "--init", "random"], "init must be centroid or finite x,y coordinates, got 'random'"),
-], ids=["no-line-search", "z-max", "gamma", "init-seed", "init-random"])
-def test_removed_flags_are_refused(argv, error, capsys):
+    (["solve", "s.json", "--mode", "box", "--trajectory", "t.csv"], "unrecognized arguments"),
+    (["reproduce", "--case", "uniform", "--c", "3e8"], "unrecognized arguments"),
+], ids=["no-line-search", "z-max", "gamma", "init-seed", "init-random", "trajectory", "reproduce-c"])
+def test_removed_flags_are_refused(argv, error, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where a relative output path would land
     assert main(argv) == 2
     assert error in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_generate_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
