@@ -19,7 +19,7 @@ from . import cases
 from . import solver as solver_mod
 from . import surface as surface_mod
 from .channel import SPEED_OF_LIGHT
-from .errors import EmptyRegionError, NumericalError, ParseError, ValidationError
+from .errors import EmptyRegionError, NumericalError, ParseError, ValidationError, format_number
 from .objective import NsdScan, concavity_certificate, nsd_scan
 from .oracle import GridSpec, grid_search
 from .region import MODES, cut_radii, disk_radius
@@ -177,16 +177,16 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _number(v: float, decimals: int) -> str:
-    """`v` with `decimals` decimals, or with six significant digits where
-    that form shows no nonzero digit or takes more than 12 characters."""
-    text = f"{v:.{decimals}f}"
-    return text if len(text) <= 12 and text.strip("-0.") else f"{v:.6g}"
-
-
 def _column(v: float) -> str:
-    """`v` right-aligned in a 12-character column, as `_number` gives it."""
-    return f"{_number(v, 2):>12}"
+    """`v` right-aligned in a 12-character column, as `format_number` gives it."""
+    return f"{format_number(v, 2):>12}"
+
+
+def _coordinate(v: float) -> str:
+    """`v` as `:g` prints it, or with as many more significant digits as
+    reading the text back as a float needs to give `v`."""
+    texts = (f"{v:.{digits}g}" for digits in range(6, 18))
+    return next(text for text in texts if float(text) == v)
 
 
 def _cmd_check(args) -> int:
@@ -230,8 +230,8 @@ def _cmd_solve(args) -> int:
         return EXIT_INFEASIBLE
     x, y, z = report.placement
     print(
-        f"placement ({x:.2f}, {y:.2f}, {z:g}) m | objective {_number(report.objective, 4)} J/m^2 | "
-        f"lifetime {_number(report.lifetime_seconds, 0)} s | iterations {report.iterations} | "
+        f"placement ({x:.2f}, {y:.2f}, {z:g}) m | objective {format_number(report.objective, 4)} J/m^2 | "
+        f"lifetime {format_number(report.lifetime_seconds, 0)} s | iterations {report.iterations} | "
         f"converged {str(report.converged).lower()}"
     )
     return EXIT_OK
@@ -243,7 +243,8 @@ def _cmd_grid(args) -> int:
         scenario, GridSpec(spacing=args.spacing, bounds=scenario.bounds), mode=args.mode, c=args.c
     )
     print(
-        f"best ({result.point[0]:g}, {result.point[1]:g}) value {_number(result.value, 6)} J/m^2 "
+        f"best ({_coordinate(result.point[0])}, {_coordinate(result.point[1])}) "
+        f"value {format_number(result.value, 6)} J/m^2 "
         f"({result.evaluated} nodes evaluated)"
     )
     return EXIT_OK

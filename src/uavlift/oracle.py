@@ -217,7 +217,7 @@ def _candidate_nodes(feas, users, bounds: AreaBounds, gxs, gys) -> tuple[np.ndar
         return np.max(values[region_mod.within(feas, np.column_stack((px, py)))[0]], initial=-math.inf)
 
     table = feas.table
-    radius = (table.r + region_mod.membership_slack(feas)) * (1.0 + _PRUNE_SLACK)
+    radius = (table.r + table.rounding) * (1.0 + _PRUNE_SLACK)
     # The first two levels, one tile and four, reach so far that their bounds
     # seldom drop a tile. The search starts from the sixteen tiles of the
     # third, which saves their fixed cost (most of a small grid's search);
@@ -275,7 +275,7 @@ def grid_search(
     falls below the best feasible centre value by a relative
     `_PRUNE_SLACK` cannot hold the best node and is dropped, as in region
     mode is a tile whose nearest point to some disk's centre lies outside
-    that disk by more than `region.membership_slack`.
+    that disk by more than the disk table's `rounding`.
     The rest split in four down to leaves of at most LEAF x LEAF nodes,
     whose feasible nodes `node_values` evaluates, the kernel that gave the
     centres their values and slopes.

@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .channel import SPEED_OF_LIGHT, system_constant
-from .errors import EmptyRegionError, NumericalError, ValidationError
+from .errors import EmptyRegionError, NumericalError, ValidationError, format_number
 from .objective import farthest
 from .scenario import COORD_LIMIT, AreaBounds, Scenario
 
@@ -52,7 +52,6 @@ if TYPE_CHECKING:  # importing numpy.typing costs about 1 ms
     from numpy.typing import ArrayLike
 
 MODES = ("box", "region")  # the feasible sets a solve or a grid search runs over
-MEMBERSHIP_TOL = 1e-9   # meters, least boundary slack for `contains`
 # Meters, the largest coordinate `project` takes: a start lies within
 # COORD_LIMIT = 2^24 m, and a trial of the ascent within 2^10 box diagonals
 # (below 2^35.5 m) of a point of the box.
@@ -198,7 +197,7 @@ def build(scenario: Scenario, c: float = SPEED_OF_LIGHT) -> FeasibleRegion:
         binding = "power" if limits.d_power <= limits.d_energy[worst] else "energy"
         reason = (
             f"{binding} constraint unsatisfiable at altitude {z:g} m: "
-            f"d_limit = {d_limit[worst]:.2f} m <= z_min = {z:g} m for {scope}"
+            f"d_limit = {format_number(d_limit[worst], 2)} m <= z_min = {z:g} m for {scope}"
         )
         return FeasibleRegion(_disk_arrays((), box), box, True, reason, limits)
     return _decided(_disk_table(xs, ys, disk_radius(d_limit, z), box), box, limits)
@@ -210,18 +209,10 @@ def _decided(table: DiskTable, box: AreaBounds, limits: RangeLimits | None = Non
     return FeasibleRegion(table, box, check.empty, check.cause, limits)
 
 
-def contains(
-    region: FeasibleRegion, point: tuple[float, float], tol: float = MEMBERSHIP_TOL
-) -> bool:
-    """Closed-set membership with the boundary slack of `membership_slack`."""
+def contains(region: FeasibleRegion, point: tuple[float, float], tol: float = 0.0) -> bool:
+    """Closed-set membership: `point` misses the box and every disk by at
+    most the table's `rounding`, or `tol` meters where that is more."""
     return len(within(region, np.array([point], dtype=float), tol)[0]) > 0
-
-
-def membership_slack(region: FeasibleRegion, tol: float = MEMBERSHIP_TOL) -> float:
-    """How far a point may miss the box or a disk and still count as in the
-    region: `tol` meters, or the table's `rounding` where that is more, as
-    a computed boundary point can miss by that much."""
-    return max(tol, region.table.rounding)
 
 
 def project(region: FeasibleRegion, point: tuple[float, float]) -> tuple[float, float]:
@@ -534,11 +525,10 @@ def _disk_table(cx: np.ndarray, cy: np.ndarray, r: np.ndarray, box: AreaBounds) 
     return DiskTable(cx, cy, r, rounding)
 
 
-def within(
-    region: FeasibleRegion, pts: np.ndarray, tol: float = MEMBERSHIP_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def within(region: FeasibleRegion, pts: np.ndarray, tol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the rows of `pts` that violate the box and every disk by at
-    most `membership_slack(region, tol)`, and their largest violations.
+    most the table's `rounding`, or `tol` meters where that is more, and
+    their largest violations.
 
     Filters by the box first, then by the disks a block at a time, dropping
     the rows that fail after each block. A block spans as many disks as fit
@@ -547,7 +537,7 @@ def within(
     """
     if region.empty:
         raise EmptyRegionError(region.empty_reason or "region is empty")
-    table, box, limit = region.table, region.box, membership_slack(region, tol)
+    table, box, limit = region.table, region.box, max(tol, region.table.rounding)
     x, y = pts[:, 0], pts[:, 1]
     viol = np.maximum(
         np.maximum(box.x_min - x, x - box.x_max), np.maximum(box.y_min - y, y - box.y_max)

@@ -9,8 +9,9 @@ kernels without a copy. Generators are deterministic under an explicit
 seed (see :mod:`uavlift.rng`). The file format is plain JSON with full
 double-precision decimals, so ``load(save(s)) == s`` holds exactly, and it
 keeps the users as columns too: one array each of x, y and energy, so a
-load parses numbers and builds no per-user objects. ``load`` also reads
-the older row layout, one ``{"x", "y", "energy"}`` object per user.
+load parses numbers and builds no per-user objects. ``load`` reads that
+layout only; a file with one ``{"x", "y", "energy"}`` object per user is
+a ParseError.
 
 The input domain is declared here once, as module constants, and every
 instance is checked against it when it is built:
@@ -393,12 +394,10 @@ def generate_clustered(
 
 # ---------------------------------------------------------------------------
 # File format: a single JSON document with the generator seed, the users,
-# rf{...} and bounds{...}. `save` writes the users as columns,
-# users{x: [...], y: [...], energy: [...]}, each column one line of decimals;
-# `load` also reads the row layout users[{x, y, energy}, ...] of hand-written
-# files and earlier versions, and both layouts go through the same checks.
-# json round-trips doubles exactly (repr emits the shortest decimal that
-# parses back to the same bits).
+# rf{...} and bounds{...}. The users are columns,
+# users{x: [...], y: [...], energy: [...]}, which `save` writes one line of
+# decimals each; `load` refuses any other layout. json round-trips doubles
+# exactly (repr emits the shortest decimal that parses back to the same bits).
 # ---------------------------------------------------------------------------
 
 
@@ -427,16 +426,22 @@ def _require(mapping, key: str, where: str):
     return mapping[key]
 
 
-def _number(mapping, key: str, where: str) -> float:
-    value = _require(mapping, key, where)
+def _number(value, where: str, key: str) -> float:
+    """`value` as a float: a ParseError naming `where.key` if it is not an
+    int or float, a ValidationError if it is not finite."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        path = f"{where}.{key}" if where else key
-        raise ParseError(f"field '{path}' must be a number, got {value!r}")
+        raise ParseError(f"field '{where}.{key}' must be a number, got {value!r}")
     return _finite(value, where, key)
 
 
-def _raw_columns(raw_users: dict) -> list[list]:
-    """The x, y and energy arrays of the column layout, as parsed."""
+def _user_columns(raw_users) -> UserArrays:
+    """The users' x, y and energy columns, with every value finite and every
+    energy positive. The parsed columns take one type check and one
+    vectorized value check. When a value is not an int or float (or is an
+    int beyond the double range), the per-user loop below walks the columns
+    by index and raises the error of the first bad user, users[i].key."""
+    if not isinstance(raw_users, dict):
+        raise ParseError("field 'users' must be an object of x, y and energy arrays")
     columns = [_require(raw_users, key, "users") for key in _USER_KEYS]
     for key, col in zip(_USER_KEYS, columns):
         if not isinstance(col, list):
@@ -444,30 +449,7 @@ def _raw_columns(raw_users: dict) -> list[list]:
     if len(set(map(len, columns))) > 1:
         lengths = ", ".join(f"{key} {len(col)}" for key, col in zip(_USER_KEYS, columns))
         raise ParseError(f"user columns must have equal length, got {lengths}")
-    return columns
-
-
-def _user_columns(raw_users) -> UserArrays:
-    """The users' x, y and energy columns, from either file layout, with
-    every value finite and every energy positive. A column file gives its
-    arrays as they are; a row file's are pulled by one list comprehension
-    each. Both then take one type check and one vectorized value check. When
-    a row is not an object or lacks a key, or a value is not an int or float
-    (or is an int beyond the double range), the per-user loop below raises
-    the error of the first bad user, so the two layouts name a bad value
-    alike: users[i].key."""
-    if isinstance(raw_users, dict):
-        columns = _raw_columns(raw_users)
-        rows = None
-    elif isinstance(raw_users, list):
-        rows = raw_users
-        try:
-            columns = [[raw[key] for raw in rows] for key in _USER_KEYS]
-        except (TypeError, KeyError):
-            columns = None
-    else:
-        raise ParseError("field 'users' must be an array or an object")
-    if columns is not None and all(set(map(type, col)) <= {int, float} for col in columns):
+    if all(set(map(type, col)) <= {int, float} for col in columns):
         try:
             arrays = UserArrays(*(np.array(col, dtype=float) for col in columns))
         except OverflowError:
@@ -475,20 +457,18 @@ def _user_columns(raw_users) -> UserArrays:
         else:
             _check_user_values(arrays)
             return arrays
-    if rows is None:
-        rows = [dict(zip(_USER_KEYS, values)) for values in zip(*columns)]
-    columns = ([], [], [])
-    for i, raw in enumerate(rows):
-        for key, col in zip(_USER_KEYS, columns):
-            col.append(_number(raw, key, f"users[{i}]"))
-        _check_energy(i, columns[2][-1])
-    return UserArrays(*(np.array(col, dtype=float) for col in columns))
+    checked = ([], [], [])
+    for i, values in enumerate(zip(*columns)):
+        for key, value, col in zip(_USER_KEYS, values, checked):
+            col.append(_number(value, f"users[{i}]", key))
+        _check_energy(i, checked[2][-1])
+    return UserArrays(*(np.array(col, dtype=float) for col in checked))
 
 
 def _record(cls, doc: dict, key: str):
     """A `cls` from the object at `doc[key]`, one number per field of `cls`."""
     raw = _require(doc, key, "")
-    return cls(**{f.name: _number(raw, f.name, key) for f in dataclasses.fields(cls)})
+    return cls(**{f.name: _number(_require(raw, f.name, key), key, f.name) for f in dataclasses.fields(cls)})
 
 
 def scenario_from_dict(doc: dict) -> Scenario:

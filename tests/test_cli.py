@@ -9,7 +9,9 @@ import pytest
 from region_layouts import random_region, unit_scenario
 
 from uavlift import cases, rng
-from uavlift.cli import _build_parser, _number, main
+from uavlift.cli import _build_parser, _coordinate, main
+from uavlift.errors import format_number
+from uavlift.objective import value
 from uavlift.oracle import GridSpec, grid_search
 from uavlift.region import build, contains
 from uavlift.scenario import (
@@ -290,6 +292,23 @@ class TestCheckOutput:
             "region: non-empty (3 disks intersected with the box)\n"
         )
 
+    @pytest.mark.parametrize(
+        "command, prefix",
+        [(["check"], "region: EMPTY ("), (["solve", "--mode", "region"], "infeasible: ")],
+        ids=["check", "solve-region"],
+    )
+    def test_a_vanishing_range_keeps_its_digits(self, tmp_path, capsys, command, prefix):
+        # 1e-250 J gives each user a range of 3.5e-122 m, which two decimals
+        # would print as 0.00: the reason prints it as the range table does
+        path = tmp_path / "faint.json"
+        assert main(["generate", "--count", "5", "--energy-low", "1e-250", "--energy-high", "1e-250",
+                     "--seed", "1", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main([command[0], str(path), *command[1:]]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].startswith(prefix + "energy constraint unsatisfiable at altitude 650 m: "
+                                    "d_limit = 3.51713e-122 m <= z_min = 650 m for all users")
+
 
 def _pair_file(tmp_path, gap: float):
     """Two unit-K users whose 10 m disks at z = 10 m are `gap` m apart at the
@@ -526,7 +545,8 @@ def exhaustive(path, spacing) -> str:
     gxs, gys = grid.xs(), grid.ys()
     totals = grid_values(*s.users.arrays, s.bounds.z_min, gxs, gys).ravel()
     j = int(np.argmax(totals))
-    return f"best ({gxs[j // len(gys)]:g}, {gys[j % len(gys)]:g}) value {_number(totals[j], 6)} J/m^2 ("
+    x, y = _coordinate(gxs[j // len(gys)]), _coordinate(gys[j % len(gys)])
+    return f"best ({x}, {y}) value {format_number(totals[j], 6)} J/m^2 ("
 
 
 @pytest.fixture(params=["1e-100", "1e-80"])
@@ -994,6 +1014,28 @@ class TestGrid:
         rc = main(["grid", str(relaxed_file), "--spacing", "1e-4"])
         assert rc == 2
         assert "nodes" in capsys.readouterr().err
+
+    def test_best_node_reads_back_exactly(self, tmp_path, capsys):
+        # at x = 1.1e6 m six significant digits, as :g prints them, name a
+        # point 2 m from the node; the line gives each coordinate the digits
+        # it needs
+        path = tmp_path / "far.json"
+        assert main(["generate", "--clusters", "1100003,5,2,20,4500,18000", "--area", "1200000x10",
+                     "--seed", "1", "--z-min", "5", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["grid", str(path), "--spacing", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out == "best (1100002, 5) value 7901.044926 J/m^2 (305 nodes evaluated)\n"
+        s = load(path)
+        point = tuple(float(v) for v in out[len("best ("):out.index(")")].split(", "))
+        assert point == grid_search(s, GridSpec(1.0, s.bounds)).point == (1100002.0, 5.0)
+        assert format_number(value(s.users, s.bounds.z_min, point), 6) == "7901.044926"
+
+    def test_coordinates_keep_the_g_text_where_it_is_exact(self):
+        assert [_coordinate(v) for v in (50.0, 0.37, 1e-3, 123456.0, 2.5e14)] == [
+            "50", "0.37", "0.001", "123456", "2.5e+14"]
+        assert [_coordinate(v) for v in (1100002.0, 0.1 + 0.2, 2.0**-10 * 3)] == [
+            "1100002", "0.30000000000000004", "0.0029296875"]
 
 
 class TestSurface:

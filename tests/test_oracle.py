@@ -13,7 +13,7 @@ from uavlift.cli import main
 from uavlift.errors import EmptyRegionError, ValidationError
 from uavlift.objective import concavity_certificate, gradient, hessian, user_arrays, value
 from uavlift.oracle import GridSpec, grid_search
-from uavlift.region import MEMBERSHIP_TOL, build, contains, membership_slack, within
+from uavlift.region import build, contains, within
 from uavlift.rng import SplitMix64
 from uavlift.scenario import ALTITUDE_LIMITS, AreaBounds, RfParams, Scenario, UserDevice, generate_uniform, save
 from uavlift.surface import surface_grid
@@ -224,7 +224,7 @@ def exhaustive_search(scenario: Scenario, grid: GridSpec, mode: str = "box", c=S
     if mode == "region":
         feas = build(scenario, c)
         table = feas.table
-        r2 = (table.r + membership_slack(feas)) ** 2
+        r2 = (table.r + table.rounding) ** 2
         inside = np.all((px[:, None] - table.cx) ** 2 + (py[:, None] - table.cy) ** 2 <= r2, axis=1)
         values = np.where(inside, values, -np.inf)
     j = int(np.argmax(values))
@@ -462,10 +462,10 @@ class TestGridSearchIsExhaustive:
         assert_exhaustive(scenario, grid, "region")
 
     def test_a_node_within_the_rounding_of_a_large_instance_is_feasible(self):
-        # On a box 1e5 m across the region's rounding is 1e-7 m, a hundred
-        # times MEMBERSHIP_TOL. The strong user A sits on the node (5e4, 5e4),
-        # which misses the disk of the user W, 3e4 m to its left, by 3e-8 m:
-        # inside the rounding, so the node is feasible and the best.
+        # On a box 1e5 m across the region's rounding is 1e-7 m. The strong
+        # user A sits on the node (5e4, 5e4), which misses the disk of the
+        # user W, 3e4 m to its left, by 3e-8 m: inside the rounding, so the
+        # node is feasible and the best.
         z = 100.0
         rf = RfParams(rate=1.0, bandwidth=2.0, noise=1.0,
                       frequency=SPEED_OF_LIGHT / (4.0 * math.pi), p_max=1e12, tau_th=1.0)
@@ -479,9 +479,35 @@ class TestGridSearchIsExhaustive:
         wx = node[0] - float(build(scenario(0.0)).table.r[1]) - 3e-8
         feas = build(scenario(wx))
         miss = node[0] - wx - feas.table.r[1]
-        assert MEMBERSHIP_TOL < miss < feas.table.rounding == 1e-7
+        assert 0 < miss < feas.table.rounding == 1e-7
         grid = GridSpec(2500.0, bounds)
         assert grid_search(scenario(wx), grid, mode="region").point == node
+        assert_exhaustive(scenario(wx), grid, "region")
+
+    def test_a_node_beyond_the_rounding_of_a_small_instance_is_infeasible(self):
+        # On a box 80 m across the region's rounding is 8e-11 m. The strong
+        # user A sits on the node (40, 40), which misses the disk of the
+        # user W, 30 m to its left, by 5e-10 m: beyond the rounding, so the
+        # node is not in the region and not the answer, unless a caller
+        # allows more with `tol`.
+        z = 10.0
+        rf = RfParams(rate=1.0, bandwidth=2.0, noise=1.0,
+                      frequency=SPEED_OF_LIGHT / (4.0 * math.pi), p_max=1e12, tau_th=1.0)
+        bounds = AreaBounds(0, 80, 0, 80, z, z)
+        node = (40.0, 40.0)
+
+        def scenario(wx):
+            users = (UserDevice(*node, 60.0**2 + z * z), UserDevice(wx, node[1], 30.0**2 + z * z))
+            return Scenario(users=users, rf=rf, bounds=bounds)
+
+        wx = node[0] - float(build(scenario(0.0)).table.r[1]) - 5e-10
+        feas = build(scenario(wx))
+        miss = node[0] - wx - feas.table.r[1]
+        assert feas.table.rounding < 3e-10 and math.isclose(miss, 5e-10, rel_tol=1e-3)
+        assert not contains(feas, node) and contains(feas, node, tol=1e-9)
+        grid = GridSpec(1.0, bounds)
+        assert grid_search(scenario(wx), grid, mode="region").point == (39.0, 40.0)
+        assert grid_search(scenario(wx), grid).point == node
         assert_exhaustive(scenario(wx), grid, "region")
 
     def test_paper_box_evaluates_under_a_tenth_of_the_nodes(self):

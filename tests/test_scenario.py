@@ -34,15 +34,6 @@ from uavlift.scenario import (
 BOUNDS = AreaBounds(0, 250, 0, 250, 650, 650)
 
 
-def row_document(scenario: Scenario) -> dict:
-    """`scenario_to_dict` with the users in the row layout of earlier
-    versions and hand-written files: one {"x", "y", "energy"} object each."""
-    doc = scenario_to_dict(scenario)
-    columns = doc["users"]
-    doc["users"] = [dict(zip(columns, values)) for values in zip(*columns.values())]
-    return doc
-
-
 class TestTypes:
     def test_user_energy_must_be_positive(self):
         with pytest.raises(ValidationError):
@@ -191,8 +182,8 @@ class TestRoundTrip:
             assert (a.x, a.y, a.energy) == (b.x, b.y, b.energy)
 
     def test_negative_energy_is_validation_error(self, tmp_path):
-        doc = row_document(generate_uniform(2, BOUNDS, 5, 6, seed=1))
-        doc["users"][1]["energy"] = -3.0
+        doc = scenario_to_dict(generate_uniform(2, BOUNDS, 5, 6, seed=1))
+        doc["users"]["energy"][1] = -3.0
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError):
@@ -211,11 +202,11 @@ class TestRoundTrip:
             load(path)
 
     def test_missing_user_coordinate_names_the_field(self, tmp_path):
-        doc = row_document(generate_uniform(5, BOUNDS, 5, 6, seed=1))
-        del doc["users"][3]["y"]
+        doc = scenario_to_dict(generate_uniform(5, BOUNDS, 5, 6, seed=1))
+        del doc["users"]["y"]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ParseError, match=r"users\[3\].y"):
+        with pytest.raises(ParseError, match=r"^missing field 'users\.y'$"):
             load(path)
 
     def test_non_numeric_field_rejected(self, tmp_path):
@@ -231,8 +222,8 @@ class TestRoundTrip:
         ["Infinity", "-Infinity", "NaN", "1e400", pytest.param("1" + "0" * 400, id="int-1e400")],
     )
     def test_non_finite_number_names_the_field(self, tmp_path, literal):
-        doc = row_document(generate_uniform(2, BOUNDS, 5, 6, seed=1))
-        doc["users"][1]["energy"] = "NUMBER"
+        doc = scenario_to_dict(generate_uniform(2, BOUNDS, 5, 6, seed=1))
+        doc["users"]["energy"][1] = "NUMBER"
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc).replace('"NUMBER"', literal))
         with pytest.raises(ValidationError, match=r"users\[1\].energy"):
@@ -530,82 +521,20 @@ class TestSaveBytes:
         assert load(path) == s
 
     @pytest.mark.parametrize("make", SAVE_CASES)
-    def test_row_and_column_files_load_to_the_same_bits(self, tmp_path, make):
-        s = make()
-        rows, columns = tmp_path / "rows.json", tmp_path / "columns.json"
-        rows.write_text(json.dumps(row_document(s), indent=2) + "\n")  # the earlier writer's bytes
-        save(s, columns)
-        assert fields_hex(load(rows).users) == fields_hex(load(columns).users) == fields_hex(s.users)
-        assert load(rows) == load(columns) == s
-
-
-def write_users(tmp_path, users, count=5):
-    """A valid `count`-user row file whose users[i] entries are replaced by
-    the raw JSON texts in `users`."""
-    doc = row_document(generate_uniform(count, BOUNDS, 5, 6, seed=1))
-    for i in users:
-        doc["users"][i] = f"RAW{i}"
-    text = json.dumps(doc)
-    for i, raw in users.items():
-        text = text.replace(f'"RAW{i}"', raw)
-    path = tmp_path / "bad.json"
-    path.write_text(text)
-    return path
-
-
-GOOD = {"x": 10.0, "y": 20.0, "energy": 5.5}
-
-
-def entry(**fields) -> str:
-    return "{" + ", ".join(f'"{k}": {v}' for k, v in {**GOOD, **fields}.items() if v is not None) + "}"
-
-
-class TestLoadErrors:
-    @pytest.mark.parametrize(
-        "first, second, error, message",
-        [
-            ('{"x": 1.0, "energy": 5.5}', '{"x": 1.0, "energy": 5.5}', ParseError,
-             r"missing field 'users\[1\]\.y'"),
-            (entry(x="true"), entry(x="true"), ParseError, r"'users\[1\]\.x' must be a number, got True"),
-            (entry(y='"far"'), entry(y='"far"'), ParseError, r"'users\[1\]\.y' must be a number, got 'far'"),
-            (entry(energy="null"), entry(energy="null"), ParseError,
-             r"'users\[1\]\.energy' must be a number, got None"),
-            (entry(energy="NaN"), entry(energy="NaN"), ValidationError, r"users\[1\]\.energy must be finite"),
-            (entry(x="Infinity"), entry(x="Infinity"), ValidationError, r"users\[1\]\.x must be finite"),
-            (entry(y="1" + "0" * 400), entry(y="1" + "0" * 400), ValidationError,
-             r"users\[1\]\.y must be finite"),
-            (entry(energy="-3.0"), entry(energy="0"), ValidationError,
-             r"users\[1\]\.energy must be positive, got -3\.0"),
-            (entry(x="250.5"), entry(y="-1"), ValidationError, r"user 1 at \(250\.5, 20\.0\) lies outside"),
-            ("[1, 2, 3]", "7", ParseError, r"expected an object at 'users\[1\]'"),
-            # a value error ahead of a type error, and the other way round
-            (entry(energy="-3.0"), entry(x='"far"'), ValidationError, r"users\[1\]\.energy must be positive"),
-            (entry(x='"far"'), entry(energy="NaN"), ParseError, r"'users\[1\]\.x' must be a number"),
-            (entry(energy="NaN"), '{"x": 1.0}', ValidationError, r"users\[1\]\.energy must be finite"),
-        ],
-        ids=[
-            "missing-key", "true", "string", "null", "nan", "infinity", "int-1e400",
-            "non-positive-energy", "outside-box", "not-an-object",
-            "value-then-type", "type-then-value", "value-then-missing",
-        ],
-    )
-    def test_first_bad_user_is_named(self, tmp_path, first, second, error, message):
-        with pytest.raises(error, match=message) as info:
-            load(write_users(tmp_path, {1: first, 3: second}))
-        assert "users[3]" not in str(info.value) and "user 3" not in str(info.value)
-
-    def test_bad_user_is_reported_before_a_bad_rf_field(self, tmp_path):
-        doc = row_document(generate_uniform(3, BOUNDS, 5, 6, seed=1))
-        doc["users"][2]["energy"] = -1.0
-        del doc["rf"]["noise"]
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match=r"users\[2\]\.energy must be positive"):
+    def test_row_files_are_refused(self, tmp_path, capsys, make):
+        # the users as one {"x", "y", "energy"} object each, as earlier
+        # versions wrote them: a parse error before any user is read
+        doc = scenario_to_dict(make())
+        columns = doc["users"]
+        doc["users"] = [dict(zip(columns, values)) for values in zip(*columns.values())]
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+        with pytest.raises(ParseError, match=r"^field 'users' must be an object of x, y and energy arrays$"):
             load(path)
-
-    def test_integer_values_load_as_floats(self, tmp_path):
-        s = load(write_users(tmp_path, {0: '{"x": 1, "y": 2, "energy": 3}'}))
-        assert s.users[0] == UserDevice(1.0, 2.0, 3.0) and s.users.arrays.xs.dtype == np.float64
+        assert main(["check", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: field 'users'") and err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == [path]
 
 
 def write_columns(tmp_path, values, users=None, count=5):
@@ -625,6 +554,54 @@ def write_columns(tmp_path, values, users=None, count=5):
     return path
 
 
+class TestLoadErrors:
+    """Two bad values in a column file, at users[1] and users[3]: whatever
+    their kinds and columns, the first user's is named."""
+
+    @pytest.mark.parametrize(
+        "values, error, message",
+        [
+            ({("x", 1): "true", ("x", 3): "true"}, ParseError, r"'users\[1\]\.x' must be a number, got True"),
+            ({("y", 1): '"far"', ("y", 3): '"far"'}, ParseError, r"'users\[1\]\.y' must be a number, got 'far'"),
+            ({("energy", 1): "null", ("energy", 3): "null"}, ParseError,
+             r"'users\[1\]\.energy' must be a number, got None"),
+            ({("energy", 1): "NaN", ("energy", 3): "NaN"}, ValidationError, r"users\[1\]\.energy must be finite"),
+            ({("x", 1): "Infinity", ("x", 3): "Infinity"}, ValidationError, r"users\[1\]\.x must be finite"),
+            ({("y", 1): "1" + "0" * 400, ("y", 3): "1" + "0" * 400}, ValidationError,
+             r"users\[1\]\.y must be finite"),
+            ({("energy", 1): "-3.0", ("energy", 3): "0"}, ValidationError,
+             r"users\[1\]\.energy must be positive, got -3\.0"),
+            ({("x", 1): "250.5", ("y", 3): "-1"}, ValidationError, r"user 1 at \(250\.5, .*\) lies outside"),
+            # a value error in an earlier column ahead of a type error in a
+            # later one, and a type error in a later column ahead of a value
+            # error in an earlier one
+            ({("x", 1): "NaN", ("energy", 3): "true"}, ValidationError, r"users\[1\]\.x must be finite"),
+            ({("energy", 1): '"far"', ("x", 3): "-Infinity"}, ParseError, r"'users\[1\]\.energy' must be a number"),
+        ],
+        ids=[
+            "true", "string", "null", "nan", "infinity", "int-1e400", "non-positive-energy", "outside-box",
+            "value-then-type", "type-then-value",
+        ],
+    )
+    def test_first_bad_user_is_named(self, tmp_path, values, error, message):
+        with pytest.raises(error, match=message) as info:
+            load(write_columns(tmp_path, values))
+        assert "users[3]" not in str(info.value) and "user 3" not in str(info.value)
+
+    def test_bad_user_is_reported_before_a_bad_rf_field(self, tmp_path):
+        path = write_columns(tmp_path, {("energy", 2): "-1.0"}, count=3)
+        doc = json.loads(path.read_text())
+        del doc["rf"]["noise"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=r"users\[2\]\.energy must be positive"):
+            load(path)
+
+    def test_integer_values_load_as_floats(self, tmp_path):
+        # one user's ints among the other users' floats
+        s = load(write_columns(tmp_path, {("x", 0): "1", ("y", 0): "2", ("energy", 0): "3"}))
+        assert s.users[0] == UserDevice(1.0, 2.0, 3.0) and s.users.arrays.xs.dtype == np.float64
+
+
 class TestColumnLoadErrors:
     @pytest.mark.parametrize(
         "users, message",
@@ -635,9 +612,9 @@ class TestColumnLoadErrors:
             ('{"x": [1, 2, 3], "y": [1, 2, 3], "energy": [1, 2]}',
              r"user columns must have equal length, got x 3, y 3, energy 2"),
             ('{"x": [], "y": [1], "energy": []}', r"equal length, got x 0, y 1, energy 0"),
-            ("7", r"field 'users' must be an array or an object"),
-            ('"users"', r"field 'users' must be an array or an object"),
-            ("null", r"field 'users' must be an array or an object"),
+            ("7", r"^field 'users' must be an object of x, y and energy arrays$"),
+            ('"users"', r"^field 'users' must be an object of x, y and energy arrays$"),
+            ("null", r"^field 'users' must be an object of x, y and energy arrays$"),
         ],
         ids=["missing-column", "number-column", "object-column", "short-column", "long-column",
              "users-number", "users-string", "users-null"],
