@@ -43,7 +43,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -176,13 +176,30 @@ def _check_energy(i: int, energy: float) -> None:
         raise ValidationError(f"users[{i}].energy must be positive, got {energy}")
 
 
-def _check_user_values(arrays: UserArrays) -> None:
+def _check_inside(xs: np.ndarray, ys: np.ndarray, bounds: AreaBounds | None) -> None:
+    """Every user inside the area rectangle of `bounds` (if it is given);
+    otherwise the error for the first user outside."""
+    if bounds is None:
+        return
+    b = bounds
+    outside = ~((b.x_min <= xs) & (xs <= b.x_max) & (b.y_min <= ys) & (ys <= b.y_max))
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise ValidationError(
+            f"users[{i}] at ({float(xs[i])}, {float(ys[i])}) lies outside the area rectangle"
+        )
+
+
+def _check_user_values(arrays: UserArrays, bounds: Callable[[], AreaBounds | None]) -> None:
     """Every value finite and every energy positive; otherwise the error for
-    the first bad user, checking x, y, then energy."""
+    the first bad user, checking x, y, then energy, unless a user before it
+    lies outside `bounds()`, which is called on that error path only: then
+    the error for the first user outside."""
     xs, ys, es = arrays
     bad = ~(np.isfinite(xs) & np.isfinite(ys) & np.isfinite(es) & (es > 0))
     if bad.any():
         i = int(np.argmax(bad))
+        _check_inside(xs[:i], ys[:i], bounds())
         where = f"users[{i}]"
         values = [_finite(float(a[i]), where, key) for a, key in zip(arrays, _USER_KEYS)]
         _check_energy(i, values[2])
@@ -276,18 +293,11 @@ class Scenario:
             raise ValidationError("scenario requires at least one user")
         for a in arrays:
             a.flags.writeable = False
-        _check_user_values(arrays)
+        _check_user_values(arrays, lambda: self.bounds)
         with np.errstate(over="ignore"):  # finite energies can sum to inf, refused below
             total = float(arrays.es.sum())
         _check_in("the users' total energy", total, *ENERGY_LIMITS, "J")
-        b = self.bounds
-        xs, ys, _ = arrays
-        outside = ~((b.x_min <= xs) & (xs <= b.x_max) & (b.y_min <= ys) & (ys <= b.y_max))
-        if outside.any():
-            i = int(np.argmax(outside))
-            raise ValidationError(
-                f"user {i} at ({float(xs[i])}, {float(ys[i])}) lies outside the area rectangle"
-            )
+        _check_inside(arrays.xs, arrays.ys, self.bounds)
         object.__setattr__(self, "users", UserView(arrays))
 
 
@@ -434,12 +444,22 @@ def _number(value, where: str, key: str) -> float:
     return _finite(value, where, key)
 
 
-def _user_columns(raw_users) -> UserArrays:
+def _bounds_or_none(doc: dict) -> AreaBounds | None:
+    """The document's bounds, or None where they are themselves bad."""
+    try:
+        return _record(AreaBounds, doc, "bounds")
+    except (ParseError, ValidationError):
+        return None
+
+
+def _user_columns(raw_users, bounds: Callable[[], AreaBounds | None]) -> UserArrays:
     """The users' x, y and energy columns, with every value finite and every
     energy positive. The parsed columns take one type check and one
     vectorized value check. When a value is not an int or float (or is an
     int beyond the double range), the per-user loop below walks the columns
-    by index and raises the error of the first bad user, users[i].key."""
+    by index and raises the error of the first bad user, users[i].key. On
+    either path a bad value's error gives way to that of an earlier user
+    outside `bounds()`."""
     if not isinstance(raw_users, dict):
         raise ParseError("field 'users' must be an object of x, y and energy arrays")
     columns = [_require(raw_users, key, "users") for key in _USER_KEYS]
@@ -455,13 +475,17 @@ def _user_columns(raw_users) -> UserArrays:
         except OverflowError:
             pass
         else:
-            _check_user_values(arrays)
+            _check_user_values(arrays, bounds)
             return arrays
     checked = ([], [], [])
     for i, values in enumerate(zip(*columns)):
-        for key, value, col in zip(_USER_KEYS, values, checked):
-            col.append(_number(value, f"users[{i}]", key))
-        _check_energy(i, checked[2][-1])
+        try:
+            for key, value, col in zip(_USER_KEYS, values, checked):
+                col.append(_number(value, f"users[{i}]", key))
+            _check_energy(i, checked[2][-1])
+        except (ParseError, ValidationError):
+            _check_inside(np.array(checked[0][:i]), np.array(checked[1][:i]), bounds())
+            raise
     return UserArrays(*(np.array(col, dtype=float) for col in checked))
 
 
@@ -479,7 +503,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ParseError(f"field 'seed' must be an integer or null, got {seed!r}")
         check_seed(seed)
-    users = _user_columns(_require(doc, "users", ""))
+    users = _user_columns(_require(doc, "users", ""), lambda: _bounds_or_none(doc))
     rf = _record(RfParams, doc, "rf")
     bounds = _record(AreaBounds, doc, "bounds")
     return Scenario(users=users, rf=rf, bounds=bounds, seed=seed)

@@ -27,12 +27,18 @@ HOMES = {
 PUBLIC = sorted(name for names in HOMES.values() for name in names)
 
 
-def run_python(code: str, cwd: Path | None = None) -> str:
-    """stdout of `code` run in a fresh interpreter that imports this checkout's package."""
+def python(args: list[str], cwd: Path | None = None) -> subprocess.CompletedProcess:
+    """`python args` run in a fresh interpreter that imports this checkout's package."""
     src = str(Path(uavlift.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                          cwd=cwd, check=True).stdout
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd)
+
+
+def run_python(code: str, cwd: Path | None = None) -> str:
+    """stdout of `code` run in a fresh interpreter that imports this checkout's package."""
+    done = python(["-c", code], cwd)
+    done.check_returncode()
+    return done.stdout
 
 
 class TestPublicApi:
@@ -64,16 +70,20 @@ class TestPublicApi:
 
 
 def test_setup_path_loads_no_solver_module(tmp_path):
-    # What a set-up interpreter does: generate and save the inputs, reading
-    # the speed of light from `channel` as the benchmark's workloads do.
+    # What a set-up interpreter does: generate and save the inputs, which
+    # loads the scenario module and what it imports alone, then read the
+    # speed of light from `channel` as the benchmark's workloads do.
     code = (
         "import json, sys, uavlift\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'uavlift')\n"
         "bounds = uavlift.AreaBounds(0, 250, 0, 250, 650, 650)\n"
-        "s = uavlift.generate_uniform(20, bounds, 4500, 18000, seed=9)\n"
+        "s = uavlift.generate_uniform(200, bounds, 4500, 18000, seed=9)\n"
         "uavlift.save(s, 's.json')\n"
+        "print(json.dumps(loaded()))\n"
         "assert uavlift.load('s.json') == s and uavlift.SPEED_OF_LIGHT > 0\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('uavlift'))))\n"
+        "print(json.dumps(loaded()))\n"
     )
-    loaded = json.loads(run_python(code, cwd=tmp_path))
+    saved, loaded = map(json.loads, run_python(code, cwd=tmp_path).splitlines())
+    assert saved == ["uavlift", "uavlift.errors", "uavlift.rng", "uavlift.scenario"]
     eager = {f"uavlift.{m}" for m in ("objective", "region", "oracle", "solver", "surface", "cli", "cases")}
     assert not eager & set(loaded), loaded

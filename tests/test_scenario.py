@@ -325,7 +325,7 @@ class TestColumns:
             (1, math.inf, r"users\[1\]\.y must be finite"),
             (2, -math.inf, r"users\[1\]\.energy must be finite"),
             (2, 0.0, r"users\[1\]\.energy must be positive, got 0\.0"),
-            (0, 300.0, r"user 1 at \(300\.0, 1\.0\) lies outside"),
+            (0, 300.0, r"users\[1\] at \(300\.0, 1\.0\) lies outside"),
         ],
     )
     def test_array_validation_names_the_first_bad_user(self, column, value, message):
@@ -571,16 +571,21 @@ class TestLoadErrors:
              r"users\[1\]\.y must be finite"),
             ({("energy", 1): "-3.0", ("energy", 3): "0"}, ValidationError,
              r"users\[1\]\.energy must be positive, got -3\.0"),
-            ({("x", 1): "250.5", ("y", 3): "-1"}, ValidationError, r"user 1 at \(250\.5, .*\) lies outside"),
+            ({("x", 1): "250.5", ("y", 3): "-1"}, ValidationError, r"users\[1\] at \(250\.5, .*\) lies outside"),
             # a value error in an earlier column ahead of a type error in a
             # later one, and a type error in a later column ahead of a value
             # error in an earlier one
             ({("x", 1): "NaN", ("energy", 3): "true"}, ValidationError, r"users\[1\]\.x must be finite"),
             ({("energy", 1): '"far"', ("x", 3): "-Infinity"}, ParseError, r"'users\[1\]\.energy' must be a number"),
+            # a user outside the box ahead of a later user's type error, and
+            # ahead of a later user's value error
+            ({("x", 1): "250.5", ("x", 3): '"far"'}, ValidationError, r"^users\[1\] at \(250\.5, .*\) lies outside"),
+            ({("x", 1): "250.5", ("energy", 3): "-1.0"}, ValidationError,
+             r"^users\[1\] at \(250\.5, .*\) lies outside"),
         ],
         ids=[
             "true", "string", "null", "nan", "infinity", "int-1e400", "non-positive-energy", "outside-box",
-            "value-then-type", "type-then-value",
+            "value-then-type", "type-then-value", "outside-then-type", "outside-then-value",
         ],
     )
     def test_first_bad_user_is_named(self, tmp_path, values, error, message):
@@ -640,8 +645,8 @@ class TestColumnLoadErrors:
             ({("y", 1): "1" + "0" * 400}, ValidationError, r"users\[1\]\.y must be finite"),
             ({("energy", 1): "-3.0"}, ValidationError, r"users\[1\]\.energy must be positive, got -3\.0"),
             ({("energy", 1): "0"}, ValidationError, r"users\[1\]\.energy must be positive, got 0\.0"),
-            ({("x", 1): "250.5"}, ValidationError, r"user 1 at \(250\.5, "),
-            ({("y", 1): "-1"}, ValidationError, r"user 1 at \(.*, -1\.0\) lies outside"),
+            ({("x", 1): "250.5"}, ValidationError, r"users\[1\] at \(250\.5, "),
+            ({("y", 1): "-1"}, ValidationError, r"users\[1\] at \(.*, -1\.0\) lies outside"),
         ],
         ids=["true", "string", "null", "array", "nan", "infinity", "minus-infinity", "1e400",
              "int-1e400", "negative-energy", "zero-energy", "outside-x", "outside-y"],
