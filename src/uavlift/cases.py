@@ -1,20 +1,33 @@
 """The three canned reproduction cases, each defined once.
 
-`uavlift reproduce` and the acceptance tests both read from here: the
-layouts, the canned seed, the solver settings, the concavity altitudes, the
+`uavlift reproduce` and the tests both read from here: the scenarios,
+the canned seed, the solver settings, the concavity altitudes, the
 published reference numbers and the PASS bands the results are judged by.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
+from .channel import SPEED_OF_LIGHT
 from .objective import ConcavityCertificate, NsdScan
-from .scenario import DEFAULT_ENERGY_HIGH, DEFAULT_ENERGY_LOW, AreaBounds, ClusterSpec, Scenario
+from .scenario import (
+    DEFAULT_ENERGY_HIGH,
+    DEFAULT_ENERGY_LOW,
+    DEFAULT_RF,
+    AreaBounds,
+    ClusterSpec,
+    Scenario,
+    generate_clustered,
+    generate_uniform,
+)
 from .solver import SolveReport, SolverConfig
 
-# The reference numbers assume the rounded speed of light.
+# The reference numbers assume the rounded speed of light. K sees it only in
+# frequency/c, so the cases' radio set scales the frequency to match, bit for bit.
 C_ROUNDED = 3e8
+RF = dataclasses.replace(DEFAULT_RF, frequency=DEFAULT_RF.frequency * SPEED_OF_LIGHT / C_ROUNDED)
 # Canned seed, chosen once so the outputs are stable and land inside the bands.
 SEED = 9
 # Every case uses the paper's deployment: a 250 m square, station at 650 m.
@@ -41,6 +54,16 @@ REFERENCE_NONUNIFORM = {"placement": (92.0, 156.0, 650.0), "cost": 5.22, "lifeti
 # sampled witness at a low one, where it fails.
 SCAN_ALTITUDES = (650.0, 30.0)
 SCAN_SAMPLES = 1000
+
+
+def uniform(seed: int = SEED) -> Scenario:
+    """The uniform (and concavity) case's scenario, with the cases' radio set."""
+    return generate_uniform(UNIFORM_USERS, BOUNDS, *ENERGY, seed, rf=RF)
+
+
+def nonuniform(seed: int = SEED) -> Scenario:
+    """The nonuniform case's scenario, with the cases' radio set."""
+    return generate_clustered((DENSE, SPARSE), BOUNDS, seed, rf=RF)
 
 
 def uniform_verdicts(report: SolveReport) -> list[tuple[str, bool]]:

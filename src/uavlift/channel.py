@@ -14,21 +14,21 @@ import math
 from .errors import ValidationError
 from .scenario import RfParams
 
-# Exact SI value. The bundled reproduction cases pass c=3e8 instead, which
-# is the rounding their published numbers are consistent with.
+# Exact SI value, the only c. The bundled reproduction cases reach the paper's
+# rounded 3e8 m/s through their radio set's frequency, `cases.RF`.
 SPEED_OF_LIGHT = 299_792_458.0
 
 # 2^x overflows a double near x = 1024; refuse well before that.
 _MAX_RATE_EXPONENT = 1000.0
 
 
-def path_loss(distance: float, frequency: float, c: float = SPEED_OF_LIGHT) -> float:
+def path_loss(distance: float, frequency: float) -> float:
     """Free-space loss factor (4*pi*distance*frequency/c)^2, dimensionless."""
     if not distance > 0:
         raise ValidationError(f"distance must be positive, got {distance}")
     if not frequency > 0:
         raise ValidationError(f"frequency must be positive, got {frequency}")
-    return (4.0 * math.pi * distance * frequency / c) ** 2
+    return (4.0 * math.pi * distance * frequency / SPEED_OF_LIGHT) ** 2
 
 
 def rate(bandwidth_per_user: float, power: float, loss: float, noise: float) -> float:
@@ -44,7 +44,7 @@ def rate(bandwidth_per_user: float, power: float, loss: float, noise: float) -> 
     return bandwidth_per_user * math.log2(1.0 + power / loss / noise)
 
 
-def system_constant(rf: RfParams, user_count: int, c: float = SPEED_OF_LIGHT) -> float:
+def system_constant(rf: RfParams, user_count: int) -> float:
     """K in watts per square meter for the radio parameters and the number
     of served devices:
 
@@ -58,13 +58,11 @@ def system_constant(rf: RfParams, user_count: int, c: float = SPEED_OF_LIGHT) ->
             f"rate*user_count/bandwidth = {exponent:.1f} would overflow 2^x; "
             "review the rate, user count, or bandwidth"
         )
-    k = (2.0 ** exponent - 1.0) * rf.noise * (4.0 * math.pi * rf.frequency / c) ** 2
+    k = (2.0 ** exponent - 1.0) * rf.noise * (4.0 * math.pi * rf.frequency / SPEED_OF_LIGHT) ** 2
     if not k > 0:  # 2^x - 1 underflows to 0 for a tiny exponent
         raise ValidationError(f"system constant must be positive, got {k}")
     if k == math.inf:  # a huge noise or frequency overflows the product
-        raise ValidationError(
-            f"system constant overflows to {k}; review the noise, frequency, or c"
-        )
+        raise ValidationError(f"system constant overflows to {k}; review the noise or frequency")
     return k
 
 

@@ -18,15 +18,12 @@ import warnings
 from . import cases
 from . import solver as solver_mod
 from . import surface as surface_mod
-from .channel import SPEED_OF_LIGHT
 from .errors import EmptyRegionError, NumericalError, ParseError, ValidationError, format_number
 from .objective import NsdScan, concavity_certificate, nsd_scan
 from .oracle import GridSpec, grid_search
 from .region import MODES, cut_radii, disk_radius
 from .region import build as build_region
 from .scenario import (
-    DEFAULT_ENERGY_HIGH,
-    DEFAULT_ENERGY_LOW,
     DEFAULT_RF,
     AreaBounds,
     ClusterSpec,
@@ -113,10 +110,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="WxH rectangle in meters")
     # None when not given and positive when given, so that --clusters, whose
     # clusters carry their own energy intervals, can refuse them
-    p.add_argument("--energy-low", type=_positive_float,
-                   help=f"with --count only, default {DEFAULT_ENERGY_LOW:g} J")
-    p.add_argument("--energy-high", type=_positive_float,
-                   help=f"with --count only, default {DEFAULT_ENERGY_HIGH:g} J")
+    low, high = cases.ENERGY
+    p.add_argument("--energy-low", type=_positive_float, help=f"with --count only, default {low:g} J")
+    p.add_argument("--energy-high", type=_positive_float, help=f"with --count only, default {high:g} J")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--z-min", type=_positive_float, default=b.z_min)
     for f in dataclasses.fields(RfParams):
@@ -126,7 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("check", help="feasibility and concavity report")
     p.add_argument("scenario")
-    p.add_argument("--c", type=_positive_float, default=SPEED_OF_LIGHT)
 
     p = add_parser("solve", help="gradient projection ascent")
     p.add_argument("scenario")
@@ -138,13 +133,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=config.max_iters)
     p.add_argument("--init", type=_init_spec, default=config.init)
     p.add_argument("--report", default=None, help="write the full report JSON here")
-    p.add_argument("--c", type=_positive_float, default=SPEED_OF_LIGHT)
 
     p = add_parser("grid", help="best grid node, exact (oracle; evaluates only tiles that can hold it)")
     p.add_argument("scenario")
     p.add_argument("--spacing", type=_positive_float, default=1.0)
     p.add_argument("--mode", choices=MODES, default="box")
-    p.add_argument("--c", type=_positive_float, default=SPEED_OF_LIGHT)
 
     p = add_parser("surface", help="objective surface as CSV or SVG")
     p.add_argument("scenario")
@@ -154,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("reproduce",
                    help="rerun a bundled case against its reference numbers, at their c = 3e8 m/s")
-    p.add_argument("--case", choices=("uniform", "nonuniform", "concavity"), required=True)
+    p.add_argument("--case", choices=_CASES, required=True)
     p.add_argument("--seed", type=int, default=cases.SEED)
     return parser
 
@@ -164,10 +157,8 @@ def _cmd_generate(args) -> int:
     bounds = AreaBounds(0.0, width, 0.0, height, args.z_min, args.z_min)
     rf = RfParams(**{f.name: getattr(args, f.name) for f in dataclasses.fields(RfParams)})
     if args.clusters is None:
-        scenario = generate_uniform(
-            args.count, bounds, args.energy_low or DEFAULT_ENERGY_LOW,
-            args.energy_high or DEFAULT_ENERGY_HIGH, args.seed, rf=rf,
-        )
+        energy = (args.energy_low or cases.ENERGY[0], args.energy_high or cases.ENERGY[1])
+        scenario = generate_uniform(args.count, bounds, *energy, args.seed, rf=rf)
     elif args.energy_low or args.energy_high:
         raise ValidationError("--energy-low and --energy-high go with --count; each cluster gives its own")
     else:
@@ -191,7 +182,7 @@ def _coordinate(v: float) -> str:
 
 def _cmd_check(args) -> int:
     scenario = load(args.scenario)
-    feas = build_region(scenario, c=args.c)
+    feas = build_region(scenario)
     print(f"{'user':>5} {'d_power(m)':>12} {'d_energy(m)':>12} {'d_limit(m)':>12} {'radius2d(m)':>12}")
     z = scenario.bounds.z_min
     limits = feas.limits
@@ -222,7 +213,7 @@ def _cmd_solve(args) -> int:
     scenario = load(args.scenario)
     fields = dataclasses.fields(solver_mod.SolverConfig)
     config = solver_mod.SolverConfig(**{f.name: getattr(args, f.name) for f in fields})
-    report = solver_mod.solve(scenario, config, c=args.c)
+    report = solver_mod.solve(scenario, config)
     if args.report:
         solver_mod.save_report(report, args.report)
     if report.infeasible:
@@ -239,9 +230,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_grid(args) -> int:
     scenario = load(args.scenario)
-    result = grid_search(
-        scenario, GridSpec(spacing=args.spacing, bounds=scenario.bounds), mode=args.mode, c=args.c
-    )
+    result = grid_search(scenario, GridSpec(spacing=args.spacing, bounds=scenario.bounds), mode=args.mode)
     print(
         f"best ({_coordinate(result.point[0])}, {_coordinate(result.point[1])}) "
         f"value {format_number(result.value, 6)} J/m^2 "
@@ -272,8 +261,7 @@ def _verdicts(verdicts: list[tuple[str, bool]]) -> int:
 
 
 def _repro_uniform(seed: int) -> int:
-    scenario = generate_uniform(cases.UNIFORM_USERS, cases.BOUNDS, *cases.ENERGY, seed)
-    report = solver_mod.solve(scenario, cases.UNIFORM_CONFIG, c=cases.C_ROUNDED)
+    report = solver_mod.solve(cases.uniform(seed), cases.UNIFORM_CONFIG)
     x, y, z = report.placement
     ref = cases.REFERENCE_UNIFORM
     print(f"case uniform: {cases.UNIFORM_TITLE}, seed {seed}")
@@ -284,8 +272,8 @@ def _repro_uniform(seed: int) -> int:
 
 
 def _repro_nonuniform(seed: int) -> int:
-    scenario = generate_clustered((cases.DENSE, cases.SPARSE), cases.BOUNDS, seed)
-    report = solver_mod.solve(scenario, cases.NONUNIFORM_CONFIG, c=cases.C_ROUNDED)
+    scenario = cases.nonuniform(seed)
+    report = solver_mod.solve(scenario, cases.NONUNIFORM_CONFIG)
     x, y, z = report.placement
     (cd, d_dense), (cs, d_sparse) = cases.cluster_distances(scenario, (x, y))
     ref = cases.REFERENCE_NONUNIFORM
@@ -307,7 +295,7 @@ def _describe_scan(scan: NsdScan) -> str:
 
 
 def _repro_concavity(seed: int) -> int:
-    scenario = generate_uniform(cases.UNIFORM_USERS, cases.BOUNDS, *cases.ENERGY, seed)
+    scenario = cases.uniform(seed)
     cert = concavity_certificate(cases.BOUNDS)
     print(f"case concavity: seed {seed}, d_max {cert.d_max:.2f} m, threshold {cert.threshold:.2f} m")
     high, low = (
@@ -320,12 +308,11 @@ def _repro_concavity(seed: int) -> int:
     return _verdicts(cases.concavity_verdicts(cert, high, low))
 
 
+_CASES = {"uniform": _repro_uniform, "nonuniform": _repro_nonuniform, "concavity": _repro_concavity}
+
+
 def _cmd_reproduce(args) -> int:
-    if args.case == "uniform":
-        return _repro_uniform(args.seed)
-    if args.case == "nonuniform":
-        return _repro_nonuniform(args.seed)
-    return _repro_concavity(args.seed)
+    return _CASES[args.case](args.seed)
 
 
 _COMMANDS = {

@@ -28,7 +28,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import region as region_mod
-from .channel import SPEED_OF_LIGHT
 from .errors import ValidationError
 from .objective import box_curvature_bounds, curvature_bounds, farthest, nearest, user_arrays
 from .scenario import AreaBounds, Scenario
@@ -254,12 +253,7 @@ def _candidate_nodes(feas, users, bounds: AreaBounds, gxs, gys) -> tuple[np.ndar
     return np.sort((ix * len(gys) + iy)[(ix <= i1) & (iy <= j1)]), centres
 
 
-def grid_search(
-    scenario: Scenario,
-    grid: GridSpec,
-    mode: str = "box",
-    c: float = SPEED_OF_LIGHT,
-) -> GridSearchResult:
+def grid_search(scenario: Scenario, grid: GridSpec, mode: str = "box") -> GridSearchResult:
     """The best feasible grid node, found by a quadtree branch and bound.
 
     The search splits the grid level by level into tiles, rectangles of
@@ -288,7 +282,7 @@ def grid_search(
     so the node and value are those of a scan of every node: ties break
     toward the smallest x, then the smallest y.
     """
-    feas = region_mod.feasible_set(scenario, mode, c)
+    feas = region_mod.feasible_set(scenario, mode)
     users = user_arrays(scenario.users)
     grid_xs, grid_ys = grid.xs(), grid.ys()
     n_y = len(grid_ys)

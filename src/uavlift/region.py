@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .channel import SPEED_OF_LIGHT, system_constant
+from .channel import system_constant
 from .errors import EmptyRegionError, NumericalError, ValidationError, format_number
 from .objective import farthest
 from .scenario import COORD_LIMIT, AreaBounds, Scenario
@@ -155,10 +155,10 @@ def check_mode(mode: str) -> str:
     return mode
 
 
-def feasible_set(scenario: Scenario, mode: str, c: float = SPEED_OF_LIGHT) -> FeasibleRegion:
+def feasible_set(scenario: Scenario, mode: str) -> FeasibleRegion:
     """The region of `mode`: `build`'s for "region", the bare box for "box"."""
     if check_mode(mode) == "region":
-        return build(scenario, c)
+        return build(scenario)
     return FeasibleRegion.from_disks((), scenario.bounds)
 
 
@@ -168,7 +168,7 @@ def disk_radius(d_limit: np.ndarray, z: float) -> np.ndarray:
     return np.sqrt(np.maximum(np.float_power(d_limit, 2) - z**2, 0.0))
 
 
-def build(scenario: Scenario, c: float = SPEED_OF_LIGHT) -> FeasibleRegion:
+def build(scenario: Scenario) -> FeasibleRegion:
     """Compute per-user range limits, reduce them to disks at altitude z_min,
     intersect with the box and decide emptiness.
 
@@ -178,7 +178,7 @@ def build(scenario: Scenario, c: float = SPEED_OF_LIGHT) -> FeasibleRegion:
     a range cause, including d_limit == z_min, where the disk would shrink to
     the single point under the user.
     """
-    k = system_constant(scenario.rf, len(scenario.users), c)
+    k = system_constant(scenario.rf, len(scenario.users))
     box = scenario.bounds
     z = box.z_min
     xs, ys, es = scenario.users.arrays

@@ -48,7 +48,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import region as region_mod
-from .channel import SPEED_OF_LIGHT, system_constant
+from .channel import system_constant
 from .errors import ValidationError
 from .objective import (
     ConcavityCertificate,
@@ -125,11 +125,7 @@ def _initial_point(scenario: Scenario, config: SolverConfig) -> tuple[float, flo
     return config.init
 
 
-def solve(
-    scenario: Scenario,
-    config: SolverConfig | None = None,
-    c: float = SPEED_OF_LIGHT,
-) -> SolveReport:
+def solve(scenario: Scenario, config: SolverConfig | None = None) -> SolveReport:
     """Run projected gradient ascent and report the trajectory.
 
     The objective is non-decreasing along the trajectory. Within the input
@@ -144,7 +140,7 @@ def solve(
     lo, hi = box_curvature_bounds(users, z, b)
     lipschitz, mu = -lo, -hi
     safe_step = 1.0 / lipschitz  # the lemma holds up to 1/L
-    k = system_constant(scenario.rf, len(scenario.users), c)
+    k = system_constant(scenario.rf, len(scenario.users))
     if not mu > 0:
         warnings.warn(
             f"objective may be non-concave: z_min = {cert.z_min:g} m does not exceed "
@@ -153,7 +149,7 @@ def solve(
             stacklevel=2,
         )
 
-    feas = region_mod.feasible_set(scenario, config.mode, c)
+    feas = region_mod.feasible_set(scenario, config.mode)
     if feas.empty:
         return SolveReport(
             placement=None,

@@ -15,18 +15,12 @@ from uavlift.objective import concavity_certificate, gradient, hessian, nsd_scan
 from uavlift.oracle import GridSpec, grid_search
 from uavlift.region import contains, project
 from uavlift.rng import SplitMix64
-from uavlift.scenario import (
-    DEFAULT_RF,
-    AreaBounds,
-    UserDevice,
-    generate_clustered,
-    generate_uniform,
-)
+from uavlift.scenario import AreaBounds, UserDevice, generate_uniform
 from uavlift.solver import SolverConfig, solve
 
 
 def test_criterion_1_system_constant_cross_check():
-    k = system_constant(DEFAULT_RF, cases.UNIFORM_USERS, c=cases.C_ROUNDED)
+    k = system_constant(cases.RF, cases.UNIFORM_USERS)
     implied = cases.REFERENCE_UNIFORM["cost"] / cases.REFERENCE_UNIFORM["lifetime"]
     rel = abs(k - implied) / implied
     assert rel < 0.005
@@ -34,8 +28,7 @@ def test_criterion_1_system_constant_cross_check():
 
 
 def test_criterion_2_uniform_case_reproduction():
-    scenario = generate_uniform(cases.UNIFORM_USERS, cases.BOUNDS, *cases.ENERGY, cases.SEED)
-    report = solve(scenario, cases.UNIFORM_CONFIG, c=cases.C_ROUNDED)
+    report = solve(cases.uniform(), cases.UNIFORM_CONFIG)
     assert [label for label, ok in cases.uniform_verdicts(report) if not ok] == []
     x, y, _ = report.placement
     print(
@@ -46,8 +39,8 @@ def test_criterion_2_uniform_case_reproduction():
 
 
 def test_criterion_3_nonuniform_case_density_pull():
-    scenario = generate_clustered((cases.DENSE, cases.SPARSE), cases.BOUNDS, cases.SEED)
-    report = solve(scenario, cases.NONUNIFORM_CONFIG, c=cases.C_ROUNDED)
+    scenario = cases.nonuniform()
+    report = solve(scenario, cases.NONUNIFORM_CONFIG)
     x, y, _ = report.placement
     (_, d_dense), (_, d_sparse) = cases.cluster_distances(scenario, (x, y))
     assert [label for label, ok in cases.nonuniform_verdicts(d_dense, d_sparse) if not ok] == []
@@ -58,7 +51,7 @@ def test_criterion_3_nonuniform_case_density_pull():
 
 
 def test_criterion_4_concavity_contrast():
-    scenario = generate_uniform(cases.UNIFORM_USERS, cases.BOUNDS, *cases.ENERGY, cases.SEED)
+    scenario = cases.uniform()
     cert = concavity_certificate(cases.BOUNDS)
     assert cert.threshold == pytest.approx(612.37, abs=0.01)
     high, low = (
@@ -215,10 +208,10 @@ def test_criterion_8_infeasibility_surfacing(tmp_path, capsys):
     rc = main([
         "generate", "--count", "200", "--area", "250x250",
         "--energy-low", "4500", "--energy-high", "18000",
-        "--seed", str(cases.SEED), "--out", str(path),
+        "--frequency", repr(cases.RF.frequency), "--seed", str(cases.SEED), "--out", str(path),
     ])
     assert rc == 0
-    rc = main(["solve", str(path), "--mode", "region", "--c", "3e8"])
+    rc = main(["solve", str(path), "--mode", "region"])
     out = capsys.readouterr().out
     assert rc == 3
     assert "power" in out

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uavlift import cases
 from uavlift.channel import (
     SPEED_OF_LIGHT,
     lifetime,
@@ -14,8 +15,6 @@ from uavlift.channel import (
 )
 from uavlift.errors import ValidationError
 from uavlift.scenario import DEFAULT_RF, RfParams
-
-C_ROUNDED = 3e8
 
 
 def unit_constant() -> float:
@@ -36,7 +35,7 @@ class TestPathLoss:
 
     def test_hand_evaluated_reference(self):
         # (4*pi*650*4e9/3e8)^2 evaluated by hand
-        assert path_loss(650.0, 4e9, c=C_ROUNDED) == pytest.approx(1.1861e10, rel=1e-4)
+        assert path_loss(650.0, cases.RF.frequency) == pytest.approx(1.1861e10, rel=1e-4)
 
     def test_quadratic_law(self):
         assert path_loss(1300.0, 4e9) == pytest.approx(4.0 * path_loss(650.0, 4e9), rel=1e-12)
@@ -82,18 +81,32 @@ class TestRate:
 
 class TestSystemConstant:
     def test_reference_parameters(self):
-        k = system_constant(DEFAULT_RF, 200, c=C_ROUNDED)
+        k = system_constant(cases.RF, 200)
         # hand evaluation: (2^16 - 1) * 1e-14 * (4*pi*4e9/3e8)^2
         assert k == pytest.approx(1.8398e-5, rel=1e-4)
 
     def test_published_ratio_cross_check(self):
         # reference optimal cost / reference lifetime = 5.19 / 282096
-        k = system_constant(DEFAULT_RF, 200, c=C_ROUNDED)
+        k = system_constant(cases.RF, 200)
         assert k == pytest.approx(5.19 / 282096.0, rel=5e-3)
+
+    @pytest.mark.parametrize("users, want", [
+        (1, "0x1.19990b2f9f315p-36"),
+        (200, "0x1.34aac9d3e1d87p-16"),
+        (12000, "0x1.34abfe7fe0585p+928"),
+    ])
+    def test_cases_radio_set_is_pinned(self, users, want):
+        # the cases' frequency, 4e9 * c/3e8, gives the default radio set's
+        # K at the paper's rounded c = 3e8 m/s, bit for bit
+        assert cases.RF.frequency == 3997232773.3333335
+        assert system_constant(cases.RF, users).hex() == want
+
+    def test_cases_path_loss_is_pinned(self):
+        assert path_loss(650.0, cases.RF.frequency).hex() == "0x1.617ccac657edbp+33"
 
     def test_exact_si_speed_of_light_differs_slightly(self):
         k_si = system_constant(DEFAULT_RF, 200)
-        k_rounded = system_constant(DEFAULT_RF, 200, c=C_ROUNDED)
+        k_rounded = system_constant(cases.RF, 200)
         assert k_si != k_rounded
         assert k_si == pytest.approx(k_rounded, rel=3e-3)
 
@@ -126,7 +139,7 @@ class TestRequiredPower:
         assert required_power(unit_constant(), 1.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_reference_distance_exceeds_power_budget(self):
-        k = system_constant(DEFAULT_RF, 200, c=C_ROUNDED)
+        k = system_constant(cases.RF, 200)
         p = required_power(k, 650.0)
         assert p == pytest.approx(7.773, abs=0.01)
         assert p > DEFAULT_RF.p_max
@@ -144,7 +157,7 @@ class TestLifetime:
 
     def test_hand_evaluated_reference(self):
         # 11250 / (K * 432917) with K from the reference parameters
-        k = system_constant(DEFAULT_RF, 200, c=C_ROUNDED)
+        k = system_constant(cases.RF, 200)
         assert lifetime(11250.0, k, math.sqrt(432917.0)) == pytest.approx(1412.46, abs=0.1)
 
     def test_linear_in_energy(self):

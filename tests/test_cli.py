@@ -35,16 +35,26 @@ from uavlift.solver import SolverConfig, solve
 TOTAL_ENERGY = f"[{ENERGY_LIMITS[0]!r}, {ENERGY_LIMITS[1]!r}]"
 
 
-@pytest.fixture()
-def reference_file(tmp_path):
-    path = tmp_path / "reference.json"
+def generate_reference(path, *flags):
     rc = main([
         "generate", "--count", "200", "--area", "250x250",
         "--energy-low", "4500", "--energy-high", "18000",
-        "--seed", "9", "--out", str(path),
+        "--seed", "9", *flags, "--out", str(path),
     ])
     assert rc == 0
     return path
+
+
+@pytest.fixture()
+def reference_file(tmp_path):
+    return generate_reference(tmp_path / "reference.json")
+
+
+@pytest.fixture()
+def rounded_file(tmp_path):
+    """The reference setup with the cases' frequency, whose K is the
+    default radio set's at the paper's rounded c = 3e8 m/s."""
+    return generate_reference(tmp_path / "rounded.json", "--frequency", repr(cases.RF.frequency))
 
 
 @pytest.fixture()
@@ -142,8 +152,8 @@ class TestGenerate:
 
 
 class TestCheck:
-    def test_reference_setup_is_infeasible_exit_3(self, reference_file, capsys):
-        rc = main(["check", str(reference_file), "--c", "3e8"])
+    def test_reference_setup_is_infeasible_exit_3(self, rounded_file, capsys):
+        rc = main(["check", str(rounded_file)])
         out = capsys.readouterr().out
         assert rc == 3
         assert "power" in out
@@ -237,8 +247,8 @@ def _lens_file(tmp_path):
 class TestCheckOutput:
     """`check`'s per-user table and verdict, pinned byte for byte."""
 
-    def test_empty_by_range_for_all_users(self, reference_file, capsys):
-        assert main(["check", str(reference_file), "--c", "3e8"]) == 3
+    def test_empty_by_range_for_all_users(self, rounded_file, capsys):
+        assert main(["check", str(rounded_file)]) == 3
         out = capsys.readouterr().out
         lines = out.splitlines(keepends=True)
         assert len(lines) == 203
@@ -347,20 +357,20 @@ def test_tangent_disks_are_a_region(tmp_path, capsys, command):
 
 
 class TestSolve:
-    def test_region_mode_infeasible_exit_3(self, reference_file, capsys):
-        rc = main(["solve", str(reference_file), "--mode", "region", "--c", "3e8"])
+    def test_region_mode_infeasible_exit_3(self, rounded_file, capsys):
+        rc = main(["solve", str(rounded_file), "--mode", "region"])
         err = capsys.readouterr()
         assert rc == 3
         assert "power" in err.out
 
-    def test_box_mode_summary(self, reference_file, capsys):
-        rc = main(["solve", str(reference_file), "--mode", "box", "--c", "3e8"])
+    def test_box_mode_summary(self, rounded_file, capsys):
+        rc = main(["solve", str(rounded_file), "--mode", "box"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "placement" in out and "objective" in out and "lifetime" in out
 
-    def test_box_mode_converges_at_default_settings(self, reference_file, capsys):
-        rc = main(["solve", str(reference_file), "--mode", "box", "--c", "3e8"])
+    def test_box_mode_converges_at_default_settings(self, rounded_file, capsys):
+        rc = main(["solve", str(rounded_file), "--mode", "box"])
         assert rc == 0
         assert "converged true" in capsys.readouterr().out
 
@@ -957,7 +967,11 @@ def test_corner_instances_of_the_domain_warn_nothing(tmp_path, capsys, monkeypat
     (["solve", "s.json", "--init", "random"], "init must be centroid or finite x,y coordinates, got 'random'"),
     (["solve", "s.json", "--mode", "box", "--trajectory", "t.csv"], "unrecognized arguments"),
     (["reproduce", "--case", "uniform", "--c", "3e8"], "unrecognized arguments"),
-], ids=["no-line-search", "z-max", "gamma", "init-seed", "init-random", "trajectory", "reproduce-c"])
+    (["check", "s.json", "--c", "3e8"], "unrecognized arguments"),
+    (["solve", "s.json", "--c", "3e8"], "unrecognized arguments"),
+    (["grid", "s.json", "--c", "3e8"], "unrecognized arguments"),
+], ids=["no-line-search", "z-max", "gamma", "init-seed", "init-random", "trajectory", "reproduce-c",
+        "check-c", "solve-c", "grid-c"])
 def test_removed_flags_are_refused(argv, error, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # where a relative output path would land
     assert main(argv) == 2
@@ -1005,8 +1019,8 @@ class TestGrid:
         assert rc == 0
         assert "best (" in out
 
-    def test_region_mode_on_infeasible_exit_3(self, reference_file, capsys):
-        rc = main(["grid", str(reference_file), "--mode", "region", "--c", "3e8"])
+    def test_region_mode_on_infeasible_exit_3(self, rounded_file, capsys):
+        rc = main(["grid", str(rounded_file), "--mode", "region"])
         capsys.readouterr()
         assert rc == 3
 

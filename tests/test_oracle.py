@@ -7,7 +7,7 @@ import pytest
 from finite_differences import fd_gradient, fd_hessian
 from region_layouts import binding_scenario
 
-from uavlift import oracle
+from uavlift import cases, oracle
 from uavlift.channel import SPEED_OF_LIGHT
 from uavlift.cli import main
 from uavlift.errors import EmptyRegionError, ValidationError
@@ -86,9 +86,9 @@ class TestGridSearch:
 
     def test_region_mode_on_empty_region_raises(self):
         bounds = AreaBounds(0, 250, 0, 250, 650, 650)
-        s = generate_uniform(200, bounds, 4500, 18000, seed=9)
+        s = generate_uniform(200, bounds, 4500, 18000, seed=9, rf=cases.RF)
         with pytest.raises(EmptyRegionError):
-            grid_search(s, GridSpec(5.0, bounds), mode="region", c=3e8)
+            grid_search(s, GridSpec(5.0, bounds), mode="region")
 
     def test_refining_the_grid_never_loses_ground(self):
         bounds = AreaBounds(0, 50, 0, 50, 130, 130)
@@ -216,13 +216,13 @@ def flat_values(xs, ys, es, z: float, px: np.ndarray, py: np.ndarray) -> np.ndar
     return values
 
 
-def exhaustive_search(scenario: Scenario, grid: GridSpec, mode: str = "box", c=SPEED_OF_LIGHT):
+def exhaustive_search(scenario: Scenario, grid: GridSpec, mode: str = "box"):
     """The scan `grid_search` must reproduce: `flat_values` at every node,
     then the first x-major maximum among the nodes inside every range disk."""
     px, py = (a.ravel() for a in np.meshgrid(grid.xs(), grid.ys(), indexing="ij"))
     values = flat_values(*user_arrays(scenario.users), scenario.bounds.z_min, px, py)
     if mode == "region":
-        feas = build(scenario, c)
+        feas = build(scenario)
         table = feas.table
         r2 = (table.r + table.rounding) ** 2
         inside = np.all((px[:, None] - table.cx) ** 2 + (py[:, None] - table.cy) ** 2 <= r2, axis=1)

@@ -15,8 +15,9 @@ from padding_bisection import bisected_shortfall, candidate_check
 from region_layouts import binding_scenario, project_each, random_region, unit_rf, unit_scenario
 
 import uavlift
+from uavlift import cases
 from uavlift import region as region_mod
-from uavlift.channel import SPEED_OF_LIGHT, system_constant
+from uavlift.channel import system_constant
 from uavlift.errors import EmptyRegionError, ValidationError
 from uavlift.oracle import GridSpec, grid_search
 from uavlift.region import (
@@ -47,18 +48,18 @@ class TestRangeLimits:
         assert max_range_energy(1.0, 1.0, k) == pytest.approx(1.0, rel=1e-12)
 
     def test_reference_power_range(self):
-        k = system_constant(DEFAULT_RF, 200, c=3e8)
+        k = system_constant(cases.RF, 200)
         assert max_range_power(0.5, k) == pytest.approx(164.85, abs=0.01)
 
     def test_reference_energy_ranges(self):
-        k = system_constant(DEFAULT_RF, 200, c=3e8)
+        k = system_constant(cases.RF, 200)
         low = max_range_energy(4500.0, 900.0, k)
         high = max_range_energy(18000.0, 900.0, k)
         assert low == pytest.approx(521.31, abs=0.01)
         assert high == pytest.approx(2.0 * low, rel=1e-12)  # 4x energy doubles range
 
     def test_energy_ranges_of_an_array_are_the_scalar_ranges(self):
-        k = system_constant(DEFAULT_RF, 200, c=3e8)
+        k = system_constant(cases.RF, 200)
         gen = SplitMix64(6)
         es = np.array([gen.uniform(4500.0, 18000.0) for _ in range(500)])
         want = [math.sqrt(e / (900.0 * k)) for e in es.tolist()]
@@ -80,8 +81,8 @@ class TestBuild:
         from uavlift.scenario import generate_uniform
 
         bounds = AreaBounds(0, 250, 0, 250, 650, 650)
-        scenario = generate_uniform(200, bounds, 4500, 18000, seed=9)
-        feas = build(scenario, c=3e8)
+        scenario = generate_uniform(200, bounds, 4500, 18000, seed=9, rf=cases.RF)
+        feas = build(scenario)
         assert feas.empty
         assert "power" in feas.empty_reason
         assert "650" in feas.empty_reason
@@ -148,10 +149,12 @@ class TestBuild:
         bounds = AreaBounds(-10, 10, -10, 10, 1, 1)
         scenario = unit_scenario([UserDevice(0, 0, 100.0)], bounds, p_max=5e-324)
         assert build(scenario).limits.d_power > 0
+        # twice the frequency: K four times as large, as at c/2
         rf = unit_rf(p_max=5e-324, users=1)
+        rf = dataclasses.replace(rf, frequency=2.0 * rf.frequency)
         scenario = Scenario(users=(UserDevice(0, 0, 100.0),), rf=rf, bounds=bounds)
         with pytest.raises(ValidationError, match="range limits must be positive"):
-            build(scenario, c=SPEED_OF_LIGHT / 2.0)
+            build(scenario)
 
     def test_two_far_users_make_disjoint_disks(self):
         # energies give d_limit = sqrt(17), so radius 4 at altitude 1;

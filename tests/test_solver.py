@@ -10,7 +10,6 @@ from region_layouts import binding_scenario, unit_scenario
 from uavlift import cases, objective
 from uavlift import region as region_mod
 from uavlift import solver as solver_mod
-from uavlift.channel import SPEED_OF_LIGHT
 from uavlift.errors import ValidationError
 from uavlift.objective import (
     UserArrays,
@@ -33,17 +32,11 @@ from uavlift.scenario import (
     RfParams,
     Scenario,
     UserDevice,
-    generate_clustered,
     generate_uniform,
 )
 from uavlift.solver import SolverConfig, report_to_dict, solve
 
 RF = RfParams(rate=4e6, bandwidth=50e6, noise=1e-14, frequency=4e9, p_max=0.5, tau_th=900)
-
-
-def reference_scenario(seed=9):
-    bounds = AreaBounds(0, 250, 0, 250, 650, 650)
-    return generate_uniform(200, bounds, 4500, 18000, seed=seed)
 
 
 def relaxed_scenario(seed=5, n=30):
@@ -53,18 +46,10 @@ def relaxed_scenario(seed=5, n=30):
     return generate_uniform(n, bounds, 4500, 18000, seed=seed)
 
 
-def canned_uniform():
-    return generate_uniform(cases.UNIFORM_USERS, cases.BOUNDS, *cases.ENERGY, cases.SEED)
-
-
 def canned_uniform_at(z):
     """The canned uniform layout with the station at altitude z."""
     bounds = AreaBounds(0, 250, 0, 250, z, z)
-    return generate_uniform(cases.UNIFORM_USERS, bounds, *cases.ENERGY, cases.SEED)
-
-
-def canned_nonuniform():
-    return generate_clustered((cases.DENSE, cases.SPARSE), cases.BOUNDS, cases.SEED)
+    return generate_uniform(cases.UNIFORM_USERS, bounds, *cases.ENERGY, cases.SEED, rf=cases.RF)
 
 
 def newton_optimum(scenario, p=(125.0, 125.0), steps=30):
@@ -117,18 +102,18 @@ class TestSolveBasics:
         assert z == 650.0
 
     def test_lifetime_consistent_with_objective(self):
-        report = solve(reference_scenario(), SolverConfig(mode="box"), c=3e8)
+        report = solve(cases.uniform(), SolverConfig(mode="box"))
         assert report.lifetime_seconds * report.k == pytest.approx(report.objective, rel=1e-9)
 
     def test_honest_convergence_flag(self):
-        report = solve(reference_scenario(), SolverConfig(mode="box", max_iters=1), c=3e8)
+        report = solve(cases.uniform(), SolverConfig(mode="box", max_iters=1))
         assert report.iterations == 1
         assert not report.converged
 
     def test_deterministic(self):
         config = SolverConfig(mode="box", max_iters=40)
-        a = solve(reference_scenario(), config, c=3e8)
-        b = solve(reference_scenario(), config, c=3e8)
+        a = solve(cases.uniform(), config)
+        b = solve(cases.uniform(), config)
         assert a == b
 
     def test_config_validation(self):
@@ -182,7 +167,7 @@ class TestSolveBasics:
 
         monkeypatch.setattr(objective, "user_arrays", counting)
         monkeypatch.setattr(solver_mod, "user_arrays", counting)
-        report = solve(reference_scenario(), SolverConfig(mode="box", max_iters=100))
+        report = solve(cases.uniform(), SolverConfig(mode="box", max_iters=100))
         assert report.iterations > 1
         assert built == [200]
 
@@ -197,50 +182,50 @@ def z30_scenario():
 # the trajectory's hex. A change of step rule or summation order shows here.
 PINNED_SOLVES = {
     "uniform": (
-        canned_uniform, cases.UNIFORM_CONFIG, cases.C_ROUNDED,
+        cases.uniform, cases.UNIFORM_CONFIG,
         ("0x1.0479666f7e690p+7", "0x1.fa3546ec77d29p+6", "0x1.4500000000000p+9"),
         "0x1.4d0b09d3aea98p+2", "0x1.35db7591e9e48p+15", "0x1.1d2871184ee40p-45", None, 5, True,
         "04da25844dad40cd1622aaf90eba55f9e714a96f022e283a2a6607e877a6c279",
     ),
     "nonuniform": (
-        canned_nonuniform, cases.NONUNIFORM_CONFIG, cases.C_ROUNDED,
+        cases.nonuniform, cases.NONUNIFORM_CONFIG,
         ("0x1.a6d9a04e9d8b4p+6", "0x1.f955381c331c6p+6", "0x1.4500000000000p+9"),
         "0x1.52055c3f88c19p+2", "0x1.345af188f678ap+15", "0x1.49265b007f260p-53", None, 6, True,
         "fe5c1888fb631542fd5d4dfee8da3244a8e9e3445de23a701046f0b652c00a75",
     ),
     "u2000-corner": (
-        lambda: generate_uniform(2000, cases.BOUNDS, *cases.ENERGY, cases.SEED),
-        SolverConfig(mode="box", init=(0.0, 0.0)), cases.C_ROUNDED,
+        lambda: generate_uniform(2000, cases.BOUNDS, *cases.ENERGY, cases.SEED, rf=cases.RF),
+        SolverConfig(mode="box", init=(0.0, 0.0)),
         ("0x1.ee69946a06c65p+6", "0x1.f93d85f8b0888p+6", "0x1.4500000000000p+9"),
         "0x1.9f75c14806652p+5", "0x1.f04d1e3c6601ep+11", "0x1.688bb6b324633p-43", None, 7, True,
         "b8145d6bde75009ec30492ee14b8fa82ef3d0aec7c0661949de155e980c01c00",
     ),
     "b20-centroid": (
-        lambda: binding_scenario(20), SolverConfig(mode="region"), SPEED_OF_LIGHT,
+        lambda: binding_scenario(20), SolverConfig(mode="region"),
         ("0x1.64d601ad70ba1p+5", "0x1.dea9cc6def43ep+5", "0x1.4000000000000p+3"),
         "0x1.e48d55cc9a3bbp+5", "0x1.7a39a2e0b3da1p+4", None, "0x0.0p+0", 10, True,
         "809d4b0734fdd20de9604a4ce0055430f9802b5b472735f991c3729874ac7dda",
     ),
     "b20-corner": (
-        lambda: binding_scenario(20), SolverConfig(mode="region", init=(0.0, 0.0)), SPEED_OF_LIGHT,
+        lambda: binding_scenario(20), SolverConfig(mode="region", init=(0.0, 0.0)),
         ("0x1.64d601ad70ba1p+5", "0x1.dea9cc6def43ep+5", "0x1.4000000000000p+3"),
         "0x1.e48d55cc9a3bbp+5", "0x1.7a39a2e0b3da1p+4", None, "0x0.0p+0", 10, True,
         "40572da142f67f6ea883784f6fd8f837ece1049d3c85c5849423ab26b0292a16",
     ),
     "b50-centroid": (
-        lambda: binding_scenario(50), SolverConfig(mode="region"), SPEED_OF_LIGHT,
+        lambda: binding_scenario(50), SolverConfig(mode="region"),
         ("0x1.654919934d900p+5", "0x1.e12f69e47ee73p+5", "0x1.4000000000000p+3"),
         "0x1.cc5d9ed7a5df0p+6", "0x1.f16cbbaed2cecp+9", None, "0x0.0p+0", 16, True,
         "78179f66c7099f4835837eb877a16557cd98541964e1a274e44afa3d205a70ac",
     ),
     "b50-corner": (
-        lambda: binding_scenario(50), SolverConfig(mode="region", init=(0.0, 0.0)), SPEED_OF_LIGHT,
+        lambda: binding_scenario(50), SolverConfig(mode="region", init=(0.0, 0.0)),
         ("0x1.654919934d900p+5", "0x1.e12f69e47ee73p+5", "0x1.4000000000000p+3"),
         "0x1.cc5d9ed7a5df0p+6", "0x1.f16cbbaed2cecp+9", None, "0x0.0p+0", 16, True,
         "46646b7f0a2026a6f5fa5e34e1d640be32edfb7a618f9e7670fd67c406185b5f",
     ),
     "z30-box": (
-        z30_scenario, SolverConfig(mode="box"), SPEED_OF_LIGHT,
+        z30_scenario, SolverConfig(mode="box"),
         ("0x1.6c3cf49fc88e3p+6", "0x1.22566fb5d7b09p+6", "0x1.e000000000000p+4"),
         "0x1.98b902655a140p+6", "0x1.7e573c1bc33ebp+4", None, "0x1.c9331f1d8c79ap-17", 20, True,
         "0f10696e7deaaa1daf9b5a0c098f19731bdb0b157d39c160132d740ed43c882c",
@@ -250,10 +235,10 @@ PINNED_SOLVES = {
 
 @pytest.mark.parametrize("name", PINNED_SOLVES)
 def test_pinned_solve_reports(name):
-    make, config, c, *want = PINNED_SOLVES[name]
+    make, config, *want = PINNED_SOLVES[name]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # binding and z = 30 m: no certificate
-        r = solve(make(), config, c=c)
+        r = solve(make(), config)
 
     def hexed(v):
         return None if v is None else float.hex(v)
@@ -273,7 +258,7 @@ def test_no_accepted_step_falls_below_half_of_one_over_l(name, monkeypatch):
     # still at least 2^10/L, so the stop test only ever meets a step t of at
     # least 1/(2L). t is read back from each accepted trial p + t*g: the
     # first one that projects onto the next iterate.
-    make, config, c, *_ = PINNED_SOLVES[name]
+    make, config, *_ = PINNED_SOLVES[name]
     scenario = make()
     calls = []
     real = region_mod.project
@@ -285,7 +270,7 @@ def test_no_accepted_step_falls_below_half_of_one_over_l(name, monkeypatch):
     monkeypatch.setattr(region_mod, "project", recording)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # binding and z = 30 m: no certificate
-        report = solve(scenario, config, c=c)
+        report = solve(scenario, config)
     z = scenario.bounds.z_min
     big_l = -box_curvature_bounds(scenario.users, z, scenario.bounds)[0]
     i = 1
@@ -301,8 +286,8 @@ def test_no_accepted_step_falls_below_half_of_one_over_l(name, monkeypatch):
 
 class TestStepRule:
     def test_canned_uniform_case_converges_to_the_newton_optimum(self, value_calls):
-        scenario = canned_uniform()
-        report = solve(scenario, cases.UNIFORM_CONFIG, c=cases.C_ROUNDED)
+        scenario = cases.uniform()
+        report = solve(scenario, cases.UNIFORM_CONFIG)
         ref = newton_optimum(scenario)
         assert report.converged
         assert report.iterations <= 20
@@ -310,17 +295,17 @@ class TestStepRule:
         assert len(value_calls) <= 3 * report.iterations + 1
 
     def test_canned_nonuniform_case_converges_in_a_few_iterations(self, value_calls):
-        scenario = canned_nonuniform()
-        report = solve(scenario, cases.NONUNIFORM_CONFIG, c=cases.C_ROUNDED)
+        scenario = cases.nonuniform()
+        report = solve(scenario, cases.NONUNIFORM_CONFIG)
         assert report.converged
         assert report.iterations <= 20
         assert math.dist(report.placement[:2], newton_optimum(scenario)) <= 1e-3
         assert len(value_calls) <= 3 * report.iterations + 1
 
     def test_first_accepted_step_is_one_over_lipschitz(self):
-        scenario = canned_uniform()
+        scenario = cases.uniform()
         config = SolverConfig(mode="box", max_iters=1)
-        report = solve(scenario, config, c=cases.C_ROUNDED)
+        report = solve(scenario, config)
         z = scenario.bounds.z_min
         step = 1.0 / (2.0 * float(scenario.users.arrays.es.sum()) / z**4)  # the solver's 1/L
         (x0, y0, _), (x1, y1, _) = report.trajectory
@@ -440,8 +425,8 @@ class TestStepRule:
 
 class TestGapBound:
     @pytest.mark.parametrize("make, config", [
-        (canned_uniform, cases.UNIFORM_CONFIG),
-        (canned_nonuniform, cases.NONUNIFORM_CONFIG),
+        (cases.uniform, cases.UNIFORM_CONFIG),
+        (cases.nonuniform, cases.NONUNIFORM_CONFIG),
     ], ids=["uniform", "nonuniform"])
     def test_bound_covers_the_true_gap(self, make, config):
         scenario = make()
@@ -449,7 +434,7 @@ class TestGapBound:
         f_star = value(scenario.users, z, newton_optimum(scenario))
         for max_iters in (1, 2, 3, config.max_iters):
             cfg = SolverConfig(mode="box", max_iters=max_iters, tolerance=config.tolerance)
-            report = solve(scenario, cfg, c=cases.C_ROUNDED)
+            report = solve(scenario, cfg)
             gap = f_star - report.objective
             assert report.projected_gradient is None
             # the objective is about 5 J/m^2: allow a few ulps of rounding
@@ -484,7 +469,7 @@ class TestGapBound:
 
     @pytest.mark.parametrize("z", [2.0, 10.0, 30.0, 650.0])
     def test_modulus_bounds_every_hessian_on_the_box(self, z):
-        scenario = canned_uniform()
+        scenario = cases.uniform()
         b = scenario.bounds
         d_max = math.hypot(b.x_max - b.x_min, b.y_max - b.y_min)
         lo, hi = curvature_bounds(scenario.users, z, d_max)
@@ -542,14 +527,14 @@ class TestGapBound:
         for max_iters in (1, 2, cases.UNIFORM_CONFIG.max_iters):
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                report = solve(scenario, SolverConfig(mode="box", max_iters=max_iters), c=cases.C_ROUNDED)
+                report = solve(scenario, SolverConfig(mode="box", max_iters=max_iters))
             assert report.projected_gradient is None
             assert report.gap_bound >= f_star - report.objective - 1e-14
 
     def test_warns_where_the_per_user_bound_proves_nothing(self):
         scenario = canned_uniform_at(440.0)
         with pytest.warns(RuntimeWarning, match="non-concave"):
-            report = solve(scenario, cases.UNIFORM_CONFIG, c=cases.C_ROUNDED)
+            report = solve(scenario, cases.UNIFORM_CONFIG)
         assert report.gap_bound is None
         assert report.projected_gradient >= 0.0
 
@@ -560,7 +545,7 @@ class TestGapBound:
             scenario = canned_uniform_at(z)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                report = solve(scenario, SolverConfig(mode="box", max_iters=3), c=cases.C_ROUNDED)
+                report = solve(scenario, SolverConfig(mode="box", max_iters=3))
             proven = nsd_scan(scenario.users, z, scenario.bounds, samples=1).outcome == "proven"
             assert (report.gap_bound is not None) == proven, z
             assert (report.projected_gradient is None) == proven, z
@@ -582,7 +567,7 @@ class TestGapBound:
 
 class TestMonotoneAscent:
     def test_line_search_never_decreases_objective(self):
-        report = solve(reference_scenario(), SolverConfig(mode="box", max_iters=100), c=3e8)
+        report = solve(cases.uniform(), SolverConfig(mode="box", max_iters=100))
         values = [f for _, _, f in report.trajectory]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
         assert len(report.trajectory) == report.iterations + 1
@@ -594,8 +579,8 @@ class TestMonotoneAscent:
         with pytest.raises(ValidationError, match="^the users' total energy must lie in "):
             Scenario(users=(UserDevice(100.0, 100.0, 1e300),), rf=RF, bounds=AreaBounds(0, 250, 0, 250, 650, 650))
         users = (UserDevice(100.0, 100.0, 2.0**899), UserDevice(150.0, 120.0, 2.0**898))
-        s = Scenario(users=users, rf=RF, bounds=AreaBounds(0, 250, 0, 250, 650, 650))
-        report = solve(s, SolverConfig(mode="box"), c=3e8)
+        s = Scenario(users=users, rf=cases.RF, bounds=AreaBounds(0, 250, 0, 250, 650, 650))
+        report = solve(s, SolverConfig(mode="box"))
         values = [f for _, _, f in report.trajectory]
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert report.converged
@@ -625,7 +610,7 @@ class TestMonotoneAscent:
 
 class TestRegionMode:
     def test_reference_setup_returns_infeasible_report(self):
-        report = solve(reference_scenario(), SolverConfig(mode="region"), c=3e8)
+        report = solve(cases.uniform(), SolverConfig(mode="region"))
         assert report.infeasible is not None
         assert "power" in report.infeasible
         assert report.placement is None
